@@ -15,7 +15,6 @@ from .geometry import (
     Site,
     bisector,
     circumcenter,
-    clip_to_nearer,
     incircle,
     orient,
     ray_hit,
@@ -41,7 +40,6 @@ __all__ = [
     "Site",
     "bisector",
     "circumcenter",
-    "clip_to_nearer",
     "incircle",
     "orient",
     "ray_hit",

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .memory import BUDGET_CONST, OutputSink, ReadOnlyArena, observing_ledger
+from .memory import OutputSink, ReadOnlyArena, observing_ledger
 from .pipeline import PipelineConfig, pipeline_run
 from .scan import DiagramMode, enumerate_diagram
 from .tradeoff import run_tradeoff
@@ -84,7 +84,7 @@ def bench_table(
     return rows
 
 
-def format_csv(rows: Sequence[BenchRow]) -> str:
-    out = [f"# budget_const={BUDGET_CONST}", CSV_HEADER]
+def format_csv(rows: Sequence[BenchRow], budget_const: int) -> str:
+    out = [f"# budget_const={budget_const}", CSV_HEADER]
     out.extend(row.csv() for row in rows)
     return "\n".join(out) + "\n"

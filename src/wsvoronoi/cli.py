@@ -112,7 +112,7 @@ def cmd_run(args) -> int:
         if args.mode == "order":
             if args.max_k is None or args.workspace is None:
                 raise ConfigError("--mode order needs --max-k and --workspace")
-            config = PipelineConfig(K=args.max_k, s=args.workspace, seed=args.seed)
+            config = PipelineConfig(K=args.max_k, s=args.workspace)
         elif args.max_k is not None:
             raise ConfigError("--max-k only applies to --mode order")
     except ConfigError as e:
@@ -212,6 +212,7 @@ def cmd_bench(args) -> int:
             sites = _load_sites(args.file)
         else:
             raise ConfigError("bench needs --file or --random")
+        c = _budget_const()
         s_list = [int(t) for t in args.s_list.split(",")] if args.s_list else [0]
         k_list = [int(t) for t in args.k_list.split(",")] if args.k_list else None
     except DuplicateSiteError as e:
@@ -221,7 +222,7 @@ def cmd_bench(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     rows = bench_table(sites, s_list, k_list, repeats=args.repeats)
-    text = format_csv(rows)
+    text = format_csv(rows, c)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -270,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, default=None, help="top order for --mode order")
     p.add_argument("--workspace", type=int, default=None, help="workspace parameter s")
     p.add_argument("--enforce", action="store_true", help="abort on workspace budget breach")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="label copied to the record header and report; selects nothing"
+    )
     p.add_argument("--out", default=None, help="records path; report goes to PATH.report")
     p.set_defaults(func=cmd_run)
 

@@ -129,10 +129,6 @@ class EdgePiece:
         return tuple(out)
 
 
-def full_line_piece(carrier: BisectorLine) -> EdgePiece:
-    return EdgePiece(carrier, None, None)
-
-
 def orient(a: Site, b: Site, c: Site) -> int:
     """Sign of the signed area of triangle (a, b, c)."""
     return exact.orient_ipts(a.ipt, b.ipt, c.ipt)
@@ -172,58 +168,6 @@ def ray_hit(r: Ray, line: BisectorLine):
         return exact.ray_line_param(r.origin, r.direction, line.line)
     except ValueError as e:
         raise DegenerateGeometry(str(e)) from None
-
-
-def clip_to_nearer(piece: EdgePiece, anchor: Site, rival: Site, keep_nearer: bool = True) -> Optional[EdgePiece]:
-    """Keep the part of the piece strictly closer to anchor than to rival.
-
-    With ``keep_nearer=False`` keeps the strictly-farther part instead (the
-    farthest-site variant).  Returns None when nothing survives.  The
-    surviving part is connected because the piece is convex.
-    """
-    cut = exact.bisector_line(anchor.ipt, rival.ipt)
-    # f(x) = d^2(x, anchor) - d^2(x, rival) = -(a*x + b*y - c) up to a
-    # positive factor with this line orientation; recompute directly to
-    # keep the wanted sign explicit.
-    ax, ay = anchor.ipt
-    rx, ry = rival.ipt
-    la = 2 * (rx - ax)
-    lb = 2 * (ry - ay)
-    lc = rx * rx + ry * ry - ax * ax - ay * ay
-    # f(hp) = la*x + lb*y - lc; f < 0 on the anchor side.
-    want = -1 if keep_nearer else 1
-
-    carrier = piece.carrier.line
-    d = exact.line_dir(carrier)
-    slope = exact.sign(la * d[0] + lb * d[1])
-
-    def f_at(hp):
-        return exact.sign(la * hp[0] + lb * hp[1] - lc * hp[2])
-
-    if slope == 0:
-        # Clip line parallel to the carrier: all or nothing.
-        probe = piece.lo or piece.hi or exact.line_point(carrier)
-        s = f_at(probe)
-        if s == 0:
-            # Carrier coincides with the clip bisector — excluded for
-            # distinct pairs under general position.
-            raise DegenerateGeometry("carrier coincides with clipping bisector")
-        return piece if s == want else None
-
-    crossing = exact.line_intersection(carrier, (la, lb, lc))
-    t_cross = exact.param_along(carrier, crossing)
-    lo, hi = piece.lo, piece.hi
-    if slope == want:
-        # f has the wanted sign for parameters above the crossing.
-        if lo is None or exact.cmp_params(exact.param_along(carrier, lo), t_cross) < 0:
-            lo = crossing
-    else:
-        if hi is None or exact.cmp_params(exact.param_along(carrier, hi), t_cross) > 0:
-            hi = crossing
-    if lo is not None and hi is not None:
-        if exact.cmp_params(exact.param_along(carrier, lo), exact.param_along(carrier, hi)) >= 0:
-            return None
-    return EdgePiece(piece.carrier, lo, hi)
 
 
 @dataclass(frozen=True, slots=True)

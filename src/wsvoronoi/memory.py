@@ -9,7 +9,7 @@ per-operation constants the algorithms charge.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Optional, Sequence
 
 from .geometry import Site
@@ -90,6 +90,12 @@ class WorkLedger:
             yield self
         finally:
             self.release(words)
+
+
+def scope(ledger: Optional[WorkLedger], words: int):
+    """`ledger.scope(words)`, or a context that charges nothing when the
+    caller keeps no ledger."""
+    return nullcontext() if ledger is None else ledger.scope(words)
 
 
 def observing_ledger() -> WorkLedger:

@@ -18,21 +18,22 @@ stream is grouped by nondecreasing order.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import exact
-from .memory import OutputSink, ReadOnlyArena, WorkLedger
+from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
 from .records import EdgeRecord, directed_record
-from .scan import DiagramMode, _clip_interval
+from .scan import CellEdge, DiagramMode, _clip_interval, clip_edge
 from .tradeoff import (
     BigCellTable,
-    MemoryDiagram,
     W_BATCH_SITE,
     W_FIXED,
     find_big_cells,
+    iter_batches,
     iter_big_big,
     iter_small_incident,
 )
@@ -206,18 +207,19 @@ def _oparam(direction, hp):
     return (direction[0] * hp[0] + direction[1] * hp[1], hp[2])
 
 
-def _halfedges_of_cell_edge(k, site, rival, site_pt, rival_pt, line, lo, hi, lo_cut, hi_cut):
+def _halfedges_of_cell_edge(k: int, closest: frozenset, edge: CellEdge, site_pt, rival_pt) -> list[HalfEdge]:
     """Both directed half-edges of one undirected order-k edge."""
+    line = edge.piece.carrier.line
     d0 = exact.line_dir(line)
     out = []
     for d in (d0, (-d0[0], -d0[1])):
         towards_site = exact.cross_dir(d, (site_pt[0] - rival_pt[0], site_pt[1] - rival_pt[1]))
-        pair = (site, rival) if towards_site > 0 else (rival, site)
+        pair = (edge.site, edge.rival) if towards_site > 0 else (edge.rival, edge.site)
         if d == d0:
-            tail, head, te, he_ = lo, hi, lo_cut, hi_cut
+            tail, head, te, he_ = edge.piece.lo, edge.piece.hi, edge.lo_cutter, edge.hi_cutter
         else:
-            tail, head, te, he_ = hi, lo, hi_cut, lo_cut
-        out.append(HalfEdge(k, frozenset(), pair, line, d, tail, head, te, he_))
+            tail, head, te, he_ = edge.piece.hi, edge.piece.lo, edge.hi_cutter, edge.lo_cutter
+        out.append(HalfEdge(k, closest, pair, line, d, tail, head, te, he_))
     return out
 
 
@@ -228,20 +230,13 @@ def order1_halfedges(
     ledger: Optional[WorkLedger] = None,
 ) -> Iterator[HalfEdge]:
     """All 1-half-edges, each undirected edge reported as two directions."""
-    for edge in iter_small_incident(arena, DiagramMode.NEAREST, s1, table, ledger):
+    for edge in itertools.chain(
+        iter_small_incident(arena, DiagramMode.NEAREST, s1, table, ledger),
+        iter_big_big(arena, DiagramMode.NEAREST, s1, table, ledger),
+    ):
         sp = arena.read(edge.site).ipt
         rp = arena.read(edge.rival).ipt
-        yield from _halfedges_of_cell_edge(
-            1, edge.site, edge.rival, sp, rp, edge.piece.carrier.line,
-            edge.piece.lo, edge.piece.hi, edge.lo_cutter, edge.hi_cutter,
-        )
-    for edge in iter_big_big(arena, DiagramMode.NEAREST, s1, table, ledger):
-        sp = arena.read(edge.site).ipt
-        rp = arena.read(edge.rival).ipt
-        yield from _halfedges_of_cell_edge(
-            1, edge.site, edge.rival, sp, rp, edge.piece.carrier.line,
-            edge.piece.lo, edge.piece.hi, edge.lo_cutter, edge.hi_cutter,
-        )
+        yield from _halfedges_of_cell_edge(1, frozenset(), edge, sp, rp)
 
 
 def _outgoing(pts3: dict, vertex_old: bool, base: frozenset, cell: frozenset):
@@ -417,21 +412,11 @@ def _trim_round(
     """One pass over the input serving every pending walk's head search."""
     if not walks:
         return
-    n = len(arena)
-    step = max(1, batch_size)
-    ctx = ledger.scope(step * W_BATCH_SITE) if ledger is not None else _nullctx()
-    with ctx:
-        for start in range(0, n, step):
-            batch = [(j, arena.read(j).ipt) for j in range(start, min(n, start + step))]
+    with scope(ledger, max(1, batch_size) * W_BATCH_SITE):
+        for batch in iter_batches(arena, batch_size):
             for walk in walks:
                 for j, w in batch:
                     walk.consider(j, w)
-
-
-def _nullctx():
-    from contextlib import nullcontext
-
-    return nullcontext()
 
 
 class _OrderDriver:
@@ -609,15 +594,11 @@ def _iter_big_big_edges(
             candidates.append((frozenset(common), a, b))
     if not candidates:
         return
-    n = len(arena)
-    step = max(1, batch_size)
     # Independent candidates: process a workspace-sized chunk per input pass.
-    chunk = max(1, step // 2)
+    chunk = max(1, batch_size // 2)
     for lo_i in range(0, len(candidates), chunk):
         group = candidates[lo_i : lo_i + chunk]
-        words = len(group) * (k_out + 14) + W_FIXED
-        ctx = ledger.scope(words) if ledger is not None else _nullctx()
-        with ctx:
+        with scope(ledger, len(group) * (k_out + 14) + W_FIXED):
             states = []
             for common, a, b in group:
                 a_pt = arena.read(a).ipt
@@ -625,8 +606,7 @@ def _iter_big_big_edges(
                 line = exact.bisector_line(a_pt, b_pt)
                 d0 = exact.line_dir(line)
                 states.append([common, a, b, a_pt, b_pt, line, d0, [None, None, None, None], True])
-            for start in range(0, n, step):
-                batch = [(m, arena.read(m).ipt) for m in range(start, min(n, start + step))]
+            for batch in iter_batches(arena, batch_size):
                 for st in states:
                     if not st[8]:
                         continue
@@ -638,206 +618,10 @@ def _iter_big_big_edges(
                         if not _clip_interval(box, line, d0, a_pt, w, m, want):
                             st[8] = False
                             break
-            for st in states:
-                if not st[8]:
-                    continue
-                common, a, b, a_pt, b_pt, line, d0, box, _ = st
-                lo = hi = None
-                if box[2] is not None:
-                    lo = exact.line_intersection(line, exact.bisector_line(a_pt, arena.read(box[2]).ipt))
-                if box[3] is not None:
-                    hi = exact.line_intersection(line, exact.bisector_line(a_pt, arena.read(box[3]).ipt))
-                for d in (d0, (-d0[0], -d0[1])):
-                    towards_a = exact.cross_dir(d, (a_pt[0] - b_pt[0], a_pt[1] - b_pt[1]))
-                    pair = (a, b) if towards_a > 0 else (b, a)
-                    if d == d0:
-                        tail, head, te, hx = lo, hi, box[2], box[3]
-                    else:
-                        tail, head, te, hx = hi, lo, box[3], box[2]
-                    yield HalfEdge(k_out, common, pair, line, d, tail, head, te, hx)
-
-
-def _halfedge_words(k: int) -> int:
-    """Word count of one stored order-k half-edge: the k+3 defining sites
-    plus carrier, direction, and two homogeneous endpoints."""
-    return k + 14
-
-
-def batch_order_diagram(
-    mem_sites: list[tuple[int, tuple[int, int]]],
-    m: int,
-    ledger: Optional[WorkLedger] = None,
-) -> list[HalfEdge]:
-    """All directed half-edges of the order-m diagram of an in-memory set.
-
-    Built by lifting order by order with the same interval walks the
-    streaming path uses, plus a directional sweep that contributes every
-    unbounded half-edge (walks started from the inward unbounded edges
-    cover the full boundary of each unbounded cell).  Charges the actual
-    content words per order while lifting; the caller accounts for the
-    returned list.
-    """
-    if m == len(mem_sites):
-        return []  # every point has all sites among its m nearest: one cell, no edges
-    if m < 1 or m > len(mem_sites) - 1:
-        raise ValueError(f"order {m} out of range for {len(mem_sites)} in-memory sites")
-    ctx = ledger.scope(len(mem_sites) * 3) if ledger is not None else _nullctx()
-    with ctx:
-        current = _memory_order1(mem_sites)
-        charged = len(current) * _halfedge_words(1)
-        if ledger is not None:
-            ledger.alloc(charged)
-        try:
-            for j in range(1, m):
-                nxt = _memory_lift(mem_sites, current, j)
-                nxt_words = len(nxt) * _halfedge_words(j + 1)
-                if ledger is not None:
-                    ledger.alloc(nxt_words)
-                    ledger.release(charged)
-                charged = nxt_words
-                current = nxt
-        finally:
-            if ledger is not None:
-                ledger.release(charged)
-        return current
-
-
-def _memory_order1(mem_sites) -> list[HalfEdge]:
-    diagram = MemoryDiagram(mem_sites, DiagramMode.NEAREST)
-    pts = dict(mem_sites)
-    out = []
-    for e in diagram.edges:
-        lo = hi = None
-        if e.state[2] is not None:
-            lo = exact.line_intersection(e.line, exact.bisector_line(pts[e.a], pts[e.state[2]]))
-        if e.state[3] is not None:
-            hi = exact.line_intersection(e.line, exact.bisector_line(pts[e.a], pts[e.state[3]]))
-        out.extend(
-            _halfedges_of_cell_edge(1, e.a, e.b, pts[e.a], pts[e.b], e.line, lo, hi, e.state[2], e.state[3])
-        )
-    return out
-
-
-class _MemoryWalk:
-    """In-memory variant of the interval walk: trims against a site list."""
-
-    def __init__(self, mem_sites):
-        self.mem_sites = mem_sites
-        self.pts = dict(mem_sites)
-
-    def first_from(self, e: HalfEdge) -> HalfEdge:
-        pts3 = {i: self.pts[i] for i in (*e.pair, e.head_extra)}
-        cell = e.closest | set(e.pair)
-        pair, closest, line, d, z = _outgoing(pts3, True, e.closest, frozenset(cell))
-        walk = _IntervalWalk(
-            frozenset(cell), frozenset(closest), pair, (self.pts[pair[0]], self.pts[pair[1]]), line, d, e.head, z
-        )
-        return self._finish(walk, e.k + 1)
-
-    def step(self, f: HalfEdge) -> HalfEdge:
-        pts3 = {i: self.pts[i] for i in (*f.pair, f.head_extra)}
-        pair, closest, line, d, z = _outgoing(pts3, False, f.closest, f.left_cell())
-        walk = _IntervalWalk(
-            f.left_cell(), frozenset(closest), pair, (self.pts[pair[0]], self.pts[pair[1]]), line, d, f.head, z
-        )
-        return self._finish(walk, f.k)
-
-    def step_through(self, f: HalfEdge) -> HalfEdge:
-        """Successor continuing through either vertex class (full-boundary walks)."""
-        pts3 = {i: self.pts[i] for i in (*f.pair, f.head_extra)}
-        old = f.head_extra in f.closest
-        base = f.closest - {f.head_extra} if old else f.closest
-        pair, closest, line, d, z = _outgoing(pts3, old, base, f.left_cell())
-        walk = _IntervalWalk(
-            f.left_cell(), frozenset(closest), pair, (self.pts[pair[0]], self.pts[pair[1]]), line, d, f.head, z
-        )
-        return self._finish(walk, f.k)
-
-    def _finish(self, walk: _IntervalWalk, k_out: int) -> HalfEdge:
-        for j, w in self.mem_sites:
-            walk.consider(j, w)
-        return walk.materialize(k_out, lambda i: self.pts[i])
-
-
-def _memory_lift(mem_sites, prev: list[HalfEdge], j: int) -> list[HalfEdge]:
-    """All (j+1)-half-edges of the in-memory set from its j-half-edges."""
-    walker = _MemoryWalk(mem_sites)
-    pts = walker.pts
-    collected: dict = {}
-
-    def add(he: HalfEdge) -> bool:
-        key = he.key()
-        if key in collected:
-            return False
-        collected[key] = he
-        return True
-
-    # Interval walks cover every bounded cell's boundary completely.
-    for e in prev:
-        if not is_relevant(e):
-            continue
-        f = walker.first_from(e)
-        while True:
-            add(f)
-            if f.head is None or classify_head(f) == "old":
-                break
-            f = walker.step(f)
-
-    # Unbounded (j+1)-half-edges, found by direction: the pair tied at
-    # ranks j+1, j+2 of the projection order spans an unbounded edge.
-    idxs = [i for i, _ in mem_sites]
-    for ai in range(len(idxs)):
-        for bi in range(ai + 1, len(idxs)):
-            a, b = idxs[ai], idxs[bi]
-            pa, pb = pts[a], pts[b]
-            for wdir in ((-(pb[1] - pa[1]), pb[0] - pa[0]), (pb[1] - pa[1], -(pb[0] - pa[0]))):
-                above = set()
-                pa_dot = wdir[0] * pa[0] + wdir[1] * pa[1]
-                for c in idxs:
-                    if c in (a, b):
-                        continue
-                    if wdir[0] * pts[c][0] + wdir[1] * pts[c][1] > pa_dot:
-                        above.add(c)
-                if len(above) != j:
-                    continue
-                line = exact.bisector_line(pa, pb)
-                d0 = exact.line_dir(line)
-                outward = d0 if (d0[0] * wdir[0] + d0[1] * wdir[1]) > 0 else (-d0[0], -d0[1])
-                # Trim from infinity: the edge runs beyond the outermost crossing.
-                best = None
-                for c in idxs:
-                    if c in (a, b):
-                        continue
-                    hp = exact.line_intersection(line, exact.bisector_line(pa, pts[c]))
-                    tau = _oparam(outward, hp)
-                    if best is None or exact.cmp_params(tau, best[0]) > 0:
-                        best = (tau, c, hp)
-                towards_a = exact.cross_dir(outward, (pa[0] - pb[0], pa[1] - pb[1]))
-                pair_out = (a, b) if towards_a > 0 else (b, a)
-                if best is None:
-                    outward_he = HalfEdge(j + 1, frozenset(above), pair_out, line, outward, None, None, None, None)
-                    add(outward_he)
-                    add(outward_he.opposite())
-                    continue
-                tail_hp = best[2]
-                outward_he = HalfEdge(
-                    j + 1, frozenset(above), pair_out, line, outward, tail_hp, None, best[1], None
-                )
-                add(outward_he)
-                inward = outward_he.opposite()
-                add(inward)
-                # Walk the whole boundary of the cell left of the inward edge.
-                f = inward
-                while f.head is not None:
-                    f = walker.step_through(f)
-                    if not add(f):
-                        break
-    return list(collected.values())
-
-
-def encode_halfedge(e: HalfEdge, scale: int) -> EdgeRecord:
-    """Wire record for a half-edge; sorted closest set, direction kept."""
-    return e.to_record(scale)
+            for common, a, b, a_pt, b_pt, line, _, box, alive in states:
+                if alive:
+                    edge = clip_edge(arena, a, a_pt, b, line, box)
+                    yield from _halfedges_of_cell_edge(k_out, common, edge, a_pt, b_pt)
 
 
 def decode_halfedge(record: EdgeRecord, sites) -> HalfEdge:
@@ -892,7 +676,6 @@ class PipelineConfig:
 
     K: int
     s: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.K < 1:
@@ -923,8 +706,7 @@ def pipeline_run(
     K = config.K
     scale = arena.scale
     buffer_words = sum(3 * s1 * (k + 4) for k in range(1, K + 1)) + W_FIXED
-    ctx = ledger.scope(buffer_words) if ledger is not None else _nullctx()
-    with ctx:
+    with scope(ledger, buffer_words):
         table1 = find_big_cells(arena, DiagramMode.NEAREST, s1, ledger)
         tables: dict = {1: table1}
 

@@ -6,7 +6,8 @@ two-scan pass finds the first edge crossing that ray, and the rest of the
 cell is walked edge to edge (the site whose bisector cut an endpoint is the
 site whose bisector carries the adjacent edge).  An edge between cells i
 and j is reported from cell i only when i < j, so each edge is emitted
-exactly once.
+exactly once.  The walk's state machine, `TrackedSite`, is the one the
+batched s-workspace path in `tradeoff` drives too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 
 from . import exact
 from .geometry import BisectorLine, EdgePiece, Ray
-from .memory import OutputSink, ReadOnlyArena, WorkLedger
+from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
 from .records import EdgeRecord, undirected_record
 
 
@@ -69,14 +70,6 @@ W_CELL = 10
 W_DIAGRAM = 4
 
 
-def _scope(ledger: Optional[WorkLedger], words: int):
-    if ledger is None:
-        from contextlib import nullcontext
-
-        return nullcontext()
-    return ledger.scope(words)
-
-
 def locate_on_hull(
     arena: ReadOnlyArena,
     p_idx: int,
@@ -89,7 +82,7 @@ def locate_on_hull(
     pass over the arena beyond the reference pick.
     """
     n = len(arena)
-    with _scope(ledger, W_LOCATE):
+    with scope(ledger, W_LOCATE):
         p = arena.read(p_idx).ipt
         q_idx = reference if reference is not None and reference != p_idx else (0 if p_idx != 0 else 1)
         q = arena.read(q_idx).ipt
@@ -127,7 +120,7 @@ def start_ray(
     farthest mode aims at the meet of the bisectors with p's hull
     neighbors and raises FarthestCellEmpty for interior sites.
     """
-    with _scope(ledger, W_START):
+    with scope(ledger, W_START):
         p = arena.read(p_idx).ipt
         if mode is DiagramMode.NEAREST:
             q_idx = reference if reference is not None and reference != p_idx else (0 if p_idx != 0 else 1)
@@ -180,17 +173,16 @@ def _clip_interval(state, carrier_line, d, p, w, w_idx, want):
     return True
 
 
-def _materialize(arena: ReadOnlyArena, p_idx: int, p, rival_idx: int, rival, state) -> CellEdge:
-    line = exact.bisector_line(p, rival)
-    carrier = BisectorLine(p_idx, rival_idx, line)
+def clip_edge(arena: ReadOnlyArena, site: int, p, rival: int, line, state) -> CellEdge:
+    """The edge a finished clip leaves on `line`, the bisector of site p and
+    rival: each endpoint is where the recorded cutter's bisector with p
+    crosses the line, read back from the arena."""
     lo = hi = None
     if state[2] is not None:
-        cut = arena.read(state[2]).ipt
-        lo = exact.line_intersection(line, exact.bisector_line(p, cut))
+        lo = exact.line_intersection(line, exact.bisector_line(p, arena.read(state[2]).ipt))
     if state[3] is not None:
-        cut = arena.read(state[3]).ipt
-        hi = exact.line_intersection(line, exact.bisector_line(p, cut))
-    return CellEdge(p_idx, rival_idx, EdgePiece(carrier, lo, hi), state[2], state[3])
+        hi = exact.line_intersection(line, exact.bisector_line(p, arena.read(state[3]).ipt))
+    return CellEdge(site, rival, EdgePiece(BisectorLine(site, rival, line), lo, hi), state[2], state[3])
 
 
 def _edge_on_carrier(
@@ -204,7 +196,7 @@ def _edge_on_carrier(
     """The edge of p's cell on the bisector with rival, by one clipping scan."""
     n = len(arena)
     want = -1 if mode is DiagramMode.NEAREST else 1
-    with _scope(ledger, W_EDGE):
+    with scope(ledger, W_EDGE):
         rival = arena.read(rival_idx).ipt
         line = exact.bisector_line(p, rival)
         d = exact.line_dir(line)
@@ -215,7 +207,22 @@ def _edge_on_carrier(
             w = arena.read(j).ipt
             if not _clip_interval(state, line, d, p, w, j, want):
                 return None
-        return _materialize(arena, p_idx, p, rival_idx, rival, state)
+        return clip_edge(arena, p_idx, p, rival_idx, line, state)
+
+
+def ray_tie_wins(direction, line, best_line, nearest: bool) -> bool:
+    """Whether `line` beats `best_line` as the rival when both bisectors
+    cross the start ray at the same point.
+
+    The ray then passes through a cell vertex; resolve as if it were
+    rotated infinitesimally counterclockwise.
+    """
+
+    def drift(ln):
+        a, b, _ = ln
+        return Fraction(b * direction[0] - a * direction[1], a * direction[0] + b * direction[1])
+
+    return drift(line) > drift(best_line) if nearest else drift(line) < drift(best_line)
 
 
 def find_edge(
@@ -229,9 +236,9 @@ def find_edge(
     (farthest in farthest mode), then one clipping scan to trim it."""
     n = len(arena)
     nearest = mode is DiagramMode.NEAREST
-    with _scope(ledger, W_EDGE):
+    with scope(ledger, W_EDGE):
         p = arena.read(p_idx).ipt
-        best = None  # (t, rival_idx, den_raw, dperp_raw)
+        best = None  # (t, rival_idx, line)
         for j in range(n):
             if j == p_idx:
                 continue
@@ -246,20 +253,8 @@ def find_edge(
             c = exact.cmp_params(t, best[0])
             if (nearest and c < 0) or (not nearest and c > 0):
                 best = (t, j, line)
-            elif c == 0:
-                # The ray passes through a cell vertex: resolve as if the
-                # ray were rotated infinitesimally counterclockwise.
-                dperp = (-ray.direction[1], ray.direction[0])
-
-                def drift(ln):
-                    a, b, _ = ln
-                    den = a * ray.direction[0] + b * ray.direction[1]
-                    dp = a * dperp[0] + b * dperp[1]
-                    return Fraction(dp, den)
-
-                better = drift(line) > drift(best[2]) if nearest else drift(line) < drift(best[2])
-                if better:
-                    best = (t, j, line)
+            elif c == 0 and ray_tie_wins(ray.direction, line, best[2], nearest):
+                best = (t, j, line)
     if best is None:
         raise NoIntersection(f"no bisector crosses the ray from site {p_idx}")
     edge = _edge_on_carrier(arena, p_idx, p, best[1], mode, ledger)
@@ -274,6 +269,122 @@ def _side_of_ray(ray: Ray, hp) -> int:
     return exact.sign(ray.direction[0] * vy - ray.direction[1] * vx)
 
 
+class TrackedSite:
+    """Walk state for one cell, fed its edges one at a time.
+
+    The first edge is the one crossing the start ray; the walk then leaves
+    through that edge's left endpoint (left of the ray) and steps edge to
+    edge, the site whose bisector cut an endpoint carrying the next edge.
+    When the walk leaves the diagram through an unbounded edge it resumes
+    from the first edge's other endpoint; it is done when it closes on the
+    first edge or runs out of endpoints.  `cutter` names the rival whose
+    bisector carries the next edge.
+    """
+
+    __slots__ = (
+        "site",
+        "p",
+        "current_ray",
+        "first_edge",
+        "edges_found",
+        "done",
+        "cutter",
+        "rival",
+        "state",
+        "_first_rival",
+        "_leg2",
+        "_v",
+        "_best",
+    )
+
+    def __init__(self, site_idx: int, p, ray: Ray):
+        self.site = site_idx
+        self.p = p
+        self.current_ray = ray
+        self.first_edge: Optional[CellEdge] = None
+        self.edges_found = 0
+        self.done = False
+        self.cutter: Optional[int] = None
+        self.rival: Optional[int] = None  # rival of the edge being clipped
+        self.state = None  # its clip interval [t_lo, t_hi, lo_cut, hi_cut]
+        self._first_rival: Optional[int] = None
+        self._leg2 = None  # (endpoint hpoint, cutter) queued for the reverse walk
+        self._v = None
+        self._best = None  # batched ray scan: (t, rival, line)
+
+    @property
+    def needs_ray_scan(self) -> bool:
+        return self.first_edge is None and self._best is None
+
+    def consider_ray_hit(self, j: int, w, nearest: bool) -> None:
+        if j == self.site:
+            return
+        line = exact.bisector_line(self.p, w)
+        t = exact.ray_line_param(self.current_ray.origin, self.current_ray.direction, line)
+        if t is None:
+            return
+        if self._best is None:
+            self._best = (t, j, line)
+            return
+        c = exact.cmp_params(t, self._best[0])
+        if (nearest and c < 0) or (not nearest and c > 0):
+            self._best = (t, j, line)
+        elif c == 0 and ray_tie_wins(self.current_ray.direction, line, self._best[2], nearest):
+            self._best = (t, j, line)
+
+    def begin_clip(self) -> None:
+        if self.first_edge is None:
+            if self._best is None:
+                raise NoIntersection(f"no bisector crosses the ray from site {self.site}")
+            self.rival = self._best[1]
+        else:
+            self.rival = self.cutter
+        self.state = [None, None, None, None]
+
+    def advance(self, edge: CellEdge) -> None:
+        """Digest the edge just found and set up the next one."""
+        self.edges_found += 1
+        self._best = None
+        self.state = None
+        if self.first_edge is None:
+            self.first_edge = edge
+            self._first_rival = edge.rival
+            ends = [edge.piece.lo, edge.piece.hi]
+            if ends[0] is not None and ends[1] is not None:
+                if _side_of_ray(self.current_ray, ends[0]) < _side_of_ray(self.current_ray, ends[1]):
+                    ends.reverse()
+            elif ends[0] is None:
+                ends.reverse()
+            if ends[0] is None:
+                self.done = True  # full-line edge: the cell is a halfplane
+                return
+            self._v = ends[0]
+            self.cutter = edge.cutter_at(ends[0])
+            if ends[1] is not None:
+                self._leg2 = (ends[1], edge.cutter_at(ends[1]))
+            if self.cutter == self._first_rival:
+                self.done = True
+            return
+        # Walking: step through the endpoint opposite the entry vertex.
+        if edge.piece.lo is not None and edge.piece.lo == self._v:
+            nxt = edge.piece.hi
+        elif edge.piece.hi is not None and edge.piece.hi == self._v:
+            nxt = edge.piece.lo
+        else:
+            raise AssertionError("walk endpoint not on the next edge")
+        if nxt is None:
+            if self._leg2 is not None:
+                self._v, self.cutter = self._leg2
+                self._leg2 = None
+            else:
+                self.done = True
+            return
+        self._v = nxt
+        self.cutter = edge.cutter_at(nxt)
+        if self.cutter == self._first_rival:
+            self.done = True
+
+
 def enumerate_cell(
     arena: ReadOnlyArena,
     p_idx: int,
@@ -286,50 +397,22 @@ def enumerate_cell(
 
     Walks counterclockwise from the first edge's left endpoint until the
     walk closes or leaves through an unbounded edge, then clockwise from
-    the right endpoint.
+    the right endpoint; each edge costs one clipping scan.
     """
-    with _scope(ledger, W_CELL):
+    with scope(ledger, W_CELL):
         ray = start_ray(arena, p_idx, mode, ledger, reference)
         p = arena.read(p_idx).ipt
-        first = find_edge(arena, p_idx, ray, mode, ledger)
-        visit(first)
-        if first.piece.lo is None and first.piece.hi is None:
-            return
-        ends = [first.piece.lo, first.piece.hi]
-        # Walk through the left endpoint first ("left" of the start ray).
-        if ends[0] is not None and ends[1] is not None:
-            if _side_of_ray(ray, ends[0]) < _side_of_ray(ray, ends[1]):
-                ends.reverse()
-        elif ends[0] is None:
-            ends.reverse()
-
-        closed = False
-        for leg, end in enumerate(ends):
-            if end is None or closed:
-                continue
-            v = end
-            cutter = first.cutter_at(v)
-            guard = 0
-            while True:
-                if cutter == first.rival:
-                    closed = True
-                    break
-                edge = _edge_on_carrier(arena, p_idx, p, cutter, mode, ledger)
-                assert edge is not None, "cell walk lost its edge"
-                visit(edge)
-                if edge.piece.lo is not None and edge.piece.lo == v:
-                    nxt = edge.piece.hi
-                elif edge.piece.hi is not None and edge.piece.hi == v:
-                    nxt = edge.piece.lo
-                else:
-                    raise AssertionError("walk endpoint not on the next edge")
-                if nxt is None:
-                    break  # left the diagram through an unbounded edge
-                v = nxt
-                cutter = edge.cutter_at(v)
-                guard += 1
-                if guard > len(arena) + 2:
-                    raise AssertionError("cell walk failed to terminate")
+        walk = TrackedSite(p_idx, p, ray)
+        edge = find_edge(arena, p_idx, ray, mode, ledger)
+        while True:
+            visit(edge)
+            walk.advance(edge)
+            if walk.done:
+                return
+            if walk.edges_found > len(arena) + 2:
+                raise AssertionError("cell walk failed to terminate")
+            edge = _edge_on_carrier(arena, p_idx, p, walk.cutter, mode, ledger)
+            assert edge is not None, "cell walk lost its edge"
 
 
 def cell_edges(
@@ -374,7 +457,7 @@ def enumerate_diagram(
 ) -> None:
     """Emit every diagram edge exactly once using O(1) workspace words."""
     n = len(arena)
-    with _scope(ledger, W_DIAGRAM):
+    with scope(ledger, W_DIAGRAM):
         for i in range(n):
 
             def take(edge: CellEdge) -> None:

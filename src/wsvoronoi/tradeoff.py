@@ -12,21 +12,12 @@ is identical to the constant-workspace path for every s.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from . import exact
-from .geometry import BisectorLine, EdgePiece, Ray
-from .memory import OutputSink, ReadOnlyArena, WorkLedger
-from .records import EdgeRecord
-from .scan import (
-    CellEdge,
-    DiagramMode,
-    NoIntersection,
-    _clip_interval,
-    _side_of_ray,
-    record_for,
-)
+from .geometry import Ray
+from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
+from .scan import CellEdge, DiagramMode, TrackedSite, _clip_interval, clip_edge, record_for
 
 # Ledger words per unit of tracked state; documented so peaks are
 # reproducible.  A run charges: s slots * W_SLOT + batch buffer 3/site +
@@ -39,17 +30,6 @@ W_FIXED = 8
 # In-memory diagram of m sites: 3m site words plus <= 3m edges of ~14
 # words each, rounded up to one per-site constant.
 W_MEM_SITE = 48
-
-
-@dataclass(frozen=True, slots=True)
-class Batch:
-    start: int
-    length: int
-
-
-def batches(n: int, s: int) -> list[Batch]:
-    """Input-order batches of s consecutive sites; the last may be short."""
-    return [Batch(i, min(s, n - i)) for i in range(0, n, max(1, s))]
 
 
 class BigCellTable:
@@ -66,127 +46,13 @@ class BigCellTable:
         return pos < len(self.indices) and self.indices[pos] == idx
 
 
-class TrackedSite:
-    """Walk state for one cell whose edges are being found batch-wise."""
-
-    __slots__ = (
-        "site",
-        "p",
-        "current_ray",
-        "first_edge",
-        "edges_found",
-        "done",
-        "_first_rival",
-        "_leg2",
-        "_v",
-        "_cutter",
-        "_best",
-        "_state",
-        "_rival",
-    )
-
-    def __init__(self, site_idx: int, p, ray: Ray):
-        self.site = site_idx
-        self.p = p
-        self.current_ray = ray
-        self.first_edge: Optional[CellEdge] = None
-        self.edges_found = 0
-        self.done = False
-        self._first_rival: Optional[int] = None
-        self._leg2 = None  # (endpoint hpoint, cutter) queued for the reverse walk
-        self._v = None
-        self._cutter: Optional[int] = None
-        self._best = None  # scan-1 tracking: (t, rival, line)
-        self._state = None  # clip interval [t_lo, t_hi, lo_cut, hi_cut]
-        self._rival: Optional[int] = None
-
-    @property
-    def needs_ray_scan(self) -> bool:
-        return self.first_edge is None and self._best is None
-
-    def consider_ray_hit(self, j: int, w, nearest: bool) -> None:
-        if j == self.site:
-            return
-        line = exact.bisector_line(self.p, w)
-        t = exact.ray_line_param(self.current_ray.origin, self.current_ray.direction, line)
-        if t is None:
-            return
-        if self._best is None:
-            self._best = (t, j, line)
-            return
-        c = exact.cmp_params(t, self._best[0])
-        if (nearest and c < 0) or (not nearest and c > 0):
-            self._best = (t, j, line)
-        elif c == 0:
-            from fractions import Fraction
-
-            dperp = (-self.current_ray.direction[1], self.current_ray.direction[0])
-
-            def drift(ln):
-                a, b, _ = ln
-                den = a * self.current_ray.direction[0] + b * self.current_ray.direction[1]
-                return Fraction(a * dperp[0] + b * dperp[1], den)
-
-            if (drift(line) > drift(self._best[2])) if nearest else (drift(line) < drift(self._best[2])):
-                self._best = (t, j, line)
-
-    def begin_clip(self) -> None:
-        if self.first_edge is None:
-            if self._best is None:
-                raise NoIntersection(f"no bisector crosses the ray from site {self.site}")
-            self._rival = self._best[1]
-        else:
-            self._rival = self._cutter
-        self._state = [None, None, None, None]
-
-    def advance(self, edge: CellEdge) -> None:
-        """Digest the edge this round produced and set up the next one."""
-        self.edges_found += 1
-        self._best = None
-        self._state = None
-        if self.first_edge is None:
-            self.first_edge = edge
-            self._first_rival = edge.rival
-            ends = [edge.piece.lo, edge.piece.hi]
-            if ends[0] is not None and ends[1] is not None:
-                if _side_of_ray(self.current_ray, ends[0]) < _side_of_ray(self.current_ray, ends[1]):
-                    ends.reverse()
-            elif ends[0] is None:
-                ends.reverse()
-            if ends[0] is None:
-                self.done = True  # full-line edge: the cell is a halfplane
-                return
-            self._v = ends[0]
-            self._cutter = edge.cutter_at(ends[0])
-            if ends[1] is not None:
-                self._leg2 = (ends[1], edge.cutter_at(ends[1]))
-            if self._cutter == self._first_rival:
-                self.done = True
-            return
-        # Walking: step through the endpoint opposite the entry vertex.
-        if edge.piece.lo is not None and edge.piece.lo == self._v:
-            nxt = edge.piece.hi
-        elif edge.piece.hi is not None and edge.piece.hi == self._v:
-            nxt = edge.piece.lo
-        else:
-            raise AssertionError("batched walk endpoint not on the produced edge")
-        if nxt is None:
-            if self._leg2 is not None:
-                self._v, self._cutter = self._leg2
-                self._leg2 = None
-            else:
-                self.done = True
-            return
-        self._v = nxt
-        self._cutter = edge.cutter_at(nxt)
-        if self._cutter == self._first_rival:
-            self.done = True
-
-
-def _iter_batches(arena: ReadOnlyArena, s: int):
+def iter_batches(arena: ReadOnlyArena, size: int):
+    """The input in order, as lists of (index, point) for `size` consecutive
+    sites; the last list may be short."""
     n = len(arena)
-    for b in batches(n, s):
-        yield [(j, arena.read(j).ipt) for j in range(b.start, b.start + b.length)]
+    step = max(1, size)
+    for start in range(0, n, step):
+        yield [(j, arena.read(j).ipt) for j in range(start, min(n, start + step))]
 
 
 def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode, s: int) -> list[CellEdge]:
@@ -195,62 +61,27 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode, s:
     want = -1 if nearest else 1
     fresh = [t for t in slots if t.needs_ray_scan]
     if fresh:
-        for batch in _iter_batches(arena, s):
+        for batch in iter_batches(arena, s):
             for slot in fresh:
                 for j, w in batch:
                     slot.consider_ray_hit(j, w, nearest)
     carriers = []
     for slot in slots:
         slot.begin_clip()
-        rival_pt = arena.read(slot._rival).ipt
-        line = exact.bisector_line(slot.p, rival_pt)
-        carriers.append((line, exact.line_dir(line), rival_pt))
-    for batch in _iter_batches(arena, s):
-        for slot, (line, d, _) in zip(slots, carriers):
-            state = slot._state
+        line = exact.bisector_line(slot.p, arena.read(slot.rival).ipt)
+        carriers.append((line, exact.line_dir(line)))
+    for batch in iter_batches(arena, s):
+        for slot, (line, d) in zip(slots, carriers):
+            state = slot.state
             for j, w in batch:
-                if j == slot.site or j == slot._rival:
+                if j == slot.site or j == slot.rival:
                     continue
                 if not _clip_interval(state, line, d, slot.p, w, j, want):
                     raise AssertionError("tracked cell edge vanished under clipping")
-    edges = []
-    for slot, (line, d, rival_pt) in zip(slots, carriers):
-        state = slot._state
-        carrier = BisectorLine(slot.site, slot._rival, line)
-        lo = hi = None
-        if state[2] is not None:
-            cut = arena.read(state[2]).ipt
-            lo = exact.line_intersection(line, exact.bisector_line(slot.p, cut))
-        if state[3] is not None:
-            cut = arena.read(state[3]).ipt
-            hi = exact.line_intersection(line, exact.bisector_line(slot.p, cut))
-        edges.append(CellEdge(slot.site, slot._rival, EdgePiece(carrier, lo, hi), state[2], state[3]))
-    return edges
-
-
-def find_edges_batched(
-    arena: ReadOnlyArena,
-    tracked: list[TrackedSite],
-    mode: DiagramMode,
-    s: int,
-    ledger: Optional[WorkLedger] = None,
-) -> list[CellEdge]:
-    """First cell edge for up to s tracked sites in two batched passes."""
-    if len(tracked) > s:
-        raise ValueError("more tracked sites than workspace slots")
-    words = len(tracked) * W_SLOT + s * W_BATCH_SITE + W_FIXED
-    ctx = ledger.scope(words) if ledger is not None else _null()
-    with ctx:
-        edges = _round(arena, tracked, mode, s)
-        for slot, edge in zip(tracked, edges):
-            slot.advance(edge)
-        return edges
-
-
-def _null():
-    from contextlib import nullcontext
-
-    return nullcontext()
+    return [
+        clip_edge(arena, slot.site, slot.p, slot.rival, line, slot.state)
+        for slot, (line, _) in zip(slots, carriers)
+    ]
 
 
 def hull_stream(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger] = None) -> Iterator[int]:
@@ -264,9 +95,7 @@ def hull_stream(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger] = Non
     """
     n = len(arena)
     window = max(1, s)
-    words = (window + 2) * W_HULL_POINT + W_FIXED
-    ctx = ledger.scope(words) if ledger is not None else _null()
-    with ctx:
+    with scope(ledger, (window + 2) * W_HULL_POINT + W_FIXED):
         start_idx = 0
         start_pt = arena.read(0).ipt
         for j in range(1, n):
@@ -277,14 +106,14 @@ def hull_stream(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger] = Non
         anchor_idx, anchor_pt = start_idx, start_pt
         while True:
             chain = [(anchor_idx, anchor_pt)]
-            for batch in _iter_batches(arena, window):
+            for batch in iter_batches(arena, window):
                 merged = {idx: pt for idx, pt in chain}
                 for j, w in batch:
                     merged[j] = w
                 chain = _cw_chain(merged, anchor_idx, window + 1)
             chain_ids = {idx for idx, _ in chain}
             certified = len(chain) - 1
-            for batch in _iter_batches(arena, window):
+            for batch in iter_batches(arena, window):
                 for j, w in batch:
                     if j in chain_ids:
                         continue
@@ -323,76 +152,6 @@ def _cw_chain(points: dict, anchor_idx: int, limit: int):
     pos = next(i for i, (idx, _) in enumerate(cw) if idx == anchor_idx)
     cw = cw[pos:] + cw[:pos]
     return cw[:limit]
-
-
-@dataclass(frozen=True, slots=True)
-class MemoryEdge:
-    """Edge of an in-memory diagram, still in clip-interval form."""
-
-    a: int
-    b: int
-    line: tuple[int, int, int]
-    direction: tuple[int, int]
-    state: list
-
-
-class MemoryDiagram:
-    """Full diagram of an in-memory site set, built by direct clipping."""
-
-    def __init__(self, sites: list[tuple[int, tuple[int, int]]], mode: DiagramMode):
-        self.sites = list(sites)
-        self.mode = mode
-        self.edges: list[MemoryEdge] = []
-        want = -1 if mode is DiagramMode.NEAREST else 1
-        m = len(self.sites)
-        for ai in range(m):
-            a_idx, a_pt = self.sites[ai]
-            for bi in range(ai + 1, m):
-                b_idx, b_pt = self.sites[bi]
-                line = exact.bisector_line(a_pt, b_pt)
-                d = exact.line_dir(line)
-                state = [None, None, None, None]
-                alive = True
-                for ci in range(m):
-                    if ci == ai or ci == bi:
-                        continue
-                    c_idx, c_pt = self.sites[ci]
-                    if not _clip_interval(state, line, d, a_pt, c_pt, c_idx, want):
-                        alive = False
-                        break
-                if alive:
-                    self.edges.append(MemoryEdge(a_idx, b_idx, line, d, state))
-
-    def undirected_records(self, scale: int, n_total: int) -> list[EdgeRecord]:
-        from .records import undirected_record
-
-        pts = dict(self.sites)
-        k = 1 if self.mode is DiagramMode.NEAREST else n_total - 1
-        out = []
-        for e in self.edges:
-            lo = hi = None
-            if e.state[2] is not None:
-                lo = exact.line_intersection(e.line, exact.bisector_line(pts[e.a], pts[e.state[2]]))
-            if e.state[3] is not None:
-                hi = exact.line_intersection(e.line, exact.bisector_line(pts[e.a], pts[e.state[3]]))
-            closest: tuple[int, ...] = ()
-            if self.mode is DiagramMode.FARTHEST:
-                closest = tuple(i for i in range(n_total) if i not in (e.a, e.b))
-            out.append(
-                undirected_record(k, closest, (e.a, e.b), e.line, lo, hi, e.state[2], e.state[3], scale)
-            )
-        return out
-
-
-def batch_diagram(
-    sites: list[tuple[int, tuple[int, int]]],
-    mode: DiagramMode,
-    ledger: Optional[WorkLedger] = None,
-) -> MemoryDiagram:
-    """Diagram of an in-memory site set (the workspace-resident helper)."""
-    ctx = ledger.scope(len(sites) * W_MEM_SITE) if ledger is not None else _null()
-    with ctx:
-        return MemoryDiagram(sites, mode)
 
 
 def _nearest_source(arena: ReadOnlyArena, skip=None):
@@ -464,9 +223,7 @@ def _drive(
     than s unfinished walks remain (recorded in result.leftovers); the
     survivors are walked to completion otherwise.
     """
-    words = s * (W_SLOT + W_BATCH_SITE) + W_FIXED
-    ctx = ledger.scope(words) if ledger is not None else _null()
-    with ctx:
+    with scope(ledger, s * (W_SLOT + W_BATCH_SITE) + W_FIXED):
         active: list[TrackedSite] = []
         pending: Optional[TrackedSite] = None
         exhausted = False
@@ -554,33 +311,28 @@ def iter_big_big(
     want = -1 if mode is DiagramMode.NEAREST else 1
     big = set(table.indices)
     mem_sites = [(i, arena.read(i).ipt) for i in table.indices]
-    words = len(mem_sites) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED
-    ctx = ledger.scope(words) if ledger is not None else _null()
-    with ctx:
-        diagram = MemoryDiagram(mem_sites, mode)
-        pts = dict(mem_sites)
-        alive = list(diagram.edges)
-        for batch in _iter_batches(arena, s):
-            still = []
-            for e in alive:
-                ok = True
-                for j, w in batch:
-                    if j in big:
-                        continue
-                    if not _clip_interval(e.state, e.line, e.direction, pts[e.a], w, j, want):
-                        ok = False
-                        break
-                if ok:
-                    still.append(e)
-            alive = still
-        for e in alive:
-            lo = hi = None
-            if e.state[2] is not None:
-                lo = exact.line_intersection(e.line, exact.bisector_line(pts[e.a], arena.read(e.state[2]).ipt))
-            if e.state[3] is not None:
-                hi = exact.line_intersection(e.line, exact.bisector_line(pts[e.a], arena.read(e.state[3]).ipt))
-            carrier = BisectorLine(e.a, e.b, e.line)
-            yield CellEdge(e.a, e.b, EdgePiece(carrier, lo, hi), e.state[2], e.state[3])
+    with scope(ledger, len(mem_sites) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED):
+        # The diagram of the big sites alone, each edge as its clip interval.
+        alive = []
+        for ai, (a, a_pt) in enumerate(mem_sites):
+            for b, b_pt in mem_sites[ai + 1 :]:
+                line = exact.bisector_line(a_pt, b_pt)
+                d = exact.line_dir(line)
+                state = [None, None, None, None]
+                if all(
+                    _clip_interval(state, line, d, a_pt, c_pt, c, want)
+                    for c, c_pt in mem_sites
+                    if c != a and c != b
+                ):
+                    alive.append((a, a_pt, b, line, d, state))
+        for batch in iter_batches(arena, s):
+            alive = [
+                (a, a_pt, b, line, d, state)
+                for a, a_pt, b, line, d, state in alive
+                if all(_clip_interval(state, line, d, a_pt, w, j, want) for j, w in batch if j not in big)
+            ]
+        for a, a_pt, b, line, _, state in alive:
+            yield clip_edge(arena, a, a_pt, b, line, state)
 
 
 def report_small_incident(

@@ -156,6 +156,12 @@ class TestBench:
         assert outs[0] == outs[1]
         assert len(outs[0]) == 4  # 2 repeats x 2 s values
 
+    def test_header_records_budget_override(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("VW_BUDGET_CONST", "128")
+        path = tmp_path / "bench.csv"
+        assert main(["bench", "--random", "12,3", "--s-list", "4", "--out", str(path)]) == 0
+        assert path.read_text().splitlines()[0] == "# budget_const=128"
+
 
 class TestBudgetEnv:
     def test_override_applied(self, tri_file, tmp_path, monkeypatch):

@@ -6,20 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsvoronoi import exact
 from wsvoronoi.geometry import (
     DegenerateGeometry,
     EdgePiece,
     Ray,
     bisector,
     circumcenter,
-    clip_to_nearer,
-    full_line_piece,
     incircle,
     orient,
     ray_hit,
     site_set,
     validate_general_position,
 )
+from wsvoronoi.memory import ReadOnlyArena
+from wsvoronoi.scan import _clip_interval, clip_edge
 
 
 def S(*coords):
@@ -133,11 +134,23 @@ class TestRayHit:
                 assert a * (pts[0][0] + ts * dx) + b * (pts[0][1] + ts * dy) != c
 
 
+def clip(sites, a, b, cutters, keep_nearer=True):
+    """The piece of the bisector of a and b strictly nearer to a than to
+    each cutter (farther with keep_nearer=False); None when none is left."""
+    line = exact.bisector_line(a.ipt, b.ipt)
+    d = exact.line_dir(line)
+    state = [None, None, None, None]
+    want = -1 if keep_nearer else 1
+    for c in cutters:
+        if not _clip_interval(state, line, d, a.ipt, c.ipt, c.index, want):
+            return None
+    return clip_edge(ReadOnlyArena(sites), a.index, a.ipt, b.index, line, state).piece
+
+
 class TestClip:
     def test_halfplane_cut(self):
         a, b, c = TRI
-        piece = full_line_piece(bisector(a, b))  # x = 4
-        kept = clip_to_nearer(piece, a, c)
+        kept = clip(TRI, a, b, [c])  # on x = 4
         assert kept.kind == "ray"
         ends = kept.endpoint_fractions(a.scale)
         present = [e for e in ends if e is not None]
@@ -146,9 +159,7 @@ class TestClip:
     def test_symmetric_cut_to_segment(self):
         sites = S((0, 0), (8, 0), (0, 6), (0, -6))
         a, b, c, d = sites
-        piece = full_line_piece(bisector(a, b))
-        kept = clip_to_nearer(piece, a, c)
-        kept = clip_to_nearer(kept, a, d)
+        kept = clip(sites, a, b, [c, d])
         assert kept.kind == "segment"
         ends = kept.endpoint_fractions(a.scale)
         assert sorted(ends) == [(4, -3), (4, 3)]
@@ -156,25 +167,20 @@ class TestClip:
     def test_eliminated(self):
         sites = S((0, 0), (8, 0), (100, 0))
         a, b, far = sites
-        piece = full_line_piece(bisector(a, far))  # x = 50
-        assert clip_to_nearer(piece, a, b) is None
+        assert clip(sites, a, far, [b]) is None  # x = 50 lies nearer to b
 
     def test_idempotent(self):
         a, b, c = TRI
-        piece = full_line_piece(bisector(a, b))
-        once = clip_to_nearer(piece, a, c)
-        twice = clip_to_nearer(once, a, c)
-        assert once == twice
+        assert clip(TRI, a, b, [c]) == clip(TRI, a, b, [c, c])
 
     def test_farther_mode(self):
         a, b, c = TRI
-        piece = full_line_piece(bisector(a, b))
-        kept = clip_to_nearer(piece, a, c, keep_nearer=False)
+        kept = clip(TRI, a, b, [c], keep_nearer=False)
         ends = kept.endpoint_fractions(a.scale)
         present = [e for e in ends if e is not None]
         assert present == [(4, 3)]
         # Complementary to the nearer side: different unbounded end.
-        near = clip_to_nearer(piece, a, c)
+        near = clip(TRI, a, b, [c])
         assert (kept.lo is None) != (near.lo is None)
 
 

@@ -9,10 +9,8 @@ from wsvoronoi.pipeline import (
     ConfigError,
     EdgeBuffer,
     PipelineConfig,
-    batch_order_diagram,
     classify_head,
     decode_halfedge,
-    encode_halfedge,
     is_relevant,
     pipeline_run,
     successor_step,
@@ -75,36 +73,11 @@ class TestClassification:
                 if owner is not None:
                     owners.add(owner.canonical_key())
         for he in oracle_halfedges(P, k):
-            rec = encode_halfedge(he, P[0].scale)
+            rec = he.to_record(P[0].scale)
             if is_relevant(he):
                 assert rec.canonical_key() in owners
             else:
                 assert rec.canonical_key() not in owners
-
-
-class TestBatchOrderDiagram:
-    def test_matches_oracle(self):
-        P = random_sites(8, 903)
-        mem = [(p.index, p.ipt) for p in P]
-        for m in (1, 2, 3):
-            got = {encode_halfedge(he, P[0].scale).canonical_key() for he in batch_order_diagram(mem, m)}
-            assert got == oracle_vdk(P, m).halfedge_keys()
-
-    def test_order_one_equals_memory_nearest(self):
-        from wsvoronoi.tradeoff import batch_diagram
-
-        P = random_sites(8, 904)
-        mem = [(p.index, p.ipt) for p in P]
-        lifted = {
-            encode_halfedge(he, P[0].scale).undirected_key() for he in batch_order_diagram(mem, 1)
-        }
-        direct = {r.undirected_key() for r in batch_diagram(mem, DiagramMode.NEAREST).undirected_records(P[0].scale, 8)}
-        assert lifted == direct
-
-    def test_all_sites_same_cell(self):
-        P = random_sites(4, 905)
-        mem = [(p.index, p.ipt) for p in P]
-        assert batch_order_diagram(mem, 4) == []
 
 
 class TestSuccessorStep:
@@ -130,12 +103,12 @@ class TestSuccessorStep:
             outs.extend(successor_step(arena, inputs[chunk_start : chunk_start + 8], k + 1, 8))
         scale = P[0].scale
         for e, f in zip(inputs, outs):
-            key = encode_halfedge(e, scale).canonical_key()
+            key = e.to_record(scale).canonical_key()
             if not is_relevant(e):
                 assert f is None
             else:
                 assert f is not None
-                assert encode_halfedge(f, scale).canonical_key() == first_by_owner[key]
+                assert f.to_record(scale).canonical_key() == first_by_owner[key]
 
     def test_ccw_successor(self):
         P = random_sites(10, 907)
@@ -155,7 +128,7 @@ class TestSuccessorStep:
                 he = decode_halfedge(cur, P)
                 [f] = successor_step(arena, [he], k2, 4)
                 assert f is not None
-                assert encode_halfedge(f, scale).canonical_key() == nxt.canonical_key()
+                assert f.to_record(scale).canonical_key() == nxt.canonical_key()
             break
 
 
@@ -246,7 +219,7 @@ class TestPipelineRun:
         for _ in range(2):
             arena = ReadOnlyArena(P)
             sink = OutputSink(keep=False)
-            pipeline_run(arena, PipelineConfig(K=3, s=36, seed=5), sink)
+            pipeline_run(arena, PipelineConfig(K=3, s=36), sink)
             counts.append(arena.read_count)
         assert counts[0] == counts[1]
 
@@ -270,12 +243,12 @@ class TestOrderPhases:
         buf = EdgeBuffer(order1_halfedges(arena, s1, t1), s1, 3 * s1)
         t2 = find_big_cells_k(arena, 2, s1, buf)
         big_big = {
-            encode_halfedge(he, scale).canonical_key()
+            he.to_record(scale).canonical_key()
             for he in _iter_big_big_edges(arena, 2, t2, s1)
         }
         buf2 = EdgeBuffer(order1_halfedges(arena, s1, t1), s1, 3 * s1)
         full = [
-            encode_halfedge(he, scale).canonical_key()
+            he.to_record(scale).canonical_key()
             for he in iter_order_edges(arena, 2, s1, buf2, t2)
         ]
         assert len(full) == len(set(full)), "duplicate half-edges across phases"
@@ -305,6 +278,6 @@ class TestEncodeDecode:
             for k in range(1, 9):
                 for rec in oracle_vdk(P, k).halfedge_records():
                     he = decode_halfedge(rec, P)
-                    assert encode_halfedge(he, P[0].scale) == rec
+                    assert he.to_record(P[0].scale) == rec
                     count += 1
         assert count >= 1000

@@ -8,13 +8,10 @@ from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
 from wsvoronoi.oracle import oracle_vdk, verify_run
 from wsvoronoi.scan import DiagramMode, find_edge, record_for, start_ray
 from wsvoronoi.tradeoff import (
-    Batch,
     BigCellTable,
     TrackedSite,
-    batch_diagram,
-    batches,
+    _round,
     find_big_cells,
-    find_edges_batched,
     hull_stream,
     iter_big_big,
     iter_small_incident,
@@ -49,38 +46,36 @@ def naive_hull(P):
         hull.append(cand)
 
 
-class TestBatches:
-    def test_partition(self):
-        bs = batches(10, 4)
-        assert bs == [Batch(0, 4), Batch(4, 4), Batch(8, 2)]
-
-
 class TestBatchDiagram:
+    """iter_big_big with every site in the table: the whole diagram comes
+    from the in-workspace diagram of the big sites."""
+
     def test_triangle(self):
-        mem = [(p.index, p.ipt) for p in triangle()]
-        d = batch_diagram(mem, N)
-        assert len(d.edges) == 3
+        arena = ReadOnlyArena(triangle())
+        assert len(list(iter_big_big(arena, N, 4, BigCellTable(range(3))))) == 3
 
     def test_matches_oracle_on_subset(self):
         P = random_sites(12, 811)
-        mem = [(p.index, p.ipt) for p in P]
         for mode, k in ((N, 1), (F, 11)):
-            d = batch_diagram(mem, mode)
-            got = {r.undirected_key() for r in d.undirected_records(P[0].scale, 12)}
+            arena = ReadOnlyArena(P)
+            edges = iter_big_big(arena, mode, 4, BigCellTable(range(12)))
+            got = {record_for(arena, e, mode).undirected_key() for e in edges}
             assert got == oracle_vdk(P, k).undirected_keys()
 
     def test_single_site(self):
-        d = batch_diagram([(0, (3, 4))], N)
-        assert d.edges == []
+        arena = ReadOnlyArena(triangle())
+        assert list(iter_big_big(arena, N, 4, BigCellTable([0]))) == []
 
 
 class TestFindEdgesBatched:
+    """One lock-step round finds each fresh slot's first cell edge."""
+
     def test_single_slot_equals_find_edge(self):
         P = triangle()
         arena = ReadOnlyArena(P)
         ray = start_ray(arena, 0, N)
         slot = TrackedSite(0, (0, 0), ray)
-        [edge] = find_edges_batched(arena, [slot], N, 1)
+        [edge] = _round(arena, [slot], N, 1)
         direct = find_edge(ReadOnlyArena(P), 0, ray, N)
         assert record_for(arena, edge, N) == record_for(arena, direct, N)
 
@@ -91,7 +86,7 @@ class TestFindEdgesBatched:
         for i in range(4):
             ray = start_ray(arena, i, N)
             slots.append(TrackedSite(i, arena.read(i).ipt, ray))
-        edges = find_edges_batched(arena, slots, N, 4)
+        edges = _round(arena, slots, N, 4)
         for i, edge in enumerate(edges):
             direct = find_edge(ReadOnlyArena(P), i, start_ray(ReadOnlyArena(P), i, N), N)
             assert record_for(arena, edge, N) == record_for(arena, direct, N)
@@ -100,7 +95,7 @@ class TestFindEdgesBatched:
         P = random_sites(6, 813)
         arena = ReadOnlyArena(P)
         slots = [TrackedSite(i, arena.read(i).ipt, start_ray(arena, i, N)) for i in range(6)]
-        edges = find_edges_batched(arena, slots, N, 8)
+        edges = _round(arena, slots, N, 8)
         assert len(edges) == 6
 
 
