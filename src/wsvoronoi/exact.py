@@ -92,20 +92,6 @@ def line_intersection(l1, l2):
     return normalize_hpoint(x, y, w)
 
 
-def line_side(line, hp) -> int:
-    """Sign of a*x + b*y - c at the homogeneous point hp (w > 0)."""
-    a, b, c = line
-    return sign(a * hp[0] + b * hp[1] - c * hp[2])
-
-
-def line_point(line):
-    """Some homogeneous point on the line (for parallel-clip probes)."""
-    a, b, c = line
-    if b != 0:
-        return normalize_hpoint(0, c, b)
-    return normalize_hpoint(c, 0, a)
-
-
 def line_dir(line):
     """Canonical direction vector of the line, as a primitive int pair."""
     a, b, _ = line

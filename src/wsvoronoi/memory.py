@@ -30,12 +30,13 @@ class SequencingError(Exception):
 class ReadOnlyArena:
     """Immutable site array with a count of every element access."""
 
-    __slots__ = ("_sites", "read_count", "scale")
+    __slots__ = ("_sites", "_items", "read_count", "scale")
 
     def __init__(self, sites: Sequence[Site]):
         self._sites = tuple(sites)
         if not self._sites:
             raise ValueError("empty arena")
+        self._items = tuple((i, s.ipt) for i, s in enumerate(self._sites))
         self.scale = self._sites[0].scale
         self.read_count = 0
 
@@ -47,6 +48,15 @@ class ReadOnlyArena:
             raise IndexError(f"arena index {i} out of range 0..{len(self._sites) - 1}")
         self.read_count += 1
         return self._sites[i]
+
+    def read_span(self, start: int, stop: int) -> tuple:
+        """Sites start..stop-1 as (index, integer point) pairs, counted as
+        stop - start reads.  The pairs are the arena's own, so a span is a
+        view of the input, not a workspace copy."""
+        if not 0 <= start <= stop <= len(self._sites):
+            raise IndexError(f"arena span {start}..{stop} out of range 0..{len(self._sites)}")
+        self.read_count += stop - start
+        return self._items[start:stop]
 
 
 class WorkLedger:

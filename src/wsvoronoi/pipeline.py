@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Optional
 from . import exact
 from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
 from .records import EdgeRecord, directed_record
-from .scan import CellEdge, DiagramMode, _clip_interval, clip_edge
+from .scan import CellEdge, DiagramMode, clip_edge, clip_run
 from .tradeoff import (
     BigCellTable,
     W_BATCH_SITE,
@@ -202,11 +202,6 @@ class EdgeBuffer:
             pass
 
 
-def _oparam(direction, hp):
-    """Parameter of hp along an oriented direction, as (num, den>0)."""
-    return (direction[0] * hp[0] + direction[1] * hp[1], hp[2])
-
-
 def _halfedges_of_cell_edge(k: int, closest: frozenset, edge: CellEdge, site_pt, rival_pt) -> list[HalfEdge]:
     """Both directed half-edges of one undirected order-k edge."""
     line = edge.piece.carrier.line
@@ -286,10 +281,10 @@ class _IntervalWalk:
         "carrier",
         "direction",
         "tail",
-        "tail_tau",
         "tail_extra",
         "best",
         "steps",
+        "_kernel",
     )
 
     def __init__(self, cell, closest, pair, pair_pts, carrier, direction, tail, tail_extra):
@@ -300,31 +295,54 @@ class _IntervalWalk:
         self.carrier = carrier
         self.direction = direction
         self.tail = tail
-        self.tail_tau = None if tail is None else _oparam(direction, tail)
         self.tail_extra = tail_extra
-        self.best = None  # (tau_num, tau_den, site)
+        self.best = None  # (tau_num, tau_den, site), tau on the kernel's scale
         self.steps = 0
+        # What consider_batch needs of the walk, computed once.  With the
+        # carrier a*x + b*y = c and q = pair_pts[0], direction = sigma*(b, -a)/g
+        # for a sign sigma and g > 0; parameters are kept scaled by 2g.
+        a, b, c = carrier
+        qx, qy = pair_pts[0]
+        sigma = 1 if direction[0] * b - direction[1] * a > 0 else -1
+        tail_tau = None
+        if tail is not None:
+            tail_tau = (2 * sigma * (b * tail[0] - a * tail[1]), tail[2])
+        self._kernel = (
+            a,
+            b,
+            2 * sigma * c,
+            sigma * (a * a + b * b),
+            a * qx + b * qy,
+            a * qy - b * qx,
+            qx * qx + qy * qy,
+            (*pair, tail_extra),
+            tail_tau,
+        )
 
-    def consider(self, j: int, w) -> None:
-        if j in self.pair or j == self.tail_extra:
-            return
-        a1, b1, c1 = self.carrier
-        px = self.pair_pts[0]
-        la = 2 * (w[0] - px[0])
-        lb = 2 * (w[1] - px[1])
-        lc = w[0] * w[0] + w[1] * w[1] - px[0] * px[0] - px[1] * px[1]
-        wdet = a1 * lb - la * b1
-        if wdet == 0:
-            raise AssertionError("collinear sites at successor crossing")
-        x = c1 * lb - lc * b1
-        y = a1 * lc - la * c1
-        if wdet < 0:
-            x, y, wdet = -x, -y, -wdet
-        num = self.direction[0] * x + self.direction[1] * y
-        if self.tail_tau is not None and num * self.tail_tau[1] <= self.tail_tau[0] * wdet:
-            return
-        if self.best is None or num * self.best[1] < self.best[0] * wdet:
-            self.best = (num, wdet, j)
+    def consider_batch(self, batch) -> None:
+        """Keep in `best` the site whose bisector with pair[0] crosses the
+        carrier first ahead of the tail, over `best` and `batch`.
+
+        The crossing with w's bisector is at tau = num/den along the walk's
+        direction, scaled by 2g: num = sigma*(2c(a.w - a.q) - (|w|^2 -
+        |q|^2)(a^2 + b^2)), den = a*w_y - b*w_x - (a*q_y - b*q_x).
+        """
+        a, b, c2s, nns, aq, cq, qq, skip, tail = self._kernel
+        best = self.best
+        for j, (wx, wy) in batch:
+            if j in skip:
+                continue
+            den = a * wy - b * wx - cq
+            if den == 0:
+                raise AssertionError("collinear sites at successor crossing")
+            num = c2s * (a * wx + b * wy - aq) - (wx * wx + wy * wy - qq) * nns
+            if den < 0:
+                num, den = -num, -den
+            if tail is not None and num * tail[1] <= tail[0] * den:
+                continue
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den, j)
+        self.best = best
 
     def materialize(self, k_out: int, pts: Callable[[int], tuple[int, int]]) -> HalfEdge:
         head = head_extra = None
@@ -415,8 +433,7 @@ def _trim_round(
     with scope(ledger, max(1, batch_size) * W_BATCH_SITE):
         for batch in iter_batches(arena, batch_size):
             for walk in walks:
-                for j, w in batch:
-                    walk.consider(j, w)
+                walk.consider_batch(batch)
 
 
 class _OrderDriver:
@@ -604,21 +621,14 @@ def _iter_big_big_edges(
                 a_pt = arena.read(a).ipt
                 b_pt = arena.read(b).ipt
                 line = exact.bisector_line(a_pt, b_pt)
-                d0 = exact.line_dir(line)
-                states.append([common, a, b, a_pt, b_pt, line, d0, [None, None, None, None], True])
+                states.append([common, a, b, a_pt, b_pt, line, [None, None, None, None], True])
             for batch in iter_batches(arena, batch_size):
                 for st in states:
-                    if not st[8]:
-                        continue
-                    common, a, b, a_pt, _, line, d0, box, _ = st
-                    for m, w in batch:
-                        if m == a or m == b:
-                            continue
-                        want = 1 if m in common else -1
-                        if not _clip_interval(box, line, d0, a_pt, w, m, want):
-                            st[8] = False
-                            break
-            for common, a, b, a_pt, b_pt, line, _, box, alive in states:
+                    if st[7]:
+                        common, a, b, a_pt, _, line, box, _ = st
+                        # Nearer to a than every other site, farther than the common ones.
+                        st[7] = clip_run(box, line, a_pt, batch, -1, (a, b), common)
+            for common, a, b, a_pt, b_pt, line, box, alive in states:
                 if alive:
                     edge = clip_edge(arena, a, a_pt, b, line, box)
                     yield from _halfedges_of_cell_edge(k_out, common, edge, a_pt, b_pt)
@@ -710,7 +720,7 @@ def pipeline_run(
         table1 = find_big_cells(arena, DiagramMode.NEAREST, s1, ledger)
         tables: dict = {1: table1}
 
-        def chain(up_to: int, emit_order: Optional[int]) -> Iterator[HalfEdge]:
+        def chain(up_to: int) -> Iterator[HalfEdge]:
             stream: Iterator[HalfEdge] = order1_halfedges(arena, s1, tables[1], ledger)
             for k_out in range(2, up_to + 1):
                 buf = EdgeBuffer(stream, s1, 3 * s1)
@@ -718,7 +728,7 @@ def pipeline_run(
             return stream
 
         for stage in range(1, K + 1):
-            stream = chain(stage, stage)
+            stream = chain(stage)
             if stage < K:
                 emitted = EdgeBuffer(
                     stream, s1, 3 * s1, on_insert=lambda he: sink.emit(he.to_record(scale))

@@ -7,7 +7,9 @@ cell is walked edge to edge (the site whose bisector cut an endpoint is the
 site whose bisector carries the adjacent edge).  An edge between cells i
 and j is reported from cell i only when i < j, so each edge is emitted
 exactly once.  The walk's state machine, `TrackedSite`, is the one the
-batched s-workspace path in `tradeoff` drives too.
+batched s-workspace path in `tradeoff` drives too, and both paths (with
+`pipeline`) share the exact kernels `clip_run` and `ray_run`, each one
+loop over a whole batch of sites.
 """
 
 from __future__ import annotations
@@ -112,7 +114,6 @@ def start_ray(
     mode: DiagramMode,
     ledger: Optional[WorkLedger] = None,
     reference: Optional[int] = None,
-    hull: Optional[HullStatus] = None,
 ) -> Ray:
     """A ray from p guaranteed to cross the boundary of p's cell.
 
@@ -126,7 +127,7 @@ def start_ray(
             q_idx = reference if reference is not None and reference != p_idx else (0 if p_idx != 0 else 1)
             q = arena.read(q_idx).ipt
             return Ray(p, exact.primitive_dir(q[0] - p[0], q[1] - p[1]))
-        status = hull if hull is not None else locate_on_hull(arena, p_idx, ledger, reference)
+        status = locate_on_hull(arena, p_idx, ledger, reference)
         if status.inside:
             raise FarthestCellEmpty(f"site {p_idx} is interior to the hull")
         l = arena.read(status.cw_neighbor).ipt
@@ -135,42 +136,75 @@ def start_ray(
         return Ray(p, exact.primitive_dir(c[0] - p[0] * c[2], c[1] - p[1] * c[2]))
 
 
-def _clip_interval(state, carrier_line, d, p, w, w_idx, want):
-    """Clip the tracked parameter interval by the bisector of (p, w).
+def clip_run(state, line, p, items, want: int, skip, flip=()) -> bool:
+    """Clip an interval on `line`, the bisector of site p and a rival, by
+    the bisector of p and each (index, point) of `items`.
 
-    state = [t_lo, t_hi, lo_cut, hi_cut] with t as (num, den>0) pairs or
-    None for an unbounded end; returns False when the interval died.
+    Keeps the part nearer to p than to each cutter (want = -1) or farther
+    (want = 1); indices in `flip` take the opposite sense and indices in
+    `skip` are passed over.  state = [t_lo, t_hi, lo_cut, hi_cut]: each end
+    is a (num, den>0) parameter, or None while unbounded, with the index of
+    the site that cut it.  Returns False once the interval is empty.
+
+    One exact loop per batch: with line a*x + b*y = c, the cutter w crosses
+    it at parameter num / (2 det) along (b, -a), where
+    num = 2c(a.w - a.p) - (|w|^2 - |p|^2)(a^2 + b^2) and
+    det = a*w_y - b*w_x - (a*p_y - b*p_x).  The kernel keeps num/det, the
+    same positive multiple for every cutter of the line, so only the order
+    of the parameters is meaningful; the cutters alone leave the kernel
+    (see `clip_edge`).
     """
-    la = 2 * (w[0] - p[0])
-    lb = 2 * (w[1] - p[1])
-    lc = w[0] * w[0] + w[1] * w[1] - p[0] * p[0] - p[1] * p[1]
-    # f = la*x + lb*y - lc = d^2(x, p) - d^2(x, w); f < 0 nearer to p.
-    slope = la * d[0] + lb * d[1]
-    if slope == 0:
-        base = exact.line_point(carrier_line)
-        s = exact.sign(la * base[0] + lb * base[1] - lc * base[2])
-        if s == want:
-            return True
-        return False
-    a1, b1, c1 = carrier_line
-    wdet = a1 * lb - la * b1
-    x = c1 * lb - lc * b1
-    y = a1 * lc - la * c1
-    if wdet < 0:
-        x, y, wdet = -x, -y, -wdet
-    t_cross = (d[0] * x + d[1] * y, wdet)
-    if exact.sign(slope) == want:
-        # Wanted side is where the parameter exceeds the crossing.
-        if state[0] is None or exact.cmp_params(state[0], t_cross) < 0:
-            state[0] = t_cross
-            state[2] = w_idx
-    else:
-        if state[1] is None or exact.cmp_params(state[1], t_cross) > 0:
-            state[1] = t_cross
-            state[3] = w_idx
-    if state[0] is not None and state[1] is not None and exact.cmp_params(state[0], state[1]) >= 0:
-        return False
-    return True
+    a, b, c = line
+    px, py = p
+    c2 = 2 * c
+    nn = a * a + b * b
+    ap = a * px + b * py
+    cp = a * py - b * px
+    pp = px * px + py * py
+    keep_near = want < 0
+    # Unbounded ends as -inf = (-1, 0) and +inf = (1, 0): the cross-multiplied
+    # comparisons below then need no None tests.
+    lo_n, lo_d = state[0] or (-1, 0)
+    hi_n, hi_d = state[1] or (1, 0)
+    lo_cut, hi_cut = state[2], state[3]
+    alive = True
+    for j, (wx, wy) in items:
+        if j in skip:
+            continue
+        near = keep_near != (j in flip)
+        lc = wx * wx + wy * wy - pp
+        den = a * wy - b * wx - cp
+        if den == 0:
+            # Cutter bisector parallel to the line: keep it whole or lose it.
+            # f = 2(w - p).x - lc is constant along the line; take its sign
+            # at the line's point on a coordinate axis.
+            if b:
+                f = (2 * (wy - py) * c - lc * b) * b
+            else:
+                f = (2 * (wx - px) * c - lc * a) * a
+            if (f < 0) if near else (f > 0):
+                continue
+            alive = False
+            break
+        num = c2 * (a * wx + b * wy - ap) - lc * nn
+        if den < 0:
+            num, den, near = -num, -den, not near
+        if near:
+            # The kept side lies beyond the crossing: a lower bound.
+            if lo_n * den >= num * lo_d:
+                continue
+            lo_n, lo_d, lo_cut = num, den, j
+        else:
+            if hi_n * den <= num * hi_d:
+                continue
+            hi_n, hi_d, hi_cut = num, den, j
+        if lo_n * hi_d >= hi_n * lo_d:
+            alive = False
+            break
+    state[0] = (lo_n, lo_d) if lo_d else None
+    state[1] = (hi_n, hi_d) if hi_d else None
+    state[2], state[3] = lo_cut, hi_cut
+    return alive
 
 
 def clip_edge(arena: ReadOnlyArena, site: int, p, rival: int, line, state) -> CellEdge:
@@ -194,35 +228,81 @@ def _edge_on_carrier(
     ledger: Optional[WorkLedger] = None,
 ) -> Optional[CellEdge]:
     """The edge of p's cell on the bisector with rival, by one clipping scan."""
-    n = len(arena)
     want = -1 if mode is DiagramMode.NEAREST else 1
     with scope(ledger, W_EDGE):
         rival = arena.read(rival_idx).ipt
         line = exact.bisector_line(p, rival)
-        d = exact.line_dir(line)
         state = [None, None, None, None]
-        for j in range(n):
-            if j == p_idx or j == rival_idx:
-                continue
-            w = arena.read(j).ipt
-            if not _clip_interval(state, line, d, p, w, j, want):
+        skip = (p_idx, rival_idx)
+        for span in _spans_without(arena, skip):
+            if not clip_run(state, line, p, span, want, skip):
                 return None
         return clip_edge(arena, p_idx, p, rival_idx, line, state)
 
 
-def ray_tie_wins(direction, line, best_line, nearest: bool) -> bool:
-    """Whether `line` beats `best_line` as the rival when both bisectors
-    cross the start ray at the same point.
+def ray_tie_wins(direction, u, best_u, nearest: bool) -> bool:
+    """Whether the bisector with normal `u` beats the one with normal
+    `best_u` as the rival when both cross the start ray at the same point.
 
     The ray then passes through a cell vertex; resolve as if it were
-    rotated infinitesimally counterclockwise.
+    rotated infinitesimally counterclockwise.  A normal is the pair (a, b)
+    of the bisector a*x + b*y = c, or any nonzero multiple of it.
     """
 
-    def drift(ln):
-        a, b, _ = ln
+    def drift(n):
+        a, b = n
         return Fraction(b * direction[0] - a * direction[1], a * direction[0] + b * direction[1])
 
-    return drift(line) > drift(best_line) if nearest else drift(line) < drift(best_line)
+    return drift(u) > drift(best_u) if nearest else drift(u) < drift(best_u)
+
+
+def ray_run(best, p, direction, items, nearest: bool, skip: int):
+    """The rival whose bisector with p first crosses the ray from p along
+    `direction` (last, when not `nearest`), over `best` and `items`.
+
+    best, kept across batches, is (num, den, index, point) for the
+    crossing at parameter num/den, or None before any hit; index `skip`
+    (p's own) is passed over.  Since the ray starts at p, the bisector with
+    w is hit iff u = w - p has u.d > 0, at t = |u|^2 / (2 u.d); the 2 is
+    left out of every parameter alike.  Exact ties go to `ray_tie_wins`.
+    """
+    px, py = p
+    dx, dy = direction
+    if best is None:
+        bn = bd = 0
+        bj = bw = None
+    else:
+        bn, bd, bj, bw = best
+    for j, w in items:
+        if j == skip:
+            continue
+        ux = w[0] - px
+        uy = w[1] - py
+        den = ux * dx + uy * dy
+        if den <= 0:
+            continue
+        num = ux * ux + uy * uy
+        if bd:
+            c = num * bd - bn * den
+            if c == 0:
+                if not ray_tie_wins(direction, (ux, uy), (bw[0] - px, bw[1] - py), nearest):
+                    continue
+            elif (c > 0) == nearest:
+                continue
+        bn, bd, bj, bw = num, den, j, w
+    return (bn, bd, bj, bw) if bd else None
+
+
+def _spans_without(arena: ReadOnlyArena, skip):
+    """The whole input in order, as spans that leave out the indices in
+    `skip`, so that each site read is one the caller uses."""
+    start = 0
+    for k in sorted(skip):
+        if start < k:
+            yield arena.read_span(start, k)
+        start = k + 1
+    if start < len(arena):
+        yield arena.read_span(start, len(arena))
 
 
 def find_edge(
@@ -232,32 +312,19 @@ def find_edge(
     mode: DiagramMode,
     ledger: Optional[WorkLedger] = None,
 ) -> CellEdge:
-    """An edge of p's cell crossing the ray: closest-crossing bisector
-    (farthest in farthest mode), then one clipping scan to trim it."""
-    n = len(arena)
+    """An edge of p's cell crossing the ray from p: closest-crossing
+    bisector (farthest in farthest mode), then one clipping scan to trim it."""
     nearest = mode is DiagramMode.NEAREST
     with scope(ledger, W_EDGE):
         p = arena.read(p_idx).ipt
-        best = None  # (t, rival_idx, line)
-        for j in range(n):
-            if j == p_idx:
-                continue
-            w = arena.read(j).ipt
-            line = exact.bisector_line(p, w)
-            t = exact.ray_line_param(ray.origin, ray.direction, line)
-            if t is None:
-                continue
-            if best is None:
-                best = (t, j, line)
-                continue
-            c = exact.cmp_params(t, best[0])
-            if (nearest and c < 0) or (not nearest and c > 0):
-                best = (t, j, line)
-            elif c == 0 and ray_tie_wins(ray.direction, line, best[2], nearest):
-                best = (t, j, line)
+        if ray.origin != p:
+            raise ValueError(f"start ray does not leave from site {p_idx}")
+        best = None
+        for span in _spans_without(arena, (p_idx,)):
+            best = ray_run(best, p, ray.direction, span, nearest, p_idx)
     if best is None:
         raise NoIntersection(f"no bisector crosses the ray from site {p_idx}")
-    edge = _edge_on_carrier(arena, p_idx, p, best[1], mode, ledger)
+    edge = _edge_on_carrier(arena, p_idx, p, best[2], mode, ledger)
     if edge is None:
         raise NoIntersection(f"ray edge for site {p_idx} vanished under clipping")
     return edge
@@ -294,7 +361,7 @@ class TrackedSite:
         "_first_rival",
         "_leg2",
         "_v",
-        "_best",
+        "best",
     )
 
     def __init__(self, site_idx: int, p, ray: Ray):
@@ -310,33 +377,17 @@ class TrackedSite:
         self._first_rival: Optional[int] = None
         self._leg2 = None  # (endpoint hpoint, cutter) queued for the reverse walk
         self._v = None
-        self._best = None  # batched ray scan: (t, rival, line)
+        self.best = None  # batched ray scan: `ray_run`'s running choice
 
     @property
     def needs_ray_scan(self) -> bool:
-        return self.first_edge is None and self._best is None
-
-    def consider_ray_hit(self, j: int, w, nearest: bool) -> None:
-        if j == self.site:
-            return
-        line = exact.bisector_line(self.p, w)
-        t = exact.ray_line_param(self.current_ray.origin, self.current_ray.direction, line)
-        if t is None:
-            return
-        if self._best is None:
-            self._best = (t, j, line)
-            return
-        c = exact.cmp_params(t, self._best[0])
-        if (nearest and c < 0) or (not nearest and c > 0):
-            self._best = (t, j, line)
-        elif c == 0 and ray_tie_wins(self.current_ray.direction, line, self._best[2], nearest):
-            self._best = (t, j, line)
+        return self.first_edge is None and self.best is None
 
     def begin_clip(self) -> None:
         if self.first_edge is None:
-            if self._best is None:
+            if self.best is None:
                 raise NoIntersection(f"no bisector crosses the ray from site {self.site}")
-            self.rival = self._best[1]
+            self.rival = self.best[2]
         else:
             self.rival = self.cutter
         self.state = [None, None, None, None]
@@ -344,7 +395,7 @@ class TrackedSite:
     def advance(self, edge: CellEdge) -> None:
         """Digest the edge just found and set up the next one."""
         self.edges_found += 1
-        self._best = None
+        self.best = None
         self.state = None
         if self.first_edge is None:
             self.first_edge = edge

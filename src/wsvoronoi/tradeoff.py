@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Optional
 from . import exact
 from .geometry import Ray
 from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
-from .scan import CellEdge, DiagramMode, TrackedSite, _clip_interval, clip_edge, record_for
+from .scan import CellEdge, DiagramMode, TrackedSite, clip_edge, clip_run, ray_run, record_for
 
 # Ledger words per unit of tracked state; documented so peaks are
 # reproducible.  A run charges: s slots * W_SLOT + batch buffer 3/site +
@@ -47,12 +47,12 @@ class BigCellTable:
 
 
 def iter_batches(arena: ReadOnlyArena, size: int):
-    """The input in order, as lists of (index, point) for `size` consecutive
-    sites; the last list may be short."""
+    """The input in order, as spans of (index, point) for `size` consecutive
+    sites; the last span may be short."""
     n = len(arena)
     step = max(1, size)
     for start in range(0, n, step):
-        yield [(j, arena.read(j).ipt) for j in range(start, min(n, start + step))]
+        yield arena.read_span(start, min(n, start + step))
 
 
 def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode, s: int) -> list[CellEdge]:
@@ -63,21 +63,16 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode, s:
     if fresh:
         for batch in iter_batches(arena, s):
             for slot in fresh:
-                for j, w in batch:
-                    slot.consider_ray_hit(j, w, nearest)
+                slot.best = ray_run(slot.best, slot.p, slot.current_ray.direction, batch, nearest, slot.site)
     carriers = []
     for slot in slots:
         slot.begin_clip()
         line = exact.bisector_line(slot.p, arena.read(slot.rival).ipt)
-        carriers.append((line, exact.line_dir(line)))
+        carriers.append((line, (slot.site, slot.rival)))
     for batch in iter_batches(arena, s):
-        for slot, (line, d) in zip(slots, carriers):
-            state = slot.state
-            for j, w in batch:
-                if j == slot.site or j == slot.rival:
-                    continue
-                if not _clip_interval(state, line, d, slot.p, w, j, want):
-                    raise AssertionError("tracked cell edge vanished under clipping")
+        for slot, (line, skip) in zip(slots, carriers):
+            if not clip_run(slot.state, line, slot.p, batch, want, skip):
+                raise AssertionError("tracked cell edge vanished under clipping")
     return [
         clip_edge(arena, slot.site, slot.p, slot.rival, line, slot.state)
         for slot, (line, _) in zip(slots, carriers)
@@ -317,21 +312,16 @@ def iter_big_big(
         for ai, (a, a_pt) in enumerate(mem_sites):
             for b, b_pt in mem_sites[ai + 1 :]:
                 line = exact.bisector_line(a_pt, b_pt)
-                d = exact.line_dir(line)
                 state = [None, None, None, None]
-                if all(
-                    _clip_interval(state, line, d, a_pt, c_pt, c, want)
-                    for c, c_pt in mem_sites
-                    if c != a and c != b
-                ):
-                    alive.append((a, a_pt, b, line, d, state))
+                if clip_run(state, line, a_pt, mem_sites, want, (a, b)):
+                    alive.append((a, a_pt, b, line, state))
         for batch in iter_batches(arena, s):
             alive = [
-                (a, a_pt, b, line, d, state)
-                for a, a_pt, b, line, d, state in alive
-                if all(_clip_interval(state, line, d, a_pt, w, j, want) for j, w in batch if j not in big)
+                (a, a_pt, b, line, state)
+                for a, a_pt, b, line, state in alive
+                if clip_run(state, line, a_pt, batch, want, big)
             ]
-        for a, a_pt, b, line, _, state in alive:
+        for a, a_pt, b, line, state in alive:
             yield clip_edge(arena, a, a_pt, b, line, state)
 
 
@@ -371,6 +361,7 @@ def run_tradeoff(
     if not 1 <= s:
         raise ValueError("workspace parameter must be positive")
     table = find_big_cells(arena, mode, s, ledger)
-    report_small_incident(arena, mode, s, table, sink, ledger)
-    report_big_big(arena, mode, s, table, sink, ledger)
+    with scope(ledger, len(table) * W_TABLE_ENTRY):
+        report_small_incident(arena, mode, s, table, sink, ledger)
+        report_big_big(arena, mode, s, table, sink, ledger)
     return table

@@ -20,7 +20,7 @@ from wsvoronoi.geometry import (
     validate_general_position,
 )
 from wsvoronoi.memory import ReadOnlyArena
-from wsvoronoi.scan import _clip_interval, clip_edge
+from wsvoronoi.scan import clip_edge, clip_run
 
 
 def S(*coords):
@@ -138,12 +138,10 @@ def clip(sites, a, b, cutters, keep_nearer=True):
     """The piece of the bisector of a and b strictly nearer to a than to
     each cutter (farther with keep_nearer=False); None when none is left."""
     line = exact.bisector_line(a.ipt, b.ipt)
-    d = exact.line_dir(line)
     state = [None, None, None, None]
     want = -1 if keep_nearer else 1
-    for c in cutters:
-        if not _clip_interval(state, line, d, a.ipt, c.ipt, c.index, want):
-            return None
+    if not clip_run(state, line, a.ipt, [(c.index, c.ipt) for c in cutters], want, (a.index, b.index)):
+        return None
     return clip_edge(ReadOnlyArena(sites), a.index, a.ipt, b.index, line, state).piece
 
 

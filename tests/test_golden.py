@@ -1,0 +1,62 @@
+"""Golden outputs: `vw run` must keep writing the same bytes.
+
+Each case pins the sha256 of the record file and of its `.report` for a
+small seeded input.  A change meant only to make the program faster must
+leave every hash as it is; a change that alters output on purpose updates
+the hashes and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from wsvoronoi.cli import main
+from wsvoronoi.datagen import random_sites, sites_to_text
+
+N = 40
+SEED = 11
+
+# (flags, sha256 of the records, sha256 of the .report)
+CASES = {
+    "nvd-s8": (
+        ["--mode", "nvd", "--workspace", "8"],
+        "2658524b2213700ff8815654a30a495b51cf3041bab0ebfc9ac2db44304887e1",
+        "3e598e6f7e2b223fb61b554766ab78ec2910812ac009ba299e707c3b1ee2ec5c",
+    ),
+    "nvd-scan": (
+        ["--mode", "nvd"],
+        "ecddc305b23b82dcfd17698edf368378447068d6e4863edf96b653d49a03c840",
+        "a3a4ab52cafb2d727194d33739c9109f87d48c92ea8b2941b0e9fb3a98e2213b",
+    ),
+    "fvd-s8": (
+        ["--mode", "fvd", "--workspace", "8"],
+        "dd83a75e2611fdbe5eac7c69f8288531ca947060afb76289f137a61faaa97a15",
+        "be5a16734575ba9274d8cf36464b93fbf0262cec8237c877218a540e93cfae29",
+    ),
+    "fvd-scan": (
+        ["--mode", "fvd"],
+        "197cdb6bd32087626b99d6fcd8a949c582276b1ebb4149e8133599780d24f0af",
+        "ac83b4f44c6834d0a77d5c0e597f4330653e621a6d4e48fec204bf7cbdcf55bb",
+    ),
+    "order-K2-s8": (
+        ["--mode", "order", "--max-k", "2", "--workspace", "8"],
+        "2a0a0d157a4f8dad4fc3746a7df856a8bd51360aeaa3c7776b1cf332138e4961",
+        "77b3c2ac27164edac92f402cdfcd5f9ca09c987e77ac8c12789cd122808a4052",
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_bytes_unchanged(case, tmp_path, capsys):
+    flags, records_sha, report_sha = CASES[case]
+    sites = tmp_path / "sites.txt"
+    sites.write_text(sites_to_text(random_sites(N, SEED)), encoding="utf-8")
+    out = tmp_path / "records.txt"
+    assert main(["run", str(sites), *flags, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out) == records_sha
+    assert _sha256(tmp_path / "records.txt.report") == report_sha

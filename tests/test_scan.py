@@ -107,6 +107,11 @@ class TestFindEdge:
         bounded = edge.piece.hi or edge.piece.lo
         assert (Fraction(bounded[0], bounded[2]), Fraction(bounded[1], bounded[2])) == (4, 3)
 
+    def test_ray_must_leave_from_the_site(self):
+        arena = ReadOnlyArena(triangle())
+        with pytest.raises(ValueError):
+            find_edge(arena, 1, Ray((0, 0), (1, 0)), N)
+
     def test_farthest_edge_matches_oracle(self):
         P = triangle()
         arena = ReadOnlyArena(P)

@@ -2,12 +2,17 @@
 
 import pytest
 
-from wsvoronoi import exact
+from wsvoronoi import exact, tradeoff
 from wsvoronoi.datagen import random_sites, triangle
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
 from wsvoronoi.oracle import oracle_vdk, verify_run
 from wsvoronoi.scan import DiagramMode, find_edge, record_for, start_ray
 from wsvoronoi.tradeoff import (
+    W_BATCH_SITE,
+    W_FIXED,
+    W_MEM_SITE,
+    W_SLOT,
+    W_TABLE_ENTRY,
     BigCellTable,
     TrackedSite,
     _round,
@@ -216,3 +221,35 @@ class TestRunTradeoff:
         r1, _, _ = run(P, N, 6)
         r2, _, _ = run(P, N, 6)
         assert r1.read_count == r2.read_count
+
+
+class TestTableCharge:
+    """run_tradeoff charges W_TABLE_ENTRY words per big cell while it holds
+    the table through both report phases.
+
+    No input makes `find_big_cells` leave cells over at present (its drive
+    never sees a site wait for a slot), so the table is forced here; any
+    table gives the same diagram.
+    """
+
+    def test_peak_includes_table(self, monkeypatch):
+        P = random_sites(24, 835)
+        big = BigCellTable([2, 5, 11])
+        monkeypatch.setattr(tradeoff, "find_big_cells", lambda *args: big)
+        live_at_start = []
+        for name in ("report_small_incident", "report_big_big"):
+
+            def report(arena, mode, s, table, sink, ledger, _original=getattr(tradeoff, name)):
+                live_at_start.append(ledger.live_words)
+                _original(arena, mode, s, table, sink, ledger)
+
+            monkeypatch.setattr(tradeoff, name, report)
+        s = 4
+        _, sink, ledger = run(P, N, s)
+        charge = len(big) * W_TABLE_ENTRY
+        assert live_at_start == [charge, charge]
+        assert ledger.live_words == 0
+        walks = s * (W_SLOT + W_BATCH_SITE) + W_FIXED
+        big_big = len(big) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED
+        assert ledger.peak_words == charge + max(walks, big_big)
+        assert {r.undirected_key() for r in sink.records} == oracle_vdk(P, 1).undirected_keys()
