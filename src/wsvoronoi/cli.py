@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import memory
 from .datagen import DuplicateSiteError, SiteParseError, parse_sites_text, random_sites
-from .geometry import validate_general_position
+from .geometry import DegenerateGeometry, validate_general_position
 from .memory import ModelViolation, OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
 from .oracle import oracle_vdk, verify_run
 from .pipeline import ConfigError, PipelineConfig, pipeline_run
@@ -160,6 +160,11 @@ def cmd_run(args) -> int:
         if args.out:
             out_fh.close()
         return EXIT_MODEL
+    except DegenerateGeometry as e:
+        print(f"degenerate: {e}", file=sys.stderr)
+        if args.out:
+            out_fh.close()
+        return EXIT_DEGENERATE
     finally:
         sink.close()
     wall_ns = time.perf_counter_ns() - t0

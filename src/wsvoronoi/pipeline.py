@@ -5,9 +5,9 @@ of order k whose head vertex lies on its surrounding (k+1)-cell boundary
 ("relevant") owns the run of boundary half-edges counterclockwise up to
 the next such vertex, and walking those runs for every relevant half-edge
 yields each (k+1)-half-edge exactly once.  Cells whose walks could not
-finish within the slot budget, and every unbounded cell, are "big": their
-boundaries come instead from trimming an in-workspace diagram of their
-defining sites against the whole input.
+finish within the slot budget, and every unbounded cell, are "big": an
+edge between two big cells comes instead from clipping the bisector of
+the two sites in which the cells differ against the whole input.
 
 Producers for orders 1..K are chained through bounded buffers and run
 cooperatively: pulling from a buffer below its low-water mark resumes the
@@ -32,6 +32,7 @@ from .tradeoff import (
     BigCellTable,
     W_BATCH_SITE,
     W_FIXED,
+    drive,
     find_big_cells,
     iter_batches,
     iter_big_big,
@@ -149,12 +150,6 @@ class BigCellTableK:
     def __contains__(self, key) -> bool:
         pos = bisect_left(self.keys, key)
         return pos < len(self.keys) and self.keys[pos] == key
-
-    def union_sites(self) -> list[int]:
-        out = set()
-        for cell in self.cells:
-            out |= cell
-        return sorted(out)
 
 
 class EdgeBuffer:
@@ -436,80 +431,53 @@ def _trim_round(
                 walk.consider_batch(batch)
 
 
-class _OrderDriver:
-    """Shared slot management for one order's walk phases."""
+def _relevant_walks(arena: ReadOnlyArena, source: EdgeBuffer, skip_cell=None, on_unbounded=None):
+    """A walk from every relevant lower-order half-edge `source` delivers.
 
-    def __init__(self, arena: ReadOnlyArena, k_out: int, s1: int, ledger):
-        self.arena = arena
-        self.k_out = k_out
-        self.s1 = max(1, s1)
-        self.ledger = ledger
-        self.batch = self.s1 * max(1, k_out - 1)
-        self.guard = 4 * (k_out + 1) * (len(arena) + 4)
+    Old heads own no interval; an unbounded edge reveals an unbounded
+    cell, reported to on_unbounded; cells with skip_cell(cell) are passed
+    over.
+    """
+    while (e := source.pull()) is not None:
+        if e.head is None:
+            if on_unbounded is not None:
+                on_unbounded(e.closest | set(e.pair))
+        elif classify_head(e) == "new":
+            if skip_cell is None or not skip_cell(e.closest | set(e.pair)):
+                yield _walk_from_relevant(arena, e)
 
-    def run(
-        self,
-        source: EdgeBuffer,
-        skip_cell=None,
-        on_unbounded_input=None,
-        on_unbounded_walk=None,
-        stop_at_starvation: bool = False,
-    ) -> Iterator[HalfEdge]:
-        """Drive interval walks; yields every half-edge a walk produces.
 
-        skip_cell(cell_key) filters which cells are walked; the unbounded
-        hooks are called with a cell key when an unbounded lower-order
-        edge or an unbounded boundary edge reveals an unbounded cell.
-        With stop_at_starvation, walks still alive when the source dries
-        up are abandoned after reporting their cells via on_unbounded_walk
-        (the starvation rule reuses that hook through `report_cell`).
-        """
-        arena = self.arena
-        walks: list[_IntervalWalk] = []
-        exhausted = False
-        while True:
-            while len(walks) < self.s1 and not exhausted:
-                e = source.pull()
-                if e is None:
-                    exhausted = True
-                    break
-                if e.head is None:
-                    if on_unbounded_input is not None:
-                        on_unbounded_input(e.closest | set(e.pair))
-                    continue
-                if classify_head(e) == "old":
-                    continue
-                cell = e.closest | set(e.pair)
-                if skip_cell is not None and skip_cell(frozenset(cell)):
-                    continue
-                walks.append(_walk_from_relevant(arena, e))
-            if not walks:
-                return
-            if exhausted and stop_at_starvation:
-                # No fresh input remains: the surviving walks are in big
-                # cells; record and abandon them.
-                for w in walks:
-                    if on_unbounded_walk is not None:
-                        on_unbounded_walk(w.cell)
-                return
-            _trim_round(arena, walks, self.batch, self.ledger)
-            still: list[_IntervalWalk] = []
-            for w in walks:
-                f = w.materialize(self.k_out, lambda i: arena.read(i).ipt)
-                yield f
-                w.steps += 1
-                if f.head is None:
-                    if on_unbounded_walk is not None:
-                        on_unbounded_walk(w.cell)
-                    continue
-                if classify_head(f) == "old":
-                    continue
-                if w.steps > self.guard:
-                    raise AssertionError("boundary walk failed to terminate")
-                nxt = _walk_step(arena, f)
-                nxt.steps = w.steps
-                still.append(nxt)
-            walks = still
+def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger, on_unbounded=None, leftovers=None):
+    """Every half-edge the interval walks produce, up to s1 walks at once.
+
+    A walk ends at an old head, or at an unbounded edge, whose cell it
+    reports to on_unbounded.
+    """
+    batch = s1 * max(1, k_out - 1)
+    guard = 4 * (k_out + 1) * (len(arena) + 4)
+    pts = _point_reader(arena)
+
+    def step(walks):
+        _trim_round(arena, walks, batch, ledger)
+        still = []
+        for w in walks:
+            f = w.materialize(k_out, pts)
+            yield f
+            w.steps += 1
+            if f.head is None:
+                if on_unbounded is not None:
+                    on_unbounded(w.cell)
+                continue
+            if classify_head(f) == "old":
+                continue
+            if w.steps > guard:
+                raise AssertionError("boundary walk failed to terminate")
+            nxt = _walk_step(arena, f)
+            nxt.steps = w.steps
+            still.append(nxt)
+        return still
+
+    return drive(source, s1, step, leftovers)
 
 
 def find_big_cells_k(
@@ -532,17 +500,14 @@ def find_big_cells_k(
     pts = _point_reader(arena)
 
     def register(cell) -> None:
-        cell = frozenset(cell)
         registered.setdefault(cog_key(cell, pts), cell)
 
-    driver = _OrderDriver(arena, k_out, s1, ledger)
-    for _ in driver.run(
-        source,
-        on_unbounded_input=register,
-        on_unbounded_walk=register,
-        stop_at_starvation=True,
-    ):
+    leftovers: list[_IntervalWalk] = []
+    walks = _relevant_walks(arena, source, on_unbounded=register)
+    for _ in _walk_rounds(arena, k_out, s1, walks, ledger, register, leftovers):
         pass
+    for w in leftovers:
+        register(w.cell)
     return BigCellTableK(registered)
 
 
@@ -565,23 +530,23 @@ def iter_order_edges(
 
     Walks cover every small cell's boundary: each walked half-edge is
     reported, plus its opposite when the cell to its right is big.  Edges
-    between two big cells come from the in-workspace diagram of the big
-    cells' sites trimmed against the whole input.
+    between two big cells come from clipping each candidate pair's
+    bisector against the whole input (`_iter_big_big_edges`).
     """
     pts = _point_reader(arena)
-    driver = _OrderDriver(arena, k_out, s1, ledger)
 
     def skip_cell(cell) -> bool:
         return cog_key(cell, pts) in table
 
-    for f in driver.run(source, skip_cell=skip_cell):
+    walks = _relevant_walks(arena, source, skip_cell=skip_cell)
+    for f in _walk_rounds(arena, k_out, s1, walks, ledger):
         yield f
         if f.head is None:
             raise AssertionError("small cells are bounded; unbounded walk edge")
         if cog_key(f.right_cell(), pts) in table:
             yield f.opposite()
 
-    yield from _iter_big_big_edges(arena, k_out, table, driver.batch, ledger)
+    yield from _iter_big_big_edges(arena, k_out, table, s1 * max(1, k_out - 1), ledger)
 
 
 def _iter_big_big_edges(

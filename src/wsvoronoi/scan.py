@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import exact
-from .geometry import BisectorLine, EdgePiece, Ray
+from .geometry import BisectorLine, DegenerateGeometry, EdgePiece, Ray
 from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
 from .records import EdgeRecord, undirected_record
 
@@ -133,6 +133,8 @@ def start_ray(
         l = arena.read(status.cw_neighbor).ipt
         r = arena.read(status.ccw_neighbor).ipt
         c = exact.circumcenter_hpoint(p, l, r)
+        if c is None:
+            raise DegenerateGeometry(f"hull site {p_idx} is collinear with its hull neighbors")
         return Ray(p, exact.primitive_dir(c[0] - p[0] * c[2], c[1] - p[1] * c[2]))
 
 

@@ -12,16 +12,21 @@ is identical to the constant-workspace path for every s.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from . import exact
-from .geometry import Ray
+from .geometry import DegenerateGeometry, Ray
 from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
 from .scan import CellEdge, DiagramMode, TrackedSite, clip_edge, clip_run, ray_run, record_for
 
 # Ledger words per unit of tracked state; documented so peaks are
-# reproducible.  A run charges: s slots * W_SLOT + batch buffer 3/site +
-# table 1/entry + (farthest) hull window 3/point + W_FIXED.
+# reproducible.  A run charges the big-cell table (W_TABLE_ENTRY each)
+# while it holds it, and on top of that one phase at a time: the walks,
+# s * (W_SLOT + W_BATCH_SITE) + W_FIXED, plus for farthest diagrams the
+# hull window, (2s + 1) * W_HULL_POINT + (s + 1) + W_FIXED; or the big-big
+# diagram, charged for the table's capacity of s - 1 sites at W_MEM_SITE
+# each, plus a batch and W_FIXED.
 W_SLOT = 24
 W_BATCH_SITE = 3
 W_TABLE_ENTRY = 1
@@ -90,7 +95,8 @@ def hull_stream(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger] = Non
     """
     n = len(arena)
     window = max(1, s)
-    with scope(ledger, (window + 2) * W_HULL_POINT + W_FIXED):
+    # `merged` holds up to 2 * window + 1 points, `chain_ids` window + 1 indices.
+    with scope(ledger, (2 * window + 1) * W_HULL_POINT + (window + 1) + W_FIXED):
         start_idx = 0
         start_pt = arena.read(0).ipt
         for j in range(1, n):
@@ -168,9 +174,8 @@ def _farthest_source(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger],
         order.append(idx)
         if len(order) >= 3:
             yield _farthest_slot(arena, order[-2], order[-3], order[-1], skip)
-    m = len(order)
-    if m < 3:
-        raise AssertionError("hull of a general-position set has >= 3 vertices")
+    if len(order) < 3:
+        raise DegenerateGeometry("hull has fewer than 3 vertices: the sites are collinear")
     yield _farthest_slot(arena, order[-1], order[-2], order[0], skip)
     yield _farthest_slot(arena, order[0], order[-1], order[1], skip)
 
@@ -182,6 +187,8 @@ def _farthest_slot(arena, i, prev, nxt, skip):
     l = arena.read(prev).ipt
     r = arena.read(nxt).ipt
     c = exact.circumcenter_hpoint(p, l, r)
+    if c is None:
+        raise DegenerateGeometry(f"hull site {i} is collinear with its hull neighbors")
     ray = Ray(p, exact.primitive_dir(c[0] - p[0] * c[2], c[1] - p[1] * c[2]))
     return TrackedSite(i, p, ray)
 
@@ -195,61 +202,39 @@ def _site_source(arena, mode, s, ledger, skip=None):
                 yield slot
 
 
-class DriveResult:
-    """Filled in when a drive ends: the sites whose walks were cut short."""
+def drive(source: Iterator, s: int, step, leftovers: Optional[list] = None) -> Iterator:
+    """Run up to s walks at a time from `source`, one `step` per round.
 
-    def __init__(self):
-        self.leftovers: list[int] = []
-
-
-def _drive(
-    arena: ReadOnlyArena,
-    mode: DiagramMode,
-    s: int,
-    source,
-    stop_when_starved: bool,
-    ledger: Optional[WorkLedger] = None,
-    result: Optional[DriveResult] = None,
-) -> Iterator[tuple[TrackedSite, CellEdge]]:
-    """Run lock-step rounds over a stream of tracked sites.
-
-    Yields (slot, edge) for every cell edge found.  With
-    stop_when_starved, rounds end once the source is exhausted and fewer
-    than s unfinished walks remain (recorded in result.leftovers); the
-    survivors are walked to completion otherwise.
+    `step(walks)` is a generator: it yields whatever a round produces and
+    returns the walks still alive.  Free slots are refilled from the
+    source after every round.  A walk drawn by any refill after the first
+    had to wait for a slot; once one has, and a refill leaves 0 < live < s
+    (the source is spent), the live walks are put in `leftovers` instead
+    of being finished.  Without `leftovers` every walk runs to its end.
     """
+    walks = list(islice(source, s))
+    waited = False
+    while walks:
+        walks = yield from step(walks)
+        fresh = list(islice(source, s - len(walks)))
+        waited = waited or bool(fresh)
+        walks += fresh
+        if leftovers is not None and waited and 0 < len(walks) < s:
+            leftovers.extend(walks)
+            return
+
+
+def _walk_cells(arena, mode, s, ledger, skip=None, leftovers=None) -> Iterator[tuple[TrackedSite, CellEdge]]:
+    """(slot, edge) for every cell edge the s slots' walks find."""
+
+    def step(slots):
+        for slot, edge in zip(slots, _round(arena, slots, mode, s)):
+            yield slot, edge
+            slot.advance(edge)
+        return [t for t in slots if not t.done]
+
     with scope(ledger, s * (W_SLOT + W_BATCH_SITE) + W_FIXED):
-        active: list[TrackedSite] = []
-        pending: Optional[TrackedSite] = None
-        exhausted = False
-        ever_waited = False
-
-        def refill():
-            nonlocal pending, exhausted, ever_waited
-            while len(active) < s and not exhausted:
-                if pending is not None:
-                    active.append(pending)
-                    pending = None
-                    continue
-                try:
-                    pending = next(source)
-                except StopIteration:
-                    exhausted = True
-            if pending is not None:
-                ever_waited = True
-
-        refill()
-        while active:
-            edges = _round(arena, active, mode, s)
-            for slot, edge in zip(active, edges):
-                yield slot, edge
-                slot.advance(edge)
-            active[:] = [t for t in active if not t.done]
-            refill()
-            if stop_when_starved and ever_waited and exhausted and pending is None and 0 < len(active) < s:
-                if result is not None:
-                    result.leftovers = [t.site for t in active]
-                return
+        yield from drive(_site_source(arena, mode, s, ledger, skip), s, step, leftovers)
 
 
 def find_big_cells(
@@ -264,11 +249,10 @@ def find_big_cells(
     wait for a slot) all walks are run to completion and the table is
     empty.
     """
-    source = _site_source(arena, mode, s, ledger)
-    result = DriveResult()
-    for _ in _drive(arena, mode, s, source, True, ledger, result):
+    leftovers: list[TrackedSite] = []
+    for _ in _walk_cells(arena, mode, s, ledger, leftovers=leftovers):
         pass
-    return BigCellTable(result.leftovers)
+    return BigCellTable(t.site for t in leftovers)
 
 
 def iter_small_incident(
@@ -283,8 +267,7 @@ def iter_small_incident(
     Walking only small cells: an edge against a big rival is reported
     outright; between two small cells the lower index reports it.
     """
-    source = _site_source(arena, mode, s, ledger, skip=table)
-    for slot, edge in _drive(arena, mode, s, source, False, ledger):
+    for _, edge in _walk_cells(arena, mode, s, ledger, skip=table):
         if edge.rival in table or edge.site < edge.rival:
             yield edge
 
@@ -306,7 +289,8 @@ def iter_big_big(
     want = -1 if mode is DiagramMode.NEAREST else 1
     big = set(table.indices)
     mem_sites = [(i, arena.read(i).ipt) for i in table.indices]
-    with scope(ledger, len(mem_sites) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED):
+    # Charged for the table's capacity, as the walks charge every slot.
+    with scope(ledger, max(len(mem_sites), s - 1) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED):
         # The diagram of the big sites alone, each edge as its clip interval.
         alive = []
         for ai, (a, a_pt) in enumerate(mem_sites):

@@ -10,6 +10,7 @@ from wsvoronoi.records import read_stream
 
 TRIANGLE = "0 0\n8 0\n0 6\n"
 RECTANGLE = "0 0\n8 0\n0 6\n8 6\n"
+COLLINEAR = "0 0\n1 1\n2 2\n3 3\n"
 
 
 @pytest.fixture
@@ -81,6 +82,14 @@ class TestRun:
             ["run", tri_file, "--mode", "order", "--max-k", "10", "--workspace", "9", "--out", str(out)]
         )
         assert code == 5
+
+    @pytest.mark.parametrize("flags", [[], ["--workspace", "4"]], ids=["scan", "workspace"])
+    def test_collinear_farthest_is_degenerate(self, tmp_path, capsys, flags):
+        path = tmp_path / "line.txt"
+        path.write_text(COLLINEAR)
+        out = tmp_path / "r.txt"
+        assert main(["run", str(path), "--mode", "fvd", *flags, "--out", str(out)]) == 2
+        assert "degenerate" in capsys.readouterr().err
 
     def test_scan_path_without_workspace(self, tri_file, tmp_path):
         out = tmp_path / "records.txt"

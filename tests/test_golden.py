@@ -21,7 +21,7 @@ CASES = {
     "nvd-s8": (
         ["--mode", "nvd", "--workspace", "8"],
         "2658524b2213700ff8815654a30a495b51cf3041bab0ebfc9ac2db44304887e1",
-        "3e598e6f7e2b223fb61b554766ab78ec2910812ac009ba299e707c3b1ee2ec5c",
+        "e235f4a955ea307a1b723f9b603732480579bd0be6c0630c5fc4fe14ff9d1301",
     ),
     "nvd-scan": (
         ["--mode", "nvd"],
@@ -30,8 +30,8 @@ CASES = {
     ),
     "fvd-s8": (
         ["--mode", "fvd", "--workspace", "8"],
-        "dd83a75e2611fdbe5eac7c69f8288531ca947060afb76289f137a61faaa97a15",
-        "be5a16734575ba9274d8cf36464b93fbf0262cec8237c877218a540e93cfae29",
+        "6697ff383147a4a1a41401e9327816b953cdf457e5cc3dedd76060964f88021e",
+        "8bbad25ae069500790cfb5af189c257cb3d852f9920e0a5f2b04be4ea9a025d3",
     ),
     "fvd-scan": (
         ["--mode", "fvd"],
@@ -41,7 +41,7 @@ CASES = {
     "order-K2-s8": (
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],
         "2a0a0d157a4f8dad4fc3746a7df856a8bd51360aeaa3c7776b1cf332138e4961",
-        "77b3c2ac27164edac92f402cdfcd5f9ca09c987e77ac8c12789cd122808a4052",
+        "f5999c6fa2238af273b04d574c7be071bb581618a523528ba57e83d8c66830e6",
     ),
 }
 

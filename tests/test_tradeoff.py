@@ -10,6 +10,7 @@ from wsvoronoi.scan import DiagramMode, find_edge, record_for, start_ray
 from wsvoronoi.tradeoff import (
     W_BATCH_SITE,
     W_FIXED,
+    W_HULL_POINT,
     W_MEM_SITE,
     W_SLOT,
     W_TABLE_ENTRY,
@@ -122,6 +123,26 @@ class TestBigCellTable:
         assert set(table.indices) <= hull
 
 
+class TestBigCells:
+    """Walks cut short when the input runs out leave a table of big cells."""
+
+    P = random_sites(40, 3)
+    CASES = ((N, 8, 1, [30, 34, 35, 36, 37, 38, 39], 6), (F, 4, 39, [3, 14], 1))
+
+    @pytest.mark.parametrize("mode, s, k, big, big_big", CASES, ids=["nearest", "farthest"])
+    def test_table_and_big_big_edges(self, mode, s, k, big, big_big):
+        table = find_big_cells(ReadOnlyArena(self.P), mode, s)
+        assert table.indices == big
+        assert len(list(iter_big_big(ReadOnlyArena(self.P), mode, s, table))) == big_big
+
+    @pytest.mark.parametrize("mode, s, k, big, big_big", CASES, ids=["nearest", "farthest"])
+    def test_run_matches_oracle_and_releases_ledger(self, mode, s, k, big, big_big):
+        _, sink, ledger = run(self.P, mode, s)
+        report = verify_run(sink.records, oracle_vdk(self.P, k), k)
+        assert report.ok, report.summary()
+        assert ledger.live_words == 0
+
+
 class TestPhases:
     def test_empty_table_reduces_to_index_dedup(self):
         arena = ReadOnlyArena(triangle())
@@ -160,6 +181,24 @@ class TestHullStream:
             P = random_sites(12, 820 + seed)
             arena = ReadOnlyArena(P)
             assert list(hull_stream(arena, s)) == naive_hull(P)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    def test_charge_covers_window(self, s, monkeypatch):
+        largest = {"points": 0, "chain": 0}
+        original = tradeoff._cw_chain
+
+        def spy(points, anchor_idx, limit):
+            chain = original(points, anchor_idx, limit)
+            largest["points"] = max(largest["points"], len(points))
+            largest["chain"] = max(largest["chain"], len(chain))
+            return chain
+
+        monkeypatch.setattr(tradeoff, "_cw_chain", spy)
+        ledger = WorkLedger(10**6, enforcing=True)
+        list(hull_stream(ReadOnlyArena(random_sites(40, 836)), s, ledger))
+        held = largest["points"] * W_HULL_POINT + largest["chain"] + W_FIXED
+        assert held <= ledger.peak_words
+        assert ledger.live_words == 0
 
     def test_convex_position_visits_all(self):
         import math
@@ -227,9 +266,8 @@ class TestTableCharge:
     """run_tradeoff charges W_TABLE_ENTRY words per big cell while it holds
     the table through both report phases.
 
-    No input makes `find_big_cells` leave cells over at present (its drive
-    never sees a site wait for a slot), so the table is forced here; any
-    table gives the same diagram.
+    The table is forced here, so that its size and contents are fixed
+    whatever the walks leave over; any table gives the same diagram.
     """
 
     def test_peak_includes_table(self, monkeypatch):
