@@ -9,12 +9,12 @@ large parameter sweeps never abort.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .memory import OutputSink, ReadOnlyArena, observing_ledger
 from .pipeline import PipelineConfig, pipeline_run
-from .scan import DiagramMode, enumerate_diagram
+from .scan import DiagramMode
 from .tradeoff import run_tradeoff
 
 CSV_HEADER = "n,s,K,reads,peak_words,wall_ns"
@@ -44,14 +44,9 @@ def measure_tradeoff(sites, s: int, mode: DiagramMode = DiagramMode.NEAREST) -> 
 
 
 def measure_scan(sites, mode: DiagramMode = DiagramMode.NEAREST) -> BenchRow:
-    """Constant-workspace run; reported with s = 0 to mark the mode."""
-    arena = ReadOnlyArena(sites)
-    ledger = observing_ledger()
-    sink = OutputSink(keep=False)
-    t0 = time.perf_counter_ns()
-    enumerate_diagram(arena, mode, sink, ledger)
-    wall = time.perf_counter_ns() - t0
-    return BenchRow(len(sites), 0, 1, arena.read_count, ledger.peak_words, wall)
+    """Constant-workspace run, the one-slot trade-off; reported with s = 0
+    to mark the mode."""
+    return replace(measure_tradeoff(sites, 1, mode), s=0)
 
 
 def measure_pipeline(sites, s: int, K: int) -> BenchRow:

@@ -26,7 +26,7 @@ from .memory import ModelViolation, OutputSink, ReadOnlyArena, WorkLedger, obser
 from .oracle import oracle_vdk, verify_run
 from .pipeline import ConfigError, PipelineConfig, pipeline_run
 from .records import RecordFormatError, format_record, read_stream
-from .scan import DiagramMode, enumerate_diagram
+from .scan import DiagramMode
 from .svg import render_svg
 from .tradeoff import run_tradeoff
 
@@ -109,6 +109,8 @@ def cmd_run(args) -> int:
 
     try:
         c = _budget_const()
+        if args.workspace is not None and args.workspace < 1:
+            raise ConfigError(f"--workspace must be positive, got {args.workspace}")
         if args.mode == "order":
             if args.max_k is None or args.workspace is None:
                 raise ConfigError("--mode order needs --max-k and --workspace")
@@ -151,10 +153,7 @@ def cmd_run(args) -> int:
             pipeline_run(arena, config, sink, ledger)
         else:
             mode = DiagramMode.NEAREST if args.mode == "nvd" else DiagramMode.FARTHEST
-            if args.workspace is None:
-                enumerate_diagram(arena, mode, sink, ledger)
-            else:
-                run_tradeoff(arena, mode, args.workspace, sink, ledger)
+            run_tradeoff(arena, mode, s_words, sink, ledger)
     except ModelViolation as e:
         print(f"model violation: {e}", file=sys.stderr)
         if args.out:
@@ -219,6 +218,8 @@ def cmd_bench(args) -> int:
             raise ConfigError("bench needs --file or --random")
         c = _budget_const()
         s_list = [int(t) for t in args.s_list.split(",")] if args.s_list else [0]
+        if any(s < 0 for s in s_list):
+            raise ConfigError(f"--s-list values must be >= 0 (0 is the O(1)-word path), got {args.s_list}")
         k_list = [int(t) for t in args.k_list.split(",")] if args.k_list else None
     except DuplicateSiteError as e:
         print(f"degenerate: {e}", file=sys.stderr)
@@ -274,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--mode", choices=("nvd", "fvd", "order"), required=True)
     p.add_argument("--max-k", type=int, default=None, help="top order for --mode order")
-    p.add_argument("--workspace", type=int, default=None, help="workspace parameter s")
+    p.add_argument(
+        "--workspace", type=int, default=None, help="workspace parameter s (default 1: O(1) words)"
+    )
     p.add_argument("--enforce", action="store_true", help="abort on workspace budget breach")
     p.add_argument(
         "--seed", type=int, default=0, help="label copied to the record header and report; selects nothing"

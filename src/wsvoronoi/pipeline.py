@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import exact
+from .geometry import DegenerateGeometry
 from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
 from .records import EdgeRecord, directed_record
 from .scan import CellEdge, DiagramMode, clip_edge, clip_run
@@ -329,7 +330,7 @@ class _IntervalWalk:
                 continue
             den = a * wy - b * wx - cq
             if den == 0:
-                raise AssertionError("collinear sites at successor crossing")
+                raise DegenerateGeometry("collinear sites at successor crossing")
             num = c2s * (a * wx + b * wy - aq) - (wx * wx + wy * wy - qq) * nns
             if den < 0:
                 num, den = -num, -den

@@ -1,15 +1,19 @@
-"""Constant-workspace diagram enumeration by repeated input scans.
+"""The cell walk, its exact kernels, and the O(1)-word diagram.
 
-Finds every edge of the nearest- or farthest-site diagram using O(1)
-workspace words: a hull-membership test picks a start ray for each cell, a
-two-scan pass finds the first edge crossing that ray, and the rest of the
-cell is walked edge to edge (the site whose bisector cut an endpoint is the
-site whose bisector carries the adjacent edge).  An edge between cells i
-and j is reported from cell i only when i < j, so each edge is emitted
-exactly once.  The walk's state machine, `TrackedSite`, is the one the
-batched s-workspace path in `tradeoff` drives too, and both paths (with
-`pipeline`) share the exact kernels `clip_run` and `ray_run`, each one
-loop over a whole batch of sites.
+A cell is walked edge to edge from a start ray: the first edge is the one
+the ray crosses first, and the site whose bisector cut an endpoint is the
+site whose bisector carries the adjacent edge.  `TrackedSite` is the
+walk's state machine; `clip_run` and `ray_run` are the fused exact kernels
+it needs, each one loop over a whole batch of sites (`pipeline` clips with
+`clip_run` too); `cell_walk` starts a walk, aiming its ray at another site
+for a nearest cell and, for a farthest cell, at the meet of the bisectors
+with the hull neighbors that `locate_on_hull` finds in one pass.
+
+Every walk runs under `tradeoff.drive`.  The constant-workspace diagram,
+`enumerate_diagram`, is its one-slot run: each cell in index order, each
+edge found by passes over the whole input, an edge between cells i and j
+reported from cell i only when i < j, so exactly once.  `enumerate_cell`
+walks a single cell the same way.
 """
 
 from __future__ import annotations
@@ -63,30 +67,21 @@ class CellEdge:
         raise ValueError("point is not an endpoint of this edge")
 
 
-# Words charged per operation; totals stay below the 64-word budget of a
-# constant-workspace run even at full nesting depth.
+# Words `locate_on_hull` charges: the coordinates of p, of the reference
+# site and of the two best candidates.
 W_LOCATE = 8
-W_START = 6
-W_EDGE = 20
-W_CELL = 10
-W_DIAGRAM = 4
 
 
-def locate_on_hull(
-    arena: ReadOnlyArena,
-    p_idx: int,
-    ledger: Optional[WorkLedger] = None,
-    reference: Optional[int] = None,
-) -> HullStatus:
+def locate_on_hull(arena: ReadOnlyArena, p_idx: int, ledger: Optional[WorkLedger] = None) -> HullStatus:
     """Hull membership of site p by one gift-wrapping pass.
 
     Returns the two hull neighbors when p is a hull vertex.  Exactly one
-    pass over the arena beyond the reference pick.
+    pass over the arena beyond the reference pick (the lowest other index).
     """
     n = len(arena)
     with scope(ledger, W_LOCATE):
         p = arena.read(p_idx).ipt
-        q_idx = reference if reference is not None and reference != p_idx else (0 if p_idx != 0 else 1)
+        q_idx = 0 if p_idx != 0 else 1
         q = arena.read(q_idx).ipt
         best_cw = best_ccw = None
         cw_idx = ccw_idx = q_idx
@@ -106,36 +101,6 @@ def locate_on_hull(
         if exact.orient_ipts(p, cw, ccw) < 0:
             return HullStatus(inside=True)
         return HullStatus(inside=False, cw_neighbor=cw_idx, ccw_neighbor=ccw_idx)
-
-
-def start_ray(
-    arena: ReadOnlyArena,
-    p_idx: int,
-    mode: DiagramMode,
-    ledger: Optional[WorkLedger] = None,
-    reference: Optional[int] = None,
-) -> Ray:
-    """A ray from p guaranteed to cross the boundary of p's cell.
-
-    Nearest mode aims at another site (the lowest-index one by default);
-    farthest mode aims at the meet of the bisectors with p's hull
-    neighbors and raises FarthestCellEmpty for interior sites.
-    """
-    with scope(ledger, W_START):
-        p = arena.read(p_idx).ipt
-        if mode is DiagramMode.NEAREST:
-            q_idx = reference if reference is not None and reference != p_idx else (0 if p_idx != 0 else 1)
-            q = arena.read(q_idx).ipt
-            return Ray(p, exact.primitive_dir(q[0] - p[0], q[1] - p[1]))
-        status = locate_on_hull(arena, p_idx, ledger, reference)
-        if status.inside:
-            raise FarthestCellEmpty(f"site {p_idx} is interior to the hull")
-        l = arena.read(status.cw_neighbor).ipt
-        r = arena.read(status.ccw_neighbor).ipt
-        c = exact.circumcenter_hpoint(p, l, r)
-        if c is None:
-            raise DegenerateGeometry(f"hull site {p_idx} is collinear with its hull neighbors")
-        return Ray(p, exact.primitive_dir(c[0] - p[0] * c[2], c[1] - p[1] * c[2]))
 
 
 def clip_run(state, line, p, items, want: int, skip, flip=()) -> bool:
@@ -221,27 +186,6 @@ def clip_edge(arena: ReadOnlyArena, site: int, p, rival: int, line, state) -> Ce
     return CellEdge(site, rival, EdgePiece(BisectorLine(site, rival, line), lo, hi), state[2], state[3])
 
 
-def _edge_on_carrier(
-    arena: ReadOnlyArena,
-    p_idx: int,
-    p,
-    rival_idx: int,
-    mode: DiagramMode,
-    ledger: Optional[WorkLedger] = None,
-) -> Optional[CellEdge]:
-    """The edge of p's cell on the bisector with rival, by one clipping scan."""
-    want = -1 if mode is DiagramMode.NEAREST else 1
-    with scope(ledger, W_EDGE):
-        rival = arena.read(rival_idx).ipt
-        line = exact.bisector_line(p, rival)
-        state = [None, None, None, None]
-        skip = (p_idx, rival_idx)
-        for span in _spans_without(arena, skip):
-            if not clip_run(state, line, p, span, want, skip):
-                return None
-        return clip_edge(arena, p_idx, p, rival_idx, line, state)
-
-
 def ray_tie_wins(direction, u, best_u, nearest: bool) -> bool:
     """Whether the bisector with normal `u` beats the one with normal
     `best_u` as the rival when both cross the start ray at the same point.
@@ -293,43 +237,6 @@ def ray_run(best, p, direction, items, nearest: bool, skip: int):
                 continue
         bn, bd, bj, bw = num, den, j, w
     return (bn, bd, bj, bw) if bd else None
-
-
-def _spans_without(arena: ReadOnlyArena, skip):
-    """The whole input in order, as spans that leave out the indices in
-    `skip`, so that each site read is one the caller uses."""
-    start = 0
-    for k in sorted(skip):
-        if start < k:
-            yield arena.read_span(start, k)
-        start = k + 1
-    if start < len(arena):
-        yield arena.read_span(start, len(arena))
-
-
-def find_edge(
-    arena: ReadOnlyArena,
-    p_idx: int,
-    ray: Ray,
-    mode: DiagramMode,
-    ledger: Optional[WorkLedger] = None,
-) -> CellEdge:
-    """An edge of p's cell crossing the ray from p: closest-crossing
-    bisector (farthest in farthest mode), then one clipping scan to trim it."""
-    nearest = mode is DiagramMode.NEAREST
-    with scope(ledger, W_EDGE):
-        p = arena.read(p_idx).ipt
-        if ray.origin != p:
-            raise ValueError(f"start ray does not leave from site {p_idx}")
-        best = None
-        for span in _spans_without(arena, (p_idx,)):
-            best = ray_run(best, p, ray.direction, span, nearest, p_idx)
-    if best is None:
-        raise NoIntersection(f"no bisector crosses the ray from site {p_idx}")
-    edge = _edge_on_carrier(arena, p_idx, p, best[2], mode, ledger)
-    if edge is None:
-        raise NoIntersection(f"ray edge for site {p_idx} vanished under clipping")
-    return edge
 
 
 def _side_of_ray(ray: Ray, hp) -> int:
@@ -438,34 +345,58 @@ class TrackedSite:
             self.done = True
 
 
+def hull_walk(arena: ReadOnlyArena, i: int, prev: int, nxt: int) -> TrackedSite:
+    """The farthest-cell walk of hull site i between hull neighbors prev and
+    nxt: its start ray aims at the meet of i's bisectors with the two."""
+    p = arena.read(i).ipt
+    l = arena.read(prev).ipt
+    r = arena.read(nxt).ipt
+    c = exact.circumcenter_hpoint(p, l, r)
+    if c is None:
+        raise DegenerateGeometry(f"hull site {i} is collinear with its hull neighbors")
+    return TrackedSite(i, p, Ray(p, exact.primitive_dir(c[0] - p[0] * c[2], c[1] - p[1] * c[2])))
+
+
+def cell_walk(
+    arena: ReadOnlyArena, i: int, mode: DiagramMode, ledger: Optional[WorkLedger] = None
+) -> Optional[TrackedSite]:
+    """A fresh walk of site i's cell, or None when i is interior to the hull
+    and so has no farthest cell.
+
+    A nearest walk's start ray aims at the lowest-index other site; a
+    farthest walk first finds i's hull neighbors with `locate_on_hull`.
+    """
+    if mode is DiagramMode.NEAREST:
+        p = arena.read(i).ipt
+        q = arena.read(0 if i != 0 else 1).ipt
+        return TrackedSite(i, p, Ray(p, exact.primitive_dir(q[0] - p[0], q[1] - p[1])))
+    status = locate_on_hull(arena, i, ledger)
+    if status.inside:
+        return None
+    return hull_walk(arena, i, status.cw_neighbor, status.ccw_neighbor)
+
+
 def enumerate_cell(
     arena: ReadOnlyArena,
     p_idx: int,
     mode: DiagramMode,
     visit: Callable[[CellEdge], None],
     ledger: Optional[WorkLedger] = None,
-    reference: Optional[int] = None,
 ) -> None:
-    """Visit every edge of p's cell exactly once.
+    """Visit every edge of p's cell exactly once: the one-slot run of
+    `tradeoff.drive` on p's walk alone.
 
     Walks counterclockwise from the first edge's left endpoint until the
     walk closes or leaves through an unbounded edge, then clockwise from
-    the right endpoint; each edge costs one clipping scan.
+    the right endpoint; each edge costs one clipping pass.
     """
-    with scope(ledger, W_CELL):
-        ray = start_ray(arena, p_idx, mode, ledger, reference)
-        p = arena.read(p_idx).ipt
-        walk = TrackedSite(p_idx, p, ray)
-        edge = find_edge(arena, p_idx, ray, mode, ledger)
-        while True:
-            visit(edge)
-            walk.advance(edge)
-            if walk.done:
-                return
-            if walk.edges_found > len(arena) + 2:
-                raise AssertionError("cell walk failed to terminate")
-            edge = _edge_on_carrier(arena, p_idx, p, walk.cutter, mode, ledger)
-            assert edge is not None, "cell walk lost its edge"
+    from .tradeoff import walk_cells  # tradeoff imports this module
+
+    walk = cell_walk(arena, p_idx, mode, ledger)
+    if walk is None:
+        raise FarthestCellEmpty(f"site {p_idx} is interior to the hull")
+    for _, edge in walk_cells(arena, mode, 1, iter([walk]), ledger):
+        visit(edge)
 
 
 def cell_edges(
@@ -473,10 +404,9 @@ def cell_edges(
     p_idx: int,
     mode: DiagramMode,
     ledger: Optional[WorkLedger] = None,
-    reference: Optional[int] = None,
 ) -> list[CellEdge]:
     out: list[CellEdge] = []
-    enumerate_cell(arena, p_idx, mode, out.append, ledger, reference)
+    enumerate_cell(arena, p_idx, mode, out.append, ledger)
     return out
 
 
@@ -506,18 +436,9 @@ def enumerate_diagram(
     mode: DiagramMode,
     sink: OutputSink,
     ledger: Optional[WorkLedger] = None,
-    reference: Optional[int] = None,
 ) -> None:
-    """Emit every diagram edge exactly once using O(1) workspace words."""
-    n = len(arena)
-    with scope(ledger, W_DIAGRAM):
-        for i in range(n):
+    """Emit every diagram edge exactly once using O(1) workspace words: the
+    s-workspace construction with one slot."""
+    from .tradeoff import run_tradeoff  # tradeoff imports this module
 
-            def take(edge: CellEdge) -> None:
-                if edge.site < edge.rival:
-                    sink.emit(record_for(arena, edge, mode))
-
-            try:
-                enumerate_cell(arena, i, mode, take, ledger, reference)
-            except FarthestCellEmpty:
-                continue
+    run_tradeoff(arena, mode, 1, sink, ledger)

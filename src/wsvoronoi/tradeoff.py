@@ -1,30 +1,44 @@
 """s-workspace diagram construction: find s edges per sweep of the input.
 
-Instead of one cell edge per two input scans, a round keeps up to s cell
-walks alive at once and serves all of them from the same two batched
-passes over the input, so the scan cost is shared.  Cells still walking
-when no fresh sites remain are "big"; their edges are recovered by
+Instead of one cell edge per pass over the input, a round keeps up to s
+cell walks alive at once and serves all of them from the same batched
+passes, so the scan cost is shared.  `drive` is the slot loop, the one
+every cell walk in the package runs under (`pipeline`'s too).  Cells still
+walking when no fresh sites remain are "big"; their edges are recovered by
 clipping the diagram of the big sites against the whole input, while
 everything touching a small cell is reported during the walks.  The output
-is identical to the constant-workspace path for every s.
+is the same for every s; s = 1 is the constant-workspace diagram of
+`scan.enumerate_diagram`, with no big cells and each kernel given the
+whole input as one span.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NoReturn, Optional
 
 from . import exact
-from .geometry import DegenerateGeometry, Ray
+from .geometry import DegenerateGeometry
 from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
-from .scan import CellEdge, DiagramMode, TrackedSite, clip_edge, clip_run, ray_run, record_for
+from .scan import (
+    CellEdge,
+    DiagramMode,
+    TrackedSite,
+    cell_walk,
+    clip_edge,
+    clip_run,
+    hull_walk,
+    ray_run,
+    record_for,
+)
 
 # Ledger words per unit of tracked state; documented so peaks are
 # reproducible.  A run charges the big-cell table (W_TABLE_ENTRY each)
 # while it holds it, and on top of that one phase at a time: the walks,
 # s * (W_SLOT + W_BATCH_SITE) + W_FIXED, plus for farthest diagrams the
-# hull window, (2s + 1) * W_HULL_POINT + (s + 1) + W_FIXED; or the big-big
+# hull window, (2s + 1) * W_HULL_POINT + (s + 1) + W_FIXED, or at s = 1
+# `scan.W_LOCATE` for one hull test at a time; or the big-big
 # diagram, charged for the table's capacity of s - 1 sites at W_MEM_SITE
 # each, plus a batch and W_FIXED.
 W_SLOT = 24
@@ -61,12 +75,17 @@ def iter_batches(arena: ReadOnlyArena, size: int):
 
 
 def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode, s: int) -> list[CellEdge]:
-    """One lock-step round: every live slot produces its next cell edge."""
+    """One lock-step round: every live slot produces its next cell edge.
+
+    With one slot no pass is shared, so at s = 1 each kernel takes the
+    whole input as one span (a view of the input, not a copy).
+    """
     nearest = mode is DiagramMode.NEAREST
     want = -1 if nearest else 1
+    size = len(arena) if s == 1 else s
     fresh = [t for t in slots if t.needs_ray_scan]
     if fresh:
-        for batch in iter_batches(arena, s):
+        for batch in iter_batches(arena, size):
             for slot in fresh:
                 slot.best = ray_run(slot.best, slot.p, slot.current_ray.direction, batch, nearest, slot.site)
     carriers = []
@@ -74,14 +93,26 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode, s:
         slot.begin_clip()
         line = exact.bisector_line(slot.p, arena.read(slot.rival).ipt)
         carriers.append((line, (slot.site, slot.rival)))
-    for batch in iter_batches(arena, s):
+    for batch in iter_batches(arena, size):
         for slot, (line, skip) in zip(slots, carriers):
             if not clip_run(slot.state, line, slot.p, batch, want, skip):
-                raise AssertionError("tracked cell edge vanished under clipping")
+                _edge_vanished(slot)
     return [
         clip_edge(arena, slot.site, slot.p, slot.rival, line, slot.state)
         for slot, (line, _) in zip(slots, carriers)
     ]
+
+
+def _edge_vanished(slot: TrackedSite) -> NoReturn:
+    """Raise for a tracked edge that clipping emptied: `DegenerateGeometry`
+    when it shrank to a single point, where four or more sites are
+    cocircular, and `AssertionError` when it is strictly empty."""
+    lo, hi = slot.state[0], slot.state[1]
+    if lo is not None and hi is not None and lo[0] * hi[1] == hi[0] * lo[1]:
+        raise DegenerateGeometry(
+            f"edge of site {slot.site} against {slot.rival} shrank to a point: cocircular sites"
+        )
+    raise AssertionError("tracked cell edge vanished under clipping")
 
 
 def hull_stream(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger] = None) -> Iterator[int]:
@@ -155,51 +186,41 @@ def _cw_chain(points: dict, anchor_idx: int, limit: int):
     return cw[:limit]
 
 
-def _nearest_source(arena: ReadOnlyArena, skip=None):
-    """Sites in input order, each with its start ray toward the lowest other."""
-    n = len(arena)
-    for i in range(n):
-        if skip is not None and i in skip:
-            continue
-        p = arena.read(i).ipt
-        q = arena.read(0 if i != 0 else 1).ipt
-        yield TrackedSite(i, p, Ray(p, exact.primitive_dir(q[0] - p[0], q[1] - p[1])))
-
-
-def _farthest_source(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger], skip=None):
-    """Hull sites in stream order with rays from their hull-neighbor bisectors."""
+def _hull_neighbors(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger]):
+    """(site, previous, next) for each hull site, in `hull_stream` order."""
     stream = hull_stream(arena, s, ledger)
-    order: list[int] = []
-    for idx in stream:
-        order.append(idx)
-        if len(order) >= 3:
-            yield _farthest_slot(arena, order[-2], order[-3], order[-1], skip)
-    if len(order) < 3:
+    head = list(islice(stream, 3))
+    if len(head) < 3:
         raise DegenerateGeometry("hull has fewer than 3 vertices: the sites are collinear")
-    yield _farthest_slot(arena, order[-1], order[-2], order[0], skip)
-    yield _farthest_slot(arena, order[0], order[-1], order[1], skip)
+    first, second, cur = head
+    yield second, first, cur
+    prev = second
+    for nxt in stream:
+        yield cur, prev, nxt
+        prev, cur = cur, nxt
+    yield cur, prev, first
+    yield first, cur, second
 
 
-def _farthest_slot(arena, i, prev, nxt, skip):
-    if skip is not None and i in skip:
-        return None
-    p = arena.read(i).ipt
-    l = arena.read(prev).ipt
-    r = arena.read(nxt).ipt
-    c = exact.circumcenter_hpoint(p, l, r)
-    if c is None:
-        raise DegenerateGeometry(f"hull site {i} is collinear with its hull neighbors")
-    ray = Ray(p, exact.primitive_dir(c[0] - p[0] * c[2], c[1] - p[1] * c[2]))
-    return TrackedSite(i, p, ray)
+def _site_source(arena, mode, s, ledger, skip=()):
+    """A fresh walk for every cell not in `skip`.
 
-
-def _site_source(arena, mode, s, ledger, skip=None):
-    if mode is DiagramMode.NEAREST:
-        yield from _nearest_source(arena, skip)
+    Nearest cells come in index order.  Farthest cells come in hull order
+    from an s-point hull window, except at s = 1, where each site is
+    located on the hull by one pass of its own, in index order: a
+    one-point window makes `hull_stream` several times slower than those
+    n passes.
+    """
+    if mode is DiagramMode.NEAREST or s == 1:
+        for i in range(len(arena)):
+            if i not in skip:
+                walk = cell_walk(arena, i, mode, ledger)
+                if walk is not None:
+                    yield walk
     else:
-        for slot in _farthest_source(arena, s, ledger, skip):
-            if slot is not None:
-                yield slot
+        for i, prev, nxt in _hull_neighbors(arena, s, ledger):
+            if i not in skip:
+                yield hull_walk(arena, i, prev, nxt)
 
 
 def drive(source: Iterator, s: int, step, leftovers: Optional[list] = None) -> Iterator:
@@ -224,17 +245,21 @@ def drive(source: Iterator, s: int, step, leftovers: Optional[list] = None) -> I
             return
 
 
-def _walk_cells(arena, mode, s, ledger, skip=None, leftovers=None) -> Iterator[tuple[TrackedSite, CellEdge]]:
-    """(slot, edge) for every cell edge the s slots' walks find."""
+def walk_cells(arena, mode, s, source, ledger=None, leftovers=None) -> Iterator[tuple[TrackedSite, CellEdge]]:
+    """(walk, edge) for every cell edge found by `drive` over the walks of
+    `source` with s slots."""
+    limit = len(arena) + 2  # no cell has more edges
 
     def step(slots):
         for slot, edge in zip(slots, _round(arena, slots, mode, s)):
             yield slot, edge
             slot.advance(edge)
+            if slot.edges_found > limit:
+                raise AssertionError("cell walk failed to terminate")
         return [t for t in slots if not t.done]
 
     with scope(ledger, s * (W_SLOT + W_BATCH_SITE) + W_FIXED):
-        yield from drive(_site_source(arena, mode, s, ledger, skip), s, step, leftovers)
+        yield from drive(source, s, step, leftovers)
 
 
 def find_big_cells(
@@ -250,7 +275,7 @@ def find_big_cells(
     empty.
     """
     leftovers: list[TrackedSite] = []
-    for _ in _walk_cells(arena, mode, s, ledger, leftovers=leftovers):
+    for _ in walk_cells(arena, mode, s, _site_source(arena, mode, s, ledger), ledger, leftovers):
         pass
     return BigCellTable(t.site for t in leftovers)
 
@@ -267,7 +292,7 @@ def iter_small_incident(
     Walking only small cells: an edge against a big rival is reported
     outright; between two small cells the lower index reports it.
     """
-    for _, edge in _walk_cells(arena, mode, s, ledger, skip=table):
+    for _, edge in walk_cells(arena, mode, s, _site_source(arena, mode, s, ledger, table), ledger):
         if edge.rival in table or edge.site < edge.rival:
             yield edge
 
@@ -341,10 +366,14 @@ def run_tradeoff(
     ledger: Optional[WorkLedger] = None,
 ) -> BigCellTable:
     """Report the whole diagram with an s-word workspace: find the big
-    cells, emit everything small-incident, then the big-big leftovers."""
+    cells, emit everything small-incident, then the big-big leftovers.
+
+    At s = 1 the drive's stop (0 < live < s) cannot fire, so no cell is
+    big; the search, which would walk every cell to its end, is skipped.
+    """
     if not 1 <= s:
         raise ValueError("workspace parameter must be positive")
-    table = find_big_cells(arena, mode, s, ledger)
+    table = BigCellTable(()) if s == 1 else find_big_cells(arena, mode, s, ledger)
     with scope(ledger, len(table) * W_TABLE_ENTRY):
         report_small_incident(arena, mode, s, table, sink, ledger)
         report_big_big(arena, mode, s, table, sink, ledger)

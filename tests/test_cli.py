@@ -11,6 +11,9 @@ from wsvoronoi.records import read_stream
 TRIANGLE = "0 0\n8 0\n0 6\n"
 RECTANGLE = "0 0\n8 0\n0 6\n8 6\n"
 COLLINEAR = "0 0\n1 1\n2 2\n3 3\n"
+SQUARE = "0 0\n1 0\n1 1\n0 1\n"
+# Four cocircular hull sites, and 0 4, 1 3, 4 0 collinear.
+SQUARE_AND_POINT = "0 0\n4 0\n4 4\n0 4\n1 3\n"
 
 
 @pytest.fixture
@@ -91,6 +94,32 @@ class TestRun:
         assert main(["run", str(path), "--mode", "fvd", *flags, "--out", str(out)]) == 2
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            (SQUARE, ["--mode", "nvd"]),
+            (SQUARE, ["--mode", "nvd", "--workspace", "2"]),
+            (SQUARE, ["--mode", "fvd"]),
+            (SQUARE, ["--mode", "fvd", "--workspace", "2"]),
+            (SQUARE, ["--mode", "order", "--max-k", "2", "--workspace", "4"]),
+            (SQUARE_AND_POINT, ["--mode", "fvd"]),
+            (SQUARE_AND_POINT, ["--mode", "order", "--max-k", "2", "--workspace", "4"]),
+        ],
+        ids=["nvd", "nvd-s2", "fvd", "fvd-s2", "order", "fvd-5", "order-5"],
+    )
+    def test_cocircular_is_degenerate(self, tmp_path, capsys, text, flags):
+        path = tmp_path / "square.txt"
+        path.write_text(text)
+        assert main(["run", str(path), *flags, "--out", str(tmp_path / "r.txt")]) == 2
+        assert "degenerate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("mode", ["nvd", "fvd"])
+    def test_nonpositive_workspace_is_config_error(self, tri_file, tmp_path, capsys, mode, value):
+        code = main(["run", tri_file, "--mode", mode, "--workspace", value, "--out", str(tmp_path / "r.txt")])
+        assert code == 5
+        assert "config error" in capsys.readouterr().err
+
     def test_scan_path_without_workspace(self, tri_file, tmp_path):
         out = tmp_path / "records.txt"
         assert main(["run", tri_file, "--mode", "fvd", "--out", str(out)]) == 0
@@ -170,6 +199,13 @@ class TestBench:
         path = tmp_path / "bench.csv"
         assert main(["bench", "--random", "12,3", "--s-list", "4", "--out", str(path)]) == 0
         assert path.read_text().splitlines()[0] == "# budget_const=128"
+
+
+    def test_negative_s_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bench.csv"
+        assert main(["bench", "--random", "12,3", "--s-list", "4,-2", "--out", str(path)]) == 5
+        assert "config error" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestBudgetEnv:

@@ -26,7 +26,7 @@ CASES = {
     "nvd-scan": (
         ["--mode", "nvd"],
         "ecddc305b23b82dcfd17698edf368378447068d6e4863edf96b653d49a03c840",
-        "a3a4ab52cafb2d727194d33739c9109f87d48c92ea8b2941b0e9fb3a98e2213b",
+        "40b7010c87389b81c041f48e7a31b017f8ebb49f74e044cf59c9c5e963b0f374",
     ),
     "fvd-s8": (
         ["--mode", "fvd", "--workspace", "8"],
@@ -36,7 +36,7 @@ CASES = {
     "fvd-scan": (
         ["--mode", "fvd"],
         "197cdb6bd32087626b99d6fcd8a949c582276b1ebb4149e8133599780d24f0af",
-        "ac83b4f44c6834d0a77d5c0e597f4330653e621a6d4e48fec204bf7cbdcf55bb",
+        "60bb04c2141f25d89fd8fc4d92d95b3e4ed072a0bded08eba2ee934f8697d1ce",
     ),
     "order-K2-s8": (
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],

@@ -6,28 +6,34 @@ import pytest
 
 from wsvoronoi import exact
 from wsvoronoi.datagen import random_sites, triangle, with_interior_point
-from wsvoronoi.geometry import Ray
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
-from wsvoronoi.oracle import oracle_vdk, verify_run
+from wsvoronoi.oracle import check_distance_profile, oracle_vdk, verify_run
 from wsvoronoi.scan import (
     DiagramMode,
     FarthestCellEmpty,
     cell_edges,
+    cell_walk,
     enumerate_diagram,
-    find_edge,
     locate_on_hull,
-    start_ray,
+    record_for,
 )
+from wsvoronoi.tradeoff import _round
 
 N, F = DiagramMode.NEAREST, DiagramMode.FARTHEST
 
 
-def run_diagram(sites, mode, reference=None):
+def run_diagram(sites, mode):
     arena = ReadOnlyArena(sites)
     sink = OutputSink()
     ledger = WorkLedger(64)
-    enumerate_diagram(arena, mode, sink, ledger, reference)
+    enumerate_diagram(arena, mode, sink, ledger)
     return arena, sink, ledger
+
+
+def first_edge(arena, i, mode):
+    """The edge the first one-slot round finds for site i's fresh walk."""
+    [edge] = _round(arena, [cell_walk(arena, i, mode)], mode, 1)
+    return edge
 
 
 def naive_hull_membership(sites, i):
@@ -82,43 +88,33 @@ class TestHullMembership:
 
 class TestStartRay:
     def test_nearest_aims_at_reference(self):
-        arena = ReadOnlyArena(triangle())
-        ray = start_ray(arena, 0, N)
+        ray = cell_walk(ReadOnlyArena(triangle()), 0, N).current_ray
         assert ray.origin == (0, 0) and ray.direction == (1, 0)
 
     def test_farthest_aims_at_bisector_meet(self):
-        arena = ReadOnlyArena(triangle())
-        ray = start_ray(arena, 0, F)
+        ray = cell_walk(ReadOnlyArena(triangle()), 0, F).current_ray
         assert ray.origin == (0, 0) and ray.direction == (4, 3)
 
     def test_farthest_interior_raises(self):
         arena = ReadOnlyArena(with_interior_point())
+        assert cell_walk(arena, 3, F) is None
         with pytest.raises(FarthestCellEmpty):
-            start_ray(arena, 3, F)
+            cell_edges(arena, 3, F)
 
 
 class TestFindEdge:
     def test_triangle_first_edge(self):
-        arena = ReadOnlyArena(triangle())
-        edge = find_edge(arena, 0, Ray((0, 0), (1, 0)), N)
+        edge = first_edge(ReadOnlyArena(triangle()), 0, N)
         assert edge.rival == 1
         assert edge.piece.carrier.line == (1, 0, 4)  # on x = 4
         assert edge.piece.lo is None or edge.piece.hi is None  # a ray
         bounded = edge.piece.hi or edge.piece.lo
         assert (Fraction(bounded[0], bounded[2]), Fraction(bounded[1], bounded[2])) == (4, 3)
 
-    def test_ray_must_leave_from_the_site(self):
-        arena = ReadOnlyArena(triangle())
-        with pytest.raises(ValueError):
-            find_edge(arena, 1, Ray((0, 0), (1, 0)), N)
-
     def test_farthest_edge_matches_oracle(self):
         P = triangle()
         arena = ReadOnlyArena(P)
-        ray = start_ray(arena, 0, F)
-        edge = find_edge(arena, 0, ray, F)
-        from wsvoronoi.scan import record_for
-
+        edge = first_edge(arena, 0, F)
         keys = oracle_vdk(P, 2).undirected_keys()
         assert record_for(arena, edge, F).undirected_key() in keys
 
@@ -126,11 +122,7 @@ class TestFindEdge:
         P = random_sites(10, 91)
         arena = ReadOnlyArena(P)
         for i in (0, 3, 7):
-            edge = find_edge(arena, i, start_ray(arena, i, N), N)
-            from wsvoronoi.scan import record_for
-            from wsvoronoi.oracle import check_distance_profile
-
-            rec = record_for(arena, edge, N)
+            rec = record_for(arena, first_edge(arena, i, N), N)
             assert check_distance_profile(rec, P) is None
 
 
@@ -192,13 +184,6 @@ class TestDiagram:
             assert ledger.peak_words <= 64
             peaks.add(ledger.peak_words)
         assert len(peaks) == 1, "peak should not depend on n"
-
-    def test_reference_site_independence(self):
-        P = random_sites(11, 404)
-        base = {r.undirected_key() for r in run_diagram(P, N)[1].records}
-        for ref in (3, 7):
-            keys = {r.undirected_key() for r in run_diagram(P, N, reference=ref)[1].records}
-            assert keys == base
 
     def test_reads_are_reproducible(self):
         P = random_sites(13, 405)

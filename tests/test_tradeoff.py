@@ -4,9 +4,11 @@ import pytest
 
 from wsvoronoi import exact, tradeoff
 from wsvoronoi.datagen import random_sites, triangle
+from wsvoronoi.geometry import DegenerateGeometry
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
 from wsvoronoi.oracle import oracle_vdk, verify_run
-from wsvoronoi.scan import DiagramMode, find_edge, record_for, start_ray
+from wsvoronoi.records import format_record
+from wsvoronoi.scan import DiagramMode, cell_walk, enumerate_diagram, record_for
 from wsvoronoi.tradeoff import (
     W_BATCH_SITE,
     W_FIXED,
@@ -15,7 +17,7 @@ from wsvoronoi.tradeoff import (
     W_SLOT,
     W_TABLE_ENTRY,
     BigCellTable,
-    TrackedSite,
+    _edge_vanished,
     _round,
     find_big_cells,
     hull_stream,
@@ -76,33 +78,51 @@ class TestBatchDiagram:
 class TestFindEdgesBatched:
     """One lock-step round finds each fresh slot's first cell edge."""
 
-    def test_single_slot_equals_find_edge(self):
-        P = triangle()
+    def test_single_slot_one_span_equals_batches(self):
+        """At s = 1 each kernel reads the whole input as one span; the
+        first edge is the one that batches of three sites give."""
+        P = random_sites(16, 812)
         arena = ReadOnlyArena(P)
-        ray = start_ray(arena, 0, N)
-        slot = TrackedSite(0, (0, 0), ray)
-        [edge] = _round(arena, [slot], N, 1)
-        direct = find_edge(ReadOnlyArena(P), 0, ray, N)
-        assert record_for(arena, edge, N) == record_for(arena, direct, N)
+        for i in range(16):
+            [whole] = _round(arena, [cell_walk(arena, i, N)], N, 1)
+            [batched] = _round(arena, [cell_walk(arena, i, N)], N, 3)
+            assert record_for(arena, whole, N) == record_for(arena, batched, N)
 
     def test_batched_equals_sequential(self):
         P = random_sites(16, 812)
         arena = ReadOnlyArena(P)
-        slots = []
-        for i in range(4):
-            ray = start_ray(arena, i, N)
-            slots.append(TrackedSite(i, arena.read(i).ipt, ray))
-        edges = _round(arena, slots, N, 4)
-        for i, edge in enumerate(edges):
-            direct = find_edge(ReadOnlyArena(P), i, start_ray(ReadOnlyArena(P), i, N), N)
-            assert record_for(arena, edge, N) == record_for(arena, direct, N)
+        for mode in (N, F):
+            slots = [w for w in (cell_walk(arena, i, mode) for i in range(16)) if w is not None][:4]
+            edges = _round(arena, slots, mode, 4)
+            for slot, edge in zip(slots, edges):
+                [alone] = _round(arena, [cell_walk(arena, slot.site, mode)], mode, 1)
+                assert record_for(arena, edge, mode) == record_for(arena, alone, mode)
 
     def test_whole_input_in_one_batch(self):
         P = random_sites(6, 813)
         arena = ReadOnlyArena(P)
-        slots = [TrackedSite(i, arena.read(i).ipt, start_ray(arena, i, N)) for i in range(6)]
+        slots = [cell_walk(arena, i, N) for i in range(6)]
         edges = _round(arena, slots, N, 8)
         assert len(edges) == 6
+
+
+class TestEdgeVanished:
+    """A tracked edge clipped away is a cocircular tie when it shrank to a
+    point, and a defect when it is strictly empty."""
+
+    def _slot(self, lo, hi):
+        slot = cell_walk(ReadOnlyArena(triangle()), 0, N)
+        slot.rival = 1
+        slot.state = [lo, hi, 2, 2]
+        return slot
+
+    def test_point_is_degenerate(self):
+        with pytest.raises(DegenerateGeometry):
+            _edge_vanished(self._slot((3, 2), (6, 4)))
+
+    def test_strictly_empty_is_a_defect(self):
+        with pytest.raises(AssertionError):
+            _edge_vanished(self._slot((3, 2), (5, 4)))
 
 
 class TestBigCellTable:
@@ -254,6 +274,30 @@ class TestRunTradeoff:
         for s in (1, 2, 4, 16, 48):
             _, _, ledger = run(P, N, s)
             assert ledger.peak_words <= 64 * s
+
+    @pytest.mark.parametrize("mode", [N, F], ids=["nearest", "farthest"])
+    def test_one_slot_is_the_constant_workspace_diagram(self, mode):
+        """Same record bytes, reads and peak as `enumerate_diagram`."""
+        P = random_sites(96, 7)
+        runs = []
+        for one_slot in (True, False):
+            arena = ReadOnlyArena(P)
+            sink = OutputSink()
+            ledger = WorkLedger(64)
+            if one_slot:
+                run_tradeoff(arena, mode, 1, sink, ledger)
+            else:
+                enumerate_diagram(arena, mode, sink, ledger)
+            runs.append(([format_record(r) for r in sink.records], arena.read_count, ledger.peak_words))
+        assert runs[0] == runs[1]
+
+    def test_one_slot_skips_big_cell_search(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("no cell can be big with one slot")
+
+        monkeypatch.setattr(tradeoff, "find_big_cells", search)
+        _, sink, _ = run(triangle(), N, 1)
+        assert len(sink.records) == 3
 
     def test_read_counts_reproducible(self):
         P = random_sites(24, 834)
