@@ -13,11 +13,6 @@ from .geometry import (
     EdgePiece,
     Ray,
     Site,
-    bisector,
-    circumcenter,
-    incircle,
-    orient,
-    ray_hit,
     site_set,
     validate_general_position,
 )
@@ -38,11 +33,6 @@ __all__ = [
     "EdgePiece",
     "Ray",
     "Site",
-    "bisector",
-    "circumcenter",
-    "incircle",
-    "orient",
-    "ray_hit",
     "site_set",
     "validate_general_position",
     "BUDGET_CONST",

@@ -1,9 +1,10 @@
-"""Exact geometric primitives over rational inputs.
+"""Sites, edge types and general-position validation over rational inputs.
 
 Sites are parsed to exact rationals and rescaled once onto a common integer
-grid; every predicate and construction after that point is integer-exact.
-Degenerate inputs (collinear triples, cocircular quadruples) are rejected
-up front by :func:`validate_general_position` rather than perturbed.
+grid; every predicate and construction after that point is integer-exact
+(see `exact`).  Degenerate inputs (collinear triples, cocircular
+quadruples) are rejected up front by :func:`validate_general_position`
+rather than perturbed.
 """
 
 from __future__ import annotations
@@ -78,10 +79,6 @@ class BisectorLine:
     q: int
     line: tuple[int, int, int]
 
-    @property
-    def direction(self):
-        return exact.line_dir(self.line)
-
 
 @dataclass(frozen=True, slots=True)
 class Ray:
@@ -109,65 +106,6 @@ class EdgePiece:
     carrier: BisectorLine
     lo: Optional[tuple[int, int, int]]
     hi: Optional[tuple[int, int, int]]
-
-    @property
-    def kind(self) -> str:
-        if self.lo is not None and self.hi is not None:
-            return "segment"
-        if self.lo is None and self.hi is None:
-            return "line"
-        return "ray"
-
-    def endpoint_fractions(self, scale: int):
-        """Both endpoints as Fraction pairs in original coordinates (or None)."""
-        out = []
-        for hp in (self.lo, self.hi):
-            if hp is None:
-                out.append(None)
-            else:
-                out.append((Fraction(hp[0], hp[2] * scale), Fraction(hp[1], hp[2] * scale)))
-        return tuple(out)
-
-
-def orient(a: Site, b: Site, c: Site) -> int:
-    """Sign of the signed area of triangle (a, b, c)."""
-    return exact.orient_ipts(a.ipt, b.ipt, c.ipt)
-
-
-def incircle(a: Site, b: Site, c: Site, d: Site) -> int:
-    """+1 iff d is strictly inside the circle through a counterclockwise
-    (a, b, c); -1 strictly outside; 0 on the circle.  The sign flips under
-    odd permutations of the arguments."""
-    if exact.orient_ipts(a.ipt, b.ipt, c.ipt) == 0:
-        raise DegenerateGeometry(
-            f"incircle query with collinear sites {a.index}, {b.index}, {c.index}"
-        )
-    return exact.incircle_ipts(a.ipt, b.ipt, c.ipt, d.ipt)
-
-
-def bisector(p: Site, q: Site) -> BisectorLine:
-    """Exact perpendicular bisector of two distinct sites."""
-    if p.ipt == q.ipt:
-        raise DegenerateGeometry(f"bisector of identical sites {p.index}, {q.index}")
-    return BisectorLine(p.index, q.index, exact.bisector_line(p.ipt, q.ipt))
-
-
-def circumcenter(a: Site, b: Site, c: Site):
-    """Homogeneous circumcenter of three non-collinear sites."""
-    pt = exact.circumcenter_hpoint(a.ipt, b.ipt, c.ipt)
-    if pt is None:
-        raise DegenerateGeometry(
-            f"circumcenter of collinear sites {a.index}, {b.index}, {c.index}"
-        )
-    return pt
-
-
-def ray_hit(r: Ray, line: BisectorLine):
-    """Smallest t >= 0 where the ray meets the line, as (num, den); None if missed."""
-    try:
-        return exact.ray_line_param(r.origin, r.direction, line.line)
-    except ValueError as e:
-        raise DegenerateGeometry(str(e)) from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -384,39 +384,6 @@ def _walk_step(arena: ReadOnlyArena, f: HalfEdge) -> _IntervalWalk:
     return _IntervalWalk(cell, frozenset(closest), pair, pair_pts, line, d, f.head, z)
 
 
-def successor_step(
-    arena: ReadOnlyArena,
-    inputs: list[HalfEdge],
-    k_out: int,
-    s1: int,
-    ledger: Optional[WorkLedger] = None,
-) -> list[Optional[HalfEdge]]:
-    """Resolve up to s1 half-edges with one batched pass over the input.
-
-    Producing order k_out: an input of order k_out-1 yields the first
-    k_out-half-edge of the interval it owns (None when not relevant); an
-    input of order k_out yields its counterclockwise successor along its
-    left cell's boundary.
-    """
-    if not inputs:
-        return []
-    if len(inputs) > s1:
-        raise ValueError("more inputs than workspace slots")
-    walks: list[Optional[_IntervalWalk]] = []
-    for e in inputs:
-        if e.k == k_out - 1:
-            walks.append(_walk_from_relevant(arena, e) if is_relevant(e) else None)
-        elif e.k == k_out:
-            walks.append(_walk_step(arena, e) if e.head is not None else None)
-        else:
-            raise ValueError(f"input of order {e.k} cannot drive order {k_out}")
-    _trim_round(arena, [w for w in walks if w is not None], s1 * max(1, k_out - 1), ledger)
-    return [
-        None if w is None else w.materialize(k_out, lambda i: arena.read(i).ipt)
-        for w in walks
-    ]
-
-
 def _trim_round(
     arena: ReadOnlyArena,
     walks: list[_IntervalWalk],
@@ -443,7 +410,7 @@ def _relevant_walks(arena: ReadOnlyArena, source: EdgeBuffer, skip_cell=None, on
         if e.head is None:
             if on_unbounded is not None:
                 on_unbounded(e.closest | set(e.pair))
-        elif classify_head(e) == "new":
+        elif is_relevant(e):
             if skip_cell is None or not skip_cell(e.closest | set(e.pair)):
                 yield _walk_from_relevant(arena, e)
 

@@ -5,15 +5,18 @@ the ray crosses first, and the site whose bisector cut an endpoint is the
 site whose bisector carries the adjacent edge.  `TrackedSite` is the
 walk's state machine; `clip_run` and `ray_run` are the fused exact kernels
 it needs, each one loop over a whole batch of sites (`pipeline` clips with
-`clip_run` too); `cell_walk` starts a walk, aiming its ray at another site
-for a nearest cell and, for a farthest cell, at the meet of the bisectors
-with the hull neighbors that `locate_on_hull` finds in one pass.
+`clip_run` too).  A nearest walk's ray aims at another site; a farthest
+walk's (`hull_walk`) aims at the meet of the bisectors with the site's two
+hull neighbors.  `cell_walk` starts the walk of one given site, finding a
+farthest site's hull neighbors with the one-pass `locate_on_hull`.
 
 Every walk runs under `tradeoff.drive`.  The constant-workspace diagram,
-`enumerate_diagram`, is its one-slot run: each cell in index order, each
-edge found by passes over the whole input, an edge between cells i and j
-reported from cell i only when i < j, so exactly once.  `enumerate_cell`
-walks a single cell the same way.
+`enumerate_diagram`, is its one-slot run: nearest cells in index order,
+farthest cells in hull order from `tradeoff.hull_stream` (plain gift
+wrapping with a one-point window), each edge found by passes over the
+whole input, an edge between cells i and j reported from cell i only when
+i < j, so exactly once.  `enumerate_cell` walks a single cell the same
+way.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ passes, so the scan cost is shared.  `drive` is the slot loop, the one
 every cell walk in the package runs under (`pipeline`'s too).  Cells still
 walking when no fresh sites remain are "big"; their edges are recovered by
 clipping the diagram of the big sites against the whole input, while
-everything touching a small cell is reported during the walks.  The output
-is the same for every s; s = 1 is the constant-workspace diagram of
-`scan.enumerate_diagram`, with no big cells and each kernel given the
-whole input as one span.
+everything touching a small cell is reported during the walks.  Farthest
+cells come in hull order at every s, from `hull_stream`'s s-point window.
+The output is the same for every s; s = 1 is the constant-workspace
+diagram of `scan.enumerate_diagram`, with no big cells and each kernel
+given the whole input as one span.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from .scan import (
 # reproducible.  A run charges the big-cell table (W_TABLE_ENTRY each)
 # while it holds it, and on top of that one phase at a time: the walks,
 # s * (W_SLOT + W_BATCH_SITE) + W_FIXED, plus for farthest diagrams the
-# hull window, (2s + 1) * W_HULL_POINT + (s + 1) + W_FIXED, or at s = 1
-# `scan.W_LOCATE` for one hull test at a time; or the big-big
-# diagram, charged for the table's capacity of s - 1 sites at W_MEM_SITE
-# each, plus a batch and W_FIXED.
+# hull chain, (s + 2) * W_HULL_POINT + W_FIXED; or the big-big diagram,
+# charged for the table's capacity of s - 1 sites at W_MEM_SITE each,
+# plus a batch and W_FIXED.
 W_SLOT = 24
 W_BATCH_SITE = 3
 W_TABLE_ENTRY = 1
@@ -116,74 +116,95 @@ def _edge_vanished(slot: TrackedSite) -> NoReturn:
 
 
 def hull_stream(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger] = None) -> Iterator[int]:
-    """Yield hull site indices in clockwise order using an s-point window.
+    """Yield hull site indices in clockwise order from the lowest-leftmost
+    site, using an s-point window.
 
-    Each round makes two passes: one merges batches into a truncated
-    clockwise candidate chain anchored at the last confirmed vertex, and
-    one certifies the chain gift-wrap style (a successor is final iff no
-    site lies strictly left of the chain edge reaching it).  At least one
-    vertex is certified per round, typically a full window of s.
+    Each round folds the whole input into the clockwise chain of hull
+    candidates from the anchor, the last confirmed vertex (`_merge_chain`),
+    then certifies the chain gift-wrap style: a successor is final iff no
+    site lies strictly left of the chain edge reaching it, nor on that
+    edge's line beyond it (as only a collinear site can).  The first
+    successor always is final, so a chain of the anchor and one successor
+    needs no certify pass; with a one-point window the routine is plain gift
+    wrapping, n (h + 1) reads for h hull sites.  At least one vertex is
+    certified per round, typically a full window of s.
     """
     n = len(arena)
-    window = max(1, s)
-    # `merged` holds up to 2 * window + 1 points, `chain_ids` window + 1 indices.
-    with scope(ledger, (2 * window + 1) * W_HULL_POINT + (window + 1) + W_FIXED):
-        start_idx = 0
-        start_pt = arena.read(0).ipt
-        for j in range(1, n):
-            w = arena.read(j).ipt
-            if w < start_pt:
-                start_idx, start_pt = j, w
+    limit = max(1, s) + 1
+    # The chain holds limit points, one more while a site is inserted.
+    with scope(ledger, (limit + 1) * W_HULL_POINT + W_FIXED):
+        start_idx, start_pt = min(arena.read_span(0, n), key=lambda item: item[1])
         yield start_idx
-        anchor_idx, anchor_pt = start_idx, start_pt
+        anchor = (start_idx, start_pt)
         while True:
-            chain = [(anchor_idx, anchor_pt)]
-            for batch in iter_batches(arena, window):
-                merged = {idx: pt for idx, pt in chain}
-                for j, w in batch:
-                    merged[j] = w
-                chain = _cw_chain(merged, anchor_idx, window + 1)
-            chain_ids = {idx for idx, _ in chain}
+            chain = _merge_chain(arena.read_span(0, n), anchor, limit)
+            assert len(chain) > 1, "no hull successor: fewer than two distinct sites"
             certified = len(chain) - 1
-            for batch in iter_batches(arena, window):
-                for j, w in batch:
-                    if j in chain_ids:
-                        continue
-                    for i in range(certified):
-                        if exact.orient_ipts(chain[i][1], chain[i + 1][1], w) > 0:
+            if certified > 1:
+                for _, (wx, wy) in arena.read_span(0, n):
+                    # A site refutes an edge from strictly left of it, or
+                    # from on its line beyond its end (a chain vertex never does).
+                    for i in range(1, certified):
+                        (bx, by), (cx, cy) = chain[i][1], chain[i + 1][1]
+                        side = (cx - bx) * (wy - by) - (cy - by) * (wx - bx)
+                        if side > 0 or side == 0 and (wx - cx) * (cx - bx) + (wy - cy) * (cy - by) > 0:
                             certified = i
                             break
-                if certified == 0:
-                    break
-            assert certified >= 1, "no certified hull successor in a full round"
             for idx, _ in chain[1 : certified + 1]:
                 if idx == start_idx:
                     return
                 yield idx
-            anchor_idx, anchor_pt = chain[certified]
+            anchor = chain[certified]
 
 
-def _cw_chain(points: dict, anchor_idx: int, limit: int):
-    """Clockwise hull chain of `points` starting at anchor, truncated."""
-    items = sorted(points.items(), key=lambda kv: kv[1])
-    if len(items) == 1:
-        return items
-    # Monotone chain, counterclockwise; no three points are collinear.
-    def half(seq):
-        out = []
-        for item in seq:
-            while len(out) >= 2 and exact.orient_ipts(out[-2][1], out[-1][1], item[1]) <= 0:
-                out.pop()
-            out.append(item)
-        return out
+def _merge_chain(items, anchor, limit: int) -> list:
+    """The clockwise hull chain from `anchor` of the anchor and `items`,
+    (index, point) pairs, cut to its first `limit` points after each site.
 
-    lower = half(items)
-    upper = half(list(reversed(items)))
-    ccw = lower[:-1] + upper[:-1]
-    cw = list(reversed(ccw))
-    pos = next(i for i, (idx, _) in enumerate(cw) if idx == anchor_idx)
-    cw = cw[pos:] + cw[:pos]
-    return cw[:limit]
+    The chain's vertices after the anchor turn clockwise around it, so a
+    binary search on orientation finds the two a site falls between; the
+    site joins the chain iff it lies strictly left of the edge joining
+    them (or beyond the chain's end) and removes the vertices it hides.
+    """
+    a_idx, (ax, ay) = anchor
+    chain = [anchor]
+    for j, w in items:
+        if j == a_idx:
+            continue
+        wx, wy = w
+        lo, hi = 1, len(chain)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            cx, cy = chain[mid][1]
+            if (cx - ax) * (wy - ay) < (cy - ay) * (wx - ax):
+                lo = mid + 1  # w is clockwise of chain[mid]
+            else:
+                hi = mid
+        if lo < len(chain):
+            (bx, by), (cx, cy) = chain[lo - 1][1], chain[lo][1]
+            side = (cx - bx) * (wy - by) - (cy - by) * (wx - bx)
+            # Right of the edge or on it, w is hidden, unless the edge leaves
+            # the anchor and w lies on its ray beyond chain[1].
+            if side < 0 or side == 0 and (lo > 1 or (wx - cx) * (cx - bx) + (wy - cy) * (cy - by) <= 0):
+                continue
+        # Pop the vertices before and after w that stop turning clockwise.
+        i = lo
+        while i > 1:
+            (bx, by), (cx, cy) = chain[i - 2][1], chain[i - 1][1]
+            if (cx - bx) * (wy - by) < (cy - by) * (wx - bx):
+                break
+            i -= 1
+        if i >= limit:
+            continue  # past the end of a full chain
+        k = lo
+        while k + 1 < len(chain):
+            (cx, cy), (dx, dy) = chain[k][1], chain[k + 1][1]
+            if (cx - wx) * (dy - wy) < (cy - wy) * (dx - wx):
+                break
+            k += 1
+        chain[i:k] = [(j, w)]
+        del chain[limit:]
+    return chain
 
 
 def _hull_neighbors(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger]):
@@ -203,20 +224,12 @@ def _hull_neighbors(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger]):
 
 
 def _site_source(arena, mode, s, ledger, skip=()):
-    """A fresh walk for every cell not in `skip`.
-
-    Nearest cells come in index order.  Farthest cells come in hull order
-    from an s-point hull window, except at s = 1, where each site is
-    located on the hull by one pass of its own, in index order: a
-    one-point window makes `hull_stream` several times slower than those
-    n passes.
-    """
-    if mode is DiagramMode.NEAREST or s == 1:
+    """A fresh walk for every cell not in `skip`: nearest cells in index
+    order, farthest cells in hull order from an s-point hull window."""
+    if mode is DiagramMode.NEAREST:
         for i in range(len(arena)):
             if i not in skip:
-                walk = cell_walk(arena, i, mode, ledger)
-                if walk is not None:
-                    yield walk
+                yield cell_walk(arena, i, mode)
     else:
         for i, prev, nxt in _hull_neighbors(arena, s, ledger):
             if i not in skip:

@@ -35,8 +35,8 @@ CASES = {
     ),
     "fvd-scan": (
         ["--mode", "fvd"],
-        "197cdb6bd32087626b99d6fcd8a949c582276b1ebb4149e8133599780d24f0af",
-        "60bb04c2141f25d89fd8fc4d92d95b3e4ed072a0bded08eba2ee934f8697d1ce",
+        "6eea6477fa1797c47c7a88457fdeba0f4b8667e5c3c1e16d7a27f3b708bd9c7e",
+        "c669ffb8c5015688926b8c8b056e06a5a3b8874775e3cb172d3c6c7f2b2165a1",
     ),
     "order-K2-s8": (
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],

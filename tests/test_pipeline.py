@@ -12,8 +12,11 @@ from wsvoronoi.pipeline import (
     classify_head,
     decode_halfedge,
     is_relevant,
+    _relevant_walks,
+    _walk_from_relevant,
+    _walk_rounds,
+    _walk_step,
     pipeline_run,
-    successor_step,
 )
 from wsvoronoi.records import Unbounded
 from wsvoronoi.scan import DiagramMode
@@ -22,6 +25,19 @@ from wsvoronoi.tradeoff import run_tradeoff
 
 def oracle_halfedges(P, k):
     return [decode_halfedge(r, P) for r in oracle_vdk(P, k).halfedge_records()]
+
+
+def first_halfedge(arena, walk, k_out):
+    """The first k_out-half-edge a one-walk run of `_walk_rounds` yields."""
+    return next(_walk_rounds(arena, k_out, 1, iter([walk]), None))
+
+
+def first_of_interval(arena, e, k_out):
+    """The first k_out-half-edge of the interval the half-edge e owns, or
+    None when `_relevant_walks` starts no walk from e."""
+    if not list(_relevant_walks(arena, EdgeBuffer(iter([e]), low=1, cap=1))):
+        return None
+    return first_halfedge(arena, _walk_from_relevant(arena, e), k_out)
 
 
 class TestClassification:
@@ -98,9 +114,7 @@ class TestSuccessorStep:
                 first_by_owner[owner.canonical_key()] = start.canonical_key()
         arena = ReadOnlyArena(P)
         inputs = oracle_halfedges(P, k)
-        outs = []
-        for chunk_start in range(0, len(inputs), 8):
-            outs.extend(successor_step(arena, inputs[chunk_start : chunk_start + 8], k + 1, 8))
+        outs = [first_of_interval(arena, e, k + 1) for e in inputs]
         scale = P[0].scale
         for e, f in zip(inputs, outs):
             key = e.to_record(scale).canonical_key()
@@ -126,7 +140,7 @@ class TestSuccessorStep:
                 if isinstance(cur.head, Unbounded):
                     continue
                 he = decode_halfedge(cur, P)
-                [f] = successor_step(arena, [he], k2, 4)
+                f = first_halfedge(arena, _walk_step(arena, he), k2)
                 assert f is not None
                 assert f.to_record(scale).canonical_key() == nxt.canonical_key()
             break

@@ -2,7 +2,7 @@
 
 import pytest
 
-from wsvoronoi import exact, tradeoff
+from wsvoronoi import exact, scan, tradeoff
 from wsvoronoi.datagen import random_sites, triangle
 from wsvoronoi.geometry import DegenerateGeometry
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
@@ -190,6 +190,17 @@ class TestPhases:
         assert list(iter_big_big(arena, N, 8, BigCellTable([0]))) == []
 
 
+def parabola(n, seed):
+    """n sites (x, x**2) on a parabola: all in convex position, and in
+    general position since the x values are positive."""
+    import random
+
+    from wsvoronoi.geometry import site_set
+
+    rng = random.Random(seed)
+    return site_set([(x, x * x) for x in rng.sample(range(1, 1 << 20), n)])
+
+
 class TestHullStream:
     def test_triangle_clockwise(self):
         arena = ReadOnlyArena(triangle())
@@ -197,28 +208,50 @@ class TestHullStream:
 
     @pytest.mark.parametrize("s", [1, 2, 3, 5, 12])
     def test_matches_naive(self, s):
-        for seed in range(6):
-            P = random_sites(12, 820 + seed)
+        inputs = [random_sites(12, 820 + seed) for seed in range(6)] + [parabola(12, 826)]
+        for P in inputs:
             arena = ReadOnlyArena(P)
             assert list(hull_stream(arena, s)) == naive_hull(P)
 
     @pytest.mark.parametrize("s", [1, 2, 3, 5])
     def test_charge_covers_window(self, s, monkeypatch):
-        largest = {"points": 0, "chain": 0}
-        original = tradeoff._cw_chain
+        largest = {"chain": 0}
+        original = tradeoff._merge_chain
 
-        def spy(points, anchor_idx, limit):
-            chain = original(points, anchor_idx, limit)
-            largest["points"] = max(largest["points"], len(points))
+        def spy(items, anchor, limit):
+            chain = original(items, anchor, limit)
             largest["chain"] = max(largest["chain"], len(chain))
             return chain
 
-        monkeypatch.setattr(tradeoff, "_cw_chain", spy)
+        monkeypatch.setattr(tradeoff, "_merge_chain", spy)
         ledger = WorkLedger(10**6, enforcing=True)
         list(hull_stream(ReadOnlyArena(random_sites(40, 836)), s, ledger))
-        held = largest["points"] * W_HULL_POINT + largest["chain"] + W_FIXED
+        assert 2 <= largest["chain"] <= s + 1
+        # One point more than the chain keeps while a site is inserted.
+        held = (largest["chain"] + 1) * W_HULL_POINT + W_FIXED
         assert held <= ledger.peak_words
         assert ledger.live_words == 0
+
+    @pytest.mark.parametrize("P", [random_sites(40, 837), parabola(24, 838)], ids=["uniform", "convex"])
+    def test_one_point_window_is_gift_wrapping(self, P):
+        """One pass to find the start, then one pass per hull vertex."""
+        arena = ReadOnlyArena(P)
+        hull = list(hull_stream(arena, 1))
+        assert hull == naive_hull(P)
+        assert arena.read_count == len(P) * (len(hull) + 1)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    def test_sites_inside_hull_edges_are_not_vertices(self, s):
+        """Collinear sites on a hull edge are passed over at every window,
+        also when a vertex that hides them was cut off the chain earlier."""
+        from wsvoronoi.geometry import site_set
+
+        # Index order that makes the chain from (3, 3) drop (0, 0) before
+        # (2, 0) and (1, 0) arrive.
+        pts = [(0, 1), (2, 1), (0, 0), (3, 1), (1, 1), (0, 3), (2, 0), (3, 0), (2, 3), (3, 3), (2, 2), (1, 0)]
+        pts += [(3, 2), (1, 3)]
+        hull = list(hull_stream(ReadOnlyArena(site_set(pts)), s))
+        assert [pts[i] for i in hull] == [(0, 0), (0, 3), (3, 3), (3, 0)]
 
     def test_convex_position_visits_all(self):
         import math
@@ -258,6 +291,23 @@ class TestRunTradeoff:
         _, sink, _ = run(P, F, 8)
         report = verify_run(sink.records, oracle_vdk(P, 31), 31)
         assert report.ok, report.summary()
+
+    @pytest.mark.parametrize("s", [1, 2, 5])
+    def test_farthest_convex_position_matches_oracle(self, s):
+        P = parabola(24, 839)
+        _, sink, _ = run(P, F, s)
+        report = verify_run(sink.records, oracle_vdk(P, 23), 23)
+        assert report.ok, report.summary()
+
+    @pytest.mark.parametrize("s", [1, 4])
+    def test_farthest_walks_start_from_the_hull_stream(self, s, monkeypatch):
+        def locate(*args, **kwargs):
+            raise AssertionError("a diagram run located a site on the hull by itself")
+
+        monkeypatch.setattr(scan, "locate_on_hull", locate)
+        P = random_sites(24, 840)
+        _, sink, _ = run(P, F, s)
+        assert {r.undirected_key() for r in sink.records} == oracle_vdk(P, 23).undirected_keys()
 
     def test_reads_decrease_with_s(self):
         P = random_sites(96, 832)
