@@ -1,9 +1,10 @@
 """Benchmark harness: read counts and workspace peaks across parameters.
 
-Rows measure the observable model costs (arena reads, peak ledger words)
-plus wall time; the first two are deterministic for a fixed input and
-seed, wall time is informational.  The ledger runs in observing mode so
-large parameter sweeps never abort.
+Rows measure the observable model costs (arena reads, peak ledger words),
+the exact kernels' site tests (`ReadOnlyArena.site_tests`) and wall time;
+all but wall time are deterministic for a fixed input and seed, wall time
+is informational.  The ledger runs in observing mode so large parameter
+sweeps never abort.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .pipeline import PipelineConfig, pipeline_run
 from .scan import DiagramMode
 from .tradeoff import run_tradeoff
 
-CSV_HEADER = "n,s,K,reads,peak_words,wall_ns"
+CSV_HEADER = "n,s,K,reads,peak_words,site_tests,wall_ns"
 
 
 @dataclass(frozen=True)
@@ -27,20 +28,26 @@ class BenchRow:
     K: int
     reads: int
     peak_words: int
+    site_tests: int
     wall_ns: int
 
     def csv(self) -> str:
-        return f"{self.n},{self.s},{self.K},{self.reads},{self.peak_words},{self.wall_ns}"
+        return f"{self.n},{self.s},{self.K},{self.reads},{self.peak_words},{self.site_tests},{self.wall_ns}"
+
+
+def _measure(sites, s: int, K: int, run) -> BenchRow:
+    """One row for `run(arena, sink, ledger)` over a fresh arena and an
+    observing ledger."""
+    arena = ReadOnlyArena(sites)
+    ledger = observing_ledger()
+    t0 = time.perf_counter_ns()
+    run(arena, OutputSink(keep=False), ledger)
+    wall = time.perf_counter_ns() - t0
+    return BenchRow(len(sites), s, K, arena.read_count, ledger.peak_words, arena.site_tests, wall)
 
 
 def measure_tradeoff(sites, s: int, mode: DiagramMode = DiagramMode.NEAREST) -> BenchRow:
-    arena = ReadOnlyArena(sites)
-    ledger = observing_ledger()
-    sink = OutputSink(keep=False)
-    t0 = time.perf_counter_ns()
-    run_tradeoff(arena, mode, s, sink, ledger)
-    wall = time.perf_counter_ns() - t0
-    return BenchRow(len(sites), s, 1, arena.read_count, ledger.peak_words, wall)
+    return _measure(sites, s, 1, lambda arena, sink, ledger: run_tradeoff(arena, mode, s, sink, ledger))
 
 
 def measure_scan(sites, mode: DiagramMode = DiagramMode.NEAREST) -> BenchRow:
@@ -50,13 +57,8 @@ def measure_scan(sites, mode: DiagramMode = DiagramMode.NEAREST) -> BenchRow:
 
 
 def measure_pipeline(sites, s: int, K: int) -> BenchRow:
-    arena = ReadOnlyArena(sites)
-    ledger = observing_ledger()
-    sink = OutputSink(keep=False)
-    t0 = time.perf_counter_ns()
-    pipeline_run(arena, PipelineConfig(K=K, s=s), sink, ledger)
-    wall = time.perf_counter_ns() - t0
-    return BenchRow(len(sites), s, K, arena.read_count, ledger.peak_words, wall)
+    config = PipelineConfig(K=K, s=s)
+    return _measure(sites, s, K, lambda arena, sink, ledger: pipeline_run(arena, config, sink, ledger))
 
 
 def bench_table(

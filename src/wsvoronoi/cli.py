@@ -196,7 +196,11 @@ def cmd_verify(args) -> int:
     orders = sorted({r.k for r in records})
     all_ok = True
     for k in orders:
-        oracle = oracle_vdk(sites, k)
+        try:
+            oracle = oracle_vdk(sites, k)
+        except DegenerateGeometry as e:
+            print(f"degenerate: {e}", file=sys.stderr)
+            return EXIT_DEGENERATE
         rep = verify_run(records, oracle, k, directed=directed)
         print(f"k={k}: {rep.summary()}")
         all_ok = all_ok and rep.ok

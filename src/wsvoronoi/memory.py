@@ -28,9 +28,15 @@ class SequencingError(Exception):
 
 
 class ReadOnlyArena:
-    """Immutable site array with a count of every element access."""
+    """Immutable site array with a count of every element access.
 
-    __slots__ = ("_sites", "_items", "read_count", "scale")
+    It also holds the run's count of kernel work: `site_tests`, the sites
+    that reached the exact arithmetic of the clip and successor kernels
+    (`scan.clip_run`, `pipeline._IntervalWalk.consider_batch`), which add
+    to it once per call.
+    """
+
+    __slots__ = ("_sites", "_items", "read_count", "site_tests", "scale")
 
     def __init__(self, sites: Sequence[Site]):
         self._sites = tuple(sites)
@@ -39,6 +45,7 @@ class ReadOnlyArena:
         self._items = tuple((i, s.ipt) for i, s in enumerate(self._sites))
         self.scale = self._sites[0].scale
         self.read_count = 0
+        self.site_tests = 0
 
     def __len__(self) -> int:
         return len(self._sites)

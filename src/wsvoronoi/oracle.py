@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import exact
-from .geometry import Site
+from .geometry import DegenerateGeometry, Site
 from .records import EdgeRecord, Unbounded
 
 
@@ -74,12 +74,12 @@ def _sweep(sites: tuple):
                     continue
                 hp = exact.circumcenter_hpoint(pts[p], pts[q], pts[r])
                 if hp is None:
-                    raise AssertionError(f"collinear sites {p}, {q}, {r}")
+                    raise DegenerateGeometry(f"collinear sites {p}, {q}, {r}")
                 t = exact.param_along(line, hp)
                 # Slope of d^2(x, r) - d^2(x, p) along the carrier direction.
                 slope = exact.sign(d[0] * (pts[p][0] - pts[r][0]) + d[1] * (pts[p][1] - pts[r][1]))
                 if slope == 0:
-                    raise AssertionError(f"bisector parallel to carrier: {p}, {q}, {r}")
+                    raise DegenerateGeometry(f"collinear sites {p}, {q}, {r}: bisector parallel to carrier")
                 if slope > 0:
                     c_start += 1
                 crossings.append((t, hp, r, slope))

@@ -28,7 +28,7 @@ from . import exact
 from .geometry import DegenerateGeometry
 from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
 from .records import EdgeRecord, directed_record
-from .scan import CellEdge, DiagramMode, clip_edge, clip_run
+from .scan import CellEdge, DiagramMode, _disk_box, clip_edge, clip_run
 from .tradeoff import (
     BigCellTable,
     W_BATCH_SITE,
@@ -279,8 +279,10 @@ class _IntervalWalk:
         "tail",
         "tail_extra",
         "best",
+        "tied",
         "steps",
         "_kernel",
+        "_box",
     )
 
     def __init__(self, cell, closest, pair, pair_pts, carrier, direction, tail, tail_extra):
@@ -293,6 +295,7 @@ class _IntervalWalk:
         self.tail = tail
         self.tail_extra = tail_extra
         self.best = None  # (tau_num, tau_den, site), tau on the kernel's scale
+        self.tied = False  # another site crosses exactly at best
         self.steps = 0
         # What consider_batch needs of the walk, computed once.  With the
         # carrier a*x + b*y = c and q = pair_pts[0], direction = sigma*(b, -a)/g
@@ -300,9 +303,10 @@ class _IntervalWalk:
         a, b, c = carrier
         qx, qy = pair_pts[0]
         sigma = 1 if direction[0] * b - direction[1] * a > 0 else -1
-        tail_tau = None
+        tail_tau = tail_box = None
         if tail is not None:
             tail_tau = (2 * sigma * (b * tail[0] - a * tail[1]), tail[2])
+            tail_box = _disk_box(a, b, 2 * sigma * c, sigma * (a * a + b * b), qx, qy, *tail_tau)
         self._kernel = (
             a,
             b,
@@ -310,37 +314,80 @@ class _IntervalWalk:
             sigma * (a * a + b * b),
             a * qx + b * qy,
             a * qy - b * qx,
+            qx,
+            qy,
             qx * qx + qy * qy,
             (*pair, tail_extra),
             tail_tau,
+            tail_box,
         )
+        self._box = None  # cull bounds (x0, x1, y0, y1), once best is set
 
-    def consider_batch(self, batch) -> None:
+    def consider_batch(self, batch, work=None) -> None:
         """Keep in `best` the site whose bisector with pair[0] crosses the
-        carrier first ahead of the tail, over `best` and `batch`.
+        carrier first ahead of the tail, over `best` and `batch`; set
+        `tied` when another site crosses exactly at the final best.  The
+        number of sites that reach the arithmetic is added to
+        `work.site_tests` (the run's arena), if given.
 
         The crossing with w's bisector is at tau = num/den along the walk's
         direction, scaled by 2g: num = sigma*(2c(a.w - a.q) - (|w|^2 -
         |q|^2)(a^2 + b^2)), den = a*w_y - b*w_x - (a*q_y - b*q_x).
+
+        Box cull, once a best is known: only a crossing in (tail, best]
+        matters, and w's bisector with q meets the closed segment from the
+        tail to the best only if w lies in the closed disk through q centred
+        at one of them (the disks centred on the carrier through q form a
+        pencil; see `scan.clip_run`).  A site strictly outside a box around
+        both disks is passed over; a tied site lies on the best disk's
+        boundary, so it is never culled.  The collinear check comes first,
+        so the cull changes no outcome.
         """
-        a, b, c2s, nns, aq, cq, qq, skip, tail = self._kernel
+        a, b, c2s, nns, aq, cq, qx, qy, qq, skip, tail, tail_box = self._kernel
         best = self.best
+        tied = self.tied
+        box = self._box
+        boxed = box is not None
+        x0, x1, y0, y1 = box or (None,) * 4
+        passed = 0  # sites skipped or culled
         for j, (wx, wy) in batch:
             if j in skip:
+                passed += 1
                 continue
             den = a * wy - b * wx - cq
             if den == 0:
                 raise DegenerateGeometry("collinear sites at successor crossing")
+            if boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1):
+                passed += 1
+                continue
             num = c2s * (a * wx + b * wy - aq) - (wx * wx + wy * wy - qq) * nns
             if den < 0:
                 num, den = -num, -den
             if tail is not None and num * tail[1] <= tail[0] * den:
                 continue
-            if best is None or num * best[1] < best[0] * den:
-                best = (num, den, j)
+            if best is not None:
+                order = num * best[1] - best[0] * den
+                if order >= 0:
+                    tied = tied or order == 0
+                    continue
+            best = (num, den, j)
+            tied = False
+            if tail_box is not None:
+                bx0, bx1, by0, by1 = _disk_box(a, b, c2s, nns, qx, qy, num, den)
+                x0 = min(tail_box[0], bx0)
+                x1 = max(tail_box[1], bx1)
+                y0 = min(tail_box[2], by0)
+                y1 = max(tail_box[3], by1)
+                boxed = True
+        if work is not None:
+            work.site_tests += len(batch) - passed
         self.best = best
+        self.tied = tied
+        self._box = (x0, x1, y0, y1) if boxed else None
 
     def materialize(self, k_out: int, pts: Callable[[int], tuple[int, int]]) -> HalfEdge:
+        if self.tied:
+            raise DegenerateGeometry(f"cocircular sites at the successor crossing of pair {self.pair}")
         head = head_extra = None
         if self.best is not None:
             head_extra = self.best[2]
@@ -396,7 +443,7 @@ def _trim_round(
     with scope(ledger, max(1, batch_size) * W_BATCH_SITE):
         for batch in iter_batches(arena, batch_size):
             for walk in walks:
-                walk.consider_batch(batch)
+                walk.consider_batch(batch, arena)
 
 
 def _relevant_walks(arena: ReadOnlyArena, source: EdgeBuffer, skip_cell=None, on_unbounded=None):
@@ -554,13 +601,13 @@ def _iter_big_big_edges(
                 a_pt = arena.read(a).ipt
                 b_pt = arena.read(b).ipt
                 line = exact.bisector_line(a_pt, b_pt)
-                states.append([common, a, b, a_pt, b_pt, line, [None, None, None, None], True])
+                states.append([common, a, b, a_pt, b_pt, line, [None, None, None, None, None], True])
             for batch in iter_batches(arena, batch_size):
                 for st in states:
                     if st[7]:
                         common, a, b, a_pt, _, line, box, _ = st
                         # Nearer to a than every other site, farther than the common ones.
-                        st[7] = clip_run(box, line, a_pt, batch, -1, (a, b), common)
+                        st[7] = clip_run(box, line, a_pt, batch, -1, (a, b), common, arena)
             for common, a, b, a_pt, b_pt, line, box, alive in states:
                 if alive:
                     edge = clip_edge(arena, a, a_pt, b, line, box)

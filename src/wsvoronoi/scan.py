@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import length_hint
 from typing import Callable, Optional
 
 from . import exact
@@ -106,15 +107,34 @@ def locate_on_hull(arena: ReadOnlyArena, p_idx: int, ledger: Optional[WorkLedger
         return HullStatus(inside=False, cw_neighbor=cw_idx, ccw_neighbor=ccw_idx)
 
 
-def clip_run(state, line, p, items, want: int, skip, flip=()) -> bool:
+def _disk_box(a, b, c2, nn, qx, qy, n, d):
+    """(x0, x1, y0, y1), integers: a box around the closed disk through
+    (qx, qy) centred at parameter n/d (d > 0) of the line a*x + b*y = c,
+    on the kernels' scale, c2 = 2c and nn = a^2 + b^2 (times the sign of
+    the parameter axis).  The centre is
+    (c2*a*d + n*b, c2*b*d - n*a) / (2*nn*d); the radius is bounded by its
+    L1 norm and the box rounded outward, so an integer point strictly
+    outside the box is strictly outside the disk."""
+    den = 2 * nn * d
+    ex = c2 * a * d + n * b
+    ey = c2 * b * d - n * a
+    if den < 0:
+        den, ex, ey = -den, -ex, -ey
+    r = abs(ex - qx * den) + abs(ey - qy * den)
+    return (ex - r) // den, -((-ex - r) // den), (ey - r) // den, -((-ey - r) // den)
+
+
+def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool:
     """Clip an interval on `line`, the bisector of site p and a rival, by
     the bisector of p and each (index, point) of `items`.
 
     Keeps the part nearer to p than to each cutter (want = -1) or farther
     (want = 1); indices in `flip` take the opposite sense and indices in
-    `skip` are passed over.  state = [t_lo, t_hi, lo_cut, hi_cut]: each end
-    is a (num, den>0) parameter, or None while unbounded, with the index of
-    the site that cut it.  Returns False once the interval is empty.
+    `skip` are passed over.  state = [t_lo, t_hi, lo_cut, hi_cut, box]:
+    each end is a (num, den>0) parameter, or None while unbounded, with the
+    index of the site that cut it; box caches the cull below.  Returns
+    False once the interval is empty.  The number of sites that reach the
+    arithmetic is added to `work.site_tests` (the run's arena), if given.
 
     One exact loop per batch: with line a*x + b*y = c, the cutter w crosses
     it at parameter num / (2 det) along (b, -a), where
@@ -123,6 +143,17 @@ def clip_run(state, line, p, items, want: int, skip, flip=()) -> bool:
     same positive multiple for every cutter of the line, so only the order
     of the parameters is meaningful; the cutters alone leave the kernel
     (see `clip_edge`).
+
+    The box cull (nearest sense, no `flip`, both ends bounded): the disks
+    centred on the line through p form a pencil, all through p and the
+    rival, and w lies in the disk centred at x iff x is as near to w as to
+    p.  That condition is affine in x, so if it held anywhere on the
+    closed interval it would hold at an end: w would lie in one of the two
+    closed end disks.  A site strictly outside an integer box around both
+    (`_disk_box`, cached in state[4], each end's box recomputed only when
+    that end moves) therefore neither cuts the interval nor ties an end,
+    and is passed over before any arithmetic.  The sites are still tried
+    in order, so the state after each is the same as without the cull.
     """
     a, b, c = line
     px, py = p
@@ -132,14 +163,21 @@ def clip_run(state, line, p, items, want: int, skip, flip=()) -> bool:
     cp = a * py - b * px
     pp = px * px + py * py
     keep_near = want < 0
+    cull = keep_near and not flip
     # Unbounded ends as -inf = (-1, 0) and +inf = (1, 0): the cross-multiplied
     # comparisons below then need no None tests.
     lo_n, lo_d = state[0] or (-1, 0)
     hi_n, hi_d = state[1] or (1, 0)
     lo_cut, hi_cut = state[2], state[3]
+    box = state[4] if cull else None
+    boxed = box is not None
+    x0, x1, y0, y1, lo_box, hi_box = box or (None,) * 6
     alive = True
-    for j, (wx, wy) in items:
-        if j in skip:
+    passed = 0  # sites skipped or culled
+    it = iter(items)
+    for j, (wx, wy) in it:
+        if j in skip or (boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1)):
+            passed += 1
             continue
         near = keep_near != (j in flip)
         lc = wx * wx + wy * wy - pp
@@ -163,17 +201,31 @@ def clip_run(state, line, p, items, want: int, skip, flip=()) -> bool:
             # The kept side lies beyond the crossing: a lower bound.
             if lo_n * den >= num * lo_d:
                 continue
-            lo_n, lo_d, lo_cut = num, den, j
+            lo_n, lo_d, lo_cut, lo_box = num, den, j, None
         else:
             if hi_n * den <= num * hi_d:
                 continue
-            hi_n, hi_d, hi_cut = num, den, j
+            hi_n, hi_d, hi_cut, hi_box = num, den, j, None
         if lo_n * hi_d >= hi_n * lo_d:
             alive = False
             break
+        if cull and lo_d and hi_d:
+            if lo_box is None:
+                lo_box = _disk_box(a, b, c2, nn, px, py, lo_n, lo_d)
+            if hi_box is None:
+                hi_box = _disk_box(a, b, c2, nn, px, py, hi_n, hi_d)
+            boxed = True
+            x0 = min(lo_box[0], hi_box[0])
+            x1 = max(lo_box[1], hi_box[1])
+            y0 = min(lo_box[2], hi_box[2])
+            y1 = max(lo_box[3], hi_box[3])
+    if work is not None:
+        # The sites after an emptying cutter are not looked at.
+        work.site_tests += len(items) - passed - length_hint(it)
     state[0] = (lo_n, lo_d) if lo_d else None
     state[1] = (hi_n, hi_d) if hi_d else None
     state[2], state[3] = lo_cut, hi_cut
+    state[4] = (x0, x1, y0, y1, lo_box, hi_box) if lo_box and hi_box else None
     return alive
 
 
@@ -285,7 +337,7 @@ class TrackedSite:
         self.done = False
         self.cutter: Optional[int] = None
         self.rival: Optional[int] = None  # rival of the edge being clipped
-        self.state = None  # its clip interval [t_lo, t_hi, lo_cut, hi_cut]
+        self.state = None  # its clip interval [t_lo, t_hi, lo_cut, hi_cut, box]
         self._first_rival: Optional[int] = None
         self._leg2 = None  # (endpoint hpoint, cutter) queued for the reverse walk
         self._v = None
@@ -302,7 +354,7 @@ class TrackedSite:
             self.rival = self.best[2]
         else:
             self.rival = self.cutter
-        self.state = [None, None, None, None]
+        self.state = [None, None, None, None, None]
 
     def advance(self, edge: CellEdge) -> None:
         """Digest the edge just found and set up the next one."""

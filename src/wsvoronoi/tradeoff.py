@@ -95,7 +95,7 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode, s:
         carriers.append((line, (slot.site, slot.rival)))
     for batch in iter_batches(arena, size):
         for slot, (line, skip) in zip(slots, carriers):
-            if not clip_run(slot.state, line, slot.p, batch, want, skip):
+            if not clip_run(slot.state, line, slot.p, batch, want, skip, work=arena):
                 _edge_vanished(slot)
     return [
         clip_edge(arena, slot.site, slot.p, slot.rival, line, slot.state)
@@ -334,14 +334,14 @@ def iter_big_big(
         for ai, (a, a_pt) in enumerate(mem_sites):
             for b, b_pt in mem_sites[ai + 1 :]:
                 line = exact.bisector_line(a_pt, b_pt)
-                state = [None, None, None, None]
-                if clip_run(state, line, a_pt, mem_sites, want, (a, b)):
+                state = [None, None, None, None, None]
+                if clip_run(state, line, a_pt, mem_sites, want, (a, b), work=arena):
                     alive.append((a, a_pt, b, line, state))
         for batch in iter_batches(arena, s):
             alive = [
                 (a, a_pt, b, line, state)
                 for a, a_pt, b, line, state in alive
-                if clip_run(state, line, a_pt, batch, want, big)
+                if clip_run(state, line, a_pt, batch, want, big, work=arena)
             ]
         for a, a_pt, b, line, state in alive:
             yield clip_edge(arena, a, a_pt, b, line, state)

@@ -14,6 +14,11 @@ COLLINEAR = "0 0\n1 1\n2 2\n3 3\n"
 SQUARE = "0 0\n1 0\n1 1\n0 1\n"
 # Four cocircular hull sites, and 0 4, 1 3, 4 0 collinear.
 SQUARE_AND_POINT = "0 0\n4 0\n4 4\n0 4\n1 3\n"
+# Eight sites on a circle about the origin and one inside: the order-2
+# and order-3 diagrams have a vertex where successor crossings tie.
+CIRCLE_AND_POINT = "5 0\n3 4\n0 5\n-3 4\n-5 0\n-4 -3\n0 -5\n4 -3\n1 1\n"
+# 0 0, 2 0, 4 0 collinear; the farthest diagram is still produced.
+COLLINEAR_AND_TWO = "0 0\n2 0\n4 0\n2 5\n1 1\n"
 
 
 @pytest.fixture
@@ -104,8 +109,10 @@ class TestRun:
             (SQUARE, ["--mode", "order", "--max-k", "2", "--workspace", "4"]),
             (SQUARE_AND_POINT, ["--mode", "fvd"]),
             (SQUARE_AND_POINT, ["--mode", "order", "--max-k", "2", "--workspace", "4"]),
+            (CIRCLE_AND_POINT, ["--mode", "order", "--max-k", "3", "--workspace", "9"]),
+            (CIRCLE_AND_POINT, ["--mode", "order", "--max-k", "2", "--workspace", "4"]),
         ],
-        ids=["nvd", "nvd-s2", "fvd", "fvd-s2", "order", "fvd-5", "order-5"],
+        ids=["nvd", "nvd-s2", "fvd", "fvd-s2", "order", "fvd-5", "order-5", "order3-9", "order2-9"],
     )
     def test_cocircular_is_degenerate(self, tmp_path, capsys, text, flags):
         path = tmp_path / "square.txt"
@@ -136,6 +143,15 @@ class TestVerify:
         with open(out, "w") as fh:
             fh.write("\n".join(lines[:-1]) + "\n")  # drop one record
         assert main(["verify", tri_file, str(out)]) == 1
+
+    def test_collinear_is_degenerate(self, tmp_path, capsys):
+        sites = tmp_path / "line.txt"
+        sites.write_text(COLLINEAR_AND_TWO)
+        out = tmp_path / "records.txt"
+        assert main(["run", str(sites), "--mode", "fvd", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(sites), str(out)]) == 2
+        assert "degenerate: collinear sites" in capsys.readouterr().err
 
     def test_duplicate_flagged(self, tri_file, tmp_path):
         out = tmp_path / "records.txt"
@@ -189,8 +205,8 @@ class TestBench:
             )
             rows = path.read_text().splitlines()
             assert rows[0].startswith("# budget_const=")
-            assert rows[1] == "n,s,K,reads,peak_words,wall_ns"
-            outs.append([",".join(r.split(",")[:5]) for r in rows[2:]])
+            assert rows[1] == "n,s,K,reads,peak_words,site_tests,wall_ns"
+            outs.append([",".join(r.split(",")[:6]) for r in rows[2:]])
         assert outs[0] == outs[1]
         assert len(outs[0]) == 4  # 2 repeats x 2 s values
 

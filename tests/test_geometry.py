@@ -106,7 +106,7 @@ def clip(sites, a, b, cutters, keep_nearer=True):
     """The piece of the bisector of a and b strictly nearer to a than to
     each cutter (farther with keep_nearer=False); None when none is left."""
     line = bisector_line(a.ipt, b.ipt)
-    state = [None, None, None, None]
+    state = [None, None, None, None, None]
     want = -1 if keep_nearer else 1
     if not clip_run(state, line, a.ipt, [(c.index, c.ipt) for c in cutters], want, (a.index, b.index)):
         return None

@@ -2,19 +2,25 @@
 
 `clip_run` is checked against a clip computed with Fractions, `ray_run`
 against the minimum (or maximum) of `ray_line_param` over the bisectors
-`bisector_line` builds, and `read_span` against per-index reads.
+`bisector_line` builds, `_IntervalWalk.consider_batch` against per-site
+crossings, and `read_span` against per-index reads.  The box cull of the
+nearest-sense kernels gets its own soundness checks: a site outside the
+cached box is strictly outside both closed end disks and leaves a
+one-site clip unchanged.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsvoronoi import exact
-from wsvoronoi.geometry import site_set
+from wsvoronoi.geometry import DegenerateGeometry, site_set
 from wsvoronoi.memory import ReadOnlyArena
-from wsvoronoi.scan import clip_edge, clip_run, ray_run, ray_tie_wins
+from wsvoronoi.pipeline import _IntervalWalk
+from wsvoronoi.scan import _disk_box, clip_edge, clip_run, ray_run, ray_tie_wins
 
 coord = st.integers(-12, 12)
 point = st.tuples(coord, coord)
@@ -62,7 +68,7 @@ def run_clip(p, r, cutters, want, skip, flip, batch):
     """clip_run over `cutters` in batches; (alive, lo_cut, hi_cut, lo, hi)."""
     sites = site_set([p, r, *(w for _, w in cutters)])
     line = exact.bisector_line(p, r)
-    state = [None, None, None, None]
+    state = [None, None, None, None, None]
     for start in range(0, len(cutters), batch):
         if not clip_run(state, line, p, cutters[start : start + batch], want, skip, flip):
             return False, None, None, None, None
@@ -130,14 +136,16 @@ class TestClipRun:
         p, r = (0, 0), (8, 0)
         sites = [(2, (0, 6)), (3, (0, -6)), (4, (8, 6)), (5, (0, 100))]
         line = exact.bisector_line(p, r)
-        state = [None, None, None, None]
+        state = [None, None, None, None, None]
         assert clip_run(state, line, p, sites[:2], -1, (0, 1))
-        assert set(state[2:]) == {2, 3}  # x = 4 between (4, -3) and (4, 3)
+        assert set(state[2:4]) == {2, 3}  # x = 4 between (4, -3) and (4, 3)
         kept = list(state)
         # The bisector with (8, 6) also crosses x = 4 at (4, 3): a tie that
         # changes nothing, unless a flip keeps the side beyond (4, 3), which
         # empties the interval before (0, 100) is looked at.
-        assert not clip_run(list(state), line, p, sites[2:], -1, (0, 1), {4})
+        work = SimpleNamespace(site_tests=0)
+        assert not clip_run(list(state), line, p, sites[2:], -1, (0, 1), {4}, work)
+        assert work.site_tests == 1  # (0, 100), after the emptying cutter, is not looked at
         assert clip_run(state, line, p, sites[2:], -1, (0, 1))
         assert state == kept
 
@@ -145,11 +153,212 @@ class TestClipRun:
         sites = site_set([(0, 0), (8, 0), (0, 6), (0, -6), (0, 7), (0, -7)])
         items = [(s.index, s.ipt) for s in sites]
         line = exact.bisector_line((0, 0), (8, 0))
-        state = [None, None, None, None]
+        state = [None, None, None, None, None]
         assert clip_run(state, line, (0, 0), items, -1, (0, 1))
         edge = clip_edge(ReadOnlyArena(sites), 0, (0, 0), 1, line, state)
         assert {edge.lo_cutter, edge.hi_cutter} == {2, 3}
         assert {hpoint(edge.piece.lo), hpoint(edge.piece.hi)} == {(4, 3), (4, -3)}
+
+
+@st.composite
+def bounded_clip_case(draw):
+    """A nearest clip whose first batch bounds both ends, so the cull is
+    live over the batches after it: the sites p + k*v and p - k*v, with v
+    perpendicular to r - p, cut the line on either side of p's cell."""
+    p = draw(point)
+    r = draw(point.filter(lambda q: q != p))
+    vx, vy = p[1] - r[1], r[0] - p[0]
+    k = draw(st.integers(1, 3))
+    bounds = [(2, (p[0] + k * vx, p[1] + k * vy)), (3, (p[0] - k * vx, p[1] - k * vy))]
+    taken = {p, r, bounds[0][1], bounds[1][1]}
+    pts = draw(st.lists(point.filter(lambda q: q not in taken), min_size=1, max_size=24, unique=True))
+    cutters = bounds + [(j + 4, w) for j, w in enumerate(pts)]
+    skip = {0, 1} | set(draw(st.lists(st.sampled_from([j for j, _ in cutters[2:]]), max_size=2)))
+    return p, r, cutters, -1, skip, (), draw(st.integers(2, 4))
+
+
+def widen(case, scale):
+    """The case under x -> x*scale + 1, y -> y*scale - 1, a similarity."""
+    p, r, cutters, want, skip, flip, batch = case
+    big = lambda q: (q[0] * scale + 1, q[1] * scale - 1)  # noqa: E731
+    return big(p), big(r), [(j, big(w)) for j, w in cutters], want, skip, flip, batch
+
+
+def clipped_state(p, r, cutters, skip, batch):
+    """(line, state, arena) after clip_run over `cutters`, indexed 2, 3, ...
+    in order, in batches; None once the interval is empty."""
+    line = exact.bisector_line(p, r)
+    state = [None, None, None, None, None]
+    for start in range(0, len(cutters), batch):
+        if not clip_run(state, line, p, cutters[start : start + batch], -1, skip):
+            return None
+    return line, state, ReadOnlyArena(site_set([p, r, *(w for _, w in cutters)]))
+
+
+def in_closed_disk(w, centre, p) -> bool:
+    d2 = lambda u: (u[0] - centre[0]) ** 2 + (u[1] - centre[1]) ** 2  # noqa: E731
+    return d2(w) <= d2(p)
+
+
+def outside_ring(box, depth):
+    """Integer points within `depth` of the box, strictly outside it."""
+    x0, x1, y0, y1 = box
+    for x in range(x0 - depth, x1 + depth + 1):
+        for y in range(y0 - depth, y1 + depth + 1):
+            if not (x0 <= x <= x1 and y0 <= y <= y1):
+                yield x, y
+
+
+def check_box_sound(line, state, arena):
+    """The cached box is the box of the current ends, and every integer
+    point just outside it is strictly outside both closed end disks and
+    leaves a one-site clip, run without the cull, unchanged."""
+    p = arena.read(0).ipt
+    a, b, c = line
+    nn = a * a + b * b
+    lo_box = _disk_box(a, b, 2 * c, nn, p[0], p[1], *state[0])
+    hi_box = _disk_box(a, b, 2 * c, nn, p[0], p[1], *state[1])
+    box = state[4][:4]
+    assert box == (
+        min(lo_box[0], hi_box[0]),
+        max(lo_box[1], hi_box[1]),
+        min(lo_box[2], hi_box[2]),
+        max(lo_box[3], hi_box[3]),
+    )
+    edge = clip_edge(arena, 0, p, 1, line, state)
+    ends = hpoint(edge.piece.lo), hpoint(edge.piece.hi)
+    for w in outside_ring(box, 2):
+        assert not any(in_closed_disk(w, e, p) for e in ends), (w, ends)
+        one = state[:4] + [None]
+        assert clip_run(one, line, p, [(99, w)], -1, ())
+        assert one[:4] == state[:4], w
+
+
+class TestClipCull:
+    @settings(max_examples=300, deadline=None)
+    @given(bounded_clip_case())
+    def test_bounded_matches_fraction_reference(self, case):
+        p, r, cutters, want, skip, flip, batch = case
+        line = exact.bisector_line(p, r)
+        assert run_clip(*case) == reference_clip(line, p, cutters, want, skip, flip)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bounded_clip_case(), st.integers(1, 2**40))
+    def test_bounded_matches_reference_on_wide_coordinates(self, case, scale):
+        p, r, cutters, want, skip, flip, batch = case = widen(case, scale)
+        line = exact.bisector_line(p, r)
+        assert run_clip(*case) == reference_clip(line, p, cutters, want, skip, flip)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounded_clip_case())
+    def test_outside_box_cannot_cut(self, case):
+        p, r, cutters, _, skip, _, batch = case
+        got = clipped_state(p, r, cutters, skip, batch)
+        if got is not None:
+            check_box_sound(*got)
+
+    def test_axis_aligned_end_disks_touch_their_box(self):
+        # Ends (2, 0) and (0, 2) of x + y = 2, each disk through p = (0, 0)
+        # tangent to its box: (4, 0) and (-2, 2) lie on the box's boundary
+        # and on a disk's.
+        p = (0, 0)
+        got = clipped_state(p, (2, 2), [(2, (4, 0)), (3, (0, 4))], {0, 1}, 2)
+        assert got is not None and got[1][4][:4] == (-2, 4, -2, 4)
+        check_box_sound(*got)
+
+    def test_far_sites_skip_the_arithmetic(self):
+        p = (0, 0)
+        line, state, _ = clipped_state(p, (8, 0), [(2, (0, 6)), (3, (0, -6))], {0, 1}, 2)
+        kept = list(state)
+        far = [(j, (1000 + j, 1000 - 3 * j)) for j in range(4, 40)]
+        work = SimpleNamespace(site_tests=0)
+        assert clip_run(state, line, p, far, -1, (), work=work)
+        assert work.site_tests == 0
+        assert state == kept
+        # Farthest clips never cull.
+        assert clip_run([None, None, None, None, None], line, p, far, 1, (), work=work)
+        assert work.site_tests == len(far)
+
+
+def reference_successor(q, carrier, direction, tail, sites):
+    """(site, tied) for the first crossing of the carrier ahead of the tail
+    by the bisector of q and each (index, point); DegenerateGeometry when a
+    bisector runs parallel to the carrier."""
+    t0 = (Fraction(tail[0], tail[2]), Fraction(tail[1], tail[2]))
+    crossings = []
+    for j, w in sites:
+        x = exact.line_intersection(carrier, exact.bisector_line(q, w))
+        if x is None:
+            raise DegenerateGeometry("parallel")
+        tau = direction[0] * (Fraction(x[0], x[2]) - t0[0]) + direction[1] * (Fraction(x[1], x[2]) - t0[1])
+        if tau > 0:
+            crossings.append((tau, j))
+    if not crossings:
+        return None, False
+    first = min(t for t, _ in crossings)
+    winners = [j for t, j in crossings if t == first]
+    return winners[0], len(winners) > 1
+
+
+@st.composite
+def successor_case(draw):
+    grid = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    q, r, z = draw(st.lists(grid, min_size=3, max_size=3, unique=True).filter(lambda t: exact.orient_ipts(*t) != 0))
+    pts = draw(st.lists(grid.filter(lambda w: w not in (q, r, z)), min_size=1, max_size=20, unique=True))
+    sign = draw(st.sampled_from([1, -1]))
+    return q, r, z, [(j + 3, w) for j, w in enumerate(pts)], sign, draw(st.integers(1, 5))
+
+
+def run_successor(q, r, z, sites, sign, batch, work=None):
+    carrier = exact.bisector_line(q, r)
+    d = exact.line_dir(carrier)
+    direction = (sign * d[0], sign * d[1])
+    tail = exact.circumcenter_hpoint(q, r, z)
+    walk = _IntervalWalk(frozenset(), frozenset(), (0, 1), (q, r), carrier, direction, tail, 2)
+    items = [(0, q), (1, r), (2, z), *sites]
+    for start in range(0, len(items), batch):
+        walk.consider_batch(items[start : start + batch], work)
+    return walk, reference_successor(q, carrier, direction, tail, sites)
+
+
+class TestConsiderBatch:
+    @settings(max_examples=400, deadline=None)
+    @given(successor_case())
+    def test_matches_per_site_reference(self, case):
+        try:
+            walk, (want, tied) = run_successor(*case)
+        except DegenerateGeometry:
+            # The kernel raises exactly when the reference does.
+            q, r, z, sites, sign, _ = case
+            carrier = exact.bisector_line(q, r)
+            with pytest.raises(DegenerateGeometry):
+                reference_successor(q, carrier, exact.line_dir(carrier), exact.circumcenter_hpoint(q, r, z), sites)
+            return
+        assert (None if walk.best is None else walk.best[2]) == want
+        assert walk.tied == tied
+
+    def test_cull_is_live_and_ties_raise(self):
+        # Eight sites on the circle of radius 5 about the origin, one inside,
+        # and far sites the cull drops once the first crossing is known.
+        ring = [(5, 0), (3, 4), (0, 5), (-3, 4), (-5, 0), (-4, -3), (0, -5), (4, -3)]
+        q, r, z = ring[0], ring[1], (1, 1)
+        far = [(200 + j, -300 - j) for j in range(30)]
+        sites = [(j + 3, w) for j, w in enumerate(ring[2:] + far)]
+        work = SimpleNamespace(site_tests=0)
+        walk, (want, tied) = run_successor(q, r, z, sites, 1, 4, work)
+        assert tied and walk.tied and walk.best[2] == want
+        assert 0 < work.site_tests < len(sites)
+        with pytest.raises(DegenerateGeometry):
+            walk.materialize(2, lambda i: None)
+
+    def test_tie_on_the_box_edge_is_kept(self):
+        # Ahead of the tail (-1, 3) on x + y = 2, (4, 0) and (2, -2) both
+        # cross at (2, 0); the best disk, centred there through q = (0, 0),
+        # touches its box at both, so only a box around the closed disk
+        # keeps the second.
+        walk, (want, tied) = run_successor((0, 0), (2, 2), (2, 4), [(3, (4, 0)), (4, (2, -2))], 1, 1)
+        assert walk._box == (-5, 4, -2, 7)
+        assert (walk.best[2], walk.tied) == (want, tied) == (3, True)
 
 
 def reference_ray(p, direction, items, nearest, skip):
