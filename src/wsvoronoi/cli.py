@@ -225,13 +225,16 @@ def cmd_bench(args) -> int:
         if any(s < 0 for s in s_list):
             raise ConfigError(f"--s-list values must be >= 0 (0 is the O(1)-word path), got {args.s_list}")
         k_list = [int(t) for t in args.k_list.split(",")] if args.k_list else None
+        if k_list and args.mode != "nvd":
+            raise ConfigError(f"--mode {args.mode} does not apply to --k-list, whose rows are order-k runs")
     except DuplicateSiteError as e:
         print(f"degenerate: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (OSError, SiteParseError, ValueError, ConfigError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    rows = bench_table(sites, s_list, k_list, repeats=args.repeats)
+    mode = DiagramMode.NEAREST if args.mode == "nvd" else DiagramMode.FARTHEST
+    rows = bench_table(sites, s_list, k_list, repeats=args.repeats, mode=mode)
     text = format_csv(rows, c)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -299,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", default=None, metavar="N,SEED")
     p.add_argument("--s-list", default=None)
     p.add_argument("--k-list", default=None)
+    p.add_argument("--mode", choices=("nvd", "fvd"), default="nvd", help="diagram of the rows without --k-list")
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)

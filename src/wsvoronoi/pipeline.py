@@ -35,7 +35,6 @@ from .tradeoff import (
     W_FIXED,
     drive,
     find_big_cells,
-    iter_batches,
     iter_big_big,
     iter_small_incident,
 )
@@ -246,8 +245,9 @@ def _outgoing(pts3: dict, vertex_old: bool, base: frozenset, cell: frozenset):
         x, y = (i for i in idxs if i != z)
         closest = (base | {z}) if vertex_old else base
         px, py, pz = pts3[x], pts3[y], pts3[z]
-        line = exact.bisector_line(px, py)
-        d0 = exact.line_dir(line)
+        # A direction of the bisector of x and y; its sign does not matter,
+        # since flipping d0 flips g below and d with it.
+        d0 = exact.primitive_dir(py[1] - px[1], px[0] - py[0])
         # Sign of d/dt [d^2(.,z) - d^2(.,x)] along d0 is 2*<d0, x-z>.
         g = d0[0] * (px[0] - pz[0]) + d0[1] * (px[1] - pz[1])
         if g == 0:
@@ -261,9 +261,10 @@ def _outgoing(pts3: dict, vertex_old: bool, base: frozenset, cell: frozenset):
         left, right = (x, y) if towards_x > 0 else (y, x)
         if closest | {left} == cell:
             assert found is None, "two outgoing boundary edges at one vertex"
-            found = ((left, right), closest, line, d, z)
+            found = ((left, right), closest, d, z)
     assert found is not None, "no outgoing boundary edge at vertex"
-    return found
+    pair, closest, d, z = found
+    return pair, closest, exact.bisector_line(pts3[pair[0]], pts3[pair[1]]), d, z
 
 
 class _IntervalWalk:
@@ -431,19 +432,13 @@ def _walk_step(arena: ReadOnlyArena, f: HalfEdge) -> _IntervalWalk:
     return _IntervalWalk(cell, frozenset(closest), pair, pair_pts, line, d, f.head, z)
 
 
-def _trim_round(
-    arena: ReadOnlyArena,
-    walks: list[_IntervalWalk],
-    batch_size: int,
-    ledger: Optional[WorkLedger] = None,
-) -> None:
-    """One pass over the input serving every pending walk's head search."""
-    if not walks:
-        return
-    with scope(ledger, max(1, batch_size) * W_BATCH_SITE):
-        for batch in iter_batches(arena, batch_size):
-            for walk in walks:
-                walk.consider_batch(batch, arena)
+def _trim_round(arena: ReadOnlyArena, walks: list[_IntervalWalk]) -> None:
+    """One pass over the input serving every pending walk's head search:
+    the input is read once, as one span, and each walk's kernel takes it
+    whole in one call."""
+    span = arena.read_span(0, len(arena))
+    for walk in walks:
+        walk.consider_batch(span, arena)
 
 
 def _relevant_walks(arena: ReadOnlyArena, source: EdgeBuffer, skip_cell=None, on_unbounded=None):
@@ -468,12 +463,14 @@ def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger, on_u
     A walk ends at an old head, or at an unbounded edge, whose cell it
     reports to on_unbounded.
     """
-    batch = s1 * max(1, k_out - 1)
+    # A pass is a view of the input, charged as s1 * (k_out - 1) sites.
+    pass_words = s1 * max(1, k_out - 1) * W_BATCH_SITE
     guard = 4 * (k_out + 1) * (len(arena) + 4)
     pts = _point_reader(arena)
 
     def step(walks):
-        _trim_round(arena, walks, batch, ledger)
+        with scope(ledger, pass_words):
+            _trim_round(arena, walks)
         still = []
         for w in walks:
             f = w.materialize(k_out, pts)
@@ -561,14 +558,14 @@ def iter_order_edges(
         if cog_key(f.right_cell(), pts) in table:
             yield f.opposite()
 
-    yield from _iter_big_big_edges(arena, k_out, table, s1 * max(1, k_out - 1), ledger)
+    yield from _iter_big_big_edges(arena, k_out, table, max(1, s1 * max(1, k_out - 1) // 2), ledger)
 
 
 def _iter_big_big_edges(
     arena: ReadOnlyArena,
     k_out: int,
     table: BigCellTableK,
-    batch_size: int,
+    chunk: int,
     ledger: Optional[WorkLedger] = None,
 ) -> Iterator[HalfEdge]:
     """Both directions of every edge shared by two big cells.
@@ -577,7 +574,8 @@ def _iter_big_big_edges(
     site; for each such candidate pair the edge is the interval of the
     differing sites' bisector where the common sites are strictly closer
     and every other site strictly farther, found by one clipping pass
-    over the input.  O(1) words per candidate, no in-workspace diagram.
+    over the input.  O(1) words per candidate, no in-workspace diagram:
+    `chunk` candidates share each pass, which reads the input as one span.
     """
     cells = table.cells
     candidates = []
@@ -591,8 +589,6 @@ def _iter_big_big_edges(
             candidates.append((frozenset(common), a, b))
     if not candidates:
         return
-    # Independent candidates: process a workspace-sized chunk per input pass.
-    chunk = max(1, batch_size // 2)
     for lo_i in range(0, len(candidates), chunk):
         group = candidates[lo_i : lo_i + chunk]
         with scope(ledger, len(group) * (k_out + 14) + W_FIXED):
@@ -601,15 +597,11 @@ def _iter_big_big_edges(
                 a_pt = arena.read(a).ipt
                 b_pt = arena.read(b).ipt
                 line = exact.bisector_line(a_pt, b_pt)
-                states.append([common, a, b, a_pt, b_pt, line, [None, None, None, None, None], True])
-            for batch in iter_batches(arena, batch_size):
-                for st in states:
-                    if st[7]:
-                        common, a, b, a_pt, _, line, box, _ = st
-                        # Nearer to a than every other site, farther than the common ones.
-                        st[7] = clip_run(box, line, a_pt, batch, -1, (a, b), common, arena)
-            for common, a, b, a_pt, b_pt, line, box, alive in states:
-                if alive:
+                states.append((common, a, b, a_pt, b_pt, line, [None, None, None, None, None]))
+            span = arena.read_span(0, len(arena))
+            for common, a, b, a_pt, b_pt, line, box in states:
+                # Nearer to a than every other site, farther than the common ones.
+                if clip_run(box, line, a_pt, span, -1, (a, b), common, arena):
                     edge = clip_edge(arena, a, a_pt, b, line, box)
                     yield from _halfedges_of_cell_edge(k_out, common, edge, a_pt, b_pt)
 

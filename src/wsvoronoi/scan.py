@@ -4,10 +4,10 @@ A cell is walked edge to edge from a start ray: the first edge is the one
 the ray crosses first, and the site whose bisector cut an endpoint is the
 site whose bisector carries the adjacent edge.  `TrackedSite` is the
 walk's state machine; `clip_run` and `ray_run` are the fused exact kernels
-it needs, each one loop over a whole batch of sites (`pipeline` clips with
-`clip_run` too).  A nearest walk's ray aims at another site; a farthest
-walk's (`hull_walk`) aims at the meet of the bisectors with the site's two
-hull neighbors.  `cell_walk` starts the walk of one given site, finding a
+it needs, each one loop over a span of sites, which the program always
+gives as the whole input (`pipeline` clips with `clip_run` too).  A
+nearest walk's ray aims at another site; a farthest walk's (`hull_walk`)
+aims at the meet of the bisectors with the site's two hull neighbors.  `cell_walk` starts the walk of one given site, finding a
 farthest site's hull neighbors with the one-pass `locate_on_hull`.
 
 Every walk runs under `tradeoff.drive`.  The constant-workspace diagram,
@@ -136,7 +136,7 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
     False once the interval is empty.  The number of sites that reach the
     arithmetic is added to `work.site_tests` (the run's arena), if given.
 
-    One exact loop per batch: with line a*x + b*y = c, the cutter w crosses
+    One exact loop per call: with line a*x + b*y = c, the cutter w crosses
     it at parameter num / (2 det) along (b, -a), where
     num = 2c(a.w - a.p) - (|w|^2 - |p|^2)(a^2 + b^2) and
     det = a*w_y - b*w_x - (a*p_y - b*p_x).  The kernel keeps num/det, the
@@ -261,7 +261,7 @@ def ray_run(best, p, direction, items, nearest: bool, skip: int):
     """The rival whose bisector with p first crosses the ray from p along
     `direction` (last, when not `nearest`), over `best` and `items`.
 
-    best, kept across batches, is (num, den, index, point) for the
+    best, kept across calls, is (num, den, index, point) for the
     crossing at parameter num/den, or None before any hit; index `skip`
     (p's own) is passed over.  Since the ray starts at p, the bisector with
     w is hit iff u = w - p has u.d > 0, at t = |u|^2 / (2 u.d); the 2 is
@@ -341,7 +341,7 @@ class TrackedSite:
         self._first_rival: Optional[int] = None
         self._leg2 = None  # (endpoint hpoint, cutter) queued for the reverse walk
         self._v = None
-        self.best = None  # batched ray scan: `ray_run`'s running choice
+        self.best = None  # the start ray's first crossing, from `ray_run`
 
     @property
     def needs_ray_scan(self) -> bool:

@@ -1,16 +1,17 @@
 """s-workspace diagram construction: find s edges per sweep of the input.
 
 Instead of one cell edge per pass over the input, a round keeps up to s
-cell walks alive at once and serves all of them from the same batched
-passes, so the scan cost is shared.  `drive` is the slot loop, the one
-every cell walk in the package runs under (`pipeline`'s too).  Cells still
-walking when no fresh sites remain are "big"; their edges are recovered by
-clipping the diagram of the big sites against the whole input, while
-everything touching a small cell is reported during the walks.  Farthest
-cells come in hull order at every s, from `hull_stream`'s s-point window.
-The output is the same for every s; s = 1 is the constant-workspace
-diagram of `scan.enumerate_diagram`, with no big cells and each kernel
-given the whole input as one span.
+cell walks alive at once and serves all of them from the same passes, so
+the scan cost is shared: a pass reads the input once, as one span, and
+hands it whole to each live walk's kernel in one call.  `drive` is the
+slot loop, the one every cell walk in the package runs under
+(`pipeline`'s too).  Cells still walking when no fresh sites remain are
+"big"; their edges are recovered by clipping the diagram of the big sites
+against the whole input, while everything touching a small cell is
+reported during the walks.  Farthest cells come in hull order at every s,
+from `hull_stream`'s s-point window.  The output is the same for every s;
+s = 1 is the constant-workspace diagram of `scan.enumerate_diagram`, with
+no big cells.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ from .scan import (
 # s * (W_SLOT + W_BATCH_SITE) + W_FIXED, plus for farthest diagrams the
 # hull chain, (s + 2) * W_HULL_POINT + W_FIXED; or the big-big diagram,
 # charged for the table's capacity of s - 1 sites at W_MEM_SITE each,
-# plus a batch and W_FIXED.
+# plus s * W_BATCH_SITE and W_FIXED.  W_BATCH_SITE charges s sites for the
+# pass, though a pass is a view of the input the arena holds, not a copy;
+# the charge is kept so that reported peaks stay reproducible.
 W_SLOT = 24
 W_BATCH_SITE = 3
 W_TABLE_ENTRY = 1
@@ -65,42 +68,32 @@ class BigCellTable:
         return pos < len(self.indices) and self.indices[pos] == idx
 
 
-def iter_batches(arena: ReadOnlyArena, size: int):
-    """The input in order, as spans of (index, point) for `size` consecutive
-    sites; the last span may be short."""
-    n = len(arena)
-    step = max(1, size)
-    for start in range(0, n, step):
-        yield arena.read_span(start, min(n, start + step))
-
-
-def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode, s: int) -> list[CellEdge]:
+def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) -> list[CellEdge]:
     """One lock-step round: every live slot produces its next cell edge.
 
-    With one slot no pass is shared, so at s = 1 each kernel takes the
-    whole input as one span (a view of the input, not a copy).
+    Each pass reads the input once, as one span (a view of the input, not
+    a copy), and hands it whole to every live slot's kernel: the ray pass
+    for fresh slots, then the clip pass.  A kernel's state after a slot's
+    sites depends only on those sites, taken in index order, so one call
+    per slot gives the edge that any split of the pass would.
     """
     nearest = mode is DiagramMode.NEAREST
     want = -1 if nearest else 1
-    size = len(arena) if s == 1 else s
+    n = len(arena)
     fresh = [t for t in slots if t.needs_ray_scan]
     if fresh:
-        for batch in iter_batches(arena, size):
-            for slot in fresh:
-                slot.best = ray_run(slot.best, slot.p, slot.current_ray.direction, batch, nearest, slot.site)
-    carriers = []
+        span = arena.read_span(0, n)
+        for slot in fresh:
+            slot.best = ray_run(None, slot.p, slot.current_ray.direction, span, nearest, slot.site)
+    span = arena.read_span(0, n)
+    edges = []
     for slot in slots:
         slot.begin_clip()
         line = exact.bisector_line(slot.p, arena.read(slot.rival).ipt)
-        carriers.append((line, (slot.site, slot.rival)))
-    for batch in iter_batches(arena, size):
-        for slot, (line, skip) in zip(slots, carriers):
-            if not clip_run(slot.state, line, slot.p, batch, want, skip, work=arena):
-                _edge_vanished(slot)
-    return [
-        clip_edge(arena, slot.site, slot.p, slot.rival, line, slot.state)
-        for slot, (line, _) in zip(slots, carriers)
-    ]
+        if not clip_run(slot.state, line, slot.p, span, want, (slot.site, slot.rival), work=arena):
+            _edge_vanished(slot)
+        edges.append(clip_edge(arena, slot.site, slot.p, slot.rival, line, slot.state))
+    return edges
 
 
 def _edge_vanished(slot: TrackedSite) -> NoReturn:
@@ -264,7 +257,7 @@ def walk_cells(arena, mode, s, source, ledger=None, leftovers=None) -> Iterator[
     limit = len(arena) + 2  # no cell has more edges
 
     def step(slots):
-        for slot, edge in zip(slots, _round(arena, slots, mode, s)):
+        for slot, edge in zip(slots, _round(arena, slots, mode)):
             yield slot, edge
             slot.advance(edge)
             if slot.edges_found > limit:
@@ -281,7 +274,7 @@ def find_big_cells(
     s: int,
     ledger: Optional[WorkLedger] = None,
 ) -> BigCellTable:
-    """Walk cells batch-wise until fewer than s stay unfinished; no output.
+    """Walk cells s at a time until fewer than s stay unfinished; no output.
 
     When the initial load already covers every site (never any site had to
     wait for a slot) all walks are run to completion and the table is
@@ -319,8 +312,9 @@ def iter_big_big(
 ) -> Iterator[CellEdge]:
     """Every edge between two big cells.
 
-    The diagram of the big sites is clipped against the whole input in
-    batches; surviving pieces are exactly the big-big edges.
+    Each edge of the diagram of the big sites is clipped against the whole
+    input, read once as one span; surviving pieces are exactly the big-big
+    edges.
     """
     if len(table) < 2:
         return
@@ -329,22 +323,16 @@ def iter_big_big(
     mem_sites = [(i, arena.read(i).ipt) for i in table.indices]
     # Charged for the table's capacity, as the walks charge every slot.
     with scope(ledger, max(len(mem_sites), s - 1) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED):
-        # The diagram of the big sites alone, each edge as its clip interval.
-        alive = []
+        span = arena.read_span(0, len(arena))
         for ai, (a, a_pt) in enumerate(mem_sites):
             for b, b_pt in mem_sites[ai + 1 :]:
+                # An edge of the big sites' own diagram, clipped by the input.
                 line = exact.bisector_line(a_pt, b_pt)
                 state = [None, None, None, None, None]
-                if clip_run(state, line, a_pt, mem_sites, want, (a, b), work=arena):
-                    alive.append((a, a_pt, b, line, state))
-        for batch in iter_batches(arena, s):
-            alive = [
-                (a, a_pt, b, line, state)
-                for a, a_pt, b, line, state in alive
-                if clip_run(state, line, a_pt, batch, want, big, work=arena)
-            ]
-        for a, a_pt, b, line, state in alive:
-            yield clip_edge(arena, a, a_pt, b, line, state)
+                if clip_run(state, line, a_pt, mem_sites, want, (a, b), work=arena) and clip_run(
+                    state, line, a_pt, span, want, big, work=arena
+                ):
+                    yield clip_edge(arena, a, a_pt, b, line, state)
 
 
 def report_small_incident(

@@ -5,7 +5,8 @@ import io
 import pytest
 
 from wsvoronoi.cli import main
-from wsvoronoi.datagen import random_sites, sites_to_text
+from wsvoronoi.datagen import parse_sites_text, random_sites, sites_to_text
+from wsvoronoi.oracle import check_distance_profile
 from wsvoronoi.records import read_stream
 
 TRIANGLE = "0 0\n8 0\n0 6\n"
@@ -33,6 +34,26 @@ def random_file(tmp_path):
     path = tmp_path / "rand.txt"
     path.write_text(sites_to_text(random_sites(12, 2024)))
     return str(path)
+
+
+# Small inputs, degenerate ones among them: each run must end cleanly.
+SMALL_CORPUS = {
+    "circle": CIRCLE_AND_POINT,
+    "square": SQUARE,
+    "grid4": "".join(f"{x} {y}\n" for x in range(4) for y in range(4)),
+    "collinear": COLLINEAR_AND_TWO,
+    **{f"random{n}-{seed}": sites_to_text(random_sites(n, seed)) for n in (3, 4, 5) for seed in (1, 2)},
+}
+
+
+def _small_runs():
+    for name, text in SMALL_CORPUS.items():
+        n = len(text.splitlines())
+        for mode in ("nvd", "fvd"):
+            for s in sorted({1, 2, 3, n}):
+                yield pytest.param(name, [mode, "--workspace", str(s)], id=f"{name}-{mode}-s{s}")
+        for K, s in ((2, 4), (3, 9)):
+            yield pytest.param(name, ["order", "--max-k", str(K), "--workspace", str(s)], id=f"{name}-order{K}-s{s}")
 
 
 class TestValidate:
@@ -191,6 +212,40 @@ class TestDeterminism:
         assert [parse_record(format_record(r)) for r in records] == records
 
 
+class TestSmallCorpus:
+    @pytest.mark.parametrize("name, flags", list(_small_runs()))
+    def test_degenerate_or_verified(self, tmp_path, capsys, name, flags):
+        """Every run exits 2 naming the degeneracy, or exits 0 with records
+        that verify against the reference.
+
+        The reference stops at collinear sites (`TestVerify`), so on the
+        collinear input a finished run is checked record by record instead:
+        each record's pair is equidistant at a point inside it, with exactly
+        its closest set nearer.
+        """
+        text = SMALL_CORPUS[name]
+        path = tmp_path / "sites.txt"
+        path.write_text(text)
+        out = tmp_path / "r.txt"
+        code = main(["run", str(path), "--mode", *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("degenerate:")
+            return
+        assert code == 0, err
+        verified = main(["verify", str(path), str(out)])
+        if name != "collinear":
+            assert verified == 0
+            return
+        assert verified == 2
+        assert capsys.readouterr().err.startswith("degenerate: collinear sites")
+        with open(out) as fh:
+            _, records = read_stream(fh)
+        sites = parse_sites_text(text)
+        assert records
+        assert [check_distance_profile(r, sites) for r in records] == [None] * len(records)
+
+
 class TestBench:
     def test_csv_columns_deterministic(self, tmp_path):
         outs = []
@@ -216,6 +271,52 @@ class TestBench:
         assert main(["bench", "--random", "12,3", "--s-list", "4", "--out", str(path)]) == 0
         assert path.read_text().splitlines()[0] == "# budget_const=128"
 
+
+    def test_fvd_columns_deterministic(self, tmp_path):
+        outs = []
+        for tag in ("a", "b"):
+            path = tmp_path / f"bench_{tag}.csv"
+            assert main(["bench", "--random", "48,3", "--s-list", "0,4", "--mode", "fvd",
+                         "--repeats", "2", "--out", str(path)]) == 0
+            outs.append([",".join(r.split(",")[:6]) for r in path.read_text().splitlines()[2:]])
+        assert outs[0] == outs[1]
+        assert len(outs[0]) == 4
+
+    def test_fvd_with_k_list_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bench.csv"
+        argv = ["bench", "--random", "12,3", "--s-list", "4", "--k-list", "2", "--mode", "fvd", "--out", str(path)]
+        assert main(argv) == 5
+        assert "config error" in capsys.readouterr().err
+        assert not path.exists()
+
+    # n,s,K,reads,peak_words,site_tests of `--random 64,1`, fixed so that
+    # a change to the reads, words or kernel work of a path shows here
+    # (how a pass is split shows in test_tradeoff's TestPassStructure).
+    PINNED = {
+        "nvd": (["--s-list", "0,2,8"], [
+            "64,0,1,28326,35,7597",
+            "64,2,1,32352,63,14992",
+            "64,8,1,11573,373,14111",
+        ]),
+        "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
+            "64,0,1,3235,52,1860",
+            "64,2,1,4294,82,3720",
+            "64,8,1,1193,375,1953",
+        ]),
+        "order": (["--s-list", "9,18", "--k-list", "2,3"], [
+            "64,9,2,123757,142,49693",
+            "64,9,3,537328,103,115775",
+            "64,18,2,71511,304,48929",
+            "64,18,3,297821,190,115281",
+        ]),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PINNED))
+    def test_counters_pinned(self, path, tmp_path):
+        flags, rows = self.PINNED[path]
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--random", "64,1", *flags, "--out", str(out)]) == 0
+        assert [",".join(r.split(",")[:6]) for r in out.read_text().splitlines()[2:]] == rows
 
     def test_negative_s_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bench.csv"

@@ -9,6 +9,8 @@ from wsvoronoi.pipeline import (
     ConfigError,
     EdgeBuffer,
     PipelineConfig,
+    _IntervalWalk,
+    _trim_round,
     classify_head,
     decode_halfedge,
     is_relevant,
@@ -144,6 +146,28 @@ class TestSuccessorStep:
                 assert f is not None
                 assert f.to_record(scale).canonical_key() == nxt.canonical_key()
             break
+
+
+class TestTrimRound:
+    def test_one_span_one_call_per_walk(self, monkeypatch):
+        """A pass reads the input once, as one n-site span, and makes one
+        successor-kernel call per walk."""
+        calls = []
+        kernel = _IntervalWalk.consider_batch
+
+        def counted(walk, batch, work=None):
+            calls.append(len(batch))
+            return kernel(walk, batch, work)
+
+        monkeypatch.setattr(_IntervalWalk, "consider_batch", counted)
+        P = random_sites(20, 903)
+        arena = ReadOnlyArena(P)
+        walks = [_walk_from_relevant(arena, e) for e in oracle_halfedges(P, 1) if is_relevant(e)][:6]
+        assert len(walks) == 6
+        before = arena.read_count
+        _trim_round(arena, walks)
+        assert arena.read_count - before == len(P)
+        assert calls == [len(P)] * len(walks)
 
 
 class TestEdgeBuffer:

@@ -32,7 +32,7 @@ def run_diagram(sites, mode):
 
 def first_edge(arena, i, mode):
     """The edge the first one-slot round finds for site i's fresh walk."""
-    [edge] = _round(arena, [cell_walk(arena, i, mode)], mode, 1)
+    [edge] = _round(arena, [cell_walk(arena, i, mode)], mode)
     return edge
 
 

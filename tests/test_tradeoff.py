@@ -75,35 +75,141 @@ class TestBatchDiagram:
         assert list(iter_big_big(arena, N, 4, BigCellTable([0]))) == []
 
 
+class SpanArena(ReadOnlyArena):
+    """An arena that logs every span and single read it serves."""
+
+    __slots__ = ("spans", "singles")
+
+    def __init__(self, sites):
+        super().__init__(sites)
+        self.spans = []
+        self.singles = 0
+
+    def read_span(self, start, stop):
+        self.spans.append((start, stop))
+        return super().read_span(start, stop)
+
+    def read(self, i):
+        self.singles += 1
+        return super().read(i)
+
+
+def walk_by_hand(arena, walk, mode, size):
+    """Every edge of `walk`, each found by driving `ray_run` and `clip_run`
+    over the input in spans of `size` sites, state carried across calls."""
+    nearest = mode is N
+    n = len(arena)
+    spans = [arena.read_span(i, min(n, i + size)) for i in range(0, n, size)]
+    edges = []
+    while not walk.done:
+        if walk.needs_ray_scan:
+            for span in spans:
+                walk.best = scan.ray_run(walk.best, walk.p, walk.current_ray.direction, span, nearest, walk.site)
+        walk.begin_clip()
+        line = exact.bisector_line(walk.p, arena.read(walk.rival).ipt)
+        for span in spans:
+            assert scan.clip_run(walk.state, line, walk.p, span, -1 if nearest else 1, (walk.site, walk.rival))
+        edge = scan.clip_edge(arena, walk.site, walk.p, walk.rival, line, walk.state)
+        edges.append(edge)
+        walk.advance(edge)
+    return edges
+
+
+def walk_by_rounds(arena, slots, mode):
+    """Every edge of each slot, `_round` serving all live slots at once."""
+    edges = {slot.site: [] for slot in slots}
+    live = list(slots)
+    while live:
+        for slot, edge in zip(live, _round(arena, live, mode)):
+            edges[slot.site].append(edge)
+            slot.advance(edge)
+        live = [t for t in live if not t.done]
+    return edges
+
+
 class TestFindEdgesBatched:
-    """One lock-step round finds each fresh slot's first cell edge."""
+    """A lock-step round hands each live slot's kernels the whole input as
+    one span; the edges are those of any split of the pass, and of a round
+    with that slot alone."""
 
     def test_single_slot_one_span_equals_batches(self):
-        """At s = 1 each kernel reads the whole input as one span; the
-        first edge is the one that batches of three sites give."""
+        """A one-slot round's edges are those that kernels fed the input in
+        spans of three sites give."""
         P = random_sites(16, 812)
         arena = ReadOnlyArena(P)
-        for i in range(16):
-            [whole] = _round(arena, [cell_walk(arena, i, N)], N, 1)
-            [batched] = _round(arena, [cell_walk(arena, i, N)], N, 3)
-            assert record_for(arena, whole, N) == record_for(arena, batched, N)
+        for mode in (N, F):
+            for i in range(16):
+                if cell_walk(arena, i, mode) is None:
+                    continue
+                [whole] = walk_by_rounds(arena, [cell_walk(arena, i, mode)], mode).values()
+                batched = walk_by_hand(arena, cell_walk(arena, i, mode), mode, 3)
+                assert [record_for(arena, e, mode) for e in whole] == [record_for(arena, e, mode) for e in batched]
 
     def test_batched_equals_sequential(self):
+        """Slots sharing rounds walk the edges they walk alone."""
         P = random_sites(16, 812)
         arena = ReadOnlyArena(P)
         for mode in (N, F):
             slots = [w for w in (cell_walk(arena, i, mode) for i in range(16)) if w is not None][:4]
-            edges = _round(arena, slots, mode, 4)
-            for slot, edge in zip(slots, edges):
-                [alone] = _round(arena, [cell_walk(arena, slot.site, mode)], mode, 1)
-                assert record_for(arena, edge, mode) == record_for(arena, alone, mode)
+            shared = walk_by_rounds(arena, slots, mode)
+            for slot in slots:
+                [alone] = walk_by_rounds(arena, [cell_walk(arena, slot.site, mode)], mode).values()
+                assert [record_for(arena, e, mode) for e in shared[slot.site]] == [
+                    record_for(arena, e, mode) for e in alone
+                ]
 
     def test_whole_input_in_one_batch(self):
         P = random_sites(6, 813)
         arena = ReadOnlyArena(P)
         slots = [cell_walk(arena, i, N) for i in range(6)]
-        edges = _round(arena, slots, N, 8)
+        edges = _round(arena, slots, N)
         assert len(edges) == 6
+
+
+class TestPassStructure:
+    """A round reads the input as one n-site span per pass and makes one
+    kernel call per live walk and pass."""
+
+    @pytest.mark.parametrize("mode", [N, F])
+    def test_round_reads_one_span_per_pass(self, mode, monkeypatch):
+        calls = {"clip": 0, "ray": 0}
+
+        def counted(name, kernel):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(tradeoff, "clip_run", counted("clip", tradeoff.clip_run))
+        monkeypatch.setattr(tradeoff, "ray_run", counted("ray", tradeoff.ray_run))
+        P = random_sites(20, 816)
+        arena = SpanArena(P)
+        n = len(P)
+        slots = [w for w in (cell_walk(arena, i, mode) for i in range(n)) if w is not None][:5]
+        m = len(slots)
+        for fresh in (True, False):
+            assert all(t.needs_ray_scan for t in slots) is fresh
+            calls.update(clip=0, ray=0)
+            arena.spans.clear()
+            reads, singles = arena.read_count, arena.singles
+            edges = _round(arena, slots, mode)
+            passes = 2 if fresh else 1
+            assert arena.spans == [(0, n)] * passes
+            assert arena.read_count - reads == passes * n + arena.singles - singles
+            assert calls == {"clip": m, "ray": m if fresh else 0}
+            for slot, edge in zip(slots, edges):
+                slot.advance(edge)
+            slots = [t for t in slots if not t.done]
+            m = len(slots)
+            assert m > 0
+
+    def test_big_big_reads_one_span(self):
+        P = random_sites(12, 811)
+        arena = SpanArena(P)
+        edges = list(iter_big_big(arena, N, 4, BigCellTable(range(12))))
+        assert edges
+        assert arena.spans == [(0, 12)]
 
 
 class TestEdgeVanished:
