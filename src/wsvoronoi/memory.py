@@ -31,9 +31,10 @@ class ReadOnlyArena:
     """Immutable site array with a count of every element access.
 
     It also holds the run's count of kernel work: `site_tests`, the sites
-    that reached the exact arithmetic of the clip and successor kernels
-    (`scan.clip_run`, `pipeline._IntervalWalk.consider_batch`), which add
-    to it once per call.
+    that reached the exact arithmetic of the clip, start-ray and successor
+    kernels (`scan.clip_run`, `scan.ray_run`,
+    `pipeline._IntervalWalk.consider_batch`), which add to it once per
+    call.
     """
 
     __slots__ = ("_sites", "_items", "read_count", "site_tests", "scale")

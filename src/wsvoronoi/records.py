@@ -125,7 +125,7 @@ def _parse_endpoint(text: str) -> Endpoint:
 
 
 def format_record(rec: EdgeRecord) -> str:
-    closest = ",".join(str(i) for i in rec.closest)
+    closest = ",".join(map(str, rec.closest))
     extra_t = "-" if rec.extra_t is None else str(rec.extra_t)
     extra_h = "-" if rec.extra_h is None else str(rec.extra_h)
     return (

@@ -1,22 +1,24 @@
 """The cell walk, its exact kernels, and the O(1)-word diagram.
 
-A cell is walked edge to edge from a start ray: the first edge is the one
-the ray crosses first, and the site whose bisector cut an endpoint is the
-site whose bisector carries the adjacent edge.  `TrackedSite` is the
-walk's state machine; `clip_run` and `ray_run` are the fused exact kernels
-it needs, each one loop over a span of sites, which the program always
-gives as the whole input (`pipeline` clips with `clip_run` too).  A
-nearest walk's ray aims at another site; a farthest walk's (`hull_walk`)
-aims at the meet of the bisectors with the site's two hull neighbors.  `cell_walk` starts the walk of one given site, finding a
-farthest site's hull neighbors with the one-pass `locate_on_hull`.
+A nearest cell is walked edge to edge from a start ray: the first edge is
+the one the ray crosses first.  A farthest cell is unbounded, and its two
+unbounded edges lie on its bisectors with its two hull neighbors, so its
+walk (`hull_walk`) starts on the edge with one neighbor and walks in one
+leg from that edge's finite end to the edge with the other.  Either way
+the site whose bisector cut an endpoint is the site whose bisector carries
+the adjacent edge.  `TrackedSite` is the walk's state machine; `clip_run`
+and `ray_run` are the fused exact kernels it needs, each one loop over a
+span of sites, which the program always gives as the whole input
+(`pipeline` clips with `clip_run` too).  `cell_walk` starts the walk of
+one given site, finding a farthest site's hull neighbors with the one-pass
+`locate_on_hull`.
 
 Every walk runs under `tradeoff.drive`.  The constant-workspace diagram,
 `enumerate_diagram`, is its one-slot run: nearest cells in index order,
-farthest cells in hull order from `tradeoff.hull_stream` (plain gift
-wrapping with a one-point window), each edge found by passes over the
-whole input, an edge between cells i and j reported from cell i only when
-i < j, so exactly once.  `enumerate_cell` walks a single cell the same
-way.
+farthest cells in hull order, each walk handing the next hull site to the
+next (see `tradeoff`), each edge found by a pass over the whole input, an
+edge between cells i and j reported from cell i only when i < j, so
+exactly once.  `enumerate_cell` walks a single cell the same way.
 """
 
 from __future__ import annotations
@@ -241,7 +243,7 @@ def clip_edge(arena: ReadOnlyArena, site: int, p, rival: int, line, state) -> Ce
     return CellEdge(site, rival, EdgePiece(BisectorLine(site, rival, line), lo, hi), state[2], state[3])
 
 
-def ray_tie_wins(direction, u, best_u, nearest: bool) -> bool:
+def ray_tie_wins(direction, u, best_u) -> bool:
     """Whether the bisector with normal `u` beats the one with normal
     `best_u` as the rival when both cross the start ray at the same point.
 
@@ -254,18 +256,20 @@ def ray_tie_wins(direction, u, best_u, nearest: bool) -> bool:
         a, b = n
         return Fraction(b * direction[0] - a * direction[1], a * direction[0] + b * direction[1])
 
-    return drift(u) > drift(best_u) if nearest else drift(u) < drift(best_u)
+    return drift(u) > drift(best_u)
 
 
-def ray_run(best, p, direction, items, nearest: bool, skip: int):
+def ray_run(best, p, direction, items, skip: int, work=None):
     """The rival whose bisector with p first crosses the ray from p along
-    `direction` (last, when not `nearest`), over `best` and `items`.
+    `direction`, over `best` and `items`.
 
     best, kept across calls, is (num, den, index, point) for the
     crossing at parameter num/den, or None before any hit; index `skip`
     (p's own) is passed over.  Since the ray starts at p, the bisector with
     w is hit iff u = w - p has u.d > 0, at t = |u|^2 / (2 u.d); the 2 is
     left out of every parameter alike.  Exact ties go to `ray_tie_wins`.
+    The number of sites tested (all but `skip`) is added to
+    `work.site_tests` (the run's arena), if given.
     """
     px, py = p
     dx, dy = direction
@@ -274,8 +278,10 @@ def ray_run(best, p, direction, items, nearest: bool, skip: int):
         bj = bw = None
     else:
         bn, bd, bj, bw = best
+    passed = 0
     for j, w in items:
         if j == skip:
+            passed += 1
             continue
         ux = w[0] - px
         uy = w[1] - py
@@ -285,12 +291,11 @@ def ray_run(best, p, direction, items, nearest: bool, skip: int):
         num = ux * ux + uy * uy
         if bd:
             c = num * bd - bn * den
-            if c == 0:
-                if not ray_tie_wins(direction, (ux, uy), (bw[0] - px, bw[1] - py), nearest):
-                    continue
-            elif (c > 0) == nearest:
+            if c > 0 or c == 0 and not ray_tie_wins(direction, (ux, uy), (bw[0] - px, bw[1] - py)):
                 continue
         bn, bd, bj, bw = num, den, j, w
+    if work is not None:
+        work.site_tests += len(items) - passed
     return (bn, bd, bj, bw) if bd else None
 
 
@@ -303,12 +308,15 @@ def _side_of_ray(ray: Ray, hp) -> int:
 class TrackedSite:
     """Walk state for one cell, fed its edges one at a time.
 
-    The first edge is the one crossing the start ray; the walk then leaves
-    through that edge's left endpoint (left of the ray) and steps edge to
-    edge, the site whose bisector cut an endpoint carrying the next edge.
-    When the walk leaves the diagram through an unbounded edge it resumes
-    from the first edge's other endpoint; it is done when it closes on the
-    first edge or runs out of endpoints.  `cutter` names the rival whose
+    A nearest walk's first edge is the one crossing the start ray; the
+    walk then leaves through that edge's left endpoint (left of the ray)
+    and steps edge to edge, the site whose bisector cut an endpoint
+    carrying the next edge.  When the walk leaves the diagram through an
+    unbounded edge it resumes from the first edge's other endpoint; it is
+    done when it closes on the first edge or runs out of endpoints.  A
+    walk given its first `rival` instead of a ray (a farthest walk, from
+    `hull_walk`) starts on their bisector, which must clip to a ray, and
+    walks in one leg from its finite end.  `cutter` names the rival whose
     bisector carries the next edge.
     """
 
@@ -328,14 +336,14 @@ class TrackedSite:
         "best",
     )
 
-    def __init__(self, site_idx: int, p, ray: Ray):
+    def __init__(self, site_idx: int, p, ray: Optional[Ray], rival: Optional[int] = None):
         self.site = site_idx
         self.p = p
-        self.current_ray = ray
+        self.current_ray = ray  # None when the first rival is given
         self.first_edge: Optional[CellEdge] = None
         self.edges_found = 0
         self.done = False
-        self.cutter: Optional[int] = None
+        self.cutter: Optional[int] = rival
         self.rival: Optional[int] = None  # rival of the edge being clipped
         self.state = None  # its clip interval [t_lo, t_hi, lo_cut, hi_cut, box]
         self._first_rival: Optional[int] = None
@@ -345,10 +353,10 @@ class TrackedSite:
 
     @property
     def needs_ray_scan(self) -> bool:
-        return self.first_edge is None and self.best is None
+        return self.current_ray is not None and self.first_edge is None and self.best is None
 
     def begin_clip(self) -> None:
-        if self.first_edge is None:
+        if self.first_edge is None and self.current_ray is not None:
             if self.best is None:
                 raise NoIntersection(f"no bisector crosses the ray from site {self.site}")
             self.rival = self.best[2]
@@ -365,6 +373,12 @@ class TrackedSite:
             self.first_edge = edge
             self._first_rival = edge.rival
             ends = [edge.piece.lo, edge.piece.hi]
+            if self.current_ray is None and (ends[0] is None) == (ends[1] is None):
+                if ends[0] is None:
+                    raise DegenerateGeometry("hull has fewer than 3 vertices: the sites are collinear")
+                raise DegenerateGeometry(
+                    f"edge of hull site {self.site} against hull neighbor {edge.rival} is bounded at both ends"
+                )
             if ends[0] is not None and ends[1] is not None:
                 if _side_of_ray(self.current_ray, ends[0]) < _side_of_ray(self.current_ray, ends[1]):
                     ends.reverse()
@@ -400,16 +414,11 @@ class TrackedSite:
             self.done = True
 
 
-def hull_walk(arena: ReadOnlyArena, i: int, prev: int, nxt: int) -> TrackedSite:
-    """The farthest-cell walk of hull site i between hull neighbors prev and
-    nxt: its start ray aims at the meet of i's bisectors with the two."""
-    p = arena.read(i).ipt
-    l = arena.read(prev).ipt
-    r = arena.read(nxt).ipt
-    c = exact.circumcenter_hpoint(p, l, r)
-    if c is None:
-        raise DegenerateGeometry(f"hull site {i} is collinear with its hull neighbors")
-    return TrackedSite(i, p, Ray(p, exact.primitive_dir(c[0] - p[0] * c[2], c[1] - p[1] * c[2])))
+def hull_walk(arena: ReadOnlyArena, i: int, nxt: int) -> TrackedSite:
+    """The farthest-cell walk of hull site i, started on its unbounded edge
+    with hull neighbor nxt: their bisector is its first carrier, and no
+    start ray is needed."""
+    return TrackedSite(i, arena.read(i).ipt, None, nxt)
 
 
 def cell_walk(
@@ -428,7 +437,7 @@ def cell_walk(
     status = locate_on_hull(arena, i, ledger)
     if status.inside:
         return None
-    return hull_walk(arena, i, status.cw_neighbor, status.ccw_neighbor)
+    return hull_walk(arena, i, status.cw_neighbor)
 
 
 def enumerate_cell(
@@ -472,7 +481,8 @@ def record_for(arena: ReadOnlyArena, edge: CellEdge, mode: DiagramMode) -> EdgeR
         closest: tuple[int, ...] = ()
     else:
         k = n - 1
-        closest = tuple(i for i in range(n) if i != edge.site and i != edge.rival)
+        a, b = sorted((edge.site, edge.rival))
+        closest = (*range(a), *range(a + 1, b), *range(b + 1, n))
     return undirected_record(
         k,
         closest,

@@ -8,16 +8,19 @@ slot loop, the one every cell walk in the package runs under
 (`pipeline`'s too).  Cells still walking when no fresh sites remain are
 "big"; their edges are recovered by clipping the diagram of the big sites
 against the whole input, while everything touching a small cell is
-reported during the walks.  Farthest cells come in hull order at every s,
-from `hull_stream`'s s-point window.  The output is the same for every s;
-s = 1 is the constant-workspace diagram of `scan.enumerate_diagram`, with
-no big cells.
+reported during the walks.  Farthest cells come in hull order, each walk
+started on its cell's unbounded edge with a hull neighbor, so only nearest
+walks make a start-ray pass.  At s > 1 `hull_stream`'s s-point window
+supplies the hull sites; at s = 1 the walks chain the hull themselves,
+each handing the next hull site to the next walk.  The output is the same
+for every s; s = 1 is the constant-workspace diagram of
+`scan.enumerate_diagram`, with no big cells.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, NoReturn, Optional
 
 from . import exact
@@ -39,11 +42,13 @@ from .scan import (
 # reproducible.  A run charges the big-cell table (W_TABLE_ENTRY each)
 # while it holds it, and on top of that one phase at a time: the walks,
 # s * (W_SLOT + W_BATCH_SITE) + W_FIXED, plus for farthest diagrams the
-# hull chain, (s + 2) * W_HULL_POINT + W_FIXED; or the big-big diagram,
-# charged for the table's capacity of s - 1 sites at W_MEM_SITE each,
-# plus s * W_BATCH_SITE and W_FIXED.  W_BATCH_SITE charges s sites for the
-# pass, though a pass is a view of the input the arena holds, not a copy;
-# the charge is kept so that reported peaks stay reproducible.
+# hull chain, (s + 2) * W_HULL_POINT + W_FIXED (at s = 1 only until the
+# first two hull sites are found, then W_FIXED for the walks' own chain);
+# or the big-big diagram, charged for the table's capacity of s - 1 sites
+# at W_MEM_SITE each, plus s * W_BATCH_SITE and W_FIXED.  W_BATCH_SITE
+# charges s sites for the pass, though a pass is a view of the input the
+# arena holds, not a copy; the charge is kept so that reported peaks stay
+# reproducible.
 W_SLOT = 24
 W_BATCH_SITE = 3
 W_TABLE_ENTRY = 1
@@ -73,18 +78,18 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
 
     Each pass reads the input once, as one span (a view of the input, not
     a copy), and hands it whole to every live slot's kernel: the ray pass
-    for fresh slots, then the clip pass.  A kernel's state after a slot's
+    for fresh nearest slots, then the clip pass (a farthest walk starts
+    with its first rival known).  A kernel's state after a slot's
     sites depends only on those sites, taken in index order, so one call
     per slot gives the edge that any split of the pass would.
     """
-    nearest = mode is DiagramMode.NEAREST
-    want = -1 if nearest else 1
+    want = -1 if mode is DiagramMode.NEAREST else 1
     n = len(arena)
     fresh = [t for t in slots if t.needs_ray_scan]
     if fresh:
         span = arena.read_span(0, n)
         for slot in fresh:
-            slot.best = ray_run(None, slot.p, slot.current_ray.direction, span, nearest, slot.site)
+            slot.best = ray_run(None, slot.p, slot.current_ray.direction, span, slot.site, arena)
     span = arena.read_span(0, n)
     edges = []
     for slot in slots:
@@ -201,32 +206,58 @@ def _merge_chain(items, anchor, limit: int) -> list:
 
 
 def _hull_neighbors(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger]):
-    """(site, previous, next) for each hull site, in `hull_stream` order."""
+    """(site, next) for each hull site, in `hull_stream` order from the
+    anchor's clockwise neighbor."""
     stream = hull_stream(arena, s, ledger)
     head = list(islice(stream, 3))
     if len(head) < 3:
         raise DegenerateGeometry("hull has fewer than 3 vertices: the sites are collinear")
-    first, second, cur = head
-    yield second, first, cur
-    prev = second
-    for nxt in stream:
-        yield cur, prev, nxt
-        prev, cur = cur, nxt
-    yield cur, prev, first
-    yield first, cur, second
+    cur = head[1]
+    for nxt in chain(head[2:], stream, head[:2]):
+        yield cur, nxt
+        cur = nxt
+
+
+def _hull_chain(arena: ReadOnlyArena, ledger: Optional[WorkLedger]):
+    """The farthest walks of a one-slot run, in counterclockwise hull order
+    from the anchor, each hull site found by the walk before it.
+
+    `hull_stream` gives the anchor and its clockwise neighbor and is
+    closed.  A walk starts on its cell's unbounded edge with the site
+    walked just before (the anchor's, with that neighbor) and ends on the
+    unbounded edge with its other hull neighbor, the rival of its last
+    edge, whose cell is walked next.  The chain stops when it returns to
+    the anchor.  A hull of two vertices (collinear sites) ends the first
+    walk, whose first edge is then a full line.
+    """
+    stream = hull_stream(arena, 1, ledger)
+    anchor, known = islice(stream, 2)
+    stream.close()
+    site = anchor
+    with scope(ledger, W_FIXED):
+        for _ in range(len(arena)):
+            walk = hull_walk(arena, site, known)
+            yield walk  # drawn again only once this walk is done
+            site, known = walk.rival, site
+            if site == anchor:
+                return
+    raise AssertionError("hull chain did not close")
 
 
 def _site_source(arena, mode, s, ledger, skip=()):
     """A fresh walk for every cell not in `skip`: nearest cells in index
-    order, farthest cells in hull order from an s-point hull window."""
+    order, farthest cells in hull order, from an s-point hull window or,
+    with one slot and nothing to skip, from the walks' own chain."""
     if mode is DiagramMode.NEAREST:
         for i in range(len(arena)):
             if i not in skip:
                 yield cell_walk(arena, i, mode)
+    elif s == 1 and not skip:
+        yield from _hull_chain(arena, ledger)
     else:
-        for i, prev, nxt in _hull_neighbors(arena, s, ledger):
+        for i, nxt in _hull_neighbors(arena, s, ledger):
             if i not in skip:
-                yield hull_walk(arena, i, prev, nxt)
+                yield hull_walk(arena, i, nxt)
 
 
 def drive(source: Iterator, s: int, step, leftovers: Optional[list] = None) -> Iterator:
@@ -258,10 +289,10 @@ def walk_cells(arena, mode, s, source, ledger=None, leftovers=None) -> Iterator[
 
     def step(slots):
         for slot, edge in zip(slots, _round(arena, slots, mode)):
-            yield slot, edge
-            slot.advance(edge)
+            slot.advance(edge)  # before the edge is reported: it may be degenerate
             if slot.edges_found > limit:
                 raise AssertionError("cell walk failed to terminate")
+            yield slot, edge
         return [t for t in slots if not t.done]
 
     with scope(ledger, s * (W_SLOT + W_BATCH_SITE) + W_FIXED):

@@ -294,20 +294,20 @@ class TestBench:
     # (how a pass is split shows in test_tradeoff's TestPassStructure).
     PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
-            "64,0,1,28326,35,7597",
-            "64,2,1,32352,63,14992",
-            "64,8,1,11573,373,14111",
+            "64,0,1,28326,35,11629",
+            "64,2,1,32352,63,22993",
+            "64,8,1,11573,373,21860",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,3235,52,1860",
-            "64,2,1,4294,82,3720",
-            "64,8,1,1193,375,1953",
+            "64,0,1,2129,52,1860",
+            "64,2,1,3490,82,3720",
+            "64,8,1,1041,375,1953",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,123757,142,49693",
-            "64,9,3,537328,103,115775",
-            "64,18,2,71511,304,48929",
-            "64,18,3,297821,190,115281",
+            "64,9,2,123757,142,61663",
+            "64,9,3,537328,103,131903",
+            "64,18,2,71511,304,60647",
+            "64,18,3,297821,190,131220",
         ]),
     }
 

@@ -30,13 +30,13 @@ CASES = {
     ),
     "fvd-s8": (
         ["--mode", "fvd", "--workspace", "8"],
-        "6697ff383147a4a1a41401e9327816b953cdf457e5cc3dedd76060964f88021e",
-        "8bbad25ae069500790cfb5af189c257cb3d852f9920e0a5f2b04be4ea9a025d3",
+        "2d8b88578fc255ca86fd0e168bab56a9fb245087103ec18475fee40e32c3acf4",
+        "c35abfab0820d03b1f333ab002a06185f87b1bd264d3e291ae0ad0400a71ec08",
     ),
     "fvd-scan": (
         ["--mode", "fvd"],
-        "6eea6477fa1797c47c7a88457fdeba0f4b8667e5c3c1e16d7a27f3b708bd9c7e",
-        "c669ffb8c5015688926b8c8b056e06a5a3b8874775e3cb172d3c6c7f2b2165a1",
+        "8b50cfa9d3a7883bb134ef0ff9e3b593e713c9e7d44462099c6ef85f600fbbb1",
+        "83c827618c7a4be2bf5a7ec4806a3e448097a34b804ac6bb5067817c3c1b779e",
     ),
     "order-K2-s8": (
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],

@@ -1,7 +1,7 @@
 """The fused batch kernels against per-site exact references.
 
 `clip_run` is checked against a clip computed with Fractions, `ray_run`
-against the minimum (or maximum) of `ray_line_param` over the bisectors
+against the minimum of `ray_line_param` over the bisectors
 `bisector_line` builds, `_IntervalWalk.consider_batch` against per-site
 crossings, and `read_span` against per-index reads.  The box cull of the
 nearest-sense kernels gets its own soundness checks: a site outside the
@@ -361,7 +361,7 @@ class TestConsiderBatch:
         assert (walk.best[2], walk.tied) == (want, tied) == (3, True)
 
 
-def reference_ray(p, direction, items, nearest, skip):
+def reference_ray(p, direction, items, skip):
     """(index, t) of the rival by per-site bisectors and ray parameters."""
     best = None
     for j, w in items:
@@ -375,17 +375,17 @@ def reference_ray(p, direction, items, nearest, skip):
             best = (t, j, line)
             continue
         c = exact.cmp_params(t, best[0])
-        if (nearest and c < 0) or (not nearest and c > 0):
+        if c < 0:
             best = (t, j, line)
-        elif c == 0 and ray_tie_wins(direction, line[:2], best[2][:2], nearest):
+        elif c == 0 and ray_tie_wins(direction, line[:2], best[2][:2]):
             best = (t, j, line)
     return None if best is None else (best[1], Fraction(*best[0]))
 
 
-def run_ray(p, direction, items, nearest, skip, batch):
+def run_ray(p, direction, items, skip, batch):
     best = None
     for start in range(0, len(items), batch):
-        best = ray_run(best, p, direction, items[start : start + batch], nearest, skip)
+        best = ray_run(best, p, direction, items[start : start + batch], skip)
     # ray_run leaves the factor 2 out of every parameter.
     return None if best is None else (best[2], Fraction(best[0], best[1]) / 2)
 
@@ -397,30 +397,32 @@ def ray_case(draw):
     pts = draw(st.lists(point.filter(lambda q: q != p), min_size=1, max_size=14))
     items = [(j + 1, w) for j, w in enumerate(pts)]
     items.insert(draw(st.integers(0, len(items))), (0, p))
-    return p, exact.primitive_dir(*d), items, draw(st.booleans()), draw(st.integers(1, 6))
+    return p, exact.primitive_dir(*d), items, draw(st.integers(1, 6))
 
 
 class TestRayRun:
     @settings(max_examples=300, deadline=None)
     @given(ray_case())
     def test_matches_per_site_reference(self, case):
-        p, d, items, nearest, batch = case
-        assert run_ray(p, d, items, nearest, 0, batch) == reference_ray(p, d, items, nearest, 0)
+        p, d, items, batch = case
+        assert run_ray(p, d, items, 0, batch) == reference_ray(p, d, items, 0)
+        work = SimpleNamespace(site_tests=0)
+        ray_run(None, p, d, items, 0, work)
+        assert work.site_tests == len(items) - 1  # every site but p's own
 
-    @pytest.mark.parametrize("nearest", [True, False])
-    def test_tie_rule(self, nearest):
+    def test_tie_rule(self):
         # Both bisectors cross the ray along +x at (2, 0).
         p, d = (0, 0), (1, 0)
         for items in ([(1, (2, 2)), (2, (2, -2))], [(2, (2, -2)), (1, (2, 2))]):
-            got = run_ray(p, d, items, nearest, None, 1)
-            assert got == reference_ray(p, d, items, nearest, None)
+            got = run_ray(p, d, items, None, 1)
+            assert got == reference_ray(p, d, items, None)
             assert got[1] == 2
-        # Turned slightly counterclockwise the ray meets x + y = 2 first:
-        # nearest takes (2, 2), farthest (2, -2), in either order.
-        assert got[0] == (1 if nearest else 2)
+            # Turned slightly counterclockwise the ray meets x + y = 2
+            # first, the bisector with (2, 2), in either order.
+            assert got[0] == 1
 
     def test_miss_behind(self):
-        assert ray_run(None, (0, 0), (1, 0), [(1, (-4, 1)), (2, (0, 5))], True, 0) is None
+        assert ray_run(None, (0, 0), (1, 0), [(1, (-4, 1)), (2, (0, 5))], 0) is None
 
 
 class TestReadSpan:

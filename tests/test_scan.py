@@ -91,9 +91,13 @@ class TestStartRay:
         ray = cell_walk(ReadOnlyArena(triangle()), 0, N).current_ray
         assert ray.origin == (0, 0) and ray.direction == (1, 0)
 
-    def test_farthest_aims_at_bisector_meet(self):
-        ray = cell_walk(ReadOnlyArena(triangle()), 0, F).current_ray
-        assert ray.origin == (0, 0) and ray.direction == (4, 3)
+    def test_farthest_starts_on_a_hull_neighbor_bisector(self):
+        arena = ReadOnlyArena(triangle())
+        walk = cell_walk(arena, 0, F)
+        assert walk.current_ray is None and not walk.needs_ray_scan
+        [edge] = _round(arena, [walk], F)
+        assert edge.rival in (1, 2)
+        assert (edge.piece.lo is None) != (edge.piece.hi is None)  # its unbounded edge
 
     def test_farthest_interior_raises(self):
         arena = ReadOnlyArena(with_interior_point())

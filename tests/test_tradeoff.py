@@ -95,8 +95,9 @@ class SpanArena(ReadOnlyArena):
 
 
 def walk_by_hand(arena, walk, mode, size):
-    """Every edge of `walk`, each found by driving `ray_run` and `clip_run`
-    over the input in spans of `size` sites, state carried across calls."""
+    """Every edge of `walk`, each found by driving `ray_run` (a nearest
+    walk's first edge) and `clip_run` over the input in spans of `size`
+    sites, state carried across calls."""
     nearest = mode is N
     n = len(arena)
     spans = [arena.read_span(i, min(n, i + size)) for i in range(0, n, size)]
@@ -104,7 +105,7 @@ def walk_by_hand(arena, walk, mode, size):
     while not walk.done:
         if walk.needs_ray_scan:
             for span in spans:
-                walk.best = scan.ray_run(walk.best, walk.p, walk.current_ray.direction, span, nearest, walk.site)
+                walk.best = scan.ray_run(walk.best, walk.p, walk.current_ray.direction, span, walk.site)
         walk.begin_clip()
         line = exact.bisector_line(walk.p, arena.read(walk.rival).ipt)
         for span in spans:
@@ -168,7 +169,8 @@ class TestFindEdgesBatched:
 
 class TestPassStructure:
     """A round reads the input as one n-site span per pass and makes one
-    kernel call per live walk and pass."""
+    kernel call per live walk and pass; fresh nearest walks add a ray
+    pass, and farthest walks, which start on a known edge, never do."""
 
     @pytest.mark.parametrize("mode", [N, F])
     def test_round_reads_one_span_per_pass(self, mode, monkeypatch):
@@ -189,15 +191,16 @@ class TestPassStructure:
         slots = [w for w in (cell_walk(arena, i, mode) for i in range(n)) if w is not None][:5]
         m = len(slots)
         for fresh in (True, False):
-            assert all(t.needs_ray_scan for t in slots) is fresh
+            assert all(t.first_edge is None for t in slots) is fresh
             calls.update(clip=0, ray=0)
             arena.spans.clear()
             reads, singles = arena.read_count, arena.singles
             edges = _round(arena, slots, mode)
-            passes = 2 if fresh else 1
+            ray = fresh and mode is N
+            passes = 2 if ray else 1
             assert arena.spans == [(0, n)] * passes
             assert arena.read_count - reads == passes * n + arena.singles - singles
-            assert calls == {"clip": m, "ray": m if fresh else 0}
+            assert calls == {"clip": m, "ray": m if ray else 0}
             for slot, edge in zip(slots, edges):
                 slot.advance(edge)
             slots = [t for t in slots if not t.done]
@@ -210,6 +213,41 @@ class TestPassStructure:
         edges = list(iter_big_big(arena, N, 4, BigCellTable(range(12))))
         assert edges
         assert arena.spans == [(0, 12)]
+
+
+class TestHullChain:
+    """Farthest walks start on their unbounded edge with a hull neighbor;
+    with one slot each walk names the next hull site."""
+
+    def test_one_slot_passes(self):
+        """Two passes find the anchor and its neighbor, then one pass per
+        step of the walks: each of the 2n - 3 edges of the farthest diagram
+        of n sites in convex position is walked from both its cells."""
+        n = 24
+        arena = SpanArena(parabola(n, 841))
+        run_tradeoff(arena, F, 1, OutputSink(keep=False))
+        assert arena.spans == [(0, n)] * (2 + 2 * (2 * n - 3))
+        assert arena.read_count == n * len(arena.spans) + arena.singles
+
+    def test_first_edge_must_be_a_ray(self):
+        """Started against a site that is not its hull neighbor, a farthest
+        walk's first edge is bounded at both ends or empty; it is never
+        walked on."""
+        n = 6
+        arena = ReadOnlyArena(parabola(n, 842))
+        hull = list(hull_stream(arena, 1))
+        raised = 0
+        for a, i in enumerate(hull):
+            for j in hull[a + 2 : a + n - 1]:
+                walk = scan.hull_walk(arena, i, j)
+                try:
+                    [edge] = _round(arena, [walk], F)
+                except AssertionError:
+                    continue  # clipped to nothing
+                with pytest.raises(DegenerateGeometry, match="bounded at both ends"):
+                    walk.advance(edge)
+                raised += 1
+        assert raised
 
 
 class TestEdgeVanished:
