@@ -97,6 +97,14 @@ def cmd_validate(args) -> int:
     return EXIT_DEGENERATE
 
 
+def _discard_partial(path, fh) -> None:
+    """Remove the record file of a run that stopped part way: the records
+    written so far depend on the order of the walks and form no diagram."""
+    if path:
+        fh.close()
+        os.remove(path)
+
+
 def cmd_run(args) -> int:
     try:
         sites = _load_sites(args.file)
@@ -156,13 +164,11 @@ def cmd_run(args) -> int:
             run_tradeoff(arena, mode, s_words, sink, ledger)
     except ModelViolation as e:
         print(f"model violation: {e}", file=sys.stderr)
-        if args.out:
-            out_fh.close()
+        _discard_partial(args.out, out_fh)
         return EXIT_MODEL
     except DegenerateGeometry as e:
         print(f"degenerate: {e}", file=sys.stderr)
-        if args.out:
-            out_fh.close()
+        _discard_partial(args.out, out_fh)
         return EXIT_DEGENERATE
     finally:
         sink.close()

@@ -299,29 +299,22 @@ class _IntervalWalk:
         self.tied = False  # another site crosses exactly at best
         self.steps = 0
         # What consider_batch needs of the walk, computed once.  With the
-        # carrier a*x + b*y = c and q = pair_pts[0], direction = sigma*(b, -a)/g
-        # for a sign sigma and g > 0; parameters are kept scaled by 2g.
-        a, b, c = carrier
+        # carrier a*x + b*y = c, sigma folded into (a, b) so that (b, -a) is
+        # a positive multiple of the direction, and e = r - q for
+        # (q, r) = pair_pts, a point x of the carrier lies at parameter
+        # 2(x - q).(b, -a) / (a^2 + b^2) on the kernel's scale.
+        a, b, _ = carrier
         qx, qy = pair_pts[0]
-        sigma = 1 if direction[0] * b - direction[1] * a > 0 else -1
+        if direction[0] * b - direction[1] * a < 0:
+            a, b = -a, -b
+        ex = pair_pts[1][0] - qx
+        ey = pair_pts[1][1] - qy
         tail_tau = tail_box = None
         if tail is not None:
-            tail_tau = (2 * sigma * (b * tail[0] - a * tail[1]), tail[2])
-            tail_box = _disk_box(a, b, 2 * sigma * c, sigma * (a * a + b * b), qx, qy, *tail_tau)
-        self._kernel = (
-            a,
-            b,
-            2 * sigma * c,
-            sigma * (a * a + b * b),
-            a * qx + b * qy,
-            a * qy - b * qx,
-            qx,
-            qy,
-            qx * qx + qy * qy,
-            (*pair, tail_extra),
-            tail_tau,
-            tail_box,
-        )
+            tx, ty, tw = tail
+            tail_tau = (2 * (b * (tx - qx * tw) - a * (ty - qy * tw)), tw * (a * a + b * b))
+            tail_box = _disk_box(ex, ey, a, b, qx, qy, *tail_tau)
+        self._kernel = (a, b, ex, ey, qx, qy, (*pair, tail_extra), tail_tau, tail_box)
         self._box = None  # cull bounds (x0, x1, y0, y1), once best is set
 
     def consider_batch(self, batch, work=None) -> None:
@@ -331,9 +324,13 @@ class _IntervalWalk:
         number of sites that reach the arithmetic is added to
         `work.site_tests` (the run's arena), if given.
 
-        The crossing with w's bisector is at tau = num/den along the walk's
-        direction, scaled by 2g: num = sigma*(2c(a.w - a.q) - (|w|^2 -
-        |q|^2)(a^2 + b^2)), den = a*w_y - b*w_x - (a*q_y - b*q_x).
+        The crossing is computed relative to q = pair[0], as in
+        `scan.clip_run`: with u = w - q and e = pair_pts[1] - q, w's
+        bisector crosses at tau = num/den, num = u.(e - u) and
+        den = a*u_y - b*u_x, twice its distance along the walk's direction
+        from the midpoint of the pair, in units of |(a, b)| (sigma is
+        folded into (a, b)).  A den of 0 is a bisector parallel to the
+        carrier: DegenerateGeometry.
 
         Box cull, once a best is known: only a crossing in (tail, best]
         matters, and w's bisector with q meets the closed segment from the
@@ -344,7 +341,7 @@ class _IntervalWalk:
         boundary, so it is never culled.  The collinear check comes first,
         so the cull changes no outcome.
         """
-        a, b, c2s, nns, aq, cq, qx, qy, qq, skip, tail, tail_box = self._kernel
+        a, b, ex, ey, qx, qy, skip, tail, tail_box = self._kernel
         best = self.best
         tied = self.tied
         box = self._box
@@ -355,13 +352,15 @@ class _IntervalWalk:
             if j in skip:
                 passed += 1
                 continue
-            den = a * wy - b * wx - cq
+            ux = wx - qx
+            uy = wy - qy
+            den = a * uy - b * ux
             if den == 0:
                 raise DegenerateGeometry("collinear sites at successor crossing")
             if boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1):
                 passed += 1
                 continue
-            num = c2s * (a * wx + b * wy - aq) - (wx * wx + wy * wy - qq) * nns
+            num = ux * (ex - ux) + uy * (ey - uy)
             if den < 0:
                 num, den = -num, -den
             if tail is not None and num * tail[1] <= tail[0] * den:
@@ -374,7 +373,7 @@ class _IntervalWalk:
             best = (num, den, j)
             tied = False
             if tail_box is not None:
-                bx0, bx1, by0, by1 = _disk_box(a, b, c2s, nns, qx, qy, num, den)
+                bx0, bx1, by0, by1 = _disk_box(ex, ey, a, b, qx, qy, num, den)
                 x0 = min(tail_box[0], bx0)
                 x1 = max(tail_box[1], bx1)
                 y0 = min(tail_box[2], by0)

@@ -109,21 +109,18 @@ def locate_on_hull(arena: ReadOnlyArena, p_idx: int, ledger: Optional[WorkLedger
         return HullStatus(inside=False, cw_neighbor=cw_idx, ccw_neighbor=ccw_idx)
 
 
-def _disk_box(a, b, c2, nn, qx, qy, n, d):
+def _disk_box(ex, ey, a, b, px, py, n, d):
     """(x0, x1, y0, y1), integers: a box around the closed disk through
-    (qx, qy) centred at parameter n/d (d > 0) of the line a*x + b*y = c,
-    on the kernels' scale, c2 = 2c and nn = a^2 + b^2 (times the sign of
-    the parameter axis).  The centre is
-    (c2*a*d + n*b, c2*b*d - n*a) / (2*nn*d); the radius is bounded by its
-    L1 norm and the box rounded outward, so an integer point strictly
-    outside the box is strictly outside the disk."""
-    den = 2 * nn * d
-    ex = c2 * a * d + n * b
-    ey = c2 * b * d - n * a
-    if den < 0:
-        den, ex, ey = -den, -ex, -ey
-    r = abs(ex - qx * den) + abs(ey - qy * den)
-    return (ex - r) // den, -((-ex - r) // den), (ey - r) // den, -((-ey - r) // den)
+    p = (px, py) centred at parameter n/d (d > 0) of the line through the
+    midpoint of p and p + (ex, ey) along (b, -a), on the kernels' scale:
+    the centre is p + (d*(ex, ey) + n*(b, -a)) / (2d).  The radius is
+    bounded by the L1 norm of centre - p and the box rounded outward, so an
+    integer point strictly outside the box is strictly outside the disk."""
+    den = 2 * d
+    vx = d * ex + n * b
+    vy = d * ey - n * a
+    r = abs(vx) + abs(vy)
+    return px + (vx - r) // den, px - ((-vx - r) // den), py + (vy - r) // den, py - ((-vy - r) // den)
 
 
 def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool:
@@ -133,18 +130,23 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
     Keeps the part nearer to p than to each cutter (want = -1) or farther
     (want = 1); indices in `flip` take the opposite sense and indices in
     `skip` are passed over.  state = [t_lo, t_hi, lo_cut, hi_cut, box]:
-    each end is a (num, den>0) parameter, or None while unbounded, with the
-    index of the site that cut it; box caches the cull below.  Returns
+    each end is a (num, den>0, tied) parameter, or None while unbounded,
+    with the index of the site that cut it; tied is set when a different
+    site's bisector crosses exactly there (four cocircular sites), and
+    `clip_edge` raises on a tied end; box caches the cull below.  Returns
     False once the interval is empty.  The number of sites that reach the
     arithmetic is added to `work.site_tests` (the run's arena), if given.
 
-    One exact loop per call: with line a*x + b*y = c, the cutter w crosses
-    it at parameter num / (2 det) along (b, -a), where
-    num = 2c(a.w - a.p) - (|w|^2 - |p|^2)(a^2 + b^2) and
-    det = a*w_y - b*w_x - (a*p_y - b*p_x).  The kernel keeps num/det, the
-    same positive multiple for every cutter of the line, so only the order
-    of the parameters is meaningful; the cutters alone leave the kernel
-    (see `clip_edge`).
+    One exact loop per call, relative to p: the rival r is p's mirror
+    image in the line a*x + b*y = c, so e = r - p is
+    2(c - a.p)(a, b) / (a^2 + b^2), exactly.  With u = w - p, the cutter
+    w's bisector crosses the line at t = num / (2 den) along (b, -a) from
+    the midpoint of p and r, where num = u.(e - u) and
+    den = a*u_y - b*u_x; a den of 0 is a cutter parallel to the line,
+    which keeps it whole when num has the kept side's sign (num < 0 is
+    nearer to p).  The kernel keeps num/den, so only the order of the
+    parameters is meaningful; the cutters alone leave the kernel (see
+    `clip_edge`).
 
     The box cull (nearest sense, no `flip`, both ends bounded): the disks
     centred on the line through p form a pencil, all through p and the
@@ -159,17 +161,16 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
     """
     a, b, c = line
     px, py = p
-    c2 = 2 * c
+    k = 2 * (c - a * px - b * py)
     nn = a * a + b * b
-    ap = a * px + b * py
-    cp = a * py - b * px
-    pp = px * px + py * py
+    ex = k * a // nn
+    ey = k * b // nn
     keep_near = want < 0
     cull = keep_near and not flip
     # Unbounded ends as -inf = (-1, 0) and +inf = (1, 0): the cross-multiplied
     # comparisons below then need no None tests.
-    lo_n, lo_d = state[0] or (-1, 0)
-    hi_n, hi_d = state[1] or (1, 0)
+    lo_n, lo_d, lo_tie = state[0] or (-1, 0, False)
+    hi_n, hi_d, hi_tie = state[1] or (1, 0, False)
     lo_cut, hi_cut = state[2], state[3]
     box = state[4] if cull else None
     boxed = box is not None
@@ -182,40 +183,46 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
             passed += 1
             continue
         near = keep_near != (j in flip)
-        lc = wx * wx + wy * wy - pp
-        den = a * wy - b * wx - cp
+        ux = wx - px
+        uy = wy - py
+        num = ux * (ex - ux) + uy * (ey - uy)
+        den = a * uy - b * ux
         if den == 0:
             # Cutter bisector parallel to the line: keep it whole or lose it.
-            # f = 2(w - p).x - lc is constant along the line; take its sign
-            # at the line's point on a coordinate axis.
-            if b:
-                f = (2 * (wy - py) * c - lc * b) * b
-            else:
-                f = (2 * (wx - px) * c - lc * a) * a
-            if (f < 0) if near else (f > 0):
+            if (num < 0) if near else (num > 0):
                 continue
             alive = False
             break
-        num = c2 * (a * wx + b * wy - ap) - lc * nn
         if den < 0:
             num, den, near = -num, -den, not near
         if near:
             # The kept side lies beyond the crossing: a lower bound.
-            if lo_n * den >= num * lo_d:
+            x = lo_n * den
+            y = num * lo_d
+            if x > y:
                 continue
-            lo_n, lo_d, lo_cut, lo_box = num, den, j, None
+            if x == y:
+                # A re-clip by the end's own cutter is no tie.
+                lo_tie = lo_tie or j != lo_cut
+                continue
+            lo_n, lo_d, lo_cut, lo_box, lo_tie = num, den, j, None, False
         else:
-            if hi_n * den <= num * hi_d:
+            x = hi_n * den
+            y = num * hi_d
+            if x < y:
                 continue
-            hi_n, hi_d, hi_cut, hi_box = num, den, j, None
+            if x == y:
+                hi_tie = hi_tie or j != hi_cut
+                continue
+            hi_n, hi_d, hi_cut, hi_box, hi_tie = num, den, j, None, False
         if lo_n * hi_d >= hi_n * lo_d:
             alive = False
             break
         if cull and lo_d and hi_d:
             if lo_box is None:
-                lo_box = _disk_box(a, b, c2, nn, px, py, lo_n, lo_d)
+                lo_box = _disk_box(ex, ey, a, b, px, py, lo_n, lo_d)
             if hi_box is None:
-                hi_box = _disk_box(a, b, c2, nn, px, py, hi_n, hi_d)
+                hi_box = _disk_box(ex, ey, a, b, px, py, hi_n, hi_d)
             boxed = True
             x0 = min(lo_box[0], hi_box[0])
             x1 = max(lo_box[1], hi_box[1])
@@ -224,8 +231,8 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
     if work is not None:
         # The sites after an emptying cutter are not looked at.
         work.site_tests += len(items) - passed - length_hint(it)
-    state[0] = (lo_n, lo_d) if lo_d else None
-    state[1] = (hi_n, hi_d) if hi_d else None
+    state[0] = (lo_n, lo_d, lo_tie) if lo_d else None
+    state[1] = (hi_n, hi_d, hi_tie) if hi_d else None
     state[2], state[3] = lo_cut, hi_cut
     state[4] = (x0, x1, y0, y1, lo_box, hi_box) if lo_box and hi_box else None
     return alive
@@ -234,7 +241,12 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
 def clip_edge(arena: ReadOnlyArena, site: int, p, rival: int, line, state) -> CellEdge:
     """The edge a finished clip leaves on `line`, the bisector of site p and
     rival: each endpoint is where the recorded cutter's bisector with p
-    crosses the line, read back from the arena."""
+    crosses the line, read back from the arena.  An end that another
+    cutter's bisector crosses too is a vertex of four cocircular sites:
+    DegenerateGeometry."""
+    for end in state[:2]:
+        if end is not None and end[2]:
+            raise DegenerateGeometry(f"edge of site {site} against {rival} has a tied end: cocircular sites")
     lo = hi = None
     if state[2] is not None:
         lo = exact.line_intersection(line, exact.bisector_line(p, arena.read(state[2]).ipt))

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, determinism."""
 
 import io
+import random
 
 import pytest
 
@@ -140,6 +141,8 @@ class TestRun:
         path.write_text(text)
         assert main(["run", str(path), *flags, "--out", str(tmp_path / "r.txt")]) == 2
         assert "degenerate" in capsys.readouterr().err
+        # The records written before the degeneracy was found are removed.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["square.txt"]
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("mode", ["nvd", "fvd"])
@@ -318,6 +321,30 @@ class TestBench:
         assert main(["bench", "--random", "64,1", *flags, "--out", str(out)]) == 0
         assert [",".join(r.split(",")[:6]) for r in out.read_text().splitlines()[2:]] == rows
 
+    # The same counters for `--file` of 64 convex sites (x, x^2), x < 2^20,
+    # where every farthest cell is unbounded and farthest clips never cull.
+    CONVEX_PINNED = {
+        "nvd": (["--s-list", "0,2,8"], [
+            "64,0,1,20846,35,19532",
+            "64,2,1,23516,62,39064",
+            "64,8,1,5737,371,31127",
+        ]),
+        "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
+            "64,0,1,16814,52,15500",
+            "64,2,1,25692,82,31000",
+            "64,8,1,6420,374,24132",
+        ]),
+    }
+
+    @pytest.mark.parametrize("path", sorted(CONVEX_PINNED))
+    def test_convex_counters_pinned(self, path, tmp_path):
+        flags, rows = self.CONVEX_PINNED[path]
+        sites = tmp_path / "convex.txt"
+        sites.write_text("".join(f"{x} {x * x}\n" for x in random.Random(11).sample(range(1, 1 << 20), 64)))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--file", str(sites), *flags, "--out", str(out)]) == 0
+        assert [",".join(r.split(",")[:6]) for r in out.read_text().splitlines()[2:]] == rows
+
     def test_negative_s_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bench.csv"
         assert main(["bench", "--random", "12,3", "--s-list", "4,-2", "--out", str(path)]) == 5
@@ -349,6 +376,7 @@ class TestBudgetEnv:
         out = tmp_path / "r.rec"
         code = main(["run", str(site_file), "--mode", "nvd", "--workspace", "4", "--enforce", "--out", str(out)])
         assert code == 4
+        assert not out.exists() and not (tmp_path / "r.rec.report").exists()
 
 
 class TestSvg:

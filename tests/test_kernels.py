@@ -28,11 +28,13 @@ point = st.tuples(coord, coord)
 
 def reference_clip(line, p, cutters, want, skip, flip):
     """(alive, lo_cut, hi_cut, lo, hi) of the clip, with lo and hi as
-    Fraction points (None while unbounded); the first cutter wins ties."""
+    Fraction points (None while unbounded); DegenerateGeometry when two
+    cutters cross exactly at an end of a nonempty interval."""
     a, b, c = line
     x0 = (Fraction(0), Fraction(c, b)) if b else (Fraction(c, a), Fraction(0))
     e = (b, -a)
-    lo = hi = lo_cut = hi_cut = None
+    lo = hi = None
+    lo_cuts, hi_cuts = [], []
     for j, w in cutters:
         if j in skip:
             continue
@@ -48,16 +50,32 @@ def reference_clip(line, p, cutters, want, skip, flip):
         t = -f0 / f1
         if s * f1 > 0:
             if lo is None or t > lo:
-                lo, lo_cut = t, j
+                lo, lo_cuts = t, [j]
+            elif t == lo:
+                lo_cuts.append(j)
         elif hi is None or t < hi:
-            hi, hi_cut = t, j
+            hi, hi_cuts = t, [j]
+        elif t == hi:
+            hi_cuts.append(j)
     if lo is not None and hi is not None and lo >= hi:
         return False, None, None, None, None
+    if len(set(lo_cuts)) > 1 or len(set(hi_cuts)) > 1:
+        raise DegenerateGeometry("tied end")
+    lo_cut = lo_cuts[0] if lo_cuts else None
+    hi_cut = hi_cuts[0] if hi_cuts else None
 
     def at(t):
         return None if t is None else (x0[0] + t * e[0], x0[1] + t * e[1])
 
     return True, lo_cut, hi_cut, at(lo), at(hi)
+
+
+def outcome(fn, *args):
+    """fn(*args), or "degenerate" when it raises DegenerateGeometry."""
+    try:
+        return fn(*args)
+    except DegenerateGeometry:
+        return "degenerate"
 
 
 def hpoint(hp):
@@ -101,7 +119,7 @@ class TestClipRun:
     def test_matches_fraction_reference(self, case):
         p, r, cutters, want, skip, flip, batch = case
         line = exact.bisector_line(p, r)
-        assert run_clip(*case) == reference_clip(line, p, cutters, want, skip, flip)
+        assert outcome(run_clip, *case) == outcome(reference_clip, line, p, cutters, want, skip, flip)
 
     @settings(max_examples=100, deadline=None)
     @given(clip_case(), st.integers(1, 2**40))
@@ -111,8 +129,8 @@ class TestClipRun:
         p, r = big(p), big(r)
         cutters = [(j, big(w)) for j, w in cutters]
         line = exact.bisector_line(p, r)
-        got = run_clip(p, r, cutters, want, skip, flip, batch)
-        assert got == reference_clip(line, p, cutters, want, skip, flip)
+        got = outcome(run_clip, p, r, cutters, want, skip, flip, batch)
+        assert got == outcome(reference_clip, line, p, cutters, want, skip, flip)
 
     def test_nearest_and_farthest_split_the_line(self):
         p, r, w = (0, 0), (8, 0), (0, 6)
@@ -141,13 +159,65 @@ class TestClipRun:
         assert set(state[2:4]) == {2, 3}  # x = 4 between (4, -3) and (4, 3)
         kept = list(state)
         # The bisector with (8, 6) also crosses x = 4 at (4, 3): a tie that
-        # changes nothing, unless a flip keeps the side beyond (4, 3), which
-        # empties the interval before (0, 100) is looked at.
+        # moves no end but marks that end tied, unless a flip keeps the side
+        # beyond (4, 3), which empties the interval before (0, 100) is
+        # looked at.
         work = SimpleNamespace(site_tests=0)
         assert not clip_run(list(state), line, p, sites[2:], -1, (0, 1), {4}, work)
         assert work.site_tests == 1  # (0, 100), after the emptying cutter, is not looked at
         assert clip_run(state, line, p, sites[2:], -1, (0, 1))
-        assert state == kept
+        assert [end[:2] for end in state[:2]] == [end[:2] for end in kept[:2]]
+        assert state[2:] == kept[2:]
+        assert sorted(end[2] for end in state[:2]) == [False, True]
+
+    def test_unit_square_tie_is_degenerate(self):
+        # (1, 1) and (0, 1) both cut x = 1/2, the bisector of (0, 0) and
+        # (1, 0), at (1/2, 1/2): the four sites are cocircular, in either sense.
+        p, r = (0, 0), (1, 0)
+        cutters = [(2, (1, 1)), (3, (0, 1))]
+        line = exact.bisector_line(p, r)
+        for want in (-1, 1):
+            with pytest.raises(DegenerateGeometry):
+                run_clip(p, r, cutters, want, {0, 1}, (), 1)
+            with pytest.raises(DegenerateGeometry):
+                reference_clip(line, p, cutters, want, {0, 1}, ())
+        # A re-clip by the end's own cutter is no tie.
+        assert run_clip(p, r, cutters[:1] * 2, -1, {0, 1}, (), 1)[1:3] == (2, None)
+
+    def test_tie_lasts_until_the_end_moves(self):
+        # The square scaled by 10: (10, 10) and (0, 10) tie at (5, 5) in a
+        # first call; a second call that leaves that end keeps the tie, and
+        # (0, 6), whose bisector y = 3 cuts below it, ends it.
+        p, r = (0, 0), (10, 0)
+        sites = site_set([p, r, (10, 10), (0, 10), (0, 6), (40, -30)])
+        arena = ReadOnlyArena(sites)
+        items = [(s.index, s.ipt) for s in sites]
+        line = exact.bisector_line(p, r)
+        for later, tied in (([items[5]], True), ([items[4], items[5]], False)):
+            state = [None, None, None, None, None]
+            assert clip_run(state, line, p, items[2:4], -1, (0, 1))
+            assert clip_run(state, line, p, later, -1, (0, 1))
+            if tied:
+                with pytest.raises(DegenerateGeometry, match="tied end"):
+                    clip_edge(arena, 0, p, 1, line, state)
+            else:
+                assert clip_edge(arena, 0, p, 1, line, state).lo_cutter == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(1, 2**20 - 1), min_size=3, max_size=14, unique=True),
+        st.sampled_from([-1, 1]),
+        st.integers(1, 5),
+    )
+    def test_farthest_convex_matches_reference(self, xs, want, batch):
+        # Sites (x, x^2): no three collinear and, for positive x, no four
+        # cocircular, as in the farthest diagram of convex input.
+        pts = [(x, x * x) for x in xs]
+        p, r = pts[0], pts[1]
+        cutters = [(j + 2, w) for j, w in enumerate(pts[2:])]
+        line = exact.bisector_line(p, r)
+        got = run_clip(p, r, cutters, want, {0, 1}, (), batch)
+        assert got == reference_clip(line, p, cutters, want, {0, 1}, ())
 
     def test_cutters_are_identified(self):
         sites = site_set([(0, 0), (8, 0), (0, 6), (0, -6), (0, 7), (0, -7)])
@@ -214,10 +284,11 @@ def check_box_sound(line, state, arena):
     point just outside it is strictly outside both closed end disks and
     leaves a one-site clip, run without the cull, unchanged."""
     p = arena.read(0).ipt
-    a, b, c = line
-    nn = a * a + b * b
-    lo_box = _disk_box(a, b, 2 * c, nn, p[0], p[1], *state[0])
-    hi_box = _disk_box(a, b, 2 * c, nn, p[0], p[1], *state[1])
+    r = arena.read(1).ipt
+    a, b, _ = line
+    e = (r[0] - p[0], r[1] - p[1])
+    lo_box = _disk_box(*e, a, b, *p, *state[0][:2])
+    hi_box = _disk_box(*e, a, b, *p, *state[1][:2])
     box = state[4][:4]
     assert box == (
         min(lo_box[0], hi_box[0]),
@@ -225,8 +296,8 @@ def check_box_sound(line, state, arena):
         min(lo_box[2], hi_box[2]),
         max(lo_box[3], hi_box[3]),
     )
-    edge = clip_edge(arena, 0, p, 1, line, state)
-    ends = hpoint(edge.piece.lo), hpoint(edge.piece.hi)
+    # The ends as the cutters give them; `clip_edge` would refuse a tied end.
+    ends = [hpoint(exact.line_intersection(line, exact.bisector_line(p, arena.read(j).ipt))) for j in state[2:4]]
     for w in outside_ring(box, 2):
         assert not any(in_closed_disk(w, e, p) for e in ends), (w, ends)
         one = state[:4] + [None]
@@ -240,14 +311,14 @@ class TestClipCull:
     def test_bounded_matches_fraction_reference(self, case):
         p, r, cutters, want, skip, flip, batch = case
         line = exact.bisector_line(p, r)
-        assert run_clip(*case) == reference_clip(line, p, cutters, want, skip, flip)
+        assert outcome(run_clip, *case) == outcome(reference_clip, line, p, cutters, want, skip, flip)
 
     @settings(max_examples=100, deadline=None)
     @given(bounded_clip_case(), st.integers(1, 2**40))
     def test_bounded_matches_reference_on_wide_coordinates(self, case, scale):
         p, r, cutters, want, skip, flip, batch = case = widen(case, scale)
         line = exact.bisector_line(p, r)
-        assert run_clip(*case) == reference_clip(line, p, cutters, want, skip, flip)
+        assert outcome(run_clip, *case) == outcome(reference_clip, line, p, cutters, want, skip, flip)
 
     @settings(max_examples=200, deadline=None)
     @given(bounded_clip_case())
@@ -321,21 +392,34 @@ def run_successor(q, r, z, sites, sign, batch, work=None):
     return walk, reference_successor(q, carrier, direction, tail, sites)
 
 
+def check_successor(case):
+    """consider_batch agrees with the reference on the case: the same
+    site, the same tie, or DegenerateGeometry from both."""
+    try:
+        walk, (want, tied) = run_successor(*case)
+    except DegenerateGeometry:
+        # The kernel raises exactly when the reference does.
+        q, r, z, sites, sign, _ = case
+        carrier = exact.bisector_line(q, r)
+        with pytest.raises(DegenerateGeometry):
+            reference_successor(q, carrier, exact.line_dir(carrier), exact.circumcenter_hpoint(q, r, z), sites)
+        return
+    assert (None if walk.best is None else walk.best[2]) == want
+    assert walk.tied == tied
+
+
 class TestConsiderBatch:
     @settings(max_examples=400, deadline=None)
     @given(successor_case())
     def test_matches_per_site_reference(self, case):
-        try:
-            walk, (want, tied) = run_successor(*case)
-        except DegenerateGeometry:
-            # The kernel raises exactly when the reference does.
-            q, r, z, sites, sign, _ = case
-            carrier = exact.bisector_line(q, r)
-            with pytest.raises(DegenerateGeometry):
-                reference_successor(q, carrier, exact.line_dir(carrier), exact.circumcenter_hpoint(q, r, z), sites)
-            return
-        assert (None if walk.best is None else walk.best[2]) == want
-        assert walk.tied == tied
+        check_successor(case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(successor_case(), st.integers(1, 2**40))
+    def test_matches_reference_on_wide_coordinates(self, case, scale):
+        q, r, z, sites, sign, batch = case
+        big = lambda w: (w[0] * scale + 1, w[1] * scale - 1)  # noqa: E731
+        check_successor((big(q), big(r), big(z), [(j, big(w)) for j, w in sites], sign, batch))
 
     def test_cull_is_live_and_ties_raise(self):
         # Eight sites on the circle of radius 5 about the origin, one inside,
