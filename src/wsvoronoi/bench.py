@@ -1,16 +1,16 @@
 """Benchmark harness: read counts and workspace peaks across parameters.
 
 Rows measure the observable model costs (arena reads, peak ledger words),
-the exact kernels' site tests (`ReadOnlyArena.site_tests`) and wall time;
-all but wall time are deterministic for a fixed input and seed, wall time
-is informational.  The ledger runs in observing mode so large parameter
-sweeps never abort.
+the exact kernels' site tests and visits (`ReadOnlyArena.site_tests`,
+`site_visits`) and wall time; all but wall time are deterministic for a
+fixed input and seed, wall time is informational.  The ledger runs in
+observing mode so large parameter sweeps never abort.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Optional, Sequence
 
 from .memory import OutputSink, ReadOnlyArena, observing_ledger
@@ -18,7 +18,7 @@ from .pipeline import PipelineConfig, pipeline_run
 from .scan import DiagramMode
 from .tradeoff import run_tradeoff
 
-CSV_HEADER = "n,s,K,reads,peak_words,site_tests,wall_ns"
+CSV_HEADER = "n,s,K,reads,peak_words,site_tests,site_visits,wall_ns"
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,11 @@ class BenchRow:
     reads: int
     peak_words: int
     site_tests: int
+    site_visits: int
     wall_ns: int
 
     def csv(self) -> str:
-        return f"{self.n},{self.s},{self.K},{self.reads},{self.peak_words},{self.site_tests},{self.wall_ns}"
+        return ",".join(map(str, astuple(self)))
 
 
 def _measure(sites, s: int, K: int, run) -> BenchRow:
@@ -43,7 +44,7 @@ def _measure(sites, s: int, K: int, run) -> BenchRow:
     t0 = time.perf_counter_ns()
     run(arena, OutputSink(keep=False), ledger)
     wall = time.perf_counter_ns() - t0
-    return BenchRow(len(sites), s, K, arena.read_count, ledger.peak_words, arena.site_tests, wall)
+    return BenchRow(len(sites), s, K, arena.read_count, ledger.peak_words, arena.site_tests, arena.site_visits, wall)
 
 
 def measure_tradeoff(sites, s: int, mode: DiagramMode = DiagramMode.NEAREST) -> BenchRow:

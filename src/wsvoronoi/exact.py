@@ -126,11 +126,6 @@ def param_along(line, hp):
     return (d[0] * hp[0] + d[1] * hp[1], hp[2])
 
 
-def cmp_params(t1, t2) -> int:
-    """Compare two (num, den>0) parameter pairs."""
-    return sign(t1[0] * t2[1] - t2[0] * t1[1])
-
-
 def dist2_cmp(hp, p, q) -> int:
     """Sign of d^2(hp, p) - d^2(hp, q) for int-pair sites p, q."""
     x, y, w = hp
@@ -152,24 +147,3 @@ def midpoint_h(h1, h2):
 def hpoint_shift(hp, d, steps: int = 1):
     """hp + steps * d for a direction d; exact, stays homogeneous."""
     return normalize_hpoint(hp[0] + steps * d[0] * hp[2], hp[1] + steps * d[1] * hp[2], hp[2])
-
-
-def ray_line_param(origin, direction, line):
-    """Smallest t >= 0 with origin + t*direction on the line.
-
-    origin is an int pair, direction a primitive int pair.  Returns a
-    (num, den>0) pair, or None if the ray misses the line.  Raises
-    ValueError when the whole ray lies inside the line.
-    """
-    a, b, c = line
-    den = a * direction[0] + b * direction[1]
-    num = c - a * origin[0] - b * origin[1]
-    if den == 0:
-        if num == 0:
-            raise ValueError("ray lies inside the line")
-        return None
-    if den < 0:
-        num, den = -num, -den
-    if num < 0:
-        return None
-    return num, den

@@ -30,14 +30,15 @@ class SequencingError(Exception):
 class ReadOnlyArena:
     """Immutable site array with a count of every element access.
 
-    It also holds the run's count of kernel work: `site_tests`, the sites
-    that reached the exact arithmetic of the clip, start-ray and successor
-    kernels (`scan.clip_run`, `scan.ray_run`,
-    `pipeline._IntervalWalk.consider_batch`), which add to it once per
-    call.
+    It also holds the run's counts of kernel work, to which the clip,
+    start-ray and successor kernels (`scan.clip_run`, `scan.ray_run`,
+    `pipeline._IntervalWalk.consider_batch`) add once per call:
+    `site_visits`, the sites each call looked at, skipped and culled ones
+    included, and `site_tests`, those of them that reached the exact
+    arithmetic.
     """
 
-    __slots__ = ("_sites", "_items", "read_count", "site_tests", "scale")
+    __slots__ = ("_sites", "_items", "read_count", "site_tests", "site_visits", "scale")
 
     def __init__(self, sites: Sequence[Site]):
         self._sites = tuple(sites)
@@ -47,6 +48,7 @@ class ReadOnlyArena:
         self.scale = self._sites[0].scale
         self.read_count = 0
         self.site_tests = 0
+        self.site_visits = 0
 
     def __len__(self) -> int:
         return len(self._sites)

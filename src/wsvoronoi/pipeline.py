@@ -322,7 +322,8 @@ class _IntervalWalk:
         carrier first ahead of the tail, over `best` and `batch`; set
         `tied` when another site crosses exactly at the final best.  The
         number of sites that reach the arithmetic is added to
-        `work.site_tests` (the run's arena), if given.
+        `work.site_tests`, and the number looked at to `work.site_visits`
+        (the run's arena), if given.
 
         The crossing is computed relative to q = pair[0], as in
         `scan.clip_run`: with u = w - q and e = pair_pts[1] - q, w's
@@ -381,6 +382,7 @@ class _IntervalWalk:
                 boxed = True
         if work is not None:
             work.site_tests += len(batch) - passed
+            work.site_visits += len(batch)
         self.best = best
         self.tied = tied
         self._box = (x0, x1, y0, y1) if boxed else None

@@ -113,14 +113,25 @@ def _disk_box(ex, ey, a, b, px, py, n, d):
     """(x0, x1, y0, y1), integers: a box around the closed disk through
     p = (px, py) centred at parameter n/d (d > 0) of the line through the
     midpoint of p and p + (ex, ey) along (b, -a), on the kernels' scale:
-    the centre is p + (d*(ex, ey) + n*(b, -a)) / (2d).  The radius is
-    bounded by the L1 norm of centre - p and the box rounded outward, so an
-    integer point strictly outside the box is strictly outside the disk."""
+    the centre is p + (d*(ex, ey) + n*(b, -a)) / (2d).  With e = 0 the line
+    is the ray from p along (b, -a) (`ray_run`).  The radius is bounded by
+    the L1 norm of centre - p and the box rounded outward, so an integer
+    point strictly outside the box is strictly outside the disk."""
     den = 2 * d
     vx = d * ex + n * b
     vy = d * ey - n * a
     r = abs(vx) + abs(vy)
     return px + (vx - r) // den, px - ((-vx - r) // den), py + (vy - r) // den, py - ((-vy - r) // den)
+
+
+def _rival_offset(line, px, py):
+    """e = r - p, exactly, for the rival r whose bisector with p = (px, py)
+    is `line`: r is p's mirror image in a*x + b*y = c, so
+    e = 2(c - a.p)(a, b) / (a^2 + b^2)."""
+    a, b, c = line
+    k = 2 * (c - a * px - b * py)
+    nn = a * a + b * b
+    return k * a // nn, k * b // nn
 
 
 def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool:
@@ -135,13 +146,14 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
     site's bisector crosses exactly there (four cocircular sites), and
     `clip_edge` raises on a tied end; box caches the cull below.  Returns
     False once the interval is empty.  The number of sites that reach the
-    arithmetic is added to `work.site_tests` (the run's arena), if given.
+    arithmetic is added to `work.site_tests`, and the number looked at to
+    `work.site_visits` (the run's arena), if given.
 
     One exact loop per call, relative to p: the rival r is p's mirror
     image in the line a*x + b*y = c, so e = r - p is
-    2(c - a.p)(a, b) / (a^2 + b^2), exactly.  With u = w - p, the cutter
-    w's bisector crosses the line at t = num / (2 den) along (b, -a) from
-    the midpoint of p and r, where num = u.(e - u) and
+    2(c - a.p)(a, b) / (a^2 + b^2), exactly (`_rival_offset`).  With
+    u = w - p, the cutter w's bisector crosses the line at t = num / (2 den)
+    along (b, -a) from the midpoint of p and r, where num = u.(e - u) and
     den = a*u_y - b*u_x; a den of 0 is a cutter parallel to the line,
     which keeps it whole when num has the kept side's sign (num < 0 is
     nearer to p).  The kernel keeps num/den, so only the order of the
@@ -159,12 +171,9 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
     and is passed over before any arithmetic.  The sites are still tried
     in order, so the state after each is the same as without the cull.
     """
-    a, b, c = line
+    a, b, _ = line
     px, py = p
-    k = 2 * (c - a * px - b * py)
-    nn = a * a + b * b
-    ex = k * a // nn
-    ey = k * b // nn
+    ex, ey = _rival_offset(line, px, py)
     keep_near = want < 0
     cull = keep_near and not flip
     # Unbounded ends as -inf = (-1, 0) and +inf = (1, 0): the cross-multiplied
@@ -230,7 +239,9 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
             y1 = max(lo_box[3], hi_box[3])
     if work is not None:
         # The sites after an emptying cutter are not looked at.
-        work.site_tests += len(items) - passed - length_hint(it)
+        looked = len(items) - length_hint(it)
+        work.site_tests += looked - passed
+        work.site_visits += looked
     state[0] = (lo_n, lo_d, lo_tie) if lo_d else None
     state[1] = (hi_n, hi_d, hi_tie) if hi_d else None
     state[2], state[3] = lo_cut, hi_cut
@@ -280,23 +291,34 @@ def ray_run(best, p, direction, items, skip: int, work=None):
     (p's own) is passed over.  Since the ray starts at p, the bisector with
     w is hit iff u = w - p has u.d > 0, at t = |u|^2 / (2 u.d); the 2 is
     left out of every parameter alike.  Exact ties go to `ray_tie_wins`.
-    The number of sites tested (all but `skip`) is added to
-    `work.site_tests` (the run's arena), if given.
+
+    Box cull: w's bisector crosses the ray at or before t iff w lies in
+    the closed disk centred at p + t*d through p, and these disks grow
+    with t.  So a site strictly outside an integer box around the best's
+    disk (`_disk_box` with e = 0, built from an incoming best and rebuilt
+    only when the best changes) can neither beat nor tie it, and is passed
+    over before any arithmetic.  The sites are still tried in order, so
+    the result is the same as without the cull.  The number of sites that
+    reach the arithmetic is added to `work.site_tests`, and the number
+    looked at to `work.site_visits` (the run's arena), if given.
     """
     px, py = p
     dx, dy = direction
     if best is None:
         bn = bd = 0
         bj = bw = None
+        boxed = False
     else:
         bn, bd, bj, bw = best
-    passed = 0
-    for j, w in items:
-        if j == skip:
+        x0, x1, y0, y1 = _disk_box(0, 0, -dy, dx, px, py, bn, bd)
+        boxed = True
+    passed = 0  # sites skipped or culled
+    for j, (wx, wy) in items:
+        if j == skip or (boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1)):
             passed += 1
             continue
-        ux = w[0] - px
-        uy = w[1] - py
+        ux = wx - px
+        uy = wy - py
         den = ux * dx + uy * dy
         if den <= 0:
             continue
@@ -305,9 +327,12 @@ def ray_run(best, p, direction, items, skip: int, work=None):
             c = num * bd - bn * den
             if c > 0 or c == 0 and not ray_tie_wins(direction, (ux, uy), (bw[0] - px, bw[1] - py)):
                 continue
-        bn, bd, bj, bw = num, den, j, w
+        bn, bd, bj, bw = num, den, j, (wx, wy)
+        x0, x1, y0, y1 = _disk_box(0, 0, -dy, dx, px, py, bn, bd)
+        boxed = True
     if work is not None:
         work.site_tests += len(items) - passed
+        work.site_visits += len(items)
     return (bn, bd, bj, bw) if bd else None
 
 
@@ -329,7 +354,9 @@ class TrackedSite:
     walk given its first `rival` instead of a ray (a farthest walk, from
     `hull_walk`) starts on their bisector, which must clip to a ray, and
     walks in one leg from its finite end.  `cutter` names the rival whose
-    bisector carries the next edge.
+    bisector carries the next edge; after the first edge, `seed()` names
+    the site whose bisector with p holds that edge's entry vertex, a
+    cutter known before any pass.
     """
 
     __slots__ = (
@@ -345,6 +372,7 @@ class TrackedSite:
         "_first_rival",
         "_leg2",
         "_v",
+        "_entry",
         "best",
     )
 
@@ -361,6 +389,7 @@ class TrackedSite:
         self._first_rival: Optional[int] = None
         self._leg2 = None  # (endpoint hpoint, cutter) queued for the reverse walk
         self._v = None
+        self._entry: Optional[CellEdge] = None  # the edge walked into the entry vertex
         self.best = None  # the start ray's first crossing, from `ray_run`
 
     @property
@@ -376,6 +405,18 @@ class TrackedSite:
             self.rival = self.cutter
         self.state = [None, None, None, None, None]
 
+    def seed(self):
+        """(index, point) of the site whose bisector with p holds the entry
+        vertex of the edge to clip next, or None before the first edge: the
+        rival of the edge walked into that vertex (on leg 2, the first
+        edge).  Its point is p's mirror image in that edge's carrier, so
+        the seed costs no read."""
+        if self._entry is None:
+            return None
+        px, py = self.p
+        ex, ey = _rival_offset(self._entry.piece.carrier.line, px, py)
+        return self._entry.rival, (px + ex, py + ey)
+
     def advance(self, edge: CellEdge) -> None:
         """Digest the edge just found and set up the next one."""
         self.edges_found += 1
@@ -384,6 +425,7 @@ class TrackedSite:
         if self.first_edge is None:
             self.first_edge = edge
             self._first_rival = edge.rival
+            self._entry = edge
             ends = [edge.piece.lo, edge.piece.hi]
             if self.current_ray is None and (ends[0] is None) == (ends[1] is None):
                 if ends[0] is None:
@@ -417,10 +459,12 @@ class TrackedSite:
             if self._leg2 is not None:
                 self._v, self.cutter = self._leg2
                 self._leg2 = None
+                self._entry = self.first_edge
             else:
                 self.done = True
             return
         self._v = nxt
+        self._entry = edge
         self.cutter = edge.cutter_at(nxt)
         if self.cutter == self._first_rival:
             self.done = True

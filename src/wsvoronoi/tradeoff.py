@@ -82,8 +82,17 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
     with its first rival known).  A kernel's state after a slot's
     sites depends only on those sites, taken in index order, so one call
     per slot gives the edge that any split of the pass would.
+
+    A nearest clip after the walk's first edge is seeded: its walk's
+    `seed`, whose bisector holds the entry vertex, is clipped first, in a
+    call of its own, so that end is final at once and the box cull goes
+    live at the first cutter on the far side.  A clip is an intersection,
+    and a tie at a final end is flagged whichever tied cutter comes first,
+    so the seed changes no edge.  Farthest clips never cull and are not
+    seeded.
     """
-    want = -1 if mode is DiagramMode.NEAREST else 1
+    nearest = mode is DiagramMode.NEAREST
+    want = -1 if nearest else 1
     n = len(arena)
     fresh = [t for t in slots if t.needs_ray_scan]
     if fresh:
@@ -95,7 +104,10 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
     for slot in slots:
         slot.begin_clip()
         line = exact.bisector_line(slot.p, arena.read(slot.rival).ipt)
-        if not clip_run(slot.state, line, slot.p, span, want, (slot.site, slot.rival), work=arena):
+        skip = (slot.site, slot.rival)
+        seed = slot.seed() if nearest else None
+        alive = seed is None or clip_run(slot.state, line, slot.p, (seed,), want, skip, work=arena)
+        if not (alive and clip_run(slot.state, line, slot.p, span, want, skip, work=arena)):
             _edge_vanished(slot)
         edges.append(clip_edge(arena, slot.site, slot.p, slot.rival, line, slot.state))
     return edges

@@ -263,8 +263,8 @@ class TestBench:
             )
             rows = path.read_text().splitlines()
             assert rows[0].startswith("# budget_const=")
-            assert rows[1] == "n,s,K,reads,peak_words,site_tests,wall_ns"
-            outs.append([",".join(r.split(",")[:6]) for r in rows[2:]])
+            assert rows[1] == "n,s,K,reads,peak_words,site_tests,site_visits,wall_ns"
+            outs.append([",".join(r.split(",")[:7]) for r in rows[2:]])
         assert outs[0] == outs[1]
         assert len(outs[0]) == 4  # 2 repeats x 2 s values
 
@@ -281,7 +281,7 @@ class TestBench:
             path = tmp_path / f"bench_{tag}.csv"
             assert main(["bench", "--random", "48,3", "--s-list", "0,4", "--mode", "fvd",
                          "--repeats", "2", "--out", str(path)]) == 0
-            outs.append([",".join(r.split(",")[:6]) for r in path.read_text().splitlines()[2:]])
+            outs.append([",".join(r.split(",")[:7]) for r in path.read_text().splitlines()[2:]])
         assert outs[0] == outs[1]
         assert len(outs[0]) == 4
 
@@ -292,25 +292,26 @@ class TestBench:
         assert "config error" in capsys.readouterr().err
         assert not path.exists()
 
-    # n,s,K,reads,peak_words,site_tests of `--random 64,1`, fixed so that
-    # a change to the reads, words or kernel work of a path shows here
-    # (how a pass is split shows in test_tradeoff's TestPassStructure).
+    # n,s,K,reads,peak_words,site_tests,site_visits of `--random 64,1`,
+    # fixed so that a change to the reads, words or kernel work of a path
+    # shows here (how a pass is split shows in test_tradeoff's
+    # TestPassStructure).
     PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
-            "64,0,1,28326,35,11629",
-            "64,2,1,32352,63,22993",
-            "64,8,1,11573,373,21860",
+            "64,0,1,28326,35,7018,27432",
+            "64,2,1,32352,63,13860,53891",
+            "64,8,1,11573,373,12996,51399",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,2129,52,1860",
-            "64,2,1,3490,82,3720",
-            "64,8,1,1041,375,1953",
+            "64,0,1,2129,52,1860,1920",
+            "64,2,1,3490,82,3720,3840",
+            "64,8,1,1041,375,1953,2102",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,123757,142,61663",
-            "64,9,3,537328,103,131903",
-            "64,18,2,71511,304,60647",
-            "64,18,3,297821,190,131220",
+            "64,9,2,123757,142,47994,205165",
+            "64,9,3,537328,103,113459,494822",
+            "64,18,2,71511,304,47227,203065",
+            "64,18,3,297821,190,113015,492043",
         ]),
     }
 
@@ -319,20 +320,20 @@ class TestBench:
         flags, rows = self.PINNED[path]
         out = tmp_path / "bench.csv"
         assert main(["bench", "--random", "64,1", *flags, "--out", str(out)]) == 0
-        assert [",".join(r.split(",")[:6]) for r in out.read_text().splitlines()[2:]] == rows
+        assert [",".join(r.split(",")[:7]) for r in out.read_text().splitlines()[2:]] == rows
 
     # The same counters for `--file` of 64 convex sites (x, x^2), x < 2^20,
     # where every farthest cell is unbounded and farthest clips never cull.
     CONVEX_PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
-            "64,0,1,20846,35,19532",
-            "64,2,1,23516,62,39064",
-            "64,8,1,5737,371,31127",
+            "64,0,1,20846,35,15973,20282",
+            "64,2,1,23516,62,31946,40564",
+            "64,8,1,5737,371,24056,32258",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,16814,52,15500",
-            "64,2,1,25692,82,31000",
-            "64,8,1,6420,374,24132",
+            "64,0,1,16814,52,15500,16000",
+            "64,2,1,25692,82,31000,32000",
+            "64,8,1,6420,374,24132,24967",
         ]),
     }
 
@@ -343,7 +344,7 @@ class TestBench:
         sites.write_text("".join(f"{x} {x * x}\n" for x in random.Random(11).sample(range(1, 1 << 20), 64)))
         out = tmp_path / "bench.csv"
         assert main(["bench", "--file", str(sites), *flags, "--out", str(out)]) == 0
-        assert [",".join(r.split(",")[:6]) for r in out.read_text().splitlines()[2:]] == rows
+        assert [",".join(r.split(",")[:7]) for r in out.read_text().splitlines()[2:]] == rows
 
     def test_negative_s_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bench.csv"

@@ -5,11 +5,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsvoronoi.exact import bisector_line, circumcenter_hpoint, incircle_ipts, orient_ipts, ray_line_param
+from wsvoronoi.exact import bisector_line, circumcenter_hpoint, incircle_ipts, orient_ipts
 from wsvoronoi.geometry import site_set, validate_general_position
 from wsvoronoi.memory import ReadOnlyArena
 from wsvoronoi.records import _hpoint_fracs
 from wsvoronoi.scan import clip_edge, clip_run
+
+from ray_reference import ray_line_param
 
 
 def S(*coords):

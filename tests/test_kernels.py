@@ -1,12 +1,14 @@
 """The fused batch kernels against per-site exact references.
 
 `clip_run` is checked against a clip computed with Fractions, `ray_run`
-against the minimum of `ray_line_param` over the bisectors
+against the minimum of `ray_reference.ray_line_param` over the bisectors
 `bisector_line` builds, `_IntervalWalk.consider_batch` against per-site
-crossings, and `read_span` against per-index reads.  The box cull of the
-nearest-sense kernels gets its own soundness checks: a site outside the
-cached box is strictly outside both closed end disks and leaves a
-one-site clip unchanged.
+crossings, and `read_span` against per-index reads.  The box culls get
+their own soundness checks: a site outside a clip's cached box is
+strictly outside both closed end disks and leaves a one-site clip
+unchanged, and a site outside the start ray's box can neither beat nor
+tie the best.  Seeding a nearest walk's clip with the cutter of its entry
+vertex changes no end, cutter or tie.
 """
 
 from fractions import Fraction
@@ -17,10 +19,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsvoronoi import exact
+from wsvoronoi.datagen import random_sites
 from wsvoronoi.geometry import DegenerateGeometry, site_set
 from wsvoronoi.memory import ReadOnlyArena
 from wsvoronoi.pipeline import _IntervalWalk
-from wsvoronoi.scan import _disk_box, clip_edge, clip_run, ray_run, ray_tie_wins
+from wsvoronoi.scan import (
+    DiagramMode,
+    NoIntersection,
+    _disk_box,
+    cell_walk,
+    clip_edge,
+    clip_run,
+    ray_run,
+    ray_tie_wins,
+)
+
+from ray_reference import cmp_params, ray_line_param
 
 coord = st.integers(-12, 12)
 point = st.tuples(coord, coord)
@@ -162,7 +176,7 @@ class TestClipRun:
         # moves no end but marks that end tied, unless a flip keeps the side
         # beyond (4, 3), which empties the interval before (0, 100) is
         # looked at.
-        work = SimpleNamespace(site_tests=0)
+        work = SimpleNamespace(site_tests=0, site_visits=0)
         assert not clip_run(list(state), line, p, sites[2:], -1, (0, 1), {4}, work)
         assert work.site_tests == 1  # (0, 100), after the emptying cutter, is not looked at
         assert clip_run(state, line, p, sites[2:], -1, (0, 1))
@@ -342,7 +356,7 @@ class TestClipCull:
         line, state, _ = clipped_state(p, (8, 0), [(2, (0, 6)), (3, (0, -6))], {0, 1}, 2)
         kept = list(state)
         far = [(j, (1000 + j, 1000 - 3 * j)) for j in range(4, 40)]
-        work = SimpleNamespace(site_tests=0)
+        work = SimpleNamespace(site_tests=0, site_visits=0)
         assert clip_run(state, line, p, far, -1, (), work=work)
         assert work.site_tests == 0
         assert state == kept
@@ -428,7 +442,7 @@ class TestConsiderBatch:
         q, r, z = ring[0], ring[1], (1, 1)
         far = [(200 + j, -300 - j) for j in range(30)]
         sites = [(j + 3, w) for j, w in enumerate(ring[2:] + far)]
-        work = SimpleNamespace(site_tests=0)
+        work = SimpleNamespace(site_tests=0, site_visits=0)
         walk, (want, tied) = run_successor(q, r, z, sites, 1, 4, work)
         assert tied and walk.tied and walk.best[2] == want
         assert 0 < work.site_tests < len(sites)
@@ -452,18 +466,24 @@ def reference_ray(p, direction, items, skip):
         if j == skip:
             continue
         line = exact.bisector_line(p, w)
-        t = exact.ray_line_param(p, direction, line)
+        t = ray_line_param(p, direction, line)
         if t is None:
             continue
         if best is None:
             best = (t, j, line)
             continue
-        c = exact.cmp_params(t, best[0])
+        c = cmp_params(t, best[0])
         if c < 0:
             best = (t, j, line)
         elif c == 0 and ray_tie_wins(direction, line[:2], best[2][:2]):
             best = (t, j, line)
     return None if best is None else (best[1], Fraction(*best[0]))
+
+
+def ray_box(p, direction, best):
+    """The box `ray_run` culls by: around the closed disk through p
+    centred where the best's bisector crosses the ray."""
+    return _disk_box(0, 0, -direction[1], direction[0], *p, *best[:2])
 
 
 def run_ray(p, direction, items, skip, batch):
@@ -490,9 +510,43 @@ class TestRayRun:
     def test_matches_per_site_reference(self, case):
         p, d, items, batch = case
         assert run_ray(p, d, items, 0, batch) == reference_ray(p, d, items, 0)
-        work = SimpleNamespace(site_tests=0)
+        work = SimpleNamespace(site_tests=0, site_visits=0)
         ray_run(None, p, d, items, 0, work)
-        assert work.site_tests == len(items) - 1  # every site but p's own
+        assert work.site_tests <= len(items) - 1  # at most every site but p's own
+        assert work.site_visits == len(items)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ray_case())
+    def test_outside_box_cannot_beat_or_tie(self, case):
+        p, d, items, _ = case
+        best = ray_run(None, p, d, items, 0)
+        if best is None:
+            return
+        bn, bd = best[:2]
+        centre = (p[0] + Fraction(bn * d[0], 2 * bd), p[1] + Fraction(bn * d[1], 2 * bd))
+        for w in outside_ring(ray_box(p, d, best), 2):
+            assert not in_closed_disk(w, centre, p), w
+            ux, uy = w[0] - p[0], w[1] - p[1]
+            den = ux * d[0] + uy * d[1]
+            # Missed by the ray, or crossed strictly after the best.
+            assert den <= 0 or (ux * ux + uy * uy) * bd > bn * den, w
+
+    def test_tie_on_the_box_edge_is_kept(self):
+        # (2, 0) sets the best at (1, 0): its disk, centred there through
+        # p = (0, 0), has the box [0, 2] x [-1, 1].  (1, 1) lies on the
+        # box's top edge and on the disk, and its bisector x + y = 1 ties at
+        # (1, 0) and wins; (5, 5) and (-3, 0) lie outside and are culled.
+        p, d = (0, 0), (1, 0)
+        items = [(0, p), (1, (2, 0)), (2, (5, 5)), (3, (1, 1)), (4, (-3, 0))]
+        work = SimpleNamespace(site_tests=0, site_visits=0)
+        best = ray_run(None, p, d, items, 0, work)
+        assert ray_box(p, d, best) == (0, 2, -1, 1)
+        assert best[2] == reference_ray(p, d, items, 0)[0] == 3
+        assert (work.site_tests, work.site_visits) == (2, 5)
+        # An incoming best builds the box at entry.
+        work = SimpleNamespace(site_tests=0, site_visits=0)
+        assert ray_run(best, p, d, [items[2], items[4]], 0, work) == best
+        assert (work.site_tests, work.site_visits) == (0, 2)
 
     def test_tie_rule(self):
         # Both bisectors cross the ray along +x at (2, 0).
@@ -507,6 +561,90 @@ class TestRayRun:
 
     def test_miss_behind(self):
         assert ray_run(None, (0, 0), (1, 0), [(1, (-4, 1)), (2, (0, 5))], 0) is None
+
+
+@st.composite
+def walk_case(draw):
+    """Distinct grid points, cocircular and collinear ones included."""
+    grid = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    return draw(st.lists(grid, min_size=4, max_size=12, unique=True))
+
+
+def seeded_clips(pts):
+    """(seed, seeded clip, plain clip) for every clip after the first edge
+    of each nearest walk of `pts`, each clip (alive, state[:4]); a walk
+    stops where its input is degenerate."""
+    arena = ReadOnlyArena(site_set(pts))
+    span = arena.read_span(0, len(arena))
+    out = []
+    for i in range(len(arena)):
+        walk = cell_walk(arena, i, DiagramMode.NEAREST)
+        try:
+            while not walk.done:
+                if walk.needs_ray_scan:
+                    walk.best = ray_run(None, walk.p, walk.current_ray.direction, span, i)
+                walk.begin_clip()
+                line = exact.bisector_line(walk.p, arena.read(walk.rival).ipt)
+                skip = (i, walk.rival)
+                plain = [None] * 5
+                alive = clip_run(plain, line, walk.p, span, -1, skip)
+                seed = walk.seed()
+                if seed is not None:
+                    seeded = [None] * 5
+                    seeded_alive = clip_run(seeded, line, walk.p, [seed], -1, skip)
+                    seeded_alive = seeded_alive and clip_run(seeded, line, walk.p, span, -1, skip)
+                    out.append((seed, (seeded_alive, seeded[:4]), (alive, plain[:4])))
+                if not alive:
+                    break
+                walk.advance(clip_edge(arena, i, walk.p, walk.rival, line, plain))
+        except (DegenerateGeometry, NoIntersection):
+            pass
+    return arena, out
+
+
+class TestSeededClip:
+    """A nearest walk's clip after its first edge may take the cutter of its
+    entry vertex first, as `tradeoff._round` does: a clip is an
+    intersection, so nothing it yields changes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(walk_case())
+    def test_seeded_equals_plain(self, pts):
+        arena, clips = seeded_clips(pts)
+        for (j, w), seeded, plain in clips:
+            assert seeded == plain
+            # The seed is the rival of the edge walked in, its point p's
+            # mirror image in that edge's carrier.
+            assert w == arena.read(j).ipt
+            alive, state = plain
+            assert not alive or j in state[2:4]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_walks_are_seeded(self, seed):
+        pts = [s.ipt for s in random_sites(24, seed)]
+        arena, clips = seeded_clips(pts)
+        assert len(clips) > 3 * len(pts)
+        for (j, w), seeded, plain in clips:
+            assert seeded == plain and seeded[0]
+            # The seed's end is final at once: it cuts the entry vertex.
+            assert j in plain[1][2:4] and w == arena.read(j).ipt
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_tied_seed_is_degenerate(self, seed):
+        # x = 1, the bisector of p = (0, 0) and (2, 0): (0, 2) and (2, 2)
+        # both cut it at (1, 1), four cocircular sites, and (0, -2) at
+        # (1, -1).  With either tied cutter as the seed the end stays tied.
+        sites = site_set([(0, 0), (2, 0), (0, 2), (2, 2), (0, -2)])
+        arena = ReadOnlyArena(sites)
+        span = arena.read_span(0, len(arena))
+        p = span[0][1]
+        line = exact.bisector_line(p, span[1][1])
+        state = [None] * 5
+        assert clip_run(state, line, p, [span[seed]], -1, (0, 1))
+        assert clip_run(state, line, p, span, -1, (0, 1))
+        assert seed in state[2:4]
+        with pytest.raises(DegenerateGeometry, match="has a tied end"):
+            clip_edge(arena, 0, p, 1, line, state)
 
 
 class TestReadSpan:

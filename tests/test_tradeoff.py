@@ -169,16 +169,23 @@ class TestFindEdgesBatched:
 
 class TestPassStructure:
     """A round reads the input as one n-site span per pass and makes one
-    kernel call per live walk and pass; fresh nearest walks add a ray
-    pass, and farthest walks, which start on a known edge, never do."""
+    kernel call with that span per live walk and pass; fresh nearest walks
+    add a ray pass, and farthest walks, which start on a known edge, never
+    do.  A nearest walk past its first edge also makes one clip call with
+    its one-site seed, which reads nothing."""
 
     @pytest.mark.parametrize("mode", [N, F])
     def test_round_reads_one_span_per_pass(self, mode, monkeypatch):
-        calls = {"clip": 0, "ray": 0}
+        calls = {"clip": 0, "ray": 0, "seed": 0}
 
         def counted(name, kernel):
             def run(*args, **kwargs):
-                calls[name] += 1
+                items = args[3]  # the sites, in either kernel
+                if len(items) == n:
+                    calls[name] += 1
+                else:
+                    assert name == "clip" and len(items) == 1
+                    calls["seed"] += 1
                 return kernel(*args, **kwargs)
 
             return run
@@ -192,7 +199,7 @@ class TestPassStructure:
         m = len(slots)
         for fresh in (True, False):
             assert all(t.first_edge is None for t in slots) is fresh
-            calls.update(clip=0, ray=0)
+            calls.update(clip=0, ray=0, seed=0)
             arena.spans.clear()
             reads, singles = arena.read_count, arena.singles
             edges = _round(arena, slots, mode)
@@ -200,7 +207,8 @@ class TestPassStructure:
             passes = 2 if ray else 1
             assert arena.spans == [(0, n)] * passes
             assert arena.read_count - reads == passes * n + arena.singles - singles
-            assert calls == {"clip": m, "ray": m if ray else 0}
+            seeded = m if mode is N and not fresh else 0
+            assert calls == {"clip": m, "ray": m if ray else 0, "seed": seeded}
             for slot, edge in zip(slots, edges):
                 slot.advance(edge)
             slots = [t for t in slots if not t.done]
