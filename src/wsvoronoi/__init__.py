@@ -11,7 +11,6 @@ from .geometry import (
     BisectorLine,
     DegenerateGeometry,
     EdgePiece,
-    Ray,
     Site,
     site_set,
     validate_general_position,
@@ -31,7 +30,6 @@ __all__ = [
     "BisectorLine",
     "DegenerateGeometry",
     "EdgePiece",
-    "Ray",
     "Site",
     "site_set",
     "validate_general_position",

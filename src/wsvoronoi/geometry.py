@@ -81,18 +81,6 @@ class BisectorLine:
 
 
 @dataclass(frozen=True, slots=True)
-class Ray:
-    """Ray from an exact origin (int pair on the grid) with primitive direction."""
-
-    origin: tuple[int, int]
-    direction: tuple[int, int]
-
-    def __post_init__(self):
-        if self.direction == (0, 0):
-            raise ValueError("ray direction must be nonzero")
-
-
-@dataclass(frozen=True, slots=True)
 class EdgePiece:
     """A connected portion of a bisector: segment, ray, or full line.
 

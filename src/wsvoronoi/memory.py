@@ -31,8 +31,9 @@ class ReadOnlyArena:
     """Immutable site array with a count of every element access.
 
     It also holds the run's counts of kernel work, to which the clip,
-    start-ray and successor kernels (`scan.clip_run`, `scan.ray_run`,
-    `pipeline._IntervalWalk.consider_batch`) add once per call:
+    nearest-neighbor and successor kernels (`scan.clip_run`,
+    `scan.nearest_run`, `pipeline._IntervalWalk.consider_batch`) add once
+    per call:
     `site_visits`, the sites each call looked at, skipped and culled ones
     included, and `site_tests`, those of them that reached the exact
     arithmetic.

@@ -1,17 +1,19 @@
 """The cell walk, its exact kernels, and the O(1)-word diagram.
 
-A nearest cell is walked edge to edge from a start ray: the first edge is
-the one the ray crosses first.  A farthest cell is unbounded, and its two
-unbounded edges lie on its bisectors with its two hull neighbors, so its
-walk (`hull_walk`) starts on the edge with one neighbor and walks in one
-leg from that edge's finite end to the edge with the other.  Either way
-the site whose bisector cut an endpoint is the site whose bisector carries
-the adjacent edge.  `TrackedSite` is the walk's state machine; `clip_run`
-and `ray_run` are the fused exact kernels it needs, each one loop over a
-span of sites, which the program always gives as the whole input
-(`pipeline` clips with `clip_run` too).  `cell_walk` starts the walk of
-one given site, finding a farthest site's hull neighbors with the one-pass
-`locate_on_hull`.
+A cell is walked edge to edge from one known edge, the site whose
+bisector cut an endpoint being the site whose bisector carries the
+adjacent edge.  A nearest walk starts on its bisector with its nearest
+neighbor (`nearest_run`): the pair's midpoint is strictly nearer to both
+than to any other site, so that bisector always holds an edge of the
+cell.  A farthest cell is unbounded, and its two unbounded edges lie on
+its bisectors with its two hull neighbors, so its walk (`hull_walk`)
+starts on the edge with one neighbor and walks in one leg from that
+edge's finite end to the edge with the other.  `TrackedSite` is the
+walk's state machine; `clip_run` and `nearest_run` are the fused exact
+kernels it needs, each one loop over a span of sites, which the program
+always gives as the whole input (`pipeline` clips with `clip_run` too).
+`cell_walk` starts the walk of one given site, finding a farthest site's
+hull neighbors with the one-pass `locate_on_hull`.
 
 Every walk runs under `tradeoff.drive`.  The constant-workspace diagram,
 `enumerate_diagram`, is its one-slot run: nearest cells in index order,
@@ -25,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from math import isqrt
 from operator import length_hint
 from typing import Callable, Optional
 
 from . import exact
-from .geometry import BisectorLine, DegenerateGeometry, EdgePiece, Ray
+from .geometry import BisectorLine, DegenerateGeometry, EdgePiece
 from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
 from .records import EdgeRecord, undirected_record
 
@@ -42,10 +44,6 @@ class DiagramMode(Enum):
 
 class FarthestCellEmpty(Exception):
     """The queried site is interior to the hull: no farthest-site cell."""
-
-
-class NoIntersection(Exception):
-    """The ray crossed no bisector; its cell-boundary precondition failed."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,10 +111,9 @@ def _disk_box(ex, ey, a, b, px, py, n, d):
     """(x0, x1, y0, y1), integers: a box around the closed disk through
     p = (px, py) centred at parameter n/d (d > 0) of the line through the
     midpoint of p and p + (ex, ey) along (b, -a), on the kernels' scale:
-    the centre is p + (d*(ex, ey) + n*(b, -a)) / (2d).  With e = 0 the line
-    is the ray from p along (b, -a) (`ray_run`).  The radius is bounded by
-    the L1 norm of centre - p and the box rounded outward, so an integer
-    point strictly outside the box is strictly outside the disk."""
+    the centre is p + (d*(ex, ey) + n*(b, -a)) / (2d).  The radius is
+    bounded by the L1 norm of centre - p and the box rounded outward, so an
+    integer point strictly outside the box is strictly outside the disk."""
     den = 2 * d
     vx = d * ex + n * b
     vy = d * ey - n * a
@@ -266,143 +263,89 @@ def clip_edge(arena: ReadOnlyArena, site: int, p, rival: int, line, state) -> Ce
     return CellEdge(site, rival, EdgePiece(BisectorLine(site, rival, line), lo, hi), state[2], state[3])
 
 
-def ray_tie_wins(direction, u, best_u) -> bool:
-    """Whether the bisector with normal `u` beats the one with normal
-    `best_u` as the rival when both cross the start ray at the same point.
+def nearest_run(p, items, skip: int, work=None) -> Optional[int]:
+    """The index j of `items`, (index, point) pairs, other than `skip` (p's
+    own) that minimises (|w_j - p|^2, j): p's nearest neighbor, the lowest
+    index among tied ones, whatever order the sites come in.
 
-    The ray then passes through a cell vertex; resolve as if it were
-    rotated infinitesimally counterclockwise.  A normal is the pair (a, b)
-    of the bisector a*x + b*y = c, or any nonzero multiple of it.
-    """
-
-    def drift(n):
-        a, b = n
-        return Fraction(b * direction[0] - a * direction[1], a * direction[0] + b * direction[1])
-
-    return drift(u) > drift(best_u)
-
-
-def ray_run(best, p, direction, items, skip: int, work=None):
-    """The rival whose bisector with p first crosses the ray from p along
-    `direction`, over `best` and `items`.
-
-    best, kept across calls, is (num, den, index, point) for the
-    crossing at parameter num/den, or None before any hit; index `skip`
-    (p's own) is passed over.  Since the ray starts at p, the bisector with
-    w is hit iff u = w - p has u.d > 0, at t = |u|^2 / (2 u.d); the 2 is
-    left out of every parameter alike.  Exact ties go to `ray_tie_wins`.
-
-    Box cull: w's bisector crosses the ray at or before t iff w lies in
-    the closed disk centred at p + t*d through p, and these disks grow
-    with t.  So a site strictly outside an integer box around the best's
-    disk (`_disk_box` with e = 0, built from an incoming best and rebuilt
-    only when the best changes) can neither beat nor tie it, and is passed
-    over before any arithmetic.  The sites are still tried in order, so
-    the result is the same as without the cull.  The number of sites that
-    reach the arithmetic is added to `work.site_tests`, and the number
-    looked at to `work.site_visits` (the run's arena), if given.
+    Box cull: a site strictly outside the box of half-width isqrt(d) about
+    p, for the best squared distance d so far, is strictly farther than the
+    best, so it is passed over before any arithmetic; a tie lies in the
+    box or on its edge.  The number of sites that reach the arithmetic is
+    added to `work.site_tests`, and the number looked at to
+    `work.site_visits` (the run's arena), if given.
     """
     px, py = p
-    dx, dy = direction
-    if best is None:
-        bn = bd = 0
-        bj = bw = None
-        boxed = False
-    else:
-        bn, bd, bj, bw = best
-        x0, x1, y0, y1 = _disk_box(0, 0, -dy, dx, px, py, bn, bd)
-        boxed = True
+    bd = bj = None
     passed = 0  # sites skipped or culled
     for j, (wx, wy) in items:
-        if j == skip or (boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1)):
+        if j == skip or (bj is not None and (wx < x0 or wx > x1 or wy < y0 or wy > y1)):
             passed += 1
             continue
         ux = wx - px
         uy = wy - py
-        den = ux * dx + uy * dy
-        if den <= 0:
+        d = ux * ux + uy * uy
+        if bj is not None and (d > bd or d == bd and j > bj):
             continue
-        num = ux * ux + uy * uy
-        if bd:
-            c = num * bd - bn * den
-            if c > 0 or c == 0 and not ray_tie_wins(direction, (ux, uy), (bw[0] - px, bw[1] - py)):
-                continue
-        bn, bd, bj, bw = num, den, j, (wx, wy)
-        x0, x1, y0, y1 = _disk_box(0, 0, -dy, dx, px, py, bn, bd)
-        boxed = True
+        bd, bj = d, j
+        r = isqrt(d)
+        x0, x1, y0, y1 = px - r, px + r, py - r, py + r
     if work is not None:
         work.site_tests += len(items) - passed
         work.site_visits += len(items)
-    return (bn, bd, bj, bw) if bd else None
-
-
-def _side_of_ray(ray: Ray, hp) -> int:
-    vx = hp[0] - ray.origin[0] * hp[2]
-    vy = hp[1] - ray.origin[1] * hp[2]
-    return exact.sign(ray.direction[0] * vy - ray.direction[1] * vx)
+    return bj
 
 
 class TrackedSite:
     """Walk state for one cell, fed its edges one at a time.
 
-    A nearest walk's first edge is the one crossing the start ray; the
-    walk then leaves through that edge's left endpoint (left of the ray)
-    and steps edge to edge, the site whose bisector cut an endpoint
-    carrying the next edge.  When the walk leaves the diagram through an
-    unbounded edge it resumes from the first edge's other endpoint; it is
-    done when it closes on the first edge or runs out of endpoints.  A
-    walk given its first `rival` instead of a ray (a farthest walk, from
-    `hull_walk`) starts on their bisector, which must clip to a ray, and
-    walks in one leg from its finite end.  `cutter` names the rival whose
-    bisector carries the next edge; after the first edge, `seed()` names
-    the site whose bisector with p holds that edge's entry vertex, a
-    cutter known before any pass.
+    A walk starts on the bisector of p and its first rival, which always
+    holds an edge of the cell: a nearest walk's nearest neighbor, set by
+    `tradeoff._round` with `nearest_run` before the first clip, or a
+    farthest walk's hull neighbor, given by `hull_walk`, whose edge must
+    clip to a ray.  The walk leaves the first edge through a finite
+    endpoint and steps edge to edge, the site whose bisector cut an
+    endpoint carrying the next edge.  When the walk leaves the diagram
+    through an unbounded edge it resumes from the first edge's other
+    endpoint; it is done when it closes on the first edge or runs out of
+    endpoints.  `cutter` names the rival whose bisector carries the next
+    edge; after the first edge, `seed()` names the site whose bisector with
+    p holds that edge's entry vertex, a cutter known before any pass.
     """
 
     __slots__ = (
         "site",
         "p",
-        "current_ray",
         "first_edge",
         "edges_found",
         "done",
         "cutter",
         "rival",
         "state",
+        "_on_hull",
         "_first_rival",
         "_leg2",
         "_v",
         "_entry",
-        "best",
     )
 
-    def __init__(self, site_idx: int, p, ray: Optional[Ray], rival: Optional[int] = None):
+    def __init__(self, site_idx: int, p, rival: Optional[int] = None):
         self.site = site_idx
         self.p = p
-        self.current_ray = ray  # None when the first rival is given
         self.first_edge: Optional[CellEdge] = None
         self.edges_found = 0
         self.done = False
-        self.cutter: Optional[int] = rival
+        self.cutter: Optional[int] = rival  # None until a nearest walk's first rival is set
         self.rival: Optional[int] = None  # rival of the edge being clipped
         self.state = None  # its clip interval [t_lo, t_hi, lo_cut, hi_cut, box]
+        self._on_hull = rival is not None  # started on a hull edge, which must be a ray
         self._first_rival: Optional[int] = None
         self._leg2 = None  # (endpoint hpoint, cutter) queued for the reverse walk
         self._v = None
         self._entry: Optional[CellEdge] = None  # the edge walked into the entry vertex
-        self.best = None  # the start ray's first crossing, from `ray_run`
-
-    @property
-    def needs_ray_scan(self) -> bool:
-        return self.current_ray is not None and self.first_edge is None and self.best is None
 
     def begin_clip(self) -> None:
-        if self.first_edge is None and self.current_ray is not None:
-            if self.best is None:
-                raise NoIntersection(f"no bisector crosses the ray from site {self.site}")
-            self.rival = self.best[2]
-        else:
-            self.rival = self.cutter
+        self.rival = self.cutter
         self.state = [None, None, None, None, None]
 
     def seed(self):
@@ -420,33 +363,27 @@ class TrackedSite:
     def advance(self, edge: CellEdge) -> None:
         """Digest the edge just found and set up the next one."""
         self.edges_found += 1
-        self.best = None
         self.state = None
         if self.first_edge is None:
             self.first_edge = edge
             self._first_rival = edge.rival
             self._entry = edge
             ends = [edge.piece.lo, edge.piece.hi]
-            if self.current_ray is None and (ends[0] is None) == (ends[1] is None):
-                if ends[0] is None:
-                    raise DegenerateGeometry("hull has fewer than 3 vertices: the sites are collinear")
+            if ends[0] is None:
+                ends.reverse()
+            if ends[0] is None:
+                # No other site's bisector crosses it: every site is on one line.
+                raise DegenerateGeometry("hull has fewer than 3 vertices: the sites are collinear")
+            if self._on_hull and ends[1] is not None:
                 raise DegenerateGeometry(
                     f"edge of hull site {self.site} against hull neighbor {edge.rival} is bounded at both ends"
                 )
-            if ends[0] is not None and ends[1] is not None:
-                if _side_of_ray(self.current_ray, ends[0]) < _side_of_ray(self.current_ray, ends[1]):
-                    ends.reverse()
-            elif ends[0] is None:
-                ends.reverse()
-            if ends[0] is None:
-                self.done = True  # full-line edge: the cell is a halfplane
-                return
+            # Either end will do: a bounded cell closes on the first edge,
+            # and an unbounded one is walked from both ends.
             self._v = ends[0]
             self.cutter = edge.cutter_at(ends[0])
             if ends[1] is not None:
                 self._leg2 = (ends[1], edge.cutter_at(ends[1]))
-            if self.cutter == self._first_rival:
-                self.done = True
             return
         # Walking: step through the endpoint opposite the entry vertex.
         if edge.piece.lo is not None and edge.piece.lo == self._v:
@@ -472,9 +409,8 @@ class TrackedSite:
 
 def hull_walk(arena: ReadOnlyArena, i: int, nxt: int) -> TrackedSite:
     """The farthest-cell walk of hull site i, started on its unbounded edge
-    with hull neighbor nxt: their bisector is its first carrier, and no
-    start ray is needed."""
-    return TrackedSite(i, arena.read(i).ipt, None, nxt)
+    with hull neighbor nxt: their bisector is its first carrier."""
+    return TrackedSite(i, arena.read(i).ipt, nxt)
 
 
 def cell_walk(
@@ -483,13 +419,12 @@ def cell_walk(
     """A fresh walk of site i's cell, or None when i is interior to the hull
     and so has no farthest cell.
 
-    A nearest walk's start ray aims at the lowest-index other site; a
-    farthest walk first finds i's hull neighbors with `locate_on_hull`.
+    A nearest walk's first rival, its nearest neighbor, is left for the
+    first round's `nearest_run` pass; a farthest walk first finds i's hull
+    neighbors with `locate_on_hull`.
     """
     if mode is DiagramMode.NEAREST:
-        p = arena.read(i).ipt
-        q = arena.read(0 if i != 0 else 1).ipt
-        return TrackedSite(i, p, Ray(p, exact.primitive_dir(q[0] - p[0], q[1] - p[1])))
+        return TrackedSite(i, arena.read(i).ipt)
     status = locate_on_hull(arena, i, ledger)
     if status.inside:
         return None
@@ -506,9 +441,9 @@ def enumerate_cell(
     """Visit every edge of p's cell exactly once: the one-slot run of
     `tradeoff.drive` on p's walk alone.
 
-    Walks counterclockwise from the first edge's left endpoint until the
-    walk closes or leaves through an unbounded edge, then clockwise from
-    the right endpoint; each edge costs one clipping pass.
+    Walks from one finite endpoint of the first edge until the walk closes
+    or leaves through an unbounded edge, then from the other endpoint the
+    other way; each edge costs one clipping pass.
     """
     from .tradeoff import walk_cells  # tradeoff imports this module
 

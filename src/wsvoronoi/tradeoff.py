@@ -8,9 +8,10 @@ slot loop, the one every cell walk in the package runs under
 (`pipeline`'s too).  Cells still walking when no fresh sites remain are
 "big"; their edges are recovered by clipping the diagram of the big sites
 against the whole input, while everything touching a small cell is
-reported during the walks.  Farthest cells come in hull order, each walk
-started on its cell's unbounded edge with a hull neighbor, so only nearest
-walks make a start-ray pass.  At s > 1 `hull_stream`'s s-point window
+reported during the walks.  Every walk starts on a known edge of its
+cell: a nearest walk on its bisector with its nearest neighbor, found in
+one pass, and a farthest walk, in hull order, on its unbounded edge with a
+hull neighbor.  At s > 1 `hull_stream`'s s-point window
 supplies the hull sites; at s = 1 the walks chain the hull themselves,
 each handing the next hull site to the next walk.  The output is the same
 for every s; s = 1 is the constant-workspace diagram of
@@ -34,7 +35,7 @@ from .scan import (
     clip_edge,
     clip_run,
     hull_walk,
-    ray_run,
+    nearest_run,
     record_for,
 )
 
@@ -77,11 +78,12 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
     """One lock-step round: every live slot produces its next cell edge.
 
     Each pass reads the input once, as one span (a view of the input, not
-    a copy), and hands it whole to every live slot's kernel: the ray pass
-    for fresh nearest slots, then the clip pass (a farthest walk starts
-    with its first rival known).  A kernel's state after a slot's
-    sites depends only on those sites, taken in index order, so one call
-    per slot gives the edge that any split of the pass would.
+    a copy), and hands it whole to every live slot's kernel: for fresh
+    nearest slots a `nearest_run` pass, which sets each one's first rival,
+    its nearest neighbor, then the clip pass (a farthest walk starts with
+    its first rival known).  A kernel's state after a slot's sites depends
+    only on those sites, taken in index order, so one call per slot gives
+    the edge that any split of the pass would.
 
     A nearest clip after the walk's first edge is seeded: its walk's
     `seed`, whose bisector holds the entry vertex, is clipped first, in a
@@ -94,11 +96,11 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
     nearest = mode is DiagramMode.NEAREST
     want = -1 if nearest else 1
     n = len(arena)
-    fresh = [t for t in slots if t.needs_ray_scan]
+    fresh = [t for t in slots if t.cutter is None]
     if fresh:
         span = arena.read_span(0, n)
         for slot in fresh:
-            slot.best = ray_run(None, slot.p, slot.current_ray.direction, span, slot.site, arena)
+            slot.cutter = nearest_run(slot.p, span, slot.site, arena)
     span = arena.read_span(0, n)
     edges = []
     for slot in slots:

@@ -21,6 +21,8 @@ SQUARE_AND_POINT = "0 0\n4 0\n4 4\n0 4\n1 3\n"
 CIRCLE_AND_POINT = "5 0\n3 4\n0 5\n-3 4\n-5 0\n-4 -3\n0 -5\n4 -3\n1 1\n"
 # 0 0, 2 0, 4 0 collinear; the farthest diagram is still produced.
 COLLINEAR_AND_TWO = "0 0\n2 0\n4 0\n2 5\n1 1\n"
+# Every site on one line: every diagram's edges are parallel full lines.
+ALL_COLLINEAR = "0 0\n2 0\n4 0\n6 0\n"
 
 
 @pytest.fixture
@@ -43,6 +45,7 @@ SMALL_CORPUS = {
     "square": SQUARE,
     "grid4": "".join(f"{x} {y}\n" for x in range(4) for y in range(4)),
     "collinear": COLLINEAR_AND_TWO,
+    "allcollinear": ALL_COLLINEAR,
     **{f"random{n}-{seed}": sites_to_text(random_sites(n, seed)) for n in (3, 4, 5) for seed in (1, 2)},
 }
 
@@ -232,6 +235,8 @@ class TestSmallCorpus:
         out = tmp_path / "r.txt"
         code = main(["run", str(path), "--mode", *flags, "--out", str(out)])
         err = capsys.readouterr().err
+        if name == "allcollinear":
+            assert code == 2
         if code == 2:
             assert err.startswith("degenerate:")
             return
@@ -298,9 +303,9 @@ class TestBench:
     # TestPassStructure).
     PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
-            "64,0,1,28326,35,7018,27432",
-            "64,2,1,32352,63,13860,53891",
-            "64,8,1,11573,373,12996,51399",
+            "64,0,1,28262,35,7084,27432",
+            "64,2,1,32225,63,13990,53891",
+            "64,8,1,11449,373,13164,51399",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
             "64,0,1,2129,52,1860,1920",
@@ -308,10 +313,10 @@ class TestBench:
             "64,8,1,1041,375,1953,2102",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,123757,142,47994,205165",
-            "64,9,3,537328,103,113459,494822",
-            "64,18,2,71511,304,47227,203065",
-            "64,18,3,297821,190,113015,492043",
+            "64,9,2,123567,142,48194,205165",
+            "64,9,3,537072,103,113723,494822",
+            "64,18,2,71317,304,47387,202809",
+            "64,18,3,297568,190,113279,492043",
         ]),
     }
 
@@ -326,9 +331,9 @@ class TestBench:
     # where every farthest cell is unbounded and farthest clips never cull.
     CONVEX_PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
-            "64,0,1,20846,35,15973,20282",
-            "64,2,1,23516,62,31946,40564",
-            "64,8,1,5737,371,24056,32258",
+            "64,0,1,20782,35,15982,20282",
+            "64,2,1,23388,62,31964,40564",
+            "64,8,1,5612,371,24074,32258",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
             "64,0,1,16814,52,15500,16000",

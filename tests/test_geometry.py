@@ -11,8 +11,6 @@ from wsvoronoi.memory import ReadOnlyArena
 from wsvoronoi.records import _hpoint_fracs
 from wsvoronoi.scan import clip_edge, clip_run
 
-from ray_reference import ray_line_param
-
 
 def S(*coords):
     return site_set(list(coords))
@@ -58,50 +56,6 @@ class TestBisector:
         line = bisector_line((8, 0), (0, 6))
         assert line == (4, -3, 7)
         assert 4 * 4 - 3 * 3 == 7
-
-
-class TestRayHit:
-    def test_direct_hit(self):
-        t = ray_line_param((0, 0), (1, 0), bisector_line((0, 0), (8, 0)))
-        assert Fraction(*t) == 4
-
-    def test_parallel_misses(self):
-        assert ray_line_param((0, 0), (1, 0), bisector_line((0, 0), (0, 6))) is None
-
-    def test_diagonal(self):
-        t = ray_line_param((0, 0), (1, 1), bisector_line((0, 0), (8, 0)))
-        assert Fraction(*t) == 4
-
-    def test_behind_origin_misses(self):
-        assert ray_line_param((0, 0), (-1, 0), bisector_line((0, 0), (8, 0))) is None
-
-    def test_sweep_finds_no_smaller_crossing(self):
-        import random
-
-        rng = random.Random(7)
-        checked = 0
-        while checked < 1000:
-            pts = [(rng.randrange(-50, 50), rng.randrange(-50, 50)) for _ in range(3)]
-            if pts[0] == pts[1] or pts[1] == pts[2] or pts[0] == pts[2]:
-                continue
-            dx, dy = rng.randrange(-9, 10), rng.randrange(-9, 10)
-            if (dx, dy) == (0, 0):
-                continue
-            line = bisector_line(pts[1], pts[2])
-            try:
-                t = ray_line_param(pts[0], (dx, dy), line)
-            except ValueError:  # the ray lies inside the line
-                continue
-            checked += 1
-            if t is None:
-                continue
-            tf = Fraction(*t)
-            a, b, c = line
-            # On the line at t, strictly off it on a dense grid before t.
-            assert a * (pts[0][0] + tf * dx) + b * (pts[0][1] + tf * dy) == c
-            for i in range(1, 100):
-                ts = tf * i / 100
-                assert a * (pts[0][0] + ts * dx) + b * (pts[0][1] + ts * dy) != c
 
 
 def clip(sites, a, b, cutters, keep_nearer=True):

@@ -1,14 +1,13 @@
 """The fused batch kernels against per-site exact references.
 
-`clip_run` is checked against a clip computed with Fractions, `ray_run`
-against the minimum of `ray_reference.ray_line_param` over the bisectors
-`bisector_line` builds, `_IntervalWalk.consider_batch` against per-site
-crossings, and `read_span` against per-index reads.  The box culls get
-their own soundness checks: a site outside a clip's cached box is
-strictly outside both closed end disks and leaves a one-site clip
-unchanged, and a site outside the start ray's box can neither beat nor
-tie the best.  Seeding a nearest walk's clip with the cutter of its entry
-vertex changes no end, cutter or tie.
+`clip_run` is checked against a clip computed with Fractions,
+`nearest_run` against a brute-force minimum of (squared distance, index),
+`_IntervalWalk.consider_batch` against per-site crossings, and
+`read_span` against per-index reads.  The clip's box cull gets its own
+soundness check: a site outside a clip's cached box is strictly outside
+both closed end disks and leaves a one-site clip unchanged.  Seeding a
+nearest walk's clip with the cutter of its entry vertex changes no end,
+cutter or tie.
 """
 
 from fractions import Fraction
@@ -25,16 +24,12 @@ from wsvoronoi.memory import ReadOnlyArena
 from wsvoronoi.pipeline import _IntervalWalk
 from wsvoronoi.scan import (
     DiagramMode,
-    NoIntersection,
     _disk_box,
     cell_walk,
     clip_edge,
     clip_run,
-    ray_run,
-    ray_tie_wins,
+    nearest_run,
 )
-
-from ray_reference import cmp_params, ray_line_param
 
 coord = st.integers(-12, 12)
 point = st.tuples(coord, coord)
@@ -459,108 +454,43 @@ class TestConsiderBatch:
         assert (walk.best[2], walk.tied) == (want, tied) == (3, True)
 
 
-def reference_ray(p, direction, items, skip):
-    """(index, t) of the rival by per-site bisectors and ray parameters."""
-    best = None
-    for j, w in items:
-        if j == skip:
-            continue
-        line = exact.bisector_line(p, w)
-        t = ray_line_param(p, direction, line)
-        if t is None:
-            continue
-        if best is None:
-            best = (t, j, line)
-            continue
-        c = cmp_params(t, best[0])
-        if c < 0:
-            best = (t, j, line)
-        elif c == 0 and ray_tie_wins(direction, line[:2], best[2][:2]):
-            best = (t, j, line)
-    return None if best is None else (best[1], Fraction(*best[0]))
-
-
-def ray_box(p, direction, best):
-    """The box `ray_run` culls by: around the closed disk through p
-    centred where the best's bisector crosses the ray."""
-    return _disk_box(0, 0, -direction[1], direction[0], *p, *best[:2])
-
-
-def run_ray(p, direction, items, skip, batch):
-    best = None
-    for start in range(0, len(items), batch):
-        best = ray_run(best, p, direction, items[start : start + batch], skip)
-    # ray_run leaves the factor 2 out of every parameter.
-    return None if best is None else (best[2], Fraction(best[0], best[1]) / 2)
+def reference_nearest(p, items, skip):
+    """The index minimising (squared distance to p, index), by brute force."""
+    return min(((w[0] - p[0]) ** 2 + (w[1] - p[1]) ** 2, j) for j, w in items if j != skip)[1]
 
 
 @st.composite
-def ray_case(draw):
-    p = draw(point)
-    d = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda v: v != (0, 0)))
-    pts = draw(st.lists(point.filter(lambda q: q != p), min_size=1, max_size=14))
-    items = [(j + 1, w) for j, w in enumerate(pts)]
-    items.insert(draw(st.integers(0, len(items))), (0, p))
-    return p, exact.primitive_dir(*d), items, draw(st.integers(1, 6))
+def nearest_case(draw):
+    """p and distinct sites on a small grid, where equal distances are
+    common, p's own index 0 among them, in a drawn order."""
+    grid = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    pts = draw(st.lists(grid, min_size=2, max_size=16, unique=True))
+    items = list(enumerate(pts))
+    return pts[0], items, draw(st.permutations(items))
 
 
-class TestRayRun:
+class TestNearestRun:
     @settings(max_examples=300, deadline=None)
-    @given(ray_case())
-    def test_matches_per_site_reference(self, case):
-        p, d, items, batch = case
-        assert run_ray(p, d, items, 0, batch) == reference_ray(p, d, items, 0)
+    @given(nearest_case())
+    def test_matches_brute_force_in_any_order(self, case):
+        p, items, shuffled = case
+        want = reference_nearest(p, items, 0)
+        assert nearest_run(p, items, 0) == want
         work = SimpleNamespace(site_tests=0, site_visits=0)
-        ray_run(None, p, d, items, 0, work)
+        assert nearest_run(p, shuffled, 0, work) == want
         assert work.site_tests <= len(items) - 1  # at most every site but p's own
         assert work.site_visits == len(items)
 
-    @settings(max_examples=300, deadline=None)
-    @given(ray_case())
-    def test_outside_box_cannot_beat_or_tie(self, case):
-        p, d, items, _ = case
-        best = ray_run(None, p, d, items, 0)
-        if best is None:
-            return
-        bn, bd = best[:2]
-        centre = (p[0] + Fraction(bn * d[0], 2 * bd), p[1] + Fraction(bn * d[1], 2 * bd))
-        for w in outside_ring(ray_box(p, d, best), 2):
-            assert not in_closed_disk(w, centre, p), w
-            ux, uy = w[0] - p[0], w[1] - p[1]
-            den = ux * d[0] + uy * d[1]
-            # Missed by the ray, or crossed strictly after the best.
-            assert den <= 0 or (ux * ux + uy * uy) * bd > bn * den, w
-
     def test_tie_on_the_box_edge_is_kept(self):
-        # (2, 0) sets the best at (1, 0): its disk, centred there through
-        # p = (0, 0), has the box [0, 2] x [-1, 1].  (1, 1) lies on the
-        # box's top edge and on the disk, and its bisector x + y = 1 ties at
-        # (1, 0) and wins; (5, 5) and (-3, 0) lie outside and are culled.
-        p, d = (0, 0), (1, 0)
-        items = [(0, p), (1, (2, 0)), (2, (5, 5)), (3, (1, 1)), (4, (-3, 0))]
+        # (3, 0) sets the best, 9, and the box [-3, 3] x [-3, 3] about
+        # p = (0, 0).  (0, 3) lies on its top edge, ties, and wins on its
+        # lower index; (3, 1) is inside and farther; (4, 4) and (-4, 0)
+        # lie outside and are culled.
+        p = (0, 0)
+        items = [(0, p), (5, (3, 0)), (2, (0, 3)), (6, (3, 1)), (7, (4, 4)), (1, (-4, 0))]
         work = SimpleNamespace(site_tests=0, site_visits=0)
-        best = ray_run(None, p, d, items, 0, work)
-        assert ray_box(p, d, best) == (0, 2, -1, 1)
-        assert best[2] == reference_ray(p, d, items, 0)[0] == 3
-        assert (work.site_tests, work.site_visits) == (2, 5)
-        # An incoming best builds the box at entry.
-        work = SimpleNamespace(site_tests=0, site_visits=0)
-        assert ray_run(best, p, d, [items[2], items[4]], 0, work) == best
-        assert (work.site_tests, work.site_visits) == (0, 2)
-
-    def test_tie_rule(self):
-        # Both bisectors cross the ray along +x at (2, 0).
-        p, d = (0, 0), (1, 0)
-        for items in ([(1, (2, 2)), (2, (2, -2))], [(2, (2, -2)), (1, (2, 2))]):
-            got = run_ray(p, d, items, None, 1)
-            assert got == reference_ray(p, d, items, None)
-            assert got[1] == 2
-            # Turned slightly counterclockwise the ray meets x + y = 2
-            # first, the bisector with (2, 2), in either order.
-            assert got[0] == 1
-
-    def test_miss_behind(self):
-        assert ray_run(None, (0, 0), (1, 0), [(1, (-4, 1)), (2, (0, 5))], 0) is None
+        assert nearest_run(p, items, 0, work) == 2 == reference_nearest(p, items, 0)
+        assert (work.site_tests, work.site_visits) == (3, 6)
 
 
 @st.composite
@@ -581,8 +511,8 @@ def seeded_clips(pts):
         walk = cell_walk(arena, i, DiagramMode.NEAREST)
         try:
             while not walk.done:
-                if walk.needs_ray_scan:
-                    walk.best = ray_run(None, walk.p, walk.current_ray.direction, span, i)
+                if walk.cutter is None:
+                    walk.cutter = nearest_run(walk.p, span, i)
                 walk.begin_clip()
                 line = exact.bisector_line(walk.p, arena.read(walk.rival).ipt)
                 skip = (i, walk.rival)
@@ -597,7 +527,7 @@ def seeded_clips(pts):
                 if not alive:
                     break
                 walk.advance(clip_edge(arena, i, walk.p, walk.rival, line, plain))
-        except (DegenerateGeometry, NoIntersection):
+        except DegenerateGeometry:
             pass
     return arena, out
 

@@ -87,14 +87,27 @@ class TestHullMembership:
 
 
 class TestStartRay:
-    def test_nearest_aims_at_reference(self):
-        ray = cell_walk(ReadOnlyArena(triangle()), 0, N).current_ray
-        assert ray.origin == (0, 0) and ray.direction == (1, 0)
+    """Every walk starts on a known edge of its cell: a nearest walk on its
+    bisector with its nearest neighbor, a farthest walk on its unbounded
+    edge with a hull neighbor."""
+
+    @pytest.mark.parametrize("seed", [91, 92, 93])
+    def test_nearest_starts_on_its_nearest_neighbor_bisector(self, seed):
+        P = random_sites(24, seed)
+        arena = ReadOnlyArena(P)
+        for i, site in enumerate(P):
+            walk = cell_walk(arena, i, N)
+            assert walk.cutter is None  # found by the first round's pass
+            [edge] = _round(arena, [walk], N)
+            _, j = min(((w.ix - site.ix) ** 2 + (w.iy - site.iy) ** 2, j) for j, w in enumerate(P) if j != i)
+            assert edge.rival == j
+            assert edge.piece.carrier.line == exact.bisector_line(site.ipt, P[j].ipt)
+            assert check_distance_profile(record_for(arena, edge, N), P) is None
 
     def test_farthest_starts_on_a_hull_neighbor_bisector(self):
         arena = ReadOnlyArena(triangle())
         walk = cell_walk(arena, 0, F)
-        assert walk.current_ray is None and not walk.needs_ray_scan
+        assert walk.cutter in (1, 2)  # known before any pass
         [edge] = _round(arena, [walk], F)
         assert edge.rival in (1, 2)
         assert (edge.piece.lo is None) != (edge.piece.hi is None)  # its unbounded edge
@@ -108,9 +121,11 @@ class TestStartRay:
 
 class TestFindEdge:
     def test_triangle_first_edge(self):
+        # Site 0 = (0, 0) starts on its bisector with its nearest neighbor,
+        # site 2 = (0, 6).
         edge = first_edge(ReadOnlyArena(triangle()), 0, N)
-        assert edge.rival == 1
-        assert edge.piece.carrier.line == (1, 0, 4)  # on x = 4
+        assert edge.rival == 2
+        assert edge.piece.carrier.line == (0, 1, 3)  # on y = 3
         assert edge.piece.lo is None or edge.piece.hi is None  # a ray
         bounded = edge.piece.hi or edge.piece.lo
         assert (Fraction(bounded[0], bounded[2]), Fraction(bounded[1], bounded[2])) == (4, 3)

@@ -95,17 +95,19 @@ class SpanArena(ReadOnlyArena):
 
 
 def walk_by_hand(arena, walk, mode, size):
-    """Every edge of `walk`, each found by driving `ray_run` (a nearest
-    walk's first edge) and `clip_run` over the input in spans of `size`
-    sites, state carried across calls."""
+    """Every edge of `walk`, each found by driving `nearest_run` (a nearest
+    walk's first rival, the nearest of the spans' nearest sites) and
+    `clip_run` (state carried across calls) over the input in spans of
+    `size` sites."""
     nearest = mode is N
     n = len(arena)
     spans = [arena.read_span(i, min(n, i + size)) for i in range(0, n, size)]
     edges = []
     while not walk.done:
-        if walk.needs_ray_scan:
-            for span in spans:
-                walk.best = scan.ray_run(walk.best, walk.p, walk.current_ray.direction, span, walk.site)
+        if walk.cutter is None:
+            points = {j: w for span in spans for j, w in span}
+            near = [scan.nearest_run(walk.p, span, walk.site) for span in spans]
+            walk.cutter = scan.nearest_run(walk.p, [(j, points[j]) for j in near if j is not None], walk.site)
         walk.begin_clip()
         line = exact.bisector_line(walk.p, arena.read(walk.rival).ipt)
         for span in spans:
@@ -170,17 +172,18 @@ class TestFindEdgesBatched:
 class TestPassStructure:
     """A round reads the input as one n-site span per pass and makes one
     kernel call with that span per live walk and pass; fresh nearest walks
-    add a ray pass, and farthest walks, which start on a known edge, never
-    do.  A nearest walk past its first edge also makes one clip call with
-    its one-site seed, which reads nothing."""
+    add a `nearest_run` pass for their first rivals, and farthest walks,
+    which start on a known edge, never do.  A nearest walk past its first
+    edge also makes one clip call with its one-site seed, which reads
+    nothing."""
 
     @pytest.mark.parametrize("mode", [N, F])
     def test_round_reads_one_span_per_pass(self, mode, monkeypatch):
-        calls = {"clip": 0, "ray": 0, "seed": 0}
+        calls = {"clip": 0, "nearest": 0, "seed": 0}
 
-        def counted(name, kernel):
+        def counted(name, kernel, at):
             def run(*args, **kwargs):
-                items = args[3]  # the sites, in either kernel
+                items = args[at]  # the sites
                 if len(items) == n:
                     calls[name] += 1
                 else:
@@ -190,8 +193,8 @@ class TestPassStructure:
 
             return run
 
-        monkeypatch.setattr(tradeoff, "clip_run", counted("clip", tradeoff.clip_run))
-        monkeypatch.setattr(tradeoff, "ray_run", counted("ray", tradeoff.ray_run))
+        monkeypatch.setattr(tradeoff, "clip_run", counted("clip", tradeoff.clip_run, 3))
+        monkeypatch.setattr(tradeoff, "nearest_run", counted("nearest", tradeoff.nearest_run, 1))
         P = random_sites(20, 816)
         arena = SpanArena(P)
         n = len(P)
@@ -199,16 +202,16 @@ class TestPassStructure:
         m = len(slots)
         for fresh in (True, False):
             assert all(t.first_edge is None for t in slots) is fresh
-            calls.update(clip=0, ray=0, seed=0)
+            calls.update(clip=0, nearest=0, seed=0)
             arena.spans.clear()
             reads, singles = arena.read_count, arena.singles
             edges = _round(arena, slots, mode)
-            ray = fresh and mode is N
-            passes = 2 if ray else 1
+            first = fresh and mode is N
+            passes = 2 if first else 1
             assert arena.spans == [(0, n)] * passes
             assert arena.read_count - reads == passes * n + arena.singles - singles
             seeded = m if mode is N and not fresh else 0
-            assert calls == {"clip": m, "ray": m if ray else 0, "seed": seeded}
+            assert calls == {"clip": m, "nearest": m if first else 0, "seed": seeded}
             for slot, edge in zip(slots, edges):
                 slot.advance(edge)
             slots = [t for t in slots if not t.done]
