@@ -34,8 +34,8 @@ from .tradeoff import (
     W_BATCH_SITE,
     W_FIXED,
     drive,
-    find_big_cells,
     iter_big_big,
+    iter_diagram,
     iter_small_incident,
 )
 
@@ -216,14 +216,26 @@ def _halfedges_of_cell_edge(k: int, closest: frozenset, edge: CellEdge, site_pt,
 def order1_halfedges(
     arena: ReadOnlyArena,
     s1: int,
-    table: BigCellTable,
+    table: Optional[BigCellTable],
     ledger: Optional[WorkLedger] = None,
+    found: Optional[list] = None,
 ) -> Iterator[HalfEdge]:
-    """All 1-half-edges, each undirected edge reported as two directions."""
-    for edge in itertools.chain(
-        iter_small_incident(arena, DiagramMode.NEAREST, s1, table, ledger),
-        iter_big_big(arena, DiagramMode.NEAREST, s1, table, ledger),
-    ):
+    """All 1-half-edges, each undirected edge reported as two directions.
+
+    Without a table, every cell is walked once (`tradeoff.iter_diagram`),
+    which appends the big-cell table it finds to `found`; with a table of
+    indices known, only its small cells are walked, which costs less, and
+    its big-big edges are clipped.
+    """
+    nearest = DiagramMode.NEAREST
+    if table is None:
+        edges = iter_diagram(arena, nearest, s1, ledger, found)
+    else:
+        edges = itertools.chain(
+            iter_small_incident(arena, nearest, s1, table, ledger),
+            iter_big_big(arena, nearest, s1, table, ledger),
+        )
+    for edge in edges:
         sp = arena.read(edge.site).ipt
         rp = arena.read(edge.rival).ipt
         yield from _halfedges_of_cell_edge(1, frozenset(), edge, sp, rp)
@@ -607,52 +619,6 @@ def _iter_big_big_edges(
                     yield from _halfedges_of_cell_edge(k_out, common, edge, a_pt, b_pt)
 
 
-def decode_halfedge(record: EdgeRecord, sites) -> HalfEdge:
-    """Rebuild a half-edge from its record and the site array."""
-    from .records import Unbounded
-
-    scale = sites[0].scale
-    pa = sites[record.pair[0]].ipt
-    pb = sites[record.pair[1]].ipt
-    carrier = exact.bisector_line(pa, pb)
-
-    def point_of(ep):
-        if isinstance(ep, Unbounded):
-            return None
-        xs = ep[0] * scale
-        ys = ep[1] * scale
-        w = xs.denominator * ys.denominator
-        return exact.normalize_hpoint(
-            xs.numerator * ys.denominator, ys.numerator * xs.denominator, w
-        )
-
-    tail = point_of(record.tail)
-    head = point_of(record.head)
-    if isinstance(record.head, Unbounded):
-        direction = exact.primitive_dir(record.head.dx, record.head.dy)
-    elif isinstance(record.tail, Unbounded):
-        direction = exact.primitive_dir(-record.tail.dx, -record.tail.dy)
-    else:
-        dx = record.head[0] - record.tail[0]
-        dy = record.head[1] - record.tail[1]
-        direction = exact.primitive_dir(dx.numerator * dy.denominator, dy.numerator * dx.denominator)
-    he = HalfEdge(
-        record.k,
-        frozenset(record.closest),
-        record.pair,
-        carrier,
-        direction,
-        tail,
-        head,
-        record.extra_t,
-        record.extra_h,
-    )
-    towards_left = exact.cross_dir(direction, (pa[0] - pb[0], pa[1] - pb[1]))
-    if towards_left <= 0:
-        raise ValueError("record direction does not put pair[0] on the left")
-    return he
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Orders 1..K with an s-word workspace; K^2 must fit inside s."""
@@ -679,28 +645,30 @@ def pipeline_run(
 ) -> None:
     """Emit all half-edges of orders 1..K, grouped by nondecreasing order.
 
-    Stage 0 finds the big cells of the order-1 diagram only.  Stage k
-    re-runs the producers for orders 1..k chained through bounded buffers,
-    writes the order-k half-edges to the sink as they first enter their
-    buffer, and lets the next order's first phase consume them to learn
-    its big cells.  Each half-edge is written exactly once, in its stage.
+    Stage k runs the producers for orders 1..k chained through bounded
+    buffers, writes the order-k half-edges to the sink as they first enter
+    their buffer, and lets the next order's first phase consume them to
+    learn its big cells.  Each half-edge is written exactly once, in its
+    stage.  Stage 1 walks every order-1 cell once and so finds the order-1
+    big cells as it goes; stages 2..K hold their indices, charged to the
+    ledger, and walk only the small cells.
     """
     s1 = config.s_prime
     K = config.K
     scale = arena.scale
     buffer_words = sum(3 * s1 * (k + 4) for k in range(1, K + 1)) + W_FIXED
     with scope(ledger, buffer_words):
-        table1 = find_big_cells(arena, DiagramMode.NEAREST, s1, ledger)
-        tables: dict = {1: table1}
+        found: list[BigCellTable] = []
+        tables: dict = {1: None}
 
         def chain(up_to: int) -> Iterator[HalfEdge]:
-            stream: Iterator[HalfEdge] = order1_halfedges(arena, s1, tables[1], ledger)
+            stream: Iterator[HalfEdge] = order1_halfedges(arena, s1, tables[1], ledger, found)
             for k_out in range(2, up_to + 1):
                 buf = EdgeBuffer(stream, s1, 3 * s1)
                 stream = iter_order_edges(arena, k_out, s1, buf, tables[k_out], ledger)
             return stream
 
-        for stage in range(1, K + 1):
+        def run_stage(stage: int) -> None:
             stream = chain(stage)
             if stage < K:
                 emitted = EdgeBuffer(
@@ -712,3 +680,8 @@ def pipeline_run(
                 for he in stream:
                     sink.emit(he.to_record(scale))
 
+        run_stage(1)
+        tables[1] = BigCellTable(found[0].indices)
+        with scope(ledger, tables[1].words()):
+            for stage in range(2, K + 1):
+                run_stage(stage)

@@ -311,6 +311,12 @@ class TrackedSite:
     endpoints.  `cutter` names the rival whose bisector carries the next
     edge; after the first edge, `seed()` names the site whose bisector with
     p holds that edge's entry vertex, a cutter known before any pass.
+
+    A walk cut short knows which edges it walked from O(1) words (`arc`):
+    a convex cell's edges come in the angular order of their rivals'
+    offsets w - p, nearest and farthest cells alike, so the edges walked on
+    each leg are those whose offsets lie in one closed angle from the first
+    edge's (`walked`).
     """
 
     __slots__ = (
@@ -327,6 +333,8 @@ class TrackedSite:
         "_leg2",
         "_v",
         "_entry",
+        "_second",
+        "_turn",
     )
 
     def __init__(self, site_idx: int, p, rival: Optional[int] = None):
@@ -342,7 +350,9 @@ class TrackedSite:
         self._first_rival: Optional[int] = None
         self._leg2 = None  # (endpoint hpoint, cutter) queued for the reverse walk
         self._v = None
-        self._entry: Optional[CellEdge] = None  # the edge walked into the entry vertex
+        self._entry: Optional[CellEdge] = None  # the last edge of this leg, walked into the entry vertex
+        self._second: Optional[CellEdge] = None  # the edge after the first: leg 1's turning sense
+        self._turn: Optional[CellEdge] = None  # the last edge of leg 1, once leg 2 began
 
     def begin_clip(self) -> None:
         self.rival = self.cutter
@@ -392,12 +402,16 @@ class TrackedSite:
             nxt = edge.piece.lo
         else:
             raise AssertionError("walk endpoint not on the next edge")
+        if self._second is None:
+            self._second = edge
         if nxt is None:
             if self._leg2 is not None:
                 self._v, self.cutter = self._leg2
                 self._leg2 = None
+                self._turn = edge
                 self._entry = self.first_edge
             else:
+                self._entry = edge
                 self.done = True
             return
         self._v = nxt
@@ -405,6 +419,65 @@ class TrackedSite:
         self.cutter = edge.cutter_at(nxt)
         if self.cutter == self._first_rival:
             self.done = True
+
+    def arc(self) -> tuple:
+        """The edges walked so far, in 7 words: the rival offsets w - p of
+        the first edge, of the last edge reached on leg 1 and of the last
+        on leg 2 (the first edge's until leg 2 begins), 2 words each, then
+        leg 1's turning sense, +1 counterclockwise, -1 clockwise (+1 while
+        the walk has one edge); () before the first edge.  Offsets come
+        from the edges' carriers, so the arc costs no read."""
+        if self.first_edge is None:
+            return ()
+        px, py = self.p
+
+        def offset(edge):
+            return _rival_offset(edge.piece.carrier.line, px, py)
+
+        first = offset(self.first_edge)
+        if self._turn is None:
+            last, back = offset(self._entry), first
+        else:
+            last, back = offset(self._turn), offset(self._entry)
+        sense = 1
+        if self._second is not None:
+            sx, sy = offset(self._second)
+            sense = 1 if first[0] * sy - first[1] * sx > 0 else -1
+        return (*first, *last, *back, sense)
+
+    def walked(self, e) -> bool:
+        """Whether the walk has reported the cell's edge against the rival
+        at offset e = w - p; e must be the offset of one of the cell's
+        rivals."""
+        return arc_walked(self.arc(), e)
+
+
+def _swept(a, d, b) -> bool:
+    """Whether direction d lies in the closed angle swept counterclockwise
+    from direction a to direction b (just a when b is a), exactly."""
+
+    def half(v) -> int:
+        # 0 for turns from a in [0, 180) degrees, 1 for [180, 360).
+        c = a[0] * v[1] - a[1] * v[0]
+        return 0 if c > 0 or c == 0 and a[0] * v[0] + a[1] * v[1] > 0 else 1
+
+    hd, hb = half(d), half(b)
+    if hd != hb:
+        return hd < hb
+    return d[0] * b[1] - d[1] * b[0] >= 0
+
+
+def arc_walked(arc, e) -> bool:
+    """Whether a walk whose `TrackedSite.arc` is `arc` reported the edge
+    against the rival at offset e: e lies in the angle leg 1 swept from the
+    first edge to its last, or in the one leg 2 swept the other way."""
+    if not arc:
+        return False
+    fx, fy, lx, ly, bx, by, sense = arc
+    first, last, back = (fx, fy), (lx, ly), (bx, by)
+    if sense > 0:
+        return _swept(first, e, last) or _swept(back, e, first)
+    return _swept(last, e, first) or _swept(first, e, back)
 
 
 def hull_walk(arena: ReadOnlyArena, i: int, nxt: int) -> TrackedSite:

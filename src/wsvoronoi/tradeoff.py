@@ -5,14 +5,19 @@ cell walks alive at once and serves all of them from the same passes, so
 the scan cost is shared: a pass reads the input once, as one span, and
 hands it whole to each live walk's kernel in one call.  `drive` is the
 slot loop, the one every cell walk in the package runs under
-(`pipeline`'s too).  Cells still walking when no fresh sites remain are
-"big"; their edges are recovered by clipping the diagram of the big sites
-against the whole input, while everything touching a small cell is
-reported during the walks.  Every walk starts on a known edge of its
-cell: a nearest walk on its bisector with its nearest neighbor, found in
-one pass, and a farthest walk, in hull order, on its unbounded edge with a
-hull neighbor.  At s > 1 `hull_stream`'s s-point window
-supplies the hull sites; at s = 1 the walks chain the hull themselves,
+(`pipeline`'s too).  Every cell is walked once, and each walked edge is
+reported at once from its cell of lower index (`iter_diagram`).  Cells
+still walking when no fresh sites remain are "big": their walks are cut
+short, and each keeps the arc it walked in O(1) words, from which
+`TrackedSite.walked` tells whether it reported a given edge.  The edges
+the cut walks missed come after: a small cell's edge with a lower-index
+big cell from walking again the few small cells above the lowest big
+index, and an edge between two big cells from clipping the diagram of
+the big sites against the whole input.  Every walk starts on a known
+edge of its cell: a nearest walk on its bisector with its nearest
+neighbor, found in one pass, and a farthest walk, in hull order, on its
+unbounded edge with a hull neighbor.  At s > 1 `hull_stream`'s s-point
+window supplies the hull sites; at s = 1 the walks chain the hull themselves,
 each handing the next hull site to the next walk.  The output is the same
 for every s; s = 1 is the constant-workspace diagram of
 `scan.enumerate_diagram`, with no big cells.
@@ -31,6 +36,8 @@ from .scan import (
     CellEdge,
     DiagramMode,
     TrackedSite,
+    _rival_offset,
+    arc_walked,
     cell_walk,
     clip_edge,
     clip_run,
@@ -40,19 +47,18 @@ from .scan import (
 )
 
 # Ledger words per unit of tracked state; documented so peaks are
-# reproducible.  A run charges the big-cell table (W_TABLE_ENTRY each)
-# while it holds it, and on top of that one phase at a time: the walks,
-# s * (W_SLOT + W_BATCH_SITE) + W_FIXED, plus for farthest diagrams the
-# hull chain, (s + 2) * W_HULL_POINT + W_FIXED (at s = 1 only until the
-# first two hull sites are found, then W_FIXED for the walks' own chain);
-# or the big-big diagram, charged for the table's capacity of s - 1 sites
-# at W_MEM_SITE each, plus s * W_BATCH_SITE and W_FIXED.  W_BATCH_SITE
-# charges s sites for the pass, though a pass is a view of the input the
-# arena holds, not a copy; the charge is kept so that reported peaks stay
-# reproducible.
+# reproducible.  A run charges the big-cell table (`BigCellTable.words`,
+# derived from what its entries hold) while it holds it, and on top of that
+# one phase at a time: the walks, s * (W_SLOT + W_BATCH_SITE) + W_FIXED,
+# plus for farthest diagrams the hull chain, (s + 2) * W_HULL_POINT +
+# W_FIXED (at s = 1 only until the first two hull sites are found, then
+# W_FIXED for the walks' own chain); or the big-big diagram, charged for
+# the table's capacity of s - 1 sites at W_MEM_SITE each, plus
+# s * W_BATCH_SITE and W_FIXED.  W_BATCH_SITE charges s sites for the
+# pass, though a pass is a view of the input the arena holds, not a copy;
+# the charge is kept so that reported peaks stay reproducible.
 W_SLOT = 24
 W_BATCH_SITE = 3
-W_TABLE_ENTRY = 1
 W_HULL_POINT = 3
 W_FIXED = 8
 # In-memory diagram of m sites: 3m site words plus <= 3m edges of ~14
@@ -61,10 +67,18 @@ W_MEM_SITE = 48
 
 
 class BigCellTable:
-    """Sorted site indices whose cells were left unfinished by the walks."""
+    """Sorted site indices of the cells the walks left unfinished, each
+    with the arc its walk reported before it was cut (`TrackedSite.arc`),
+    or () when the table lists indices alone."""
 
-    def __init__(self, indices: Iterable[int]):
+    def __init__(self, indices: Iterable[int], arcs: Optional[Iterable[tuple]] = None):
         self.indices = sorted(indices)
+        self.arcs = [()] * len(self.indices) if arcs is None else list(arcs)
+
+    @classmethod
+    def of_walks(cls, walks: Iterable[TrackedSite]) -> "BigCellTable":
+        entries = sorted((t.site, t.arc()) for t in walks)
+        return cls((i for i, _ in entries), (arc for _, arc in entries))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -72,6 +86,15 @@ class BigCellTable:
     def __contains__(self, idx: int) -> bool:
         pos = bisect_left(self.indices, idx)
         return pos < len(self.indices) and self.indices[pos] == idx
+
+    def walked(self, idx: int, e) -> bool:
+        """Whether big cell idx's walk reported its edge against the rival
+        at offset e from site idx (`scan.arc_walked`)."""
+        return arc_walked(self.arcs[bisect_left(self.indices, idx)], e)
+
+    def words(self) -> int:
+        """Ledger words the table holds: each entry's index and arc."""
+        return len(self.indices) + sum(map(len, self.arcs))
 
 
 def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) -> list[CellEdge]:
@@ -258,19 +281,20 @@ def _hull_chain(arena: ReadOnlyArena, ledger: Optional[WorkLedger]):
     raise AssertionError("hull chain did not close")
 
 
-def _site_source(arena, mode, s, ledger, skip=()):
-    """A fresh walk for every cell not in `skip`: nearest cells in index
-    order, farthest cells in hull order, from an s-point hull window or,
-    with one slot and nothing to skip, from the walks' own chain."""
+def _site_source(arena, mode, s, ledger, keep=None):
+    """A fresh walk for every cell whose site passes `keep` (every cell
+    without it): nearest cells in index order, farthest cells in hull order,
+    from an s-point hull window or, with one slot and every cell kept, from
+    the walks' own chain."""
     if mode is DiagramMode.NEAREST:
         for i in range(len(arena)):
-            if i not in skip:
+            if keep is None or keep(i):
                 yield cell_walk(arena, i, mode)
-    elif s == 1 and not skip:
+    elif s == 1 and keep is None:
         yield from _hull_chain(arena, ledger)
     else:
         for i, nxt in _hull_neighbors(arena, s, ledger):
-            if i not in skip:
+            if keep is None or keep(i):
                 yield hull_walk(arena, i, nxt)
 
 
@@ -323,12 +347,67 @@ def find_big_cells(
 
     When the initial load already covers every site (never any site had to
     wait for a slot) all walks are run to completion and the table is
-    empty.
+    empty.  The program finds its big cells in `iter_diagram`'s walks, which
+    report edges as they go; this walk-only search is kept as the
+    reference the tests hold that table to, and because the per-layer
+    tracer (`perfbench/spans.py`) names it.
     """
     leftovers: list[TrackedSite] = []
     for _ in walk_cells(arena, mode, s, _site_source(arena, mode, s, ledger), ledger, leftovers):
         pass
     return BigCellTable(t.site for t in leftovers)
+
+
+def iter_diagram(
+    arena: ReadOnlyArena,
+    mode: DiagramMode,
+    s: int,
+    ledger: Optional[WorkLedger] = None,
+    found: Optional[list] = None,
+) -> Iterator[CellEdge]:
+    """Every edge of the diagram exactly once, each cell walked once.
+
+    The walks run s at a time (`walk_cells`), and each walked edge is
+    reported at once from its cell of lower index, also when that cell's
+    walk is later cut short.  The walks still alive when the source runs
+    dry are cut short, and their cells are big: the table keeps each one's
+    walked arc, and `found`, if given, receives it.  Two kinds of edge are
+    then still missing, and both come from the table: an edge between a
+    small cell and a lower-index big cell whose walk did not reach it
+    (`_iter_unreached`), and an edge between two big cells that the lower
+    one did not walk (`iter_big_big`).
+    """
+    leftovers: list[TrackedSite] = []
+    for _, edge in walk_cells(arena, mode, s, _site_source(arena, mode, s, ledger), ledger, leftovers):
+        if edge.site < edge.rival:
+            yield edge
+    table = BigCellTable.of_walks(leftovers)
+    if found is not None:
+        found.append(table)
+    if table.indices:
+        with scope(ledger, table.words()):
+            yield from _iter_unreached(arena, mode, s, table, ledger)
+            yield from iter_big_big(arena, mode, s, table, ledger)
+
+
+def _iter_unreached(
+    arena: ReadOnlyArena,
+    mode: DiagramMode,
+    s: int,
+    table: BigCellTable,
+    ledger: Optional[WorkLedger] = None,
+) -> Iterator[CellEdge]:
+    """Every edge between a small cell and a big cell of lower index whose
+    walk did not reach it, from walking again the small cells above the
+    lowest big index: only they can have such an edge."""
+    lowest = table.indices[0]
+    source = _site_source(arena, mode, s, ledger, lambda i: i > lowest and i not in table)
+    for slot, edge in walk_cells(arena, mode, s, source, ledger):
+        j = edge.rival
+        if j < edge.site and j in table:
+            ex, ey = _rival_offset(edge.piece.carrier.line, *slot.p)
+            if not table.walked(j, (-ex, -ey)):
+                yield edge
 
 
 def iter_small_incident(
@@ -338,12 +417,13 @@ def iter_small_incident(
     table: BigCellTable,
     ledger: Optional[WorkLedger] = None,
 ) -> Iterator[CellEdge]:
-    """Every edge with at least one small cell, exactly once.
-
-    Walking only small cells: an edge against a big rival is reported
-    outright; between two small cells the lower index reports it.
+    """Every edge with at least one small cell, exactly once, for a table
+    known before the walks: only small cells are walked, an edge against a
+    big rival is reported outright, and between two small cells the lower
+    index reports it.
     """
-    for _, edge in walk_cells(arena, mode, s, _site_source(arena, mode, s, ledger, table), ledger):
+    source = _site_source(arena, mode, s, ledger, lambda i: i not in table)
+    for _, edge in walk_cells(arena, mode, s, source, ledger):
         if edge.rival in table or edge.site < edge.rival:
             yield edge
 
@@ -355,11 +435,13 @@ def iter_big_big(
     table: BigCellTable,
     ledger: Optional[WorkLedger] = None,
 ) -> Iterator[CellEdge]:
-    """Every edge between two big cells.
+    """Every edge between two big cells that the lower one's walk did not
+    report (by its arc in the table; a table of indices alone reported
+    none).
 
     Each edge of the diagram of the big sites is clipped against the whole
     input, read once as one span; surviving pieces are exactly the big-big
-    edges.
+    edges.  A pair whose edge the walk reported is passed over unclipped.
     """
     if len(table) < 2:
         return
@@ -370,7 +452,10 @@ def iter_big_big(
     with scope(ledger, max(len(mem_sites), s - 1) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED):
         span = arena.read_span(0, len(arena))
         for ai, (a, a_pt) in enumerate(mem_sites):
+            arc = table.arcs[ai]
             for b, b_pt in mem_sites[ai + 1 :]:
+                if arc_walked(arc, (b_pt[0] - a_pt[0], b_pt[1] - a_pt[1])):
+                    continue
                 # An edge of the big sites' own diagram, clipped by the input.
                 line = exact.bisector_line(a_pt, b_pt)
                 state = [None, None, None, None, None]
@@ -380,30 +465,6 @@ def iter_big_big(
                     yield clip_edge(arena, a, a_pt, b, line, state)
 
 
-def report_small_incident(
-    arena: ReadOnlyArena,
-    mode: DiagramMode,
-    s: int,
-    table: BigCellTable,
-    sink: OutputSink,
-    ledger: Optional[WorkLedger] = None,
-) -> None:
-    for edge in iter_small_incident(arena, mode, s, table, ledger):
-        sink.emit(record_for(arena, edge, mode))
-
-
-def report_big_big(
-    arena: ReadOnlyArena,
-    mode: DiagramMode,
-    s: int,
-    table: BigCellTable,
-    sink: OutputSink,
-    ledger: Optional[WorkLedger] = None,
-) -> None:
-    for edge in iter_big_big(arena, mode, s, table, ledger):
-        sink.emit(record_for(arena, edge, mode))
-
-
 def run_tradeoff(
     arena: ReadOnlyArena,
     mode: DiagramMode,
@@ -411,16 +472,16 @@ def run_tradeoff(
     sink: OutputSink,
     ledger: Optional[WorkLedger] = None,
 ) -> BigCellTable:
-    """Report the whole diagram with an s-word workspace: find the big
-    cells, emit everything small-incident, then the big-big leftovers.
+    """Report the whole diagram with an s-word workspace (`iter_diagram`)
+    and return its big-cell table.
 
     At s = 1 the drive's stop (0 < live < s) cannot fire, so no cell is
-    big; the search, which would walk every cell to its end, is skipped.
+    big: every walk runs to its end, and the run is the constant-workspace
+    diagram.
     """
     if not 1 <= s:
         raise ValueError("workspace parameter must be positive")
-    table = BigCellTable(()) if s == 1 else find_big_cells(arena, mode, s, ledger)
-    with scope(ledger, len(table) * W_TABLE_ENTRY):
-        report_small_incident(arena, mode, s, table, sink, ledger)
-        report_big_big(arena, mode, s, table, sink, ledger)
-    return table
+    found: list[BigCellTable] = []
+    for edge in iter_diagram(arena, mode, s, ledger, found):
+        sink.emit(record_for(arena, edge, mode))
+    return found[0]

@@ -304,19 +304,19 @@ class TestBench:
     PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
             "64,0,1,28262,35,7084,27432",
-            "64,2,1,32225,63,13990,53891",
-            "64,8,1,11449,373,13164,51399",
+            "64,2,1,16148,70,7012,27042",
+            "64,8,1,6453,408,7254,27857",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
             "64,0,1,2129,52,1860,1920",
-            "64,2,1,3490,82,3720,3840",
-            "64,8,1,1041,375,1953,2102",
+            "64,2,1,1745,82,1860,1920",
+            "64,8,1,1033,417,1616,1710",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,123567,142,48194,205165",
-            "64,9,3,537072,103,113723,494822",
-            "64,18,2,71317,304,47387,202809",
-            "64,18,3,297568,190,113279,492043",
+            "64,9,2,107490,144,41216,178316",
+            "64,9,3,508810,103,106639,467390",
+            "64,18,2,62060,328,40692,176815",
+            "64,18,3,281491,191,106301,465194",
         ]),
     }
 
@@ -332,13 +332,13 @@ class TestBench:
     CONVEX_PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
             "64,0,1,20782,35,15982,20282",
-            "64,2,1,23388,62,31964,40564",
-            "64,8,1,5612,371,24074,32258",
+            "64,2,1,11694,62,15982,20282",
+            "64,8,1,3871,392,16058,21487",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
             "64,0,1,16814,52,15500,16000",
-            "64,2,1,25692,82,31000,32000",
-            "64,8,1,6420,374,24132,24967",
+            "64,2,1,12846,82,15500,16000",
+            "64,8,1,5471,416,18292,18914",
         ]),
     }
 

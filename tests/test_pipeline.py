@@ -2,6 +2,7 @@
 
 import pytest
 
+from wsvoronoi import exact
 from wsvoronoi.datagen import random_sites, triangle
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
 from wsvoronoi.oracle import oracle_intervals, oracle_vdk
@@ -11,8 +12,8 @@ from wsvoronoi.pipeline import (
     PipelineConfig,
     _IntervalWalk,
     _trim_round,
+    HalfEdge,
     classify_head,
-    decode_halfedge,
     is_relevant,
     _relevant_walks,
     _walk_from_relevant,
@@ -23,6 +24,50 @@ from wsvoronoi.pipeline import (
 from wsvoronoi.records import Unbounded
 from wsvoronoi.scan import DiagramMode
 from wsvoronoi.tradeoff import run_tradeoff
+
+
+def decode_halfedge(record, sites) -> HalfEdge:
+    """Rebuild a half-edge from its record and the site array."""
+    scale = sites[0].scale
+    pa = sites[record.pair[0]].ipt
+    pb = sites[record.pair[1]].ipt
+    carrier = exact.bisector_line(pa, pb)
+
+    def point_of(ep):
+        if isinstance(ep, Unbounded):
+            return None
+        xs = ep[0] * scale
+        ys = ep[1] * scale
+        w = xs.denominator * ys.denominator
+        return exact.normalize_hpoint(
+            xs.numerator * ys.denominator, ys.numerator * xs.denominator, w
+        )
+
+    tail = point_of(record.tail)
+    head = point_of(record.head)
+    if isinstance(record.head, Unbounded):
+        direction = exact.primitive_dir(record.head.dx, record.head.dy)
+    elif isinstance(record.tail, Unbounded):
+        direction = exact.primitive_dir(-record.tail.dx, -record.tail.dy)
+    else:
+        dx = record.head[0] - record.tail[0]
+        dy = record.head[1] - record.tail[1]
+        direction = exact.primitive_dir(dx.numerator * dy.denominator, dy.numerator * dx.denominator)
+    he = HalfEdge(
+        record.k,
+        frozenset(record.closest),
+        record.pair,
+        carrier,
+        direction,
+        tail,
+        head,
+        record.extra_t,
+        record.extra_h,
+    )
+    towards_left = exact.cross_dir(direction, (pa[0] - pb[0], pa[1] - pb[1]))
+    if towards_left <= 0:
+        raise ValueError("record direction does not put pair[0] on the left")
+    return he
 
 
 def oracle_halfedges(P, k):

@@ -6,6 +6,7 @@ import pytest
 
 from wsvoronoi import exact
 from wsvoronoi.datagen import random_sites, triangle, with_interior_point
+from wsvoronoi.geometry import DegenerateGeometry, site_set
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
 from wsvoronoi.oracle import check_distance_profile, oracle_vdk, verify_run
 from wsvoronoi.scan import (
@@ -17,7 +18,7 @@ from wsvoronoi.scan import (
     locate_on_hull,
     record_for,
 )
-from wsvoronoi.tradeoff import _round
+from wsvoronoi.tradeoff import _round, _site_source, walk_cells
 
 N, F = DiagramMode.NEAREST, DiagramMode.FARTHEST
 
@@ -240,3 +241,32 @@ def test_small_grid_sets_match_oracle(pts):
         got = {r.undirected_key() for r in sink.records}
         assert len(got) == len(sink.records)
         assert got == oracle_vdk(P, k).undirected_keys()
+
+
+class TestWalkedArc:
+    """A walk cut after any round knows from its arc alone which edges of
+    its cell it reported: the rivals whose offsets lie in the angles its
+    legs swept."""
+
+    @given(st.lists(small_point, min_size=4, max_size=9, unique=True))
+    @settings(max_examples=80, deadline=None)
+    def test_walked_is_what_the_walk_reported(self, pts):
+        P = site_set(pts)
+        arena = ReadOnlyArena(P)
+        for mode in (N, F):
+            try:
+                walks = list(_site_source(arena, mode, 2, None))  # the diagram's walks
+            except DegenerateGeometry:
+                continue
+            for walk in walks:
+                p = walk.p
+                answers = []  # per round: the walk's answer for every site
+                reported = []
+                try:
+                    for _, edge in walk_cells(arena, mode, 1, iter([walk])):
+                        reported.append(edge.rival)
+                        answers.append({j for j, (x, y) in enumerate(pts) if walk.walked((x - p[0], y - p[1]))})
+                except DegenerateGeometry:
+                    continue
+                for k, walked in enumerate(answers, 1):
+                    assert walked & set(reported) == set(reported[:k])

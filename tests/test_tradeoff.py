@@ -15,13 +15,13 @@ from wsvoronoi.tradeoff import (
     W_HULL_POINT,
     W_MEM_SITE,
     W_SLOT,
-    W_TABLE_ENTRY,
     BigCellTable,
     _edge_vanished,
     _round,
     find_big_cells,
     hull_stream,
     iter_big_big,
+    iter_diagram,
     iter_small_incident,
     run_tradeoff,
 )
@@ -311,6 +311,16 @@ class TestBigCells:
         assert len(list(iter_big_big(ReadOnlyArena(self.P), mode, s, table))) == big_big
 
     @pytest.mark.parametrize("mode, s, k, big, big_big", CASES, ids=["nearest", "farthest"])
+    def test_reporting_walks_find_the_same_table(self, mode, s, k, big, big_big):
+        found = []
+        list(iter_diagram(ReadOnlyArena(self.P), mode, s, None, found))
+        [table] = found
+        assert table.indices == find_big_cells(ReadOnlyArena(self.P), mode, s).indices == big
+        # Every big walk reported an edge before it was cut: an index and a
+        # 7-word arc each.
+        assert [len(arc) for arc in table.arcs] == [7] * len(big)
+
+    @pytest.mark.parametrize("mode, s, k, big, big_big", CASES, ids=["nearest", "farthest"])
     def test_run_matches_oracle_and_releases_ledger(self, mode, s, k, big, big_big):
         _, sink, ledger = run(self.P, mode, s)
         report = verify_run(sink.records, oracle_vdk(self.P, k), k)
@@ -354,6 +364,30 @@ def parabola(n, seed):
 
     rng = random.Random(seed)
     return site_set([(x, x * x) for x in rng.sample(range(1, 1 << 20), n)])
+
+
+class TestReportedOnce:
+    """Every walked edge is reported at once from its lower-index cell, and
+    the edges cut walks did not reach come after the walks: each edge of
+    the diagram is reported exactly once at every s, with big cells
+    (s = 2, 3, 8 and, in nvd, n - 1: 33 and 38 of the 40 cells) or
+    without (s = 1 and s >= n)."""
+
+    SETS = {"random": random_sites(40, 844), "convex": parabola(40, 845)}
+    ORACLE = {}
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 8, 39, 40, 45])
+    @pytest.mark.parametrize("name", sorted(SETS))
+    def test_every_oracle_edge_once(self, name, s):
+        P = self.SETS[name]
+        for mode, k in ((N, 1), (F, len(P) - 1)):
+            if (name, k) not in self.ORACLE:
+                self.ORACLE[name, k] = oracle_vdk(P, k).undirected_keys()
+            _, sink, ledger = run(P, mode, s)
+            keys = [r.undirected_key() for r in sink.records]
+            assert len(keys) == len(set(keys)), f"an edge reported twice in {mode.value} at s={s}"
+            assert set(keys) == self.ORACLE[name, k]
+            assert ledger.live_words == 0
 
 
 class TestHullStream:
@@ -496,14 +530,6 @@ class TestRunTradeoff:
             runs.append(([format_record(r) for r in sink.records], arena.read_count, ledger.peak_words))
         assert runs[0] == runs[1]
 
-    def test_one_slot_skips_big_cell_search(self, monkeypatch):
-        def search(*args):
-            raise AssertionError("no cell can be big with one slot")
-
-        monkeypatch.setattr(tradeoff, "find_big_cells", search)
-        _, sink, _ = run(triangle(), N, 1)
-        assert len(sink.records) == 3
-
     def test_read_counts_reproducible(self):
         P = random_sites(24, 834)
         r1, _, _ = run(P, N, 6)
@@ -512,31 +538,30 @@ class TestRunTradeoff:
 
 
 class TestTableCharge:
-    """run_tradeoff charges W_TABLE_ENTRY words per big cell while it holds
-    the table through both report phases.
-
-    The table is forced here, so that its size and contents are fixed
-    whatever the walks leave over; any table gives the same diagram.
-    """
+    """run_tradeoff charges the big-cell table's words, an index and a
+    7-word walked arc per big cell, while it holds the table: through the
+    walks again of small cells and through big-big."""
 
     def test_peak_includes_table(self, monkeypatch):
-        P = random_sites(24, 835)
-        big = BigCellTable([2, 5, 11])
-        monkeypatch.setattr(tradeoff, "find_big_cells", lambda *args: big)
+        P = random_sites(40, 3)
+        s = 8
         live_at_start = []
-        for name in ("report_small_incident", "report_big_big"):
+        for name in ("_iter_unreached", "iter_big_big"):
 
-            def report(arena, mode, s, table, sink, ledger, _original=getattr(tradeoff, name)):
+            def spy(arena, mode, s, table, ledger, _original=getattr(tradeoff, name)):
                 live_at_start.append(ledger.live_words)
-                _original(arena, mode, s, table, sink, ledger)
+                yield from _original(arena, mode, s, table, ledger)
 
-            monkeypatch.setattr(tradeoff, name, report)
-        s = 4
-        _, sink, ledger = run(P, N, s)
-        charge = len(big) * W_TABLE_ENTRY
+            monkeypatch.setattr(tradeoff, name, spy)
+        sink = OutputSink()
+        ledger = WorkLedger(64 * s)
+        table = run_tradeoff(ReadOnlyArena(P), N, s, sink, ledger)
+        assert len(table) == 7
+        charge = len(table) * 8
+        assert table.words() == charge
         assert live_at_start == [charge, charge]
         assert ledger.live_words == 0
         walks = s * (W_SLOT + W_BATCH_SITE) + W_FIXED
-        big_big = len(big) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED
+        big_big = max(len(table), s - 1) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED
         assert ledger.peak_words == charge + max(walks, big_big)
         assert {r.undirected_key() for r in sink.records} == oracle_vdk(P, 1).undirected_keys()
