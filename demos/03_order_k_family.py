@@ -1,8 +1,9 @@
 """Produce the whole family of diagrams up to order K in one pipelined run.
 
 Each order is derived from the stream of the previous order's directed
-half-edges; bounded buffers between the stages pause and resume the
-producers so the total workspace stays proportional to s.  Every half-edge
+half-edges; each order's producer is a generator that reads the one below
+it directly, so a paused producer holds at most the round it is in and the
+total workspace stays proportional to s.  Every half-edge
 is written exactly once, grouped by order, and the result is checked
 against the unconstrained brute-force construction.
 """

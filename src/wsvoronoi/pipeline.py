@@ -9,18 +9,17 @@ finish within the slot budget, and every unbounded cell, are "big": an
 edge between two big cells comes instead from clipping the bisector of
 the two sites in which the cells differ against the whole input.
 
-Producers for orders 1..K are chained through bounded buffers and run
-cooperatively: pulling from a buffer below its low-water mark resumes the
-upstream producer until the buffer is comfortable again.  Order k is
-written to the output exactly when its buffer first receives it, so the
-stream is grouped by nondecreasing order.
+Producers for orders 1..K are generators, each reading the one below it
+directly and run cooperatively: pulling a half-edge resumes the upstream
+producer only until it yields one, so a paused producer holds no more
+than the round it is in.  Order k is written to the output as its
+producer yields it, so the stream is grouped by nondecreasing order.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -96,31 +95,12 @@ class HalfEdge:
             scale,
         )
 
-    def key(self):
-        return (
-            self.k,
-            self.closest,
-            self.pair,
-            self.tail,
-            self.head,
-            self.tail_extra,
-            self.head_extra,
-        )
-
-
-def classify_head(e: HalfEdge) -> str:
-    """'old' when the head vertex's third site is among the closest set."""
-    if e.head is None:
-        raise ValueError("unbounded head has no vertex to classify")
-    return "old" if e.head_extra in e.closest else "new"
-
 
 def is_relevant(e: HalfEdge) -> bool:
-    """True when the head vertex lies on the surrounding higher-order cell
-    boundary, i.e. the head is a new vertex; unbounded heads never are."""
-    if e.head is None:
-        return False
-    return classify_head(e) == "new"
+    """True when the head is a new vertex, one whose third site is not
+    among the closest set, and so lies on the surrounding higher-order cell
+    boundary; an unbounded head never is."""
+    return e.head is not None and e.head_extra not in e.closest
 
 
 def cog_key(cell: frozenset, pts: Callable[[int], tuple[int, int]]) -> tuple[int, int]:
@@ -150,51 +130,6 @@ class BigCellTableK:
     def __contains__(self, key) -> bool:
         pos = bisect_left(self.keys, key)
         return pos < len(self.keys) and self.keys[pos] == key
-
-
-class EdgeBuffer:
-    """Bounded half-edge queue between consecutive order producers.
-
-    Pulling below the low-water mark resumes the upstream producer until
-    the buffer holds its cap again (or the producer is exhausted); the
-    size therefore stays between low and cap while upstream has output.
-    An on_insert hook sees every half-edge exactly once, on first entry.
-    """
-
-    def __init__(self, producer: Iterator[HalfEdge], low: int, cap: int, on_insert=None):
-        if not 1 <= low <= cap:
-            raise ValueError("buffer bounds must satisfy 1 <= low <= cap")
-        self.low = low
-        self.cap = cap
-        self._producer = producer
-        self._q: deque = deque()
-        self._exhausted = False
-        self._on_insert = on_insert
-        self.max_seen = 0
-
-    def _refill(self) -> None:
-        while len(self._q) < self.cap and not self._exhausted:
-            try:
-                he = next(self._producer)
-            except StopIteration:
-                self._exhausted = True
-                return
-            if self._on_insert is not None:
-                self._on_insert(he)
-            self._q.append(he)
-            if len(self._q) > self.max_seen:
-                self.max_seen = len(self._q)
-
-    def pull(self) -> Optional[HalfEdge]:
-        if len(self._q) < self.low:
-            self._refill()
-        if self._q:
-            return self._q.popleft()
-        return None
-
-    def drain(self) -> None:
-        while self.pull() is not None:
-            pass
 
 
 def _halfedges_of_cell_edge(k: int, closest: frozenset, edge: CellEdge, site_pt, rival_pt) -> list[HalfEdge]:
@@ -421,28 +356,17 @@ class _IntervalWalk:
         )
 
 
-def _walk_from_relevant(arena: ReadOnlyArena, e: HalfEdge) -> _IntervalWalk:
-    """First pending boundary edge of the interval a relevant edge owns."""
-    cell = e.closest | set(e.pair)
-    pts3 = {i: arena.read(i).ipt for i in (*e.pair, e.head_extra)}
-    pair, closest, line, d, z = _outgoing(pts3, True, e.closest, cell)
-    pair_pts = (pts3[pair[0]], pts3[pair[1]])
-    return _IntervalWalk(frozenset(cell), frozenset(closest), pair, pair_pts, line, d, e.head, z)
+def _walk_from(arena: ReadOnlyArena, e: HalfEdge, cell: frozenset, vertex_old: bool) -> _IntervalWalk:
+    """The pending boundary edge of `cell` leaving e's head vertex, which
+    is old in the order of `cell` when `vertex_old`.
 
-
-def _walk_step(arena: ReadOnlyArena, f: HalfEdge) -> _IntervalWalk:
-    """Pending successor of f along its left cell's boundary.
-
-    Works through either vertex class; interval walks stop at old heads
-    themselves, but the successor remains well-defined there.
+    With `cell` the higher-order cell around a relevant e, the vertex is
+    old and the walk is the first of the interval e owns; with `cell` e's
+    left cell, the walk is e's successor along that cell's boundary.
     """
-    cell = f.left_cell()
-    pts3 = {i: arena.read(i).ipt for i in (*f.pair, f.head_extra)}
-    old = f.head_extra in f.closest
-    base = f.closest - {f.head_extra} if old else f.closest
-    pair, closest, line, d, z = _outgoing(pts3, old, base, cell)
-    pair_pts = (pts3[pair[0]], pts3[pair[1]])
-    return _IntervalWalk(cell, frozenset(closest), pair, pair_pts, line, d, f.head, z)
+    pts3 = {i: arena.read(i).ipt for i in (*e.pair, e.head_extra)}
+    pair, closest, line, d, z = _outgoing(pts3, vertex_old, e.closest - {e.head_extra}, cell)
+    return _IntervalWalk(cell, closest, pair, (pts3[pair[0]], pts3[pair[1]]), line, d, e.head, z)
 
 
 def _trim_round(arena: ReadOnlyArena, walks: list[_IntervalWalk]) -> None:
@@ -454,20 +378,21 @@ def _trim_round(arena: ReadOnlyArena, walks: list[_IntervalWalk]) -> None:
         walk.consider_batch(span, arena)
 
 
-def _relevant_walks(arena: ReadOnlyArena, source: EdgeBuffer, skip_cell=None, on_unbounded=None):
-    """A walk from every relevant lower-order half-edge `source` delivers.
+def _relevant_walks(arena: ReadOnlyArena, source: Iterator[HalfEdge], skip_cell=None, on_unbounded=None):
+    """A walk from every relevant lower-order half-edge of `source`.
 
     Old heads own no interval; an unbounded edge reveals an unbounded
     cell, reported to on_unbounded; cells with skip_cell(cell) are passed
     over.
     """
-    while (e := source.pull()) is not None:
+    for e in source:
         if e.head is None:
             if on_unbounded is not None:
                 on_unbounded(e.closest | set(e.pair))
         elif is_relevant(e):
-            if skip_cell is None or not skip_cell(e.closest | set(e.pair)):
-                yield _walk_from_relevant(arena, e)
+            cell = e.closest | set(e.pair)
+            if skip_cell is None or not skip_cell(cell):
+                yield _walk_from(arena, e, cell, True)
 
 
 def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger, on_unbounded=None, leftovers=None):
@@ -493,11 +418,11 @@ def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger, on_u
                 if on_unbounded is not None:
                     on_unbounded(w.cell)
                 continue
-            if classify_head(f) == "old":
+            if not is_relevant(f):
                 continue
             if w.steps > guard:
                 raise AssertionError("boundary walk failed to terminate")
-            nxt = _walk_step(arena, f)
+            nxt = _walk_from(arena, f, w.cell, False)
             nxt.steps = w.steps
             still.append(nxt)
         return still
@@ -509,7 +434,7 @@ def find_big_cells_k(
     arena: ReadOnlyArena,
     k_out: int,
     s1: int,
-    source: EdgeBuffer,
+    source: Iterator[HalfEdge],
     ledger: Optional[WorkLedger] = None,
 ) -> BigCellTableK:
     """First phase for order k_out: identify big cells, report nothing.
@@ -547,7 +472,7 @@ def iter_order_edges(
     arena: ReadOnlyArena,
     k_out: int,
     s1: int,
-    source: EdgeBuffer,
+    source: Iterator[HalfEdge],
     table: BigCellTableK,
     ledger: Optional[WorkLedger] = None,
 ) -> Iterator[HalfEdge]:
@@ -588,22 +513,11 @@ def _iter_big_big_edges(
     differing sites' bisector where the common sites are strictly closer
     and every other site strictly farther, found by one clipping pass
     over the input.  O(1) words per candidate, no in-workspace diagram:
-    `chunk` candidates share each pass, which reads the input as one span.
+    `chunk` candidates, generated as they are needed, share each pass,
+    which reads the input as one span.
     """
-    cells = table.cells
-    candidates = []
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            common = cells[i] & cells[j]
-            if len(common) != k_out - 1:
-                continue
-            (a,) = cells[i] - common
-            (b,) = cells[j] - common
-            candidates.append((frozenset(common), a, b))
-    if not candidates:
-        return
-    for lo_i in range(0, len(candidates), chunk):
-        group = candidates[lo_i : lo_i + chunk]
+    candidates = _big_big_candidates(table.cells, k_out)
+    while group := list(itertools.islice(candidates, chunk)):
         with scope(ledger, len(group) * (k_out + 14) + W_FIXED):
             states = []
             for common, a, b in group:
@@ -617,6 +531,18 @@ def _iter_big_big_edges(
                 if clip_run(box, line, a_pt, span, -1, (a, b), common, arena):
                     edge = clip_edge(arena, a, a_pt, b, line, box)
                     yield from _halfedges_of_cell_edge(k_out, common, edge, a_pt, b_pt)
+
+
+def _big_big_candidates(cells: list, k_out: int) -> Iterator[tuple[frozenset, int, int]]:
+    """(common sites, a, b) for each pair of cells, in table order, whose
+    site sets differ in one site each: a in the first, b in the second."""
+    for i, ci in enumerate(cells):
+        for cj in itertools.islice(cells, i + 1, None):
+            common = ci & cj
+            if len(common) == k_out - 1:
+                (a,) = ci - common
+                (b,) = cj - common
+                yield common, a, b
 
 
 @dataclass(frozen=True)
@@ -645,40 +571,42 @@ def pipeline_run(
 ) -> None:
     """Emit all half-edges of orders 1..K, grouped by nondecreasing order.
 
-    Stage k runs the producers for orders 1..k chained through bounded
-    buffers, writes the order-k half-edges to the sink as they first enter
-    their buffer, and lets the next order's first phase consume them to
-    learn its big cells.  Each half-edge is written exactly once, in its
-    stage.  Stage 1 walks every order-1 cell once and so finds the order-1
-    big cells as it goes; stages 2..K hold their indices, charged to the
-    ledger, and walk only the small cells.
+    Stage k runs the producers for orders 1..k, each a generator reading
+    the one below it, writes the order-k half-edges to the sink as they are
+    yielded, and lets the next order's first phase consume them to learn
+    its big cells; the stage then runs order k to its end.  Each half-edge
+    is written exactly once, in its stage.  Stage 1 walks every order-1
+    cell once and so finds the order-1 big cells as it goes; stages 2..K
+    hold their indices, charged to the ledger, and walk only the small
+    cells.
     """
     s1 = config.s_prime
     K = config.K
     scale = arena.scale
-    buffer_words = sum(3 * s1 * (k + 4) for k in range(1, K + 1)) + W_FIXED
-    with scope(ledger, buffer_words):
+    # A paused producer holds at most the one round it is in: s1 order-k
+    # half-edges of k + 4 words each.
+    paused_words = sum(s1 * (k + 4) for k in range(1, K + 1)) + W_FIXED
+    with scope(ledger, paused_words):
         found: list[BigCellTable] = []
         tables: dict = {1: None}
 
         def chain(up_to: int) -> Iterator[HalfEdge]:
-            stream: Iterator[HalfEdge] = order1_halfedges(arena, s1, tables[1], ledger, found)
+            stream = order1_halfedges(arena, s1, tables[1], ledger, found)
             for k_out in range(2, up_to + 1):
-                buf = EdgeBuffer(stream, s1, 3 * s1)
-                stream = iter_order_edges(arena, k_out, s1, buf, tables[k_out], ledger)
+                stream = iter_order_edges(arena, k_out, s1, stream, tables[k_out], ledger)
             return stream
 
+        def written(stream: Iterator[HalfEdge]) -> Iterator[HalfEdge]:
+            for he in stream:
+                sink.emit(he.to_record(scale))
+                yield he
+
         def run_stage(stage: int) -> None:
-            stream = chain(stage)
+            stream = written(chain(stage))
             if stage < K:
-                emitted = EdgeBuffer(
-                    stream, s1, 3 * s1, on_insert=lambda he: sink.emit(he.to_record(scale))
-                )
-                tables[stage + 1] = find_big_cells_k(arena, stage + 1, s1, emitted, ledger)
-                emitted.drain()
-            else:
-                for he in stream:
-                    sink.emit(he.to_record(scale))
+                tables[stage + 1] = find_big_cells_k(arena, stage + 1, s1, stream, ledger)
+            for _ in stream:
+                pass
 
         run_stage(1)
         tables[1] = BigCellTable(found[0].indices)

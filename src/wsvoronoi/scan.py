@@ -79,32 +79,47 @@ W_LOCATE = 8
 def locate_on_hull(arena: ReadOnlyArena, p_idx: int, ledger: Optional[WorkLedger] = None) -> HullStatus:
     """Hull membership of site p by one gift-wrapping pass.
 
-    Returns the two hull neighbors when p is a hull vertex.  Exactly one
-    pass over the arena beyond the reference pick (the lowest other index).
+    Returns the two hull neighbors when p is a hull vertex.  Of sites on
+    one ray from p the outermost is the candidate neighbor; p strictly
+    between two sites is inside.  At most one pass over the arena beyond
+    the reference pick (the lowest other index).
     """
     n = len(arena)
     with scope(ledger, W_LOCATE):
         p = arena.read(p_idx).ipt
         q_idx = 0 if p_idx != 0 else 1
         q = arena.read(q_idx).ipt
-        best_cw = best_ccw = None
-        cw_idx = ccw_idx = q_idx
+        cw = ccw = (q, q_idx)
         for j in range(n):
             if j == p_idx or j == q_idx:
                 continue
             w = arena.read(j).ipt
             side = exact.orient_ipts(p, q, w)
-            if side > 0:
-                if best_ccw is None or exact.orient_ipts(p, best_ccw, w) > 0:
-                    best_ccw, ccw_idx = w, j
-            else:
-                if best_cw is None or exact.orient_ipts(p, best_cw, w) < 0:
-                    best_cw, cw_idx = w, j
-        cw = best_cw if best_cw is not None else q
-        ccw = best_ccw if best_ccw is not None else q
-        if exact.orient_ipts(p, cw, ccw) < 0:
+            if side == 0 and _along(p, q, w) < 0:
+                return HullStatus(inside=True)
+            if side <= 0 and _past(p, cw[0], w, -1):
+                cw = (w, j)
+            if side >= 0 and _past(p, ccw[0], w, 1):
+                ccw = (w, j)
+        turn = exact.orient_ipts(p, cw[0], ccw[0])
+        if turn < 0 or (turn == 0 and _along(p, cw[0], ccw[0]) < 0):
             return HullStatus(inside=True)
-        return HullStatus(inside=False, cw_neighbor=cw_idx, ccw_neighbor=ccw_idx)
+        return HullStatus(inside=False, cw_neighbor=cw[1], ccw_neighbor=ccw[1])
+
+
+def _along(p, a, b) -> int:
+    """(a - p) . (b - p): negative when p lies strictly between collinear
+    a and b."""
+    return (a[0] - p[0]) * (b[0] - p[0]) + (a[1] - p[1]) * (b[1] - p[1])
+
+
+def _past(p, best, w, turn: int) -> bool:
+    """Whether w lies past best as seen from p, turning counterclockwise
+    (turn 1) or clockwise (-1), or on best's ray from p and farther out."""
+    side = exact.orient_ipts(p, best, w)
+    if side == 0:
+        return _along(p, best, w) > _along(p, best, best)
+    return side == turn
 
 
 def _disk_box(ex, ey, a, b, px, py, n, d):

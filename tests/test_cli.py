@@ -313,10 +313,10 @@ class TestBench:
             "64,8,1,1033,417,1616,1710",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,107490,144,41216,178316",
-            "64,9,3,508810,103,106639,467390",
-            "64,18,2,62060,328,40692,176815",
-            "64,18,3,281491,191,106301,465194",
+            "64,9,2,107490,100,41216,178316",
+            "64,9,3,508810,67,106639,467390",
+            "64,18,2,62060,240,40692,176815",
+            "64,18,3,281491,119,106301,465194",
         ]),
     }
 
@@ -339,6 +339,12 @@ class TestBench:
             "64,0,1,16814,52,15500,16000",
             "64,2,1,12846,82,15500,16000",
             "64,8,1,5471,416,18292,18914",
+        ]),
+        "order": (["--s-list", "9,18", "--k-list", "2,3"], [
+            "64,9,2,58041,98,84130,95225",
+            "64,9,3,258372,67,218511,239598",
+            "64,18,2,31547,252,79441,91324",
+            "64,18,3,146145,118,218100,239160",
         ]),
     }
 

@@ -51,7 +51,13 @@ CASES = {
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],
         "fc42af1b46d7179bcd5f2bd941717692d85afa9d2ab4bff4fdf97ba02fbf990a",
         "1c6ca951ab1e7a1ac331c153d4fbc05e867276e0b9914f8c891950457f212c55",
-        "c5157dfa6c3f437ad2a3fcf7ef05b36abd0298e1f3f500054d171bffa1de7f84",
+        "ce597a2006485a3f78ece200efcff28a1831928d84f37eaf204e262f8b434d63",
+    ),
+    "order-K3-s9": (
+        ["--mode", "order", "--max-k", "3", "--workspace", "9"],
+        "b53a76595729085110ab4155f15e1bdb072034075ecae919d080c5b52227c500",
+        "5a335969a0350f2d37863d94948cf42343fec61c8d677b681127f485448346f9",
+        "78b504d42d2e64da8f44f4aa4a13cd562ea4c73a6a68d50350d14a79dae8304f",
     ),
 }
 

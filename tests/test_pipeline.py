@@ -1,4 +1,4 @@
-"""Order-k family production: classification, walks, buffers, full runs."""
+"""Order-k family production: classification, walks, phases, full runs."""
 
 import pytest
 
@@ -8,17 +8,14 @@ from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
 from wsvoronoi.oracle import oracle_intervals, oracle_vdk
 from wsvoronoi.pipeline import (
     ConfigError,
-    EdgeBuffer,
     PipelineConfig,
     _IntervalWalk,
     _trim_round,
     HalfEdge,
-    classify_head,
     is_relevant,
     _relevant_walks,
-    _walk_from_relevant,
+    _walk_from,
     _walk_rounds,
-    _walk_step,
     pipeline_run,
 )
 from wsvoronoi.records import Unbounded
@@ -82,9 +79,10 @@ def first_halfedge(arena, walk, k_out):
 def first_of_interval(arena, e, k_out):
     """The first k_out-half-edge of the interval the half-edge e owns, or
     None when `_relevant_walks` starts no walk from e."""
-    if not list(_relevant_walks(arena, EdgeBuffer(iter([e]), low=1, cap=1))):
+    walks = list(_relevant_walks(arena, iter([e])))
+    if not walks:
         return None
-    return first_halfedge(arena, _walk_from_relevant(arena, e), k_out)
+    return first_halfedge(arena, walks[0], k_out)
 
 
 class TestClassification:
@@ -105,16 +103,15 @@ class TestClassification:
                     if i not in (*he.pair, he.head_extra)
                     and exact.dist2_cmp(he.head, pt, pts[he.pair[0]]) < 0
                 )
-                if classify_head(he) == "old":
-                    assert inside == k - 2
-                else:
+                if is_relevant(he):
                     assert inside == k - 1
+                else:
+                    assert inside == k - 2
 
     def test_order_one_heads_are_new(self):
         P = random_sites(10, 901)
         for he in oracle_halfedges(P, 1):
             if he.head is not None:
-                assert classify_head(he) == "new"
                 assert is_relevant(he)
 
     def test_unbounded_head_not_relevant(self):
@@ -123,8 +120,6 @@ class TestClassification:
         assert unbounded
         for he in unbounded:
             assert not is_relevant(he)
-            with pytest.raises(ValueError):
-                classify_head(he)
 
     def test_relevance_agrees_with_boundary_test(self):
         P = random_sites(12, 902)
@@ -187,7 +182,7 @@ class TestSuccessorStep:
                 if isinstance(cur.head, Unbounded):
                     continue
                 he = decode_halfedge(cur, P)
-                f = first_halfedge(arena, _walk_step(arena, he), k2)
+                f = first_halfedge(arena, _walk_from(arena, he, he.left_cell(), not is_relevant(he)), k2)
                 assert f is not None
                 assert f.to_record(scale).canonical_key() == nxt.canonical_key()
             break
@@ -207,38 +202,12 @@ class TestTrimRound:
         monkeypatch.setattr(_IntervalWalk, "consider_batch", counted)
         P = random_sites(20, 903)
         arena = ReadOnlyArena(P)
-        walks = [_walk_from_relevant(arena, e) for e in oracle_halfedges(P, 1) if is_relevant(e)][:6]
+        walks = list(_relevant_walks(arena, iter(oracle_halfedges(P, 1))))[:6]
         assert len(walks) == 6
         before = arena.read_count
         _trim_round(arena, walks)
         assert arena.read_count - before == len(P)
         assert calls == [len(P)] * len(walks)
-
-
-class TestEdgeBuffer:
-    def test_bounds_and_order(self):
-        def producer():
-            yield from range(20)
-
-        buf = EdgeBuffer(producer(), low=3, cap=9)
-        out = []
-        while (v := buf.pull()) is not None:
-            out.append(v)
-            assert len(buf._q) <= 9
-        assert out == list(range(20))
-        assert buf.max_seen <= 9
-
-    def test_on_insert_sees_each_once(self):
-        seen = []
-        buf = EdgeBuffer(iter(range(7)), low=2, cap=6, on_insert=seen.append)
-        buf.drain()
-        assert seen == list(range(7))
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            EdgeBuffer(iter(()), low=0, cap=3)
-        with pytest.raises(ValueError):
-            EdgeBuffer(iter(()), low=4, cap=3)
 
 
 class TestConfig:
@@ -310,7 +279,6 @@ class TestPipelineRun:
 class TestOrderPhases:
     def test_walked_and_big_big_outputs_are_disjoint(self):
         from wsvoronoi.pipeline import (
-            EdgeBuffer,
             _iter_big_big_edges,
             find_big_cells_k,
             iter_order_edges,
@@ -323,16 +291,14 @@ class TestOrderPhases:
         s1 = 2
         scale = P[0].scale
         t1 = find_big_cells(arena, DiagramMode.NEAREST, s1)
-        buf = EdgeBuffer(order1_halfedges(arena, s1, t1), s1, 3 * s1)
-        t2 = find_big_cells_k(arena, 2, s1, buf)
+        t2 = find_big_cells_k(arena, 2, s1, order1_halfedges(arena, s1, t1))
         big_big = {
             he.to_record(scale).canonical_key()
             for he in _iter_big_big_edges(arena, 2, t2, s1)
         }
-        buf2 = EdgeBuffer(order1_halfedges(arena, s1, t1), s1, 3 * s1)
         full = [
             he.to_record(scale).canonical_key()
-            for he in iter_order_edges(arena, 2, s1, buf2, t2)
+            for he in iter_order_edges(arena, 2, s1, order1_halfedges(arena, s1, t1), t2)
         ]
         assert len(full) == len(set(full)), "duplicate half-edges across phases"
         assert big_big <= set(full)

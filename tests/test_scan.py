@@ -1,14 +1,17 @@
 """Constant-workspace enumeration against the brute-force reference."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from wsvoronoi import exact
+from wsvoronoi.cli import main
 from wsvoronoi.datagen import random_sites, triangle, with_interior_point
 from wsvoronoi.geometry import DegenerateGeometry, site_set
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
 from wsvoronoi.oracle import check_distance_profile, oracle_vdk, verify_run
+from wsvoronoi.records import read_stream
 from wsvoronoi.scan import (
     DiagramMode,
     FarthestCellEmpty,
@@ -86,6 +89,42 @@ class TestHullMembership:
         locate_on_hull(arena, 5)
         assert arena.read_count <= 2 * 30
 
+    def test_collinear_sites_give_outermost_neighbors(self):
+        """On 4x4 grid subsets, full of collinear triples, a site is a hull
+        vertex exactly when a monotone chain keeps it, and its neighbors are
+        the chain's, never a site inside a hull edge."""
+
+        def chain(pts):
+            def half(seq):
+                out = []
+                for pt in seq:
+                    while len(out) > 1 and exact.orient_ipts(out[-2], out[-1], pt) <= 0:
+                        out.pop()
+                    out.append(pt)
+                return out[:-1]
+
+            ordered = sorted(pts)
+            return half(ordered) + half(reversed(ordered))  # counterclockwise
+
+        rng = random.Random(73)
+        grid = [(x, y) for x in range(4) for y in range(4)]
+        for _ in range(200):
+            sites = site_set(rng.sample(grid, rng.randint(3, 8)))
+            pts = [s.ipt for s in sites]
+            hull = chain(pts)
+            if len(hull) < 3:
+                continue
+            arena = ReadOnlyArena(sites)
+            for i, pt in enumerate(pts):
+                st = locate_on_hull(arena, i)
+                if pt not in hull:
+                    assert st.inside
+                    continue
+                at = hull.index(pt)
+                following, preceding = hull[(at + 1) % len(hull)], hull[at - 1]
+                assert not st.inside
+                assert (pts[st.cw_neighbor], pts[st.ccw_neighbor]) == (following, preceding)
+
 
 class TestStartRay:
     """Every walk starts on a known edge of its cell: a nearest walk on its
@@ -118,6 +157,25 @@ class TestStartRay:
         assert cell_walk(arena, 3, F) is None
         with pytest.raises(FarthestCellEmpty):
             cell_edges(arena, 3, F)
+
+    def test_farthest_cells_beside_a_site_inside_a_hull_edge(self, tmp_path, capsys):
+        """Site 1 lies inside the hull edge from site 0 to site 2: it has no
+        farthest cell, and the walks of 0 and 2 start on their bisectors
+        with each other, not with site 1."""
+        path = tmp_path / "sites.txt"
+        path.write_text("0 0\n0 1\n0 2\n1 0\n", encoding="utf-8")
+        out = tmp_path / "fvd.rec"
+        assert main(["run", str(path), "--mode", "fvd", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out, encoding="utf-8") as fh:
+            _, records = read_stream(fh)
+        sites = site_set([(0, 0), (0, 1), (0, 2), (1, 0)])
+        arena = ReadOnlyArena(sites)
+        for i in (0, 2, 3):
+            got = {record_for(arena, e, F).undirected_key() for e in cell_edges(arena, i, F)}
+            assert got == {r.undirected_key() for r in records if i in r.pair}
+        with pytest.raises(FarthestCellEmpty):
+            cell_edges(arena, 1, F)
 
 
 class TestFindEdge:
