@@ -9,6 +9,10 @@ observing mode so large parameter sweeps never abort.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import platform
 import time
 from dataclasses import astuple, dataclass, replace
 from typing import Optional, Sequence
@@ -86,3 +90,25 @@ def format_csv(rows: Sequence[BenchRow], budget_const: int) -> str:
     out = [f"# budget_const={budget_const}", CSV_HEADER]
     out.extend(row.csv() for row in rows)
     return "\n".join(out) + "\n"
+
+
+def file_input(path: str) -> dict:
+    """The JSON `input` of a run on a site file: its path and the sha256 of
+    its bytes."""
+    with open(path, "rb") as fh:
+        return {"file": path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+
+
+def format_json(rows: Sequence[BenchRow], budget_const: int, mode: str, source: dict) -> str:
+    """The rows as a JSON list of one run, each row keyed by the CSV
+    columns, with budget_const, the mode, the input and the machine the
+    wall times were taken on.  Runs join by concatenating their lists, as
+    in a committed `BENCH_*.json`."""
+    run = {
+        "budget_const": budget_const,
+        "mode": mode,
+        "input": source,
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
+        "rows": [dict(zip(CSV_HEADER.split(","), astuple(row))) for row in rows],
+    }
+    return json.dumps([run], indent=1) + "\n"

@@ -216,14 +216,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import bench_table, format_csv
+    from .bench import bench_table, file_input, format_csv, format_json
 
     try:
+        if args.repeats < 1:
+            raise ConfigError(f"--repeats must be positive, got {args.repeats}")
         if args.random:
             n_str, seed_str = args.random.split(",")
-            sites = random_sites(int(n_str), int(seed_str))
+            n = int(n_str)
+            if n < 3:
+                raise ConfigError(f"need at least 3 sites, got {n}")
+            sites = random_sites(n, int(seed_str))
+            source = {"random": args.random}
         elif args.file:
             sites = _load_sites(args.file)
+            source = file_input(args.file)
         else:
             raise ConfigError("bench needs --file or --random")
         c = _budget_const()
@@ -240,11 +247,22 @@ def cmd_bench(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     mode = DiagramMode.NEAREST if args.mode == "nvd" else DiagramMode.FARTHEST
-    rows = bench_table(sites, s_list, k_list, repeats=args.repeats, mode=mode)
-    text = format_csv(rows, c)
+    try:
+        rows = bench_table(sites, s_list, k_list, repeats=args.repeats, mode=mode)
+    except DegenerateGeometry as e:
+        print(f"degenerate: {e}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    if args.out and args.out.endswith(".json"):
+        text = format_json(rows, c, "order" if k_list else args.mode, source)
+    else:
+        text = format_csv(rows, c)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -310,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", default=None)
     p.add_argument("--mode", choices=("nvd", "fvd"), default="nvd", help="diagram of the rows without --k-list")
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="CSV, or JSON when PATH ends in .json")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("svg", help="render a record stream deterministically")

@@ -166,11 +166,16 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
     2(c - a.p)(a, b) / (a^2 + b^2), exactly (`_rival_offset`).  With
     u = w - p, the cutter w's bisector crosses the line at t = num / (2 den)
     along (b, -a) from the midpoint of p and r, where num = u.(e - u) and
-    den = a*u_y - b*u_x; a den of 0 is a cutter parallel to the line,
-    which keeps it whole when num has the kept side's sign (num < 0 is
-    nearer to p).  The kernel keeps num/den, so only the order of the
-    parameters is meaningful; the cutters alone leave the kernel (see
-    `clip_edge`).
+    den = a*u_y - b*u_x.  The kept sense is folded into the signs, once
+    per call: for want = 1 every cutter's num and den are negated, and for
+    an index in `flip` negated again.  Then the kept side of a cutter with
+    den > 0 lies beyond its crossing, a lower bound, and with den < 0
+    before it, an upper bound at (-num)/(-den); a den of 0 is a cutter
+    parallel to the line, which keeps it whole iff num < 0.  The stored
+    ends are num/den with den > 0 whatever the sense, so a state carries
+    over between calls of either.  The kernel keeps num/den, so only the
+    order of the parameters is meaningful; the cutters alone leave the
+    kernel (see `clip_edge`).
 
     The box cull (nearest sense, no `flip`, both ends bounded): the disks
     centred on the line through p form a pencil, all through p and the
@@ -186,8 +191,11 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
     a, b, _ = line
     px, py = p
     ex, ey = _rival_offset(line, px, py)
-    keep_near = want < 0
-    cull = keep_near and not flip
+    far = want > 0
+    cull = not (far or flip)
+    flipping = bool(flip)
+    # The folded den's coefficients: den = da*u_y - db*u_x.
+    da, db = (-a, -b) if far else (a, b)
     # Unbounded ends as -inf = (-1, 0) and +inf = (1, 0): the cross-multiplied
     # comparisons below then need no None tests.
     lo_n, lo_d, lo_tie = state[0] or (-1, 0, False)
@@ -203,20 +211,13 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
         if j in skip or (boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1)):
             passed += 1
             continue
-        near = keep_near != (j in flip)
         ux = wx - px
         uy = wy - py
-        num = ux * (ex - ux) + uy * (ey - uy)
-        den = a * uy - b * ux
-        if den == 0:
-            # Cutter bisector parallel to the line: keep it whole or lose it.
-            if (num < 0) if near else (num > 0):
-                continue
-            alive = False
-            break
-        if den < 0:
-            num, den, near = -num, -den, not near
-        if near:
+        num = ux * (ux - ex) + uy * (uy - ey) if far else ux * (ex - ux) + uy * (ey - uy)
+        den = da * uy - db * ux
+        if flipping and j in flip:
+            num, den = -num, -den
+        if den > 0:
             # The kept side lies beyond the crossing: a lower bound.
             x = lo_n * den
             y = num * lo_d
@@ -227,15 +228,21 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
                 lo_tie = lo_tie or j != lo_cut
                 continue
             lo_n, lo_d, lo_cut, lo_box, lo_tie = num, den, j, None, False
-        else:
+        elif den < 0:
+            # An upper bound at (-num)/(-den), compared without negating.
             x = hi_n * den
             y = num * hi_d
-            if x < y:
+            if x > y:
                 continue
             if x == y:
                 hi_tie = hi_tie or j != hi_cut
                 continue
-            hi_n, hi_d, hi_cut, hi_box, hi_tie = num, den, j, None, False
+            hi_n, hi_d, hi_cut, hi_box, hi_tie = -num, -den, j, None, False
+        elif num < 0:
+            continue  # cutter bisector parallel to the line, kept whole
+        else:
+            alive = False
+            break
         if lo_n * hi_d >= hi_n * lo_d:
             alive = False
             break
@@ -350,6 +357,7 @@ class TrackedSite:
         "_entry",
         "_second",
         "_turn",
+        "handed",
     )
 
     def __init__(self, site_idx: int, p, rival: Optional[int] = None):
@@ -368,6 +376,7 @@ class TrackedSite:
         self._entry: Optional[CellEdge] = None  # the last edge of this leg, walked into the entry vertex
         self._second: Optional[CellEdge] = None  # the edge after the first: leg 1's turning sense
         self._turn: Optional[CellEdge] = None  # the last edge of leg 1, once leg 2 began
+        self.handed: Optional[int] = None  # the first edge's finite-end cutter, from the walk before
 
     def begin_clip(self) -> None:
         self.rival = self.cutter
@@ -434,6 +443,12 @@ class TrackedSite:
         self.cutter = edge.cutter_at(nxt)
         if self.cutter == self._first_rival:
             self.done = True
+
+    def exit_cutter(self) -> int:
+        """The cutter at the finite end of a finished walk's last edge,
+        which a farthest walk leaves on: its unbounded edge with the next
+        hull site."""
+        return self._entry.cutter_at(self._v)
 
     def arc(self) -> tuple:
         """The edges walked so far, in 7 words: the rival offsets w - p of

@@ -18,9 +18,10 @@ edge of its cell: a nearest walk on its bisector with its nearest
 neighbor, found in one pass, and a farthest walk, in hull order, on its
 unbounded edge with a hull neighbor.  At s > 1 `hull_stream`'s s-point
 window supplies the hull sites; at s = 1 the walks chain the hull themselves,
-each handing the next hull site to the next walk.  The output is the same
-for every s; s = 1 is the constant-workspace diagram of
-`scan.enumerate_diagram`, with no big cells.
+each handing the next walk its hull site and the cutter at the finite end
+of the edge the two cells share, so that first edge takes no pass.  The
+output is the same for every s; s = 1 is the constant-workspace diagram
+of `scan.enumerate_diagram`, with no big cells.
 """
 
 from __future__ import annotations
@@ -114,7 +115,11 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
     live at the first cutter on the far side.  A clip is an intersection,
     and a tie at a final end is flagged whichever tied cutter comes first,
     so the seed changes no edge.  Farthest clips never cull and are not
-    seeded.
+    seeded, except a chained walk's first edge (`_hull_chain`): the walk
+    before ended on that same edge, clipped against every site, so the
+    cutter it handed on, the one at the edge's finite end, is clipped alone
+    and the slot reads no span; the other end stays unbounded, and a tie at
+    the finite end was already raised in that walk.
     """
     nearest = mode is DiagramMode.NEAREST
     want = -1 if nearest else 1
@@ -124,15 +129,22 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
         span = arena.read_span(0, n)
         for slot in fresh:
             slot.cutter = nearest_run(slot.p, span, slot.site, arena)
-    span = arena.read_span(0, n)
+    span = None  # read once some slot needs it
     edges = []
     for slot in slots:
         slot.begin_clip()
         line = exact.bisector_line(slot.p, arena.read(slot.rival).ipt)
         skip = (slot.site, slot.rival)
-        seed = slot.seed() if nearest else None
-        alive = seed is None or clip_run(slot.state, line, slot.p, (seed,), want, skip, work=arena)
-        if not (alive and clip_run(slot.state, line, slot.p, span, want, skip, work=arena)):
+        if slot.handed is not None:
+            cut, slot.handed = slot.handed, None
+            alive = clip_run(slot.state, line, slot.p, ((cut, arena.read(cut).ipt),), want, skip, work=arena)
+        else:
+            if span is None:
+                span = arena.read_span(0, n)
+            seed = slot.seed() if nearest else None
+            alive = seed is None or clip_run(slot.state, line, slot.p, (seed,), want, skip, work=arena)
+            alive = alive and clip_run(slot.state, line, slot.p, span, want, skip, work=arena)
+        if not alive:
             _edge_vanished(slot)
         edges.append(clip_edge(arena, slot.site, slot.p, slot.rival, line, slot.state))
     return edges
@@ -263,19 +275,24 @@ def _hull_chain(arena: ReadOnlyArena, ledger: Optional[WorkLedger]):
     closed.  A walk starts on its cell's unbounded edge with the site
     walked just before (the anchor's, with that neighbor) and ends on the
     unbounded edge with its other hull neighbor, the rival of its last
-    edge, whose cell is walked next.  The chain stops when it returns to
-    the anchor.  A hull of two vertices (collinear sites) ends the first
-    walk, whose first edge is then a full line.
+    edge, whose cell is walked next.  That edge is the next walk's first,
+    already clipped against every site, so every walk but the anchor's is
+    handed one word, the cutter at the edge's finite end
+    (`TrackedSite.exit_cutter`), and clips its first edge against that
+    site alone (`_round`).  The chain stops when it returns to the anchor.
+    A hull of two vertices (collinear sites) ends the first walk, whose
+    first edge is then a full line.
     """
     stream = hull_stream(arena, 1, ledger)
     anchor, known = islice(stream, 2)
     stream.close()
-    site = anchor
+    site, handed = anchor, None
     with scope(ledger, W_FIXED):
         for _ in range(len(arena)):
             walk = hull_walk(arena, site, known)
+            walk.handed = handed
             yield walk  # drawn again only once this walk is done
-            site, known = walk.rival, site
+            site, known, handed = walk.rival, site, walk.exit_cutter()
             if site == anchor:
                 return
     raise AssertionError("hull chain did not close")

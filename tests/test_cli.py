@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, determinism."""
 
 import io
+import json
 import random
 
 import pytest
@@ -308,7 +309,7 @@ class TestBench:
             "64,8,1,6453,408,7254,27857",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,2129,52,1860,1920",
+            "64,0,1,1625,52,1372,1416",
             "64,2,1,1745,82,1860,1920",
             "64,8,1,1033,417,1616,1710",
         ]),
@@ -336,7 +337,7 @@ class TestBench:
             "64,8,1,3871,392,16058,21487",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,16814,52,15500,16000",
+            "64,0,1,12845,52,11657,12031",
             "64,2,1,12846,82,15500,16000",
             "64,8,1,5471,416,18292,18914",
         ]),
@@ -362,6 +363,56 @@ class TestBench:
         assert main(["bench", "--random", "12,3", "--s-list", "4,-2", "--out", str(path)]) == 5
         assert "config error" in capsys.readouterr().err
         assert not path.exists()
+
+    # Inputs on which `vw bench` must end cleanly, with no traceback and no
+    # empty table: (flags, exit code, stderr).  "SQUARE" stands for a file
+    # of SQUARE, on which `vw run` exits 2 too.
+    BAD = {
+        "square-fvd": (["--file", "SQUARE", "--mode", "fvd"], 2,
+                       "degenerate: edge of site 0 against 3 has a tied end: cocircular sites\n"),
+        "square-order": (["--file", "SQUARE", "--k-list", "2", "--s-list", "4"], 2,
+                         "degenerate: edge of site 0 against 1 has a tied end: cocircular sites\n"),
+        "two-sites": (["--random", "2,1"], 5, "config error: need at least 3 sites, got 2\n"),
+        "no-sites": (["--random", "0,1"], 5, "config error: need at least 3 sites, got 0\n"),
+        "zero-repeats": (["--random", "12,3", "--repeats", "0"], 5,
+                         "config error: --repeats must be positive, got 0\n"),
+        "negative-repeats": (["--random", "12,3", "--repeats", "-1"], 5,
+                             "config error: --repeats must be positive, got -1\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_input_exits_cleanly(self, case, tmp_path, capsys):
+        flags, code, err = self.BAD[case]
+        square = tmp_path / "square.txt"
+        square.write_text(SQUARE)
+        path = tmp_path / "bench.csv"
+        argv = ["bench", *(str(square) if f == "SQUARE" else f for f in flags), "--out", str(path)]
+        assert main(argv) == code
+        assert capsys.readouterr().err == err
+        assert not path.exists()
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "bench.csv"
+        assert main(["bench", "--random", "12,3", "--out", str(path)]) == 5
+        assert capsys.readouterr().err.startswith("config error: [Errno 2] No such file or directory")
+
+    def test_json_out(self, tmp_path):
+        """An --out path ending in .json gets the CSV's rows as a JSON list
+        of one run, with the budget constant, the mode and the input."""
+        csv_path, json_path = tmp_path / "bench.csv", tmp_path / "bench.json"
+        for path in (csv_path, json_path):
+            argv = ["bench", "--random", "24,3", "--s-list", "0,4", "--mode", "fvd", "--out", str(path)]
+            assert main(argv) == 0
+        [run] = json.loads(json_path.read_text())
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == f"# budget_const={run['budget_const']}"
+        assert (run["mode"], run["input"]) == ("fvd", {"random": "24,3"})
+        assert run["machine"]
+        columns = lines[1].split(",")
+        assert [list(row) for row in run["rows"]] == [columns] * 2
+        assert [[row[c] for c in columns[:7]] for row in run["rows"]] == [
+            [int(v) for v in line.split(",")[:7]] for line in lines[2:]
+        ]
 
 
 class TestBudgetEnv:

@@ -45,7 +45,7 @@ CASES = {
         ["--mode", "fvd"],
         "8b50cfa9d3a7883bb134ef0ff9e3b593e713c9e7d44462099c6ef85f600fbbb1",
         "e40ed468ba43e4560270f0dbf1defffe91ae9ccfb6acccf3156a90f92a9ea743",
-        "83c827618c7a4be2bf5a7ec4806a3e448097a34b804ac6bb5067817c3c1b779e",
+        "37adcda6203b702eb357a2ee467ef4199df33b302796168d2aabbf13f494d39a",
     ),
     "order-K2-s8": (
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],
@@ -93,7 +93,7 @@ CONVEX_CASES = {
         ["--mode", "fvd"],
         "8ec2fa95bdad74a8e4f63181f7ab4db4a0cb49d8e82d448c0985c9cf55eb6f0c",
         "934f560e2aea41d2ea9d4b2834f6224d0b49945054757fce44dae925514c7bdc",
-        "b996afe93ff0017dfb2ea490a10ce18366e7c1c756738b7f9edd2da90387b8b2",
+        "d903a452dac9b35572c0003de7ecae44e3f8cb69d194456bd73369ae4efbe974",
     ),
     "fvd-s8": (
         ["--mode", "fvd", "--workspace", "8"],

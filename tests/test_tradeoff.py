@@ -233,12 +233,38 @@ class TestHullChain:
     def test_one_slot_passes(self):
         """Two passes find the anchor and its neighbor, then one pass per
         step of the walks: each of the 2n - 3 edges of the farthest diagram
-        of n sites in convex position is walked from both its cells."""
+        of n sites in convex position is walked from both its cells, less
+        the first edge of every walk but the anchor's, which the walk
+        before ended on and handed on clipped."""
         n = 24
         arena = SpanArena(parabola(n, 841))
         run_tradeoff(arena, F, 1, OutputSink(keep=False))
-        assert arena.spans == [(0, n)] * (2 + 2 * (2 * n - 3))
+        assert arena.spans == [(0, n)] * (2 + 2 * (2 * n - 3) - (n - 1))
         assert arena.read_count == n * len(arena.spans) + arena.singles
+
+    @pytest.mark.parametrize("kind", ["parabola", "random"])
+    def test_handed_first_edge_is_the_clipped_one(self, kind):
+        """Every walk but the anchor's is handed a cutter, and its first
+        edge, clipped against that site alone, is the edge a full pass over
+        the input gives on the same bisector."""
+        arena = ReadOnlyArena(parabola(24, 843) if kind == "parabola" else random_sites(40, 844))
+        n = len(arena)
+        chained = 0
+        for walk in tradeoff._hull_chain(arena, None):
+            line = exact.bisector_line(walk.p, arena.read(walk.cutter).ipt)
+            state = [None] * 5
+            assert scan.clip_run(state, line, walk.p, arena.read_span(0, n), 1, (walk.site, walk.cutter))
+            full = scan.clip_edge(arena, walk.site, walk.p, walk.cutter, line, state)
+            handed = walk.handed
+            [edge] = _round(arena, [walk], F)
+            if handed is not None:
+                assert edge == full
+                chained += 1
+            walk.advance(edge)
+            while not walk.done:
+                [edge] = _round(arena, [walk], F)
+                walk.advance(edge)
+        assert chained == len(list(hull_stream(arena, 1))) - 1
 
     def test_first_edge_must_be_a_ray(self):
         """Started against a site that is not its hull neighbor, a farthest
