@@ -2,10 +2,11 @@
 
 The input sits in a read-only array; the only mutable state the algorithm
 keeps is a handful of coordinates and counters, so the ledger peak stays
-the same whether there are ten sites or a thousand.  Every cell is
-discovered by shooting a ray at its boundary and then stepping from edge
-to edge: the site whose bisector cut off an endpoint is the site whose
-bisector carries the next edge.
+the same whether there are ten sites or a thousand.  Every walk starts on
+a known edge of its cell (a nearest cell on its bisector with its nearest
+neighbour, a farthest cell on its unbounded edge) and then steps from
+edge to edge: the site whose bisector cut off an endpoint is the site
+whose bisector carries the next edge.
 """
 
 from wsvoronoi.datagen import random_sites, triangle

@@ -142,7 +142,11 @@ def cmd_run(args) -> int:
         budget_const=c,
     )
 
-    out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     emitted: dict = {}
 
     def writer(rec):

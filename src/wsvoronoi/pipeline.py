@@ -4,10 +4,12 @@ Each diagram order is produced from the previous one: a directed half-edge
 of order k whose head vertex lies on its surrounding (k+1)-cell boundary
 ("relevant") owns the run of boundary half-edges counterclockwise up to
 the next such vertex, and walking those runs for every relevant half-edge
-yields each (k+1)-half-edge exactly once.  Cells whose walks could not
-finish within the slot budget, and every unbounded cell, are "big": an
-edge between two big cells comes instead from clipping the bisector of
-the two sites in which the cells differ against the whole input.
+yields each (k+1)-half-edge exactly once.  Unbounded cells cannot be
+finished by counterclockwise walks; they are "big", found by a sweep of
+directions at infinity (the k-sets of the input, after Lee 1982), and an
+edge between two big cells comes instead from clipping the bisector of the
+two sites in which the cells differ against the whole input.  Every other
+cell is walked to its end.
 
 Producers for orders 1..K are generators, each reading the one below it
 directly and run cooperatively: pulling a half-edge resumes the upstream
@@ -378,29 +380,22 @@ def _trim_round(arena: ReadOnlyArena, walks: list[_IntervalWalk]) -> None:
         walk.consider_batch(span, arena)
 
 
-def _relevant_walks(arena: ReadOnlyArena, source: Iterator[HalfEdge], skip_cell=None, on_unbounded=None):
+def _relevant_walks(arena: ReadOnlyArena, source: Iterator[HalfEdge], skip_cell=None):
     """A walk from every relevant lower-order half-edge of `source`.
 
-    Old heads own no interval; an unbounded edge reveals an unbounded
-    cell, reported to on_unbounded; cells with skip_cell(cell) are passed
-    over.
+    Old and unbounded heads own no interval; cells with skip_cell(cell)
+    are passed over.
     """
     for e in source:
-        if e.head is None:
-            if on_unbounded is not None:
-                on_unbounded(e.closest | set(e.pair))
-        elif is_relevant(e):
+        if is_relevant(e):
             cell = e.closest | set(e.pair)
             if skip_cell is None or not skip_cell(cell):
                 yield _walk_from(arena, e, cell, True)
 
 
-def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger, on_unbounded=None, leftovers=None):
-    """Every half-edge the interval walks produce, up to s1 walks at once.
-
-    A walk ends at an old head, or at an unbounded edge, whose cell it
-    reports to on_unbounded.
-    """
+def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger):
+    """Every half-edge the interval walks produce, up to s1 walks at once;
+    each walk runs to its end, an old or unbounded head."""
     # A pass is a view of the input, charged as s1 * (k_out - 1) sites.
     pass_words = s1 * max(1, k_out - 1) * W_BATCH_SITE
     guard = 4 * (k_out + 1) * (len(arena) + 4)
@@ -414,10 +409,6 @@ def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger, on_u
             f = w.materialize(k_out, pts)
             yield f
             w.steps += 1
-            if f.head is None:
-                if on_unbounded is not None:
-                    on_unbounded(w.cell)
-                continue
             if not is_relevant(f):
                 continue
             if w.steps > guard:
@@ -427,38 +418,90 @@ def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger, on_u
             still.append(nxt)
         return still
 
-    return drive(source, s1, step, leftovers)
+    return drive(source, s1, step)
 
 
-def find_big_cells_k(
-    arena: ReadOnlyArena,
-    k_out: int,
-    s1: int,
-    source: Iterator[HalfEdge],
-    ledger: Optional[WorkLedger] = None,
-) -> BigCellTableK:
-    """First phase for order k_out: identify big cells, report nothing.
+def unbounded_cells(arena: ReadOnlyArena, k_out: int) -> Iterator[tuple[tuple[int, int], frozenset]]:
+    """(cog key, sites) of each unbounded order-k_out cell, once each, in
+    counterclockwise order at infinity.
 
-    Big cells are those whose walks outlive the supply of fresh
-    lower-order half-edges, plus every unbounded cell (revealed either by
-    an unbounded lower-order edge inside it or by a walk reaching an
-    unbounded boundary edge); unbounded cells cannot be finished by
-    counterclockwise walks, so their boundaries are left to the third
-    phase.
+    Far out in direction d the k_out nearest sites are the k_out greatest
+    in d (Lee, "On k-nearest neighbor Voronoi diagrams in the plane", IEEE
+    TC 1982), so the unbounded cells are the sets S met as d turns once
+    around.  The sweep starts at d = (1, eps) with the k_out sites
+    greatest in (x, y) order.  Each step reads the input as one span and
+    takes, over the pairs s in S, t not in S, the event direction
+    (v_y, -v_x), v = t - s, where t overtakes s, that comes first
+    counterclockwise strictly after the current direction; then it swaps
+    s for t.  Angles are compared exactly, by half-plane and cross
+    product, in (0, 2 pi] from (1, 0), and the sweep ends when S is back
+    at its start.  Two pairs tied for the next event put three sites on
+    one line: DegenerateGeometry.  The sweep holds S and O(1) more words.
     """
-    registered: dict = {}
-    pts = _point_reader(arena)
+    n = len(arena)
+    span = arena.read_span(0, n)
+    arena.site_tests += n
+    arena.site_visits += n
+    members: dict = {}  # S: index -> point
+    for j, pt in span:
+        if len(members) < k_out:
+            members[j] = pt
+        else:
+            low = min(members, key=members.get)
+            if pt > members[low]:
+                del members[low]
+                members[j] = pt
+    key = start = (sum(x for x, _ in members.values()), sum(y for _, y in members.values()))
+    # The current direction (cx, cy) and its half: 0 for angles in (0, pi],
+    # 1 for (pi, 2 pi]; half -1 is angle 0, before every event.
+    cx, cy, chalf = 1, 0, -1
+    while True:
+        yield key, frozenset(members)
+        span = arena.read_span(0, n)
+        arena.site_tests += n - len(members)
+        arena.site_visits += n
+        bx = by = 0
+        bhalf = 2  # after every event
+        best = None  # (s, t, t's point)
+        tied = False
+        for t, tp in span:
+            if t in members:
+                continue
+            tx, ty = tp
+            for s, (sx, sy) in members.items():
+                ex = ty - sy
+                ey = sx - tx
+                half = ey < 0 or (ey == 0 and ex > 0)
+                if half < chalf or (half == chalf and cx * ey - cy * ex <= 0):
+                    continue  # not after the current direction
+                if half > bhalf:
+                    continue
+                if half == bhalf:
+                    order = bx * ey - by * ex
+                    if order >= 0:
+                        tied = tied or order == 0
+                        continue
+                bx, by, bhalf, best = ex, ey, half, (s, t, tp)
+                tied = False
+        if best is None:  # S holds every site
+            return
+        if tied:
+            raise DegenerateGeometry("collinear sites at an unbounded order-k edge")
+        cx, cy, chalf = bx, by, bhalf
+        s, t, tp = best
+        sp = members.pop(s)
+        members[t] = tp
+        key = (key[0] - sp[0] + tp[0], key[1] - sp[1] + tp[1])
+        if key == start:
+            return
 
-    def register(cell) -> None:
-        registered.setdefault(cog_key(cell, pts), cell)
 
-    leftovers: list[_IntervalWalk] = []
-    walks = _relevant_walks(arena, source, on_unbounded=register)
-    for _ in _walk_rounds(arena, k_out, s1, walks, ledger, register, leftovers):
-        pass
-    for w in leftovers:
-        register(w.cell)
-    return BigCellTableK(registered)
+def find_big_cells_k(arena: ReadOnlyArena, k_out: int, ledger: Optional[WorkLedger] = None) -> BigCellTableK:
+    """The table of the big order-k_out cells: exactly the unbounded ones,
+    from the sweep at infinity (`unbounded_cells`), which is charged its
+    k_out sites and O(1) words; the table itself is not charged."""
+    with scope(ledger, k_out * W_BATCH_SITE + W_FIXED):
+        return BigCellTableK(dict(unbounded_cells(arena, k_out)))
 
 
 def _point_reader(arena: ReadOnlyArena):
@@ -476,12 +519,14 @@ def iter_order_edges(
     table: BigCellTableK,
     ledger: Optional[WorkLedger] = None,
 ) -> Iterator[HalfEdge]:
-    """Phases two and three for order k_out: every half-edge exactly once.
+    """Every order-k_out half-edge exactly once, given the table of the
+    unbounded order-k_out cells (`find_big_cells_k`).
 
-    Walks cover every small cell's boundary: each walked half-edge is
-    reported, plus its opposite when the cell to its right is big.  Edges
-    between two big cells come from clipping each candidate pair's
-    bisector against the whole input (`_iter_big_big_edges`).
+    Every bounded cell is walked: each walk outside the table runs to its
+    end, and each walked half-edge is reported, plus its opposite when the
+    cell to its right is in the table.  Edges between two unbounded cells
+    come from clipping each candidate pair's bisector against the whole
+    input (`_iter_big_big_edges`).
     """
     pts = _point_reader(arena)
 
@@ -572,13 +617,13 @@ def pipeline_run(
     """Emit all half-edges of orders 1..K, grouped by nondecreasing order.
 
     Stage k runs the producers for orders 1..k, each a generator reading
-    the one below it, writes the order-k half-edges to the sink as they are
-    yielded, and lets the next order's first phase consume them to learn
-    its big cells; the stage then runs order k to its end.  Each half-edge
-    is written exactly once, in its stage.  Stage 1 walks every order-1
-    cell once and so finds the order-1 big cells as it goes; stages 2..K
-    hold their indices, charged to the ledger, and walk only the small
-    cells.
+    the one below it, and writes the order-k half-edges to the sink as
+    they are yielded; each half-edge is written exactly once, in its
+    stage.  Stage 1 walks every order-1 cell once and so finds the order-1
+    big cells as it goes; stages 2..K hold their indices, charged to the
+    ledger, and walk only the small cells.  Stage k >= 2 first finds the
+    unbounded order-k cells by the sweep at infinity, and later stages
+    keep that table.
     """
     s1 = config.s_prime
     K = config.K
@@ -590,26 +635,16 @@ def pipeline_run(
         found: list[BigCellTable] = []
         tables: dict = {1: None}
 
-        def chain(up_to: int) -> Iterator[HalfEdge]:
+        def run_stage(stage: int) -> None:
             stream = order1_halfedges(arena, s1, tables[1], ledger, found)
-            for k_out in range(2, up_to + 1):
+            for k_out in range(2, stage + 1):
                 stream = iter_order_edges(arena, k_out, s1, stream, tables[k_out], ledger)
-            return stream
-
-        def written(stream: Iterator[HalfEdge]) -> Iterator[HalfEdge]:
             for he in stream:
                 sink.emit(he.to_record(scale))
-                yield he
-
-        def run_stage(stage: int) -> None:
-            stream = written(chain(stage))
-            if stage < K:
-                tables[stage + 1] = find_big_cells_k(arena, stage + 1, s1, stream, ledger)
-            for _ in stream:
-                pass
 
         run_stage(1)
         tables[1] = BigCellTable(found[0].indices)
         with scope(ledger, tables[1].words()):
             for stage in range(2, K + 1):
+                tables[stage] = find_big_cells_k(arena, stage, ledger)
                 run_stage(stage)

@@ -155,6 +155,14 @@ class TestRun:
         assert code == 5
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["nvd", "order"])
+    def test_unwritable_out_is_config_error(self, tri_file, tmp_path, capsys, mode):
+        flags = ["--max-k", "2", "--workspace", "4"] if mode == "order" else []
+        out = tmp_path / "missing" / "r.rec"
+        assert main(["run", tri_file, "--mode", mode, *flags, "--out", str(out)]) == 5
+        assert capsys.readouterr().err.startswith("config error: [Errno 2] No such file or directory")
+        assert not out.parent.exists()
+
     def test_scan_path_without_workspace(self, tri_file, tmp_path):
         out = tmp_path / "records.txt"
         assert main(["run", tri_file, "--mode", "fvd", "--out", str(out)]) == 0
@@ -314,10 +322,10 @@ class TestBench:
             "64,8,1,1033,417,1616,1710",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,107490,100,41216,178316",
-            "64,9,3,508810,67,106639,467390",
-            "64,18,2,62060,240,40692,176815",
-            "64,18,3,281491,119,106301,465194",
+            "64,9,2,73295,100,28734,116556",
+            "64,9,3,336882,67,72836,305918",
+            "64,18,2,43744,240,28305,115311",
+            "64,18,3,192174,119,72552,304362",
         ]),
     }
 
@@ -342,10 +350,10 @@ class TestBench:
             "64,8,1,5471,416,18292,18914",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,58041,98,84130,95225",
-            "64,9,3,258372,67,218511,239598",
-            "64,18,2,31547,252,79441,91324",
-            "64,18,3,146145,118,218100,239160",
+            "64,9,2,44324,98,58508,68276",
+            "64,9,3,175400,67,145076,162478",
+            "64,18,2,26162,240,55042,65658",
+            "64,18,3,105768,118,145076,162478",
         ]),
     }
 

@@ -49,15 +49,15 @@ CASES = {
     ),
     "order-K2-s8": (
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],
-        "fc42af1b46d7179bcd5f2bd941717692d85afa9d2ab4bff4fdf97ba02fbf990a",
+        "fc0067665e66baa1a2d8f3cc1176704879d6cf88bcc014a07aae2dea79f6e2d6",
         "1c6ca951ab1e7a1ac331c153d4fbc05e867276e0b9914f8c891950457f212c55",
-        "ce597a2006485a3f78ece200efcff28a1831928d84f37eaf204e262f8b434d63",
+        "a6678898df979cf47e641cabb9db045b290c05c429b46f2adcc139e4135d9442",
     ),
     "order-K3-s9": (
         ["--mode", "order", "--max-k", "3", "--workspace", "9"],
         "b53a76595729085110ab4155f15e1bdb072034075ecae919d080c5b52227c500",
         "5a335969a0350f2d37863d94948cf42343fec61c8d677b681127f485448346f9",
-        "78b504d42d2e64da8f44f4aa4a13cd562ea4c73a6a68d50350d14a79dae8304f",
+        "d9f72fb3b8cc291c395457a8553560618fb1dd6a653a73770f8b02cc35019e1e",
     ),
 }
 

@@ -1,9 +1,12 @@
 """Order-k family production: classification, walks, phases, full runs."""
 
+import random
+
 import pytest
 
 from wsvoronoi import exact
-from wsvoronoi.datagen import random_sites, triangle
+from wsvoronoi.datagen import random_sites, site_set, triangle
+from wsvoronoi.geometry import DegenerateGeometry
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
 from wsvoronoi.oracle import oracle_intervals, oracle_vdk
 from wsvoronoi.pipeline import (
@@ -16,7 +19,9 @@ from wsvoronoi.pipeline import (
     _relevant_walks,
     _walk_from,
     _walk_rounds,
+    find_big_cells_k,
     pipeline_run,
+    unbounded_cells,
 )
 from wsvoronoi.records import Unbounded
 from wsvoronoi.scan import DiagramMode
@@ -276,14 +281,78 @@ class TestPipelineRun:
         assert counts[0] == counts[1]
 
 
+def convex_sites(n, seed):
+    """n sites (x, x^2) in convex position, as perfbench's convex input."""
+    return site_set([(x, x * x) for x in random.Random(seed).sample(range(1, 1 << 20), n)])
+
+
+def hull_ccw(P):
+    """Indices of the hull vertices of P, collinear ones left out, in
+    counterclockwise order from the greatest site in (x, y) order."""
+    pts = sorted(range(len(P)), key=lambda i: P[i].ipt)
+
+    def chain(order):
+        out = []
+        for i in order:
+            while len(out) >= 2 and exact.orient_ipts(P[out[-2]].ipt, P[out[-1]].ipt, P[i].ipt) <= 0:
+                out.pop()
+            out.append(i)
+        return out
+
+    lower, upper = chain(pts), chain(reversed(pts))
+    ring = lower[:-1] + upper[:-1]
+    start = ring.index(pts[-1])
+    return ring[start:] + ring[:start]
+
+
+class TestUnboundedCells:
+    @staticmethod
+    def oracle_unbounded(P, k):
+        """Left cells of the reference diagram's unbounded half-edges."""
+        return {
+            frozenset(r.closest) | {r.pair[0]}
+            for r in oracle_vdk(P, k).halfedge_records()
+            if isinstance(r.head, Unbounded) or isinstance(r.tail, Unbounded)
+        }
+
+    @pytest.mark.parametrize("kind", ["random", "convex"])
+    def test_cells_are_the_unbounded_ones_once_each(self, kind):
+        for n, seed in ((9, 1), (14, 2), (20, 3)):
+            P = random_sites(n, seed) if kind == "random" else convex_sites(n, seed)
+            for k in (1, 2, 3, 4, n - 1):
+                swept = [cell for _, cell in unbounded_cells(ReadOnlyArena(P), k)]
+                assert len(swept) == len(set(swept)), (n, k)
+                assert set(swept) == self.oracle_unbounded(P, k), (n, k)
+                table = find_big_cells_k(ReadOnlyArena(P), k)
+                assert sorted(table.cells, key=sorted) == sorted(swept, key=sorted)
+
+    def test_order_one_is_the_hull_counterclockwise(self):
+        for seed in range(5):
+            P = random_sites(30, 930 + seed)
+            swept = [next(iter(cell)) for _, cell in unbounded_cells(ReadOnlyArena(P), 1)]
+            assert swept == hull_ccw(P)
+
+    def test_one_span_per_cell_and_constant_words(self):
+        P = convex_sites(40, 4)
+        for k in (2, 3):
+            arena = ReadOnlyArena(P)
+            ledger = WorkLedger(3 * k + 8, enforcing=True)
+            table = find_big_cells_k(arena, k, ledger)
+            assert len(table) == len(P)
+            # The first pass finds the start set; one more per cell.
+            assert arena.read_count == len(P) * (len(table) + 1)
+            assert arena.site_visits == arena.read_count
+            assert arena.site_tests == len(P) + len(table) * (len(P) - k)
+
+    def test_collinear_hull_sites_raise(self):
+        P = site_set([(0, 0), (2, 0), (4, 0), (1, 3), (3, 2)])
+        with pytest.raises(DegenerateGeometry):
+            list(unbounded_cells(ReadOnlyArena(P), 1))
+
+
 class TestOrderPhases:
     def test_walked_and_big_big_outputs_are_disjoint(self):
-        from wsvoronoi.pipeline import (
-            _iter_big_big_edges,
-            find_big_cells_k,
-            iter_order_edges,
-            order1_halfedges,
-        )
+        from wsvoronoi.pipeline import _iter_big_big_edges, iter_order_edges, order1_halfedges
         from wsvoronoi.tradeoff import find_big_cells
 
         P = random_sites(16, 920)
@@ -291,7 +360,7 @@ class TestOrderPhases:
         s1 = 2
         scale = P[0].scale
         t1 = find_big_cells(arena, DiagramMode.NEAREST, s1)
-        t2 = find_big_cells_k(arena, 2, s1, order1_halfedges(arena, s1, t1))
+        t2 = find_big_cells_k(arena, 2)
         big_big = {
             he.to_record(scale).canonical_key()
             for he in _iter_big_big_edges(arena, 2, t2, s1)
@@ -307,8 +376,9 @@ class TestOrderPhases:
 
     def test_walk_starvation_configs(self):
         # With several slots and many cells, fresh input dries up while
-        # walks are mid-arc; their (possibly bounded) cells become big and
-        # the output must still be exact.
+        # walks are mid-arc; order-1 cells cut there become big, while the
+        # big cells of order 2 are exactly the unbounded ones and every
+        # other walk runs to its end.  The output must still be exact.
         for seed in (98_140, 98_252):
             P = random_sites(24, seed)
             arena = ReadOnlyArena(P)
