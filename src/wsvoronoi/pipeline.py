@@ -9,7 +9,12 @@ finished by counterclockwise walks; they are "big", found by a sweep of
 directions at infinity (the k-sets of the input, after Lee 1982), and an
 edge between two big cells comes instead from clipping the bisector of the
 two sites in which the cells differ against the whole input.  Every other
-cell is walked to its end.
+cell is walked to its end, by one walk per interval that steps in place
+from head to head, so a step reads only its head's extra site; each pass
+over the input tests every site for collinearity with a walk's pair before
+culling it.  Half-edges travel with the key of their left cell (its sites'
+coordinate sums), from which a walk keys its own cell and its right
+neighbors without reading their sites.
 
 Producers for orders 1..K are generators, each reading the one below it
 directly and run cooperatively: pulling a half-edge resumes the upstream
@@ -105,22 +110,9 @@ def is_relevant(e: HalfEdge) -> bool:
     return e.head is not None and e.head_extra not in e.closest
 
 
-def cog_key(cell: frozenset, pts: Callable[[int], tuple[int, int]]) -> tuple[int, int]:
-    """Center of gravity of the cell's defining sites, denominator cleared.
-
-    Centers are pairwise distinct across cells of one order, so the pair of
-    coordinate sums identifies the cell exactly.
-    """
-    sx = sy = 0
-    for i in cell:
-        p = pts(i)
-        sx += p[0]
-        sy += p[1]
-    return (sx, sy)
-
-
 class BigCellTableK:
-    """Sorted center-of-gravity keys (and site sets) of the big cells."""
+    """Sorted keys (and site sets) of the big cells; a cell's key is the
+    pair of coordinate sums of its sites (`_IntervalWalk`)."""
 
     def __init__(self, entries: dict):
         self.keys = sorted(entries)
@@ -134,19 +126,20 @@ class BigCellTableK:
         return pos < len(self.keys) and self.keys[pos] == key
 
 
-def _halfedges_of_cell_edge(k: int, closest: frozenset, edge: CellEdge, site_pt, rival_pt) -> list[HalfEdge]:
-    """Both directed half-edges of one undirected order-k edge."""
+def _halfedges_of_cell_edge(k: int, closest: frozenset, base: tuple, edge: CellEdge, site_pt, rival_pt) -> list:
+    """Both directed half-edges of one undirected order-k edge, each with
+    the key of its left cell; `base` is the key of `closest`."""
     line = edge.piece.carrier.line
     d0 = exact.line_dir(line)
     out = []
     for d in (d0, (-d0[0], -d0[1])):
         towards_site = exact.cross_dir(d, (site_pt[0] - rival_pt[0], site_pt[1] - rival_pt[1]))
-        pair = (edge.site, edge.rival) if towards_site > 0 else (edge.rival, edge.site)
+        pair, left = ((edge.site, edge.rival), site_pt) if towards_site > 0 else ((edge.rival, edge.site), rival_pt)
         if d == d0:
             tail, head, te, he_ = edge.piece.lo, edge.piece.hi, edge.lo_cutter, edge.hi_cutter
         else:
             tail, head, te, he_ = edge.piece.hi, edge.piece.lo, edge.hi_cutter, edge.lo_cutter
-        out.append(HalfEdge(k, closest, pair, line, d, tail, head, te, he_))
+        out.append((HalfEdge(k, closest, pair, line, d, tail, head, te, he_), (base[0] + left[0], base[1] + left[1])))
     return out
 
 
@@ -156,8 +149,9 @@ def order1_halfedges(
     table: Optional[BigCellTable],
     ledger: Optional[WorkLedger] = None,
     found: Optional[list] = None,
-) -> Iterator[HalfEdge]:
-    """All 1-half-edges, each undirected edge reported as two directions.
+) -> Iterator[tuple[HalfEdge, tuple[int, int]]]:
+    """All 1-half-edges, each undirected edge reported as two directions,
+    each with the key of its left cell (`_IntervalWalk`).
 
     Without a table, every cell is walked once (`tradeoff.iter_diagram`),
     which appends the big-cell table it finds to `found`; with a table of
@@ -175,69 +169,42 @@ def order1_halfedges(
     for edge in edges:
         sp = arena.read(edge.site).ipt
         rp = arena.read(edge.rival).ipt
-        yield from _halfedges_of_cell_edge(1, frozenset(), edge, sp, rp)
+        yield from _halfedges_of_cell_edge(1, frozenset(), (0, 0), edge, sp, rp)
 
 
-def _outgoing(pts3: dict, vertex_old: bool, base: frozenset, cell: frozenset):
-    """The unique boundary half-edge of `cell` leaving a degree-3 vertex.
-
-    pts3 maps the vertex's three defining site indices to coordinates.
-    At an old vertex of the higher order the three local edges run toward
-    the side where the omitted site becomes closer; at a new vertex toward
-    where it becomes farther.  Returns (pair, closest, carrier, direction,
-    tail_extra) for the one candidate whose left cell is `cell`.
-    """
-    idxs = sorted(pts3)
-    found = None
-    for zi in range(3):
-        z = idxs[zi]
-        x, y = (i for i in idxs if i != z)
-        closest = (base | {z}) if vertex_old else base
-        px, py, pz = pts3[x], pts3[y], pts3[z]
-        # A direction of the bisector of x and y; its sign does not matter,
-        # since flipping d0 flips g below and d with it.
-        d0 = exact.primitive_dir(py[1] - px[1], px[0] - py[0])
-        # Sign of d/dt [d^2(.,z) - d^2(.,x)] along d0 is 2*<d0, x-z>.
-        g = d0[0] * (px[0] - pz[0]) + d0[1] * (px[1] - pz[1])
-        if g == 0:
-            raise AssertionError("degenerate vertex neighborhood")
-        want_closer = vertex_old
-        if (g < 0) == want_closer:
-            d = d0
-        else:
-            d = (-d0[0], -d0[1])
-        towards_x = exact.cross_dir(d, (px[0] - py[0], px[1] - py[1]))
-        left, right = (x, y) if towards_x > 0 else (y, x)
-        if closest | {left} == cell:
-            assert found is None, "two outgoing boundary edges at one vertex"
-            found = ((left, right), closest, d, z)
-    assert found is not None, "no outgoing boundary edge at vertex"
-    pair, closest, d, z = found
-    return pair, closest, exact.bisector_line(pts3[pair[0]], pts3[pair[1]]), d, z
+def _leaving(xp, yp, op, closer: bool) -> tuple[int, int]:
+    """The direction of the bisector of sites x and y, away from their
+    vertex with site o, in which o gets closer than x and y (`closer`) or
+    farther; the three sites are not collinear."""
+    d = exact.primitive_dir(yp[1] - xp[1], xp[0] - yp[0])
+    # Sign of d/dt [d^2(., o) - d^2(., x)] along d is that of <d, x - o>.
+    g = d[0] * (xp[0] - op[0]) + d[1] * (xp[1] - op[1])
+    return d if (g < 0) == closer else (-d[0], -d[1])
 
 
 class _IntervalWalk:
-    """State of one boundary walk: the pending edge awaiting its head."""
+    """One boundary walk of the cell closest | {pair[0]}, stepped in place:
+    the pending edge awaiting its head.
+
+    `key` is the cell's center of gravity with its denominator cleared, the
+    pair of coordinate sums of its sites.  Centers are pairwise distinct
+    across the cells of one order, so the key identifies the cell exactly,
+    and the cell right of the pending edge has key - pair[0] + pair[1].
+    """
 
     __slots__ = (
-        "cell",
-        "closest",
-        "pair",
-        "pair_pts",
-        "carrier",
-        "direction",
-        "tail",
-        "tail_extra",
-        "best",
-        "tied",
-        "steps",
-        "_kernel",
-        "_box",
+        "key", "closest", "pair", "pair_pts", "carrier", "direction", "tail", "tail_extra",
+        "best", "tied", "steps", "_box", "_head",
     )
 
-    def __init__(self, cell, closest, pair, pair_pts, carrier, direction, tail, tail_extra):
-        self.cell = cell
+    def __init__(self, key, closest, pair, pair_pts, carrier, direction, tail, tail_extra):
+        self.key = key
         self.closest = closest
+        self.steps = 0
+        self._head = None  # (point, bisector with pair[0]) of the last head materialized
+        self._start(pair, pair_pts, carrier, direction, tail, tail_extra)
+
+    def _start(self, pair, pair_pts, carrier, direction, tail, tail_extra) -> None:
         self.pair = pair
         self.pair_pts = pair_pts
         self.carrier = carrier
@@ -246,25 +213,19 @@ class _IntervalWalk:
         self.tail_extra = tail_extra
         self.best = None  # (tau_num, tau_den, site), tau on the kernel's scale
         self.tied = False  # another site crosses exactly at best
-        self.steps = 0
-        # What consider_batch needs of the walk, computed once.  With the
-        # carrier a*x + b*y = c, sigma folded into (a, b) so that (b, -a) is
-        # a positive multiple of the direction, and e = r - q for
-        # (q, r) = pair_pts, a point x of the carrier lies at parameter
-        # 2(x - q).(b, -a) / (a^2 + b^2) on the kernel's scale.
-        a, b, _ = carrier
-        qx, qy = pair_pts[0]
-        if direction[0] * b - direction[1] * a < 0:
-            a, b = -a, -b
-        ex = pair_pts[1][0] - qx
-        ey = pair_pts[1][1] - qy
-        tail_tau = tail_box = None
-        if tail is not None:
-            tx, ty, tw = tail
-            tail_tau = (2 * (b * (tx - qx * tw) - a * (ty - qy * tw)), tw * (a * a + b * b))
-            tail_box = _disk_box(ex, ey, a, b, qx, qy, *tail_tau)
-        self._kernel = (a, b, ex, ey, qx, qy, (*pair, tail_extra), tail_tau, tail_box)
         self._box = None  # cull bounds (x0, x1, y0, y1), once best is set
+
+    def words(self) -> int:
+        """Words held, one per integer once every slot is set: the closest
+        set; the key 2, pair 2, pair points 4, carrier 3, direction 2,
+        tail 3, tail extra 1, best 3, tie flag 1, step count 1 and box 4;
+        the head's point and bisector 5."""
+        return len(self.closest) + 31
+
+    def right_key(self) -> tuple[int, int]:
+        """The key of the cell right of the pending edge."""
+        (px, py), (qx, qy) = self.pair_pts
+        return (self.key[0] - px + qx, self.key[1] - py + qy)
 
     def consider_batch(self, batch, work=None) -> None:
         """Keep in `best` the site whose bisector with pair[0] crosses the
@@ -277,10 +238,12 @@ class _IntervalWalk:
         The crossing is computed relative to q = pair[0], as in
         `scan.clip_run`: with u = w - q and e = pair_pts[1] - q, w's
         bisector crosses at tau = num/den, num = u.(e - u) and
-        den = a*u_y - b*u_x, twice its distance along the walk's direction
-        from the midpoint of the pair, in units of |(a, b)| (sigma is
-        folded into (a, b)).  A den of 0 is a bisector parallel to the
-        carrier: DegenerateGeometry.
+        den = a*u_y - b*u_x = (a*w_y - b*w_x) - (a*q_y - b*q_x), twice its
+        distance along the walk's direction from the midpoint of the pair,
+        in units of |(a, b)| (sigma is folded into (a, b)).  A den of 0 is
+        a bisector parallel to the carrier, a site collinear with the pair:
+        DegenerateGeometry, unless the site is one the walk passes over (the
+        pair and the tail extra).  This check is made on every site, first.
 
         Box cull, once a best is known: only a crossing in (tail, best]
         matters, and w's bisector with q meets the closed segment from the
@@ -288,28 +251,46 @@ class _IntervalWalk:
         at one of them (the disks centred on the carrier through q form a
         pencil; see `scan.clip_run`).  A site strictly outside a box around
         both disks is passed over; a tied site lies on the best disk's
-        boundary, so it is never culled.  The collinear check comes first,
-        so the cull changes no outcome.
+        boundary, so it is never culled.
         """
-        a, b, ex, ey, qx, qy, skip, tail, tail_box = self._kernel
+        # With the carrier a*x + b*y = c, sigma folded into (a, b) so that
+        # (b, -a) is a positive multiple of the direction, and e = r - q for
+        # (q, r) = pair_pts, a point x of the carrier lies at parameter
+        # 2(x - q).(b, -a) / (a^2 + b^2) on the kernel's scale.  A walk's
+        # edge meets one pass, so this is worked out once per edge.
+        a, b, _ = self.carrier
+        (qx, qy), (rx, ry) = self.pair_pts
+        if self.direction[0] * b - self.direction[1] * a < 0:
+            a, b = -a, -b
+        ex = rx - qx
+        ey = ry - qy
+        c0 = a * qy - b * qx
+        skip = (*self.pair, self.tail_extra)
+        tail = tail_box = None
+        if self.tail is not None:
+            tx, ty, tw = self.tail
+            tail = (2 * (b * (tx - qx * tw) - a * (ty - qy * tw)), tw * (a * a + b * b))
+            tail_box = _disk_box(ex, ey, a, b, qx, qy, *tail)
         best = self.best
         tied = self.tied
         box = self._box
         boxed = box is not None
         x0, x1, y0, y1 = box or (None,) * 4
-        passed = 0  # sites skipped or culled
+        tests = 0  # sites that reach the arithmetic
         for j, (wx, wy) in batch:
-            if j in skip:
-                passed += 1
-                continue
-            ux = wx - qx
-            uy = wy - qy
-            den = a * uy - b * ux
-            if den == 0:
+            den = a * wy - b * wx
+            if den == c0:
+                if j in skip:
+                    continue
                 raise DegenerateGeometry("collinear sites at successor crossing")
             if boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1):
-                passed += 1
                 continue
+            if j in skip:
+                continue
+            tests += 1
+            den -= c0
+            ux = wx - qx
+            uy = wy - qy
             num = ux * (ex - ux) + uy * (ey - uy)
             if den < 0:
                 num, den = -num, -den
@@ -330,45 +311,36 @@ class _IntervalWalk:
                 y1 = max(tail_box[3], by1)
                 boxed = True
         if work is not None:
-            work.site_tests += len(batch) - passed
+            work.site_tests += tests
             work.site_visits += len(batch)
         self.best = best
         self.tied = tied
         self._box = (x0, x1, y0, y1) if boxed else None
 
     def materialize(self, k_out: int, pts: Callable[[int], tuple[int, int]]) -> HalfEdge:
+        """The pending edge, ended at its head; reads the head's extra site."""
         if self.tied:
             raise DegenerateGeometry(f"cocircular sites at the successor crossing of pair {self.pair}")
         head = head_extra = None
         if self.best is not None:
             head_extra = self.best[2]
-            head = exact.line_intersection(
-                self.carrier, exact.bisector_line(self.pair_pts[0], pts(head_extra))
-            )
+            z = pts(head_extra)
+            line = exact.bisector_line(self.pair_pts[0], z)
+            head = exact.line_intersection(self.carrier, line)
+            self._head = (z, line)
         return HalfEdge(
-            k_out,
-            self.closest,
-            self.pair,
-            self.carrier,
-            self.direction,
-            self.tail,
-            head,
-            self.tail_extra,
-            head_extra,
+            k_out, self.closest, self.pair, self.carrier, self.direction, self.tail, head, self.tail_extra, head_extra
         )
 
-
-def _walk_from(arena: ReadOnlyArena, e: HalfEdge, cell: frozenset, vertex_old: bool) -> _IntervalWalk:
-    """The pending boundary edge of `cell` leaving e's head vertex, which
-    is old in the order of `cell` when `vertex_old`.
-
-    With `cell` the higher-order cell around a relevant e, the vertex is
-    old and the walk is the first of the interval e owns; with `cell` e's
-    left cell, the walk is e's successor along that cell's boundary.
-    """
-    pts3 = {i: arena.read(i).ipt for i in (*e.pair, e.head_extra)}
-    pair, closest, line, d, z = _outgoing(pts3, vertex_old, e.closest - {e.head_extra}, cell)
-    return _IntervalWalk(cell, closest, pair, (pts3[pair[0]], pts3[pair[1]]), line, d, e.head, z)
+    def advance(self, f: HalfEdge) -> None:
+        """Step past f, the edge just materialized, whose head is a new
+        vertex (`is_relevant(f)`).  With (p, q) = f.pair and z = f's head
+        extra, the cell's next edge has pair (p, z), lies on the bisector
+        `materialize` built, and leaves the vertex in the direction in which
+        q gets farther; q is its tail extra."""
+        (p, q), (pp, qp) = self.pair, self.pair_pts
+        zp, line = self._head
+        self._start((p, f.head_extra), (pp, zp), line, _leaving(pp, zp, qp, False), f.head, q)
 
 
 def _trim_round(arena: ReadOnlyArena, walks: list[_IntervalWalk]) -> None:
@@ -380,49 +352,67 @@ def _trim_round(arena: ReadOnlyArena, walks: list[_IntervalWalk]) -> None:
         walk.consider_batch(span, arena)
 
 
-def _relevant_walks(arena: ReadOnlyArena, source: Iterator[HalfEdge], skip_cell=None):
-    """A walk from every relevant lower-order half-edge of `source`.
+def _relevant_walks(
+    arena: ReadOnlyArena, source: Iterator, table: Optional[BigCellTableK] = None
+) -> Iterator[_IntervalWalk]:
+    """A walk from every relevant lower-order half-edge e of `source`,
+    which yields (e, key of e's left cell).
 
-    Old and unbounded heads own no interval; cells with skip_cell(cell)
-    are passed over.
+    With (p, q) = e.pair and z = e.head_extra, e's head is an old vertex of
+    the walk's cell, closest | {p, q}, and the first edge of the interval e
+    owns has pair (q, z), closest e.closest | {p} and tail extra p, and
+    leaves the vertex in the direction in which p gets closer.  Old and
+    unbounded heads own no interval; cells whose key is in `table` are
+    passed over, at one read each.
     """
-    for e in source:
+    for e, left_key in source:
         if is_relevant(e):
-            cell = e.closest | set(e.pair)
-            if skip_cell is None or not skip_cell(cell):
-                yield _walk_from(arena, e, cell, True)
+            p, q = e.pair
+            qp = arena.read(q).ipt
+            key = (left_key[0] + qp[0], left_key[1] + qp[1])
+            if table is None or key not in table:
+                pp = arena.read(p).ipt
+                zp = arena.read(e.head_extra).ipt
+                line = exact.bisector_line(qp, zp)
+                yield _IntervalWalk(
+                    key, e.closest | {p}, (q, e.head_extra), (qp, zp), line, _leaving(qp, zp, pp, True), e.head, p
+                )
 
 
 def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger):
-    """Every half-edge the interval walks produce, up to s1 walks at once;
-    each walk runs to its end, an old or unbounded head."""
+    """(half-edge, key of its left cell, key of its right cell) for every
+    half-edge the interval walks produce, up to s1 walks at once, each
+    charged its `words()` while live; each walk steps in place to its end,
+    an old or unbounded head."""
     # A pass is a view of the input, charged as s1 * (k_out - 1) sites.
     pass_words = s1 * max(1, k_out - 1) * W_BATCH_SITE
     guard = 4 * (k_out + 1) * (len(arena) + 4)
-    pts = _point_reader(arena)
+
+    def pts(i: int) -> tuple[int, int]:
+        return arena.read(i).ipt
 
     def step(walks):
-        with scope(ledger, pass_words):
-            _trim_round(arena, walks)
         still = []
-        for w in walks:
-            f = w.materialize(k_out, pts)
-            yield f
-            w.steps += 1
-            if not is_relevant(f):
-                continue
-            if w.steps > guard:
-                raise AssertionError("boundary walk failed to terminate")
-            nxt = _walk_from(arena, f, w.cell, False)
-            nxt.steps = w.steps
-            still.append(nxt)
+        with scope(ledger, sum(w.words() for w in walks)):
+            with scope(ledger, pass_words):
+                _trim_round(arena, walks)
+            for w in walks:
+                f = w.materialize(k_out, pts)
+                yield f, w.key, w.right_key()
+                w.steps += 1
+                if not is_relevant(f):
+                    continue
+                if w.steps > guard:
+                    raise AssertionError("boundary walk failed to terminate")
+                w.advance(f)
+                still.append(w)
         return still
 
     return drive(source, s1, step)
 
 
 def unbounded_cells(arena: ReadOnlyArena, k_out: int) -> Iterator[tuple[tuple[int, int], frozenset]]:
-    """(cog key, sites) of each unbounded order-k_out cell, once each, in
+    """(key, sites) of each unbounded order-k_out cell, once each, in
     counterclockwise order at infinity.
 
     Far out in direction d the k_out nearest sites are the k_out greatest
@@ -504,23 +494,17 @@ def find_big_cells_k(arena: ReadOnlyArena, k_out: int, ledger: Optional[WorkLedg
         return BigCellTableK(dict(unbounded_cells(arena, k_out)))
 
 
-def _point_reader(arena: ReadOnlyArena):
-    def pts(i: int) -> tuple[int, int]:
-        return arena.read(i).ipt
-
-    return pts
-
-
 def iter_order_edges(
     arena: ReadOnlyArena,
     k_out: int,
     s1: int,
-    source: Iterator[HalfEdge],
+    source: Iterator[tuple[HalfEdge, tuple[int, int]]],
     table: BigCellTableK,
     ledger: Optional[WorkLedger] = None,
-) -> Iterator[HalfEdge]:
-    """Every order-k_out half-edge exactly once, given the table of the
-    unbounded order-k_out cells (`find_big_cells_k`).
+) -> Iterator[tuple[HalfEdge, tuple[int, int]]]:
+    """Every order-k_out half-edge exactly once, with the key of its left
+    cell, given the order k_out - 1 half-edges with theirs and the table of
+    the unbounded order-k_out cells (`find_big_cells_k`).
 
     Every bounded cell is walked: each walk outside the table runs to its
     end, and each walked half-edge is reported, plus its opposite when the
@@ -528,18 +512,13 @@ def iter_order_edges(
     come from clipping each candidate pair's bisector against the whole
     input (`_iter_big_big_edges`).
     """
-    pts = _point_reader(arena)
-
-    def skip_cell(cell) -> bool:
-        return cog_key(cell, pts) in table
-
-    walks = _relevant_walks(arena, source, skip_cell=skip_cell)
-    for f in _walk_rounds(arena, k_out, s1, walks, ledger):
-        yield f
+    walks = _relevant_walks(arena, source, table)
+    for f, key, right in _walk_rounds(arena, k_out, s1, walks, ledger):
+        yield f, key
         if f.head is None:
             raise AssertionError("small cells are bounded; unbounded walk edge")
-        if cog_key(f.right_cell(), pts) in table:
-            yield f.opposite()
+        if right in table:
+            yield f.opposite(), right
 
     yield from _iter_big_big_edges(arena, k_out, table, max(1, s1 * max(1, k_out - 1) // 2), ledger)
 
@@ -550,8 +529,9 @@ def _iter_big_big_edges(
     table: BigCellTableK,
     chunk: int,
     ledger: Optional[WorkLedger] = None,
-) -> Iterator[HalfEdge]:
-    """Both directions of every edge shared by two big cells.
+) -> Iterator[tuple[HalfEdge, tuple[int, int]]]:
+    """Both directions of every edge shared by two big cells, each with the
+    key of its left cell.
 
     Two cells can only share an edge when their site sets differ in one
     site; for each such candidate pair the edge is the interval of the
@@ -561,33 +541,36 @@ def _iter_big_big_edges(
     `chunk` candidates, generated as they are needed, share each pass,
     which reads the input as one span.
     """
-    candidates = _big_big_candidates(table.cells, k_out)
+    candidates = _big_big_candidates(table, k_out)
     while group := list(itertools.islice(candidates, chunk)):
-        with scope(ledger, len(group) * (k_out + 14) + W_FIXED):
+        with scope(ledger, len(group) * (k_out + 16) + W_FIXED):
             states = []
-            for common, a, b in group:
+            for common, a, b, key in group:
                 a_pt = arena.read(a).ipt
                 b_pt = arena.read(b).ipt
                 line = exact.bisector_line(a_pt, b_pt)
-                states.append((common, a, b, a_pt, b_pt, line, [None, None, None, None, None]))
+                base = (key[0] - a_pt[0], key[1] - a_pt[1])
+                states.append((common, base, a, b, a_pt, b_pt, line, [None, None, None, None, None]))
             span = arena.read_span(0, len(arena))
-            for common, a, b, a_pt, b_pt, line, box in states:
+            for common, base, a, b, a_pt, b_pt, line, box in states:
                 # Nearer to a than every other site, farther than the common ones.
                 if clip_run(box, line, a_pt, span, -1, (a, b), common, arena):
                     edge = clip_edge(arena, a, a_pt, b, line, box)
-                    yield from _halfedges_of_cell_edge(k_out, common, edge, a_pt, b_pt)
+                    yield from _halfedges_of_cell_edge(k_out, common, base, edge, a_pt, b_pt)
 
 
-def _big_big_candidates(cells: list, k_out: int) -> Iterator[tuple[frozenset, int, int]]:
-    """(common sites, a, b) for each pair of cells, in table order, whose
-    site sets differ in one site each: a in the first, b in the second."""
+def _big_big_candidates(table: BigCellTableK, k_out: int) -> Iterator[tuple[frozenset, int, int, tuple]]:
+    """(common sites, a, b, key of the first cell) for each pair of cells,
+    in table order, whose site sets differ in one site each: a in the
+    first, b in the second."""
+    cells = table.cells
     for i, ci in enumerate(cells):
         for cj in itertools.islice(cells, i + 1, None):
             common = ci & cj
             if len(common) == k_out - 1:
                 (a,) = ci - common
                 (b,) = cj - common
-                yield common, a, b
+                yield common, a, b, table.keys[i]
 
 
 @dataclass(frozen=True)
@@ -628,9 +611,11 @@ def pipeline_run(
     s1 = config.s_prime
     K = config.K
     scale = arena.scale
-    # A paused producer holds at most the one round it is in: s1 order-k
-    # half-edges of k + 4 words each.
-    paused_words = sum(s1 * (k + 4) for k in range(1, K + 1)) + W_FIXED
+    # A paused order-1 producer holds at most the round it is in, s1
+    # half-edges of 5 words each; a paused order-k producer, k >= 2, holds
+    # its walks, which `_walk_rounds` charges, and the half-edge it yielded,
+    # k + 4 words, with its two cell keys.
+    paused_words = s1 * 5 + sum(k + 8 for k in range(2, K + 1)) + W_FIXED
     with scope(ledger, paused_words):
         found: list[BigCellTable] = []
         tables: dict = {1: None}
@@ -639,7 +624,7 @@ def pipeline_run(
             stream = order1_halfedges(arena, s1, tables[1], ledger, found)
             for k_out in range(2, stage + 1):
                 stream = iter_order_edges(arena, k_out, s1, stream, tables[k_out], ledger)
-            for he in stream:
+            for he, _ in stream:
                 sink.emit(he.to_record(scale))
 
         run_stage(1)

@@ -322,10 +322,10 @@ class TestBench:
             "64,8,1,1033,417,1616,1710",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,73295,100,28734,116556",
-            "64,9,3,336882,67,72836,305918",
-            "64,18,2,43744,240,28305,115311",
-            "64,18,3,192174,119,72552,304362",
+            "64,9,2,68956,161,28734,116556",
+            "64,9,3,319132,140,72836,305918",
+            "64,18,2,39405,297,28305,115311",
+            "64,18,3,174424,244,72552,304362",
         ]),
     }
 
@@ -350,10 +350,10 @@ class TestBench:
             "64,8,1,5471,416,18292,18914",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,44324,98,58508,68276",
-            "64,9,3,175400,67,145076,162478",
-            "64,18,2,26162,240,55042,65658",
-            "64,18,3,105768,118,145076,162478",
+            "64,9,2,42862,160,58508,68276",
+            "64,9,3,168396,140,145076,162478",
+            "64,18,2,24700,345,55042,65658",
+            "64,18,3,98764,243,145076,162478",
         ]),
     }
 

@@ -51,13 +51,13 @@ CASES = {
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],
         "fc0067665e66baa1a2d8f3cc1176704879d6cf88bcc014a07aae2dea79f6e2d6",
         "1c6ca951ab1e7a1ac331c153d4fbc05e867276e0b9914f8c891950457f212c55",
-        "a6678898df979cf47e641cabb9db045b290c05c429b46f2adcc139e4135d9442",
+        "014d6e882abb1a9322e77c2d759f688ea230da78916ea25482a200e25ceac2cd",
     ),
     "order-K3-s9": (
         ["--mode", "order", "--max-k", "3", "--workspace", "9"],
         "b53a76595729085110ab4155f15e1bdb072034075ecae919d080c5b52227c500",
         "5a335969a0350f2d37863d94948cf42343fec61c8d677b681127f485448346f9",
-        "d9f72fb3b8cc291c395457a8553560618fb1dd6a653a73770f8b02cc35019e1e",
+        "798f7dad8f295ceb9955e3d536e5b75c8238e18e18b1c6c08deb65a3c2215521",
     ),
 }
 

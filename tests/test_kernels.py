@@ -394,7 +394,7 @@ def run_successor(q, r, z, sites, sign, batch, work=None):
     d = exact.line_dir(carrier)
     direction = (sign * d[0], sign * d[1])
     tail = exact.circumcenter_hpoint(q, r, z)
-    walk = _IntervalWalk(frozenset(), frozenset(), (0, 1), (q, r), carrier, direction, tail, 2)
+    walk = _IntervalWalk((0, 0), frozenset(), (0, 1), (q, r), carrier, direction, tail, 2)
     items = [(0, q), (1, r), (2, z), *sites]
     for start in range(0, len(items), batch):
         walk.consider_batch(items[start : start + batch], work)
@@ -443,6 +443,33 @@ class TestConsiderBatch:
         assert 0 < work.site_tests < len(sites)
         with pytest.raises(DegenerateGeometry):
             walk.materialize(2, lambda i: None)
+
+    def test_collinear_site_outside_the_box_raises(self):
+        # On x = 1, upward from the tail (1, -4/3), (1, 2) crosses first, at
+        # (1, 3/4), and sets the box (-2, 4, -4, 3); (1000, 0) comes after
+        # it, lies on the line through the pair (0, 0), (2, 0) and strictly
+        # outside the box, and still raises.
+        q, r, z = (0, 0), (2, 0), (1, -3)
+        carrier = exact.bisector_line(q, r)
+        tail = exact.circumcenter_hpoint(q, r, z)
+        walk = _IntervalWalk((0, 0), frozenset(), (0, 1), (q, r), carrier, (0, 1), tail, 2)
+        walk.consider_batch([(0, q), (1, r), (2, z), (3, (1, 2))])
+        assert walk.best[2] == 3 and walk._box == (-2, 4, -4, 3)
+        with pytest.raises(DegenerateGeometry, match="^collinear sites at successor crossing$"):
+            walk.consider_batch([(4, (1000, 0))])
+
+    @pytest.mark.parametrize(
+        "sign, batch, counts", [(1, 4, (6, 39)), (-1, 4, (36, 39)), (1, 100, (6, 39)), (-1, 7, (36, 39))]
+    )
+    def test_site_counts_pinned(self, sign, batch, counts):
+        # The cull case above in both directions: the pair and the tail
+        # extra are looked at but never tested, culled sites likewise.
+        ring = [(5, 0), (3, 4), (0, 5), (-3, 4), (-5, 0), (-4, -3), (0, -5), (4, -3)]
+        far = [(200 + j, -300 - j) for j in range(30)]
+        sites = [(j + 3, w) for j, w in enumerate(ring[2:] + far)]
+        work = SimpleNamespace(site_tests=0, site_visits=0)
+        run_successor(ring[0], ring[1], (1, 1), sites, sign, batch, work)
+        assert (work.site_tests, work.site_visits) == counts
 
     def test_tie_on_the_box_edge_is_kept(self):
         # Ahead of the tail (-1, 3) on x + y = 2, (4, 0) and (2, -2) both

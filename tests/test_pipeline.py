@@ -1,8 +1,11 @@
 """Order-k family production: classification, walks, phases, full runs."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsvoronoi import exact
 from wsvoronoi.datagen import random_sites, site_set, triangle
@@ -17,7 +20,6 @@ from wsvoronoi.pipeline import (
     HalfEdge,
     is_relevant,
     _relevant_walks,
-    _walk_from,
     _walk_rounds,
     find_big_cells_k,
     pipeline_run,
@@ -76,18 +78,92 @@ def oracle_halfedges(P, k):
     return [decode_halfedge(r, P) for r in oracle_vdk(P, k).halfedge_records()]
 
 
-def first_halfedge(arena, walk, k_out):
-    """The first k_out-half-edge a one-walk run of `_walk_rounds` yields."""
-    return next(_walk_rounds(arena, k_out, 1, iter([walk]), None))
+def cog_key(cell, P):
+    """The pair of coordinate sums of the cell's sites: its key."""
+    return (sum(P[i].ipt[0] for i in cell), sum(P[i].ipt[1] for i in cell))
 
 
-def first_of_interval(arena, e, k_out):
-    """The first k_out-half-edge of the interval the half-edge e owns, or
-    None when `_relevant_walks` starts no walk from e."""
-    walks = list(_relevant_walks(arena, iter([e])))
+def keyed(P, halfedges):
+    """(half-edge, key of its left cell), as the order-k producers yield."""
+    return [(he, cog_key(he.left_cell(), P)) for he in halfedges]
+
+
+def interval_walk(arena, P, e, k_out):
+    """Every k_out-half-edge the walk of the interval the half-edge e owns
+    yields, run alone, or None when `_relevant_walks` starts no walk
+    from e."""
+    walks = list(_relevant_walks(arena, iter(keyed(P, [e]))))
     if not walks:
         return None
-    return first_halfedge(arena, walks[0], k_out)
+    return [f for f, _, _ in _walk_rounds(arena, k_out, 1, iter(walks), None)]
+
+
+def walk_on(he, P):
+    """A walk whose pending edge is the half-edge he, its head unknown."""
+    pa, pb = P[he.pair[0]].ipt, P[he.pair[1]].ipt
+    return _IntervalWalk(
+        cog_key(he.left_cell(), P), he.closest, he.pair, (pa, pb), he.carrier, he.direction, he.tail, he.tail_extra
+    )
+
+
+def reference_outgoing(pts3: dict, vertex_old: bool, base: frozenset, cell: frozenset):
+    """The unique boundary half-edge of `cell` leaving a degree-3 vertex,
+    found by trying all three pairs of its sites.
+
+    pts3 maps the vertex's three defining site indices to coordinates.
+    At an old vertex of the higher order the three local edges run toward
+    the side where the omitted site becomes closer; at a new vertex toward
+    where it becomes farther.  Returns (pair, closest, carrier, direction,
+    tail_extra) for the one candidate whose left cell is `cell`.
+    """
+    idxs = sorted(pts3)
+    found = None
+    for zi in range(3):
+        z = idxs[zi]
+        x, y = (i for i in idxs if i != z)
+        closest = (base | {z}) if vertex_old else base
+        px, py, pz = pts3[x], pts3[y], pts3[z]
+        # A direction of the bisector of x and y; its sign does not matter,
+        # since flipping d0 flips g below and d with it.
+        d0 = exact.primitive_dir(py[1] - px[1], px[0] - py[0])
+        # Sign of d/dt [d^2(.,z) - d^2(.,x)] along d0 is 2*<d0, x-z>.
+        g = d0[0] * (px[0] - pz[0]) + d0[1] * (px[1] - pz[1])
+        assert g != 0, "degenerate vertex neighborhood"
+        if (g < 0) == vertex_old:
+            d = d0
+        else:
+            d = (-d0[0], -d0[1])
+        towards_x = exact.cross_dir(d, (px[0] - py[0], px[1] - py[1]))
+        left, right = (x, y) if towards_x > 0 else (y, x)
+        if closest | {left} == cell:
+            assert found is None, "two outgoing boundary edges at one vertex"
+            found = ((left, right), closest, d, z)
+    assert found is not None, "no outgoing boundary edge at vertex"
+    pair, closest, d, z = found
+    return pair, closest, exact.bisector_line(pts3[pair[0]], pts3[pair[1]]), d, z
+
+
+@st.composite
+def vertex_case(draw):
+    """Three non-collinear grid sites (p, q, z) in a drawn order, and a
+    closest set of 0..2 far sites; the edge of pair (p, q) with p on its
+    left runs into the vertex, where z becomes closer than p and q."""
+    grid = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    pts = draw(st.lists(grid, min_size=3, max_size=3, unique=True).filter(lambda t: exact.orient_ipts(*t) != 0))
+    base = draw(st.integers(0, 2))
+    P = site_set([*pts, *((100 + 7 * i, 50 - 3 * i) for i in range(base))])
+    p, q, z = draw(st.permutations([0, 1, 2]))
+    pp, qp, zp = (P[i].ipt for i in (p, q, z))
+    carrier = exact.bisector_line(pp, qp)
+    d = exact.line_dir(carrier)
+    # d/dt [d^2(., z) - d^2(., p)] < 0: z gets closer along d.
+    if d[0] * (pp[0] - zp[0]) + d[1] * (pp[1] - zp[1]) > 0:
+        d = (-d[0], -d[1])
+    if exact.cross_dir(d, (pp[0] - qp[0], pp[1] - qp[1])) < 0:
+        p, q, pp, qp = q, p, qp, pp
+    head = exact.circumcenter_hpoint(pp, qp, zp)
+    e = HalfEdge(2 + base, frozenset(range(3, 3 + base)), (p, q), carrier, d, None, head, None, z)
+    return P, e
 
 
 class TestClassification:
@@ -144,53 +220,87 @@ class TestClassification:
 
 
 class TestSuccessorStep:
+    """The walks `_relevant_walks` starts and `_walk_rounds` steps in place
+    against the oracle's counterclockwise boundary chains."""
+
     def test_first_of_interval_and_null(self):
         P = random_sites(12, 906)
-        k = 1
-        intervals = oracle_intervals(P, k)
-        # The walk starts at the boundary edge leaving the owner's head
-        # (for single-owner cells the assigned interval also carries the
-        # unreachable run before that vertex).
-        first_by_owner = {}
-        for ci in intervals.values():
-            for owner, run in ci.intervals:
-                if owner is None:
-                    continue
-                head_key = owner.endpoint_key("head")
-                start = next(r for r in run if r.endpoint_key("tail") == head_key)
-                first_by_owner[owner.canonical_key()] = start.canonical_key()
         arena = ReadOnlyArena(P)
-        inputs = oracle_halfedges(P, k)
-        outs = [first_of_interval(arena, e, k + 1) for e in inputs]
         scale = P[0].scale
-        for e, f in zip(inputs, outs):
-            key = e.to_record(scale).canonical_key()
-            if not is_relevant(e):
-                assert f is None
-            else:
-                assert f is not None
-                assert f.to_record(scale).canonical_key() == first_by_owner[key]
+        for k in (1, 2):
+            # A walk runs from the owner's head to the next relevant vertex:
+            # the owner's run from that head on (for single-owner cells the
+            # assigned interval also carries the unreachable run before that
+            # vertex).
+            run_by_owner = {}
+            for ci in oracle_intervals(P, k).values():
+                for owner, run in ci.intervals:
+                    if owner is None:
+                        continue
+                    head_key = owner.endpoint_key("head")
+                    start = next(i for i, r in enumerate(run) if r.endpoint_key("tail") == head_key)
+                    run_by_owner[owner.canonical_key()] = [r.canonical_key() for r in run[start:]]
+            walked = 0
+            for e in oracle_halfedges(P, k):
+                fs = interval_walk(arena, P, e, k + 1)
+                if not is_relevant(e):
+                    assert fs is None
+                    continue
+                got = [f.to_record(scale).canonical_key() for f in fs]
+                assert got == run_by_owner[e.to_record(scale).canonical_key()]
+                walked += len(fs)
+            assert walked > len(run_by_owner)
 
     def test_ccw_successor(self):
+        # Within a cell, a walk on one boundary edge yields it and, when its
+        # head is new, steps in place to the next edge of the oracle's ccw
+        # chain; at an old head it ends.
         P = random_sites(10, 907)
-        k2 = 2
-        # Boundary successor within a cell: tail of the next equals head
-        # of the previous, per the oracle's ccw boundary chains.
-        intervals = oracle_intervals(P, 1)
         arena = ReadOnlyArena(P)
         scale = P[0].scale
-        for ci in intervals.values():
-            boundary = ci.boundary
-            if len(boundary) < 2:
-                continue
-            for cur, nxt in zip(boundary, boundary[1:]):
-                if isinstance(cur.head, Unbounded):
-                    continue
-                he = decode_halfedge(cur, P)
-                f = first_halfedge(arena, _walk_from(arena, he, he.left_cell(), not is_relevant(he)), k2)
-                assert f is not None
-                assert f.to_record(scale).canonical_key() == nxt.canonical_key()
-            break
+        for k in (2, 3):
+            steps = 0
+            for ci in oracle_intervals(P, k - 1).values():
+                boundary = ci.boundary
+                closed = not isinstance(boundary[0].tail, Unbounded)
+                for cur, nxt in zip(boundary, boundary[1:] + (boundary[:1] if closed else ())):
+                    if isinstance(cur.head, Unbounded):
+                        continue
+                    he = decode_halfedge(cur, P)
+                    walk = _walk_rounds(arena, k, 1, iter([walk_on(he, P)]), None)
+                    fs = [f.to_record(scale).canonical_key() for f, _, _ in itertools.islice(walk, 2)]
+                    if is_relevant(he):
+                        assert fs == [cur.canonical_key(), nxt.canonical_key()]
+                        steps += 1
+                    else:
+                        assert fs == [cur.canonical_key()]
+            assert steps > 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(vertex_case())
+    def test_direct_rules_match_the_three_pair_search(self, case):
+        """The first edge of an interval and the in-place step take the
+        pair, closest set, direction and tail extra the three-pair search
+        finds, on the bisector it builds."""
+        P, e = case
+        p, q = e.pair
+        z = e.head_extra
+        pts3 = {i: P[i].ipt for i in (p, q, z)}
+        arena = ReadOnlyArena(P)
+        # First walk: e's head is an old vertex of the cell closest | {p, q}.
+        (walk,) = _relevant_walks(arena, iter(keyed(P, [e])))
+        got = (walk.pair, walk.closest, walk.carrier, walk.direction, walk.tail_extra)
+        assert got == reference_outgoing(pts3, True, e.closest, e.closest | {p, q})
+        assert (walk.key, walk.tail) == (cog_key(e.closest | {p, q}, P), e.head)
+        # In-place step: e's head is a new vertex of its own cell.
+        walk = walk_on(e, P)
+        walk.consider_batch([(z, pts3[z])])
+        f = walk.materialize(e.k, lambda i: P[i].ipt)
+        assert f == e
+        walk.advance(f)
+        got = (walk.pair, walk.closest, walk.carrier, walk.direction, walk.tail_extra)
+        assert got == reference_outgoing(pts3, False, e.closest, e.left_cell())
+        assert (walk.key, walk.tail) == (cog_key(e.left_cell(), P), e.head)
 
 
 class TestTrimRound:
@@ -207,12 +317,68 @@ class TestTrimRound:
         monkeypatch.setattr(_IntervalWalk, "consider_batch", counted)
         P = random_sites(20, 903)
         arena = ReadOnlyArena(P)
-        walks = list(_relevant_walks(arena, iter(oracle_halfedges(P, 1))))[:6]
+        walks = list(_relevant_walks(arena, iter(keyed(P, oracle_halfedges(P, 1)))))[:6]
         assert len(walks) == 6
         before = arena.read_count
         _trim_round(arena, walks)
         assert arena.read_count - before == len(P)
         assert calls == [len(P)] * len(walks)
+
+
+def held_words(walk):
+    """One word per integer the walk's slots hold, flags included."""
+
+    def count(v):
+        if isinstance(v, (tuple, frozenset)):
+            return sum(map(count, v))
+        return v is not None
+
+    return sum(count(getattr(walk, name)) for name in _IntervalWalk.__slots__)
+
+
+class TestWalkRounds:
+    @pytest.mark.parametrize("k_out, s1", [(2, 1), (2, 3), (3, 4)])
+    def test_reads_keys_and_charge(self, monkeypatch, k_out, s1):
+        """One `_walk_rounds` run reads the input once per pass, the extra
+        site of each materialized head, and three sites per first walk;
+        every carried key is its cell's; while a pass runs, the ledger holds
+        the pass and the live walks' `words()`, which count what they hold."""
+        from wsvoronoi import pipeline
+        from wsvoronoi.tradeoff import W_BATCH_SITE
+
+        P = random_sites(14, 915)
+        source = keyed(P, oracle_halfedges(P, k_out - 1))
+        arena = ReadOnlyArena(P)
+        ledger = WorkLedger(10_000)
+        pass_words = s1 * max(1, k_out - 1) * W_BATCH_SITE
+        passes = []
+        trim = pipeline._trim_round
+
+        def audited(arena, walks):
+            assert ledger.live_words == pass_words + sum(w.words() for w in walks)
+            trim(arena, walks)
+            held = [held_words(w) for w in walks]
+            assert all(h <= w.words() for h, w in zip(held, walks))
+            passes.append(held.count(walks[0].words()))
+
+        monkeypatch.setattr(pipeline, "_trim_round", audited)
+        first = 0
+
+        def counted(walks):
+            nonlocal first
+            for w in walks:
+                first += 1
+                yield w
+
+        out = list(_walk_rounds(arena, k_out, s1, counted(_relevant_walks(arena, iter(source))), ledger))
+        heads = sum(f.head is not None for f, _, _ in out)
+        assert first > s1 and len(out) > 2 * first
+        assert arena.read_count == len(passes) * len(P) + heads + 3 * first
+        assert sum(passes) > 0  # some walks hold every slot
+        for f, key, right in out:
+            assert key == cog_key(f.left_cell(), P)
+            assert right == cog_key(f.right_cell(), P)
+        assert ledger.live_words == 0
 
 
 class TestConfig:
@@ -363,12 +529,11 @@ class TestOrderPhases:
         t2 = find_big_cells_k(arena, 2)
         big_big = {
             he.to_record(scale).canonical_key()
-            for he in _iter_big_big_edges(arena, 2, t2, s1)
+            for he, _ in _iter_big_big_edges(arena, 2, t2, s1)
         }
-        full = [
-            he.to_record(scale).canonical_key()
-            for he in iter_order_edges(arena, 2, s1, order1_halfedges(arena, s1, t1), t2)
-        ]
+        keyed_full = list(iter_order_edges(arena, 2, s1, order1_halfedges(arena, s1, t1), t2))
+        assert [key for _, key in keyed_full] == [cog_key(he.left_cell(), P) for he, _ in keyed_full]
+        full = [he.to_record(scale).canonical_key() for he, _ in keyed_full]
         assert len(full) == len(set(full)), "duplicate half-edges across phases"
         assert big_big <= set(full)
         assert (set(full) - big_big).isdisjoint(big_big)
