@@ -283,6 +283,8 @@ def cmd_svg(args) -> int:
             if len(parts) != 4:
                 raise ConfigError("--viewport needs minx,miny,maxx,maxy")
             viewport = tuple(Fraction(p) for p in parts)
+            if viewport[2] <= viewport[0] or viewport[3] <= viewport[1]:
+                raise ConfigError(f"--viewport needs maxx > minx and maxy > miny, got {args.viewport}")
     except (OSError, RecordFormatError, SiteParseError, DuplicateSiteError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
@@ -290,8 +292,12 @@ def cmd_svg(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     text = render_svg(records, viewport, sites)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

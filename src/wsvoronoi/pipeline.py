@@ -26,7 +26,6 @@ producer yields it, so the stream is grouped by nondecreasing order.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -36,13 +35,13 @@ from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
 from .records import EdgeRecord, directed_record
 from .scan import CellEdge, DiagramMode, _disk_box, clip_edge, clip_run
 from .tradeoff import (
-    BigCellTable,
     W_BATCH_SITE,
     W_FIXED,
     drive,
     iter_big_big,
     iter_diagram,
     iter_small_incident,
+    table_words,
 )
 
 
@@ -110,22 +109,6 @@ def is_relevant(e: HalfEdge) -> bool:
     return e.head is not None and e.head_extra not in e.closest
 
 
-class BigCellTableK:
-    """Sorted keys (and site sets) of the big cells; a cell's key is the
-    pair of coordinate sums of its sites (`_IntervalWalk`)."""
-
-    def __init__(self, entries: dict):
-        self.keys = sorted(entries)
-        self.cells = [entries[k] for k in self.keys]
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __contains__(self, key) -> bool:
-        pos = bisect_left(self.keys, key)
-        return pos < len(self.keys) and self.keys[pos] == key
-
-
 def _halfedges_of_cell_edge(k: int, closest: frozenset, base: tuple, edge: CellEdge, site_pt, rival_pt) -> list:
     """Both directed half-edges of one undirected order-k edge, each with
     the key of its left cell; `base` is the key of `closest`."""
@@ -146,7 +129,7 @@ def _halfedges_of_cell_edge(k: int, closest: frozenset, base: tuple, edge: CellE
 def order1_halfedges(
     arena: ReadOnlyArena,
     s1: int,
-    table: Optional[BigCellTable],
+    table: Optional[dict],
     ledger: Optional[WorkLedger] = None,
     found: Optional[list] = None,
 ) -> Iterator[tuple[HalfEdge, tuple[int, int]]]:
@@ -352,9 +335,7 @@ def _trim_round(arena: ReadOnlyArena, walks: list[_IntervalWalk]) -> None:
         walk.consider_batch(span, arena)
 
 
-def _relevant_walks(
-    arena: ReadOnlyArena, source: Iterator, table: Optional[BigCellTableK] = None
-) -> Iterator[_IntervalWalk]:
+def _relevant_walks(arena: ReadOnlyArena, source: Iterator, table: dict) -> Iterator[_IntervalWalk]:
     """A walk from every relevant lower-order half-edge e of `source`,
     which yields (e, key of e's left cell).
 
@@ -370,7 +351,7 @@ def _relevant_walks(
             p, q = e.pair
             qp = arena.read(q).ipt
             key = (left_key[0] + qp[0], left_key[1] + qp[1])
-            if table is None or key not in table:
+            if key not in table:
                 pp = arena.read(p).ipt
                 zp = arena.read(e.head_extra).ipt
                 line = exact.bisector_line(qp, zp)
@@ -486,12 +467,13 @@ def unbounded_cells(arena: ReadOnlyArena, k_out: int) -> Iterator[tuple[tuple[in
             return
 
 
-def find_big_cells_k(arena: ReadOnlyArena, k_out: int, ledger: Optional[WorkLedger] = None) -> BigCellTableK:
+def find_big_cells_k(arena: ReadOnlyArena, k_out: int, ledger: Optional[WorkLedger] = None) -> dict:
     """The table of the big order-k_out cells: exactly the unbounded ones,
     from the sweep at infinity (`unbounded_cells`), which is charged its
-    k_out sites and O(1) words; the table itself is not charged."""
+    k_out sites and O(1) words; the table, each cell's key mapped to its
+    sites in key order, is not charged."""
     with scope(ledger, k_out * W_BATCH_SITE + W_FIXED):
-        return BigCellTableK(dict(unbounded_cells(arena, k_out)))
+        return dict(sorted(unbounded_cells(arena, k_out)))
 
 
 def iter_order_edges(
@@ -499,7 +481,7 @@ def iter_order_edges(
     k_out: int,
     s1: int,
     source: Iterator[tuple[HalfEdge, tuple[int, int]]],
-    table: BigCellTableK,
+    table: dict,
     ledger: Optional[WorkLedger] = None,
 ) -> Iterator[tuple[HalfEdge, tuple[int, int]]]:
     """Every order-k_out half-edge exactly once, with the key of its left
@@ -526,7 +508,7 @@ def iter_order_edges(
 def _iter_big_big_edges(
     arena: ReadOnlyArena,
     k_out: int,
-    table: BigCellTableK,
+    table: dict,
     chunk: int,
     ledger: Optional[WorkLedger] = None,
 ) -> Iterator[tuple[HalfEdge, tuple[int, int]]]:
@@ -559,18 +541,16 @@ def _iter_big_big_edges(
                     yield from _halfedges_of_cell_edge(k_out, common, base, edge, a_pt, b_pt)
 
 
-def _big_big_candidates(table: BigCellTableK, k_out: int) -> Iterator[tuple[frozenset, int, int, tuple]]:
+def _big_big_candidates(table: dict, k_out: int) -> Iterator[tuple[frozenset, int, int, tuple]]:
     """(common sites, a, b, key of the first cell) for each pair of cells,
     in table order, whose site sets differ in one site each: a in the
     first, b in the second."""
-    cells = table.cells
-    for i, ci in enumerate(cells):
-        for cj in itertools.islice(cells, i + 1, None):
-            common = ci & cj
-            if len(common) == k_out - 1:
-                (a,) = ci - common
-                (b,) = cj - common
-                yield common, a, b, table.keys[i]
+    for (key, ci), (_, cj) in itertools.combinations(table.items(), 2):
+        common = ci & cj
+        if len(common) == k_out - 1:
+            (a,) = ci - common
+            (b,) = cj - common
+            yield common, a, b, key
 
 
 @dataclass(frozen=True)
@@ -606,18 +586,19 @@ def pipeline_run(
     big cells as it goes; stages 2..K hold their indices, charged to the
     ledger, and walk only the small cells.  Stage k >= 2 first finds the
     unbounded order-k cells by the sweep at infinity, and later stages
-    keep that table.
+    keep that table.  Orders n and above have no edges, so the stages stop
+    at order n - 1; s' stays that of K.
     """
     s1 = config.s_prime
-    K = config.K
+    top = min(config.K, len(arena) - 1)
     scale = arena.scale
     # A paused order-1 producer holds at most the round it is in, s1
     # half-edges of 5 words each; a paused order-k producer, k >= 2, holds
     # its walks, which `_walk_rounds` charges, and the half-edge it yielded,
     # k + 4 words, with its two cell keys.
-    paused_words = s1 * 5 + sum(k + 8 for k in range(2, K + 1)) + W_FIXED
+    paused_words = s1 * 5 + sum(k + 8 for k in range(2, top + 1)) + W_FIXED
     with scope(ledger, paused_words):
-        found: list[BigCellTable] = []
+        found: list[dict] = []
         tables: dict = {1: None}
 
         def run_stage(stage: int) -> None:
@@ -628,8 +609,8 @@ def pipeline_run(
                 sink.emit(he.to_record(scale))
 
         run_stage(1)
-        tables[1] = BigCellTable(found[0].indices)
-        with scope(ledger, tables[1].words()):
-            for stage in range(2, K + 1):
+        tables[1] = dict.fromkeys(found[0], ())
+        with scope(ledger, table_words(tables[1])):
+            for stage in range(2, top + 1):
                 tables[stage] = find_big_cells_k(arena, stage, ledger)
                 run_stage(stage)

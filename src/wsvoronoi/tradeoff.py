@@ -26,9 +26,8 @@ of `scan.enumerate_diagram`, with no big cells.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain, islice
-from typing import Iterable, Iterator, NoReturn, Optional
+from typing import Iterator, NoReturn, Optional
 
 from . import exact
 from .geometry import DegenerateGeometry
@@ -48,8 +47,8 @@ from .scan import (
 )
 
 # Ledger words per unit of tracked state; documented so peaks are
-# reproducible.  A run charges the big-cell table (`BigCellTable.words`,
-# derived from what its entries hold) while it holds it, and on top of that
+# reproducible.  A run charges the big-cell table (`table_words`, derived
+# from what its entries hold) while it holds it, and on top of that
 # one phase at a time: the walks, s * (W_SLOT + W_BATCH_SITE) + W_FIXED,
 # plus for farthest diagrams the hull chain, (s + 2) * W_HULL_POINT +
 # W_FIXED (at s = 1 only until the first two hull sites are found, then
@@ -67,35 +66,10 @@ W_FIXED = 8
 W_MEM_SITE = 48
 
 
-class BigCellTable:
-    """Sorted site indices of the cells the walks left unfinished, each
-    with the arc its walk reported before it was cut (`TrackedSite.arc`),
-    or () when the table lists indices alone."""
-
-    def __init__(self, indices: Iterable[int], arcs: Optional[Iterable[tuple]] = None):
-        self.indices = sorted(indices)
-        self.arcs = [()] * len(self.indices) if arcs is None else list(arcs)
-
-    @classmethod
-    def of_walks(cls, walks: Iterable[TrackedSite]) -> "BigCellTable":
-        entries = sorted((t.site, t.arc()) for t in walks)
-        return cls((i for i, _ in entries), (arc for _, arc in entries))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __contains__(self, idx: int) -> bool:
-        pos = bisect_left(self.indices, idx)
-        return pos < len(self.indices) and self.indices[pos] == idx
-
-    def walked(self, idx: int, e) -> bool:
-        """Whether big cell idx's walk reported its edge against the rival
-        at offset e from site idx (`scan.arc_walked`)."""
-        return arc_walked(self.arcs[bisect_left(self.indices, idx)], e)
-
-    def words(self) -> int:
-        """Ledger words the table holds: each entry's index and arc."""
-        return len(self.indices) + sum(map(len, self.arcs))
+def table_words(table: dict) -> int:
+    """Ledger words an order-1 big-cell table holds: each entry's site
+    index and the arc its walk reported (`TrackedSite.arc`), () if none."""
+    return len(table) + sum(map(len, table.values()))
 
 
 def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) -> list[CellEdge]:
@@ -359,12 +333,13 @@ def find_big_cells(
     mode: DiagramMode,
     s: int,
     ledger: Optional[WorkLedger] = None,
-) -> BigCellTable:
+) -> dict:
     """Walk cells s at a time until fewer than s stay unfinished; no output.
 
     When the initial load already covers every site (never any site had to
     wait for a slot) all walks are run to completion and the table is
-    empty.  The program finds its big cells in `iter_diagram`'s walks, which
+    empty.  The table maps each big cell's index to (), in index order.
+    The program finds its big cells in `iter_diagram`'s walks, which
     report edges as they go; this walk-only search is kept as the
     reference the tests hold that table to, and because the per-layer
     tracer (`perfbench/spans.py`) names it.
@@ -372,7 +347,7 @@ def find_big_cells(
     leftovers: list[TrackedSite] = []
     for _ in walk_cells(arena, mode, s, _site_source(arena, mode, s, ledger), ledger, leftovers):
         pass
-    return BigCellTable(t.site for t in leftovers)
+    return dict.fromkeys(sorted(t.site for t in leftovers), ())
 
 
 def iter_diagram(
@@ -387,22 +362,22 @@ def iter_diagram(
     The walks run s at a time (`walk_cells`), and each walked edge is
     reported at once from its cell of lower index, also when that cell's
     walk is later cut short.  The walks still alive when the source runs
-    dry are cut short, and their cells are big: the table keeps each one's
-    walked arc, and `found`, if given, receives it.  Two kinds of edge are
-    then still missing, and both come from the table: an edge between a
-    small cell and a lower-index big cell whose walk did not reach it
-    (`_iter_unreached`), and an edge between two big cells that the lower
-    one did not walk (`iter_big_big`).
+    dry are cut short, and their cells are big: the table maps each one's
+    index to its walked arc, in index order, and `found`, if given,
+    receives it.  Two kinds of edge are then still missing, and both come
+    from the table: an edge between a small cell and a lower-index big cell
+    whose walk did not reach it (`_iter_unreached`), and an edge between
+    two big cells that the lower one did not walk (`iter_big_big`).
     """
     leftovers: list[TrackedSite] = []
     for _, edge in walk_cells(arena, mode, s, _site_source(arena, mode, s, ledger), ledger, leftovers):
         if edge.site < edge.rival:
             yield edge
-    table = BigCellTable.of_walks(leftovers)
+    table = dict(sorted((t.site, t.arc()) for t in leftovers))
     if found is not None:
         found.append(table)
-    if table.indices:
-        with scope(ledger, table.words()):
+    if table:
+        with scope(ledger, table_words(table)):
             yield from _iter_unreached(arena, mode, s, table, ledger)
             yield from iter_big_big(arena, mode, s, table, ledger)
 
@@ -411,19 +386,19 @@ def _iter_unreached(
     arena: ReadOnlyArena,
     mode: DiagramMode,
     s: int,
-    table: BigCellTable,
+    table: dict,
     ledger: Optional[WorkLedger] = None,
 ) -> Iterator[CellEdge]:
     """Every edge between a small cell and a big cell of lower index whose
     walk did not reach it, from walking again the small cells above the
     lowest big index: only they can have such an edge."""
-    lowest = table.indices[0]
+    lowest = next(iter(table))
     source = _site_source(arena, mode, s, ledger, lambda i: i > lowest and i not in table)
     for slot, edge in walk_cells(arena, mode, s, source, ledger):
         j = edge.rival
         if j < edge.site and j in table:
             ex, ey = _rival_offset(edge.piece.carrier.line, *slot.p)
-            if not table.walked(j, (-ex, -ey)):
+            if not arc_walked(table[j], (-ex, -ey)):
                 yield edge
 
 
@@ -431,7 +406,7 @@ def iter_small_incident(
     arena: ReadOnlyArena,
     mode: DiagramMode,
     s: int,
-    table: BigCellTable,
+    table: dict,
     ledger: Optional[WorkLedger] = None,
 ) -> Iterator[CellEdge]:
     """Every edge with at least one small cell, exactly once, for a table
@@ -449,12 +424,11 @@ def iter_big_big(
     arena: ReadOnlyArena,
     mode: DiagramMode,
     s: int,
-    table: BigCellTable,
+    table: dict,
     ledger: Optional[WorkLedger] = None,
 ) -> Iterator[CellEdge]:
     """Every edge between two big cells that the lower one's walk did not
-    report (by its arc in the table; a table of indices alone reported
-    none).
+    report (by its arc in the table; an arc of () reported none).
 
     Each edge of the diagram of the big sites is clipped against the whole
     input, read once as one span; surviving pieces are exactly the big-big
@@ -463,13 +437,12 @@ def iter_big_big(
     if len(table) < 2:
         return
     want = -1 if mode is DiagramMode.NEAREST else 1
-    big = set(table.indices)
-    mem_sites = [(i, arena.read(i).ipt) for i in table.indices]
+    mem_sites = [(i, arena.read(i).ipt) for i in table]
     # Charged for the table's capacity, as the walks charge every slot.
     with scope(ledger, max(len(mem_sites), s - 1) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED):
         span = arena.read_span(0, len(arena))
         for ai, (a, a_pt) in enumerate(mem_sites):
-            arc = table.arcs[ai]
+            arc = table[a]
             for b, b_pt in mem_sites[ai + 1 :]:
                 if arc_walked(arc, (b_pt[0] - a_pt[0], b_pt[1] - a_pt[1])):
                     continue
@@ -477,7 +450,7 @@ def iter_big_big(
                 line = exact.bisector_line(a_pt, b_pt)
                 state = [None, None, None, None, None]
                 if clip_run(state, line, a_pt, mem_sites, want, (a, b), work=arena) and clip_run(
-                    state, line, a_pt, span, want, big, work=arena
+                    state, line, a_pt, span, want, table, work=arena
                 ):
                     yield clip_edge(arena, a, a_pt, b, line, state)
 
@@ -488,7 +461,7 @@ def run_tradeoff(
     s: int,
     sink: OutputSink,
     ledger: Optional[WorkLedger] = None,
-) -> BigCellTable:
+) -> dict:
     """Report the whole diagram with an s-word workspace (`iter_diagram`)
     and return its big-cell table.
 
@@ -498,7 +471,7 @@ def run_tradeoff(
     """
     if not 1 <= s:
         raise ValueError("workspace parameter must be positive")
-    found: list[BigCellTable] = []
+    found: list[dict] = []
     for edge in iter_diagram(arena, mode, s, ledger, found):
         sink.emit(record_for(arena, edge, mode))
     return found[0]

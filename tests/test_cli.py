@@ -472,3 +472,19 @@ class TestSvg:
         cy = 640 - (3 - -2) / 12 * 640
         anchor = f'x1="{cx:.6f}" y1="{cy:.6f}"'
         assert all(anchor in l for l in lines)
+
+    @pytest.mark.parametrize("viewport", ["0,0,0,0", "1,1,0,0", "0,0,5,0"])
+    def test_empty_viewport_is_a_config_error(self, tri_file, tmp_path, capsys, viewport):
+        rec = tmp_path / "r.rec"
+        main(["run", tri_file, "--mode", "nvd", "--workspace", "8", "--out", str(rec)])
+        out = tmp_path / "v.svg"
+        assert main(["svg", str(rec), "--out", str(out), f"--viewport={viewport}"]) == 5
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unopenable_out_is_a_config_error(self, tri_file, tmp_path, capsys):
+        rec = tmp_path / "r.rec"
+        main(["run", tri_file, "--mode", "nvd", "--workspace", "8", "--out", str(rec)])
+        capsys.readouterr()
+        assert main(["svg", str(rec), "--out", str(tmp_path / "missing" / "v.svg")]) == 5
+        assert capsys.readouterr().err.startswith("config error:")

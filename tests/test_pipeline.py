@@ -92,7 +92,7 @@ def interval_walk(arena, P, e, k_out):
     """Every k_out-half-edge the walk of the interval the half-edge e owns
     yields, run alone, or None when `_relevant_walks` starts no walk
     from e."""
-    walks = list(_relevant_walks(arena, iter(keyed(P, [e]))))
+    walks = list(_relevant_walks(arena, iter(keyed(P, [e])), {}))
     if not walks:
         return None
     return [f for f, _, _ in _walk_rounds(arena, k_out, 1, iter(walks), None)]
@@ -288,7 +288,7 @@ class TestSuccessorStep:
         pts3 = {i: P[i].ipt for i in (p, q, z)}
         arena = ReadOnlyArena(P)
         # First walk: e's head is an old vertex of the cell closest | {p, q}.
-        (walk,) = _relevant_walks(arena, iter(keyed(P, [e])))
+        (walk,) = _relevant_walks(arena, iter(keyed(P, [e])), {})
         got = (walk.pair, walk.closest, walk.carrier, walk.direction, walk.tail_extra)
         assert got == reference_outgoing(pts3, True, e.closest, e.closest | {p, q})
         assert (walk.key, walk.tail) == (cog_key(e.closest | {p, q}, P), e.head)
@@ -317,7 +317,7 @@ class TestTrimRound:
         monkeypatch.setattr(_IntervalWalk, "consider_batch", counted)
         P = random_sites(20, 903)
         arena = ReadOnlyArena(P)
-        walks = list(_relevant_walks(arena, iter(keyed(P, oracle_halfedges(P, 1)))))[:6]
+        walks = list(_relevant_walks(arena, iter(keyed(P, oracle_halfedges(P, 1))), {}))[:6]
         assert len(walks) == 6
         before = arena.read_count
         _trim_round(arena, walks)
@@ -370,7 +370,7 @@ class TestWalkRounds:
                 first += 1
                 yield w
 
-        out = list(_walk_rounds(arena, k_out, s1, counted(_relevant_walks(arena, iter(source))), ledger))
+        out = list(_walk_rounds(arena, k_out, s1, counted(_relevant_walks(arena, iter(source), {})), ledger))
         heads = sum(f.head is not None for f, _, _ in out)
         assert first > s1 and len(out) > 2 * first
         assert arena.read_count == len(passes) * len(P) + heads + 3 * first
@@ -436,6 +436,21 @@ class TestPipelineRun:
             got = {r.canonical_key() for r in sink.records if r.k == k}
             assert got == oracle_vdk(triangle(), k).halfedge_keys()
 
+    def test_stages_stop_at_order_n_minus_1(self):
+        """Orders n and above have no edges: K = 4 on the triangle writes
+        what K = 2 does, at the same s' = 1, with the same reads and peak."""
+        runs = []
+        for K, s in ((4, 16), (2, 4)):
+            arena = ReadOnlyArena(triangle())
+            sink = OutputSink()
+            ledger = WorkLedger(64 * s)
+            config = PipelineConfig(K=K, s=s)
+            assert config.s_prime == 1
+            pipeline_run(arena, config, sink, ledger)
+            runs.append((sink.records, arena.read_count, ledger.peak_words))
+        assert runs[0] == runs[1]
+        assert {r.k for r in runs[0][0]} == {1, 2}
+
     def test_reads_reproducible(self):
         P = random_sites(10, 911)
         counts = []
@@ -490,7 +505,15 @@ class TestUnboundedCells:
                 assert len(swept) == len(set(swept)), (n, k)
                 assert set(swept) == self.oracle_unbounded(P, k), (n, k)
                 table = find_big_cells_k(ReadOnlyArena(P), k)
-                assert sorted(table.cells, key=sorted) == sorted(swept, key=sorted)
+                assert sorted(table.values(), key=sorted) == sorted(swept, key=sorted)
+
+    @pytest.mark.parametrize("kind", ["random", "convex"])
+    def test_table_is_the_sweep_in_key_order(self, kind):
+        for n, seed in ((9, 1), (20, 3)):
+            P = random_sites(n, seed) if kind == "random" else convex_sites(n, seed)
+            for k in (2, 3, n - 1):
+                table = find_big_cells_k(ReadOnlyArena(P), k)
+                assert list(table.items()) == sorted(unbounded_cells(ReadOnlyArena(P), k)), (n, k)
 
     def test_order_one_is_the_hull_counterclockwise(self):
         for seed in range(5):

@@ -15,7 +15,6 @@ from wsvoronoi.tradeoff import (
     W_HULL_POINT,
     W_MEM_SITE,
     W_SLOT,
-    BigCellTable,
     _edge_vanished,
     _round,
     find_big_cells,
@@ -24,6 +23,7 @@ from wsvoronoi.tradeoff import (
     iter_diagram,
     iter_small_incident,
     run_tradeoff,
+    table_words,
 )
 
 N, F = DiagramMode.NEAREST, DiagramMode.FARTHEST
@@ -60,19 +60,19 @@ class TestBatchDiagram:
 
     def test_triangle(self):
         arena = ReadOnlyArena(triangle())
-        assert len(list(iter_big_big(arena, N, 4, BigCellTable(range(3))))) == 3
+        assert len(list(iter_big_big(arena, N, 4, dict.fromkeys(range(3), ())))) == 3
 
     def test_matches_oracle_on_subset(self):
         P = random_sites(12, 811)
         for mode, k in ((N, 1), (F, 11)):
             arena = ReadOnlyArena(P)
-            edges = iter_big_big(arena, mode, 4, BigCellTable(range(12)))
+            edges = iter_big_big(arena, mode, 4, dict.fromkeys(range(12), ()))
             got = {record_for(arena, e, mode).undirected_key() for e in edges}
             assert got == oracle_vdk(P, k).undirected_keys()
 
     def test_single_site(self):
         arena = ReadOnlyArena(triangle())
-        assert list(iter_big_big(arena, N, 4, BigCellTable([0]))) == []
+        assert list(iter_big_big(arena, N, 4, {0: ()})) == []
 
 
 class SpanArena(ReadOnlyArena):
@@ -221,7 +221,7 @@ class TestPassStructure:
     def test_big_big_reads_one_span(self):
         P = random_sites(12, 811)
         arena = SpanArena(P)
-        edges = list(iter_big_big(arena, N, 4, BigCellTable(range(12))))
+        edges = list(iter_big_big(arena, N, 4, dict.fromkeys(range(12), ())))
         assert edges
         assert arena.spans == [(0, 12)]
 
@@ -321,7 +321,7 @@ class TestBigCellTable:
         arena = ReadOnlyArena(P)
         table = find_big_cells(arena, F, 4)
         hull = set(naive_hull(P))
-        assert set(table.indices) <= hull
+        assert set(table) <= hull
 
 
 class TestBigCells:
@@ -333,7 +333,7 @@ class TestBigCells:
     @pytest.mark.parametrize("mode, s, k, big, big_big", CASES, ids=["nearest", "farthest"])
     def test_table_and_big_big_edges(self, mode, s, k, big, big_big):
         table = find_big_cells(ReadOnlyArena(self.P), mode, s)
-        assert table.indices == big
+        assert list(table) == big
         assert len(list(iter_big_big(ReadOnlyArena(self.P), mode, s, table))) == big_big
 
     @pytest.mark.parametrize("mode, s, k, big, big_big", CASES, ids=["nearest", "farthest"])
@@ -341,10 +341,10 @@ class TestBigCells:
         found = []
         list(iter_diagram(ReadOnlyArena(self.P), mode, s, None, found))
         [table] = found
-        assert table.indices == find_big_cells(ReadOnlyArena(self.P), mode, s).indices == big
+        assert list(table) == list(find_big_cells(ReadOnlyArena(self.P), mode, s)) == big
         # Every big walk reported an edge before it was cut: an index and a
         # 7-word arc each.
-        assert [len(arc) for arc in table.arcs] == [7] * len(big)
+        assert [len(arc) for arc in table.values()] == [7] * len(big)
 
     @pytest.mark.parametrize("mode, s, k, big, big_big", CASES, ids=["nearest", "farthest"])
     def test_run_matches_oracle_and_releases_ledger(self, mode, s, k, big, big_big):
@@ -357,7 +357,7 @@ class TestBigCells:
 class TestPhases:
     def test_empty_table_reduces_to_index_dedup(self):
         arena = ReadOnlyArena(triangle())
-        edges = list(iter_small_incident(arena, N, 8, BigCellTable([])))
+        edges = list(iter_small_incident(arena, N, 8, {}))
         assert len(edges) == 3
 
     def test_phases_disjoint_union(self):
@@ -378,7 +378,7 @@ class TestPhases:
 
     def test_big_big_empty_for_tiny_table(self):
         arena = ReadOnlyArena(triangle())
-        assert list(iter_big_big(arena, N, 8, BigCellTable([0]))) == []
+        assert list(iter_big_big(arena, N, 8, {0: ()})) == []
 
 
 def parabola(n, seed):
@@ -390,6 +390,25 @@ def parabola(n, seed):
 
     rng = random.Random(seed)
     return site_set([(x, x * x) for x in rng.sample(range(1, 1 << 20), n)])
+
+
+class TestTableOrder:
+    """Big-big output follows the table's iteration order, so every
+    order-1 table is built in index order, whichever search finds it."""
+
+    @pytest.mark.parametrize("kind", ["random", "convex"])
+    def test_run_and_search_tables_agree_in_index_order(self, kind):
+        sizes = []
+        for n, seed in ((40, 3), (64, 5)):
+            P = random_sites(n, seed) if kind == "random" else parabola(n, seed)
+            for mode in (N, F):
+                for s in (2, 3, 8, n - 1):
+                    table = run_tradeoff(ReadOnlyArena(P), mode, s, OutputSink(keep=False))
+                    search = find_big_cells(ReadOnlyArena(P), mode, s)
+                    assert list(table) == list(search) == sorted(table), (n, mode, s)
+                    assert set(search.values()) <= {()}
+                    sizes.append(len(table))
+        assert max(sizes) > 2
 
 
 class TestReportedOnce:
@@ -584,7 +603,7 @@ class TestTableCharge:
         table = run_tradeoff(ReadOnlyArena(P), N, s, sink, ledger)
         assert len(table) == 7
         charge = len(table) * 8
-        assert table.words() == charge
+        assert table_words(table) == charge
         assert live_at_start == [charge, charge]
         assert ledger.live_words == 0
         walks = s * (W_SLOT + W_BATCH_SITE) + W_FIXED
