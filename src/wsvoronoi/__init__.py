@@ -8,9 +8,7 @@ time-space trade-offs the streaming algorithms exhibit.
 """
 
 from .geometry import (
-    BisectorLine,
     DegenerateGeometry,
-    EdgePiece,
     Site,
     site_set,
     validate_general_position,
@@ -27,9 +25,7 @@ from .memory import (
 from .records import EdgeRecord, Unbounded, format_record, parse_record
 
 __all__ = [
-    "BisectorLine",
     "DegenerateGeometry",
-    "EdgePiece",
     "Site",
     "site_set",
     "validate_general_position",

@@ -23,7 +23,7 @@ from . import memory
 from .datagen import DuplicateSiteError, SiteParseError, parse_sites_text, random_sites
 from .geometry import DegenerateGeometry, validate_general_position
 from .memory import ModelViolation, OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
-from .oracle import oracle_vdk, verify_run
+from .oracle import VerifyReport, oracle_vdk, verify_run
 from .pipeline import ConfigError, PipelineConfig, pipeline_run
 from .records import RecordFormatError, format_record, read_stream
 from .scan import DiagramMode
@@ -206,12 +206,16 @@ def cmd_verify(args) -> int:
     orders = sorted({r.k for r in records})
     all_ok = True
     for k in orders:
-        try:
-            oracle = oracle_vdk(sites, k)
-        except DegenerateGeometry as e:
-            print(f"degenerate: {e}", file=sys.stderr)
-            return EXIT_DEGENERATE
-        rep = verify_run(records, oracle, k, directed=directed)
+        if not 1 <= k <= len(sites) - 1:
+            bad = [(r, f"order {k} out of range for {len(sites)} sites") for r in records if r.k == k]
+            rep = VerifyReport([], [], [], bad)
+        else:
+            try:
+                oracle = oracle_vdk(sites, k)
+            except DegenerateGeometry as e:
+                print(f"degenerate: {e}", file=sys.stderr)
+                return EXIT_DEGENERATE
+            rep = verify_run(records, oracle, k, directed=directed)
         print(f"k={k}: {rep.summary()}")
         all_ok = all_ok and rep.ok
     if not orders:

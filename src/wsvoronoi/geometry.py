@@ -1,4 +1,4 @@
-"""Sites, edge types and general-position validation over rational inputs.
+"""Sites and general-position validation over rational inputs.
 
 Sites are parsed to exact rationals and rescaled once onto a common integer
 grid; every predicate and construction after that point is integer-exact
@@ -69,31 +69,6 @@ def site_set(coords: Iterable, scale: Optional[int] = None) -> tuple[Site, ...]:
         iy = y.numerator * (scale // y.denominator)
         sites.append(Site(ix, iy, scale, i))
     return tuple(sites)
-
-
-@dataclass(frozen=True, slots=True)
-class BisectorLine:
-    """Perpendicular bisector of two sites, as integer line a*x + b*y = c."""
-
-    p: int
-    q: int
-    line: tuple[int, int, int]
-
-
-@dataclass(frozen=True, slots=True)
-class EdgePiece:
-    """A connected portion of a bisector: segment, ray, or full line.
-
-    Endpoints are homogeneous integer points on the carrier; a missing
-    endpoint means the piece is unbounded in that carrier direction
-    (``lo`` toward decreasing canonical parameter, ``hi`` toward
-    increasing).  Stored endpoints are understood as excluded: pieces are
-    open sets on their carrier.
-    """
-
-    carrier: BisectorLine
-    lo: Optional[tuple[int, int, int]]
-    hi: Optional[tuple[int, int, int]]
 
 
 @dataclass(frozen=True, slots=True)

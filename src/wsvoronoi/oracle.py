@@ -6,8 +6,9 @@ are exactly the circumcenters c(p, q, r), and between consecutive
 crossings the number of sites strictly closer than p stays constant, so a
 single ordered sweep classifies every interval of every bisector into the
 diagram order it belongs to.  O(n^3 log n) time, unbounded workspace; the
-oracle is deliberately outside the memory model and shares no code with
-the streaming algorithms beyond the exact kernel.
+oracle is deliberately outside the memory model and shares only the exact
+kernel and the record format in `records`, whose builders write its
+records, with the streaming algorithms.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import exact
 from .geometry import DegenerateGeometry, Site
-from .records import EdgeRecord, Unbounded
+from .records import EdgeRecord, Unbounded, _hpoint_fracs, directed_record, undirected_record
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,15 +47,6 @@ class OracleEdge:
         if inside == self.k - 1:
             return "new"
         raise AssertionError(f"impossible inside count {inside} for order {self.k}")
-
-
-def _hpoint_fracs(hp, scale: int):
-    return (Fraction(hp[0], hp[2] * scale), Fraction(hp[1], hp[2] * scale))
-
-
-def _orig_line(line, scale: int):
-    a, b, c = line
-    return exact.normalize_line(a * scale, b * scale, c)
 
 
 @lru_cache(maxsize=64)
@@ -138,27 +130,12 @@ class OracleDiagram:
 
 
 def _undirected_record(e: OracleEdge, scale: int) -> EdgeRecord:
-    line = _orig_line(e.carrier, scale)
-    d = exact.line_dir(e.carrier)
-    lo_f = None if e.lo is None else _hpoint_fracs(e.lo, scale)
-    hi_f = None if e.hi is None else _hpoint_fracs(e.hi, scale)
-    pair = (min(e.pair), max(e.pair))
-    closest = tuple(sorted(e.closest))
-    if lo_f is not None and hi_f is not None:
-        if lo_f <= hi_f:
-            return EdgeRecord(e.k, closest, pair, lo_f, hi_f, e.lo_extra, e.hi_extra)
-        return EdgeRecord(e.k, closest, pair, hi_f, lo_f, e.hi_extra, e.lo_extra)
-    if lo_f is not None:
-        return EdgeRecord(e.k, closest, pair, lo_f, Unbounded(*d), e.lo_extra, None)
-    if hi_f is not None:
-        return EdgeRecord(e.k, closest, pair, hi_f, Unbounded(-d[0], -d[1]), e.hi_extra, None)
-    return EdgeRecord(e.k, closest, pair, Unbounded(-d[0], -d[1]), Unbounded(*d), None, None)
+    return undirected_record(e.k, e.closest, e.pair, e.carrier, e.lo, e.hi, e.lo_extra, e.hi_extra, scale)
 
 
 def _directed_records(e: OracleEdge, sites: tuple):
     """Both directed half-edges of an edge; pair order encodes the left cell."""
     scale = sites[0].scale
-    closest = tuple(sorted(e.closest))
     p, q = e.pair
     d = exact.line_dir(e.carrier)
     out = []
@@ -169,18 +146,10 @@ def _directed_records(e: OracleEdge, sites: tuple):
         assert towards_p != 0
         pair = (p, q) if towards_p > 0 else (q, p)
         if direction == d:
-            tail_hp, head_hp = e.lo, e.hi
-            tail_extra, head_extra = e.lo_extra, e.hi_extra
+            ends = (e.lo, e.hi, e.lo_extra, e.hi_extra)
         else:
-            tail_hp, head_hp = e.hi, e.lo
-            tail_extra, head_extra = e.hi_extra, e.lo_extra
-        tail = (
-            Unbounded(-direction[0], -direction[1])
-            if tail_hp is None
-            else _hpoint_fracs(tail_hp, scale)
-        )
-        head = Unbounded(*direction) if head_hp is None else _hpoint_fracs(head_hp, scale)
-        out.append(EdgeRecord(e.k, closest, pair, tail, head, tail_extra, head_extra))
+            ends = (e.hi, e.lo, e.hi_extra, e.lo_extra)
+        out.append(directed_record(e.k, e.closest, pair, direction, *ends, scale))
     return out
 
 
@@ -251,33 +220,44 @@ class VerifyReport:
         )
 
 
+def _lift(frac_pt, scale: int):
+    """A record's bounded end as a homogeneous point in scaled coordinates."""
+    x = frac_pt[0] * scale
+    y = frac_pt[1] * scale
+    w = x.denominator * y.denominator
+    return exact.normalize_hpoint(x.numerator * y.denominator, y.numerator * x.denominator, w)
+
+
 def _probe_hpoint(rec: EdgeRecord, scale: int):
-    """A point in the interior of the recorded piece, in scaled coordinates."""
-
-    def scaled_h(frac_pt):
-        x = frac_pt[0] * scale
-        y = frac_pt[1] * scale
-        w = x.denominator * y.denominator
-        return exact.normalize_hpoint(x.numerator * y.denominator, y.numerator * x.denominator, w)
-
+    """A point in the interior of the recorded piece, in scaled coordinates,
+    for a record with at least one bounded end."""
     bounded = [ep for ep in (rec.tail, rec.head) if not isinstance(ep, Unbounded)]
     if len(bounded) == 2:
-        return exact.midpoint_h(scaled_h(bounded[0]), scaled_h(bounded[1]))
-    if len(bounded) == 1:
-        anchor = scaled_h(bounded[0])
-        inf = rec.tail if isinstance(rec.tail, Unbounded) else rec.head
-        return exact.hpoint_shift(anchor, (inf.dx, inf.dy), steps=1)
-    # Full line: step from an arbitrary carrier point.
-    inf = rec.head
-    assert isinstance(inf, Unbounded)
-    raise AssertionError("line records need a bounded probe; not produced for n >= 3")
+        return exact.midpoint_h(_lift(bounded[0], scale), _lift(bounded[1], scale))
+    inf = rec.tail if isinstance(rec.tail, Unbounded) else rec.head
+    return exact.hpoint_shift(_lift(bounded[0], scale), (inf.dx, inf.dy), steps=1)
 
 
 def check_distance_profile(rec: EdgeRecord, sites: Sequence[Site]) -> Optional[str]:
-    """None when the record's midpoint has the advertised distance ranking."""
+    """None when the record's sites are in range, each bounded end is as
+    far from the pair as from its extra site, and the record's midpoint has
+    the advertised distance ranking."""
+    n = len(sites)
     scale = sites[0].scale
-    probe = _probe_hpoint(rec, scale)
     a, b = rec.pair
+    if not all(0 <= i < n for i in (a, b, *rec.closest)):
+        return "site index out of range"
+    if isinstance(rec.tail, Unbounded) and isinstance(rec.head, Unbounded):
+        return "both ends unbounded: a full line is no edge for n >= 3 sites"
+    for end, extra in ((rec.tail, rec.extra_t), (rec.head, rec.extra_h)):
+        if isinstance(end, Unbounded):
+            if extra is not None:
+                return "unbounded end has an extra site"
+        elif extra is None or not 0 <= extra < n or extra in rec.pair:
+            return "bounded end's extra is not a site outside the pair"
+        elif exact.dist2_cmp(_lift(end, scale), sites[a].ipt, sites[extra].ipt) != 0:
+            return f"end not equidistant from site {a} and its extra site {extra}"
+    probe = _probe_hpoint(rec, scale)
     if exact.dist2_cmp(probe, sites[a].ipt, sites[b].ipt) != 0:
         return "pair not equidistant at probe"
     closer = []

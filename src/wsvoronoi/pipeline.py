@@ -112,16 +112,16 @@ def is_relevant(e: HalfEdge) -> bool:
 def _halfedges_of_cell_edge(k: int, closest: frozenset, base: tuple, edge: CellEdge, site_pt, rival_pt) -> list:
     """Both directed half-edges of one undirected order-k edge, each with
     the key of its left cell; `base` is the key of `closest`."""
-    line = edge.piece.carrier.line
+    line = edge.line
     d0 = exact.line_dir(line)
     out = []
     for d in (d0, (-d0[0], -d0[1])):
         towards_site = exact.cross_dir(d, (site_pt[0] - rival_pt[0], site_pt[1] - rival_pt[1]))
         pair, left = ((edge.site, edge.rival), site_pt) if towards_site > 0 else ((edge.rival, edge.site), rival_pt)
         if d == d0:
-            tail, head, te, he_ = edge.piece.lo, edge.piece.hi, edge.lo_cutter, edge.hi_cutter
+            tail, head, te, he_ = edge.lo, edge.hi, edge.lo_cutter, edge.hi_cutter
         else:
-            tail, head, te, he_ = edge.piece.hi, edge.piece.lo, edge.hi_cutter, edge.lo_cutter
+            tail, head, te, he_ = edge.hi, edge.lo, edge.hi_cutter, edge.lo_cutter
         out.append((HalfEdge(k, closest, pair, line, d, tail, head, te, he_), (base[0] + left[0], base[1] + left[1])))
     return out
 

@@ -32,7 +32,7 @@ from operator import length_hint
 from typing import Callable, Optional
 
 from . import exact
-from .geometry import BisectorLine, DegenerateGeometry, EdgePiece
+from .geometry import DegenerateGeometry
 from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
 from .records import EdgeRecord, undirected_record
 
@@ -47,26 +47,25 @@ class FarthestCellEmpty(Exception):
 
 
 @dataclass(frozen=True, slots=True)
-class HullStatus:
-    inside: bool
-    cw_neighbor: Optional[int] = None
-    ccw_neighbor: Optional[int] = None
-
-
-@dataclass(frozen=True, slots=True)
 class CellEdge:
-    """One edge of a cell: the piece, the rival across it, endpoint cutters."""
+    """One edge of site's cell, on `line`, the bisector a*x + b*y = c of
+    site and rival.  Its ends are homogeneous integer points, excluded
+    from the edge, ``lo`` toward decreasing canonical parameter and ``hi``
+    toward increasing; an end is None where the edge is unbounded, and its
+    cutter is the site whose bisector with site crosses the line there."""
 
     site: int
     rival: int
-    piece: EdgePiece
+    line: tuple[int, int, int]
+    lo: Optional[tuple[int, int, int]]
+    hi: Optional[tuple[int, int, int]]
     lo_cutter: Optional[int]
     hi_cutter: Optional[int]
 
     def cutter_at(self, hp) -> Optional[int]:
-        if self.piece.lo is not None and hp == self.piece.lo:
+        if self.lo is not None and hp == self.lo:
             return self.lo_cutter
-        if self.piece.hi is not None and hp == self.piece.hi:
+        if self.hi is not None and hp == self.hi:
             return self.hi_cutter
         raise ValueError("point is not an endpoint of this edge")
 
@@ -76,13 +75,14 @@ class CellEdge:
 W_LOCATE = 8
 
 
-def locate_on_hull(arena: ReadOnlyArena, p_idx: int, ledger: Optional[WorkLedger] = None) -> HullStatus:
+def locate_on_hull(arena: ReadOnlyArena, p_idx: int, ledger: Optional[WorkLedger] = None) -> Optional[tuple]:
     """Hull membership of site p by one gift-wrapping pass.
 
-    Returns the two hull neighbors when p is a hull vertex.  Of sites on
-    one ray from p the outermost is the candidate neighbor; p strictly
-    between two sites is inside.  At most one pass over the arena beyond
-    the reference pick (the lowest other index).
+    Returns p's (clockwise, counterclockwise) hull neighbors when p is a
+    hull vertex, else None.  Of sites on one ray from p the outermost is
+    the candidate neighbor; p strictly between two sites is inside.  At
+    most one pass over the arena beyond the reference pick (the lowest
+    other index).
     """
     n = len(arena)
     with scope(ledger, W_LOCATE):
@@ -96,15 +96,15 @@ def locate_on_hull(arena: ReadOnlyArena, p_idx: int, ledger: Optional[WorkLedger
             w = arena.read(j).ipt
             side = exact.orient_ipts(p, q, w)
             if side == 0 and _along(p, q, w) < 0:
-                return HullStatus(inside=True)
+                return None
             if side <= 0 and _past(p, cw[0], w, -1):
                 cw = (w, j)
             if side >= 0 and _past(p, ccw[0], w, 1):
                 ccw = (w, j)
         turn = exact.orient_ipts(p, cw[0], ccw[0])
         if turn < 0 or (turn == 0 and _along(p, cw[0], ccw[0]) < 0):
-            return HullStatus(inside=True)
-        return HullStatus(inside=False, cw_neighbor=cw[1], ccw_neighbor=ccw[1])
+            return None
+        return cw[1], ccw[1]
 
 
 def _along(p, a, b) -> int:
@@ -282,7 +282,7 @@ def clip_edge(arena: ReadOnlyArena, site: int, p, rival: int, line, state) -> Ce
         lo = exact.line_intersection(line, exact.bisector_line(p, arena.read(state[2]).ipt))
     if state[3] is not None:
         hi = exact.line_intersection(line, exact.bisector_line(p, arena.read(state[3]).ipt))
-    return CellEdge(site, rival, EdgePiece(BisectorLine(site, rival, line), lo, hi), state[2], state[3])
+    return CellEdge(site, rival, line, lo, hi, state[2], state[3])
 
 
 def nearest_run(p, items, skip: int, work=None) -> Optional[int]:
@@ -351,7 +351,6 @@ class TrackedSite:
         "rival",
         "state",
         "_on_hull",
-        "_first_rival",
         "_leg2",
         "_v",
         "_entry",
@@ -370,7 +369,6 @@ class TrackedSite:
         self.rival: Optional[int] = None  # rival of the edge being clipped
         self.state = None  # its clip interval [t_lo, t_hi, lo_cut, hi_cut, box]
         self._on_hull = rival is not None  # started on a hull edge, which must be a ray
-        self._first_rival: Optional[int] = None
         self._leg2 = None  # (endpoint hpoint, cutter) queued for the reverse walk
         self._v = None
         self._entry: Optional[CellEdge] = None  # the last edge of this leg, walked into the entry vertex
@@ -391,7 +389,7 @@ class TrackedSite:
         if self._entry is None:
             return None
         px, py = self.p
-        ex, ey = _rival_offset(self._entry.piece.carrier.line, px, py)
+        ex, ey = _rival_offset(self._entry.line, px, py)
         return self._entry.rival, (px + ex, py + ey)
 
     def advance(self, edge: CellEdge) -> None:
@@ -400,9 +398,8 @@ class TrackedSite:
         self.state = None
         if self.first_edge is None:
             self.first_edge = edge
-            self._first_rival = edge.rival
             self._entry = edge
-            ends = [edge.piece.lo, edge.piece.hi]
+            ends = [edge.lo, edge.hi]
             if ends[0] is None:
                 ends.reverse()
             if ends[0] is None:
@@ -420,10 +417,10 @@ class TrackedSite:
                 self._leg2 = (ends[1], edge.cutter_at(ends[1]))
             return
         # Walking: step through the endpoint opposite the entry vertex.
-        if edge.piece.lo is not None and edge.piece.lo == self._v:
-            nxt = edge.piece.hi
-        elif edge.piece.hi is not None and edge.piece.hi == self._v:
-            nxt = edge.piece.lo
+        if edge.lo is not None and edge.lo == self._v:
+            nxt = edge.hi
+        elif edge.hi is not None and edge.hi == self._v:
+            nxt = edge.lo
         else:
             raise AssertionError("walk endpoint not on the next edge")
         if self._second is None:
@@ -441,7 +438,7 @@ class TrackedSite:
         self._v = nxt
         self._entry = edge
         self.cutter = edge.cutter_at(nxt)
-        if self.cutter == self._first_rival:
+        if self.cutter == self.first_edge.rival:
             self.done = True
 
     def exit_cutter(self) -> int:
@@ -462,7 +459,7 @@ class TrackedSite:
         px, py = self.p
 
         def offset(edge):
-            return _rival_offset(edge.piece.carrier.line, px, py)
+            return _rival_offset(edge.line, px, py)
 
         first = offset(self.first_edge)
         if self._turn is None:
@@ -528,10 +525,10 @@ def cell_walk(
     """
     if mode is DiagramMode.NEAREST:
         return TrackedSite(i, arena.read(i).ipt)
-    status = locate_on_hull(arena, i, ledger)
-    if status.inside:
+    neighbors = locate_on_hull(arena, i, ledger)
+    if neighbors is None:
         return None
-    return hull_walk(arena, i, status.cw_neighbor)
+    return hull_walk(arena, i, neighbors[0])
 
 
 def enumerate_cell(
@@ -581,9 +578,9 @@ def record_for(arena: ReadOnlyArena, edge: CellEdge, mode: DiagramMode) -> EdgeR
         k,
         closest,
         (edge.site, edge.rival),
-        edge.piece.carrier.line,
-        edge.piece.lo,
-        edge.piece.hi,
+        edge.line,
+        edge.lo,
+        edge.hi,
         edge.lo_cutter,
         edge.hi_cutter,
         arena.scale,

@@ -397,7 +397,7 @@ def _iter_unreached(
     for slot, edge in walk_cells(arena, mode, s, source, ledger):
         j = edge.rival
         if j < edge.site and j in table:
-            ex, ey = _rival_offset(edge.piece.carrier.line, *slot.p)
+            ex, ey = _rival_offset(edge.line, *slot.p)
             if not arc_walked(table[j], (-ex, -ey)):
                 yield edge
 

@@ -24,6 +24,8 @@ CIRCLE_AND_POINT = "5 0\n3 4\n0 5\n-3 4\n-5 0\n-4 -3\n0 -5\n4 -3\n1 1\n"
 COLLINEAR_AND_TWO = "0 0\n2 0\n4 0\n2 5\n1 1\n"
 # Every site on one line: every diagram's edges are parallel full lines.
 ALL_COLLINEAR = "0 0\n2 0\n4 0\n6 0\n"
+# A triangle and one site inside it.
+TRIANGLE_AND_POINT = "0 0\n8 0\n0 6\n1 1\n"
 
 
 @pytest.fixture
@@ -196,6 +198,58 @@ class TestVerify:
         with open(out, "a") as fh:
             fh.write(lines[-1] + "\n")
         assert main(["verify", tri_file, str(out)]) == 1
+
+    @pytest.mark.parametrize(
+        "mode, old, new, summary",
+        [
+            pytest.param("nvd", "k=1 ", "k=0 ", "k=0: missing=0 spurious=0 duplicated=0 invalid=1", id="order-0"),
+            pytest.param("fvd", "k=3 ", "k=7 ", "k=7: missing=0 spurious=0 duplicated=0 invalid=1", id="order-7"),
+            pytest.param(
+                "nvd", "pair=0,3", "pair=0,9", "k=1: missing=1 spurious=1 duplicated=0 invalid=1", id="site-9"
+            ),
+            pytest.param(
+                "nvd",
+                "tail=-2/1,3/1 head=4/1,-3/1 extraT=2 extraH=1",
+                "tail=INF:0/1,1/1 head=INF:0/1,-1/1 extraT=- extraH=-",
+                "k=1: missing=1 spurious=1 duplicated=0 invalid=1",
+                id="full-line",
+            ),
+            pytest.param(
+                "nvd", "extraT=2", "extraT=99", "k=1: missing=0 spurious=0 duplicated=0 invalid=1", id="extra-99"
+            ),
+            pytest.param(
+                "nvd", "extraT=2", "extraT=3", "k=1: missing=0 spurious=0 duplicated=0 invalid=1", id="extra-in-pair"
+            ),
+            pytest.param(
+                "fvd",
+                "extraT=1",
+                "extraT=3",
+                "k=3: missing=0 spurious=0 duplicated=0 invalid=1",
+                id="extra-off-circle",
+            ),
+            pytest.param(
+                "fvd",
+                "extraH=-",
+                "extraH=1",
+                "k=3: missing=0 spurious=0 duplicated=0 invalid=1",
+                id="extra-at-infinity",
+            ),
+        ],
+    )
+    def test_record_that_does_not_fit_the_sites(self, tmp_path, capsys, mode, old, new, summary):
+        """A record with an order, a site or an end the site file cannot
+        have is a defect: exit 1 with the summary, never a traceback."""
+        sites = tmp_path / "sites.txt"
+        sites.write_text(TRIANGLE_AND_POINT)
+        out = tmp_path / "records.txt"
+        assert main(["run", str(sites), "--mode", mode, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        assert old in lines[1]
+        lines[1] = lines[1].replace(old, new, 1)
+        out.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["verify", str(sites), str(out)]) == 1
+        assert summary in capsys.readouterr().out.splitlines()
 
 
 class TestDeterminism:

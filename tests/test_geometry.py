@@ -66,7 +66,7 @@ def clip(sites, a, b, cutters, keep_nearer=True):
     want = -1 if keep_nearer else 1
     if not clip_run(state, line, a.ipt, [(c.index, c.ipt) for c in cutters], want, (a.index, b.index)):
         return None
-    return clip_edge(ReadOnlyArena(sites), a.index, a.ipt, b.index, line, state).piece
+    return clip_edge(ReadOnlyArena(sites), a.index, a.ipt, b.index, line, state)
 
 
 def ends(piece, scale):

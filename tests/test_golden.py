@@ -7,7 +7,8 @@ leave every hash as it is; a change that alters output on purpose updates
 the hashes and says why.  A change that only reorders the records (a walk
 that starts on another edge of its cell, an edge reported from its other
 cell) moves the first hash and, through the reads and peak words, the
-third, but never the sorted one.
+third, but never the sorted one.  The oracle's own record bytes are
+pinned the same way.
 """
 
 import hashlib
@@ -17,6 +18,9 @@ import pytest
 
 from wsvoronoi.cli import main
 from wsvoronoi.datagen import random_sites, sites_to_text
+from wsvoronoi.geometry import site_set
+from wsvoronoi.oracle import oracle_vdk
+from wsvoronoi.records import format_record
 
 N = 40
 SEED = 11
@@ -119,3 +123,30 @@ def test_convex_output_bytes_unchanged(case, tmp_path, capsys):
     assert main(["run", str(sites), *flags, "--out", str(out)]) == 0
     capsys.readouterr()
     _check(out, *hashes)
+
+
+# sha256 of the oracle's formatted records at orders 1, 2, 3 and n - 1:
+# for each order its undirected records, then its half-edge records.  The
+# benchmark's order-k reference is these bytes; the other tests compare
+# keys only.
+ORACLE_CASES = {
+    "random-40": (
+        random_sites(N, SEED),
+        "52d075cda74a77e5142f5fba596545fa2cfb4e3b6c282dbdae2a5756412a6f6c",
+    ),
+    "parabola-24": (
+        site_set([(x, x * x) for x in random.Random(SEED).sample(range(1, 1 << 20), 24)]),
+        "2514c182944c364756f7eeb9d6c79d100adc6ffdf69de33e9b29d0fe7165d982",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_oracle_record_bytes_unchanged(case):
+    sites, want = ORACLE_CASES[case]
+    h = hashlib.sha256()
+    for k in (1, 2, 3, len(sites) - 1):
+        diagram = oracle_vdk(sites, k)
+        for rec in (*diagram.undirected_records(), *diagram.halfedge_records()):
+            h.update((format_record(rec) + "\n").encode())
+    assert h.hexdigest() == want

@@ -100,7 +100,7 @@ def run_clip(p, r, cutters, want, skip, flip, batch):
         if not clip_run(state, line, p, cutters[start : start + batch], want, skip, flip):
             return False, None, None, None, None
     edge = clip_edge(ReadOnlyArena(sites), 0, p, 1, line, state)
-    return True, edge.lo_cutter, edge.hi_cutter, hpoint(edge.piece.lo), hpoint(edge.piece.hi)
+    return True, edge.lo_cutter, edge.hi_cutter, hpoint(edge.lo), hpoint(edge.hi)
 
 
 @st.composite
@@ -236,7 +236,7 @@ class TestClipRun:
         assert clip_run(state, line, (0, 0), items, -1, (0, 1))
         edge = clip_edge(ReadOnlyArena(sites), 0, (0, 0), 1, line, state)
         assert {edge.lo_cutter, edge.hi_cutter} == {2, 3}
-        assert {hpoint(edge.piece.lo), hpoint(edge.piece.hi)} == {(4, 3), (4, -3)}
+        assert {hpoint(edge.lo), hpoint(edge.hi)} == {(4, 3), (4, -3)}
 
 
 @st.composite

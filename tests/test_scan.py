@@ -69,18 +69,18 @@ class TestHullMembership:
     def test_triangle_vertices_on_hull(self):
         arena = ReadOnlyArena(triangle())
         st = locate_on_hull(arena, 0)
-        assert not st.inside
-        assert {st.cw_neighbor, st.ccw_neighbor} == {1, 2}
+        assert st is not None
+        assert set(st) == {1, 2}
 
     def test_interior_point(self):
         arena = ReadOnlyArena(with_interior_point())
-        assert locate_on_hull(arena, 3).inside
+        assert locate_on_hull(arena, 3) is None
 
     def test_matches_naive_oracle(self):
         P = random_sites(12, 71)
         arena = ReadOnlyArena(P)
         for i in range(12):
-            got = not locate_on_hull(arena, i).inside
+            got = locate_on_hull(arena, i) is not None
             assert got == naive_hull_membership(P, i)
 
     def test_one_pass_reads(self):
@@ -118,12 +118,12 @@ class TestHullMembership:
             for i, pt in enumerate(pts):
                 st = locate_on_hull(arena, i)
                 if pt not in hull:
-                    assert st.inside
+                    assert st is None
                     continue
                 at = hull.index(pt)
                 following, preceding = hull[(at + 1) % len(hull)], hull[at - 1]
-                assert not st.inside
-                assert (pts[st.cw_neighbor], pts[st.ccw_neighbor]) == (following, preceding)
+                assert st is not None
+                assert (pts[st[0]], pts[st[1]]) == (following, preceding)
 
 
 class TestStartRay:
@@ -141,7 +141,7 @@ class TestStartRay:
             [edge] = _round(arena, [walk], N)
             _, j = min(((w.ix - site.ix) ** 2 + (w.iy - site.iy) ** 2, j) for j, w in enumerate(P) if j != i)
             assert edge.rival == j
-            assert edge.piece.carrier.line == exact.bisector_line(site.ipt, P[j].ipt)
+            assert edge.line == exact.bisector_line(site.ipt, P[j].ipt)
             assert check_distance_profile(record_for(arena, edge, N), P) is None
 
     def test_farthest_starts_on_a_hull_neighbor_bisector(self):
@@ -150,7 +150,7 @@ class TestStartRay:
         assert walk.cutter in (1, 2)  # known before any pass
         [edge] = _round(arena, [walk], F)
         assert edge.rival in (1, 2)
-        assert (edge.piece.lo is None) != (edge.piece.hi is None)  # its unbounded edge
+        assert (edge.lo is None) != (edge.hi is None)  # its unbounded edge
 
     def test_farthest_interior_raises(self):
         arena = ReadOnlyArena(with_interior_point())
@@ -184,9 +184,9 @@ class TestFindEdge:
         # site 2 = (0, 6).
         edge = first_edge(ReadOnlyArena(triangle()), 0, N)
         assert edge.rival == 2
-        assert edge.piece.carrier.line == (0, 1, 3)  # on y = 3
-        assert edge.piece.lo is None or edge.piece.hi is None  # a ray
-        bounded = edge.piece.hi or edge.piece.lo
+        assert edge.line == (0, 1, 3)  # on y = 3
+        assert edge.lo is None or edge.hi is None  # a ray
+        bounded = edge.hi or edge.lo
         assert (Fraction(bounded[0], bounded[2]), Fraction(bounded[1], bounded[2])) == (4, 3)
 
     def test_farthest_edge_matches_oracle(self):
