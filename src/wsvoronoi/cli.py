@@ -12,7 +12,6 @@ error, 4 workspace-model violation, 5 bad configuration.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 import time
@@ -23,11 +22,9 @@ from . import memory
 from .datagen import DuplicateSiteError, SiteParseError, parse_sites_text, random_sites
 from .geometry import DegenerateGeometry, validate_general_position
 from .memory import ModelViolation, OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
-from .oracle import VerifyReport, oracle_vdk, verify_run
 from .pipeline import ConfigError, PipelineConfig, pipeline_run
 from .records import RecordFormatError, format_record, read_stream
 from .scan import DiagramMode
-from .svg import render_svg
 from .tradeoff import run_tradeoff
 
 EXIT_OK = 0
@@ -192,6 +189,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import VerifyReport, oracle_vdk, verify_run
+
     try:
         sites = _load_sites(args.file)
         with open(args.records, "r", encoding="utf-8") as fh:
@@ -277,6 +276,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_svg(args) -> int:
+    from .svg import render_svg
+
     try:
         with open(args.records, "r", encoding="utf-8") as fh:
             _, records = read_stream(fh)

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -542,3 +546,19 @@ class TestSvg:
         capsys.readouterr()
         assert main(["svg", str(rec), "--out", str(tmp_path / "missing" / "v.svg")]) == 5
         assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_import_leaves_oracle_and_svg_unloaded():
+    """`vw run` loads no verifier and no renderer: `verify` and `svg` import
+    theirs when called.  The pipeline stays loaded, since tracing wraps its
+    functions right after importing the command line."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, wsvoronoi.cli; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "wsvoronoi.pipeline" in loaded
+    assert "wsvoronoi.oracle" not in loaded
+    assert "wsvoronoi.svg" not in loaded

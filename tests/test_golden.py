@@ -114,15 +114,46 @@ CONVEX_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CONVEX_CASES))
-def test_convex_output_bytes_unchanged(case, tmp_path, capsys):
-    flags, *hashes = CONVEX_CASES[case]
+# The same shape drawn with seed 1, the benchmark's seed: every farthest
+# record lists all 62 sites outside its pair, the closest lists that the
+# record writer cuts from its cached index text.
+CONVEX_SEED1 = [(x, x * x) for x in random.Random(1).sample(range(1, 1 << 20), 64)]
+
+CONVEX_SEED1_CASES = {
+    "fvd-scan": (
+        ["--mode", "fvd"],
+        "f5d11f89aa332fcd2372b2b4f34e802bb228c939d3a28a1b6237c6390f735625",
+        "b81e0104c3a51868d63898fe14c759bfe4e91b36ea9512a7f9c5c83d4ae8dafb",
+        "d903a452dac9b35572c0003de7ecae44e3f8cb69d194456bd73369ae4efbe974",
+    ),
+    "fvd-s8": (
+        ["--mode", "fvd", "--workspace", "8"],
+        "4bd545a0cb30a1264fe5d185f51fa4f830ae4544eb0092b8f534c0baae8e5f94",
+        "1f7390139028c42c52ae1500b01ca44eb10d637362417ab5899a63f718b796f2",
+        "8c38cfa8483dd7e8b691632c990aac29fe6e002d9be248bd7175a3bd3df4ec7b",
+    ),
+}
+
+
+def _run_convex(points, flags, hashes, tmp_path, capsys):
     sites = tmp_path / "sites.txt"
-    sites.write_text("".join(f"{x} {y}\n" for x, y in CONVEX), encoding="utf-8")
+    sites.write_text("".join(f"{x} {y}\n" for x, y in points), encoding="utf-8")
     out = tmp_path / "records.txt"
     assert main(["run", str(sites), *flags, "--out", str(out)]) == 0
     capsys.readouterr()
     _check(out, *hashes)
+
+
+@pytest.mark.parametrize("case", sorted(CONVEX_CASES))
+def test_convex_output_bytes_unchanged(case, tmp_path, capsys):
+    flags, *hashes = CONVEX_CASES[case]
+    _run_convex(CONVEX, flags, hashes, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(CONVEX_SEED1_CASES))
+def test_convex_seed1_output_bytes_unchanged(case, tmp_path, capsys):
+    flags, *hashes = CONVEX_SEED1_CASES[case]
+    _run_convex(CONVEX_SEED1, flags, hashes, tmp_path, capsys)
 
 
 # sha256 of the oracle's formatted records at orders 1, 2, 3 and n - 1:

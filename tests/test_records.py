@@ -4,6 +4,8 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsvoronoi.datagen import random_sites
 from wsvoronoi.oracle import oracle_vdk
@@ -11,6 +13,7 @@ from wsvoronoi.records import (
     EdgeRecord,
     RecordFormatError,
     Unbounded,
+    INDEX_TEXT_LIMIT,
     format_record,
     parse_record,
     read_stream,
@@ -75,3 +78,104 @@ def test_undirected_key_collapses_directions():
     for r in directed:
         assert r.opposite().undirected_key() == r.undirected_key()
         assert r.opposite().opposite() == r
+
+
+# -- closest lists cut from the cached index text -----------------------------
+
+
+def reference_format(rec: EdgeRecord) -> str:
+    """The formatter as it was before closest lists were cut from cached text."""
+    closest = ",".join(map(str, rec.closest))
+    extra_t = "-" if rec.extra_t is None else str(rec.extra_t)
+    extra_h = "-" if rec.extra_h is None else str(rec.extra_h)
+    ends = []
+    for ep in (rec.tail, rec.head):
+        if isinstance(ep, Unbounded):
+            ends.append(f"INF:{ep.dx}/1,{ep.dy}/1")
+        else:
+            ends.append(f"{ep[0].numerator}/{ep[0].denominator},{ep[1].numerator}/{ep[1].denominator}")
+    return (
+        f"k={rec.k} closest={closest} pair={rec.pair[0]},{rec.pair[1]} "
+        f"tail={ends[0]} head={ends[1]} extraT={extra_t} extraH={extra_h}"
+    )
+
+
+def _record(closest, pair) -> EdgeRecord:
+    return EdgeRecord(len(closest) + 1, tuple(closest), pair, (Fraction(1, 3), Fraction(-2)), Unbounded(1, -1), None, 4)
+
+
+def _complement(m, a, b):
+    return [i for i in range(m) if i not in (a, b)]
+
+
+@st.composite
+def complements(draw, min_m=3, max_m=300):
+    """(m, a, b): a pair of distinct indices in range(m)."""
+    m = draw(st.integers(min_m, max_m))
+    a = draw(st.integers(0, m - 1))
+    b = draw(st.integers(0, m - 1).filter(lambda x: x != a))
+    return m, a, b
+
+
+def test_every_complement_of_small_ranges():
+    for m in range(2, 14):
+        for a in range(m):
+            for b in range(m):
+                if a != b:
+                    rec = _record(_complement(m, a, b), (a, b))
+                    assert format_record(rec) == reference_format(rec)
+
+
+@given(complements())
+@settings(max_examples=200, deadline=None)
+def test_complement_of_pair_matches_reference(case):
+    m, a, b = case
+    rec = _record(_complement(m, a, b), (a, b))
+    assert format_record(rec) == reference_format(rec)
+    assert parse_record(format_record(rec)) == rec
+
+
+@given(complements(min_m=4), st.sampled_from(["drop", "add", "swap", "duplicate", "overlap"]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_near_complements_match_reference(case, how, data):
+    """Lists one edit away from a complement take the general path and
+    still print as the reference does."""
+    m, a, b = case
+    closest = _complement(m, a, b)
+    if how == "drop":
+        del closest[data.draw(st.integers(0, len(closest) - 1))]
+    elif how == "add":
+        closest.insert(data.draw(st.integers(0, len(closest))), data.draw(st.integers(-2, m + 2)))
+    elif how == "swap":
+        i = data.draw(st.integers(0, len(closest) - 2))
+        closest[i], closest[i + 1] = closest[i + 1], closest[i]
+    elif how == "duplicate":
+        i = data.draw(st.integers(0, len(closest) - 1))
+        closest[i] = closest[i - 1] if i else closest[1]
+    else:
+        closest[data.draw(st.integers(0, len(closest) - 1))] = data.draw(st.sampled_from([a, b]))
+    rec = _record(closest, (a, b))
+    assert format_record(rec) == reference_format(rec)
+
+
+@given(st.lists(st.integers(0, 400), max_size=3), st.tuples(st.integers(0, 400), st.integers(0, 400)))
+@settings(max_examples=200, deadline=None)
+def test_short_lists_match_reference(closest, pair):
+    rec = _record(sorted(closest), pair)
+    assert format_record(rec) == reference_format(rec)
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(-50, 600), st.integers(INDEX_TEXT_LIMIT - 2, INDEX_TEXT_LIMIT + 2), st.integers(-(10**30), 10**30)),
+        max_size=40,
+    ),
+    st.tuples(st.integers(-3, 600), st.integers(-3, 600)),
+)
+@settings(max_examples=200, deadline=None)
+def test_parsed_unsorted_or_sparse_lists_round_trip(closest, pair):
+    """Any closest list a stream may hold, negative and huge indices too,
+    prints back as it was read."""
+    line = reference_format(_record(closest, pair))
+    rec = parse_record(line)
+    assert format_record(rec) == line
