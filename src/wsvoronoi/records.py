@@ -125,60 +125,46 @@ def _parse_endpoint(text: str) -> Endpoint:
 
 
 #: Text of the indices 0..M-1 for the largest M needed so far, as
-#: (indices, names, text, starts): indices is tuple(range(M)), names maps
-#: i to str(i), text is "0,1,...,M-1," and starts[i] is the offset of index
-#: i in text, with starts[M] == len(text).  It is output-layer text about
-#: the size of one order-(M-1) record and holds nothing of the input but
-#: the index range, so no workspace word is charged for it.
-_index_text: tuple = ((), {}, "", [0])
-
-#: Closest lists naming an index from this bound on skip the cache.
-INDEX_TEXT_LIMIT = 1 << 16
+#: (indices, text, starts): indices is tuple(range(M)), text is
+#: "0,1,...,M-1," and starts[i] is the offset of index i in text, with
+#: starts[M] == len(text).  It is output-layer text the size of one
+#: order-(M-1) record and holds nothing of the input but the index range,
+#: so no workspace word is charged for it.
+_index_text: tuple = ((), "", [0])
 
 
 def _grow_index_text(m: int) -> tuple:
     global _index_text
-    m = min(max(m, 2 * len(_index_text[0])), INDEX_TEXT_LIMIT)
     names = [str(i) for i in range(m)]
     starts = [0]
     for name in names:
         starts.append(starts[-1] + len(name) + 1)
-    _index_text = (tuple(range(m)), dict(enumerate(names)), ",".join(names + [""]), starts)
+    _index_text = (tuple(range(m)), ",".join(names + [""]), starts)
     return _index_text
 
 
 def _closest_text(closest: tuple[int, ...], pair: tuple[int, int]) -> str:
-    """`",".join(map(str, closest))`, cut from the cached index text.
+    """`",".join(map(str, closest))`, cut from the cached index text when it can be.
 
     An order-(m-1) record of an m-site diagram, m = len(closest) + 2, lists
     every index in range(m) but its pair's two.  Checked exactly, such a
-    list is the cached "0,1,...,m-1," with the pair's two entries cut out;
-    any other list joins the cached names of its indices.
+    list is the cached "0,1,...,m-1," with the pair's two entries cut out.
     """
-    if not closest:
-        return ""
-    indices, names, text, starts = _index_text
     m = len(closest) + 2
     a, b = pair
     if a > b:
         a, b = b, a
-    if 0 <= a < b < m <= INDEX_TEXT_LIMIT:
+    if closest and 0 <= a < b < m:
+        indices, text, starts = _index_text
         if m > len(indices):
-            indices, names, text, starts = _grow_index_text(m)
+            indices, text, starts = _grow_index_text(m)
         if (
             closest[:a] == indices[:a]
             and closest[a : b - 1] == indices[a + 1 : b]
             and closest[b - 1 :] == indices[b + 1 : m]
         ):
             return (text[: starts[a]] + text[starts[a + 1] : starts[b]] + text[starts[b + 1] : starts[m]])[:-1]
-    try:
-        return ",".join([names[i] for i in closest])
-    except KeyError:
-        pass
-    if min(closest) < 0 or max(closest) >= INDEX_TEXT_LIMIT:
-        return ",".join(map(str, closest))
-    names = _grow_index_text(max(closest) + 1)[1]
-    return ",".join([names[i] for i in closest])
+    return ",".join(map(str, closest))
 
 
 def format_record(rec: EdgeRecord) -> str:

@@ -89,44 +89,43 @@ def test_output_bytes_unchanged(case, tmp_path, capsys):
 
 
 # 64 sites (x, x^2), x < 2^20, in convex position: every farthest cell is
-# unbounded, as on the benchmark's convex input.
-CONVEX = [(x, x * x) for x in random.Random(SEED).sample(range(1, 1 << 20), 64)]
+# unbounded, as on the benchmark's convex input, and every farthest record
+# lists all 62 sites outside its pair.  Seed 1 is the benchmark's seed.
+def convex(seed):
+    return [(x, x * x) for x in random.Random(seed).sample(range(1, 1 << 20), 64)]
+
 
 CONVEX_CASES = {
     "fvd-scan": (
+        SEED,
         ["--mode", "fvd"],
         "8ec2fa95bdad74a8e4f63181f7ab4db4a0cb49d8e82d448c0985c9cf55eb6f0c",
         "934f560e2aea41d2ea9d4b2834f6224d0b49945054757fce44dae925514c7bdc",
         "d903a452dac9b35572c0003de7ecae44e3f8cb69d194456bd73369ae4efbe974",
     ),
     "fvd-s8": (
+        SEED,
         ["--mode", "fvd", "--workspace", "8"],
         "5ddbca8382eae2c485171b3925ad575b4a5df4d067cba95c78d6aac08b95e532",
         "f4f03a383ab3983e2b7268fa3254b437bdfecad187c8e0b7e044770c7a65f68a",
         "527923236fdca84abdc3b370cf4180efa5cb531e96e7fc3067116bab661b4910",
     ),
     "nvd-s8": (
+        SEED,
         ["--mode", "nvd", "--workspace", "8"],
         "5aa60f2e71996d45129e3e03355f29a9d8b75929a444e305038e45cd3cb0509e",
         "b162f10419814ecbc0709b8ad3c659231171e71c34656693d8c614cd05badd90",
         "4cbb7844a9c3785cab8681dd1bdd01d84aac7cdf30485b715c3c8c044444b733",
     ),
-}
-
-
-# The same shape drawn with seed 1, the benchmark's seed: every farthest
-# record lists all 62 sites outside its pair, the closest lists that the
-# record writer cuts from its cached index text.
-CONVEX_SEED1 = [(x, x * x) for x in random.Random(1).sample(range(1, 1 << 20), 64)]
-
-CONVEX_SEED1_CASES = {
-    "fvd-scan": (
+    "fvd-scan-seed1": (
+        1,
         ["--mode", "fvd"],
         "f5d11f89aa332fcd2372b2b4f34e802bb228c939d3a28a1b6237c6390f735625",
         "b81e0104c3a51868d63898fe14c759bfe4e91b36ea9512a7f9c5c83d4ae8dafb",
         "d903a452dac9b35572c0003de7ecae44e3f8cb69d194456bd73369ae4efbe974",
     ),
-    "fvd-s8": (
+    "fvd-s8-seed1": (
+        1,
         ["--mode", "fvd", "--workspace", "8"],
         "4bd545a0cb30a1264fe5d185f51fa4f830ae4544eb0092b8f534c0baae8e5f94",
         "1f7390139028c42c52ae1500b01ca44eb10d637362417ab5899a63f718b796f2",
@@ -135,25 +134,15 @@ CONVEX_SEED1_CASES = {
 }
 
 
-def _run_convex(points, flags, hashes, tmp_path, capsys):
+@pytest.mark.parametrize("case", sorted(CONVEX_CASES))
+def test_convex_output_bytes_unchanged(case, tmp_path, capsys):
+    seed, flags, *hashes = CONVEX_CASES[case]
     sites = tmp_path / "sites.txt"
-    sites.write_text("".join(f"{x} {y}\n" for x, y in points), encoding="utf-8")
+    sites.write_text("".join(f"{x} {y}\n" for x, y in convex(seed)), encoding="utf-8")
     out = tmp_path / "records.txt"
     assert main(["run", str(sites), *flags, "--out", str(out)]) == 0
     capsys.readouterr()
     _check(out, *hashes)
-
-
-@pytest.mark.parametrize("case", sorted(CONVEX_CASES))
-def test_convex_output_bytes_unchanged(case, tmp_path, capsys):
-    flags, *hashes = CONVEX_CASES[case]
-    _run_convex(CONVEX, flags, hashes, tmp_path, capsys)
-
-
-@pytest.mark.parametrize("case", sorted(CONVEX_SEED1_CASES))
-def test_convex_seed1_output_bytes_unchanged(case, tmp_path, capsys):
-    flags, *hashes = CONVEX_SEED1_CASES[case]
-    _run_convex(CONVEX_SEED1, flags, hashes, tmp_path, capsys)
 
 
 # sha256 of the oracle's formatted records at orders 1, 2, 3 and n - 1:
