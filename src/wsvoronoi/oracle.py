@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import exact
 from .geometry import DegenerateGeometry, Site
-from .records import EdgeRecord, Unbounded, _hpoint_fracs, directed_record, undirected_record
+from .records import EdgeRecord, Unbounded, _hpoint_end, directed_record, undirected_record
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,13 +98,13 @@ class OracleDiagram:
         return cells
 
     def vertex_classes(self):
-        """{hpoint-fractions: (defining triple, 'old'|'new')} for this order."""
+        """{vertex as a record end: (defining triple, 'old'|'new')} for this order."""
         out = {}
         for e in self.edges:
             for which, hp, extra in (("lo", e.lo, e.lo_extra), ("hi", e.hi, e.hi_extra)):
                 if hp is None:
                     continue
-                key = _hpoint_fracs(hp, self.scale)
+                key = _hpoint_end(hp, self.scale)
                 triple = frozenset((e.pair[0], e.pair[1], extra))
                 cls = e.endpoint_class(which)
                 if key in out:
@@ -130,7 +130,8 @@ class OracleDiagram:
 
 
 def _undirected_record(e: OracleEdge, scale: int) -> EdgeRecord:
-    return undirected_record(e.k, e.closest, e.pair, e.carrier, e.lo, e.hi, e.lo_extra, e.hi_extra, scale)
+    closest = tuple(sorted(e.closest))
+    return undirected_record(e.k, closest, e.pair, e.carrier, e.lo, e.hi, e.lo_extra, e.hi_extra, scale)
 
 
 def _directed_records(e: OracleEdge, sites: tuple):
@@ -138,6 +139,7 @@ def _directed_records(e: OracleEdge, sites: tuple):
     scale = sites[0].scale
     p, q = e.pair
     d = exact.line_dir(e.carrier)
+    closest = tuple(sorted(e.closest))
     out = []
     for direction in (d, (-d[0], -d[1])):
         towards_p = exact.cross_dir(
@@ -149,7 +151,7 @@ def _directed_records(e: OracleEdge, sites: tuple):
             ends = (e.lo, e.hi, e.lo_extra, e.hi_extra)
         else:
             ends = (e.hi, e.lo, e.hi_extra, e.lo_extra)
-        out.append(directed_record(e.k, e.closest, pair, direction, *ends, scale))
+        out.append(directed_record(e.k, closest, pair, direction, *ends, scale))
     return out
 
 
@@ -220,12 +222,10 @@ class VerifyReport:
         )
 
 
-def _lift(frac_pt, scale: int):
+def _lift(end, scale: int):
     """A record's bounded end as a homogeneous point in scaled coordinates."""
-    x = frac_pt[0] * scale
-    y = frac_pt[1] * scale
-    w = x.denominator * y.denominator
-    return exact.normalize_hpoint(x.numerator * y.denominator, y.numerator * x.denominator, w)
+    x_num, x_den, y_num, y_den = end
+    return exact.normalize_hpoint(x_num * scale * y_den, y_num * scale * x_den, x_den * y_den)
 
 
 def _probe_hpoint(rec: EdgeRecord, scale: int):
@@ -412,5 +412,4 @@ def oracle_intervals(sites: Sequence[Site], k: int):
 def _endpoint_key_of(hp, sites):
     if hp is None:
         return None
-    f = _hpoint_fracs(hp, sites[0].scale)
-    return ("P", f[0].numerator, f[0].denominator, f[1].numerator, f[1].denominator)
+    return ("P", *_hpoint_end(hp, sites[0].scale))

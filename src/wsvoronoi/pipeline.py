@@ -33,7 +33,7 @@ from . import exact
 from .geometry import DegenerateGeometry
 from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
 from .records import EdgeRecord, directed_record
-from .scan import CellEdge, DiagramMode, _disk_box, clip_edge, clip_run
+from .scan import CellEdge, DiagramMode, _disk_box, _rival_offset, clip_edge, clip_run
 from .tradeoff import (
     W_BATCH_SITE,
     W_FIXED,
@@ -109,19 +109,25 @@ def is_relevant(e: HalfEdge) -> bool:
     return e.head is not None and e.head_extra not in e.closest
 
 
-def _halfedges_of_cell_edge(k: int, closest: frozenset, base: tuple, edge: CellEdge, site_pt, rival_pt) -> list:
+def _halfedges_of_cell_edge(k: int, closest: frozenset, base: tuple, edge: CellEdge) -> list:
     """Both directed half-edges of one undirected order-k edge, each with
-    the key of its left cell; `base` is the key of `closest`."""
+    the key of its left cell; `base` is the key of `closest`.  The edge
+    holds its site's point, and its carrier gives the rival's, so nothing
+    is read."""
     line = edge.line
     d0 = exact.line_dir(line)
+    lo, hi = edge.ends()
+    site_pt = edge.p
+    ex, ey = _rival_offset(line, *site_pt)
+    rival_pt = (site_pt[0] + ex, site_pt[1] + ey)
     out = []
     for d in (d0, (-d0[0], -d0[1])):
-        towards_site = exact.cross_dir(d, (site_pt[0] - rival_pt[0], site_pt[1] - rival_pt[1]))
+        towards_site = exact.cross_dir(d, (-ex, -ey))
         pair, left = ((edge.site, edge.rival), site_pt) if towards_site > 0 else ((edge.rival, edge.site), rival_pt)
         if d == d0:
-            tail, head, te, he_ = edge.lo, edge.hi, edge.lo_cutter, edge.hi_cutter
+            tail, head, te, he_ = lo, hi, edge.lo_cutter, edge.hi_cutter
         else:
-            tail, head, te, he_ = edge.hi, edge.lo, edge.hi_cutter, edge.lo_cutter
+            tail, head, te, he_ = hi, lo, edge.hi_cutter, edge.lo_cutter
         out.append((HalfEdge(k, closest, pair, line, d, tail, head, te, he_), (base[0] + left[0], base[1] + left[1])))
     return out
 
@@ -150,9 +156,7 @@ def order1_halfedges(
             iter_big_big(arena, nearest, s1, table, ledger),
         )
     for edge in edges:
-        sp = arena.read(edge.site).ipt
-        rp = arena.read(edge.rival).ipt
-        yield from _halfedges_of_cell_edge(1, frozenset(), (0, 0), edge, sp, rp)
+        yield from _halfedges_of_cell_edge(1, frozenset(), (0, 0), edge)
 
 
 def _leaving(xp, yp, op, closer: bool) -> tuple[int, int]:
@@ -529,16 +533,15 @@ def _iter_big_big_edges(
             states = []
             for common, a, b, key in group:
                 a_pt = arena.read(a).ipt
-                b_pt = arena.read(b).ipt
-                line = exact.bisector_line(a_pt, b_pt)
+                line = exact.bisector_line(a_pt, arena.read(b).ipt)
                 base = (key[0] - a_pt[0], key[1] - a_pt[1])
-                states.append((common, base, a, b, a_pt, b_pt, line, [None, None, None, None, None]))
+                states.append((common, base, a, b, a_pt, line, [None, None, None, None, None]))
             span = arena.read_span(0, len(arena))
-            for common, base, a, b, a_pt, b_pt, line, box in states:
+            for common, base, a, b, a_pt, line, box in states:
                 # Nearer to a than every other site, farther than the common ones.
                 if clip_run(box, line, a_pt, span, -1, (a, b), common, arena):
-                    edge = clip_edge(arena, a, a_pt, b, line, box)
-                    yield from _halfedges_of_cell_edge(k_out, common, base, edge, a_pt, b_pt)
+                    edge = clip_edge(a, a_pt, b, line, box)
+                    yield from _halfedges_of_cell_edge(k_out, common, base, edge)
 
 
 def _big_big_candidates(table: dict, k_out: int) -> Iterator[tuple[frozenset, int, int, tuple]]:

@@ -6,9 +6,15 @@ One record per line, bit-exact and float-free so streams round-trip:
 head=<x,y|INF:dx,dy> extraT=<i|-> extraH=<i|->
 
 Rationals are printed ``num/den`` in lowest terms (den > 0); an unbounded
-end carries its primitive integer direction instead of a point.  Streams
-may start with ``#``-comment lines; the writer emits one holding the run
-parameters.
+end carries its primitive integer direction instead of a point.  In
+memory a bounded end is the four integers it prints,
+``(x_num, x_den, y_num, y_den)`` in lowest terms, the form
+`EdgeRecord.endpoint_key` keys it by: the builders reduce a homogeneous
+point to it with two gcds, `parse_record` reads it back, and no
+`Fraction` is made on the way; the oracle's checks lift it to a
+homogeneous point, and `svg` makes rationals of it.  The builders take
+closest lists already sorted.  Streams may start with ``#``-comment
+lines; the writer emits one holding the run parameters.
 
 For k in {1, n-1} an edge is written once, canonically oriented; the
 order-k pipeline writes directed half-edge records where the pair order
@@ -18,7 +24,7 @@ encodes which cell lies to the left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from . import exact
@@ -36,7 +42,7 @@ class Unbounded:
     dy: int
 
 
-Endpoint = Union[tuple, Unbounded]  # (Fraction, Fraction) or Unbounded
+Endpoint = Union[tuple, Unbounded]  # (x_num, x_den, y_num, y_den) or Unbounded
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +59,7 @@ class EdgeRecord:
         ep = self.tail if which == "tail" else self.head
         if isinstance(ep, Unbounded):
             return ("I", ep.dx, ep.dy)
-        return ("P", ep[0].numerator, ep[0].denominator, ep[1].numerator, ep[1].denominator)
+        return ("P", *ep)
 
     def canonical_key(self):
         """Identity of the record as written (direction included)."""
@@ -88,24 +94,27 @@ class EdgeRecord:
         )
 
 
-def _fmt_frac(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
-
-
 def _fmt_endpoint(ep: Endpoint) -> str:
     if isinstance(ep, Unbounded):
         return f"INF:{ep.dx}/1,{ep.dy}/1"
-    return f"{_fmt_frac(ep[0])},{_fmt_frac(ep[1])}"
+    return f"{ep[0]}/{ep[1]},{ep[2]}/{ep[3]}"
 
 
-def _parse_frac(text: str) -> Fraction:
+def _parse_frac(text: str) -> tuple[int, int]:
+    """(num, den) of `text`, "num/den", in lowest terms with den > 0."""
     num, _, den = text.partition("/")
     if not den:
         raise RecordFormatError(f"rational must be num/den: {text!r}")
     try:
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as e:
+        n, d = int(num), int(den)
+    except ValueError as e:
         raise RecordFormatError(f"bad rational {text!r}") from e
+    if d == 0:
+        raise RecordFormatError(f"bad rational {text!r}")
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def _parse_endpoint(text: str) -> Endpoint:
@@ -113,15 +122,15 @@ def _parse_endpoint(text: str) -> Endpoint:
         parts = text[4:].split(",")
         if len(parts) != 2:
             raise RecordFormatError(f"bad unbounded end {text!r}")
-        dx = _parse_frac(parts[0])
-        dy = _parse_frac(parts[1])
-        if dx.denominator != 1 or dy.denominator != 1:
+        dx, dx_den = _parse_frac(parts[0])
+        dy, dy_den = _parse_frac(parts[1])
+        if dx_den != 1 or dy_den != 1:
             raise RecordFormatError(f"unbounded direction must be integral: {text!r}")
-        return Unbounded(dx.numerator, dy.numerator)
+        return Unbounded(dx, dy)
     parts = text.split(",")
     if len(parts) != 2:
         raise RecordFormatError(f"bad endpoint {text!r}")
-    return (_parse_frac(parts[0]), _parse_frac(parts[1]))
+    return (*_parse_frac(parts[0]), *_parse_frac(parts[1]))
 
 
 #: Text of the indices 0..M-1 for the largest M needed so far, as
@@ -211,8 +220,14 @@ def parse_record(line: str) -> EdgeRecord:
     )
 
 
-def _hpoint_fracs(hp, scale: int):
-    return (Fraction(hp[0], hp[2] * scale), Fraction(hp[1], hp[2] * scale))
+def _hpoint_end(hp, scale: int) -> tuple[int, int, int, int]:
+    """The homogeneous point hp = (x, y, w), w > 0, of scaled coordinates
+    as a record's bounded end: (x_num, x_den, y_num, y_den) in lowest terms."""
+    x, y, w = hp
+    w *= scale
+    g = gcd(x, w)
+    h = gcd(y, w)
+    return (x // g, w // g, y // h, w // h)
 
 
 def undirected_record(
@@ -226,26 +241,25 @@ def undirected_record(
     hi_extra: Optional[int],
     scale: int,
 ) -> EdgeRecord:
-    """Canonically oriented record for an undirected edge.
+    """Canonically oriented record for an undirected edge; `closest` must
+    be sorted.
 
-    Endpoints come as homogeneous points in scaled coordinates, aligned
-    with the carrier's canonical direction.  Bounded before unbounded;
-    two bounded endpoints are ordered lexicographically; an unbounded end
-    is written with its receding direction.
+    Endpoints come as homogeneous points (w > 0) in scaled coordinates,
+    aligned with the carrier's canonical direction.  Bounded before
+    unbounded; two bounded endpoints are ordered lexicographically by
+    (x, y); an unbounded end is written with its receding direction.
     """
     d = exact.line_dir(carrier_line)
     pair = (min(pair), max(pair))
-    closest = tuple(sorted(closest))
-    lo_f = None if lo is None else _hpoint_fracs(lo, scale)
-    hi_f = None if hi is None else _hpoint_fracs(hi, scale)
-    if lo_f is not None and hi_f is not None:
-        if lo_f <= hi_f:
-            return EdgeRecord(k, closest, pair, lo_f, hi_f, lo_extra, hi_extra)
-        return EdgeRecord(k, closest, pair, hi_f, lo_f, hi_extra, lo_extra)
-    if lo_f is not None:
-        return EdgeRecord(k, closest, pair, lo_f, Unbounded(*d), lo_extra, None)
-    if hi_f is not None:
-        return EdgeRecord(k, closest, pair, hi_f, Unbounded(-d[0], -d[1]), hi_extra, None)
+    if lo is not None and hi is not None:
+        # (x, y) order, on both points scaled by the positive w1 * w2.
+        if (lo[0] * hi[2], lo[1] * hi[2]) <= (hi[0] * lo[2], hi[1] * lo[2]):
+            return EdgeRecord(k, closest, pair, _hpoint_end(lo, scale), _hpoint_end(hi, scale), lo_extra, hi_extra)
+        return EdgeRecord(k, closest, pair, _hpoint_end(hi, scale), _hpoint_end(lo, scale), hi_extra, lo_extra)
+    if lo is not None:
+        return EdgeRecord(k, closest, pair, _hpoint_end(lo, scale), Unbounded(*d), lo_extra, None)
+    if hi is not None:
+        return EdgeRecord(k, closest, pair, _hpoint_end(hi, scale), Unbounded(-d[0], -d[1]), hi_extra, None)
     return EdgeRecord(k, closest, pair, Unbounded(-d[0], -d[1]), Unbounded(*d), None, None)
 
 
@@ -260,10 +274,11 @@ def directed_record(
     head_extra: Optional[int],
     scale: int,
 ) -> EdgeRecord:
-    """Record for one directed half-edge; pair[0] names the left cell."""
-    tail_ep = Unbounded(-direction[0], -direction[1]) if tail is None else _hpoint_fracs(tail, scale)
-    head_ep = Unbounded(*direction) if head is None else _hpoint_fracs(head, scale)
-    return EdgeRecord(k, tuple(sorted(closest)), pair, tail_ep, head_ep, tail_extra, head_extra)
+    """Record for one directed half-edge; pair[0] names the left cell, and
+    `closest` must be sorted."""
+    tail_ep = Unbounded(-direction[0], -direction[1]) if tail is None else _hpoint_end(tail, scale)
+    head_ep = Unbounded(*direction) if head is None else _hpoint_end(head, scale)
+    return EdgeRecord(k, closest, pair, tail_ep, head_ep, tail_extra, head_extra)
 
 
 def write_stream(records: Sequence[EdgeRecord], fh, header: Optional[dict] = None) -> None:

@@ -15,6 +15,13 @@ always gives as the whole input (`pipeline` clips with `clip_run` too).
 `cell_walk` starts the walk of one given site, finding a farthest site's
 hull neighbors with the one-pass `locate_on_hull`.
 
+An edge (`CellEdge`) keeps its ends as the clip kernel's exact
+parameters on its carrier, with the site that cut each end.  The walk
+tells ends apart by those cutters alone, and a vertex is built, from
+numbers the edge already holds and with no read, only when the edge is
+written (`CellEdge.ends`, called by `record_for` and by the order-k
+pipeline).
+
 Every walk runs under `tradeoff.drive`.  The constant-workspace diagram,
 `enumerate_diagram`, is its one-slot run: nearest cells in index order,
 farthest cells in hull order, each walk handing the next hull site to the
@@ -48,26 +55,43 @@ class FarthestCellEmpty(Exception):
 
 @dataclass(frozen=True, slots=True)
 class CellEdge:
-    """One edge of site's cell, on `line`, the bisector a*x + b*y = c of
-    site and rival.  Its ends are homogeneous integer points, excluded
-    from the edge, ``lo`` toward decreasing canonical parameter and ``hi``
-    toward increasing; an end is None where the edge is unbounded, and its
-    cutter is the site whose bisector with site crosses the line there."""
+    """One edge of the cell of site, at point p, on `line`, the bisector
+    a*x + b*y = c of site and rival.  Its ends are the clip's parameters
+    (num, den), den > 0, on the kernels' scale (`clip_run`), excluded from
+    the edge: ``lo`` toward decreasing parameter and ``hi`` toward
+    increasing, the parameter growing along the line's canonical direction;
+    an end is None where the edge is unbounded, and its cutter is the site
+    whose bisector with site crosses the line there.  The points are built
+    only on demand, by `ends`, from numbers the edge holds, so an edge
+    costs no read."""
 
     site: int
     rival: int
     line: tuple[int, int, int]
-    lo: Optional[tuple[int, int, int]]
-    hi: Optional[tuple[int, int, int]]
+    p: tuple[int, int]
+    lo: Optional[tuple[int, int]]
+    hi: Optional[tuple[int, int]]
     lo_cutter: Optional[int]
     hi_cutter: Optional[int]
 
-    def cutter_at(self, hp) -> Optional[int]:
-        if self.lo is not None and hp == self.lo:
-            return self.lo_cutter
-        if self.hi is not None and hp == self.hi:
-            return self.hi_cutter
-        raise ValueError("point is not an endpoint of this edge")
+    def ends(self) -> tuple:
+        """(lo, hi) as homogeneous integer points (w > 0, not reduced), None
+        where unbounded.  With r the rival, whose offset e = r - p comes from
+        the carrier (`_rival_offset`), the point at parameter n/d is
+        p + (d*e + n*(b, -a)) / (2d)."""
+        a, b, _ = self.line
+        px, py = self.p
+        ex, ey = _rival_offset(self.line, px, py)
+        sx = 2 * px + ex
+        sy = 2 * py + ey
+        out = []
+        for t in (self.lo, self.hi):
+            if t is None:
+                out.append(None)
+            else:
+                n, d = t
+                out.append((d * sx + n * b, d * sy - n * a, 2 * d))
+        return tuple(out)
 
 
 # Words `locate_on_hull` charges: the coordinates of p, of the reference
@@ -173,9 +197,9 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
     before it, an upper bound at (-num)/(-den); a den of 0 is a cutter
     parallel to the line, which keeps it whole iff num < 0.  The stored
     ends are num/den with den > 0 whatever the sense, so a state carries
-    over between calls of either.  The kernel keeps num/den, so only the
-    order of the parameters is meaningful; the cutters alone leave the
-    kernel (see `clip_edge`).
+    over between calls of either.  The ends leave the kernel as they are,
+    with their cutters (`clip_edge`), and a point is built from one only
+    when an edge is written (`CellEdge.ends`).
 
     The box cull (nearest sense, no `flip`, both ends bounded): the disks
     centred on the line through p form a pencil, all through p and the
@@ -268,21 +292,16 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
     return alive
 
 
-def clip_edge(arena: ReadOnlyArena, site: int, p, rival: int, line, state) -> CellEdge:
+def clip_edge(site: int, p, rival: int, line, state) -> CellEdge:
     """The edge a finished clip leaves on `line`, the bisector of site p and
-    rival: each endpoint is where the recorded cutter's bisector with p
-    crosses the line, read back from the arena.  An end that another
-    cutter's bisector crosses too is a vertex of four cocircular sites:
-    DegenerateGeometry."""
-    for end in state[:2]:
-        if end is not None and end[2]:
-            raise DegenerateGeometry(f"edge of site {site} against {rival} has a tied end: cocircular sites")
-    lo = hi = None
-    if state[2] is not None:
-        lo = exact.line_intersection(line, exact.bisector_line(p, arena.read(state[2]).ipt))
-    if state[3] is not None:
-        hi = exact.line_intersection(line, exact.bisector_line(p, arena.read(state[3]).ipt))
-    return CellEdge(site, rival, line, lo, hi, state[2], state[3])
+    rival: its ends are the clip's end parameters and cutters as they are,
+    so it reads nothing (`CellEdge.ends` builds the points).  An end that
+    another cutter's bisector crosses too is a vertex of four cocircular
+    sites: DegenerateGeometry."""
+    lo, hi = state[0], state[1]
+    if (lo is not None and lo[2]) or (hi is not None and hi[2]):
+        raise DegenerateGeometry(f"edge of site {site} against {rival} has a tied end: cocircular sites")
+    return CellEdge(site, rival, line, p, lo and lo[:2], hi and hi[:2], state[2], state[3])
 
 
 def nearest_run(p, items, skip: int, work=None) -> Optional[int]:
@@ -325,14 +344,17 @@ class TrackedSite:
     holds an edge of the cell: a nearest walk's nearest neighbor, set by
     `tradeoff._round` with `nearest_run` before the first clip, or a
     farthest walk's hull neighbor, given by `hull_walk`, whose edge must
-    clip to a ray.  The walk leaves the first edge through a finite
-    endpoint and steps edge to edge, the site whose bisector cut an
-    endpoint carrying the next edge.  When the walk leaves the diagram
-    through an unbounded edge it resumes from the first edge's other
-    endpoint; it is done when it closes on the first edge or runs out of
-    endpoints.  `cutter` names the rival whose bisector carries the next
-    edge; after the first edge, `seed()` names the site whose bisector with
-    p holds that edge's entry vertex, a cutter known before any pass.
+    clip to a ray.  The walk leaves the first edge through a finite end
+    and steps edge to edge, the site whose bisector cut an end carrying
+    the next edge.  When the walk leaves the diagram through an unbounded
+    edge it resumes from the first edge's other end; it is done when it
+    closes on the first edge or runs out of ends.  Ends are told apart by
+    their cutters, never by their points: the entry end of an edge after
+    the first is the one cut by the rival of the edge walked into it, so
+    the walk builds no point.  `cutter` names the rival whose bisector
+    carries the next edge; after the first edge, `seed()` names the site
+    whose bisector with p holds that edge's entry vertex, a cutter known
+    before any pass.
 
     A walk cut short knows which edges it walked from O(1) words (`arc`):
     a convex cell's edges come in the angular order of their rivals'
@@ -352,7 +374,6 @@ class TrackedSite:
         "state",
         "_on_hull",
         "_leg2",
-        "_v",
         "_entry",
         "_second",
         "_turn",
@@ -369,8 +390,7 @@ class TrackedSite:
         self.rival: Optional[int] = None  # rival of the edge being clipped
         self.state = None  # its clip interval [t_lo, t_hi, lo_cut, hi_cut, box]
         self._on_hull = rival is not None  # started on a hull edge, which must be a ray
-        self._leg2 = None  # (endpoint hpoint, cutter) queued for the reverse walk
-        self._v = None
+        self._leg2: Optional[int] = None  # the first edge's other end's cutter, queued for the reverse walk
         self._entry: Optional[CellEdge] = None  # the last edge of this leg, walked into the entry vertex
         self._second: Optional[CellEdge] = None  # the edge after the first: leg 1's turning sense
         self._turn: Optional[CellEdge] = None  # the last edge of leg 1, once leg 2 began
@@ -399,53 +419,50 @@ class TrackedSite:
         if self.first_edge is None:
             self.first_edge = edge
             self._entry = edge
-            ends = [edge.lo, edge.hi]
-            if ends[0] is None:
-                ends.reverse()
-            if ends[0] is None:
+            cuts = [edge.lo_cutter, edge.hi_cutter]
+            if cuts[0] is None:
+                cuts.reverse()
+            if cuts[0] is None:
                 # No other site's bisector crosses it: every site is on one line.
                 raise DegenerateGeometry("hull has fewer than 3 vertices: the sites are collinear")
-            if self._on_hull and ends[1] is not None:
+            if self._on_hull and cuts[1] is not None:
                 raise DegenerateGeometry(
                     f"edge of hull site {self.site} against hull neighbor {edge.rival} is bounded at both ends"
                 )
             # Either end will do: a bounded cell closes on the first edge,
             # and an unbounded one is walked from both ends.
-            self._v = ends[0]
-            self.cutter = edge.cutter_at(ends[0])
-            if ends[1] is not None:
-                self._leg2 = (ends[1], edge.cutter_at(ends[1]))
+            self.cutter, self._leg2 = cuts
             return
-        # Walking: step through the endpoint opposite the entry vertex.
-        if edge.lo is not None and edge.lo == self._v:
-            nxt = edge.hi
-        elif edge.hi is not None and edge.hi == self._v:
-            nxt = edge.lo
+        # Walking: step through the end opposite the entry vertex, which is
+        # the end the entry edge's rival cuts.
+        back = self._entry.rival
+        if edge.lo_cutter == back:
+            nxt = edge.hi_cutter
+        elif edge.hi_cutter == back:
+            nxt = edge.lo_cutter
         else:
             raise AssertionError("walk endpoint not on the next edge")
         if self._second is None:
             self._second = edge
         if nxt is None:
             if self._leg2 is not None:
-                self._v, self.cutter = self._leg2
-                self._leg2 = None
+                self.cutter, self._leg2 = self._leg2, None
                 self._turn = edge
                 self._entry = self.first_edge
             else:
                 self._entry = edge
                 self.done = True
             return
-        self._v = nxt
         self._entry = edge
-        self.cutter = edge.cutter_at(nxt)
-        if self.cutter == self.first_edge.rival:
+        self.cutter = nxt
+        if nxt == self.first_edge.rival:
             self.done = True
 
     def exit_cutter(self) -> int:
-        """The cutter at the finite end of a finished walk's last edge,
-        which a farthest walk leaves on: its unbounded edge with the next
-        hull site."""
-        return self._entry.cutter_at(self._v)
+        """The cutter at the finite end of a finished farthest walk's last
+        edge, the unbounded edge it leaves on, with the next hull site."""
+        last = self._entry
+        return last.hi_cutter if last.lo_cutter is None else last.lo_cutter
 
     def arc(self) -> tuple:
         """The edges walked so far, in 7 words: the rival offsets w - p of
@@ -574,16 +591,9 @@ def record_for(arena: ReadOnlyArena, edge: CellEdge, mode: DiagramMode) -> EdgeR
         k = n - 1
         a, b = sorted((edge.site, edge.rival))
         closest = (*range(a), *range(a + 1, b), *range(b + 1, n))
+    lo, hi = edge.ends()
     return undirected_record(
-        k,
-        closest,
-        (edge.site, edge.rival),
-        edge.line,
-        edge.lo,
-        edge.hi,
-        edge.lo_cutter,
-        edge.hi_cutter,
-        arena.scale,
+        k, closest, (edge.site, edge.rival), edge.line, lo, hi, edge.lo_cutter, edge.hi_cutter, arena.scale
     )
 
 

@@ -35,6 +35,11 @@ def _clip_param_interval(origin, direction, lo, hi, minv, maxv, axis):
     return lo, hi
 
 
+def _xy(end) -> tuple:
+    """A record's bounded end, (x_num, x_den, y_num, y_den), as rationals."""
+    return Fraction(end[0], end[1]), Fraction(end[2], end[3])
+
+
 def _segment_for(rec: EdgeRecord, box):
     """The record's visible portion inside the box, as two rational points."""
     minx, miny, maxx, maxy = box
@@ -42,18 +47,17 @@ def _segment_for(rec: EdgeRecord, box):
     if isinstance(tail, Unbounded) and isinstance(head, Unbounded):
         return None  # carrier anchor is not in the record; full lines are not drawn
     if isinstance(tail, Unbounded):
-        anchor, inf = head, tail
+        origin, inf = _xy(head), tail
     elif isinstance(head, Unbounded):
-        anchor, inf = tail, head
+        origin, inf = _xy(tail), head
     else:
-        anchor, inf = None, None
+        origin, inf = _xy(tail), None
     if inf is None:
-        origin = tail
-        direction = (head[0] - tail[0], head[1] - tail[1])
+        end = _xy(head)
+        direction = (end[0] - origin[0], end[1] - origin[1])
         lo: Optional[Fraction] = Fraction(0)
         hi: Optional[Fraction] = Fraction(1)
     else:
-        origin = anchor
         direction = (Fraction(inf.dx), Fraction(inf.dy))
         lo, hi = Fraction(0), None
     span = _clip_param_interval(origin, direction, lo, hi, minx, maxx, 0)
@@ -76,8 +80,9 @@ def _auto_box(records: Sequence[EdgeRecord], sites) -> tuple:
     for rec in records:
         for ep in (rec.tail, rec.head):
             if not isinstance(ep, Unbounded):
-                xs.append(ep[0])
-                ys.append(ep[1])
+                x, y = _xy(ep)
+                xs.append(x)
+                ys.append(y)
     if sites is not None:
         for s in sites:
             xs.append(s.x)

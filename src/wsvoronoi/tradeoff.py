@@ -120,7 +120,7 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
             alive = alive and clip_run(slot.state, line, slot.p, span, want, skip, work=arena)
         if not alive:
             _edge_vanished(slot)
-        edges.append(clip_edge(arena, slot.site, slot.p, slot.rival, line, slot.state))
+        edges.append(clip_edge(slot.site, slot.p, slot.rival, line, slot.state))
     return edges
 
 
@@ -452,7 +452,7 @@ def iter_big_big(
                 if clip_run(state, line, a_pt, mem_sites, want, (a, b), work=arena) and clip_run(
                     state, line, a_pt, span, want, table, work=arena
                 ):
-                    yield clip_edge(arena, a, a_pt, b, line, state)
+                    yield clip_edge(a, a_pt, b, line, state)
 
 
 def run_tradeoff(

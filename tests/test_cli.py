@@ -370,20 +370,20 @@ class TestBench:
     # TestPassStructure).
     PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
-            "64,0,1,28262,35,7084,27432",
-            "64,2,1,16148,70,7012,27042",
-            "64,8,1,6453,408,7254,27857",
+            "64,0,1,27560,35,7084,27432",
+            "64,2,1,15458,70,7012,27042",
+            "64,8,1,5747,408,7254,27857",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,1625,52,1372,1416",
-            "64,2,1,1745,82,1860,1920",
-            "64,8,1,1033,417,1616,1710",
+            "64,0,1,1583,52,1372,1416",
+            "64,2,1,1703,82,1860,1920",
+            "64,8,1,998,417,1616,1710",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,68956,161,28734,116556",
-            "64,9,3,319132,140,72836,305918",
-            "64,18,2,39405,297,28305,115311",
-            "64,18,3,174424,244,72552,304362",
+            "64,9,2,66832,161,28734,116556",
+            "64,9,3,315857,140,72836,305918",
+            "64,18,2,37314,297,28305,115311",
+            "64,18,3,171193,244,72552,304362",
         ]),
     }
 
@@ -398,20 +398,20 @@ class TestBench:
     # where every farthest cell is unbounded and farthest clips never cull.
     CONVEX_PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
-            "64,0,1,20782,35,15982,20282",
-            "64,2,1,11694,62,15982,20282",
-            "64,8,1,3871,392,16058,21487",
+            "64,0,1,20410,35,15982,20282",
+            "64,2,1,11322,62,15982,20282",
+            "64,8,1,3534,392,16058,21487",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,12845,52,11657,12031",
-            "64,2,1,12846,82,15500,16000",
-            "64,8,1,5471,416,18292,18914",
+            "64,0,1,12473,52,11657,12031",
+            "64,2,1,12474,82,15500,16000",
+            "64,8,1,5060,416,18292,18914",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,42862,160,58508,68276",
-            "64,9,3,168396,140,145076,162478",
-            "64,18,2,24700,345,55042,65658",
-            "64,18,3,98764,243,145076,162478",
+            "64,9,2,41554,160,58508,68276",
+            "64,9,3,166338,140,145076,162478",
+            "64,18,2,23533,345,55042,65658",
+            "64,18,3,96706,243,145076,162478",
         ]),
     }
 

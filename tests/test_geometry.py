@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from wsvoronoi.exact import bisector_line, circumcenter_hpoint, incircle_ipts, orient_ipts
 from wsvoronoi.geometry import site_set, validate_general_position
-from wsvoronoi.memory import ReadOnlyArena
-from wsvoronoi.records import _hpoint_fracs
 from wsvoronoi.scan import clip_edge, clip_run
 
 
@@ -58,7 +56,7 @@ class TestBisector:
         assert 4 * 4 - 3 * 3 == 7
 
 
-def clip(sites, a, b, cutters, keep_nearer=True):
+def clip(a, b, cutters, keep_nearer=True):
     """The piece of the bisector of a and b strictly nearer to a than to
     each cutter (farther with keep_nearer=False); None when none is left."""
     line = bisector_line(a.ipt, b.ipt)
@@ -66,43 +64,48 @@ def clip(sites, a, b, cutters, keep_nearer=True):
     want = -1 if keep_nearer else 1
     if not clip_run(state, line, a.ipt, [(c.index, c.ipt) for c in cutters], want, (a.index, b.index)):
         return None
-    return clip_edge(ReadOnlyArena(sites), a.index, a.ipt, b.index, line, state)
+    return clip_edge(a.index, a.ipt, b.index, line, state)
 
 
 def ends(piece, scale):
     """The piece's endpoints as Fraction pairs, None where it is unbounded."""
-    return [None if hp is None else _hpoint_fracs(hp, scale) for hp in (piece.lo, piece.hi)]
+
+    def fracs(hp):
+        x, y, w = hp
+        return Fraction(x, w * scale), Fraction(y, w * scale)
+
+    return [None if hp is None else fracs(hp) for hp in piece.ends()]
 
 
 class TestClip:
     def test_halfplane_cut(self):
         a, b, c = TRI
-        kept = clip(TRI, a, b, [c])  # on x = 4
+        kept = clip(a, b, [c])  # on x = 4
         present = [e for e in ends(kept, a.scale) if e is not None]
         assert present == [(4, 3)]  # a ray
 
     def test_symmetric_cut_to_segment(self):
         sites = S((0, 0), (8, 0), (0, 6), (0, -6))
         a, b, c, d = sites
-        kept = clip(sites, a, b, [c, d])
+        kept = clip(a, b, [c, d])
         assert sorted(ends(kept, a.scale)) == [(4, -3), (4, 3)]  # a segment
 
     def test_eliminated(self):
         sites = S((0, 0), (8, 0), (100, 0))
         a, b, far = sites
-        assert clip(sites, a, far, [b]) is None  # x = 50 lies nearer to b
+        assert clip(a, far, [b]) is None  # x = 50 lies nearer to b
 
     def test_idempotent(self):
         a, b, c = TRI
-        assert clip(TRI, a, b, [c]) == clip(TRI, a, b, [c, c])
+        assert clip(a, b, [c]) == clip(a, b, [c, c])
 
     def test_farther_mode(self):
         a, b, c = TRI
-        kept = clip(TRI, a, b, [c], keep_nearer=False)
+        kept = clip(a, b, [c], keep_nearer=False)
         present = [e for e in ends(kept, a.scale) if e is not None]
         assert present == [(4, 3)]
         # Complementary to the nearer side: different unbounded end.
-        near = clip(TRI, a, b, [c])
+        near = clip(a, b, [c])
         assert (kept.lo is None) != (near.lo is None)
 
 

@@ -31,37 +31,37 @@ CASES = {
         ["--mode", "nvd", "--workspace", "8"],
         "d46134817f120bb6460253fbbb2dd7376f2f54f1582c1e9460ceb4ee3f037c7e",
         "c6562c9f69933e42b4bf3bc7e6143ad1b9e96186d52e4e24c314559e1378fdca",
-        "5297b99825710fff69ac750cbb9d730634f5a12ece2368ea515ddf7be446b6bd",
+        "cd0b33248d02433ee49f35726db8c63b4d931baf5db5f664625a0af0fe7340c2",
     ),
     "nvd-scan": (
         ["--mode", "nvd"],
         "5b3294c469d3f9b5ed2114f9b512ace1c81ba415936436b6ba2f9a83499d630a",
         "5bf9591f7bbc9a700ff0d5ef25aa6705a74ace1c2ce29a916ef32cb96827669f",
-        "9e86e6b179a5a247a9287a74eeb0a86e551281cf74d19d061a6e49f6d1db537d",
+        "6e6fb800561fd68a0e408af91dbb8149a1d324c332b1d2c71759d24e1e346aa8",
     ),
     "fvd-s8": (
         ["--mode", "fvd", "--workspace", "8"],
         "ba901b68820cb0948c52baaec0f22119bc610ab9f54a27a09d3de2c700dbda6f",
         "3bc5f44eaae45ed1dfac87af84aaf9c4ef9bd27cba781b8b7a4c17ff899bb76c",
-        "c80f189e3126bba85cb449cfef310f459cb052e89eb66bd77cc0fbaeaf756974",
+        "4f3b27453f4adde880246d5acb2590017b8682d2d2c2a7c0927dad4b7fd7e3e3",
     ),
     "fvd-scan": (
         ["--mode", "fvd"],
         "8b50cfa9d3a7883bb134ef0ff9e3b593e713c9e7d44462099c6ef85f600fbbb1",
         "e40ed468ba43e4560270f0dbf1defffe91ae9ccfb6acccf3156a90f92a9ea743",
-        "37adcda6203b702eb357a2ee467ef4199df33b302796168d2aabbf13f494d39a",
+        "84a4e87863c118a09af2f7ac8e21ceb5fbd217191fbbc93cf37fbdda8310640c",
     ),
     "order-K2-s8": (
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],
         "fc0067665e66baa1a2d8f3cc1176704879d6cf88bcc014a07aae2dea79f6e2d6",
         "1c6ca951ab1e7a1ac331c153d4fbc05e867276e0b9914f8c891950457f212c55",
-        "014d6e882abb1a9322e77c2d759f688ea230da78916ea25482a200e25ceac2cd",
+        "3e08ad43df21081865c5e684dc21f6a10d11cebee923920b6b48b7aa78c1bcd9",
     ),
     "order-K3-s9": (
         ["--mode", "order", "--max-k", "3", "--workspace", "9"],
         "b53a76595729085110ab4155f15e1bdb072034075ecae919d080c5b52227c500",
         "5a335969a0350f2d37863d94948cf42343fec61c8d677b681127f485448346f9",
-        "798f7dad8f295ceb9955e3d536e5b75c8238e18e18b1c6c08deb65a3c2215521",
+        "d6a1ac626ecd406fd3cc5f0431f56ad965835ae419051296ae2c65b6b6879256",
     ),
 }
 
@@ -101,35 +101,35 @@ CONVEX_CASES = {
         ["--mode", "fvd"],
         "8ec2fa95bdad74a8e4f63181f7ab4db4a0cb49d8e82d448c0985c9cf55eb6f0c",
         "934f560e2aea41d2ea9d4b2834f6224d0b49945054757fce44dae925514c7bdc",
-        "d903a452dac9b35572c0003de7ecae44e3f8cb69d194456bd73369ae4efbe974",
+        "bafe9e99ae16fd57026ce84b4d84ab0d3b6f0e014467f6a351963360a29e6472",
     ),
     "fvd-s8": (
         SEED,
         ["--mode", "fvd", "--workspace", "8"],
         "5ddbca8382eae2c485171b3925ad575b4a5df4d067cba95c78d6aac08b95e532",
         "f4f03a383ab3983e2b7268fa3254b437bdfecad187c8e0b7e044770c7a65f68a",
-        "527923236fdca84abdc3b370cf4180efa5cb531e96e7fc3067116bab661b4910",
+        "126322978ea9a6ac1df7fdbdd82a630a69d85b05b1194ba33e379b8eff04e17b",
     ),
     "nvd-s8": (
         SEED,
         ["--mode", "nvd", "--workspace", "8"],
         "5aa60f2e71996d45129e3e03355f29a9d8b75929a444e305038e45cd3cb0509e",
         "b162f10419814ecbc0709b8ad3c659231171e71c34656693d8c614cd05badd90",
-        "4cbb7844a9c3785cab8681dd1bdd01d84aac7cdf30485b715c3c8c044444b733",
+        "286b531b26d8507cfbef15140a68500740fe194d190d97efc302a4a8b9ef87ef",
     ),
     "fvd-scan-seed1": (
         1,
         ["--mode", "fvd"],
         "f5d11f89aa332fcd2372b2b4f34e802bb228c939d3a28a1b6237c6390f735625",
         "b81e0104c3a51868d63898fe14c759bfe4e91b36ea9512a7f9c5c83d4ae8dafb",
-        "d903a452dac9b35572c0003de7ecae44e3f8cb69d194456bd73369ae4efbe974",
+        "bafe9e99ae16fd57026ce84b4d84ab0d3b6f0e014467f6a351963360a29e6472",
     ),
     "fvd-s8-seed1": (
         1,
         ["--mode", "fvd", "--workspace", "8"],
         "4bd545a0cb30a1264fe5d185f51fa4f830ae4544eb0092b8f534c0baae8e5f94",
         "1f7390139028c42c52ae1500b01ca44eb10d637362417ab5899a63f718b796f2",
-        "8c38cfa8483dd7e8b691632c990aac29fe6e002d9be248bd7175a3bd3df4ec7b",
+        "553b59c584a79ecdd2ff2e60a1afd4bff5c2b0910f55f9f6ceaddac79f881db4",
     ),
 }
 

@@ -93,14 +93,14 @@ def hpoint(hp):
 
 def run_clip(p, r, cutters, want, skip, flip, batch):
     """clip_run over `cutters` in batches; (alive, lo_cut, hi_cut, lo, hi)."""
-    sites = site_set([p, r, *(w for _, w in cutters)])
     line = exact.bisector_line(p, r)
     state = [None, None, None, None, None]
     for start in range(0, len(cutters), batch):
         if not clip_run(state, line, p, cutters[start : start + batch], want, skip, flip):
             return False, None, None, None, None
-    edge = clip_edge(ReadOnlyArena(sites), 0, p, 1, line, state)
-    return True, edge.lo_cutter, edge.hi_cutter, hpoint(edge.lo), hpoint(edge.hi)
+    edge = clip_edge(0, p, 1, line, state)
+    lo, hi = edge.ends()
+    return True, edge.lo_cutter, edge.hi_cutter, hpoint(lo), hpoint(hi)
 
 
 @st.composite
@@ -199,7 +199,6 @@ class TestClipRun:
         # (0, 6), whose bisector y = 3 cuts below it, ends it.
         p, r = (0, 0), (10, 0)
         sites = site_set([p, r, (10, 10), (0, 10), (0, 6), (40, -30)])
-        arena = ReadOnlyArena(sites)
         items = [(s.index, s.ipt) for s in sites]
         line = exact.bisector_line(p, r)
         for later, tied in (([items[5]], True), ([items[4], items[5]], False)):
@@ -208,9 +207,9 @@ class TestClipRun:
             assert clip_run(state, line, p, later, -1, (0, 1))
             if tied:
                 with pytest.raises(DegenerateGeometry, match="tied end"):
-                    clip_edge(arena, 0, p, 1, line, state)
+                    clip_edge(0, p, 1, line, state)
             else:
-                assert clip_edge(arena, 0, p, 1, line, state).lo_cutter == 4
+                assert clip_edge(0, p, 1, line, state).lo_cutter == 4
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -234,9 +233,9 @@ class TestClipRun:
         line = exact.bisector_line((0, 0), (8, 0))
         state = [None, None, None, None, None]
         assert clip_run(state, line, (0, 0), items, -1, (0, 1))
-        edge = clip_edge(ReadOnlyArena(sites), 0, (0, 0), 1, line, state)
+        edge = clip_edge(0, (0, 0), 1, line, state)
         assert {edge.lo_cutter, edge.hi_cutter} == {2, 3}
-        assert {hpoint(edge.lo), hpoint(edge.hi)} == {(4, 3), (4, -3)}
+        assert set(map(hpoint, edge.ends())) == {(4, 3), (4, -3)}
 
 
 @st.composite
@@ -312,6 +311,46 @@ def check_box_sound(line, state, arena):
         one = state[:4] + [None]
         assert clip_run(one, line, p, [(99, w)], -1, ())
         assert one[:4] == state[:4], w
+
+
+def shifted(case, offset):
+    """The case translated by (offset, -offset)."""
+    p, r, cutters, want, skip, flip, batch = case
+    move = lambda q: (q[0] + offset, q[1] - offset)  # noqa: E731
+    return move(p), move(r), [(j, move(w)) for j, w in cutters], want, skip, flip, batch
+
+
+class TestEndsOnDemand:
+    """`CellEdge.ends` builds each end from the clip's parameter and the
+    carrier alone, reading nothing; the point is where the bisector of p
+    and the end's cutter crosses the carrier, in either sense, whichever
+    cutters are flipped, at any coordinate width."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(clip_case(), st.sampled_from(["grid", "wide", "shifted"]), st.integers(1, 2**40))
+    def test_end_is_the_cutters_crossing(self, case, how, scale):
+        if how == "wide":
+            case = widen(case, scale)
+        elif how == "shifted":
+            case = shifted(case, 2**120 + scale)
+        p, r, cutters, want, skip, flip, batch = case
+        line = exact.bisector_line(p, r)
+        state = [None, None, None, None, None]
+        for start in range(0, len(cutters), batch):
+            if not clip_run(state, line, p, cutters[start : start + batch], want, skip, flip):
+                return
+        try:
+            edge = clip_edge(0, p, 1, line, state)
+        except DegenerateGeometry:
+            return
+        points = dict(cutters)
+        for end, cutter in zip(edge.ends(), (edge.lo_cutter, edge.hi_cutter)):
+            if cutter is None:
+                assert end is None
+            else:
+                assert end[2] > 0
+                want_end = exact.line_intersection(line, exact.bisector_line(p, points[cutter]))
+                assert exact.normalize_hpoint(*end) == want_end
 
 
 class TestClipCull:
@@ -553,7 +592,7 @@ def seeded_clips(pts):
                     out.append((seed, (seeded_alive, seeded[:4]), (alive, plain[:4])))
                 if not alive:
                     break
-                walk.advance(clip_edge(arena, i, walk.p, walk.rival, line, plain))
+                walk.advance(clip_edge(i, walk.p, walk.rival, line, plain))
         except DegenerateGeometry:
             pass
     return arena, out
@@ -601,7 +640,7 @@ class TestSeededClip:
         assert clip_run(state, line, p, span, -1, (0, 1))
         assert seed in state[2:4]
         with pytest.raises(DegenerateGeometry, match="has a tied end"):
-            clip_edge(arena, 0, p, 1, line, state)
+            clip_edge(0, p, 1, line, state)
 
 
 class TestReadSpan:

@@ -40,12 +40,8 @@ def decode_halfedge(record, sites) -> HalfEdge:
     def point_of(ep):
         if isinstance(ep, Unbounded):
             return None
-        xs = ep[0] * scale
-        ys = ep[1] * scale
-        w = xs.denominator * ys.denominator
-        return exact.normalize_hpoint(
-            xs.numerator * ys.denominator, ys.numerator * xs.denominator, w
-        )
+        x_num, x_den, y_num, y_den = ep
+        return exact.normalize_hpoint(x_num * scale * y_den, y_num * scale * x_den, x_den * y_den)
 
     tail = point_of(record.tail)
     head = point_of(record.head)
@@ -54,9 +50,9 @@ def decode_halfedge(record, sites) -> HalfEdge:
     elif isinstance(record.tail, Unbounded):
         direction = exact.primitive_dir(-record.tail.dx, -record.tail.dy)
     else:
-        dx = record.head[0] - record.tail[0]
-        dy = record.head[1] - record.tail[1]
-        direction = exact.primitive_dir(dx.numerator * dy.denominator, dy.numerator * dx.denominator)
+        # head - tail, both points over the common w_tail * w_head.
+        (tx, ty, tw), (hx, hy, hw) = tail, head
+        direction = exact.primitive_dir(hx * tw - tx * hw, hy * tw - ty * hw)
     he = HalfEdge(
         record.k,
         frozenset(record.closest),
@@ -561,6 +557,34 @@ class TestOrderPhases:
         assert big_big <= set(full)
         assert (set(full) - big_big).isdisjoint(big_big)
         assert set(full) == oracle_vdk(P, 2).halfedge_keys()
+
+    @pytest.mark.parametrize("kind", ["random", "parabola"])
+    @pytest.mark.parametrize("k_out", [2, 3])
+    def test_big_big_ends_are_the_extra_sites_crossings(self, kind, k_out):
+        """A big-big edge is clipped with its common sites flipped; each end
+        `CellEdge.ends` builds for it is where the bisector of the left site
+        and the end's extra site crosses the carrier, and every half-edge
+        is the oracle's."""
+        from wsvoronoi.pipeline import _iter_big_big_edges
+
+        if kind == "random":
+            P = random_sites(18, 921)
+        else:
+            P = site_set([(x, x * x) for x in random.Random(922).sample(range(1, 1 << 20), 14)])
+        arena = ReadOnlyArena(P)
+        halfedges = [he for he, _ in _iter_big_big_edges(arena, k_out, find_big_cells_k(arena, k_out), 4)]
+        ends = 0
+        for he in halfedges:
+            for end, extra in ((he.tail, he.tail_extra), (he.head, he.head_extra)):
+                if extra is None:
+                    assert end is None
+                    continue
+                want = exact.line_intersection(he.carrier, exact.bisector_line(P[he.pair[0]].ipt, P[extra].ipt))
+                assert exact.normalize_hpoint(*end) == want
+                ends += 1
+        assert halfedges and ends >= len(halfedges)  # no edge is a full line
+        keys = [he.to_record(P[0].scale).canonical_key() for he in halfedges]
+        assert set(keys) <= oracle_vdk(P, k_out).halfedge_keys()
 
     def test_walk_starvation_configs(self):
         # With several slots and many cells, fresh input dries up while

@@ -1,7 +1,6 @@
 """Wire-format round trips and canonical identity."""
 
 import io
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +12,7 @@ from wsvoronoi.records import (
     EdgeRecord,
     RecordFormatError,
     Unbounded,
+    _hpoint_end,
     format_record,
     parse_record,
     read_stream,
@@ -21,21 +21,24 @@ from wsvoronoi.records import (
 
 
 def test_format_shape():
-    rec = EdgeRecord(
-        1, (), (0, 1), (Fraction(4), Fraction(3)), Unbounded(0, -1), 2, None
-    )
+    rec = EdgeRecord(1, (), (0, 1), (4, 1, 3, 1), Unbounded(0, -1), 2, None)
     line = format_record(rec)
     assert line == "k=1 closest= pair=0,1 tail=4/1,3/1 head=INF:0/1,-1/1 extraT=2 extraH=-"
     assert parse_record(line) == rec
 
 
 def test_rationals_in_lowest_terms():
-    rec = EdgeRecord(
-        2, (3,), (0, 1), (Fraction(6, 4), Fraction(-2, 8)), (Fraction(1), Fraction(2)), 3, 4
-    )
+    # The point (6, -1) / 4 at scale 1, and at scale 2 the same numbers
+    # give (3/4, -1/8).
+    assert _hpoint_end((6, -1, 4), 1) == (3, 2, -1, 4)
+    assert _hpoint_end((6, -1, 4), 2) == (3, 4, -1, 8)
+    assert _hpoint_end((0, 5, 5), 3) == (0, 1, 1, 3)
+    rec = EdgeRecord(2, (3,), (0, 1), _hpoint_end((6, -1, 4), 1), (1, 1, 2, 1), 3, 4)
     line = format_record(rec)
-    assert "3/2" in line and "-1/4" in line
+    assert "tail=3/2,-1/4 " in line
     assert parse_record(line) == rec
+    # A reader reduces what it parses, and moves a sign off the denominator.
+    assert parse_record(line.replace("tail=3/2,-1/4", "tail=6/4,2/-8")) == rec
 
 
 def test_malformed_rejected():
@@ -45,6 +48,8 @@ def test_malformed_rejected():
         good.replace("tail=", "tial="),
         good + " junk=1",
         good.replace("4/1", "4.0"),
+        good.replace("4/1", "4/0"),
+        good.replace("INF:0/1", "INF:1/2"),
     ):
         with pytest.raises(RecordFormatError):
             parse_record(bad)
@@ -92,7 +97,7 @@ def reference_format(rec: EdgeRecord) -> str:
         if isinstance(ep, Unbounded):
             ends.append(f"INF:{ep.dx}/1,{ep.dy}/1")
         else:
-            ends.append(f"{ep[0].numerator}/{ep[0].denominator},{ep[1].numerator}/{ep[1].denominator}")
+            ends.append(f"{ep[0]}/{ep[1]},{ep[2]}/{ep[3]}")
     return (
         f"k={rec.k} closest={closest} pair={rec.pair[0]},{rec.pair[1]} "
         f"tail={ends[0]} head={ends[1]} extraT={extra_t} extraH={extra_h}"
@@ -100,7 +105,7 @@ def reference_format(rec: EdgeRecord) -> str:
 
 
 def _record(closest, pair) -> EdgeRecord:
-    return EdgeRecord(len(closest) + 1, tuple(closest), pair, (Fraction(1, 3), Fraction(-2)), Unbounded(1, -1), None, 4)
+    return EdgeRecord(len(closest) + 1, tuple(closest), pair, (1, 3, -2, 1), Unbounded(1, -1), None, 4)
 
 
 def _complement(m, a, b):

@@ -10,14 +10,15 @@ from wsvoronoi.cli import main
 from wsvoronoi.datagen import random_sites, triangle, with_interior_point
 from wsvoronoi.geometry import DegenerateGeometry, site_set
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
-from wsvoronoi.oracle import check_distance_profile, oracle_vdk, verify_run
-from wsvoronoi.records import read_stream
+from wsvoronoi.oracle import _directed_boundary, check_distance_profile, oracle_vdk, verify_run
+from wsvoronoi.records import Unbounded, read_stream
 from wsvoronoi.scan import (
     DiagramMode,
     FarthestCellEmpty,
     cell_edges,
     cell_walk,
     enumerate_diagram,
+    hull_walk,
     locate_on_hull,
     record_for,
 )
@@ -186,7 +187,7 @@ class TestFindEdge:
         assert edge.rival == 2
         assert edge.line == (0, 1, 3)  # on y = 3
         assert edge.lo is None or edge.hi is None  # a ray
-        bounded = edge.hi or edge.lo
+        [bounded] = [hp for hp in edge.ends() if hp is not None]
         assert (Fraction(bounded[0], bounded[2]), Fraction(bounded[1], bounded[2])) == (4, 3)
 
     def test_farthest_edge_matches_oracle(self):
@@ -223,6 +224,105 @@ class TestCellWalk:
         for i in range(12):
             mine = {frozenset((e.site, e.rival)) for e in cell_edges(arena, i, N)}
             assert mine == by_cell.get(i, set())
+
+
+def walk_order(chain, closed, first, second):
+    """The keys of `chain`, a cell's boundary in counterclockwise order, in
+    the order a walk that starts on chain[first] and moves next to `second`
+    (None for a one-edge walk) meets them: around the cell when it is
+    closed, else to one end of the chain and then from the first edge to
+    the other end."""
+    m = len(chain)
+    if second is None:
+        return chain[first : first + 1]
+    step = 1 if chain[(first + 1) % m] == second else -1
+    if closed:
+        return [chain[(first + step * j) % m] for j in range(m)]
+    out = [chain[first]]
+    for d in (step, -step):
+        j = first + d
+        while 0 <= j < m:
+            out.append(chain[j])
+            j += d
+    return out
+
+
+class TestWalkOrder:
+    """A walk meets its cell's edges in boundary order: from its first edge
+    around a bounded cell, or to one unbounded edge and then from the first
+    edge's other end to the other one.  Each end of an edge after the first
+    is told apart by its cutter alone, so this holds only if the cutter at
+    the entry end is always the rival of the edge walked in."""
+
+    @pytest.mark.parametrize("kind", ["random", "parabola"])
+    @pytest.mark.parametrize("mode", [N, F], ids=["nearest", "farthest"])
+    def test_cells_follow_the_oracle_boundary(self, kind, mode):
+        if kind == "random":
+            P = random_sites(14, 57)
+        else:
+            P = site_set([(x, x * x) for x in random.Random(58).sample(range(1, 1 << 20), 12)])
+        n = len(P)
+        arena = ReadOnlyArena(P)
+        oracle = oracle_vdk(P, 1 if mode is N else n - 1)
+        walked_edges = 0
+        for i in range(n):
+            cell = frozenset({i}) if mode is N else frozenset(range(n)) - {i}
+            boundary = _directed_boundary(cell, [e for e in oracle.edges if i in e.pair], P)
+            try:
+                edges = cell_edges(arena, i, mode)
+            except FarthestCellEmpty:
+                assert boundary == ()
+                continue
+            walked = [record_for(arena, e, mode).undirected_key() for e in edges]
+            chain = [r.undirected_key() for r in boundary]
+            closed = not isinstance(boundary[0].tail, Unbounded)
+            second = walked[1] if len(walked) > 1 else None
+            assert walked == walk_order(chain, closed, chain.index(walked[0]), second)
+            walked_edges += len(edges)
+        assert walked_edges == 2 * len(oracle.edges)
+
+    def test_nearest_cell_reads_only_its_passes_and_rivals(self):
+        """A nearest cell walk reads p, the input once for its first rival,
+        and per edge the input once and its rival's point: building an
+        edge from a finished clip reads nothing."""
+        P = random_sites(30, 59)
+        n = len(P)
+        for i in range(n):
+            arena = ReadOnlyArena(P)
+            edges = cell_edges(arena, i, N)
+            assert arena.read_count == 1 + n + len(edges) * (n + 1)
+
+
+class TestWalkDegeneracies:
+    """The walk raises on a first edge it cannot walk, with the same
+    messages, whether its ends are points or parameters."""
+
+    def test_full_line_first_edge_means_collinear_sites(self, tmp_path, capsys):
+        P = site_set([(0, 0), (1, 1), (2, 2), (3, 3)])
+        arena = ReadOnlyArena(P)
+        walk = hull_walk(arena, 0, 3)
+        [edge] = _round(arena, [walk], F)
+        assert (edge.lo, edge.hi, edge.lo_cutter, edge.hi_cutter) == (None, None, None, None)
+        with pytest.raises(DegenerateGeometry) as raised:
+            walk.advance(edge)
+        assert str(raised.value) == "hull has fewer than 3 vertices: the sites are collinear"
+        path = tmp_path / "line.txt"
+        path.write_text("0 0\n1 1\n2 2\n3 3\n")
+        for flags in ([], ["--workspace", "4"]):
+            assert main(["run", str(path), "--mode", "fvd", *flags, "--out", str(tmp_path / "r.txt")]) == 2
+            assert capsys.readouterr().err == "degenerate: hull has fewer than 3 vertices: the sites are collinear\n"
+
+    def test_bounded_first_hull_edge(self):
+        # Sites 1 and 5 of this parabola are not hull neighbors: the
+        # farthest walk of 1 started on their bisector clips it to a segment.
+        P = site_set([(x, x * x) for x in (1, 2, 3, 5, 8, 13)])
+        arena = ReadOnlyArena(P)
+        walk = hull_walk(arena, 1, 5)
+        [edge] = _round(arena, [walk], F)
+        assert None not in (edge.lo, edge.hi)
+        with pytest.raises(DegenerateGeometry) as raised:
+            walk.advance(edge)
+        assert str(raised.value) == "edge of hull site 1 against hull neighbor 5 is bounded at both ends"
 
 
 class TestDiagram:

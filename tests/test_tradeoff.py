@@ -112,7 +112,7 @@ def walk_by_hand(arena, walk, mode, size):
         line = exact.bisector_line(walk.p, arena.read(walk.rival).ipt)
         for span in spans:
             assert scan.clip_run(walk.state, line, walk.p, span, -1 if nearest else 1, (walk.site, walk.rival))
-        edge = scan.clip_edge(arena, walk.site, walk.p, walk.rival, line, walk.state)
+        edge = scan.clip_edge(walk.site, walk.p, walk.rival, line, walk.state)
         edges.append(edge)
         walk.advance(edge)
     return edges
@@ -175,7 +175,8 @@ class TestPassStructure:
     add a `nearest_run` pass for their first rivals, and farthest walks,
     which start on a known edge, never do.  A nearest walk past its first
     edge also makes one clip call with its one-site seed, which reads
-    nothing."""
+    nothing.  Besides the spans a round reads one point per slot, its
+    rival's."""
 
     @pytest.mark.parametrize("mode", [N, F])
     def test_round_reads_one_span_per_pass(self, mode, monkeypatch):
@@ -210,6 +211,9 @@ class TestPassStructure:
             passes = 2 if first else 1
             assert arena.spans == [(0, n)] * passes
             assert arena.read_count - reads == passes * n + arena.singles - singles
+            # One single read per slot, its rival's point: a clipped edge
+            # keeps its ends as parameters and reads no cutter.
+            assert arena.singles - singles == m
             seeded = m if mode is N and not fresh else 0
             assert calls == {"clip": m, "nearest": m if first else 0, "seed": seeded}
             for slot, edge in zip(slots, edges):
@@ -254,7 +258,7 @@ class TestHullChain:
             line = exact.bisector_line(walk.p, arena.read(walk.cutter).ipt)
             state = [None] * 5
             assert scan.clip_run(state, line, walk.p, arena.read_span(0, n), 1, (walk.site, walk.cutter))
-            full = scan.clip_edge(arena, walk.site, walk.p, walk.cutter, line, state)
+            full = scan.clip_edge(walk.site, walk.p, walk.cutter, line, state)
             handed = walk.handed
             [edge] = _round(arena, [walk], F)
             if handed is not None:
