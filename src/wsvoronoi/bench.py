@@ -14,13 +14,11 @@ import json
 import os
 import platform
 import time
-from dataclasses import astuple, dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import astuple, dataclass
+from typing import Sequence
 
-from .memory import OutputSink, ReadOnlyArena, observing_ledger
-from .pipeline import PipelineConfig, pipeline_run
-from .scan import DiagramMode
-from .tradeoff import run_tradeoff
+from .cli import run_diagram
+from .memory import OutputSink
 
 CSV_HEADER = "n,s,K,reads,peak_words,site_tests,site_visits,wall_ns"
 
@@ -40,49 +38,21 @@ class BenchRow:
         return ",".join(map(str, astuple(self)))
 
 
-def _measure(sites, s: int, K: int, run) -> BenchRow:
-    """One row for `run(arena, sink, ledger)` over a fresh arena and an
-    observing ledger."""
-    arena = ReadOnlyArena(sites)
-    ledger = observing_ledger()
-    t0 = time.perf_counter_ns()
-    run(arena, OutputSink(keep=False), ledger)
-    wall = time.perf_counter_ns() - t0
-    return BenchRow(len(sites), s, K, arena.read_count, ledger.peak_words, arena.site_tests, arena.site_visits, wall)
-
-
-def measure_tradeoff(sites, s: int, mode: DiagramMode = DiagramMode.NEAREST) -> BenchRow:
-    return _measure(sites, s, 1, lambda arena, sink, ledger: run_tradeoff(arena, mode, s, sink, ledger))
-
-
-def measure_scan(sites, mode: DiagramMode = DiagramMode.NEAREST) -> BenchRow:
-    """Constant-workspace run, the one-slot trade-off; reported with s = 0
-    to mark the mode."""
-    return replace(measure_tradeoff(sites, 1, mode), s=0)
-
-
-def measure_pipeline(sites, s: int, K: int) -> BenchRow:
-    config = PipelineConfig(K=K, s=s)
-    return _measure(sites, s, K, lambda arena, sink, ledger: pipeline_run(arena, config, sink, ledger))
-
-
-def bench_table(
-    sites,
-    s_list: Sequence[int],
-    k_list: Optional[Sequence[int]] = None,
-    repeats: int = 1,
-    mode: DiagramMode = DiagramMode.NEAREST,
-) -> list[BenchRow]:
+def bench_table(sites, mode: str, s_list: Sequence[int], k_list: Sequence[int], repeats: int) -> list[BenchRow]:
+    """One row per repeat, s and K of a `run_diagram` run in `mode` ("nvd",
+    "fvd" or "order"), each over a fresh arena and an observing ledger."""
     rows: list[BenchRow] = []
     for _ in range(repeats):
         for s in s_list:
-            if k_list:
-                for K in k_list:
-                    rows.append(measure_pipeline(sites, s, K))
-            elif s == 0:
-                rows.append(measure_scan(sites, mode))
-            else:
-                rows.append(measure_tradeoff(sites, s, mode))
+            for K in k_list:
+                t0 = time.perf_counter_ns()
+                arena, ledger = run_diagram(sites, mode, s, K, OutputSink(keep=False))
+                wall = time.perf_counter_ns() - t0
+                rows.append(
+                    BenchRow(
+                        len(sites), s, K, arena.read_count, ledger.peak_words, arena.site_tests, arena.site_visits, wall
+                    )
+                )
     return rows
 
 

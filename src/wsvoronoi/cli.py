@@ -5,8 +5,13 @@ record stream plus a run report), verify (check a stream against the
 brute-force reference), bench (time-space measurement table), svg
 (deterministic rendering).
 
-Exit codes: 0 ok, 1 verification defects, 2 degenerate input, 3 parse
-error, 4 workspace-model violation, 5 bad configuration.
+A subcommand returns 0 (ok) or 1 (verification defects) and raises every
+other failure; `main` alone turns a failure into an exit code and a
+stderr prefix (`FAILURES`): 2 degenerate input, 3 parse error, 4
+workspace-model violation, 5 bad configuration.  Files meet the program
+in three places: `_load_sites` and `_load_records` read, and
+`_open_text` writes, each turning an `OSError` into its failure.
+`run_diagram` is the one run dispatch of `vw run` and `vw bench`.
 """
 
 from __future__ import annotations
@@ -27,12 +32,15 @@ from .records import RecordFormatError, format_record, read_stream
 from .scan import DiagramMode
 from .tradeoff import run_tradeoff
 
-EXIT_OK = 0
-EXIT_DEFECTS = 1
-EXIT_DEGENERATE = 2
-EXIT_PARSE = 3
-EXIT_MODEL = 4
-EXIT_CONFIG = 5
+#: Failure class -> (exit code, stderr prefix).
+FAILURES = {
+    DuplicateSiteError: (2, "degenerate"),
+    DegenerateGeometry: (2, "degenerate"),
+    SiteParseError: (3, "parse error"),
+    RecordFormatError: (3, "parse error"),
+    ModelViolation: (4, "model violation"),
+    ConfigError: (5, "config error"),
+}
 
 
 def _budget_const() -> int:
@@ -49,8 +57,56 @@ def _budget_const() -> int:
 
 
 def _load_sites(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_sites_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise SiteParseError(str(e)) from None
+    return parse_sites_text(text)
+
+
+def _load_records(path: str):
+    """(header, records) of a record file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return read_stream(fh)
+    except (OSError, UnicodeDecodeError) as e:
+        raise RecordFormatError(str(e)) from None
+
+
+def _open_text(path: str):
+    """`path` opened for writing text; one that cannot be is a configuration error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(str(e)) from None
+
+
+def _config_ints(text: str) -> list[int]:
+    """The comma-separated integers of a flag; anything else is a configuration error."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
+def run_diagram(sites, mode: str, s: int, K: int, sink: OutputSink, budget_const=None):
+    """Run the `mode` diagram ("nvd", "fvd", or "order" for orders 1..K)
+    of `sites` with workspace s into `sink`; return its arena and ledger,
+    which hold the reads and the peak words.
+
+    s = 0 is the one-slot run of the trade-off, the constant-workspace
+    diagram.  With `budget_const` the ledger enforces budget_const words
+    per slot; without it, it only observes.
+    """
+    arena = ReadOnlyArena(sites)
+    slots = max(s, 1)
+    ledger = WorkLedger(budget_const * slots, enforcing=True) if budget_const else observing_ledger()
+    if mode == "order":
+        pipeline_run(arena, PipelineConfig(K=K, s=s), sink, ledger)
+    else:
+        run_tradeoff(arena, DiagramMode.NEAREST if mode == "nvd" else DiagramMode.FARTHEST, slots, sink, ledger)
+    return arena, ledger
 
 
 @dataclass
@@ -77,21 +133,12 @@ class RunReport:
 
 
 def cmd_validate(args) -> int:
-    try:
-        sites = _load_sites(args.file)
-    except DuplicateSiteError as e:
-        print(f"degenerate: DuplicateSite {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (OSError, SiteParseError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    report = validate_general_position(sites)
-    if report.ok:
-        print(f"ok ({report.mode}, {report.checked_tuples} tuples checked)")
-        return EXIT_OK
-    v = report.violation
-    print(f"degenerate: {v.kind}{v.indices} ({report.mode})", file=sys.stderr)
-    return EXIT_DEGENERATE
+    report = validate_general_position(_load_sites(args.file))
+    if not report.ok:
+        v = report.violation
+        raise DegenerateGeometry(f"{v.kind}{v.indices} ({report.mode})")
+    print(f"ok ({report.mode}, {report.checked_tuples} tuples checked)")
+    return 0
 
 
 def _discard_partial(path, fh) -> None:
@@ -103,104 +150,53 @@ def _discard_partial(path, fh) -> None:
 
 
 def cmd_run(args) -> int:
-    try:
-        sites = _load_sites(args.file)
-    except DuplicateSiteError as e:
-        print(f"degenerate: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (OSError, SiteParseError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    sites = _load_sites(args.file)
+    c = _budget_const()
+    if args.workspace is not None and args.workspace < 1:
+        raise ConfigError(f"--workspace must be positive, got {args.workspace}")
+    if args.mode == "order":
+        if args.max_k is None or args.workspace is None:
+            raise ConfigError("--mode order needs --max-k and --workspace")
+        PipelineConfig(K=args.max_k, s=args.workspace)  # checked before any output
+    elif args.max_k is not None:
+        raise ConfigError("--max-k only applies to --mode order")
+    report = RunReport(len(sites), args.mode, args.workspace or 0, args.max_k or 1, args.seed, c)
 
-    try:
-        c = _budget_const()
-        if args.workspace is not None and args.workspace < 1:
-            raise ConfigError(f"--workspace must be positive, got {args.workspace}")
-        if args.mode == "order":
-            if args.max_k is None or args.workspace is None:
-                raise ConfigError("--mode order needs --max-k and --workspace")
-            config = PipelineConfig(K=args.max_k, s=args.workspace)
-        elif args.max_k is not None:
-            raise ConfigError("--max-k only applies to --mode order")
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    n = len(sites)
-    arena = ReadOnlyArena(sites)
-    s_words = args.workspace if args.workspace is not None else 1
-    ledger = WorkLedger(c * s_words, enforcing=True) if args.enforce else observing_ledger()
-    report = RunReport(
-        n=n,
-        mode=args.mode,
-        s=args.workspace if args.workspace is not None else 0,
-        K=args.max_k if args.max_k is not None else 1,
-        seed=args.seed,
-        budget_const=c,
-    )
-
-    try:
-        out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    except OSError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    emitted: dict = {}
+    out_fh = _open_text(args.out) if args.out else sys.stdout
 
     def writer(rec):
-        emitted[rec.k] = emitted.get(rec.k, 0) + 1
+        report.emitted[rec.k] = report.emitted.get(rec.k, 0) + 1
         out_fh.write(format_record(rec) + "\n")
 
-    header = (
-        f"# mode={args.mode} n={n} s={report.s} K={report.K} "
-        f"seed={args.seed} budget_const={c}\n"
+    out_fh.write(
+        f"# mode={args.mode} n={report.n} s={report.s} K={report.K} seed={args.seed} budget_const={c}\n"
     )
-    out_fh.write(header)
-    sink = OutputSink(writer=writer, keep=False)
     t0 = time.perf_counter_ns()
     try:
-        if args.mode == "order":
-            pipeline_run(arena, config, sink, ledger)
-        else:
-            mode = DiagramMode.NEAREST if args.mode == "nvd" else DiagramMode.FARTHEST
-            run_tradeoff(arena, mode, s_words, sink, ledger)
-    except ModelViolation as e:
-        print(f"model violation: {e}", file=sys.stderr)
+        arena, ledger = run_diagram(
+            sites, args.mode, report.s, report.K, OutputSink(writer=writer, keep=False), c if args.enforce else None
+        )
+        wall_ns = time.perf_counter_ns() - t0
+        report.reads = arena.read_count
+        report.peak_words = ledger.peak_words
+        if args.out:
+            out_fh.close()
+            with _open_text(args.out + ".report") as rf:
+                rf.write(report.text())
+    except (ModelViolation, DegenerateGeometry, ConfigError):
         _discard_partial(args.out, out_fh)
-        return EXIT_MODEL
-    except DegenerateGeometry as e:
-        print(f"degenerate: {e}", file=sys.stderr)
-        _discard_partial(args.out, out_fh)
-        return EXIT_DEGENERATE
-    finally:
-        sink.close()
-    wall_ns = time.perf_counter_ns() - t0
-
-    report.reads = arena.read_count
-    report.peak_words = ledger.peak_words
-    report.emitted = emitted
-    if args.out:
-        out_fh.close()
-        with open(args.out + ".report", "w", encoding="utf-8") as rf:
-            rf.write(report.text())
-    else:
+        raise
+    if not args.out:
         sys.stderr.write(report.text())
     print(f"wall_ns={wall_ns}", file=sys.stderr)
-    return EXIT_OK
+    return 0
 
 
 def cmd_verify(args) -> int:
     from .oracle import VerifyReport, oracle_vdk, verify_run
 
-    try:
-        sites = _load_sites(args.file)
-        with open(args.records, "r", encoding="utf-8") as fh:
-            header, records = read_stream(fh)
-    except DuplicateSiteError as e:
-        print(f"degenerate: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (OSError, SiteParseError, RecordFormatError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    sites = _load_sites(args.file)
+    header, records = _load_records(args.records)
     directed = header.get("mode") == "order"
     orders = sorted({r.k for r in records})
     all_ok = True
@@ -209,101 +205,68 @@ def cmd_verify(args) -> int:
             bad = [(r, f"order {k} out of range for {len(sites)} sites") for r in records if r.k == k]
             rep = VerifyReport([], [], [], bad)
         else:
-            try:
-                oracle = oracle_vdk(sites, k)
-            except DegenerateGeometry as e:
-                print(f"degenerate: {e}", file=sys.stderr)
-                return EXIT_DEGENERATE
-            rep = verify_run(records, oracle, k, directed=directed)
+            rep = verify_run(records, oracle_vdk(sites, k), k, directed=directed)
         print(f"k={k}: {rep.summary()}")
         all_ok = all_ok and rep.ok
     if not orders:
         print("no records")
-    return EXIT_OK if all_ok else EXIT_DEFECTS
+    return 0 if all_ok else 1
 
 
 def cmd_bench(args) -> int:
     from .bench import bench_table, file_input, format_csv, format_json
 
-    try:
-        if args.repeats < 1:
-            raise ConfigError(f"--repeats must be positive, got {args.repeats}")
-        if args.random:
-            n_str, seed_str = args.random.split(",")
-            n = int(n_str)
-            if n < 3:
-                raise ConfigError(f"need at least 3 sites, got {n}")
-            sites = random_sites(n, int(seed_str))
-            source = {"random": args.random}
-        elif args.file:
-            sites = _load_sites(args.file)
-            source = file_input(args.file)
-        else:
-            raise ConfigError("bench needs --file or --random")
-        c = _budget_const()
-        s_list = [int(t) for t in args.s_list.split(",")] if args.s_list else [0]
-        if any(s < 0 for s in s_list):
-            raise ConfigError(f"--s-list values must be >= 0 (0 is the O(1)-word path), got {args.s_list}")
-        k_list = [int(t) for t in args.k_list.split(",")] if args.k_list else None
-        if k_list and args.mode != "nvd":
-            raise ConfigError(f"--mode {args.mode} does not apply to --k-list, whose rows are order-k runs")
-    except DuplicateSiteError as e:
-        print(f"degenerate: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (OSError, SiteParseError, ValueError, ConfigError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    mode = DiagramMode.NEAREST if args.mode == "nvd" else DiagramMode.FARTHEST
-    try:
-        rows = bench_table(sites, s_list, k_list, repeats=args.repeats, mode=mode)
-    except DegenerateGeometry as e:
-        print(f"degenerate: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    if args.out and args.out.endswith(".json"):
-        text = format_json(rows, c, "order" if k_list else args.mode, source)
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be positive, got {args.repeats}")
+    if args.random:
+        n_seed = _config_ints(args.random)
+        if len(n_seed) != 2:
+            raise ConfigError(f"--random needs N,SEED, got {args.random!r}")
+        if n_seed[0] < 3:
+            raise ConfigError(f"need at least 3 sites, got {n_seed[0]}")
+        sites, source = random_sites(*n_seed), {"random": args.random}
+    elif args.file:
+        sites, source = _load_sites(args.file), file_input(args.file)
     else:
-        text = format_csv(rows, c)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+        raise ConfigError("bench needs --file or --random")
+    c = _budget_const()
+    s_list = _config_ints(args.s_list) if args.s_list else [0]
+    if any(s < 0 for s in s_list):
+        raise ConfigError(f"--s-list values must be >= 0 (0 is the O(1)-word path), got {args.s_list}")
+    k_list = _config_ints(args.k_list) if args.k_list else None
+    if k_list and args.mode != "nvd":
+        raise ConfigError(f"--mode {args.mode} does not apply to --k-list, whose rows are order-k runs")
+    mode = "order" if k_list else args.mode
+    rows = bench_table(sites, mode, s_list, k_list or [1], args.repeats)
+    if not args.out:
+        sys.stdout.write(format_csv(rows, c))
+        return 0
+    text = format_json(rows, c, mode, source) if args.out.endswith(".json") else format_csv(rows, c)
+    with _open_text(args.out) as fh:
+        fh.write(text)
+    return 0
 
 
 def cmd_svg(args) -> int:
     from .svg import render_svg
 
-    try:
-        with open(args.records, "r", encoding="utf-8") as fh:
-            _, records = read_stream(fh)
-        sites = _load_sites(args.sites) if args.sites else None
-        viewport = None
-        if args.viewport:
-            parts = args.viewport.split(",")
-            if len(parts) != 4:
-                raise ConfigError("--viewport needs minx,miny,maxx,maxy")
+    _, records = _load_records(args.records)
+    sites = _load_sites(args.sites) if args.sites else None
+    viewport = None
+    if args.viewport:
+        parts = args.viewport.split(",")
+        if len(parts) != 4:
+            raise ConfigError("--viewport needs minx,miny,maxx,maxy")
+        try:
             viewport = tuple(Fraction(p) for p in parts)
-            if viewport[2] <= viewport[0] or viewport[3] <= viewport[1]:
-                raise ConfigError(f"--viewport needs maxx > minx and maxy > miny, got {args.viewport}")
-    except (OSError, RecordFormatError, SiteParseError, DuplicateSiteError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValueError, ZeroDivisionError, ConfigError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        except (ValueError, ZeroDivisionError) as e:
+            raise ConfigError(str(e)) from None
+        if viewport[2] <= viewport[0] or viewport[3] <= viewport[1]:
+            raise ConfigError(f"--viewport needs maxx > minx and maxy > miny, got {args.viewport}")
     text = render_svg(records, viewport, sites)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
+    with _open_text(args.out) as fh:
+        fh.write(text)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,12 +322,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ModelViolation as e:
-        print(f"model violation: {e}", file=sys.stderr)
-        return EXIT_MODEL
+    except tuple(FAILURES) as e:
+        code, prefix = next(v for cls, v in FAILURES.items() if isinstance(e, cls))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ value exactly representable.  Generation is deterministic per (n, seed).
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Sequence
 
 from .geometry import Site, site_set
@@ -44,30 +45,41 @@ class DuplicateSiteError(ValueError):
     """The input contains the same point twice (a degeneracy, not a typo)."""
 
 
+def _coordinate(token: str):
+    """One coordinate: an integer, a decimal literal with an optional
+    exponent, or p/q.  Integers, the common case, stay ints."""
+    try:
+        return int(token)
+    except ValueError:
+        return Fraction(token)
+
+
 def parse_sites_text(text: str) -> tuple[Site, ...]:
-    """Parse the input file format: one `x y` pair per line, # comments."""
+    """Parse the input file format: one `x y` pair per line, # comments.
+
+    Underscores in numbers are rejected on every Python: `int` takes them
+    everywhere, `Fraction` from 3.11 on, and `sites_to_text` never writes
+    them.
+    """
     coords = []
     seen = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 2:
             raise SiteParseError(f"line {lineno}: expected 'x y', got {raw!r}")
         try:
-            from fractions import Fraction
-
-            x = Fraction(parts[0])
-            y = Fraction(parts[1])
+            if "_" in line:
+                raise ValueError
+            xy = (_coordinate(parts[0]), _coordinate(parts[1]))
         except (ValueError, ZeroDivisionError):
             raise SiteParseError(f"line {lineno}: bad coordinate in {raw!r}") from None
-        if (x, y) in seen:
-            raise DuplicateSiteError(
-                f"line {lineno}: duplicate site, first seen on line {seen[(x, y)]}"
-            )
-        seen[(x, y)] = lineno
-        coords.append((x, y))
+        first = seen.setdefault(xy, lineno)
+        if first != lineno:
+            raise DuplicateSiteError(f"line {lineno}: duplicate site, first seen on line {first}")
+        coords.append(xy)
     if len(coords) < 3:
         raise SiteParseError(f"need at least 3 sites, got {len(coords)}")
     return site_set(coords)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import exact
@@ -53,16 +53,15 @@ class Site:
 
 
 def site_set(coords: Iterable, scale: Optional[int] = None) -> tuple[Site, ...]:
-    """Build Sites from rationals/ints/strings, rescaled to a common grid."""
-    fracs = []
-    for xy in coords:
-        x, y = xy
-        fracs.append((Fraction(x), Fraction(y)))
+    """Build Sites from rationals/ints/strings, rescaled to a common grid.
+
+    Ints are kept as they are: they have a numerator and a denominator
+    too, and most inputs are integer grids."""
+    fracs = [(x if type(x) is int else Fraction(x), y if type(y) is int else Fraction(y)) for x, y in coords]
     if scale is None:
         scale = 1
         for x, y in fracs:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-            scale = scale * y.denominator // gcd(scale, y.denominator)
+            scale = lcm(scale, x.denominator, y.denominator)
     sites = []
     for i, (x, y) in enumerate(fracs):
         ix = x.numerator * (scale // x.denominator)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from wsvoronoi.cli import main
-from wsvoronoi.datagen import parse_sites_text, random_sites, sites_to_text
+from wsvoronoi.datagen import DuplicateSiteError, SiteParseError, parse_sites_text, random_sites, sites_to_text
 from wsvoronoi.oracle import check_distance_profile
 from wsvoronoi.records import read_stream
 
@@ -65,6 +65,32 @@ def _small_runs():
                 yield pytest.param(name, [mode, "--workspace", str(s)], id=f"{name}-{mode}-s{s}")
         for K, s in ((2, 4), (3, 9)):
             yield pytest.param(name, ["order", "--max-k", str(K), "--workspace", str(s)], id=f"{name}-order{K}-s{s}")
+
+
+class TestSiteGrammar:
+    """One coordinate grammar on every supported Python: integers, decimal
+    literals with an optional exponent, and p/q, with no underscores
+    (`Fraction` takes them from 3.11 on, `int` everywhere)."""
+
+    def test_forms(self):
+        sites = parse_sites_text("1/2 0\n-1.5e1 7 # note_1\n.25 +3\n4. 1E-3\n")
+        assert [(s.ix, s.iy, s.scale, s.index) for s in sites] == [
+            (500, 0, 1000, 0), (-15000, 7000, 1000, 1), (250, 3000, 1000, 2), (4000, 1, 1000, 3)
+        ]
+
+    def test_integers_stay_on_the_unit_grid(self):
+        sites = parse_sites_text("3 -4\n0 0\n1099511627775 5\n")
+        assert [(s.ix, s.iy, s.scale) for s in sites] == [(3, -4, 1), (0, 0, 1), (1099511627775, 5, 1)]
+        assert all(type(v) is int for s in sites for v in (s.ix, s.iy, s.scale))
+
+    @pytest.mark.parametrize("token", ["3_000", "1_0/2", "0.5_0", "1e1_0"])
+    def test_underscore_rejected(self, token):
+        with pytest.raises(SiteParseError, match=f"line 2: bad coordinate in '{token} 0'"):
+            parse_sites_text(f"0 0\n{token} 0\n0 6\n")
+
+    def test_equal_values_are_duplicates(self):
+        with pytest.raises(DuplicateSiteError, match="line 4: duplicate site, first seen on line 2"):
+            parse_sites_text("0 0\n3 1/2\n1 1\n3.0 0.5\n")
 
 
 class TestValidate:
@@ -549,8 +575,8 @@ class TestSvg:
 
 
 def test_import_leaves_oracle_and_svg_unloaded():
-    """`vw run` loads no verifier and no renderer: `verify` and `svg` import
-    theirs when called.  The pipeline stays loaded, since tracing wraps its
+    """`vw run` loads no verifier, no renderer and no bench harness:
+    `verify`, `svg` and `bench` import theirs when called.  The pipeline stays loaded, since tracing wraps its
     functions right after importing the command line."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -562,3 +588,63 @@ def test_import_leaves_oracle_and_svg_unloaded():
     assert "wsvoronoi.pipeline" in loaded
     assert "wsvoronoi.oracle" not in loaded
     assert "wsvoronoi.svg" not in loaded
+    assert "wsvoronoi.bench" not in loaded
+
+
+# Site files that every subcommand reading one refuses the same way:
+# (text, or None for no file; exit code; stderr prefix).
+BAD_SITE_FILES = {
+    "missing": (None, 3, "parse error: [Errno 2] No such file or directory"),
+    "malformed": ("0 0\nnot a line\n1 5\n", 3, "parse error: line 2: expected 'x y', got 'not a line'"),
+    "duplicate": ("0 0\n1 2\n0 0\n", 2, "degenerate: line 3: duplicate site, first seen on line 1"),
+}
+UNWRITABLE_OUT = (TRIANGLE, 5, "config error: [Errno 2] No such file or directory")
+
+# Each subcommand that reads a site file, with SITES, RECORDS and OUT
+# standing for the site file, a record file of TRIANGLE and the --out path.
+SITE_READERS = {
+    "validate": ["validate", "SITES"],
+    "run": ["run", "SITES", "--mode", "nvd", "--out", "OUT"],
+    "verify": ["verify", "SITES", "RECORDS"],
+    "bench": ["bench", "--file", "SITES", "--out", "OUT"],
+    "svg": ["svg", "RECORDS", "--sites", "SITES", "--out", "OUT"],
+}
+
+
+def _failure_cases():
+    for command, argv in SITE_READERS.items():
+        cases = [*BAD_SITE_FILES, "unwritable-out"] if "OUT" in argv else list(BAD_SITE_FILES)
+        for case in cases:
+            yield pytest.param(command, case, id=f"{command}-{case}")
+
+
+@pytest.mark.parametrize("command, case", list(_failure_cases()))
+def test_failure_exit_code_and_prefix(tmp_path, capsys, command, case):
+    """A bad site file or --out ends every subcommand with the same exit
+    code and stderr prefix, and leaves no output file."""
+    text, code, prefix = UNWRITABLE_OUT if case == "unwritable-out" else BAD_SITE_FILES[case]
+    tri = tmp_path / "tri.txt"
+    tri.write_text(TRIANGLE)
+    records = tmp_path / "tri.rec"
+    assert main(["run", str(tri), "--mode", "nvd", "--out", str(records)]) == 0
+    sites = tmp_path / "sites.txt"
+    if text is not None:
+        sites.write_text(text)
+    out = tmp_path / ("missing" if case == "unwritable-out" else "") / "out"
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    paths = {"SITES": str(sites), "RECORDS": str(records), "OUT": str(out)}
+    assert main([paths.get(a, a) for a in SITE_READERS[command]]) == code
+    assert capsys.readouterr().err.startswith(prefix)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_unwritable_report_discards_records(tmp_path, capsys):
+    """A `.report` that cannot be written is a configuration error, and the
+    records already written are removed, as on exits 2 and 4."""
+    sites = tmp_path / "tri.txt"
+    sites.write_text(TRIANGLE)
+    (tmp_path / "r.txt.report").mkdir()
+    assert main(["run", str(sites), "--mode", "nvd", "--out", str(tmp_path / "r.txt")]) == 5
+    assert capsys.readouterr().err.startswith("config error: [Errno 21] Is a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.txt.report", "tri.txt"]
