@@ -8,16 +8,19 @@ brute-force reference), bench (time-space measurement table), svg
 A subcommand returns 0 (ok) or 1 (verification defects) and raises every
 other failure; `main` alone turns a failure into an exit code and a
 stderr prefix (`FAILURES`): 2 degenerate input, 3 parse error, 4
-workspace-model violation, 5 bad configuration.  Files meet the program
-in three places: `_load_sites` and `_load_records` read, and
-`_open_text` writes, each turning an `OSError` into its failure.
+workspace-model violation, 5 bad configuration.  `_load_sites` and
+`_load_records` read the input files, each turning an `OSError` into a
+parse error; any other `OSError`, one met while opening, writing or
+closing an output file, is a configuration error.
 `run_diagram` is the one run dispatch of `vw run` and `vw bench`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass, field
@@ -40,6 +43,7 @@ FAILURES = {
     RecordFormatError: (3, "parse error"),
     ModelViolation: (4, "model violation"),
     ConfigError: (5, "config error"),
+    OSError: (5, "config error"),
 }
 
 
@@ -72,14 +76,6 @@ def _load_records(path: str):
             return read_stream(fh)
     except (OSError, UnicodeDecodeError) as e:
         raise RecordFormatError(str(e)) from None
-
-
-def _open_text(path: str):
-    """`path` opened for writing text; one that cannot be is a configuration error."""
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as e:
-        raise ConfigError(str(e)) from None
 
 
 def _config_ints(text: str) -> list[int]:
@@ -143,10 +139,13 @@ def cmd_validate(args) -> int:
 
 def _discard_partial(path, fh) -> None:
     """Remove the record file of a run that stopped part way: the records
-    written so far depend on the order of the walks and form no diagram."""
+    written so far depend on the order of the walks and form no diagram.
+    Only a regular file is removed, never a device or a link."""
     if path:
-        fh.close()
-        os.remove(path)
+        with contextlib.suppress(OSError):
+            fh.close()
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
 
 
 def cmd_run(args) -> int:
@@ -162,17 +161,17 @@ def cmd_run(args) -> int:
         raise ConfigError("--max-k only applies to --mode order")
     report = RunReport(len(sites), args.mode, args.workspace or 0, args.max_k or 1, args.seed, c)
 
-    out_fh = _open_text(args.out) if args.out else sys.stdout
+    out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
 
     def writer(rec):
         report.emitted[rec.k] = report.emitted.get(rec.k, 0) + 1
         out_fh.write(format_record(rec) + "\n")
 
-    out_fh.write(
-        f"# mode={args.mode} n={report.n} s={report.s} K={report.K} seed={args.seed} budget_const={c}\n"
-    )
-    t0 = time.perf_counter_ns()
     try:
+        out_fh.write(
+            f"# mode={args.mode} n={report.n} s={report.s} K={report.K} seed={args.seed} budget_const={c}\n"
+        )
+        t0 = time.perf_counter_ns()
         arena, ledger = run_diagram(
             sites, args.mode, report.s, report.K, OutputSink(writer=writer, keep=False), c if args.enforce else None
         )
@@ -181,9 +180,9 @@ def cmd_run(args) -> int:
         report.peak_words = ledger.peak_words
         if args.out:
             out_fh.close()
-            with _open_text(args.out + ".report") as rf:
+            with open(args.out + ".report", "w", encoding="utf-8") as rf:
                 rf.write(report.text())
-    except (ModelViolation, DegenerateGeometry, ConfigError):
+    except tuple(FAILURES):
         _discard_partial(args.out, out_fh)
         raise
     if not args.out:
@@ -242,7 +241,7 @@ def cmd_bench(args) -> int:
         sys.stdout.write(format_csv(rows, c))
         return 0
     text = format_json(rows, c, mode, source) if args.out.endswith(".json") else format_csv(rows, c)
-    with _open_text(args.out) as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     return 0
 
@@ -264,7 +263,7 @@ def cmd_svg(args) -> int:
         if viewport[2] <= viewport[0] or viewport[3] <= viewport[1]:
             raise ConfigError(f"--viewport needs maxx > minx and maxy > miny, got {args.viewport}")
     text = render_svg(records, viewport, sites)
-    with _open_text(args.out) as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     return 0
 

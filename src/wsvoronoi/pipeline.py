@@ -12,9 +12,10 @@ two sites in which the cells differ against the whole input.  Every other
 cell is walked to its end, by one walk per interval that steps in place
 from head to head, so a step reads only its head's extra site; each pass
 over the input tests every site for collinearity with a walk's pair before
-culling it.  Half-edges travel with the key of their left cell (its sites'
-coordinate sums), from which a walk keys its own cell and its right
-neighbors without reading their sites.
+culling it.  A half-edge names both of its cells by their site sets,
+closest | {pair[0]} on its left and closest | {pair[1]} on its right, so
+a cell is tested against the table of unbounded cells without reading a
+site.
 
 Producers for orders 1..K are generators, each reading the one below it
 directly and run cooperatively: pulling a half-edge resumes the upstream
@@ -109,27 +110,17 @@ def is_relevant(e: HalfEdge) -> bool:
     return e.head is not None and e.head_extra not in e.closest
 
 
-def _halfedges_of_cell_edge(k: int, closest: frozenset, base: tuple, edge: CellEdge) -> list:
-    """Both directed half-edges of one undirected order-k edge, each with
-    the key of its left cell; `base` is the key of `closest`.  The edge
-    holds its site's point, and its carrier gives the rival's, so nothing
-    is read."""
+def _halfedges_of_cell_edge(k: int, closest: frozenset, edge: CellEdge) -> list:
+    """Both directed half-edges of one undirected order-k edge, the one
+    along its carrier's direction first.  The edge holds its site's point,
+    and its carrier gives the side of the rival's, so nothing is read."""
     line = edge.line
-    d0 = exact.line_dir(line)
+    d = exact.line_dir(line)
     lo, hi = edge.ends()
-    site_pt = edge.p
-    ex, ey = _rival_offset(line, *site_pt)
-    rival_pt = (site_pt[0] + ex, site_pt[1] + ey)
-    out = []
-    for d in (d0, (-d0[0], -d0[1])):
-        towards_site = exact.cross_dir(d, (-ex, -ey))
-        pair, left = ((edge.site, edge.rival), site_pt) if towards_site > 0 else ((edge.rival, edge.site), rival_pt)
-        if d == d0:
-            tail, head, te, he_ = lo, hi, edge.lo_cutter, edge.hi_cutter
-        else:
-            tail, head, te, he_ = hi, lo, edge.hi_cutter, edge.lo_cutter
-        out.append((HalfEdge(k, closest, pair, line, d, tail, head, te, he_), (base[0] + left[0], base[1] + left[1])))
-    return out
+    ex, ey = _rival_offset(line, *edge.p)
+    pair = (edge.site, edge.rival) if exact.cross_dir(d, (-ex, -ey)) > 0 else (edge.rival, edge.site)
+    he = HalfEdge(k, closest, pair, line, d, lo, hi, edge.lo_cutter, edge.hi_cutter)
+    return [he, he.opposite()]
 
 
 def order1_halfedges(
@@ -138,9 +129,8 @@ def order1_halfedges(
     table: Optional[dict],
     ledger: Optional[WorkLedger] = None,
     found: Optional[list] = None,
-) -> Iterator[tuple[HalfEdge, tuple[int, int]]]:
-    """All 1-half-edges, each undirected edge reported as two directions,
-    each with the key of its left cell (`_IntervalWalk`).
+) -> Iterator[HalfEdge]:
+    """All 1-half-edges, each undirected edge reported as two directions.
 
     Without a table, every cell is walked once (`tradeoff.iter_diagram`),
     which appends the big-cell table it finds to `found`; with a table of
@@ -156,7 +146,7 @@ def order1_halfedges(
             iter_big_big(arena, nearest, s1, table, ledger),
         )
     for edge in edges:
-        yield from _halfedges_of_cell_edge(1, frozenset(), (0, 0), edge)
+        yield from _halfedges_of_cell_edge(1, frozenset(), edge)
 
 
 def _leaving(xp, yp, op, closer: bool) -> tuple[int, int]:
@@ -171,21 +161,14 @@ def _leaving(xp, yp, op, closer: bool) -> tuple[int, int]:
 
 class _IntervalWalk:
     """One boundary walk of the cell closest | {pair[0]}, stepped in place:
-    the pending edge awaiting its head.
-
-    `key` is the cell's center of gravity with its denominator cleared, the
-    pair of coordinate sums of its sites.  Centers are pairwise distinct
-    across the cells of one order, so the key identifies the cell exactly,
-    and the cell right of the pending edge has key - pair[0] + pair[1].
-    """
+    the pending edge awaiting its head."""
 
     __slots__ = (
-        "key", "closest", "pair", "pair_pts", "carrier", "direction", "tail", "tail_extra",
+        "closest", "pair", "pair_pts", "carrier", "direction", "tail", "tail_extra",
         "best", "tied", "steps", "_box", "_head",
     )
 
-    def __init__(self, key, closest, pair, pair_pts, carrier, direction, tail, tail_extra):
-        self.key = key
+    def __init__(self, closest, pair, pair_pts, carrier, direction, tail, tail_extra):
         self.closest = closest
         self.steps = 0
         self._head = None  # (point, bisector with pair[0]) of the last head materialized
@@ -204,15 +187,10 @@ class _IntervalWalk:
 
     def words(self) -> int:
         """Words held, one per integer once every slot is set: the closest
-        set; the key 2, pair 2, pair points 4, carrier 3, direction 2,
-        tail 3, tail extra 1, best 3, tie flag 1, step count 1 and box 4;
-        the head's point and bisector 5."""
-        return len(self.closest) + 31
-
-    def right_key(self) -> tuple[int, int]:
-        """The key of the cell right of the pending edge."""
-        (px, py), (qx, qy) = self.pair_pts
-        return (self.key[0] - px + qx, self.key[1] - py + qy)
+        set; pair 2, pair points 4, carrier 3, direction 2, tail 3, tail
+        extra 1, best 3, tie flag 1, step count 1 and box 4; the head's
+        point and bisector 5."""
+        return len(self.closest) + 29
 
     def consider_batch(self, batch, work=None) -> None:
         """Keep in `best` the site whose bisector with pair[0] crosses the
@@ -340,35 +318,31 @@ def _trim_round(arena: ReadOnlyArena, walks: list[_IntervalWalk]) -> None:
 
 
 def _relevant_walks(arena: ReadOnlyArena, source: Iterator, table: dict) -> Iterator[_IntervalWalk]:
-    """A walk from every relevant lower-order half-edge e of `source`,
-    which yields (e, key of e's left cell).
+    """A walk from every relevant lower-order half-edge e of `source`.
 
     With (p, q) = e.pair and z = e.head_extra, e's head is an old vertex of
     the walk's cell, closest | {p, q}, and the first edge of the interval e
     owns has pair (q, z), closest e.closest | {p} and tail extra p, and
     leaves the vertex in the direction in which p gets closer.  Old and
-    unbounded heads own no interval; cells whose key is in `table` are
-    passed over, at one read each.
+    unbounded heads own no interval; cells in `table` are passed over
+    without a read.
     """
-    for e, left_key in source:
-        if is_relevant(e):
-            p, q = e.pair
+    for e in source:
+        p, q = e.pair
+        if is_relevant(e) and e.closest | {p, q} not in table:
             qp = arena.read(q).ipt
-            key = (left_key[0] + qp[0], left_key[1] + qp[1])
-            if key not in table:
-                pp = arena.read(p).ipt
-                zp = arena.read(e.head_extra).ipt
-                line = exact.bisector_line(qp, zp)
-                yield _IntervalWalk(
-                    key, e.closest | {p}, (q, e.head_extra), (qp, zp), line, _leaving(qp, zp, pp, True), e.head, p
-                )
+            pp = arena.read(p).ipt
+            zp = arena.read(e.head_extra).ipt
+            line = exact.bisector_line(qp, zp)
+            yield _IntervalWalk(
+                e.closest | {p}, (q, e.head_extra), (qp, zp), line, _leaving(qp, zp, pp, True), e.head, p
+            )
 
 
 def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger):
-    """(half-edge, key of its left cell, key of its right cell) for every
-    half-edge the interval walks produce, up to s1 walks at once, each
-    charged its `words()` while live; each walk steps in place to its end,
-    an old or unbounded head."""
+    """Every half-edge the interval walks produce, up to s1 walks at once,
+    each charged its `words()` while live; each walk steps in place to its
+    end, an old or unbounded head."""
     # A pass is a view of the input, charged as s1 * (k_out - 1) sites.
     pass_words = s1 * max(1, k_out - 1) * W_BATCH_SITE
     guard = 4 * (k_out + 1) * (len(arena) + 4)
@@ -383,7 +357,7 @@ def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger):
                 _trim_round(arena, walks)
             for w in walks:
                 f = w.materialize(k_out, pts)
-                yield f, w.key, w.right_key()
+                yield f
                 w.steps += 1
                 if not is_relevant(f):
                     continue
@@ -397,8 +371,10 @@ def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger):
 
 
 def unbounded_cells(arena: ReadOnlyArena, k_out: int) -> Iterator[tuple[tuple[int, int], frozenset]]:
-    """(key, sites) of each unbounded order-k_out cell, once each, in
-    counterclockwise order at infinity.
+    """(sum, sites) of each unbounded order-k_out cell, once each, in
+    counterclockwise order at infinity; sum is the pair of coordinate sums
+    of the cell's sites, its center of gravity with the denominator
+    cleared.
 
     Far out in direction d the k_out nearest sites are the k_out greatest
     in d (Lee, "On k-nearest neighbor Voronoi diagrams in the plane", IEEE
@@ -412,6 +388,10 @@ def unbounded_cells(arena: ReadOnlyArena, k_out: int) -> Iterator[tuple[tuple[in
     product, in (0, 2 pi] from (1, 0), and the sweep ends when S is back
     at its start.  Two pairs tied for the next event put three sites on
     one line: DegenerateGeometry.  The sweep holds S and O(1) more words.
+
+    The sum is kept up to date by each swap and serves only as the stop
+    test and as `find_big_cells_k`'s sort order: distinct cells of one
+    order have distinct centers of gravity, so it names the cell exactly.
     """
     n = len(arena)
     span = arena.read_span(0, n)
@@ -426,12 +406,12 @@ def unbounded_cells(arena: ReadOnlyArena, k_out: int) -> Iterator[tuple[tuple[in
             if pt > members[low]:
                 del members[low]
                 members[j] = pt
-    key = start = (sum(x for x, _ in members.values()), sum(y for _, y in members.values()))
+    total = start = (sum(x for x, _ in members.values()), sum(y for _, y in members.values()))
     # The current direction (cx, cy) and its half: 0 for angles in (0, pi],
     # 1 for (pi, 2 pi]; half -1 is angle 0, before every event.
     cx, cy, chalf = 1, 0, -1
     while True:
-        yield key, frozenset(members)
+        yield total, frozenset(members)
         span = arena.read_span(0, n)
         arena.site_tests += n - len(members)
         arena.site_visits += n
@@ -466,31 +446,31 @@ def unbounded_cells(arena: ReadOnlyArena, k_out: int) -> Iterator[tuple[tuple[in
         s, t, tp = best
         sp = members.pop(s)
         members[t] = tp
-        key = (key[0] - sp[0] + tp[0], key[1] - sp[1] + tp[1])
-        if key == start:
+        total = (total[0] - sp[0] + tp[0], total[1] - sp[1] + tp[1])
+        if total == start:
             return
 
 
 def find_big_cells_k(arena: ReadOnlyArena, k_out: int, ledger: Optional[WorkLedger] = None) -> dict:
     """The table of the big order-k_out cells: exactly the unbounded ones,
     from the sweep at infinity (`unbounded_cells`), which is charged its
-    k_out sites and O(1) words; the table, each cell's key mapped to its
-    sites in key order, is not charged."""
+    k_out sites and O(1) words; the table, the cells' site sets in the
+    order of their coordinate sums, is not charged."""
     with scope(ledger, k_out * W_BATCH_SITE + W_FIXED):
-        return dict(sorted(unbounded_cells(arena, k_out)))
+        return dict.fromkeys(cell for _, cell in sorted(unbounded_cells(arena, k_out)))
 
 
 def iter_order_edges(
     arena: ReadOnlyArena,
     k_out: int,
     s1: int,
-    source: Iterator[tuple[HalfEdge, tuple[int, int]]],
+    source: Iterator[HalfEdge],
     table: dict,
     ledger: Optional[WorkLedger] = None,
-) -> Iterator[tuple[HalfEdge, tuple[int, int]]]:
-    """Every order-k_out half-edge exactly once, with the key of its left
-    cell, given the order k_out - 1 half-edges with theirs and the table of
-    the unbounded order-k_out cells (`find_big_cells_k`).
+) -> Iterator[HalfEdge]:
+    """Every order-k_out half-edge exactly once, given the order k_out - 1
+    half-edges and the table of the unbounded order-k_out cells
+    (`find_big_cells_k`).
 
     Every bounded cell is walked: each walk outside the table runs to its
     end, and each walked half-edge is reported, plus its opposite when the
@@ -499,12 +479,12 @@ def iter_order_edges(
     input (`_iter_big_big_edges`).
     """
     walks = _relevant_walks(arena, source, table)
-    for f, key, right in _walk_rounds(arena, k_out, s1, walks, ledger):
-        yield f, key
+    for f in _walk_rounds(arena, k_out, s1, walks, ledger):
+        yield f
         if f.head is None:
             raise AssertionError("small cells are bounded; unbounded walk edge")
-        if right in table:
-            yield f.opposite(), right
+        if f.right_cell() in table:
+            yield f.opposite()
 
     yield from _iter_big_big_edges(arena, k_out, table, max(1, s1 * max(1, k_out - 1) // 2), ledger)
 
@@ -515,9 +495,8 @@ def _iter_big_big_edges(
     table: dict,
     chunk: int,
     ledger: Optional[WorkLedger] = None,
-) -> Iterator[tuple[HalfEdge, tuple[int, int]]]:
-    """Both directions of every edge shared by two big cells, each with the
-    key of its left cell.
+) -> Iterator[HalfEdge]:
+    """Both directions of every edge shared by two big cells.
 
     Two cells can only share an edge when their site sets differ in one
     site; for each such candidate pair the edge is the interval of the
@@ -529,31 +508,29 @@ def _iter_big_big_edges(
     """
     candidates = _big_big_candidates(table, k_out)
     while group := list(itertools.islice(candidates, chunk)):
-        with scope(ledger, len(group) * (k_out + 16) + W_FIXED):
+        with scope(ledger, len(group) * (k_out + 14) + W_FIXED):
             states = []
-            for common, a, b, key in group:
+            for common, a, b in group:
                 a_pt = arena.read(a).ipt
                 line = exact.bisector_line(a_pt, arena.read(b).ipt)
-                base = (key[0] - a_pt[0], key[1] - a_pt[1])
-                states.append((common, base, a, b, a_pt, line, [None, None, None, None, None]))
+                states.append((common, a, b, a_pt, line, [None, None, None, None, None]))
             span = arena.read_span(0, len(arena))
-            for common, base, a, b, a_pt, line, box in states:
+            for common, a, b, a_pt, line, box in states:
                 # Nearer to a than every other site, farther than the common ones.
                 if clip_run(box, line, a_pt, span, -1, (a, b), common, arena):
                     edge = clip_edge(a, a_pt, b, line, box)
-                    yield from _halfedges_of_cell_edge(k_out, common, base, edge)
+                    yield from _halfedges_of_cell_edge(k_out, common, edge)
 
 
-def _big_big_candidates(table: dict, k_out: int) -> Iterator[tuple[frozenset, int, int, tuple]]:
-    """(common sites, a, b, key of the first cell) for each pair of cells,
-    in table order, whose site sets differ in one site each: a in the
-    first, b in the second."""
-    for (key, ci), (_, cj) in itertools.combinations(table.items(), 2):
+def _big_big_candidates(table: dict, k_out: int) -> Iterator[tuple[frozenset, int, int]]:
+    """(common sites, a, b) for each pair of cells, in table order, whose
+    site sets differ in one site each: a in the first, b in the second."""
+    for ci, cj in itertools.combinations(table, 2):
         common = ci & cj
         if len(common) == k_out - 1:
             (a,) = ci - common
             (b,) = cj - common
-            yield common, a, b, key
+            yield common, a, b
 
 
 @dataclass(frozen=True)
@@ -598,8 +575,8 @@ def pipeline_run(
     # A paused order-1 producer holds at most the round it is in, s1
     # half-edges of 5 words each; a paused order-k producer, k >= 2, holds
     # its walks, which `_walk_rounds` charges, and the half-edge it yielded,
-    # k + 4 words, with its two cell keys.
-    paused_words = s1 * 5 + sum(k + 8 for k in range(2, top + 1)) + W_FIXED
+    # k + 4 words.
+    paused_words = s1 * 5 + sum(k + 4 for k in range(2, top + 1)) + W_FIXED
     with scope(ledger, paused_words):
         found: list[dict] = []
         tables: dict = {1: None}
@@ -608,7 +585,7 @@ def pipeline_run(
             stream = order1_halfedges(arena, s1, tables[1], ledger, found)
             for k_out in range(2, stage + 1):
                 stream = iter_order_edges(arena, k_out, s1, stream, tables[k_out], ledger)
-            for he, _ in stream:
+            for he in stream:
                 sink.emit(he.to_record(scale))
 
         run_stage(1)

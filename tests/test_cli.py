@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import errno
 import io
 import json
 import os
@@ -406,10 +407,10 @@ class TestBench:
             "64,8,1,998,417,1616,1710",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,66832,161,28734,116556",
-            "64,9,3,315857,140,72836,305918",
-            "64,18,2,37314,297,28305,115311",
-            "64,18,3,171193,244,72552,304362",
+            "64,9,2,66797,153,28734,116556",
+            "64,9,3,315739,128,72836,305918",
+            "64,18,2,37279,285,28305,115311",
+            "64,18,3,171075,228,72552,304362",
         ]),
     }
 
@@ -434,10 +435,10 @@ class TestBench:
             "64,8,1,5060,416,18292,18914",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,41554,160,58508,68276",
-            "64,9,3,166338,140,145076,162478",
-            "64,18,2,23533,345,55042,65658",
-            "64,18,3,96706,243,145076,162478",
+            "64,9,2,41490,152,58508,68276",
+            "64,9,3,166144,128,145076,162478",
+            "64,18,2,23469,333,55042,65658",
+            "64,18,3,96512,227,145076,162478",
         ]),
     }
 
@@ -648,3 +649,79 @@ def test_unwritable_report_discards_records(tmp_path, capsys):
     assert main(["run", str(sites), "--mode", "nvd", "--out", str(tmp_path / "r.txt")]) == 5
     assert capsys.readouterr().err.startswith("config error: [Errno 21] Is a directory")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.txt.report", "tri.txt"]
+
+
+class _FullDisk:
+    """A text file on a full disk: `write` (when `on_write`) or `close`
+    raises ENOSPC, as buffered output meets the disk at close."""
+
+    def __init__(self, fh, on_write):
+        self._fh = fh
+        self._on_write = on_write
+
+    def _full(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        if self._on_write:
+            self._full()
+        return self._fh.write(text)
+
+    def close(self):
+        self._fh.close()
+        self._full()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def _fill_disk(monkeypatch, path, on_write):
+    """Make `vw`'s text output to `path` fail as on a full disk."""
+    import wsvoronoi.cli as cli
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _FullDisk(fh, on_write) if str(file) == str(path) and "w" in mode else fh
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+
+
+WRITERS = {
+    "run": ["run", "SITES", "--mode", "nvd", "--out", "OUT"],
+    "bench": ["bench", "--random", "12,3", "--out", "OUT"],
+    "svg": ["svg", "RECORDS", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("on_write", [False, True], ids=["close", "write"])
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_full_disk_is_config_error(tmp_path, capsys, monkeypatch, command, on_write):
+    """An output that fails when written or closed ends `run`, `bench` and
+    `svg` with exit 5, not a traceback; `run` removes its partial records."""
+    sites = tmp_path / "sites.txt"
+    sites.write_text(TRIANGLE_AND_POINT)
+    records = tmp_path / "tri.rec"
+    assert main(["run", str(sites), "--mode", "nvd", "--out", str(records)]) == 0
+    out = tmp_path / "out"
+    _fill_disk(monkeypatch, out, on_write)
+    capsys.readouterr()
+    paths = {"SITES": str(sites), "RECORDS": str(records), "OUT": str(out)}
+    assert main([paths.get(a, a) for a in WRITERS[command]]) == 5
+    assert capsys.readouterr().err == "config error: [Errno 28] No space left on device\n"
+    if command == "run":
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sites.txt", "tri.rec", "tri.rec.report"]
+
+
+def test_failed_run_leaves_a_linked_out_in_place(tmp_path, capsys):
+    """A run that stops part way removes only a regular record file: an
+    --out that is a link to a device stays, and so does the device."""
+    sites = tmp_path / "square.txt"
+    sites.write_text(SQUARE)
+    link = tmp_path / "out"
+    link.symlink_to(os.devnull)
+    assert main(["run", str(sites), "--mode", "nvd", "--out", str(link)]) == 2
+    assert capsys.readouterr().err.startswith("degenerate: ")
+    assert link.is_symlink() and os.path.exists(os.devnull)

@@ -55,13 +55,13 @@ CASES = {
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],
         "fc0067665e66baa1a2d8f3cc1176704879d6cf88bcc014a07aae2dea79f6e2d6",
         "1c6ca951ab1e7a1ac331c153d4fbc05e867276e0b9914f8c891950457f212c55",
-        "3e08ad43df21081865c5e684dc21f6a10d11cebee923920b6b48b7aa78c1bcd9",
+        "a9d2b7d338f1c41b0923464bc28516fa15e7d5918d743657592762fc0f226161",
     ),
     "order-K3-s9": (
         ["--mode", "order", "--max-k", "3", "--workspace", "9"],
         "b53a76595729085110ab4155f15e1bdb072034075ecae919d080c5b52227c500",
         "5a335969a0350f2d37863d94948cf42343fec61c8d677b681127f485448346f9",
-        "d6a1ac626ecd406fd3cc5f0431f56ad965835ae419051296ae2c65b6b6879256",
+        "6a85925838081daeb0edb9145069a79fe585580567dab8bb5a38ec88728c2d73",
     ),
 }
 

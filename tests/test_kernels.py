@@ -433,7 +433,7 @@ def run_successor(q, r, z, sites, sign, batch, work=None):
     d = exact.line_dir(carrier)
     direction = (sign * d[0], sign * d[1])
     tail = exact.circumcenter_hpoint(q, r, z)
-    walk = _IntervalWalk((0, 0), frozenset(), (0, 1), (q, r), carrier, direction, tail, 2)
+    walk = _IntervalWalk(frozenset(), (0, 1), (q, r), carrier, direction, tail, 2)
     items = [(0, q), (1, r), (2, z), *sites]
     for start in range(0, len(items), batch):
         walk.consider_batch(items[start : start + batch], work)
@@ -491,7 +491,7 @@ class TestConsiderBatch:
         q, r, z = (0, 0), (2, 0), (1, -3)
         carrier = exact.bisector_line(q, r)
         tail = exact.circumcenter_hpoint(q, r, z)
-        walk = _IntervalWalk((0, 0), frozenset(), (0, 1), (q, r), carrier, (0, 1), tail, 2)
+        walk = _IntervalWalk(frozenset(), (0, 1), (q, r), carrier, (0, 1), tail, 2)
         walk.consider_batch([(0, q), (1, r), (2, z), (3, (1, 2))])
         assert walk.best[2] == 3 and walk._box == (-2, 4, -4, 3)
         with pytest.raises(DegenerateGeometry, match="^collinear sites at successor crossing$"):

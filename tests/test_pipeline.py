@@ -74,32 +74,25 @@ def oracle_halfedges(P, k):
     return [decode_halfedge(r, P) for r in oracle_vdk(P, k).halfedge_records()]
 
 
-def cog_key(cell, P):
-    """The pair of coordinate sums of the cell's sites: its key."""
+def coordinate_sums(cell, P):
+    """The pair of coordinate sums of the cell's sites."""
     return (sum(P[i].ipt[0] for i in cell), sum(P[i].ipt[1] for i in cell))
-
-
-def keyed(P, halfedges):
-    """(half-edge, key of its left cell), as the order-k producers yield."""
-    return [(he, cog_key(he.left_cell(), P)) for he in halfedges]
 
 
 def interval_walk(arena, P, e, k_out):
     """Every k_out-half-edge the walk of the interval the half-edge e owns
     yields, run alone, or None when `_relevant_walks` starts no walk
     from e."""
-    walks = list(_relevant_walks(arena, iter(keyed(P, [e])), {}))
+    walks = list(_relevant_walks(arena, iter([e]), {}))
     if not walks:
         return None
-    return [f for f, _, _ in _walk_rounds(arena, k_out, 1, iter(walks), None)]
+    return list(_walk_rounds(arena, k_out, 1, iter(walks), None))
 
 
 def walk_on(he, P):
     """A walk whose pending edge is the half-edge he, its head unknown."""
     pa, pb = P[he.pair[0]].ipt, P[he.pair[1]].ipt
-    return _IntervalWalk(
-        cog_key(he.left_cell(), P), he.closest, he.pair, (pa, pb), he.carrier, he.direction, he.tail, he.tail_extra
-    )
+    return _IntervalWalk(he.closest, he.pair, (pa, pb), he.carrier, he.direction, he.tail, he.tail_extra)
 
 
 def reference_outgoing(pts3: dict, vertex_old: bool, base: frozenset, cell: frozenset):
@@ -264,7 +257,7 @@ class TestSuccessorStep:
                         continue
                     he = decode_halfedge(cur, P)
                     walk = _walk_rounds(arena, k, 1, iter([walk_on(he, P)]), None)
-                    fs = [f.to_record(scale).canonical_key() for f, _, _ in itertools.islice(walk, 2)]
+                    fs = [f.to_record(scale).canonical_key() for f in itertools.islice(walk, 2)]
                     if is_relevant(he):
                         assert fs == [cur.canonical_key(), nxt.canonical_key()]
                         steps += 1
@@ -284,10 +277,10 @@ class TestSuccessorStep:
         pts3 = {i: P[i].ipt for i in (p, q, z)}
         arena = ReadOnlyArena(P)
         # First walk: e's head is an old vertex of the cell closest | {p, q}.
-        (walk,) = _relevant_walks(arena, iter(keyed(P, [e])), {})
+        (walk,) = _relevant_walks(arena, iter([e]), {})
         got = (walk.pair, walk.closest, walk.carrier, walk.direction, walk.tail_extra)
         assert got == reference_outgoing(pts3, True, e.closest, e.closest | {p, q})
-        assert (walk.key, walk.tail) == (cog_key(e.closest | {p, q}, P), e.head)
+        assert (walk.closest | {walk.pair[0]}, walk.tail) == (e.closest | {p, q}, e.head)
         # In-place step: e's head is a new vertex of its own cell.
         walk = walk_on(e, P)
         walk.consider_batch([(z, pts3[z])])
@@ -296,7 +289,23 @@ class TestSuccessorStep:
         walk.advance(f)
         got = (walk.pair, walk.closest, walk.carrier, walk.direction, walk.tail_extra)
         assert got == reference_outgoing(pts3, False, e.closest, e.left_cell())
-        assert (walk.key, walk.tail) == (cog_key(e.left_cell(), P), e.head)
+        assert (walk.closest | {walk.pair[0]}, walk.tail) == (e.left_cell(), e.head)
+
+
+class TestTableCells:
+    @pytest.mark.parametrize("kind", ["random", "convex"])
+    def test_walks_into_table_cells_read_nothing(self, kind):
+        """A relevant half-edge whose head enters a cell of the table starts
+        no walk and reads no site: the cell is named by its site set."""
+        P = random_sites(14, 916) if kind == "random" else convex_sites(14, 916)
+        swept = [cell for _, cell in unbounded_cells(ReadOnlyArena(P), 2)]
+        table = find_big_cells_k(ReadOnlyArena(P), 2)
+        assert list(table) == sorted(swept, key=lambda c: coordinate_sums(c, P))
+        source = [e for e in oracle_halfedges(P, 1) if is_relevant(e) and e.closest | set(e.pair) in table]
+        assert len(source) >= 3
+        arena = ReadOnlyArena(P)
+        assert list(_relevant_walks(arena, iter(source), table)) == []
+        assert arena.read_count == 0
 
 
 class TestTrimRound:
@@ -313,7 +322,7 @@ class TestTrimRound:
         monkeypatch.setattr(_IntervalWalk, "consider_batch", counted)
         P = random_sites(20, 903)
         arena = ReadOnlyArena(P)
-        walks = list(_relevant_walks(arena, iter(keyed(P, oracle_halfedges(P, 1))), {}))[:6]
+        walks = list(_relevant_walks(arena, iter(oracle_halfedges(P, 1)), {}))[:6]
         assert len(walks) == 6
         before = arena.read_count
         _trim_round(arena, walks)
@@ -337,13 +346,14 @@ class TestWalkRounds:
     def test_reads_keys_and_charge(self, monkeypatch, k_out, s1):
         """One `_walk_rounds` run reads the input once per pass, the extra
         site of each materialized head, and three sites per first walk;
-        every carried key is its cell's; while a pass runs, the ledger holds
-        the pass and the live walks' `words()`, which count what they hold."""
+        every half-edge it yields is the reference diagram's, by its record
+        key; while a pass runs, the ledger holds the pass and the live
+        walks' `words()`, which count what they hold."""
         from wsvoronoi import pipeline
         from wsvoronoi.tradeoff import W_BATCH_SITE
 
         P = random_sites(14, 915)
-        source = keyed(P, oracle_halfedges(P, k_out - 1))
+        source = oracle_halfedges(P, k_out - 1)
         arena = ReadOnlyArena(P)
         ledger = WorkLedger(10_000)
         pass_words = s1 * max(1, k_out - 1) * W_BATCH_SITE
@@ -367,13 +377,12 @@ class TestWalkRounds:
                 yield w
 
         out = list(_walk_rounds(arena, k_out, s1, counted(_relevant_walks(arena, iter(source), {})), ledger))
-        heads = sum(f.head is not None for f, _, _ in out)
+        heads = sum(f.head is not None for f in out)
         assert first > s1 and len(out) > 2 * first
         assert arena.read_count == len(passes) * len(P) + heads + 3 * first
         assert sum(passes) > 0  # some walks hold every slot
-        for f, key, right in out:
-            assert key == cog_key(f.left_cell(), P)
-            assert right == cog_key(f.right_cell(), P)
+        scale = P[0].scale
+        assert {f.to_record(scale).canonical_key() for f in out} <= oracle_vdk(P, k_out).halfedge_keys()
         assert ledger.live_words == 0
 
 
@@ -501,15 +510,20 @@ class TestUnboundedCells:
                 assert len(swept) == len(set(swept)), (n, k)
                 assert set(swept) == self.oracle_unbounded(P, k), (n, k)
                 table = find_big_cells_k(ReadOnlyArena(P), k)
-                assert sorted(table.values(), key=sorted) == sorted(swept, key=sorted)
+                assert sorted(table, key=sorted) == sorted(swept, key=sorted)
 
     @pytest.mark.parametrize("kind", ["random", "convex"])
     def test_table_is_the_sweep_in_key_order(self, kind):
+        """The table's keys are the swept site sets, each yielded with its
+        coordinate sums, in the order of those sums."""
         for n, seed in ((9, 1), (20, 3)):
             P = random_sites(n, seed) if kind == "random" else convex_sites(n, seed)
             for k in (2, 3, n - 1):
+                swept = list(unbounded_cells(ReadOnlyArena(P), k))
+                assert all(total == coordinate_sums(cell, P) for total, cell in swept)
+                cells = [cell for _, cell in swept]
                 table = find_big_cells_k(ReadOnlyArena(P), k)
-                assert list(table.items()) == sorted(unbounded_cells(ReadOnlyArena(P), k)), (n, k)
+                assert list(table) == sorted(cells, key=lambda c: coordinate_sums(c, P)), (n, k)
 
     def test_order_one_is_the_hull_counterclockwise(self):
         for seed in range(5):
@@ -548,11 +562,11 @@ class TestOrderPhases:
         t2 = find_big_cells_k(arena, 2)
         big_big = {
             he.to_record(scale).canonical_key()
-            for he, _ in _iter_big_big_edges(arena, 2, t2, s1)
+            for he in _iter_big_big_edges(arena, 2, t2, s1)
         }
-        keyed_full = list(iter_order_edges(arena, 2, s1, order1_halfedges(arena, s1, t1), t2))
-        assert [key for _, key in keyed_full] == [cog_key(he.left_cell(), P) for he, _ in keyed_full]
-        full = [he.to_record(scale).canonical_key() for he, _ in keyed_full]
+        halfedges = list(iter_order_edges(arena, 2, s1, order1_halfedges(arena, s1, t1), t2))
+        assert all(isinstance(he, HalfEdge) for he in halfedges)
+        full = [he.to_record(scale).canonical_key() for he in halfedges]
         assert len(full) == len(set(full)), "duplicate half-edges across phases"
         assert big_big <= set(full)
         assert (set(full) - big_big).isdisjoint(big_big)
@@ -572,7 +586,7 @@ class TestOrderPhases:
         else:
             P = site_set([(x, x * x) for x in random.Random(922).sample(range(1, 1 << 20), 14)])
         arena = ReadOnlyArena(P)
-        halfedges = [he for he, _ in _iter_big_big_edges(arena, k_out, find_big_cells_k(arena, k_out), 4)]
+        halfedges = list(_iter_big_big_edges(arena, k_out, find_big_cells_k(arena, k_out), 4))
         ends = 0
         for he in halfedges:
             for end, extra in ((he.tail, he.tail_extra), (he.head, he.head_extra)):
