@@ -10,7 +10,7 @@ whose bisector carries the next edge.
 """
 
 from wsvoronoi.datagen import random_sites, triangle
-from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
+from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
 from wsvoronoi.records import format_record
 from wsvoronoi.scan import DiagramMode, cell_edges, enumerate_diagram
 
@@ -18,7 +18,7 @@ print("== the worked right triangle ==")
 sites = triangle()
 arena = ReadOnlyArena(sites)
 for mode in (DiagramMode.NEAREST, DiagramMode.FARTHEST):
-    edges = cell_edges(arena, 0, mode)
+    edges = cell_edges(arena, 0, mode, observing_ledger())
     print(f"cell of site 0, {mode.value}: {len(edges)} edges, rivals {[e.rival for e in edges]}")
 
 print("\n== full diagrams, instrumented ==")

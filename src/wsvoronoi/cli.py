@@ -182,7 +182,7 @@ def cmd_run(args) -> int:
             out_fh.close()
             with open(args.out + ".report", "w", encoding="utf-8") as rf:
                 rf.write(report.text())
-    except tuple(FAILURES):
+    except BaseException:
         _discard_partial(args.out, out_fh)
         raise
     if not args.out:

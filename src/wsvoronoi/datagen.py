@@ -17,6 +17,17 @@ from .geometry import Site, site_set
 #: random tuples stay clean with overwhelming probability.
 GRID = 1 << 40
 
+#: Digits a site file's common grid may need, for each coordinate and for
+#: the scale, so that every record integer prints: Python's default limit
+#: on int-to-text conversion is 4300 digits.  A record's bounded end is
+#: the meet of two bisectors (`exact.line_intersection`), written as
+#: x / (w * scale) and y / (w * scale) (`records._hpoint_end`), in lowest
+#: terms.  With each grid integer below 10^D in magnitude a bisector has
+#: |a|, |b| < 4 * 10^D and |c| < 2 * 10^(2D), so |x|, |y| < 16 * 10^(3D)
+#: and |w| * scale < 32 * 10^(3D): at most 3D + 2 digits.
+GRID_DIGITS = (4300 - 2) // 3
+_GRID_LIMIT = 10**GRID_DIGITS
+
 
 def random_sites(n: int, seed: int, grid: int = GRID) -> tuple[Site, ...]:
     rng = random.Random(seed)
@@ -59,7 +70,9 @@ def parse_sites_text(text: str) -> tuple[Site, ...]:
 
     Underscores in numbers are rejected on every Python: `int` takes them
     everywhere, `Fraction` from 3.11 on, and `sites_to_text` never writes
-    them.
+    them.  So is a site set whose common grid needs more than GRID_DIGITS
+    digits: `Fraction` takes any exponent, and its records could not be
+    printed.
     """
     coords = []
     seen = {}
@@ -82,7 +95,10 @@ def parse_sites_text(text: str) -> tuple[Site, ...]:
         coords.append(xy)
     if len(coords) < 3:
         raise SiteParseError(f"need at least 3 sites, got {len(coords)}")
-    return site_set(coords)
+    sites = site_set(coords)
+    if sites[0].scale >= _GRID_LIMIT or any(abs(s.ix) >= _GRID_LIMIT or abs(s.iy) >= _GRID_LIMIT for s in sites):
+        raise SiteParseError(f"coordinates need more than {GRID_DIGITS} digits on their common grid")
+    return sites
 
 
 def _decimal_literal(fr) -> str:

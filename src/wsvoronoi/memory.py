@@ -9,7 +9,7 @@ per-operation constants the algorithms charge.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .geometry import Site
@@ -113,14 +113,10 @@ class WorkLedger:
             self.release(words)
 
 
-def scope(ledger: Optional[WorkLedger], words: int):
-    """`ledger.scope(words)`, or a context that charges nothing when the
-    caller keeps no ledger."""
-    return nullcontext() if ledger is None else ledger.scope(words)
-
-
 def observing_ledger() -> WorkLedger:
-    """Ledger that never aborts; used for calibration benchmarks."""
+    """Ledger that never aborts and only records the peak: the ledger of
+    `vw bench`, of `vw run` without `--enforce`, and of callers that
+    measure something other than the budget."""
     return WorkLedger(budget_words=1, enforcing=False)
 
 

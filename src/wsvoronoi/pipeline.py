@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Optional
 
 from . import exact
 from .geometry import DegenerateGeometry
-from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
+from .memory import OutputSink, ReadOnlyArena, WorkLedger
 from .records import EdgeRecord, directed_record
 from .scan import CellEdge, DiagramMode, _disk_box, _rival_offset, clip_edge, clip_run
 from .tradeoff import (
@@ -127,7 +127,7 @@ def order1_halfedges(
     arena: ReadOnlyArena,
     s1: int,
     table: Optional[dict],
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
     found: Optional[list] = None,
 ) -> Iterator[HalfEdge]:
     """All 1-half-edges, each undirected edge reported as two directions.
@@ -192,13 +192,13 @@ class _IntervalWalk:
         point and bisector 5."""
         return len(self.closest) + 29
 
-    def consider_batch(self, batch, work=None) -> None:
+    def consider_batch(self, batch, work) -> None:
         """Keep in `best` the site whose bisector with pair[0] crosses the
         carrier first ahead of the tail, over `best` and `batch`; set
         `tied` when another site crosses exactly at the final best.  The
         number of sites that reach the arithmetic is added to
         `work.site_tests`, and the number looked at to `work.site_visits`
-        (the run's arena), if given.
+        (the run's arena).
 
         The crossing is computed relative to q = pair[0], as in
         `scan.clip_run`: with u = w - q and e = pair_pts[1] - q, w's
@@ -275,9 +275,8 @@ class _IntervalWalk:
                 y0 = min(tail_box[2], by0)
                 y1 = max(tail_box[3], by1)
                 boxed = True
-        if work is not None:
-            work.site_tests += tests
-            work.site_visits += len(batch)
+        work.site_tests += tests
+        work.site_visits += len(batch)
         self.best = best
         self.tied = tied
         self._box = (x0, x1, y0, y1) if boxed else None
@@ -352,8 +351,8 @@ def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger):
 
     def step(walks):
         still = []
-        with scope(ledger, sum(w.words() for w in walks)):
-            with scope(ledger, pass_words):
+        with ledger.scope(sum(w.words() for w in walks)):
+            with ledger.scope(pass_words):
                 _trim_round(arena, walks)
             for w in walks:
                 f = w.materialize(k_out, pts)
@@ -451,12 +450,12 @@ def unbounded_cells(arena: ReadOnlyArena, k_out: int) -> Iterator[tuple[tuple[in
             return
 
 
-def find_big_cells_k(arena: ReadOnlyArena, k_out: int, ledger: Optional[WorkLedger] = None) -> dict:
+def find_big_cells_k(arena: ReadOnlyArena, k_out: int, ledger: WorkLedger) -> dict:
     """The table of the big order-k_out cells: exactly the unbounded ones,
     from the sweep at infinity (`unbounded_cells`), which is charged its
     k_out sites and O(1) words; the table, the cells' site sets in the
     order of their coordinate sums, is not charged."""
-    with scope(ledger, k_out * W_BATCH_SITE + W_FIXED):
+    with ledger.scope(k_out * W_BATCH_SITE + W_FIXED):
         return dict.fromkeys(cell for _, cell in sorted(unbounded_cells(arena, k_out)))
 
 
@@ -466,7 +465,7 @@ def iter_order_edges(
     s1: int,
     source: Iterator[HalfEdge],
     table: dict,
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
 ) -> Iterator[HalfEdge]:
     """Every order-k_out half-edge exactly once, given the order k_out - 1
     half-edges and the table of the unbounded order-k_out cells
@@ -494,7 +493,7 @@ def _iter_big_big_edges(
     k_out: int,
     table: dict,
     chunk: int,
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
 ) -> Iterator[HalfEdge]:
     """Both directions of every edge shared by two big cells.
 
@@ -508,7 +507,7 @@ def _iter_big_big_edges(
     """
     candidates = _big_big_candidates(table, k_out)
     while group := list(itertools.islice(candidates, chunk)):
-        with scope(ledger, len(group) * (k_out + 14) + W_FIXED):
+        with ledger.scope(len(group) * (k_out + 14) + W_FIXED):
             states = []
             for common, a, b in group:
                 a_pt = arena.read(a).ipt
@@ -517,7 +516,7 @@ def _iter_big_big_edges(
             span = arena.read_span(0, len(arena))
             for common, a, b, a_pt, line, box in states:
                 # Nearer to a than every other site, farther than the common ones.
-                if clip_run(box, line, a_pt, span, -1, (a, b), common, arena):
+                if clip_run(box, line, a_pt, span, -1, (a, b), common, work=arena):
                     edge = clip_edge(a, a_pt, b, line, box)
                     yield from _halfedges_of_cell_edge(k_out, common, edge)
 
@@ -555,7 +554,7 @@ def pipeline_run(
     arena: ReadOnlyArena,
     config: PipelineConfig,
     sink: OutputSink,
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
 ) -> None:
     """Emit all half-edges of orders 1..K, grouped by nondecreasing order.
 
@@ -577,7 +576,7 @@ def pipeline_run(
     # its walks, which `_walk_rounds` charges, and the half-edge it yielded,
     # k + 4 words.
     paused_words = s1 * 5 + sum(k + 4 for k in range(2, top + 1)) + W_FIXED
-    with scope(ledger, paused_words):
+    with ledger.scope(paused_words):
         found: list[dict] = []
         tables: dict = {1: None}
 
@@ -590,7 +589,7 @@ def pipeline_run(
 
         run_stage(1)
         tables[1] = dict.fromkeys(found[0], ())
-        with scope(ledger, table_words(tables[1])):
+        with ledger.scope(table_words(tables[1])):
             for stage in range(2, top + 1):
                 tables[stage] = find_big_cells_k(arena, stage, ledger)
                 run_stage(stage)

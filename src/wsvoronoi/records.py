@@ -14,7 +14,7 @@ point to it with two gcds, `parse_record` reads it back, and no
 `Fraction` is made on the way; the oracle's checks lift it to a
 homogeneous point, and `svg` makes rationals of it.  The builders take
 closest lists already sorted.  Streams may start with ``#``-comment
-lines; the writer emits one holding the run parameters.
+lines; `vw run` writes one holding the run parameters.
 
 For k in {1, n-1} an edge is written once, canonically oriented; the
 order-k pipeline writes directed half-edge records where the pair order
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import exact
 
@@ -279,14 +279,6 @@ def directed_record(
     tail_ep = Unbounded(-direction[0], -direction[1]) if tail is None else _hpoint_end(tail, scale)
     head_ep = Unbounded(*direction) if head is None else _hpoint_end(head, scale)
     return EdgeRecord(k, closest, pair, tail_ep, head_ep, tail_extra, head_extra)
-
-
-def write_stream(records: Sequence[EdgeRecord], fh, header: Optional[dict] = None) -> None:
-    if header:
-        meta = " ".join(f"{k}={v}" for k, v in header.items())
-        fh.write(f"# {meta}\n")
-    for rec in records:
-        fh.write(format_record(rec) + "\n")
 
 
 def read_stream(fh):

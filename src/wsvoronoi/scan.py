@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 from . import exact
 from .geometry import DegenerateGeometry
-from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
+from .memory import OutputSink, ReadOnlyArena, WorkLedger
 from .records import EdgeRecord, undirected_record
 
 
@@ -99,7 +99,7 @@ class CellEdge:
 W_LOCATE = 8
 
 
-def locate_on_hull(arena: ReadOnlyArena, p_idx: int, ledger: Optional[WorkLedger] = None) -> Optional[tuple]:
+def locate_on_hull(arena: ReadOnlyArena, p_idx: int, ledger: WorkLedger) -> Optional[tuple]:
     """Hull membership of site p by one gift-wrapping pass.
 
     Returns p's (clockwise, counterclockwise) hull neighbors when p is a
@@ -109,7 +109,7 @@ def locate_on_hull(arena: ReadOnlyArena, p_idx: int, ledger: Optional[WorkLedger
     other index).
     """
     n = len(arena)
-    with scope(ledger, W_LOCATE):
+    with ledger.scope(W_LOCATE):
         p = arena.read(p_idx).ipt
         q_idx = 0 if p_idx != 0 else 1
         q = arena.read(q_idx).ipt
@@ -170,7 +170,7 @@ def _rival_offset(line, px, py):
     return k * a // nn, k * b // nn
 
 
-def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool:
+def clip_run(state, line, p, items, want: int, skip, flip=(), *, work) -> bool:
     """Clip an interval on `line`, the bisector of site p and a rival, by
     the bisector of p and each (index, point) of `items`.
 
@@ -183,7 +183,7 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
     `clip_edge` raises on a tied end; box caches the cull below.  Returns
     False once the interval is empty.  The number of sites that reach the
     arithmetic is added to `work.site_tests`, and the number looked at to
-    `work.site_visits` (the run's arena), if given.
+    `work.site_visits` (the run's arena).
 
     One exact loop per call, relative to p: the rival r is p's mirror
     image in the line a*x + b*y = c, so e = r - p is
@@ -280,11 +280,10 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), work=None) -> bool
             x1 = max(lo_box[1], hi_box[1])
             y0 = min(lo_box[2], hi_box[2])
             y1 = max(lo_box[3], hi_box[3])
-    if work is not None:
-        # The sites after an emptying cutter are not looked at.
-        looked = len(items) - length_hint(it)
-        work.site_tests += looked - passed
-        work.site_visits += looked
+    # The sites after an emptying cutter are not looked at.
+    looked = len(items) - length_hint(it)
+    work.site_tests += looked - passed
+    work.site_visits += looked
     state[0] = (lo_n, lo_d, lo_tie) if lo_d else None
     state[1] = (hi_n, hi_d, hi_tie) if hi_d else None
     state[2], state[3] = lo_cut, hi_cut
@@ -304,7 +303,7 @@ def clip_edge(site: int, p, rival: int, line, state) -> CellEdge:
     return CellEdge(site, rival, line, p, lo and lo[:2], hi and hi[:2], state[2], state[3])
 
 
-def nearest_run(p, items, skip: int, work=None) -> Optional[int]:
+def nearest_run(p, items, skip: int, work) -> Optional[int]:
     """The index j of `items`, (index, point) pairs, other than `skip` (p's
     own) that minimises (|w_j - p|^2, j): p's nearest neighbor, the lowest
     index among tied ones, whatever order the sites come in.
@@ -314,7 +313,7 @@ def nearest_run(p, items, skip: int, work=None) -> Optional[int]:
     best, so it is passed over before any arithmetic; a tie lies in the
     box or on its edge.  The number of sites that reach the arithmetic is
     added to `work.site_tests`, and the number looked at to
-    `work.site_visits` (the run's arena), if given.
+    `work.site_visits` (the run's arena).
     """
     px, py = p
     bd = bj = None
@@ -331,9 +330,8 @@ def nearest_run(p, items, skip: int, work=None) -> Optional[int]:
         bd, bj = d, j
         r = isqrt(d)
         x0, x1, y0, y1 = px - r, px + r, py - r, py + r
-    if work is not None:
-        work.site_tests += len(items) - passed
-        work.site_visits += len(items)
+    work.site_tests += len(items) - passed
+    work.site_visits += len(items)
     return bj
 
 
@@ -360,7 +358,7 @@ class TrackedSite:
     a convex cell's edges come in the angular order of their rivals'
     offsets w - p, nearest and farthest cells alike, so the edges walked on
     each leg are those whose offsets lie in one closed angle from the first
-    edge's (`walked`).
+    edge's (`arc_walked`).
     """
 
     __slots__ = (
@@ -489,12 +487,6 @@ class TrackedSite:
             sense = 1 if first[0] * sy - first[1] * sx > 0 else -1
         return (*first, *last, *back, sense)
 
-    def walked(self, e) -> bool:
-        """Whether the walk has reported the cell's edge against the rival
-        at offset e = w - p; e must be the offset of one of the cell's
-        rivals."""
-        return arc_walked(self.arc(), e)
-
 
 def _swept(a, d, b) -> bool:
     """Whether direction d lies in the closed angle swept counterclockwise
@@ -530,9 +522,7 @@ def hull_walk(arena: ReadOnlyArena, i: int, nxt: int) -> TrackedSite:
     return TrackedSite(i, arena.read(i).ipt, nxt)
 
 
-def cell_walk(
-    arena: ReadOnlyArena, i: int, mode: DiagramMode, ledger: Optional[WorkLedger] = None
-) -> Optional[TrackedSite]:
+def cell_walk(arena: ReadOnlyArena, i: int, mode: DiagramMode, ledger: WorkLedger) -> Optional[TrackedSite]:
     """A fresh walk of site i's cell, or None when i is interior to the hull
     and so has no farthest cell.
 
@@ -553,7 +543,7 @@ def enumerate_cell(
     p_idx: int,
     mode: DiagramMode,
     visit: Callable[[CellEdge], None],
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
 ) -> None:
     """Visit every edge of p's cell exactly once: the one-slot run of
     `tradeoff.drive` on p's walk alone.
@@ -575,7 +565,7 @@ def cell_edges(
     arena: ReadOnlyArena,
     p_idx: int,
     mode: DiagramMode,
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
 ) -> list[CellEdge]:
     out: list[CellEdge] = []
     enumerate_cell(arena, p_idx, mode, out.append, ledger)
@@ -601,7 +591,7 @@ def enumerate_diagram(
     arena: ReadOnlyArena,
     mode: DiagramMode,
     sink: OutputSink,
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
 ) -> None:
     """Emit every diagram edge exactly once using O(1) workspace words: the
     s-workspace construction with one slot."""

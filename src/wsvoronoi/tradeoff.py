@@ -9,7 +9,7 @@ slot loop, the one every cell walk in the package runs under
 reported at once from its cell of lower index (`iter_diagram`).  Cells
 still walking when no fresh sites remain are "big": their walks are cut
 short, and each keeps the arc it walked in O(1) words, from which
-`TrackedSite.walked` tells whether it reported a given edge.  The edges
+`arc_walked` tells whether it reported a given edge.  The edges
 the cut walks missed come after: a small cell's edge with a lower-index
 big cell from walking again the few small cells above the lowest big
 index, and an edge between two big cells from clipping the diagram of
@@ -31,7 +31,7 @@ from typing import Iterator, NoReturn, Optional
 
 from . import exact
 from .geometry import DegenerateGeometry
-from .memory import OutputSink, ReadOnlyArena, WorkLedger, scope
+from .memory import OutputSink, ReadOnlyArena, WorkLedger
 from .scan import (
     CellEdge,
     DiagramMode,
@@ -136,7 +136,7 @@ def _edge_vanished(slot: TrackedSite) -> NoReturn:
     raise AssertionError("tracked cell edge vanished under clipping")
 
 
-def hull_stream(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger] = None) -> Iterator[int]:
+def hull_stream(arena: ReadOnlyArena, s: int, ledger: WorkLedger) -> Iterator[int]:
     """Yield hull site indices in clockwise order from the lowest-leftmost
     site, using an s-point window.
 
@@ -153,7 +153,7 @@ def hull_stream(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger] = Non
     n = len(arena)
     limit = max(1, s) + 1
     # The chain holds limit points, one more while a site is inserted.
-    with scope(ledger, (limit + 1) * W_HULL_POINT + W_FIXED):
+    with ledger.scope((limit + 1) * W_HULL_POINT + W_FIXED):
         start_idx, start_pt = min(arena.read_span(0, n), key=lambda item: item[1])
         yield start_idx
         anchor = (start_idx, start_pt)
@@ -228,7 +228,7 @@ def _merge_chain(items, anchor, limit: int) -> list:
     return chain
 
 
-def _hull_neighbors(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger]):
+def _hull_neighbors(arena: ReadOnlyArena, s: int, ledger: WorkLedger):
     """(site, next) for each hull site, in `hull_stream` order from the
     anchor's clockwise neighbor."""
     stream = hull_stream(arena, s, ledger)
@@ -241,7 +241,7 @@ def _hull_neighbors(arena: ReadOnlyArena, s: int, ledger: Optional[WorkLedger]):
         cur = nxt
 
 
-def _hull_chain(arena: ReadOnlyArena, ledger: Optional[WorkLedger]):
+def _hull_chain(arena: ReadOnlyArena, ledger: WorkLedger):
     """The farthest walks of a one-slot run, in counterclockwise hull order
     from the anchor, each hull site found by the walk before it.
 
@@ -261,7 +261,7 @@ def _hull_chain(arena: ReadOnlyArena, ledger: Optional[WorkLedger]):
     anchor, known = islice(stream, 2)
     stream.close()
     site, handed = anchor, None
-    with scope(ledger, W_FIXED):
+    with ledger.scope(W_FIXED):
         for _ in range(len(arena)):
             walk = hull_walk(arena, site, known)
             walk.handed = handed
@@ -280,7 +280,7 @@ def _site_source(arena, mode, s, ledger, keep=None):
     if mode is DiagramMode.NEAREST:
         for i in range(len(arena)):
             if keep is None or keep(i):
-                yield cell_walk(arena, i, mode)
+                yield cell_walk(arena, i, mode, ledger)
     elif s == 1 and keep is None:
         yield from _hull_chain(arena, ledger)
     else:
@@ -311,7 +311,7 @@ def drive(source: Iterator, s: int, step, leftovers: Optional[list] = None) -> I
             return
 
 
-def walk_cells(arena, mode, s, source, ledger=None, leftovers=None) -> Iterator[tuple[TrackedSite, CellEdge]]:
+def walk_cells(arena, mode, s, source, ledger, leftovers=None) -> Iterator[tuple[TrackedSite, CellEdge]]:
     """(walk, edge) for every cell edge found by `drive` over the walks of
     `source` with s slots."""
     limit = len(arena) + 2  # no cell has more edges
@@ -324,7 +324,7 @@ def walk_cells(arena, mode, s, source, ledger=None, leftovers=None) -> Iterator[
             yield slot, edge
         return [t for t in slots if not t.done]
 
-    with scope(ledger, s * (W_SLOT + W_BATCH_SITE) + W_FIXED):
+    with ledger.scope(s * (W_SLOT + W_BATCH_SITE) + W_FIXED):
         yield from drive(source, s, step, leftovers)
 
 
@@ -332,7 +332,7 @@ def find_big_cells(
     arena: ReadOnlyArena,
     mode: DiagramMode,
     s: int,
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
 ) -> dict:
     """Walk cells s at a time until fewer than s stay unfinished; no output.
 
@@ -354,7 +354,7 @@ def iter_diagram(
     arena: ReadOnlyArena,
     mode: DiagramMode,
     s: int,
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
     found: Optional[list] = None,
 ) -> Iterator[CellEdge]:
     """Every edge of the diagram exactly once, each cell walked once.
@@ -377,7 +377,7 @@ def iter_diagram(
     if found is not None:
         found.append(table)
     if table:
-        with scope(ledger, table_words(table)):
+        with ledger.scope(table_words(table)):
             yield from _iter_unreached(arena, mode, s, table, ledger)
             yield from iter_big_big(arena, mode, s, table, ledger)
 
@@ -387,7 +387,7 @@ def _iter_unreached(
     mode: DiagramMode,
     s: int,
     table: dict,
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
 ) -> Iterator[CellEdge]:
     """Every edge between a small cell and a big cell of lower index whose
     walk did not reach it, from walking again the small cells above the
@@ -407,7 +407,7 @@ def iter_small_incident(
     mode: DiagramMode,
     s: int,
     table: dict,
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
 ) -> Iterator[CellEdge]:
     """Every edge with at least one small cell, exactly once, for a table
     known before the walks: only small cells are walked, an edge against a
@@ -425,7 +425,7 @@ def iter_big_big(
     mode: DiagramMode,
     s: int,
     table: dict,
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
 ) -> Iterator[CellEdge]:
     """Every edge between two big cells that the lower one's walk did not
     report (by its arc in the table; an arc of () reported none).
@@ -439,7 +439,7 @@ def iter_big_big(
     want = -1 if mode is DiagramMode.NEAREST else 1
     mem_sites = [(i, arena.read(i).ipt) for i in table]
     # Charged for the table's capacity, as the walks charge every slot.
-    with scope(ledger, max(len(mem_sites), s - 1) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED):
+    with ledger.scope(max(len(mem_sites), s - 1) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED):
         span = arena.read_span(0, len(arena))
         for ai, (a, a_pt) in enumerate(mem_sites):
             arc = table[a]
@@ -460,7 +460,7 @@ def run_tradeoff(
     mode: DiagramMode,
     s: int,
     sink: OutputSink,
-    ledger: Optional[WorkLedger] = None,
+    ledger: WorkLedger,
 ) -> dict:
     """Report the whole diagram with an s-word workspace (`iter_diagram`)
     and return its big-cell table.

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,14 @@ from pathlib import Path
 import pytest
 
 from wsvoronoi.cli import main
-from wsvoronoi.datagen import DuplicateSiteError, SiteParseError, parse_sites_text, random_sites, sites_to_text
+from wsvoronoi.datagen import (
+    GRID_DIGITS,
+    DuplicateSiteError,
+    SiteParseError,
+    parse_sites_text,
+    random_sites,
+    sites_to_text,
+)
 from wsvoronoi.oracle import check_distance_profile
 from wsvoronoi.records import read_stream
 
@@ -31,6 +39,15 @@ COLLINEAR_AND_TWO = "0 0\n2 0\n4 0\n2 5\n1 1\n"
 ALL_COLLINEAR = "0 0\n2 0\n4 0\n6 0\n"
 # A triangle and one site inside it.
 TRIANGLE_AND_POINT = "0 0\n8 0\n0 6\n1 1\n"
+# Site files whose common grid needs exactly GRID_DIGITS digits, and one
+# more: by the scale a decimal exponent sets, and by wide integers.
+WIDE = 10**GRID_DIGITS - 1
+GRID_EDGE_SCALE = f"0 0\n1 0\n0 1e-{GRID_DIGITS - 1}\n3 5\n"
+GRID_PAST_SCALE = f"0 0\n1 0\n0 1e-{GRID_DIGITS}\n3 5\n"
+GRID_EDGE_WIDE = f"{-WIDE} {-WIDE}\n{WIDE} {7 - WIDE}\n3 {WIDE}\n{WIDE - 5} {WIDE - 1}\n{2 - WIDE} 11\n"
+GRID_PAST_WIDE = GRID_EDGE_WIDE.replace(f"3 {WIDE}", f"3 {WIDE + 1}")
+# Exponents far past the bound: tiny and huge coordinates.
+HUGE_EXPONENTS = ["0 0\n1 0\n0 1e-4000\n3 5\n", "0 0\n1 0\n0 1e4400\n3 5\n"]
 
 
 @pytest.fixture
@@ -195,6 +212,32 @@ class TestRun:
         assert main(["run", tri_file, "--mode", mode, *flags, "--out", str(out)]) == 5
         assert capsys.readouterr().err.startswith("config error: [Errno 2] No such file or directory")
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("flags", [["nvd"], ["order", "--max-k", "2", "--workspace", "4"]], ids=["nvd", "order"])
+    @pytest.mark.parametrize(
+        "text", [GRID_EDGE_SCALE, GRID_EDGE_WIDE, GRID_PAST_SCALE, GRID_PAST_WIDE],
+        ids=["edge-scale", "edge-wide", "past-scale", "past-wide"],
+    )
+    def test_grid_digit_bound(self, tmp_path, capsys, text, flags):
+        """Sites whose grid needs GRID_DIGITS digits run and every record
+        integer prints, the widest with more than 3 * GRID_DIGITS digits;
+        one digit more is a parse error that writes no records."""
+        sites = tmp_path / "sites.txt"
+        sites.write_text(text)
+        out = tmp_path / "r.rec"
+        code = main(["run", str(sites), "--mode", *flags, "--out", str(out)])
+        if text in (GRID_PAST_SCALE, GRID_PAST_WIDE):
+            assert code == 3
+            assert capsys.readouterr().err.startswith(f"parse error: coordinates need more than {GRID_DIGITS} digits")
+            assert not out.exists()
+            return
+        grid = parse_sites_text(text)
+        assert len(str(max(max(abs(s.ix), abs(s.iy), s.scale) for s in grid))) == GRID_DIGITS
+        assert code == 0
+        written = out.read_text()
+        assert read_stream(io.StringIO(written))[1]
+        if text == GRID_EDGE_WIDE:
+            assert max(map(len, re.findall(r"\d+", written))) > 3 * GRID_DIGITS
 
     def test_scan_path_without_workspace(self, tri_file, tmp_path):
         out = tmp_path / "records.txt"
@@ -598,6 +641,10 @@ BAD_SITE_FILES = {
     "missing": (None, 3, "parse error: [Errno 2] No such file or directory"),
     "malformed": ("0 0\nnot a line\n1 5\n", 3, "parse error: line 2: expected 'x y', got 'not a line'"),
     "duplicate": ("0 0\n1 2\n0 0\n", 2, "degenerate: line 3: duplicate site, first seen on line 1"),
+    **{
+        name: (text, 3, f"parse error: coordinates need more than {GRID_DIGITS} digits")
+        for name, text in zip(("tiny-exponent", "huge-exponent"), HUGE_EXPONENTS)
+    },
 }
 UNWRITABLE_OUT = (TRIANGLE, 5, "config error: [Errno 2] No such file or directory")
 
@@ -725,3 +772,37 @@ def test_failed_run_leaves_a_linked_out_in_place(tmp_path, capsys):
     assert main(["run", str(sites), "--mode", "nvd", "--out", str(link)]) == 2
     assert capsys.readouterr().err.startswith("degenerate: ")
     assert link.is_symlink() and os.path.exists(os.devnull)
+
+
+@pytest.mark.parametrize("mode", ["nvd", "order"])
+def test_unmapped_failure_discards_records(tmp_path, monkeypatch, mode):
+    """A failure outside `FAILURES`, here an AssertionError raised part way
+    through the run, still removes the records written so far, and reaches
+    the caller with its traceback."""
+    import wsvoronoi.pipeline as pipeline
+    import wsvoronoi.tradeoff as tradeoff
+
+    def broken(*args):
+        raise AssertionError("injected")
+
+    if mode == "nvd":
+        real, calls = tradeoff.record_for, []
+
+        def record_for(*args):
+            calls.append(args)
+            if len(calls) > 5:
+                broken()
+            return real(*args)
+
+        monkeypatch.setattr(tradeoff, "record_for", record_for)
+        flags = ["--mode", "nvd", "--workspace", "8"]
+    else:
+        # Stage 2 starts once stage 1 has written the order-1 records.
+        monkeypatch.setattr(pipeline, "find_big_cells_k", broken)
+        flags = ["--mode", "order", "--max-k", "2", "--workspace", "8"]
+    sites = tmp_path / "sites.txt"
+    sites.write_text(sites_to_text(random_sites(40, 1)))
+    out = tmp_path / "r.rec"
+    with pytest.raises(AssertionError, match="^injected$"):
+        main(["run", str(sites), *flags, "--out", str(out)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sites.txt"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wsvoronoi.exact import bisector_line, circumcenter_hpoint, incircle_ipts, orient_ipts
 from wsvoronoi.geometry import site_set, validate_general_position
+from wsvoronoi.memory import ReadOnlyArena
 from wsvoronoi.scan import clip_edge, clip_run
 
 
@@ -62,7 +63,8 @@ def clip(a, b, cutters, keep_nearer=True):
     line = bisector_line(a.ipt, b.ipt)
     state = [None, None, None, None, None]
     want = -1 if keep_nearer else 1
-    if not clip_run(state, line, a.ipt, [(c.index, c.ipt) for c in cutters], want, (a.index, b.index)):
+    items = [(c.index, c.ipt) for c in cutters]
+    if not clip_run(state, line, a.ipt, items, want, (a.index, b.index), work=ReadOnlyArena((a, b, *cutters))):
         return None
     return clip_edge(a.index, a.ipt, b.index, line, state)
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from wsvoronoi import exact
 from wsvoronoi.datagen import random_sites
 from wsvoronoi.geometry import DegenerateGeometry, site_set
-from wsvoronoi.memory import ReadOnlyArena
+from wsvoronoi.memory import ReadOnlyArena, observing_ledger
 from wsvoronoi.pipeline import _IntervalWalk
 from wsvoronoi.scan import (
     DiagramMode,
@@ -91,12 +91,18 @@ def hpoint(hp):
     return None if hp is None else (Fraction(hp[0], hp[2]), Fraction(hp[1], hp[2]))
 
 
+def tally() -> ReadOnlyArena:
+    """An arena for kernel calls to add their site counts to."""
+    return ReadOnlyArena(site_set([(0, 0)]))
+
+
 def run_clip(p, r, cutters, want, skip, flip, batch):
     """clip_run over `cutters` in batches; (alive, lo_cut, hi_cut, lo, hi)."""
     line = exact.bisector_line(p, r)
     state = [None, None, None, None, None]
+    work = tally()
     for start in range(0, len(cutters), batch):
-        if not clip_run(state, line, p, cutters[start : start + batch], want, skip, flip):
+        if not clip_run(state, line, p, cutters[start : start + batch], want, skip, flip, work=work):
             return False, None, None, None, None
     edge = clip_edge(0, p, 1, line, state)
     lo, hi = edge.ends()
@@ -164,7 +170,7 @@ class TestClipRun:
         sites = [(2, (0, 6)), (3, (0, -6)), (4, (8, 6)), (5, (0, 100))]
         line = exact.bisector_line(p, r)
         state = [None, None, None, None, None]
-        assert clip_run(state, line, p, sites[:2], -1, (0, 1))
+        assert clip_run(state, line, p, sites[:2], -1, (0, 1), work=tally())
         assert set(state[2:4]) == {2, 3}  # x = 4 between (4, -3) and (4, 3)
         kept = list(state)
         # The bisector with (8, 6) also crosses x = 4 at (4, 3): a tie that
@@ -172,9 +178,9 @@ class TestClipRun:
         # beyond (4, 3), which empties the interval before (0, 100) is
         # looked at.
         work = SimpleNamespace(site_tests=0, site_visits=0)
-        assert not clip_run(list(state), line, p, sites[2:], -1, (0, 1), {4}, work)
+        assert not clip_run(list(state), line, p, sites[2:], -1, (0, 1), {4}, work=work)
         assert work.site_tests == 1  # (0, 100), after the emptying cutter, is not looked at
-        assert clip_run(state, line, p, sites[2:], -1, (0, 1))
+        assert clip_run(state, line, p, sites[2:], -1, (0, 1), work=work)
         assert [end[:2] for end in state[:2]] == [end[:2] for end in kept[:2]]
         assert state[2:] == kept[2:]
         assert sorted(end[2] for end in state[:2]) == [False, True]
@@ -203,8 +209,8 @@ class TestClipRun:
         line = exact.bisector_line(p, r)
         for later, tied in (([items[5]], True), ([items[4], items[5]], False)):
             state = [None, None, None, None, None]
-            assert clip_run(state, line, p, items[2:4], -1, (0, 1))
-            assert clip_run(state, line, p, later, -1, (0, 1))
+            assert clip_run(state, line, p, items[2:4], -1, (0, 1), work=tally())
+            assert clip_run(state, line, p, later, -1, (0, 1), work=tally())
             if tied:
                 with pytest.raises(DegenerateGeometry, match="tied end"):
                     clip_edge(0, p, 1, line, state)
@@ -232,7 +238,7 @@ class TestClipRun:
         items = [(s.index, s.ipt) for s in sites]
         line = exact.bisector_line((0, 0), (8, 0))
         state = [None, None, None, None, None]
-        assert clip_run(state, line, (0, 0), items, -1, (0, 1))
+        assert clip_run(state, line, (0, 0), items, -1, (0, 1), work=tally())
         edge = clip_edge(0, (0, 0), 1, line, state)
         assert {edge.lo_cutter, edge.hi_cutter} == {2, 3}
         assert set(map(hpoint, edge.ends())) == {(4, 3), (4, -3)}
@@ -267,10 +273,11 @@ def clipped_state(p, r, cutters, skip, batch):
     in order, in batches; None once the interval is empty."""
     line = exact.bisector_line(p, r)
     state = [None, None, None, None, None]
+    arena = ReadOnlyArena(site_set([p, r, *(w for _, w in cutters)]))
     for start in range(0, len(cutters), batch):
-        if not clip_run(state, line, p, cutters[start : start + batch], -1, skip):
+        if not clip_run(state, line, p, cutters[start : start + batch], -1, skip, work=arena):
             return None
-    return line, state, ReadOnlyArena(site_set([p, r, *(w for _, w in cutters)]))
+    return line, state, arena
 
 
 def in_closed_disk(w, centre, p) -> bool:
@@ -309,7 +316,7 @@ def check_box_sound(line, state, arena):
     for w in outside_ring(box, 2):
         assert not any(in_closed_disk(w, e, p) for e in ends), (w, ends)
         one = state[:4] + [None]
-        assert clip_run(one, line, p, [(99, w)], -1, ())
+        assert clip_run(one, line, p, [(99, w)], -1, (), work=arena)
         assert one[:4] == state[:4], w
 
 
@@ -336,8 +343,9 @@ class TestEndsOnDemand:
         p, r, cutters, want, skip, flip, batch = case
         line = exact.bisector_line(p, r)
         state = [None, None, None, None, None]
+        work = tally()
         for start in range(0, len(cutters), batch):
-            if not clip_run(state, line, p, cutters[start : start + batch], want, skip, flip):
+            if not clip_run(state, line, p, cutters[start : start + batch], want, skip, flip, work=work):
                 return
         try:
             edge = clip_edge(0, p, 1, line, state)
@@ -428,7 +436,7 @@ def successor_case(draw):
     return q, r, z, [(j + 3, w) for j, w in enumerate(pts)], sign, draw(st.integers(1, 5))
 
 
-def run_successor(q, r, z, sites, sign, batch, work=None):
+def run_successor(q, r, z, sites, sign, batch, work):
     carrier = exact.bisector_line(q, r)
     d = exact.line_dir(carrier)
     direction = (sign * d[0], sign * d[1])
@@ -444,7 +452,7 @@ def check_successor(case):
     """consider_batch agrees with the reference on the case: the same
     site, the same tie, or DegenerateGeometry from both."""
     try:
-        walk, (want, tied) = run_successor(*case)
+        walk, (want, tied) = run_successor(*case, tally())
     except DegenerateGeometry:
         # The kernel raises exactly when the reference does.
         q, r, z, sites, sign, _ = case
@@ -492,10 +500,10 @@ class TestConsiderBatch:
         carrier = exact.bisector_line(q, r)
         tail = exact.circumcenter_hpoint(q, r, z)
         walk = _IntervalWalk(frozenset(), (0, 1), (q, r), carrier, (0, 1), tail, 2)
-        walk.consider_batch([(0, q), (1, r), (2, z), (3, (1, 2))])
+        walk.consider_batch([(0, q), (1, r), (2, z), (3, (1, 2))], tally())
         assert walk.best[2] == 3 and walk._box == (-2, 4, -4, 3)
         with pytest.raises(DegenerateGeometry, match="^collinear sites at successor crossing$"):
-            walk.consider_batch([(4, (1000, 0))])
+            walk.consider_batch([(4, (1000, 0))], tally())
 
     @pytest.mark.parametrize(
         "sign, batch, counts", [(1, 4, (6, 39)), (-1, 4, (36, 39)), (1, 100, (6, 39)), (-1, 7, (36, 39))]
@@ -515,7 +523,7 @@ class TestConsiderBatch:
         # cross at (2, 0); the best disk, centred there through q = (0, 0),
         # touches its box at both, so only a box around the closed disk
         # keeps the second.
-        walk, (want, tied) = run_successor((0, 0), (2, 2), (2, 4), [(3, (4, 0)), (4, (2, -2))], 1, 1)
+        walk, (want, tied) = run_successor((0, 0), (2, 2), (2, 4), [(3, (4, 0)), (4, (2, -2))], 1, 1, tally())
         assert walk._box == (-5, 4, -2, 7)
         assert (walk.best[2], walk.tied) == (want, tied) == (3, True)
 
@@ -541,7 +549,7 @@ class TestNearestRun:
     def test_matches_brute_force_in_any_order(self, case):
         p, items, shuffled = case
         want = reference_nearest(p, items, 0)
-        assert nearest_run(p, items, 0) == want
+        assert nearest_run(p, items, 0, tally()) == want
         work = SimpleNamespace(site_tests=0, site_visits=0)
         assert nearest_run(p, shuffled, 0, work) == want
         assert work.site_tests <= len(items) - 1  # at most every site but p's own
@@ -574,21 +582,21 @@ def seeded_clips(pts):
     span = arena.read_span(0, len(arena))
     out = []
     for i in range(len(arena)):
-        walk = cell_walk(arena, i, DiagramMode.NEAREST)
+        walk = cell_walk(arena, i, DiagramMode.NEAREST, observing_ledger())
         try:
             while not walk.done:
                 if walk.cutter is None:
-                    walk.cutter = nearest_run(walk.p, span, i)
+                    walk.cutter = nearest_run(walk.p, span, i, arena)
                 walk.begin_clip()
                 line = exact.bisector_line(walk.p, arena.read(walk.rival).ipt)
                 skip = (i, walk.rival)
                 plain = [None] * 5
-                alive = clip_run(plain, line, walk.p, span, -1, skip)
+                alive = clip_run(plain, line, walk.p, span, -1, skip, work=arena)
                 seed = walk.seed()
                 if seed is not None:
                     seeded = [None] * 5
-                    seeded_alive = clip_run(seeded, line, walk.p, [seed], -1, skip)
-                    seeded_alive = seeded_alive and clip_run(seeded, line, walk.p, span, -1, skip)
+                    seeded_alive = clip_run(seeded, line, walk.p, [seed], -1, skip, work=arena)
+                    seeded_alive = seeded_alive and clip_run(seeded, line, walk.p, span, -1, skip, work=arena)
                     out.append((seed, (seeded_alive, seeded[:4]), (alive, plain[:4])))
                 if not alive:
                     break
@@ -636,8 +644,8 @@ class TestSeededClip:
         p = span[0][1]
         line = exact.bisector_line(p, span[1][1])
         state = [None] * 5
-        assert clip_run(state, line, p, [span[seed]], -1, (0, 1))
-        assert clip_run(state, line, p, span, -1, (0, 1))
+        assert clip_run(state, line, p, [span[seed]], -1, (0, 1), work=arena)
+        assert clip_run(state, line, p, span, -1, (0, 1), work=arena)
         assert seed in state[2:4]
         with pytest.raises(DegenerateGeometry, match="has a tied end"):
             clip_edge(0, p, 1, line, state)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from wsvoronoi import exact
 from wsvoronoi.datagen import random_sites, site_set, triangle
 from wsvoronoi.geometry import DegenerateGeometry
-from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
+from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
 from wsvoronoi.oracle import oracle_intervals, oracle_vdk
 from wsvoronoi.pipeline import (
     ConfigError,
@@ -86,7 +86,7 @@ def interval_walk(arena, P, e, k_out):
     walks = list(_relevant_walks(arena, iter([e]), {}))
     if not walks:
         return None
-    return list(_walk_rounds(arena, k_out, 1, iter(walks), None))
+    return list(_walk_rounds(arena, k_out, 1, iter(walks), observing_ledger()))
 
 
 def walk_on(he, P):
@@ -256,7 +256,7 @@ class TestSuccessorStep:
                     if isinstance(cur.head, Unbounded):
                         continue
                     he = decode_halfedge(cur, P)
-                    walk = _walk_rounds(arena, k, 1, iter([walk_on(he, P)]), None)
+                    walk = _walk_rounds(arena, k, 1, iter([walk_on(he, P)]), observing_ledger())
                     fs = [f.to_record(scale).canonical_key() for f in itertools.islice(walk, 2)]
                     if is_relevant(he):
                         assert fs == [cur.canonical_key(), nxt.canonical_key()]
@@ -283,7 +283,7 @@ class TestSuccessorStep:
         assert (walk.closest | {walk.pair[0]}, walk.tail) == (e.closest | {p, q}, e.head)
         # In-place step: e's head is a new vertex of its own cell.
         walk = walk_on(e, P)
-        walk.consider_batch([(z, pts3[z])])
+        walk.consider_batch([(z, pts3[z])], arena)
         f = walk.materialize(e.k, lambda i: P[i].ipt)
         assert f == e
         walk.advance(f)
@@ -299,7 +299,7 @@ class TestTableCells:
         no walk and reads no site: the cell is named by its site set."""
         P = random_sites(14, 916) if kind == "random" else convex_sites(14, 916)
         swept = [cell for _, cell in unbounded_cells(ReadOnlyArena(P), 2)]
-        table = find_big_cells_k(ReadOnlyArena(P), 2)
+        table = find_big_cells_k(ReadOnlyArena(P), 2, observing_ledger())
         assert list(table) == sorted(swept, key=lambda c: coordinate_sums(c, P))
         source = [e for e in oracle_halfedges(P, 1) if is_relevant(e) and e.closest | set(e.pair) in table]
         assert len(source) >= 3
@@ -403,7 +403,7 @@ class TestPipelineRun:
         P = random_sites(12, 908)
         arena = ReadOnlyArena(P)
         sink = OutputSink()
-        pipeline_run(arena, PipelineConfig(K=3, s=36), sink)
+        pipeline_run(arena, PipelineConfig(K=3, s=36), sink, observing_ledger())
         ks = [r.k for r in sink.records]
         assert ks == sorted(ks)
         for k in (1, 2, 3):
@@ -416,9 +416,9 @@ class TestPipelineRun:
         arena = ReadOnlyArena(P)
         sink = OutputSink()
         cfg = PipelineConfig(K=1, s=16)
-        pipeline_run(arena, cfg, sink)
+        pipeline_run(arena, cfg, sink, observing_ledger())
         direct = OutputSink()
-        run_tradeoff(ReadOnlyArena(P), DiagramMode.NEAREST, cfg.s_prime, direct)
+        run_tradeoff(ReadOnlyArena(P), DiagramMode.NEAREST, cfg.s_prime, direct, observing_ledger())
         assert {r.undirected_key() for r in sink.records} == {
             r.undirected_key() for r in direct.records
         }
@@ -436,7 +436,7 @@ class TestPipelineRun:
     def test_triangle_all_orders(self):
         arena = ReadOnlyArena(triangle())
         sink = OutputSink()
-        pipeline_run(arena, PipelineConfig(K=2, s=4), sink)
+        pipeline_run(arena, PipelineConfig(K=2, s=4), sink, observing_ledger())
         for k in (1, 2):
             got = {r.canonical_key() for r in sink.records if r.k == k}
             assert got == oracle_vdk(triangle(), k).halfedge_keys()
@@ -462,7 +462,7 @@ class TestPipelineRun:
         for _ in range(2):
             arena = ReadOnlyArena(P)
             sink = OutputSink(keep=False)
-            pipeline_run(arena, PipelineConfig(K=3, s=36), sink)
+            pipeline_run(arena, PipelineConfig(K=3, s=36), sink, observing_ledger())
             counts.append(arena.read_count)
         assert counts[0] == counts[1]
 
@@ -509,7 +509,7 @@ class TestUnboundedCells:
                 swept = [cell for _, cell in unbounded_cells(ReadOnlyArena(P), k)]
                 assert len(swept) == len(set(swept)), (n, k)
                 assert set(swept) == self.oracle_unbounded(P, k), (n, k)
-                table = find_big_cells_k(ReadOnlyArena(P), k)
+                table = find_big_cells_k(ReadOnlyArena(P), k, observing_ledger())
                 assert sorted(table, key=sorted) == sorted(swept, key=sorted)
 
     @pytest.mark.parametrize("kind", ["random", "convex"])
@@ -522,7 +522,7 @@ class TestUnboundedCells:
                 swept = list(unbounded_cells(ReadOnlyArena(P), k))
                 assert all(total == coordinate_sums(cell, P) for total, cell in swept)
                 cells = [cell for _, cell in swept]
-                table = find_big_cells_k(ReadOnlyArena(P), k)
+                table = find_big_cells_k(ReadOnlyArena(P), k, observing_ledger())
                 assert list(table) == sorted(cells, key=lambda c: coordinate_sums(c, P)), (n, k)
 
     def test_order_one_is_the_hull_counterclockwise(self):
@@ -558,13 +558,11 @@ class TestOrderPhases:
         arena = ReadOnlyArena(P)
         s1 = 2
         scale = P[0].scale
-        t1 = find_big_cells(arena, DiagramMode.NEAREST, s1)
-        t2 = find_big_cells_k(arena, 2)
-        big_big = {
-            he.to_record(scale).canonical_key()
-            for he in _iter_big_big_edges(arena, 2, t2, s1)
-        }
-        halfedges = list(iter_order_edges(arena, 2, s1, order1_halfedges(arena, s1, t1), t2))
+        ledger = observing_ledger()
+        t1 = find_big_cells(arena, DiagramMode.NEAREST, s1, ledger)
+        t2 = find_big_cells_k(arena, 2, ledger)
+        big_big = {he.to_record(scale).canonical_key() for he in _iter_big_big_edges(arena, 2, t2, s1, ledger)}
+        halfedges = list(iter_order_edges(arena, 2, s1, order1_halfedges(arena, s1, t1, ledger), t2, ledger))
         assert all(isinstance(he, HalfEdge) for he in halfedges)
         full = [he.to_record(scale).canonical_key() for he in halfedges]
         assert len(full) == len(set(full)), "duplicate half-edges across phases"
@@ -586,7 +584,8 @@ class TestOrderPhases:
         else:
             P = site_set([(x, x * x) for x in random.Random(922).sample(range(1, 1 << 20), 14)])
         arena = ReadOnlyArena(P)
-        halfedges = list(_iter_big_big_edges(arena, k_out, find_big_cells_k(arena, k_out), 4))
+        ledger = observing_ledger()
+        halfedges = list(_iter_big_big_edges(arena, k_out, find_big_cells_k(arena, k_out, ledger), 4, ledger))
         ends = 0
         for he in halfedges:
             for end, extra in ((he.tail, he.tail_extra), (he.head, he.head_extra)):

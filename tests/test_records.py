@@ -16,7 +16,6 @@ from wsvoronoi.records import (
     format_record,
     parse_record,
     read_stream,
-    write_stream,
 )
 
 
@@ -58,9 +57,7 @@ def test_malformed_rejected():
 def test_stream_round_trip_with_header():
     P = random_sites(9, 321)
     records = oracle_vdk(P, 2).halfedge_records()
-    buf = io.StringIO()
-    write_stream(records, buf, header={"mode": "order", "n": 9})
-    buf.seek(0)
+    buf = io.StringIO("# mode=order n=9\n" + "".join(format_record(rec) + "\n" for rec in records))
     header, back = read_stream(buf)
     assert header["mode"] == "order"
     assert back == records

@@ -9,12 +9,13 @@ from wsvoronoi import exact
 from wsvoronoi.cli import main
 from wsvoronoi.datagen import random_sites, triangle, with_interior_point
 from wsvoronoi.geometry import DegenerateGeometry, site_set
-from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
+from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
 from wsvoronoi.oracle import _directed_boundary, check_distance_profile, oracle_vdk, verify_run
 from wsvoronoi.records import Unbounded, read_stream
 from wsvoronoi.scan import (
     DiagramMode,
     FarthestCellEmpty,
+    arc_walked,
     cell_edges,
     cell_walk,
     enumerate_diagram,
@@ -37,7 +38,7 @@ def run_diagram(sites, mode):
 
 def first_edge(arena, i, mode):
     """The edge the first one-slot round finds for site i's fresh walk."""
-    [edge] = _round(arena, [cell_walk(arena, i, mode)], mode)
+    [edge] = _round(arena, [cell_walk(arena, i, mode, observing_ledger())], mode)
     return edge
 
 
@@ -69,25 +70,25 @@ def naive_hull_membership(sites, i):
 class TestHullMembership:
     def test_triangle_vertices_on_hull(self):
         arena = ReadOnlyArena(triangle())
-        st = locate_on_hull(arena, 0)
+        st = locate_on_hull(arena, 0, observing_ledger())
         assert st is not None
         assert set(st) == {1, 2}
 
     def test_interior_point(self):
         arena = ReadOnlyArena(with_interior_point())
-        assert locate_on_hull(arena, 3) is None
+        assert locate_on_hull(arena, 3, observing_ledger()) is None
 
     def test_matches_naive_oracle(self):
         P = random_sites(12, 71)
         arena = ReadOnlyArena(P)
         for i in range(12):
-            got = locate_on_hull(arena, i) is not None
+            got = locate_on_hull(arena, i, observing_ledger()) is not None
             assert got == naive_hull_membership(P, i)
 
     def test_one_pass_reads(self):
         P = random_sites(30, 72)
         arena = ReadOnlyArena(P)
-        locate_on_hull(arena, 5)
+        locate_on_hull(arena, 5, observing_ledger())
         assert arena.read_count <= 2 * 30
 
     def test_collinear_sites_give_outermost_neighbors(self):
@@ -117,7 +118,7 @@ class TestHullMembership:
                 continue
             arena = ReadOnlyArena(sites)
             for i, pt in enumerate(pts):
-                st = locate_on_hull(arena, i)
+                st = locate_on_hull(arena, i, observing_ledger())
                 if pt not in hull:
                     assert st is None
                     continue
@@ -137,7 +138,7 @@ class TestStartRay:
         P = random_sites(24, seed)
         arena = ReadOnlyArena(P)
         for i, site in enumerate(P):
-            walk = cell_walk(arena, i, N)
+            walk = cell_walk(arena, i, N, observing_ledger())
             assert walk.cutter is None  # found by the first round's pass
             [edge] = _round(arena, [walk], N)
             _, j = min(((w.ix - site.ix) ** 2 + (w.iy - site.iy) ** 2, j) for j, w in enumerate(P) if j != i)
@@ -147,7 +148,7 @@ class TestStartRay:
 
     def test_farthest_starts_on_a_hull_neighbor_bisector(self):
         arena = ReadOnlyArena(triangle())
-        walk = cell_walk(arena, 0, F)
+        walk = cell_walk(arena, 0, F, observing_ledger())
         assert walk.cutter in (1, 2)  # known before any pass
         [edge] = _round(arena, [walk], F)
         assert edge.rival in (1, 2)
@@ -155,9 +156,9 @@ class TestStartRay:
 
     def test_farthest_interior_raises(self):
         arena = ReadOnlyArena(with_interior_point())
-        assert cell_walk(arena, 3, F) is None
+        assert cell_walk(arena, 3, F, observing_ledger()) is None
         with pytest.raises(FarthestCellEmpty):
-            cell_edges(arena, 3, F)
+            cell_edges(arena, 3, F, observing_ledger())
 
     def test_farthest_cells_beside_a_site_inside_a_hull_edge(self, tmp_path, capsys):
         """Site 1 lies inside the hull edge from site 0 to site 2: it has no
@@ -173,10 +174,10 @@ class TestStartRay:
         sites = site_set([(0, 0), (0, 1), (0, 2), (1, 0)])
         arena = ReadOnlyArena(sites)
         for i in (0, 2, 3):
-            got = {record_for(arena, e, F).undirected_key() for e in cell_edges(arena, i, F)}
+            got = {record_for(arena, e, F).undirected_key() for e in cell_edges(arena, i, F, observing_ledger())}
             assert got == {r.undirected_key() for r in records if i in r.pair}
         with pytest.raises(FarthestCellEmpty):
-            cell_edges(arena, 1, F)
+            cell_edges(arena, 1, F, observing_ledger())
 
 
 class TestFindEdge:
@@ -209,7 +210,7 @@ class TestCellWalk:
     def test_triangle_cells_have_two_edges(self):
         arena = ReadOnlyArena(triangle())
         for mode in (N, F):
-            edges = cell_edges(arena, 0, mode)
+            edges = cell_edges(arena, 0, mode, observing_ledger())
             assert len(edges) == 2
             assert {e.rival for e in edges} == {1, 2}
 
@@ -222,7 +223,7 @@ class TestCellWalk:
             for side in e.pair:
                 by_cell.setdefault(side, set()).add(frozenset(e.pair))
         for i in range(12):
-            mine = {frozenset((e.site, e.rival)) for e in cell_edges(arena, i, N)}
+            mine = {frozenset((e.site, e.rival)) for e in cell_edges(arena, i, N, observing_ledger())}
             assert mine == by_cell.get(i, set())
 
 
@@ -269,7 +270,7 @@ class TestWalkOrder:
             cell = frozenset({i}) if mode is N else frozenset(range(n)) - {i}
             boundary = _directed_boundary(cell, [e for e in oracle.edges if i in e.pair], P)
             try:
-                edges = cell_edges(arena, i, mode)
+                edges = cell_edges(arena, i, mode, observing_ledger())
             except FarthestCellEmpty:
                 assert boundary == ()
                 continue
@@ -289,7 +290,7 @@ class TestWalkOrder:
         n = len(P)
         for i in range(n):
             arena = ReadOnlyArena(P)
-            edges = cell_edges(arena, i, N)
+            edges = cell_edges(arena, i, N, observing_ledger())
             assert arena.read_count == 1 + n + len(edges) * (n + 1)
 
 
@@ -413,7 +414,7 @@ class TestWalkedArc:
         arena = ReadOnlyArena(P)
         for mode in (N, F):
             try:
-                walks = list(_site_source(arena, mode, 2, None))  # the diagram's walks
+                walks = list(_site_source(arena, mode, 2, observing_ledger()))  # the diagram's walks
             except DegenerateGeometry:
                 continue
             for walk in walks:
@@ -421,9 +422,10 @@ class TestWalkedArc:
                 answers = []  # per round: the walk's answer for every site
                 reported = []
                 try:
-                    for _, edge in walk_cells(arena, mode, 1, iter([walk])):
+                    for _, edge in walk_cells(arena, mode, 1, iter([walk]), observing_ledger()):
                         reported.append(edge.rival)
-                        answers.append({j for j, (x, y) in enumerate(pts) if walk.walked((x - p[0], y - p[1]))})
+                        arc = walk.arc()
+                        answers.append({j for j, (x, y) in enumerate(pts) if arc_walked(arc, (x - p[0], y - p[1]))})
                 except DegenerateGeometry:
                     continue
                 for k, walked in enumerate(answers, 1):

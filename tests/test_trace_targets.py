@@ -24,8 +24,12 @@ def test_target_resolves(modname, attr):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--mode", "nvd", "--workspace", "8"], ["--mode", "order", "--max-k", "2", "--workspace", "8"]],
-    ids=["nvd", "order"],
+    [
+        ["--mode", "nvd", "--workspace", "8"],
+        ["--mode", "fvd"],
+        ["--mode", "order", "--max-k", "2", "--workspace", "8"],
+    ],
+    ids=["nvd", "fvd", "order"],
 )
 def test_traced_run_is_consistent(flags, tmp_path, capsys):
     """A `vw run` under the installed tracer, as `run.py --trace 1` makes

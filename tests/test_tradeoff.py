@@ -5,7 +5,7 @@ import pytest
 from wsvoronoi import exact, scan, tradeoff
 from wsvoronoi.datagen import random_sites, triangle
 from wsvoronoi.geometry import DegenerateGeometry
-from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger
+from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
 from wsvoronoi.oracle import oracle_vdk, verify_run
 from wsvoronoi.records import format_record
 from wsvoronoi.scan import DiagramMode, cell_walk, enumerate_diagram, record_for
@@ -60,19 +60,19 @@ class TestBatchDiagram:
 
     def test_triangle(self):
         arena = ReadOnlyArena(triangle())
-        assert len(list(iter_big_big(arena, N, 4, dict.fromkeys(range(3), ())))) == 3
+        assert len(list(iter_big_big(arena, N, 4, dict.fromkeys(range(3), ()), observing_ledger()))) == 3
 
     def test_matches_oracle_on_subset(self):
         P = random_sites(12, 811)
         for mode, k in ((N, 1), (F, 11)):
             arena = ReadOnlyArena(P)
-            edges = iter_big_big(arena, mode, 4, dict.fromkeys(range(12), ()))
+            edges = iter_big_big(arena, mode, 4, dict.fromkeys(range(12), ()), observing_ledger())
             got = {record_for(arena, e, mode).undirected_key() for e in edges}
             assert got == oracle_vdk(P, k).undirected_keys()
 
     def test_single_site(self):
         arena = ReadOnlyArena(triangle())
-        assert list(iter_big_big(arena, N, 4, {0: ()})) == []
+        assert list(iter_big_big(arena, N, 4, {0: ()}, observing_ledger())) == []
 
 
 class SpanArena(ReadOnlyArena):
@@ -106,12 +106,13 @@ def walk_by_hand(arena, walk, mode, size):
     while not walk.done:
         if walk.cutter is None:
             points = {j: w for span in spans for j, w in span}
-            near = [scan.nearest_run(walk.p, span, walk.site) for span in spans]
-            walk.cutter = scan.nearest_run(walk.p, [(j, points[j]) for j in near if j is not None], walk.site)
+            near = [scan.nearest_run(walk.p, span, walk.site, arena) for span in spans]
+            walk.cutter = scan.nearest_run(walk.p, [(j, points[j]) for j in near if j is not None], walk.site, arena)
         walk.begin_clip()
         line = exact.bisector_line(walk.p, arena.read(walk.rival).ipt)
         for span in spans:
-            assert scan.clip_run(walk.state, line, walk.p, span, -1 if nearest else 1, (walk.site, walk.rival))
+            want = -1 if nearest else 1
+            assert scan.clip_run(walk.state, line, walk.p, span, want, (walk.site, walk.rival), work=arena)
         edge = scan.clip_edge(walk.site, walk.p, walk.rival, line, walk.state)
         edges.append(edge)
         walk.advance(edge)
@@ -142,10 +143,10 @@ class TestFindEdgesBatched:
         arena = ReadOnlyArena(P)
         for mode in (N, F):
             for i in range(16):
-                if cell_walk(arena, i, mode) is None:
+                if cell_walk(arena, i, mode, observing_ledger()) is None:
                     continue
-                [whole] = walk_by_rounds(arena, [cell_walk(arena, i, mode)], mode).values()
-                batched = walk_by_hand(arena, cell_walk(arena, i, mode), mode, 3)
+                [whole] = walk_by_rounds(arena, [cell_walk(arena, i, mode, observing_ledger())], mode).values()
+                batched = walk_by_hand(arena, cell_walk(arena, i, mode, observing_ledger()), mode, 3)
                 assert [record_for(arena, e, mode) for e in whole] == [record_for(arena, e, mode) for e in batched]
 
     def test_batched_equals_sequential(self):
@@ -153,10 +154,10 @@ class TestFindEdgesBatched:
         P = random_sites(16, 812)
         arena = ReadOnlyArena(P)
         for mode in (N, F):
-            slots = [w for w in (cell_walk(arena, i, mode) for i in range(16)) if w is not None][:4]
+            slots = [w for w in (cell_walk(arena, i, mode, observing_ledger()) for i in range(16)) if w is not None][:4]
             shared = walk_by_rounds(arena, slots, mode)
             for slot in slots:
-                [alone] = walk_by_rounds(arena, [cell_walk(arena, slot.site, mode)], mode).values()
+                [alone] = walk_by_rounds(arena, [cell_walk(arena, slot.site, mode, observing_ledger())], mode).values()
                 assert [record_for(arena, e, mode) for e in shared[slot.site]] == [
                     record_for(arena, e, mode) for e in alone
                 ]
@@ -164,7 +165,7 @@ class TestFindEdgesBatched:
     def test_whole_input_in_one_batch(self):
         P = random_sites(6, 813)
         arena = ReadOnlyArena(P)
-        slots = [cell_walk(arena, i, N) for i in range(6)]
+        slots = [cell_walk(arena, i, N, observing_ledger()) for i in range(6)]
         edges = _round(arena, slots, N)
         assert len(edges) == 6
 
@@ -199,7 +200,7 @@ class TestPassStructure:
         P = random_sites(20, 816)
         arena = SpanArena(P)
         n = len(P)
-        slots = [w for w in (cell_walk(arena, i, mode) for i in range(n)) if w is not None][:5]
+        slots = [w for w in (cell_walk(arena, i, mode, observing_ledger()) for i in range(n)) if w is not None][:5]
         m = len(slots)
         for fresh in (True, False):
             assert all(t.first_edge is None for t in slots) is fresh
@@ -225,7 +226,7 @@ class TestPassStructure:
     def test_big_big_reads_one_span(self):
         P = random_sites(12, 811)
         arena = SpanArena(P)
-        edges = list(iter_big_big(arena, N, 4, dict.fromkeys(range(12), ())))
+        edges = list(iter_big_big(arena, N, 4, dict.fromkeys(range(12), ()), observing_ledger()))
         assert edges
         assert arena.spans == [(0, 12)]
 
@@ -242,7 +243,7 @@ class TestHullChain:
         before ended on and handed on clipped."""
         n = 24
         arena = SpanArena(parabola(n, 841))
-        run_tradeoff(arena, F, 1, OutputSink(keep=False))
+        run_tradeoff(arena, F, 1, OutputSink(keep=False), observing_ledger())
         assert arena.spans == [(0, n)] * (2 + 2 * (2 * n - 3) - (n - 1))
         assert arena.read_count == n * len(arena.spans) + arena.singles
 
@@ -254,10 +255,10 @@ class TestHullChain:
         arena = ReadOnlyArena(parabola(24, 843) if kind == "parabola" else random_sites(40, 844))
         n = len(arena)
         chained = 0
-        for walk in tradeoff._hull_chain(arena, None):
+        for walk in tradeoff._hull_chain(arena, observing_ledger()):
             line = exact.bisector_line(walk.p, arena.read(walk.cutter).ipt)
             state = [None] * 5
-            assert scan.clip_run(state, line, walk.p, arena.read_span(0, n), 1, (walk.site, walk.cutter))
+            assert scan.clip_run(state, line, walk.p, arena.read_span(0, n), 1, (walk.site, walk.cutter), work=arena)
             full = scan.clip_edge(walk.site, walk.p, walk.cutter, line, state)
             handed = walk.handed
             [edge] = _round(arena, [walk], F)
@@ -268,7 +269,7 @@ class TestHullChain:
             while not walk.done:
                 [edge] = _round(arena, [walk], F)
                 walk.advance(edge)
-        assert chained == len(list(hull_stream(arena, 1))) - 1
+        assert chained == len(list(hull_stream(arena, 1, observing_ledger()))) - 1
 
     def test_first_edge_must_be_a_ray(self):
         """Started against a site that is not its hull neighbor, a farthest
@@ -276,7 +277,7 @@ class TestHullChain:
         walked on."""
         n = 6
         arena = ReadOnlyArena(parabola(n, 842))
-        hull = list(hull_stream(arena, 1))
+        hull = list(hull_stream(arena, 1, observing_ledger()))
         raised = 0
         for a, i in enumerate(hull):
             for j in hull[a + 2 : a + n - 1]:
@@ -296,7 +297,7 @@ class TestEdgeVanished:
     point, and a defect when it is strictly empty."""
 
     def _slot(self, lo, hi):
-        slot = cell_walk(ReadOnlyArena(triangle()), 0, N)
+        slot = cell_walk(ReadOnlyArena(triangle()), 0, N, observing_ledger())
         slot.rival = 1
         slot.state = [lo, hi, 2, 2]
         return slot
@@ -313,17 +314,17 @@ class TestEdgeVanished:
 class TestBigCellTable:
     def test_small_input_completes(self):
         arena = ReadOnlyArena(triangle())
-        assert len(find_big_cells(arena, N, 8)) == 0
+        assert len(find_big_cells(arena, N, 8, observing_ledger())) == 0
 
     def test_bounded_by_s(self):
         P = random_sites(16, 814)
         arena = ReadOnlyArena(P)
-        assert len(find_big_cells(arena, N, 4)) <= 4
+        assert len(find_big_cells(arena, N, 4, observing_ledger())) <= 4
 
     def test_farthest_big_cells_are_hull_sites(self):
         P = random_sites(16, 815)
         arena = ReadOnlyArena(P)
-        table = find_big_cells(arena, F, 4)
+        table = find_big_cells(arena, F, 4, observing_ledger())
         hull = set(naive_hull(P))
         assert set(table) <= hull
 
@@ -336,16 +337,16 @@ class TestBigCells:
 
     @pytest.mark.parametrize("mode, s, k, big, big_big", CASES, ids=["nearest", "farthest"])
     def test_table_and_big_big_edges(self, mode, s, k, big, big_big):
-        table = find_big_cells(ReadOnlyArena(self.P), mode, s)
+        table = find_big_cells(ReadOnlyArena(self.P), mode, s, observing_ledger())
         assert list(table) == big
-        assert len(list(iter_big_big(ReadOnlyArena(self.P), mode, s, table))) == big_big
+        assert len(list(iter_big_big(ReadOnlyArena(self.P), mode, s, table, observing_ledger()))) == big_big
 
     @pytest.mark.parametrize("mode, s, k, big, big_big", CASES, ids=["nearest", "farthest"])
     def test_reporting_walks_find_the_same_table(self, mode, s, k, big, big_big):
         found = []
-        list(iter_diagram(ReadOnlyArena(self.P), mode, s, None, found))
+        list(iter_diagram(ReadOnlyArena(self.P), mode, s, observing_ledger(), found))
         [table] = found
-        assert list(table) == list(find_big_cells(ReadOnlyArena(self.P), mode, s)) == big
+        assert list(table) == list(find_big_cells(ReadOnlyArena(self.P), mode, s, observing_ledger())) == big
         # Every big walk reported an edge before it was cut: an index and a
         # 7-word arc each.
         assert [len(arc) for arc in table.values()] == [7] * len(big)
@@ -361,28 +362,28 @@ class TestBigCells:
 class TestPhases:
     def test_empty_table_reduces_to_index_dedup(self):
         arena = ReadOnlyArena(triangle())
-        edges = list(iter_small_incident(arena, N, 8, {}))
+        edges = list(iter_small_incident(arena, N, 8, {}, observing_ledger()))
         assert len(edges) == 3
 
     def test_phases_disjoint_union(self):
         P = random_sites(16, 816)
         for mode, k in ((N, 1), (F, 15)):
             arena = ReadOnlyArena(P)
-            table = find_big_cells(arena, mode, 4)
+            table = find_big_cells(arena, mode, 4, observing_ledger())
             small = {
                 record_for(arena, e, mode).undirected_key()
-                for e in iter_small_incident(arena, mode, 4, table)
+                for e in iter_small_incident(arena, mode, 4, table, observing_ledger())
             }
             big = {
                 record_for(arena, e, mode).undirected_key()
-                for e in iter_big_big(arena, mode, 4, table)
+                for e in iter_big_big(arena, mode, 4, table, observing_ledger())
             }
             assert small.isdisjoint(big)
             assert small | big == oracle_vdk(P, k).undirected_keys()
 
     def test_big_big_empty_for_tiny_table(self):
         arena = ReadOnlyArena(triangle())
-        assert list(iter_big_big(arena, N, 8, {0: ()})) == []
+        assert list(iter_big_big(arena, N, 8, {0: ()}, observing_ledger())) == []
 
 
 def parabola(n, seed):
@@ -407,8 +408,8 @@ class TestTableOrder:
             P = random_sites(n, seed) if kind == "random" else parabola(n, seed)
             for mode in (N, F):
                 for s in (2, 3, 8, n - 1):
-                    table = run_tradeoff(ReadOnlyArena(P), mode, s, OutputSink(keep=False))
-                    search = find_big_cells(ReadOnlyArena(P), mode, s)
+                    table = run_tradeoff(ReadOnlyArena(P), mode, s, OutputSink(keep=False), observing_ledger())
+                    search = find_big_cells(ReadOnlyArena(P), mode, s, observing_ledger())
                     assert list(table) == list(search) == sorted(table), (n, mode, s)
                     assert set(search.values()) <= {()}
                     sizes.append(len(table))
@@ -442,14 +443,14 @@ class TestReportedOnce:
 class TestHullStream:
     def test_triangle_clockwise(self):
         arena = ReadOnlyArena(triangle())
-        assert list(hull_stream(arena, 2)) == naive_hull(triangle())
+        assert list(hull_stream(arena, 2, observing_ledger())) == naive_hull(triangle())
 
     @pytest.mark.parametrize("s", [1, 2, 3, 5, 12])
     def test_matches_naive(self, s):
         inputs = [random_sites(12, 820 + seed) for seed in range(6)] + [parabola(12, 826)]
         for P in inputs:
             arena = ReadOnlyArena(P)
-            assert list(hull_stream(arena, s)) == naive_hull(P)
+            assert list(hull_stream(arena, s, observing_ledger())) == naive_hull(P)
 
     @pytest.mark.parametrize("s", [1, 2, 3, 5])
     def test_charge_covers_window(self, s, monkeypatch):
@@ -474,7 +475,7 @@ class TestHullStream:
     def test_one_point_window_is_gift_wrapping(self, P):
         """One pass to find the start, then one pass per hull vertex."""
         arena = ReadOnlyArena(P)
-        hull = list(hull_stream(arena, 1))
+        hull = list(hull_stream(arena, 1, observing_ledger()))
         assert hull == naive_hull(P)
         assert arena.read_count == len(P) * (len(hull) + 1)
 
@@ -488,7 +489,7 @@ class TestHullStream:
         # (2, 0) and (1, 0) arrive.
         pts = [(0, 1), (2, 1), (0, 0), (3, 1), (1, 1), (0, 3), (2, 0), (3, 0), (2, 3), (3, 3), (2, 2), (1, 0)]
         pts += [(3, 2), (1, 3)]
-        hull = list(hull_stream(ReadOnlyArena(site_set(pts)), s))
+        hull = list(hull_stream(ReadOnlyArena(site_set(pts)), s, observing_ledger()))
         assert [pts[i] for i in hull] == [(0, 0), (0, 3), (3, 3), (3, 0)]
 
     def test_convex_position_visits_all(self):
@@ -504,7 +505,7 @@ class TestHullStream:
             pts.append((int(10**7 * math.cos(ang)), int(10**7 * math.sin(ang))))
         P = site_set(pts)
         arena = ReadOnlyArena(P)
-        got = list(hull_stream(arena, 4))
+        got = list(hull_stream(arena, 4, observing_ledger()))
         assert sorted(got) == list(range(14))
 
 
