@@ -137,13 +137,9 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _discard_partial(path, fh) -> None:
-    """Remove the record file of a run that stopped part way: the records
-    written so far depend on the order of the walks and form no diagram.
-    Only a regular file is removed, never a device or a link."""
-    if path:
-        with contextlib.suppress(OSError):
-            fh.close()
+def _remove_regular(path) -> None:
+    """Remove `path` if it is a regular file, never a device or a link."""
+    with contextlib.suppress(FileNotFoundError):
         if stat.S_ISREG(os.lstat(path).st_mode):
             os.remove(path)
 
@@ -161,6 +157,8 @@ def cmd_run(args) -> int:
         raise ConfigError("--max-k only applies to --mode order")
     report = RunReport(len(sites), args.mode, args.workspace or 0, args.max_k or 1, args.seed, c)
 
+    if args.out:  # a report stands only beside the records it describes
+        _remove_regular(args.out + ".report")
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
 
     def writer(rec):
@@ -183,7 +181,11 @@ def cmd_run(args) -> int:
             with open(args.out + ".report", "w", encoding="utf-8") as rf:
                 rf.write(report.text())
     except BaseException:
-        _discard_partial(args.out, out_fh)
+        # The records written so far depend on the order of the walks and form no diagram.
+        if args.out:
+            with contextlib.suppress(OSError):
+                out_fh.close()
+            _remove_regular(args.out)
         raise
     if not args.out:
         sys.stderr.write(report.text())
@@ -191,23 +193,36 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _stream_orders(header: dict, n: int) -> range:
+    """The orders a record stream holds: those its header's mode writes,
+    nvd 1, fvd n - 1 and order 1..min(K, n - 1), or 1..n - 1 with no mode."""
+    mode, K = header.get("mode"), header.get("K", "")
+    if mode not in (None, "nvd", "fvd", "order") or (mode == "order" and not K.isdecimal()):
+        raise RecordFormatError(f"header names no stream of vw run: mode={mode} K={K}")
+    if mode == "order":
+        return range(1, min(int(K), n - 1) + 1)
+    return {"nvd": range(1, 2), "fvd": range(n - 1, n)}.get(mode, range(1, n))
+
+
 def cmd_verify(args) -> int:
+    """Check each order the stream holds, and each its header's mode
+    writes, which has all its edges missing when it holds no records."""
     from .oracle import VerifyReport, oracle_vdk, verify_run
 
     sites = _load_sites(args.file)
     header, records = _load_records(args.records)
-    directed = header.get("mode") == "order"
-    orders = sorted({r.k for r in records})
+    orders = _stream_orders(header, len(sites))
+    checked = sorted({r.k for r in records}.union(orders if "mode" in header else ()))
     all_ok = True
-    for k in orders:
-        if not 1 <= k <= len(sites) - 1:
-            bad = [(r, f"order {k} out of range for {len(sites)} sites") for r in records if r.k == k]
-            rep = VerifyReport([], [], [], bad)
+    for k in checked:
+        if k in orders:
+            rep = verify_run(records, oracle_vdk(sites, k), k, directed=header.get("mode") == "order")
         else:
-            rep = verify_run(records, oracle_vdk(sites, k), k, directed=directed)
+            why = f"order {k} outside {orders.start}..{orders.stop - 1} for {len(sites)} sites"
+            rep = VerifyReport([], [], [], [(r, why) for r in records if r.k == k])
         print(f"k={k}: {rep.summary()}")
         all_ok = all_ok and rep.ok
-    if not orders:
+    if not checked:
         print("no records")
     return 0 if all_ok else 1
 

@@ -8,6 +8,7 @@ value exactly representable.  Generation is deterministic per (n, seed).
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,6 +28,7 @@ GRID = 1 << 40
 #: and |w| * scale < 32 * 10^(3D): at most 3D + 2 digits.
 GRID_DIGITS = (4300 - 2) // 3
 _GRID_LIMIT = 10**GRID_DIGITS
+_GRID_ERROR = f"coordinates need more than {GRID_DIGITS} digits on their common grid"
 
 
 def random_sites(n: int, seed: int, grid: int = GRID) -> tuple[Site, ...]:
@@ -56,12 +58,23 @@ class DuplicateSiteError(ValueError):
     """The input contains the same point twice (a degeneracy, not a typo)."""
 
 
+#: A decimal literal with an exponent, as `Fraction` reads one.
+_EXPONENT_LITERAL = re.compile(r"[-+]?(?=\.?\d)(\d*\.?\d*)e([-+]?\d+)", re.IGNORECASE)
+
+
 def _coordinate(token: str):
     """One coordinate: an integer, a decimal literal with an optional
-    exponent, or p/q.  Integers, the common case, stay ints."""
+    exponent, or p/q.  Integers, the common case, stay ints.  A nonzero
+    literal with |exponent| > GRID_DIGITS + len(token) can never fit the
+    grid, so it is refused before `Fraction` builds its power of ten."""
     try:
         return int(token)
     except ValueError:
+        literal = _EXPONENT_LITERAL.fullmatch(token)
+        if literal and not literal[1].strip("0."):
+            return 0
+        if literal and abs(int(literal[2])) > GRID_DIGITS + len(token):
+            raise SiteParseError(_GRID_ERROR) from None
         return Fraction(token)
 
 
@@ -71,8 +84,8 @@ def parse_sites_text(text: str) -> tuple[Site, ...]:
     Underscores in numbers are rejected on every Python: `int` takes them
     everywhere, `Fraction` from 3.11 on, and `sites_to_text` never writes
     them.  So is a site set whose common grid needs more than GRID_DIGITS
-    digits: `Fraction` takes any exponent, and its records could not be
-    printed.
+    digits, as its records could not be printed; a literal whose exponent
+    alone puts it past that bound is refused before `Fraction` builds it.
     """
     coords = []
     seen = {}
@@ -87,6 +100,8 @@ def parse_sites_text(text: str) -> tuple[Site, ...]:
             if "_" in line:
                 raise ValueError
             xy = (_coordinate(parts[0]), _coordinate(parts[1]))
+        except SiteParseError:
+            raise
         except (ValueError, ZeroDivisionError):
             raise SiteParseError(f"line {lineno}: bad coordinate in {raw!r}") from None
         first = seen.setdefault(xy, lineno)
@@ -97,34 +112,10 @@ def parse_sites_text(text: str) -> tuple[Site, ...]:
         raise SiteParseError(f"need at least 3 sites, got {len(coords)}")
     sites = site_set(coords)
     if sites[0].scale >= _GRID_LIMIT or any(abs(s.ix) >= _GRID_LIMIT or abs(s.iy) >= _GRID_LIMIT for s in sites):
-        raise SiteParseError(f"coordinates need more than {GRID_DIGITS} digits on their common grid")
+        raise SiteParseError(_GRID_ERROR)
     return sites
 
 
-def _decimal_literal(fr) -> str:
-    """Exact decimal literal for a rational with a 2^a * 5^b denominator."""
-    den = fr.denominator
-    if den == 1:
-        return str(fr.numerator)
-    twos = fives = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
-        raise ValueError(f"{fr} has no finite decimal expansion")
-    tens = max(twos, fives)
-    num = fr.numerator * (10**tens // den)
-    sign = "-" if num < 0 else ""
-    digits = str(abs(num)).rjust(tens + 1, "0")
-    return f"{sign}{digits[:-tens]}.{digits[-tens:]}"
-
-
 def sites_to_text(sites: Sequence[Site]) -> str:
-    lines = []
-    for s in sites:
-        lines.append(f"{_decimal_literal(s.x)} {_decimal_literal(s.y)}")
-    return "\n".join(lines) + "\n"
+    """Site file text: each coordinate as its exact rational, n or p/q."""
+    return "".join(f"{s.x} {s.y}\n" for s in sites)

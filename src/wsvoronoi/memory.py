@@ -39,33 +39,33 @@ class ReadOnlyArena:
     arithmetic.
     """
 
-    __slots__ = ("_sites", "_items", "read_count", "site_tests", "site_visits", "scale")
+    __slots__ = ("_items", "read_count", "site_tests", "site_visits", "scale")
 
     def __init__(self, sites: Sequence[Site]):
-        self._sites = tuple(sites)
-        if not self._sites:
+        if not sites:
             raise ValueError("empty arena")
-        self._items = tuple((i, s.ipt) for i, s in enumerate(self._sites))
-        self.scale = self._sites[0].scale
+        self._items = tuple((i, s.ipt) for i, s in enumerate(sites))
+        self.scale = sites[0].scale
         self.read_count = 0
         self.site_tests = 0
         self.site_visits = 0
 
     def __len__(self) -> int:
-        return len(self._sites)
+        return len(self._items)
 
-    def read(self, i: int) -> Site:
-        if not 0 <= i < len(self._sites):
-            raise IndexError(f"arena index {i} out of range 0..{len(self._sites) - 1}")
+    def read(self, i: int) -> tuple[int, int]:
+        """Site i's integer point, as `read_span` yields it; one read."""
+        if not 0 <= i < len(self._items):
+            raise IndexError(f"arena index {i} out of range 0..{len(self._items) - 1}")
         self.read_count += 1
-        return self._sites[i]
+        return self._items[i][1]
 
     def read_span(self, start: int, stop: int) -> tuple:
         """Sites start..stop-1 as (index, integer point) pairs, counted as
         stop - start reads.  The pairs are the arena's own, so a span is a
         view of the input, not a workspace copy."""
-        if not 0 <= start <= stop <= len(self._sites):
-            raise IndexError(f"arena span {start}..{stop} out of range 0..{len(self._sites)}")
+        if not 0 <= start <= stop <= len(self._items):
+            raise IndexError(f"arena span {start}..{stop} out of range 0..{len(self._items)}")
         self.read_count += stop - start
         return self._items[start:stop]
 

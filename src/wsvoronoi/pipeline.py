@@ -57,50 +57,28 @@ class HalfEdge:
     The k-1 sites closest to the edge, the tied pair (ordered so the cell
     of ``closest | {pair[0]}`` lies left of the direction), and one extra
     site per bounded endpoint naming the vertex's third defining site.
-    Geometry (carrier line, endpoints) is derived data kept alongside.
+    Geometry (direction, endpoints) is derived data kept alongside.
     """
 
     k: int
     closest: frozenset
     pair: tuple[int, int]
-    carrier: tuple[int, int, int]
     direction: tuple[int, int]
     tail: Optional[tuple[int, int, int]]
     head: Optional[tuple[int, int, int]]
     tail_extra: Optional[int]
     head_extra: Optional[int]
 
-    def left_cell(self) -> frozenset:
-        return self.closest | {self.pair[0]}
-
     def right_cell(self) -> frozenset:
         return self.closest | {self.pair[1]}
 
     def opposite(self) -> "HalfEdge":
-        return HalfEdge(
-            self.k,
-            self.closest,
-            (self.pair[1], self.pair[0]),
-            self.carrier,
-            (-self.direction[0], -self.direction[1]),
-            self.head,
-            self.tail,
-            self.head_extra,
-            self.tail_extra,
-        )
+        (a, b), (dx, dy) = self.pair, self.direction
+        return HalfEdge(self.k, self.closest, (b, a), (-dx, -dy), self.head, self.tail, self.head_extra, self.tail_extra)
 
     def to_record(self, scale: int) -> EdgeRecord:
-        return directed_record(
-            self.k,
-            tuple(sorted(self.closest)),
-            self.pair,
-            self.direction,
-            self.tail,
-            self.head,
-            self.tail_extra,
-            self.head_extra,
-            scale,
-        )
+        ends = (self.tail, self.head, self.tail_extra, self.head_extra)
+        return directed_record(self.k, tuple(sorted(self.closest)), self.pair, self.direction, *ends, scale)
 
 
 def is_relevant(e: HalfEdge) -> bool:
@@ -119,7 +97,7 @@ def _halfedges_of_cell_edge(k: int, closest: frozenset, edge: CellEdge) -> list:
     lo, hi = edge.ends()
     ex, ey = _rival_offset(line, *edge.p)
     pair = (edge.site, edge.rival) if exact.cross_dir(d, (-ex, -ey)) > 0 else (edge.rival, edge.site)
-    he = HalfEdge(k, closest, pair, line, d, lo, hi, edge.lo_cutter, edge.hi_cutter)
+    he = HalfEdge(k, closest, pair, d, lo, hi, edge.lo_cutter, edge.hi_cutter)
     return [he, he.opposite()]
 
 
@@ -292,9 +270,7 @@ class _IntervalWalk:
             line = exact.bisector_line(self.pair_pts[0], z)
             head = exact.line_intersection(self.carrier, line)
             self._head = (z, line)
-        return HalfEdge(
-            k_out, self.closest, self.pair, self.carrier, self.direction, self.tail, head, self.tail_extra, head_extra
-        )
+        return HalfEdge(k_out, self.closest, self.pair, self.direction, self.tail, head, self.tail_extra, head_extra)
 
     def advance(self, f: HalfEdge) -> None:
         """Step past f, the edge just materialized, whose head is a new
@@ -329,9 +305,9 @@ def _relevant_walks(arena: ReadOnlyArena, source: Iterator, table: dict) -> Iter
     for e in source:
         p, q = e.pair
         if is_relevant(e) and e.closest | {p, q} not in table:
-            qp = arena.read(q).ipt
-            pp = arena.read(p).ipt
-            zp = arena.read(e.head_extra).ipt
+            qp = arena.read(q)
+            pp = arena.read(p)
+            zp = arena.read(e.head_extra)
             line = exact.bisector_line(qp, zp)
             yield _IntervalWalk(
                 e.closest | {p}, (q, e.head_extra), (qp, zp), line, _leaving(qp, zp, pp, True), e.head, p
@@ -346,16 +322,13 @@ def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger):
     pass_words = s1 * max(1, k_out - 1) * W_BATCH_SITE
     guard = 4 * (k_out + 1) * (len(arena) + 4)
 
-    def pts(i: int) -> tuple[int, int]:
-        return arena.read(i).ipt
-
     def step(walks):
         still = []
         with ledger.scope(sum(w.words() for w in walks)):
             with ledger.scope(pass_words):
                 _trim_round(arena, walks)
             for w in walks:
-                f = w.materialize(k_out, pts)
+                f = w.materialize(k_out, arena.read)
                 yield f
                 w.steps += 1
                 if not is_relevant(f):
@@ -510,8 +483,8 @@ def _iter_big_big_edges(
         with ledger.scope(len(group) * (k_out + 14) + W_FIXED):
             states = []
             for common, a, b in group:
-                a_pt = arena.read(a).ipt
-                line = exact.bisector_line(a_pt, arena.read(b).ipt)
+                a_pt = arena.read(a)
+                line = exact.bisector_line(a_pt, arena.read(b))
                 states.append((common, a, b, a_pt, line, [None, None, None, None, None]))
             span = arena.read_span(0, len(arena))
             for common, a, b, a_pt, line, box in states:

@@ -82,17 +82,6 @@ class EdgeRecord:
         ends = sorted([self.endpoint_key("tail"), self.endpoint_key("head")])
         return (self.k, self.closest, tuple(sorted(self.pair)), ends[0], ends[1])
 
-    def opposite(self) -> "EdgeRecord":
-        return EdgeRecord(
-            self.k,
-            self.closest,
-            (self.pair[1], self.pair[0]),
-            self.head,
-            self.tail,
-            self.extra_h,
-            self.extra_t,
-        )
-
 
 def _fmt_endpoint(ep: Endpoint) -> str:
     if isinstance(ep, Unbounded):
@@ -245,22 +234,16 @@ def undirected_record(
     be sorted.
 
     Endpoints come as homogeneous points (w > 0) in scaled coordinates,
-    aligned with the carrier's canonical direction.  Bounded before
-    unbounded; two bounded endpoints are ordered lexicographically by
-    (x, y); an unbounded end is written with its receding direction.
+    aligned with the carrier's canonical direction.  The edge keeps that
+    direction unless `hi` is bounded and comes first: `lo` unbounded, or
+    `hi` before `lo` in (x, y) order.  So a bounded end comes before an
+    unbounded one, and two bounded ends are written in (x, y) order.
     """
     d = exact.line_dir(carrier_line)
-    pair = (min(pair), max(pair))
-    if lo is not None and hi is not None:
-        # (x, y) order, on both points scaled by the positive w1 * w2.
-        if (lo[0] * hi[2], lo[1] * hi[2]) <= (hi[0] * lo[2], hi[1] * lo[2]):
-            return EdgeRecord(k, closest, pair, _hpoint_end(lo, scale), _hpoint_end(hi, scale), lo_extra, hi_extra)
-        return EdgeRecord(k, closest, pair, _hpoint_end(hi, scale), _hpoint_end(lo, scale), hi_extra, lo_extra)
-    if lo is not None:
-        return EdgeRecord(k, closest, pair, _hpoint_end(lo, scale), Unbounded(*d), lo_extra, None)
-    if hi is not None:
-        return EdgeRecord(k, closest, pair, _hpoint_end(hi, scale), Unbounded(-d[0], -d[1]), hi_extra, None)
-    return EdgeRecord(k, closest, pair, Unbounded(-d[0], -d[1]), Unbounded(*d), None, None)
+    # (x, y) order, on both points scaled by the positive w1 * w2.
+    if hi is not None and (lo is None or (hi[0] * lo[2], hi[1] * lo[2]) < (lo[0] * hi[2], lo[1] * hi[2])):
+        d, lo, hi, lo_extra, hi_extra = (-d[0], -d[1]), hi, lo, hi_extra, lo_extra
+    return directed_record(k, closest, (min(pair), max(pair)), d, lo, hi, lo_extra, hi_extra, scale)
 
 
 def directed_record(

@@ -110,14 +110,14 @@ def locate_on_hull(arena: ReadOnlyArena, p_idx: int, ledger: WorkLedger) -> Opti
     """
     n = len(arena)
     with ledger.scope(W_LOCATE):
-        p = arena.read(p_idx).ipt
+        p = arena.read(p_idx)
         q_idx = 0 if p_idx != 0 else 1
-        q = arena.read(q_idx).ipt
+        q = arena.read(q_idx)
         cw = ccw = (q, q_idx)
         for j in range(n):
             if j == p_idx or j == q_idx:
                 continue
-            w = arena.read(j).ipt
+            w = arena.read(j)
             side = exact.orient_ipts(p, q, w)
             if side == 0 and _along(p, q, w) < 0:
                 return None
@@ -519,7 +519,7 @@ def arc_walked(arc, e) -> bool:
 def hull_walk(arena: ReadOnlyArena, i: int, nxt: int) -> TrackedSite:
     """The farthest-cell walk of hull site i, started on its unbounded edge
     with hull neighbor nxt: their bisector is its first carrier."""
-    return TrackedSite(i, arena.read(i).ipt, nxt)
+    return TrackedSite(i, arena.read(i), nxt)
 
 
 def cell_walk(arena: ReadOnlyArena, i: int, mode: DiagramMode, ledger: WorkLedger) -> Optional[TrackedSite]:
@@ -531,7 +531,7 @@ def cell_walk(arena: ReadOnlyArena, i: int, mode: DiagramMode, ledger: WorkLedge
     neighbors with `locate_on_hull`.
     """
     if mode is DiagramMode.NEAREST:
-        return TrackedSite(i, arena.read(i).ipt)
+        return TrackedSite(i, arena.read(i))
     neighbors = locate_on_hull(arena, i, ledger)
     if neighbors is None:
         return None

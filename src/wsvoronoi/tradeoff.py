@@ -107,11 +107,11 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
     edges = []
     for slot in slots:
         slot.begin_clip()
-        line = exact.bisector_line(slot.p, arena.read(slot.rival).ipt)
+        line = exact.bisector_line(slot.p, arena.read(slot.rival))
         skip = (slot.site, slot.rival)
         if slot.handed is not None:
             cut, slot.handed = slot.handed, None
-            alive = clip_run(slot.state, line, slot.p, ((cut, arena.read(cut).ipt),), want, skip, work=arena)
+            alive = clip_run(slot.state, line, slot.p, ((cut, arena.read(cut)),), want, skip, work=arena)
         else:
             if span is None:
                 span = arena.read_span(0, n)
@@ -437,7 +437,7 @@ def iter_big_big(
     if len(table) < 2:
         return
     want = -1 if mode is DiagramMode.NEAREST else 1
-    mem_sites = [(i, arena.read(i).ipt) for i in table]
+    mem_sites = [(i, arena.read(i)) for i in table]
     # Charged for the table's capacity, as the walks charge every slot.
     with ledger.scope(max(len(mem_sites), s - 1) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED):
         span = arena.read_span(0, len(arena))

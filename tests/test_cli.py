@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,39 @@ class TestSiteGrammar:
     def test_equal_values_are_duplicates(self):
         with pytest.raises(DuplicateSiteError, match="line 4: duplicate site, first seen on line 2"):
             parse_sites_text("0 0\n3 1/2\n1 1\n3.0 0.5\n")
+
+    @pytest.mark.parametrize(
+        "text, scale",
+        [
+            ("0.5 1/3\n2 0\n-1e2 7\n", 6),
+            ("1/3 2/3\n-4/3 0\n5 1/3\n", 3),
+            ("1/7 0\n3 -2/7\n9/7 5\n", 7),
+            ("1/12 1/4\n-5/6 1/3\n2 7/12\n", 12),
+        ],
+    )
+    def test_site_text_round_trips(self, text, scale):
+        """`sites_to_text` writes each coordinate in a form the parser
+        reads, whatever the denominators of the grid."""
+        sites = parse_sites_text(text)
+        assert sites[0].scale == scale
+        assert parse_sites_text(sites_to_text(sites)) == sites
+
+    @pytest.mark.parametrize("token", ["1e-20000000", "1e+20000000"])
+    def test_exponent_past_the_grid_is_refused_at_once(self, tmp_path, capsys, token):
+        """A literal whose exponent alone puts it past the grid bound is a
+        parse error before its power of ten is built."""
+        sites = tmp_path / "sites.txt"
+        sites.write_text(f"0 {token}\n")
+        out = tmp_path / "r.rec"
+        start = time.perf_counter()
+        assert main(["run", str(sites), "--mode", "nvd", "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"parse error: coordinates need more than {GRID_DIGITS} digits on their common grid\n"
+        assert not out.exists()
+
+    def test_zero_mantissa_with_any_exponent_is_zero(self):
+        sites = parse_sites_text("5 0e-20000000\n0 1\n1 7\n")
+        assert (sites[0].ix, sites[0].iy, sites[0].scale) == (5, 0, 1)
 
 
 class TestValidate:
@@ -239,6 +273,19 @@ class TestRun:
         if text == GRID_EDGE_WIDE:
             assert max(map(len, re.findall(r"\d+", written))) > 3 * GRID_DIGITS
 
+    def test_failed_rerun_leaves_no_stale_report(self, tmp_path, capsys):
+        """A run that fails after opening --out leaves neither its records
+        nor the report of an earlier run on the same path."""
+        good = tmp_path / "good.txt"
+        good.write_text(sites_to_text(random_sites(20, 3)))
+        square = tmp_path / "square.txt"
+        square.write_text("0 0\n2 0\n0 2\n2 2\n7 9\n")
+        out = tmp_path / "o.rec"
+        assert main(["run", str(good), "--mode", "nvd", "--out", str(out)]) == 0
+        assert (tmp_path / "o.rec.report").read_text().startswith("n=20 ")
+        assert main(["run", str(square), "--mode", "nvd", "--out", str(out)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["good.txt", "square.txt"]
+
     def test_scan_path_without_workspace(self, tri_file, tmp_path):
         out = tmp_path / "records.txt"
         assert main(["run", tri_file, "--mode", "fvd", "--out", str(out)]) == 0
@@ -324,6 +371,58 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(sites), str(out)]) == 1
         assert summary in capsys.readouterr().out.splitlines()
+
+
+class TestVerifyHeaderOrders:
+    """With a `mode` header, verify checks every order that mode writes."""
+
+    @pytest.fixture
+    def order_run(self, tmp_path):
+        sites = tmp_path / "sites.txt"
+        sites.write_text(sites_to_text(random_sites(20, 3)))
+        out = tmp_path / "r.rec"
+        assert main(["run", str(sites), "--mode", "order", "--max-k", "2", "--workspace", "4", "--out", str(out)]) == 0
+        return sites, out
+
+    def _verify(self, capsys, sites, out):
+        capsys.readouterr()
+        code = main(["verify", str(sites), str(out)])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_whole_stream_is_ok(self, order_run, capsys):
+        assert self._verify(capsys, *order_run) == (0, ["k=1: ok", "k=2: ok"])
+
+    def test_lost_order_is_missing(self, order_run, capsys):
+        sites, out = order_run
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(line for line in lines if not line.startswith("k=2 ")))
+        code, printed = self._verify(capsys, sites, out)
+        assert code == 1
+        assert printed[0] == "k=1: ok"
+        assert re.fullmatch(r"k=2: missing=[1-9]\d* spurious=0 duplicated=0 invalid=0", printed[1])
+
+    def test_header_alone_misses_every_order(self, order_run, capsys):
+        sites, out = order_run
+        out.write_text(out.read_text().splitlines(keepends=True)[0])
+        code, printed = self._verify(capsys, sites, out)
+        assert code == 1
+        assert [line.split(":")[0] for line in printed] == ["k=1", "k=2"]
+        assert all(re.search(r"missing=[1-9]", line) for line in printed)
+
+    def test_order_the_header_does_not_name_is_invalid(self, order_run, capsys):
+        sites, out = order_run
+        text = out.read_text()
+        out.write_text(text.replace(" K=2 ", " K=1 ", 1))
+        count = text.count("\nk=2 ")
+        assert self._verify(capsys, sites, out) == (1, ["k=1: ok", f"k=2: missing=0 spurious=0 duplicated=0 invalid={count}"])
+
+    @pytest.mark.parametrize("old, new", [(" K=2 ", " K=two "), ("mode=order", "mode=voronoi")])
+    def test_header_of_no_run_is_a_parse_error(self, order_run, capsys, old, new):
+        sites, out = order_run
+        out.write_text(out.read_text().replace(old, new, 1))
+        capsys.readouterr()
+        assert main(["verify", str(sites), str(out)]) == 3
+        assert capsys.readouterr().err.startswith("parse error: header names no stream of vw run")
 
 
 class TestDeterminism:

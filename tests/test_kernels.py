@@ -298,8 +298,8 @@ def check_box_sound(line, state, arena):
     """The cached box is the box of the current ends, and every integer
     point just outside it is strictly outside both closed end disks and
     leaves a one-site clip, run without the cull, unchanged."""
-    p = arena.read(0).ipt
-    r = arena.read(1).ipt
+    p = arena.read(0)
+    r = arena.read(1)
     a, b, _ = line
     e = (r[0] - p[0], r[1] - p[1])
     lo_box = _disk_box(*e, a, b, *p, *state[0][:2])
@@ -312,7 +312,7 @@ def check_box_sound(line, state, arena):
         max(lo_box[3], hi_box[3]),
     )
     # The ends as the cutters give them; `clip_edge` would refuse a tied end.
-    ends = [hpoint(exact.line_intersection(line, exact.bisector_line(p, arena.read(j).ipt))) for j in state[2:4]]
+    ends = [hpoint(exact.line_intersection(line, exact.bisector_line(p, arena.read(j)))) for j in state[2:4]]
     for w in outside_ring(box, 2):
         assert not any(in_closed_disk(w, e, p) for e in ends), (w, ends)
         one = state[:4] + [None]
@@ -588,7 +588,7 @@ def seeded_clips(pts):
                 if walk.cutter is None:
                     walk.cutter = nearest_run(walk.p, span, i, arena)
                 walk.begin_clip()
-                line = exact.bisector_line(walk.p, arena.read(walk.rival).ipt)
+                line = exact.bisector_line(walk.p, arena.read(walk.rival))
                 skip = (i, walk.rival)
                 plain = [None] * 5
                 alive = clip_run(plain, line, walk.p, span, -1, skip, work=arena)
@@ -619,7 +619,7 @@ class TestSeededClip:
             assert seeded == plain
             # The seed is the rival of the edge walked in, its point p's
             # mirror image in that edge's carrier.
-            assert w == arena.read(j).ipt
+            assert w == arena.read(j)
             alive, state = plain
             assert not alive or j in state[2:4]
 
@@ -631,7 +631,7 @@ class TestSeededClip:
         for (j, w), seeded, plain in clips:
             assert seeded == plain and seeded[0]
             # The seed's end is final at once: it cuts the entry vertex.
-            assert j in plain[1][2:4] and w == arena.read(j).ipt
+            assert j in plain[1][2:4] and w == arena.read(j)
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_tied_seed_is_degenerate(self, seed):
@@ -660,7 +660,7 @@ class TestReadSpan:
         start, stop = min(start, stop), max(start, stop)
         spans, singles = self.make(), self.make()
         got = spans.read_span(start, stop)
-        want = [(j, singles.read(j).ipt) for j in range(start, stop)]
+        want = [(j, singles.read(j)) for j in range(start, stop)]
         assert list(got) == want
         assert spans.read_count == singles.read_count == stop - start
 

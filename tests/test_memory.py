@@ -21,8 +21,7 @@ class TestArena:
     def test_read_counts(self):
         arena = make_arena()
         assert arena.read_count == 0
-        s = arena.read(0)
-        assert (s.x, s.y) == (0, 0)
+        assert arena.read(0) == (0, 0)
         assert arena.read_count == 1
 
     def test_no_caching(self):

@@ -35,7 +35,6 @@ def decode_halfedge(record, sites) -> HalfEdge:
     scale = sites[0].scale
     pa = sites[record.pair[0]].ipt
     pb = sites[record.pair[1]].ipt
-    carrier = exact.bisector_line(pa, pb)
 
     def point_of(ep):
         if isinstance(ep, Unbounded):
@@ -57,7 +56,6 @@ def decode_halfedge(record, sites) -> HalfEdge:
         record.k,
         frozenset(record.closest),
         record.pair,
-        carrier,
         direction,
         tail,
         head,
@@ -92,7 +90,7 @@ def interval_walk(arena, P, e, k_out):
 def walk_on(he, P):
     """A walk whose pending edge is the half-edge he, its head unknown."""
     pa, pb = P[he.pair[0]].ipt, P[he.pair[1]].ipt
-    return _IntervalWalk(he.closest, he.pair, (pa, pb), he.carrier, he.direction, he.tail, he.tail_extra)
+    return _IntervalWalk(he.closest, he.pair, (pa, pb), exact.bisector_line(pa, pb), he.direction, he.tail, he.tail_extra)
 
 
 def reference_outgoing(pts3: dict, vertex_old: bool, base: frozenset, cell: frozenset):
@@ -151,7 +149,7 @@ def vertex_case(draw):
     if exact.cross_dir(d, (pp[0] - qp[0], pp[1] - qp[1])) < 0:
         p, q, pp, qp = q, p, qp, pp
     head = exact.circumcenter_hpoint(pp, qp, zp)
-    e = HalfEdge(2 + base, frozenset(range(3, 3 + base)), (p, q), carrier, d, None, head, None, z)
+    e = HalfEdge(2 + base, frozenset(range(3, 3 + base)), (p, q), d, None, head, None, z)
     return P, e
 
 
@@ -288,8 +286,8 @@ class TestSuccessorStep:
         assert f == e
         walk.advance(f)
         got = (walk.pair, walk.closest, walk.carrier, walk.direction, walk.tail_extra)
-        assert got == reference_outgoing(pts3, False, e.closest, e.left_cell())
-        assert (walk.closest | {walk.pair[0]}, walk.tail) == (e.left_cell(), e.head)
+        assert got == reference_outgoing(pts3, False, e.closest, e.closest | {e.pair[0]})
+        assert (walk.closest | {walk.pair[0]}, walk.tail) == (e.closest | {e.pair[0]}, e.head)
 
 
 class TestTableCells:
@@ -592,7 +590,9 @@ class TestOrderPhases:
                 if extra is None:
                     assert end is None
                     continue
-                want = exact.line_intersection(he.carrier, exact.bisector_line(P[he.pair[0]].ipt, P[extra].ipt))
+                pa = P[he.pair[0]].ipt
+                carrier = exact.bisector_line(pa, P[he.pair[1]].ipt)
+                want = exact.line_intersection(carrier, exact.bisector_line(pa, P[extra].ipt))
                 assert exact.normalize_hpoint(*end) == want
                 ends += 1
         assert halfedges and ends >= len(halfedges)  # no edge is a full line

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsvoronoi import exact
 from wsvoronoi.datagen import random_sites
 from wsvoronoi.oracle import oracle_vdk
 from wsvoronoi.records import (
@@ -16,6 +17,7 @@ from wsvoronoi.records import (
     format_record,
     parse_record,
     read_stream,
+    undirected_record,
 )
 
 
@@ -70,6 +72,38 @@ def test_oracle_records_round_trip_many_orders():
             assert parse_record(format_record(rec)) == rec
 
 
+# Carriers and points on them, homogeneous in scaled coordinates (w > 0).
+VERTICAL = exact.bisector_line((0, 0), (2, 0))  # x = 1, canonical direction (0, -1)
+HORIZONTAL = exact.bisector_line((0, 0), (0, 2))  # y = 1, canonical direction (1, 0)
+UP, DOWN = (2, 6, 2), (3, -6, 3)  # (1, 3) and (1, -2) on VERTICAL
+LEFT, RIGHT = (-4, 2, 2), (3, 1, 1)  # (-2, 1) and (3, 1) on HORIZONTAL
+
+
+@pytest.mark.parametrize(
+    "carrier, lo, hi, want",
+    [
+        pytest.param(
+            HORIZONTAL, LEFT, RIGHT, EdgeRecord(2, (0,), (3, 5), (-2, 3, 1, 3), (1, 1, 1, 3), 7, 8), id="xy-order"
+        ),
+        pytest.param(
+            VERTICAL, UP, DOWN, EdgeRecord(2, (0,), (3, 5), (1, 3, -2, 3), (1, 3, 1, 1), 8, 7), id="against-xy-order"
+        ),
+        pytest.param(VERTICAL, UP, None, EdgeRecord(2, (0,), (3, 5), (1, 3, 1, 1), Unbounded(0, -1), 7, None), id="lo"),
+        pytest.param(VERTICAL, None, DOWN, EdgeRecord(2, (0,), (3, 5), (1, 3, -2, 3), Unbounded(0, 1), 8, None), id="hi"),
+        pytest.param(
+            VERTICAL, None, None, EdgeRecord(2, (0,), (3, 5), Unbounded(0, 1), Unbounded(0, -1), None, None), id="line"
+        ),
+    ],
+)
+def test_undirected_record_orientation(carrier, lo, hi, want):
+    """The canonical orientation of each kind of edge, at scale 3: two
+    bounded ends in (x, y) order, a bounded end before an unbounded one,
+    and a full line along its carrier; the pair sorted."""
+    lo_extra = None if lo is None else 7
+    hi_extra = None if hi is None else 8
+    assert undirected_record(2, (0,), (5, 3), carrier, lo, hi, lo_extra, hi_extra, 3) == want
+
+
 def test_undirected_key_collapses_directions():
     P = random_sites(8, 5)
     diagram = oracle_vdk(P, 2)
@@ -77,8 +111,8 @@ def test_undirected_key_collapses_directions():
     undirected_keys = {r.undirected_key() for r in directed}
     assert len(undirected_keys) == len(directed) // 2
     for r in directed:
-        assert r.opposite().undirected_key() == r.undirected_key()
-        assert r.opposite().opposite() == r
+        opposite = EdgeRecord(r.k, r.closest, r.pair[::-1], r.head, r.tail, r.extra_h, r.extra_t)
+        assert opposite.undirected_key() == r.undirected_key()
 
 
 # -- closest lists cut from the cached index text -----------------------------

@@ -109,7 +109,7 @@ def walk_by_hand(arena, walk, mode, size):
             near = [scan.nearest_run(walk.p, span, walk.site, arena) for span in spans]
             walk.cutter = scan.nearest_run(walk.p, [(j, points[j]) for j in near if j is not None], walk.site, arena)
         walk.begin_clip()
-        line = exact.bisector_line(walk.p, arena.read(walk.rival).ipt)
+        line = exact.bisector_line(walk.p, arena.read(walk.rival))
         for span in spans:
             want = -1 if nearest else 1
             assert scan.clip_run(walk.state, line, walk.p, span, want, (walk.site, walk.rival), work=arena)
@@ -256,7 +256,7 @@ class TestHullChain:
         n = len(arena)
         chained = 0
         for walk in tradeoff._hull_chain(arena, observing_ledger()):
-            line = exact.bisector_line(walk.p, arena.read(walk.cutter).ipt)
+            line = exact.bisector_line(walk.p, arena.read(walk.cutter))
             state = [None] * 5
             assert scan.clip_run(state, line, walk.p, arena.read_span(0, n), 1, (walk.site, walk.cutter), work=arena)
             full = scan.clip_edge(walk.site, walk.p, walk.cutter, line, state)
