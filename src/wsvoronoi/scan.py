@@ -15,6 +15,14 @@ always gives as the whole input (`pipeline` clips with `clip_run` too).
 `cell_walk` starts the walk of one given site, finding a farthest site's
 hull neighbors with the one-pass `locate_on_hull`.
 
+After the first edge, each step of a walk is one scan for the next vertex
+from a vertex already known: the entry vertex, where the edge before
+ended, was certified by that edge's clip against every site.  So the clip
+of the next edge is a ray shot from it: `clip_run` takes the site whose
+bisector holds the entry vertex as its seed, clips it first, and then
+holds that end final, dropping every cutter on its side from the sign of
+one product, before the crossing arithmetic.
+
 An edge (`CellEdge`) keeps its ends as the clip kernel's exact
 parameters on its carrier, with the site that cut each end.  The walk
 tells ends apart by those cutters alone, and a vertex is built, from
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from math import isqrt
 from operator import length_hint
 from typing import Callable, Optional
@@ -170,7 +179,7 @@ def _rival_offset(line, px, py):
     return k * a // nn, k * b // nn
 
 
-def clip_run(state, line, p, items, want: int, skip, flip=(), *, work) -> bool:
+def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work) -> bool:
     """Clip an interval on `line`, the bisector of site p and a rival, by
     the bisector of p and each (index, point) of `items`.
 
@@ -190,16 +199,34 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, work) -> bool:
     2(c - a.p)(a, b) / (a^2 + b^2), exactly (`_rival_offset`).  With
     u = w - p, the cutter w's bisector crosses the line at t = num / (2 den)
     along (b, -a) from the midpoint of p and r, where num = u.(e - u) and
-    den = a*u_y - b*u_x.  The kept sense is folded into the signs, once
-    per call: for want = 1 every cutter's num and den are negated, and for
-    an index in `flip` negated again.  Then the kept side of a cutter with
-    den > 0 lies beyond its crossing, a lower bound, and with den < 0
-    before it, an upper bound at (-num)/(-den); a den of 0 is a cutter
-    parallel to the line, which keeps it whole iff num < 0.  The stored
-    ends are num/den with den > 0 whatever the sense, so a state carries
-    over between calls of either.  The ends leave the kernel as they are,
-    with their cutters (`clip_edge`), and a point is built from one only
-    when an edge is written (`CellEdge.ends`).
+    den = a*u_y - b*u_x, worked out from w as (a*w_y - b*w_x) - (a*p_y - b*p_x)
+    with the second term fixed per call.  The kept sense is folded into the
+    signs, once per call: for want = 1 every cutter's num and den are
+    negated, and for an index in `flip` negated again.  Then the kept side
+    of a cutter with den > 0 lies beyond its crossing, a lower bound, and
+    with den < 0 before it, an upper bound at (-num)/(-den); a den of 0 is
+    a cutter parallel to the line, which keeps it whole iff num < 0.  The
+    stored ends are num/den with den > 0 whatever the sense, so a state
+    carries over between calls of either.  The ends leave the kernel as
+    they are, with their cutters (`clip_edge`), and a point is built from
+    one only when an edge is written (`CellEdge.ends`).
+
+    The certified end (`seed`, an (index, point) pair): the precondition
+    is that the seed's bisector with p crosses the line at a vertex of p's
+    cell, with no other site's bisector through it, and that the interval
+    holds the cell's edge on the line.  A walk's entry vertex is such a
+    vertex (`TrackedSite.seed`): the previous edge ended there, clipped
+    against every site, and `clip_edge` would have raised had another
+    site's bisector passed through it.  The seed is clipped first, counted
+    as one more site looked at and tested, and the end it cuts is then
+    final: a vertex of the cell satisfies every cutter, so a cutter whose
+    folded den puts it on that end's side (den > 0 for a final lo, den < 0
+    for a final hi) cannot move it, and is dropped as soon as den is known,
+    before the `skip` test and the crossing; it counts as tested (p and its
+    rival, the sites a walk skips, have den 0 and are never dropped).
+    Without the precondition a seeded clip may keep a wrong end or miss a
+    tie; without `seed` every cutter is clipped in full.  A seeded clip
+    takes no `flip`.
 
     The box cull (nearest sense, no `flip`, both ends bounded): the disks
     centred on the line through p form a pencil, all through p and the
@@ -218,8 +245,9 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, work) -> bool:
     far = want > 0
     cull = not (far or flip)
     flipping = bool(flip)
-    # The folded den's coefficients: den = da*u_y - db*u_x.
+    # The folded den's coefficients: den = da*w_y - db*w_x - d0 = da*u_y - db*u_x.
     da, db = (-a, -b) if far else (a, b)
+    d0 = da * py - db * px
     # Unbounded ends as -inf = (-1, 0) and +inf = (1, 0): the cross-multiplied
     # comparisons below then need no None tests.
     lo_n, lo_d, lo_tie = state[0] or (-1, 0, False)
@@ -230,15 +258,24 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, work) -> bool:
     x0, x1, y0, y1, lo_box, hi_box = box or (None,) * 6
     alive = True
     passed = 0  # sites skipped or culled
+    # fin is 1 once lo is final, -1 once hi is: a cutter with den * fin > 0
+    # lies on the final end's side.
+    fin = 0
+    sj = None if seed is None else seed[0]
     it = iter(items)
-    for j, (wx, wy) in it:
-        if j in skip or (boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1)):
+    for j, (wx, wy) in it if seed is None else chain((seed,), it):
+        if boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1):
+            passed += 1
+            continue
+        den = da * wy - db * wx - d0
+        if den * fin > 0:
+            continue
+        if j in skip:
             passed += 1
             continue
         ux = wx - px
         uy = wy - py
         num = ux * (ux - ex) + uy * (uy - ey) if far else ux * (ex - ux) + uy * (ey - uy)
-        den = da * uy - db * ux
         if flipping and j in flip:
             num, den = -num, -den
         if den > 0:
@@ -252,6 +289,8 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, work) -> bool:
                 lo_tie = lo_tie or j != lo_cut
                 continue
             lo_n, lo_d, lo_cut, lo_box, lo_tie = num, den, j, None, False
+            if j == sj:
+                fin = 1
         elif den < 0:
             # An upper bound at (-num)/(-den), compared without negating.
             x = hi_n * den
@@ -262,6 +301,8 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, work) -> bool:
                 hi_tie = hi_tie or j != hi_cut
                 continue
             hi_n, hi_d, hi_cut, hi_box, hi_tie = -num, -den, j, None, False
+            if j == sj:
+                fin = -1
         elif num < 0:
             continue  # cutter bisector parallel to the line, kept whole
         else:
@@ -280,8 +321,8 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, work) -> bool:
             x1 = max(lo_box[1], hi_box[1])
             y0 = min(lo_box[2], hi_box[2])
             y1 = max(lo_box[3], hi_box[3])
-    # The sites after an emptying cutter are not looked at.
-    looked = len(items) - length_hint(it)
+    # The sites after an emptying cutter are not looked at; the seed is.
+    looked = len(items) - length_hint(it) + (seed is not None)
     work.site_tests += looked - passed
     work.site_visits += looked
     state[0] = (lo_n, lo_d, lo_tie) if lo_d else None

@@ -83,20 +83,22 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
     only on those sites, taken in index order, so one call per slot gives
     the edge that any split of the pass would.
 
-    A nearest clip after the walk's first edge is seeded: its walk's
-    `seed`, whose bisector holds the entry vertex, is clipped first, in a
-    call of its own, so that end is final at once and the box cull goes
-    live at the first cutter on the far side.  A clip is an intersection,
-    and a tie at a final end is flagged whichever tied cutter comes first,
-    so the seed changes no edge.  Farthest clips never cull and are not
-    seeded, except a chained walk's first edge (`_hull_chain`): the walk
-    before ended on that same edge, clipped against every site, so the
-    cutter it handed on, the one at the edge's finite end, is clipped alone
-    and the slot reads no span; the other end stays unbounded, and a tie at
-    the finite end was already raised in that walk.
+    Every clip after a walk's first edge, nearest or farthest, is a ray
+    shot from the entry vertex: the walk's `seed`, whose bisector holds
+    that vertex, goes to the kernel with the span (`clip_run`), which
+    clips it first and then holds that end final, dropping every cutter on
+    its side as soon as the cutter's den is known.  The vertex ended an
+    edge clipped against every site in an earlier round, where
+    `clip_edge` raised on any tie, so the seed changes no edge; for a
+    nearest clip it also makes the box cull go live at the first cutter on
+    the far side.  A chained walk's first edge (`_hull_chain`) is clipped
+    apart: the walk before ended on that same edge, clipped against every
+    site, so the cutter it handed on, the one at the edge's finite end, is
+    clipped alone and the slot reads no span; the other end stays
+    unbounded, and a tie at the finite end was already raised in that walk.
+    Each walk makes one kernel call per pass.
     """
-    nearest = mode is DiagramMode.NEAREST
-    want = -1 if nearest else 1
+    want = -1 if mode is DiagramMode.NEAREST else 1
     n = len(arena)
     fresh = [t for t in slots if t.cutter is None]
     if fresh:
@@ -115,9 +117,7 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
         else:
             if span is None:
                 span = arena.read_span(0, n)
-            seed = slot.seed() if nearest else None
-            alive = seed is None or clip_run(slot.state, line, slot.p, (seed,), want, skip, work=arena)
-            alive = alive and clip_run(slot.state, line, slot.p, span, want, skip, work=arena)
+            alive = clip_run(slot.state, line, slot.p, span, want, skip, seed=slot.seed(), work=arena)
         if not alive:
             _edge_vanished(slot)
         edges.append(clip_edge(slot.site, slot.p, slot.rival, line, slot.state))

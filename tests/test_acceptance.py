@@ -10,6 +10,7 @@ import sys
 import time
 
 from wsvoronoi.datagen import random_sites
+from wsvoronoi.geometry import site_set
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
 from wsvoronoi.oracle import oracle_intervals, oracle_vdk, verify_run
 from wsvoronoi.pipeline import PipelineConfig, pipeline_run
@@ -60,6 +61,28 @@ def test_criterion_1_oracle_equivalence_first_and_last_order():
         f"criterion 1: {sets_checked} sets equal the reference at both orders "
         f"({time.time() - t0:.0f}s)"
     )
+
+
+def test_criterion_1_convex_position():
+    """20 seeded sets on the parabola y = x^2, n in 8..48: every site has a
+    farthest cell, so each farthest walk is long, and the batched path
+    equals the reference at orders 1 and n-1 for s in {1, 2, ceil(sqrt n),
+    n}.  perfbench's fvd-convex check compares against this same program,
+    so the reference here is the independent one."""
+    rng = random.Random(103)
+    t0 = time.time()
+    sizes = [8, 48, *(rng.randint(8, 48) for _ in range(18))]
+    for trial, n in enumerate(sizes):
+        P = site_set([(x, x * x) for x in rng.sample(range(1, 1 << 20), n)])
+        for mode, k in ((N, 1), (F, n - 1)):
+            want = oracle_vdk(P, k).undirected_keys()
+            for s in sorted({1, 2, _isqrt_ceil(n), n}):
+                sink = OutputSink()
+                run_tradeoff(ReadOnlyArena(P), mode, s, sink, WorkLedger(64 * s))
+                got = {r.undirected_key() for r in sink.records}
+                assert len(got) == len(sink.records), f"dup trial={trial} s={s} mode={mode}"
+                assert got == want, f"mismatch trial={trial} n={n} s={s} mode={mode}"
+    _pass(f"criterion 1 (convex): {len(sizes)} parabola sets equal the reference at both orders ({time.time() - t0:.0f}s)")
 
 
 def test_criterion_2_higher_order_equivalence():

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from wsvoronoi.cli import main
+from wsvoronoi import tradeoff
+from wsvoronoi.cli import main, run_diagram
 from wsvoronoi.datagen import (
     GRID_DIGITS,
     DuplicateSiteError,
@@ -22,6 +23,7 @@ from wsvoronoi.datagen import (
     random_sites,
     sites_to_text,
 )
+from wsvoronoi.memory import OutputSink
 from wsvoronoi.oracle import check_distance_profile
 from wsvoronoi.records import read_stream
 
@@ -63,6 +65,10 @@ def random_file(tmp_path):
     path = tmp_path / "rand.txt"
     path.write_text(sites_to_text(random_sites(12, 2024)))
     return str(path)
+
+
+# 64 convex sites (x, x^2), x < 2^20.
+CONVEX_64 = "".join(f"{x} {x * x}\n" for x in random.Random(11).sample(range(1, 1 << 20), 64))
 
 
 # Small inputs, degenerate ones among them: each run must end cleanly.
@@ -454,11 +460,57 @@ class TestDeterminism:
         assert [parse_record(format_record(r)) for r in records] == records
 
 
+# The runs of the small corpus that exit 2, each with the degeneracy its
+# message names (which also shows where the walk stopped); every other run
+# exits 0.
+SMALL_CORPUS_DEGENERATE = {
+    "circle-fvd-s1": "edge of site 4 against 3 has a tied end: cocircular sites",
+    "circle-fvd-s2": "edge of site 3 against 2 has a tied end: cocircular sites",
+    "circle-fvd-s3": "edge of site 3 against 2 has a tied end: cocircular sites",
+    "circle-fvd-s9": "edge of site 3 against 2 has a tied end: cocircular sites",
+    "circle-order2-s4": "cocircular sites at the successor crossing of pair (0, 1)",
+    "circle-order3-s9": "cocircular sites at the successor crossing of pair (0, 1)",
+    "square-nvd-s1": "edge of site 0 against 1 has a tied end: cocircular sites",
+    "square-nvd-s2": "edge of site 0 against 1 has a tied end: cocircular sites",
+    "square-nvd-s3": "edge of site 0 against 1 has a tied end: cocircular sites",
+    "square-nvd-s4": "edge of site 0 against 1 has a tied end: cocircular sites",
+    "square-fvd-s1": "edge of site 0 against 3 has a tied end: cocircular sites",
+    "square-fvd-s2": "edge of site 3 against 2 has a tied end: cocircular sites",
+    "square-fvd-s3": "edge of site 3 against 2 has a tied end: cocircular sites",
+    "square-fvd-s4": "edge of site 3 against 2 has a tied end: cocircular sites",
+    "square-order2-s4": "edge of site 0 against 1 has a tied end: cocircular sites",
+    "square-order3-s9": "edge of site 0 against 1 has a tied end: cocircular sites",
+    "grid4-nvd-s1": "edge of site 0 against 1 has a tied end: cocircular sites",
+    "grid4-nvd-s2": "edge of site 0 against 1 has a tied end: cocircular sites",
+    "grid4-nvd-s3": "edge of site 0 against 1 has a tied end: cocircular sites",
+    "grid4-nvd-s16": "edge of site 0 against 1 has a tied end: cocircular sites",
+    "grid4-fvd-s1": "edge of site 0 against 3 has a tied end: cocircular sites",
+    "grid4-fvd-s2": "edge of site 3 against 15 has a tied end: cocircular sites",
+    "grid4-fvd-s3": "edge of site 3 against 15 has a tied end: cocircular sites",
+    "grid4-fvd-s16": "edge of site 3 against 15 has a tied end: cocircular sites",
+    "grid4-order2-s4": "edge of site 0 against 1 has a tied end: cocircular sites",
+    "grid4-order3-s9": "edge of site 0 against 1 has a tied end: cocircular sites",
+    "collinear-order2-s4": "collinear sites at an unbounded order-k edge",
+    "collinear-order3-s9": "collinear sites at an unbounded order-k edge",
+    "allcollinear-nvd-s1": "hull has fewer than 3 vertices: the sites are collinear",
+    "allcollinear-nvd-s2": "hull has fewer than 3 vertices: the sites are collinear",
+    "allcollinear-nvd-s3": "hull has fewer than 3 vertices: the sites are collinear",
+    "allcollinear-nvd-s4": "hull has fewer than 3 vertices: the sites are collinear",
+    "allcollinear-fvd-s1": "hull has fewer than 3 vertices: the sites are collinear",
+    "allcollinear-fvd-s2": "hull has fewer than 3 vertices: the sites are collinear",
+    "allcollinear-fvd-s3": "hull has fewer than 3 vertices: the sites are collinear",
+    "allcollinear-fvd-s4": "hull has fewer than 3 vertices: the sites are collinear",
+    "allcollinear-order2-s4": "hull has fewer than 3 vertices: the sites are collinear",
+    "allcollinear-order3-s9": "hull has fewer than 3 vertices: the sites are collinear",
+}
+
+
 class TestSmallCorpus:
     @pytest.mark.parametrize("name, flags", list(_small_runs()))
-    def test_degenerate_or_verified(self, tmp_path, capsys, name, flags):
+    def test_degenerate_or_verified(self, tmp_path, capsys, request, name, flags):
         """Every run exits 2 naming the degeneracy, or exits 0 with records
-        that verify against the reference.
+        that verify against the reference; which runs exit 2, and with which
+        message, is pinned (`SMALL_CORPUS_DEGENERATE`).
 
         The reference stops at collinear sites (`TestVerify`), so on the
         collinear input a finished run is checked record by record instead:
@@ -471,10 +523,10 @@ class TestSmallCorpus:
         out = tmp_path / "r.txt"
         code = main(["run", str(path), "--mode", *flags, "--out", str(out)])
         err = capsys.readouterr().err
-        if name == "allcollinear":
+        degeneracy = SMALL_CORPUS_DEGENERATE.get(request.node.callspec.id)
+        if degeneracy is not None:
             assert code == 2
-        if code == 2:
-            assert err.startswith("degenerate:")
+            assert err.splitlines()[0] == f"degenerate: {degeneracy}"
             return
         assert code == 0, err
         verified = main(["verify", str(path), str(out)])
@@ -544,9 +596,9 @@ class TestBench:
             "64,8,1,5747,408,7254,27857",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,1583,52,1372,1416",
-            "64,2,1,1703,82,1860,1920",
-            "64,8,1,998,417,1616,1710",
+            "64,0,1,1583,52,1393,1437",
+            "64,2,1,1703,82,1881,1941",
+            "64,8,1,998,417,1626,1720",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
             "64,9,2,66797,153,28734,116556",
@@ -572,9 +624,9 @@ class TestBench:
             "64,8,1,3534,392,16058,21487",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,12473,52,11657,12031",
-            "64,2,1,12474,82,15500,16000",
-            "64,8,1,5060,416,18292,18914",
+            "64,0,1,12473,52,11843,12217",
+            "64,2,1,12474,82,15686,16186",
+            "64,8,1,5060,416,18490,19112",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
             "64,9,2,41490,152,58508,68276",
@@ -588,10 +640,36 @@ class TestBench:
     def test_convex_counters_pinned(self, path, tmp_path):
         flags, rows = self.CONVEX_PINNED[path]
         sites = tmp_path / "convex.txt"
-        sites.write_text("".join(f"{x} {x * x}\n" for x in random.Random(11).sample(range(1, 1 << 20), 64)))
+        sites.write_text(CONVEX_64)
         out = tmp_path / "bench.csv"
         assert main(["bench", "--file", str(sites), *flags, "--out", str(out)]) == 0
         assert [",".join(r.split(",")[:7]) for r in out.read_text().splitlines()[2:]] == rows
+
+    @pytest.mark.parametrize("kind", ["random", "convex"])
+    def test_fvd_seed_adds_one_test_per_seeded_clip(self, kind, monkeypatch):
+        """The fvd rows' pins move only by the seeds: against the same runs
+        with every clip unseeded, each seeded clip adds one site test and
+        one site visit, and the records, reads and peak words are the same."""
+        sites = random_sites(64, 1) if kind == "random" else parse_sites_text(CONVEX_64)
+        kernel = tradeoff.clip_run
+        for s in (0, 2, 8):
+            runs = []
+            for keep_seed in (True, False):
+                seeded = 0
+
+                def clip(*args, seed=None, **kwargs):
+                    nonlocal seeded
+                    seeded += seed is not None
+                    return kernel(*args, seed=seed if keep_seed else None, **kwargs)
+
+                monkeypatch.setattr(tradeoff, "clip_run", clip)
+                sink = OutputSink()
+                arena, ledger = run_diagram(sites, "fvd", s, 1, sink)
+                runs.append((seeded, arena, ledger.peak_words, sink.records))
+            (count, ray, peak, records), (_, plain, plain_peak, plain_records) = runs
+            assert count > 0
+            assert ray.site_tests - plain.site_tests == ray.site_visits - plain.site_visits == count
+            assert (ray.read_count, peak, records) == (plain.read_count, plain_peak, plain_records)
 
     def test_negative_s_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bench.csv"

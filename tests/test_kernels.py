@@ -6,21 +6,24 @@
 `read_span` against per-index reads.  The clip's box cull gets its own
 soundness check: a site outside a clip's cached box is strictly outside
 both closed end disks and leaves a one-site clip unchanged.  Seeding a
-nearest walk's clip with the cutter of its entry vertex changes no end,
-cutter or tie.
+walk's clip with the cutter of its entry vertex changes no end, cutter or
+tie: for nearest walks when the seed is clipped in a call of its own, and
+for nearest and farthest walks when it is handed to the kernel, which
+then holds the end it cuts final.
 """
 
 from fractions import Fraction
+from random import Random
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsvoronoi import exact
+from wsvoronoi import exact, tradeoff
 from wsvoronoi.datagen import random_sites
 from wsvoronoi.geometry import DegenerateGeometry, site_set
-from wsvoronoi.memory import ReadOnlyArena, observing_ledger
+from wsvoronoi.memory import OutputSink, ReadOnlyArena, observing_ledger
 from wsvoronoi.pipeline import _IntervalWalk
 from wsvoronoi.scan import (
     DiagramMode,
@@ -30,6 +33,7 @@ from wsvoronoi.scan import (
     clip_run,
     nearest_run,
 )
+from wsvoronoi.tradeoff import run_tradeoff
 
 coord = st.integers(-12, 12)
 point = st.tuples(coord, coord)
@@ -649,6 +653,86 @@ class TestSeededClip:
         assert seed in state[2:4]
         with pytest.raises(DegenerateGeometry, match="has a tied end"):
             clip_edge(0, p, 1, line, state)
+
+
+def ray_clips(sites, mode, s):
+    """((alive, state[:4]) of the seeded clip, the same of the plain
+    two-ended clip) for every clip after a walk's first edge in the s-slot
+    run of `sites`: `tradeoff._round` hands those clips their seed."""
+    kernel = tradeoff.clip_run
+    out = []
+
+    def clip(state, line, p, items, want, skip, flip=(), *, seed=None, work):
+        if seed is None:
+            return kernel(state, line, p, items, want, skip, flip, work=work)
+        plain = list(state)
+        plain_alive = kernel(plain, line, p, items, want, skip, flip, work=tally())
+        alive = kernel(state, line, p, items, want, skip, flip, seed=seed, work=work)
+        out.append(((alive, state[:4]), (plain_alive, plain[:4])))
+        return alive
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tradeoff, "clip_run", clip)
+        run_tradeoff(ReadOnlyArena(sites), mode, s, OutputSink(keep=False), observing_ledger())
+    return out
+
+
+class TestCertifiedEnd:
+    """After its first edge a walk's clip is a ray from its entry vertex:
+    `clip_run` clips the seed, whose bisector holds that vertex, first and
+    then holds that end final, dropping every cutter on its side after den
+    alone.  The vertex was certified by the clip of the edge before, so
+    nothing the clip yields changes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["random", "parabola"]),
+        st.integers(4, 24),
+        st.integers(0, 10**6),
+        st.sampled_from([DiagramMode.NEAREST, DiagramMode.FARTHEST]),
+        st.sampled_from([1, 4]),
+    )
+    def test_seeded_equals_plain(self, kind, n, seed, mode, s):
+        if kind == "random":
+            sites = random_sites(n, seed)
+        else:
+            sites = site_set([(x, x * x) for x in Random(seed).sample(range(1, 1 << 12), n)])
+        clips = ray_clips(sites, mode, s)
+        assert clips  # every cell has a second edge
+        for ray, plain in clips:
+            assert ray == plain
+
+    def test_entry_side_cutters_dropped_after_den(self):
+        """The farthest cell of p = (3, 9) among five sites on y = x^2, on
+        its bisector with (5, 25).  The seed (2, 4) cuts hi at the walk's
+        entry vertex; sites 0 and 1 lie on hi's side (folded den < 0) and
+        are dropped, and site 3 cuts lo.  The seed counts as one more site
+        tested and looked at: 4 tests, sites 2 and 4 skipped, 6 visits.  A
+        sixth cutter, (1, -1), also on hi's side, would cut hi in a plain
+        clip (hi is no vertex of the cell with it), yet leaves the seeded
+        clip as it is: it is dropped after den alone."""
+        pts = [(1, 1), (2, 4), (3, 9), (4, 16), (5, 25)]
+        items = list(enumerate(pts))
+        p = pts[2]
+        line = exact.bisector_line(p, pts[4])
+        ends = [(-64, 1, False), (-108, 3, False), 3, 1]
+        work = SimpleNamespace(site_tests=0, site_visits=0)
+        state = [None] * 5
+        assert clip_run(state, line, p, items, 1, (2, 4), seed=(1, pts[1]), work=work)
+        assert state[:4] == ends
+        assert (work.site_tests, work.site_visits) == (4, 6)
+        plain = [None] * 5
+        assert clip_run(plain, line, p, items, 1, (2, 4), work=tally())
+        assert plain[:4] == ends
+        stray = [*items, (5, (1, -1))]
+        work = SimpleNamespace(site_tests=0, site_visits=0)
+        state = [None] * 5
+        assert clip_run(state, line, p, stray, 1, (2, 4), seed=(1, pts[1]), work=work)
+        assert state[:4] == ends
+        assert (work.site_tests, work.site_visits) == (5, 7)
+        plain = [None] * 5
+        assert clip_run(plain, line, p, stray, 1, (2, 4), work=tally())
+        assert plain[1:4:2] == [(-268, 6, False), 5]
 
 
 class TestReadSpan:

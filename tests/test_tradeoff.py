@@ -174,10 +174,10 @@ class TestPassStructure:
     """A round reads the input as one n-site span per pass and makes one
     kernel call with that span per live walk and pass; fresh nearest walks
     add a `nearest_run` pass for their first rivals, and farthest walks,
-    which start on a known edge, never do.  A nearest walk past its first
-    edge also makes one clip call with its one-site seed, which reads
-    nothing.  Besides the spans a round reads one point per slot, its
-    rival's."""
+    which start on a known edge, never do.  A walk past its first edge,
+    nearest or farthest, hands that same call its seed, the site whose
+    bisector holds its entry vertex, which reads nothing.  Besides the
+    spans a round reads one point per slot, its rival's."""
 
     @pytest.mark.parametrize("mode", [N, F])
     def test_round_reads_one_span_per_pass(self, mode, monkeypatch):
@@ -185,12 +185,9 @@ class TestPassStructure:
 
         def counted(name, kernel, at):
             def run(*args, **kwargs):
-                items = args[at]  # the sites
-                if len(items) == n:
-                    calls[name] += 1
-                else:
-                    assert name == "clip" and len(items) == 1
-                    calls["seed"] += 1
+                assert len(args[at]) == n  # the sites: every call takes the span
+                calls[name] += 1
+                calls["seed"] += kwargs.get("seed") is not None
                 return kernel(*args, **kwargs)
 
             return run
@@ -215,7 +212,7 @@ class TestPassStructure:
             # One single read per slot, its rival's point: a clipped edge
             # keeps its ends as parameters and reads no cutter.
             assert arena.singles - singles == m
-            seeded = m if mode is N and not fresh else 0
+            seeded = 0 if fresh else m
             assert calls == {"clip": m, "nearest": m if first else 0, "seed": seeded}
             for slot, edge in zip(slots, edges):
                 slot.advance(edge)
