@@ -188,13 +188,22 @@ class _IntervalWalk:
         DegenerateGeometry, unless the site is one the walk passes over (the
         pair and the tail extra).  This check is made on every site, first.
 
+        The tail is a certified vertex of the cell closest | {q}: every
+        site of `closest` lies strictly inside the disk through q centred
+        there, and every other site but the pair and the tail extra strictly
+        outside it (a walk from infinity holds the same far back along the
+        carrier).  So an outsider whose den > 0, which gets farther than q
+        going ahead, crosses behind the tail, and is dropped after den.
+
         Box cull, once a best is known: only a crossing in (tail, best]
         matters, and w's bisector with q meets the closed segment from the
         tail to the best only if w lies in the closed disk through q centred
         at one of them (the disks centred on the carrier through q form a
-        pencil; see `scan.clip_run`).  A site strictly outside a box around
-        both disks is passed over; a tied site lies on the best disk's
-        boundary, so it is never culled.
+        pencil; see `scan.clip_run`).  An outsider is not in the tail disk,
+        so a site strictly outside a box around the best disk alone is
+        passed over unless it is in `closest`; a tied site lies on the best
+        disk's boundary, so it is never culled.  Dropped sites count as
+        tested, culled ones do not.
         """
         # With the carrier a*x + b*y = c, sigma folded into (a, b) so that
         # (b, -a) is a positive multiple of the direction, and e = r - q for
@@ -209,11 +218,11 @@ class _IntervalWalk:
         ey = ry - qy
         c0 = a * qy - b * qx
         skip = (*self.pair, self.tail_extra)
-        tail = tail_box = None
+        closest = self.closest
+        tail = None
         if self.tail is not None:
             tx, ty, tw = self.tail
             tail = (2 * (b * (tx - qx * tw) - a * (ty - qy * tw)), tw * (a * a + b * b))
-            tail_box = _disk_box(ex, ey, a, b, qx, qy, *tail)
         best = self.best
         tied = self.tied
         box = self._box
@@ -226,12 +235,14 @@ class _IntervalWalk:
                 if j in skip:
                     continue
                 raise DegenerateGeometry("collinear sites at successor crossing")
-            if boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1):
+            if boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1) and j not in closest:
                 continue
             if j in skip:
                 continue
             tests += 1
             den -= c0
+            if den > 0 and j not in closest:
+                continue  # an outsider crossing behind the tail
             ux = wx - qx
             uy = wy - qy
             num = ux * (ex - ux) + uy * (ey - uy)
@@ -246,13 +257,8 @@ class _IntervalWalk:
                     continue
             best = (num, den, j)
             tied = False
-            if tail_box is not None:
-                bx0, bx1, by0, by1 = _disk_box(ex, ey, a, b, qx, qy, num, den)
-                x0 = min(tail_box[0], bx0)
-                x1 = max(tail_box[1], bx1)
-                y0 = min(tail_box[2], by0)
-                y1 = max(tail_box[3], by1)
-                boxed = True
+            x0, x1, y0, y1 = _disk_box(ex, ey, a, b, qx, qy, num, den)
+            boxed = True
         work.site_tests += tests
         work.site_visits += len(batch)
         self.best = best

@@ -21,7 +21,8 @@ ended, was certified by that edge's clip against every site.  So the clip
 of the next edge is a ray shot from it: `clip_run` takes the site whose
 bisector holds the entry vertex as its seed, clips it first, and then
 holds that end final, dropping every cutter on its side from the sign of
-one product, before the crossing arithmetic.
+one product, before the crossing arithmetic.  The final end's disk holds
+no site, so a nearest clip's cull box is the moving end's alone.
 
 An edge (`CellEdge`) keeps its ends as the clip kernel's exact
 parameters on its carrier, with the site that cut each end.  The walk
@@ -238,6 +239,11 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work
     that end moves) therefore neither cuts the interval nor ties an end,
     and is passed over before any arithmetic.  The sites are still tried
     in order, so the state after each is the same as without the cull.
+    Once a seeded clip's end is final, that end is a vertex of p's cell
+    and its disk is empty: every site but p, the rival and the seed lies
+    strictly outside it.  The box is then the moving end's disk box alone,
+    built once that end is bounded and again each time it moves, and is
+    not cached in the state.
     """
     a, b, _ = line
     px, py = p
@@ -311,7 +317,14 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work
         if lo_n * hi_d >= hi_n * lo_d:
             alive = False
             break
-        if cull and lo_d and hi_d:
+        if cull and fin:
+            # The final end is a vertex of p's cell: its disk holds no site,
+            # so the moving end's disk alone bounds the cull.
+            end = (hi_n, hi_d) if fin > 0 else (lo_n, lo_d)
+            if end[1]:
+                x0, x1, y0, y1 = _disk_box(ex, ey, a, b, px, py, *end)
+                boxed = True
+        elif cull and lo_d and hi_d:
             if lo_box is None:
                 lo_box = _disk_box(ex, ey, a, b, px, py, lo_n, lo_d)
             if hi_box is None:

@@ -26,6 +26,7 @@ of `scan.enumerate_diagram`, with no big cells.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain, islice
 from typing import Iterator, NoReturn, Optional
 
@@ -298,12 +299,15 @@ def drive(source: Iterator, s: int, step, leftovers: Optional[list] = None) -> I
     had to wait for a slot; once one has, and a refill leaves 0 < live < s
     (the source is spent), the live walks are put in `leftovers` instead
     of being finished.  Without `leftovers` every walk runs to its end.
+    The slots a refill draws are capped at `sys.maxsize`, `islice`'s
+    limit: a source never yields more walks than there are sites.
     """
-    walks = list(islice(source, s))
+    cap = min(s, sys.maxsize)
+    walks = list(islice(source, cap))
     waited = False
     while walks:
         walks = yield from step(walks)
-        fresh = list(islice(source, s - len(walks)))
+        fresh = list(islice(source, cap - len(walks)))
         waited = waited or bool(fresh)
         walks += fresh
         if leftovers is not None and waited and 0 < len(walks) < s:

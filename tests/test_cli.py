@@ -238,6 +238,21 @@ class TestRun:
         # The records written before the degeneracy was found are removed.
         assert sorted(p.name for p in tmp_path.iterdir()) == ["square.txt"]
 
+    @pytest.mark.parametrize("mode, s", [("nvd", 2**63), ("fvd", 2**63), ("order", 2**65)])
+    def test_workspace_past_maxsize(self, random_file, tmp_path, mode, s):
+        """A workspace with more slots than `islice` takes runs, verifies
+        and benches like any other, and reports the s it was given; order
+        mode's walks get s // K^2 slots, 2**63 at K = 2."""
+        flags = ["--max-k", "2"] if mode == "order" else []
+        out = tmp_path / "r.txt"
+        assert main(["run", random_file, "--mode", mode, *flags, "--workspace", str(s), "--out", str(out)]) == 0
+        assert f" s={s} " in (tmp_path / "r.txt.report").read_text()
+        assert main(["verify", random_file, str(out)]) == 0
+        bench = tmp_path / "bench.csv"
+        flags = ["--k-list", "2"] if mode == "order" else ["--mode", mode]
+        assert main(["bench", "--file", random_file, *flags, "--s-list", str(s), "--out", str(bench)]) == 0
+        assert bench.read_text().splitlines()[2].split(",")[1] == str(s)
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("mode", ["nvd", "fvd"])
     def test_nonpositive_workspace_is_config_error(self, tri_file, tmp_path, capsys, mode, value):
@@ -591,9 +606,9 @@ class TestBench:
     # TestPassStructure).
     PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
-            "64,0,1,27560,35,7084,27432",
-            "64,2,1,15458,70,7012,27042",
-            "64,8,1,5747,408,7254,27857",
+            "64,0,1,27560,35,6495,27432",
+            "64,2,1,15458,70,6437,27042",
+            "64,8,1,5747,408,6677,27857",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
             "64,0,1,1583,52,1393,1437",
@@ -601,10 +616,10 @@ class TestBench:
             "64,8,1,998,417,1626,1720",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,66797,153,28734,116556",
-            "64,9,3,315739,128,72836,305918",
-            "64,18,2,37279,285,28305,115311",
-            "64,18,3,171075,228,72552,304362",
+            "64,9,2,66797,153,26154,116556",
+            "64,9,3,315739,128,66063,305918",
+            "64,18,2,37279,285,25750,115311",
+            "64,18,3,171075,228,65821,304362",
         ]),
     }
 

@@ -9,7 +9,8 @@ both closed end disks and leaves a one-site clip unchanged.  Seeding a
 walk's clip with the cutter of its entry vertex changes no end, cutter or
 tie: for nearest walks when the seed is clipped in a call of its own, and
 for nearest and farthest walks when it is handed to the kernel, which
-then holds the end it cuts final.
+then holds the end it cuts final.  The seeded nearest clips and the
+successor searches of real runs are replayed against the references.
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsvoronoi import exact, tradeoff
+from wsvoronoi.cli import run_diagram
 from wsvoronoi.datagen import random_sites
 from wsvoronoi.geometry import DegenerateGeometry, site_set
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, observing_ledger
@@ -431,11 +433,21 @@ def reference_successor(q, carrier, direction, tail, sites):
     return winners[0], len(winners) > 1
 
 
+def inside(q, r, z, w) -> bool:
+    """Whether w lies strictly inside the circle through q, r and z."""
+    return exact.incircle_ipts(q, r, z, w) * exact.orient_ipts(q, r, z) > 0
+
+
 @st.composite
 def successor_case(draw):
+    """A walk's step from the tail, the vertex of q, r and z: the drawn
+    sites strictly inside its circle are the walk's closest set
+    (`run_successor`) and those on it are dropped, so the tail is a
+    certified vertex, as the kernel requires."""
     grid = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
     q, r, z = draw(st.lists(grid, min_size=3, max_size=3, unique=True).filter(lambda t: exact.orient_ipts(*t) != 0))
     pts = draw(st.lists(grid.filter(lambda w: w not in (q, r, z)), min_size=1, max_size=20, unique=True))
+    pts = [w for w in pts if exact.incircle_ipts(q, r, z, w) != 0]
     sign = draw(st.sampled_from([1, -1]))
     return q, r, z, [(j + 3, w) for j, w in enumerate(pts)], sign, draw(st.integers(1, 5))
 
@@ -445,7 +457,8 @@ def run_successor(q, r, z, sites, sign, batch, work):
     d = exact.line_dir(carrier)
     direction = (sign * d[0], sign * d[1])
     tail = exact.circumcenter_hpoint(q, r, z)
-    walk = _IntervalWalk(frozenset(), (0, 1), (q, r), carrier, direction, tail, 2)
+    closest = frozenset(j for j, w in sites if inside(q, r, z, w))
+    walk = _IntervalWalk(closest, (0, 1), (q, r), carrier, direction, tail, 2)
     items = [(0, q), (1, r), (2, z), *sites]
     for start in range(0, len(items), batch):
         walk.consider_batch(items[start : start + batch], work)
@@ -497,15 +510,15 @@ class TestConsiderBatch:
 
     def test_collinear_site_outside_the_box_raises(self):
         # On x = 1, upward from the tail (1, -4/3), (1, 2) crosses first, at
-        # (1, 3/4), and sets the box (-2, 4, -4, 3); (1000, 0) comes after
-        # it, lies on the line through the pair (0, 0), (2, 0) and strictly
-        # outside the box, and still raises.
+        # (1, 3/4), and sets the box (-1, 3, -1, 3) around its disk alone;
+        # (1000, 0) comes after it, lies on the line through the pair
+        # (0, 0), (2, 0) and strictly outside the box, and still raises.
         q, r, z = (0, 0), (2, 0), (1, -3)
         carrier = exact.bisector_line(q, r)
         tail = exact.circumcenter_hpoint(q, r, z)
         walk = _IntervalWalk(frozenset(), (0, 1), (q, r), carrier, (0, 1), tail, 2)
         walk.consider_batch([(0, q), (1, r), (2, z), (3, (1, 2))], tally())
-        assert walk.best[2] == 3 and walk._box == (-2, 4, -4, 3)
+        assert walk.best[2] == 3 and walk._box == (-1, 3, -1, 3)
         with pytest.raises(DegenerateGeometry, match="^collinear sites at successor crossing$"):
             walk.consider_batch([(4, (1000, 0))], tally())
 
@@ -528,7 +541,7 @@ class TestConsiderBatch:
         # touches its box at both, so only a box around the closed disk
         # keeps the second.
         walk, (want, tied) = run_successor((0, 0), (2, 2), (2, 4), [(3, (4, 0)), (4, (2, -2))], 1, 1, tally())
-        assert walk._box == (-5, 4, -2, 7)
+        assert walk._box == (0, 4, -2, 2)
         assert (walk.best[2], walk.tied) == (want, tied) == (3, True)
 
 
@@ -733,6 +746,68 @@ class TestCertifiedEnd:
         plain = [None] * 5
         assert clip_run(plain, line, p, stray, 1, (2, 4), work=tally())
         assert plain[1:4:2] == [(-268, 6, False), 5]
+
+
+def kernel_calls(sites, mode, s, K):
+    """Every seeded nearest `clip_run` call and every
+    `_IntervalWalk.consider_batch` call of a run, with what it left:
+    ((line, p, items, skip, alive, state), ...) and
+    ((walk's q, carrier, direction, tail, sites but the skipped, best, tied), ...)."""
+    clip, consider = tradeoff.clip_run, _IntervalWalk.consider_batch
+    clips, steps = [], []
+
+    def traced_clip(state, line, p, items, want, skip, flip=(), *, seed=None, work):
+        alive = clip(state, line, p, items, want, skip, flip, seed=seed, work=work)
+        if seed is not None and want < 0:
+            clips.append((line, p, list(items), skip, alive, list(state)))
+        return alive
+
+    def traced_consider(walk, batch, work):
+        assert walk.best is None  # one call per pending edge
+        consider(walk, batch, work)
+        skip = (*walk.pair, walk.tail_extra)
+        sites = [(j, w) for j, w in batch if j not in skip]
+        steps.append((walk.pair_pts[0], walk.carrier, walk.direction, walk.tail, sites, walk.best, walk.tied))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tradeoff, "clip_run", traced_clip)
+        patch.setattr(_IntervalWalk, "consider_batch", traced_consider)
+        run_diagram(sites, mode, s, K, OutputSink(keep=False))
+    return clips, steps
+
+
+def clip_outcome(line, p, alive, state):
+    """A finished clip as `reference_clip` gives it."""
+    if not alive:
+        return False, None, None, None, None
+    edge = clip_edge(0, p, 1, line, state)
+    lo, hi = edge.ends()
+    return True, edge.lo_cutter, edge.hi_cutter, hpoint(lo), hpoint(hi)
+
+
+class TestRealCalls:
+    """Each seeded nearest clip and each successor search of real runs,
+    replayed against the per-site references: the cull boxes around the
+    moving end alone (a certified end's disk holds no site) and the
+    successor kernel's drop of outsiders crossing behind the tail change
+    no clip and no head."""
+
+    @pytest.mark.parametrize("kind", ["random", "parabola"])
+    @pytest.mark.parametrize("mode, s, K", [("nvd", 1, 1), ("nvd", 4, 1), ("order", 4, 2), ("order", 9, 3)])
+    def test_calls_match_the_references(self, kind, mode, s, K):
+        if kind == "random":
+            sites = random_sites(20, 5)
+        else:
+            sites = site_set([(x, x * x) for x in Random(5).sample(range(1, 1 << 12), 20)])
+        clips, steps = kernel_calls(sites, mode, s, K)
+        assert clips
+        for line, p, items, skip, alive, state in clips:
+            want = outcome(reference_clip, line, p, items, -1, skip, ())
+            assert outcome(clip_outcome, line, p, alive, state) == want
+        assert bool(steps) == (mode == "order")
+        for q, carrier, direction, tail, cutters, best, tied in steps:
+            want = reference_successor(q, carrier, direction, tail, cutters)
+            assert (None if best is None else best[2], tied) == want
 
 
 class TestReadSpan:
