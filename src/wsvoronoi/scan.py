@@ -5,7 +5,8 @@ bisector cut an endpoint being the site whose bisector carries the
 adjacent edge.  A nearest walk starts on its bisector with its nearest
 neighbor (`nearest_run`): the pair's midpoint is strictly nearer to both
 than to any other site, so that bisector always holds an edge of the
-cell.  A farthest cell is unbounded, and its two unbounded edges lie on
+cell.  At s > 1 it may start instead on an edge of its cell that a
+neighbor's walk clipped and shared (see `tradeoff`).  A farthest cell is unbounded, and its two unbounded edges lie on
 its bisectors with its two hull neighbors, so its walk (`hull_walk`)
 starts on the edge with one neighbor and walks in one leg from that
 edge's finite end to the edge with the other.  `TrackedSite` is the
@@ -394,9 +395,10 @@ class TrackedSite:
 
     A walk starts on the bisector of p and its first rival, which always
     holds an edge of the cell: a nearest walk's nearest neighbor, set by
-    `tradeoff._round` with `nearest_run` before the first clip, or a
-    farthest walk's hull neighbor, given by `hull_walk`, whose edge must
-    clip to a ray.  The walk leaves the first edge through a finite end
+    `tradeoff._round` with `nearest_run` before the first clip, or the
+    site whose walk already clipped an edge of the cell and shared it
+    (`tradeoff._SharedEdges`), set with no pass; or a farthest walk's
+    hull neighbor, given by `hull_walk`, whose edge must clip to a ray.  The walk leaves the first edge through a finite end
     and steps edge to edge, the site whose bisector cut an end carrying
     the next edge.  When the walk leaves the diagram through an unbounded
     edge it resumes from the first edge's other end; it is done when it

@@ -15,13 +15,21 @@ big cell from walking again the few small cells above the lowest big
 index, and an edge between two big cells from clipping the diagram of
 the big sites against the whole input.  Every walk starts on a known
 edge of its cell: a nearest walk on its bisector with its nearest
-neighbor, found in one pass, and a farthest walk, in hull order, on its
+neighbor, found in one pass, or on an edge a neighbor's walk shared (see
+below), and a farthest walk, in hull order, on its
 unbounded edge with a hull neighbor.  At s > 1 `hull_stream`'s s-point
 window supplies the hull sites; at s = 1 the walks chain the hull themselves,
 each handing the next walk its hull site and the cutter at the finite end
 of the edge the two cells share, so that first edge takes no pass.  The
 output is the same for every s; s = 1 is the constant-workspace diagram
 of `scan.enumerate_diagram`, with no big cells.
+
+At s > 1 nearest walks also share the edges they clip: both cells of an
+edge clip its bisector to the same ends, so the walk of the other cell
+takes the edge from an O(s)-word table instead of clipping it again, and
+a fresh walk may start on such an edge with no nearest-neighbor pass
+(`_SharedEdges`).  The record stream's order then changes, never its set
+of records.  Farthest walks, in hull order, share nothing.
 """
 
 from __future__ import annotations
@@ -48,20 +56,26 @@ from .scan import (
 )
 
 # Ledger words per unit of tracked state; documented so peaks are
-# reproducible.  A run charges the big-cell table (`table_words`, derived
-# from what its entries hold) while it holds it, and on top of that
-# one phase at a time: the walks, s * (W_SLOT + W_BATCH_SITE) + W_FIXED,
-# plus for farthest diagrams the hull chain, (s + 2) * W_HULL_POINT +
-# W_FIXED (at s = 1 only until the first two hull sites are found, then
-# W_FIXED for the walks' own chain); or the big-big diagram, charged for
-# the table's capacity of s - 1 sites at W_MEM_SITE each, plus
-# s * W_BATCH_SITE and W_FIXED.  W_BATCH_SITE charges s sites for the
-# pass, though a pass is a view of the input the arena holds, not a copy;
-# the charge is kept so that reported peaks stay reproducible.
+# reproducible.  In these charges s stands for min(s, n): no more than n
+# walks are ever live, nor n sites in a window.  A run charges the big-cell
+# table (`table_words`, derived from what its entries hold) while it holds
+# it, and on top of that one phase at a time: the walks,
+# s * (W_SLOT + W_BATCH_SITE) + W_FIXED, plus, for nearest walks at s > 1,
+# W_SHARED_EDGE for each edge the shared-edge table holds, at most
+# 2(s - 1) of them, and for farthest diagrams the hull chain,
+# (s + 2) * W_HULL_POINT + W_FIXED (at s = 1 only until the first two hull
+# sites are found, then W_FIXED for the walks' own chain); or the big-big
+# diagram, charged for the table's capacity of s - 1 sites at W_MEM_SITE
+# each, plus s * W_BATCH_SITE and W_FIXED.  W_BATCH_SITE charges s sites
+# for the pass, though a pass is a view of the input the arena holds, not
+# a copy; the charge is kept so that reported peaks stay reproducible.
 W_SLOT = 24
 W_BATCH_SITE = 3
 W_HULL_POINT = 3
 W_FIXED = 8
+# A shared edge: its partner and finder sites, the parameters (num, den)
+# of its two ends, and their two cutters.
+W_SHARED_EDGE = 8
 # In-memory diagram of m sites: 3m site words plus <= 3m edges of ~14
 # words each, rounded up to one per-site constant.
 W_MEM_SITE = 48
@@ -98,6 +112,11 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
     clipped alone and the slot reads no span; the other end stays
     unbounded, and a tie at the finite end was already raised in that walk.
     Each walk makes one kernel call per pass.
+
+    Nearest walks at s > 1 run `_SharedEdges.round` instead: this round
+    with a table of the edges live walks clipped, so that the walk of an
+    edge's other cell takes it in place of clipping it again.  Farthest
+    and one-slot rounds keep no table, and do none of its bookkeeping.
     """
     want = -1 if mode is DiagramMode.NEAREST else 1
     n = len(arena)
@@ -123,6 +142,133 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
             _edge_vanished(slot)
         edges.append(clip_edge(slot.site, slot.p, slot.rival, line, slot.state))
     return edges
+
+
+class _SharedEdges:
+    """The edges live nearest walks clipped, held for the walks of the
+    cells on their other sides: `held[partner][finder]` is
+    (lo, hi, lo_cutter, hi_cutter) of the edge between the cells of
+    finder and partner, as the finder's clip left it.
+
+    An edge is held only while it can still serve: its partner's walk is
+    live, or the source, which yields nearest walks in index order, will
+    draw that walk soon, within `window` indices past the highest index
+    drawn so far (`frontier`).  The table holds at most `cap` = 2(s - 1)
+    edges, each charged `W_SHARED_EDGE` words while held.  An edge leaves
+    when it is taken (`take`); the partner's edges all leave when its walk
+    ends, and when the frontier passes the partner undrawn, as a `keep`
+    filter of the source skips it.
+    """
+
+    __slots__ = ("held", "count", "cap", "window", "frontier", "live", "ledger")
+
+    def __init__(self, slots: int, ledger: WorkLedger):
+        self.held: dict[int, dict[int, tuple]] = {}
+        self.count = 0
+        self.cap = 2 * (slots - 1)
+        self.window = 2 * slots
+        self.frontier = -1
+        self.live: set[int] = set()  # sites of the walks drawn and not ended
+        self.ledger = ledger
+
+    def round(self, arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]:
+        """`_round` for nearest walks, with the table.
+
+        A slot whose edge the walk of the cell on its other side already
+        clipped takes it from the table, on this round's carrier, and makes
+        no kernel call; a fresh slot with an edge waiting starts on it, its
+        finder as the first rival, and needs no `nearest_run` pass; every
+        edge clipped is offered to the table.  The taken ends are exact:
+        with e = r - p parallel to (a, b), swapping the site p and its rival
+        r changes a cutter's den by a*e_y - b*e_x = 0 and leaves
+        num = u.(e - u) as it is (`clip_run`), so both cells' clips of one
+        bisector end at the same (num, den) with the same cutter, and a tie
+        at either end already raised in the finder's `clip_edge`.
+        """
+        n = len(arena)
+        fresh = [t for t in slots if t.cutter is None and not self.start(t)]
+        if fresh:
+            span = arena.read_span(0, n)
+            for slot in fresh:
+                slot.cutter = nearest_run(slot.p, span, slot.site, arena)
+        span = None  # read once some slot needs it
+        edges = []
+        for slot in slots:
+            slot.begin_clip()
+            line = exact.bisector_line(slot.p, arena.read(slot.rival))
+            edge = self.take(slot, line)
+            if edge is None:
+                if span is None:
+                    span = arena.read_span(0, n)
+                skip = (slot.site, slot.rival)
+                if not clip_run(slot.state, line, slot.p, span, -1, skip, seed=slot.seed(), work=arena):
+                    _edge_vanished(slot)
+                edge = clip_edge(slot.site, slot.p, slot.rival, line, slot.state)
+                self.offer(edge)
+            edges.append(edge)
+        return edges
+
+    def draw(self, source: Iterator[TrackedSite]) -> Iterator[TrackedSite]:
+        """The walks of `source`, each noted as drawn as it is yielded; once
+        the source is spent, no walk is still to come."""
+        for walk in source:
+            self._advance(walk.site)
+            self.live.add(walk.site)
+            yield walk
+        self._advance(sys.maxsize)
+
+    def _advance(self, i: int) -> None:
+        """Move the frontier to index i, dropping the edges held for the
+        sites the source passed over on the way."""
+        if i > self.frontier + 1:
+            for j in [j for j in self.held if self.frontier < j < i]:
+                self.drop(j)
+        self.frontier = i
+
+    def start(self, slot: TrackedSite) -> bool:
+        """Start a fresh walk on the first edge held for its cell, if any."""
+        edges = self.held.get(slot.site)
+        if not edges:
+            return False
+        slot.cutter = next(iter(edges))
+        return True
+
+    def take(self, slot: TrackedSite, line) -> Optional[CellEdge]:
+        """The held edge of the slot's cell against its rival, on `line`,
+        removed from the table; None if no walk shared it."""
+        edges = self.held.get(slot.site)
+        if edges is None or slot.rival not in edges:
+            return None
+        ends = edges.pop(slot.rival)
+        if not edges:
+            del self.held[slot.site]
+        self.count -= 1
+        self.ledger.release(W_SHARED_EDGE)
+        return CellEdge(slot.site, slot.rival, line, slot.p, *ends)
+
+    def offer(self, edge: CellEdge) -> None:
+        """Hold a clipped edge for its rival's walk, if that walk can take it
+        and the table has room."""
+        j = edge.rival
+        if self.count < self.cap and (j in self.live or self.frontier < j <= self.frontier + self.window):
+            self.ledger.alloc(W_SHARED_EDGE)
+            self.held.setdefault(j, {})[edge.site] = (edge.lo, edge.hi, edge.lo_cutter, edge.hi_cutter)
+            self.count += 1
+
+    def end(self, site: int) -> None:
+        """The walk of `site` is done: no edge is held for it any more."""
+        self.live.discard(site)
+        self.drop(site)
+
+    def drop(self, site: int) -> None:
+        edges = self.held.pop(site, None)
+        if edges:
+            self.count -= len(edges)
+            self.ledger.release(len(edges) * W_SHARED_EDGE)
+
+    def clear(self) -> None:
+        for site in list(self.held):
+            self.drop(site)
 
 
 def _edge_vanished(slot: TrackedSite) -> NoReturn:
@@ -152,7 +298,7 @@ def hull_stream(arena: ReadOnlyArena, s: int, ledger: WorkLedger) -> Iterator[in
     certified per round, typically a full window of s.
     """
     n = len(arena)
-    limit = max(1, s) + 1
+    limit = max(1, min(s, n)) + 1
     # The chain holds limit points, one more while a site is inserted.
     with ledger.scope((limit + 1) * W_HULL_POINT + W_FIXED):
         start_idx, start_pt = min(arena.read_span(0, n), key=lambda item: item[1])
@@ -317,19 +463,32 @@ def drive(source: Iterator, s: int, step, leftovers: Optional[list] = None) -> I
 
 def walk_cells(arena, mode, s, source, ledger, leftovers=None) -> Iterator[tuple[TrackedSite, CellEdge]]:
     """(walk, edge) for every cell edge found by `drive` over the walks of
-    `source` with s slots."""
-    limit = len(arena) + 2  # no cell has more edges
+    `source` with s slots; nearest walks at s > 1 share their clipped
+    edges (`_SharedEdges`), a one-slot run keeps no table."""
+    n = len(arena)
+    limit = n + 2  # no cell has more edges
+    slots = min(s, n)
+    shared = _SharedEdges(slots, ledger) if mode is DiagramMode.NEAREST and slots > 1 else None
 
-    def step(slots):
-        for slot, edge in zip(slots, _round(arena, slots, mode)):
+    def step(walks):
+        edges = _round(arena, walks, mode) if shared is None else shared.round(arena, walks)
+        for slot, edge in zip(walks, edges):
             slot.advance(edge)  # before the edge is reported: it may be degenerate
             if slot.edges_found > limit:
                 raise AssertionError("cell walk failed to terminate")
+            if slot.done and shared is not None:
+                shared.end(slot.site)
             yield slot, edge
-        return [t for t in slots if not t.done]
+        return [t for t in walks if not t.done]
 
-    with ledger.scope(s * (W_SLOT + W_BATCH_SITE) + W_FIXED):
-        yield from drive(source, s, step, leftovers)
+    if shared is not None:
+        source = shared.draw(source)
+    with ledger.scope(slots * (W_SLOT + W_BATCH_SITE) + W_FIXED):
+        try:
+            yield from drive(source, s, step, leftovers)
+        finally:
+            if shared is not None:
+                shared.clear()
 
 
 def find_big_cells(
@@ -442,8 +601,9 @@ def iter_big_big(
         return
     want = -1 if mode is DiagramMode.NEAREST else 1
     mem_sites = [(i, arena.read(i)) for i in table]
+    slots = min(s, len(arena))
     # Charged for the table's capacity, as the walks charge every slot.
-    with ledger.scope(max(len(mem_sites), s - 1) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED):
+    with ledger.scope(max(len(mem_sites), slots - 1) * W_MEM_SITE + slots * W_BATCH_SITE + W_FIXED):
         span = arena.read_span(0, len(arena))
         for ai, (a, a_pt) in enumerate(mem_sites):
             arc = table[a]

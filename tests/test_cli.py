@@ -607,8 +607,8 @@ class TestBench:
     PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
             "64,0,1,27560,35,6495,27432",
-            "64,2,1,15458,70,6437,27042",
-            "64,8,1,5747,408,6677,27857",
+            "64,2,1,14690,78,5865,24604",
+            "64,8,1,4723,408,4964,20567",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
             "64,0,1,1583,52,1393,1437",
@@ -616,10 +616,10 @@ class TestBench:
             "64,8,1,998,417,1626,1720",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,66797,153,26154,116556",
+            "64,9,2,65325,169,25035,111808",
             "64,9,3,315739,128,66063,305918",
-            "64,18,2,37279,285,25750,115311",
-            "64,18,3,171075,228,65821,304362",
+            "64,18,2,34463,333,23401,105112",
+            "64,18,3,168899,244,64155,297304",
         ]),
     }
 
@@ -635,8 +635,8 @@ class TestBench:
     CONVEX_PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
             "64,0,1,20410,35,15982,20282",
-            "64,2,1,11322,62,15982,20282",
-            "64,8,1,3534,392,16058,21487",
+            "64,2,1,11066,78,15259,19126",
+            "64,8,1,3406,392,13688,17575",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
             "64,0,1,12473,52,11843,12217",
@@ -644,10 +644,10 @@ class TestBench:
             "64,8,1,5060,416,18490,19112",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,41490,152,58508,68276",
+            "64,9,2,40978,168,57062,65964",
             "64,9,3,166144,128,145076,162478",
-            "64,18,2,23469,333,55042,65658",
-            "64,18,3,96512,227,145076,162478",
+            "64,18,2,23277,333,52247,61354",
+            "64,18,3,95680,243,142907,159010",
         ]),
     }
 

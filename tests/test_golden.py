@@ -29,9 +29,9 @@ SEED = 11
 CASES = {
     "nvd-s8": (
         ["--mode", "nvd", "--workspace", "8"],
-        "d46134817f120bb6460253fbbb2dd7376f2f54f1582c1e9460ceb4ee3f037c7e",
+        "8461c85586ebb10ecd5771e0cfacf3dd731ccac51b2e1e094c7dfe7b05dc4256",
         "c6562c9f69933e42b4bf3bc7e6143ad1b9e96186d52e4e24c314559e1378fdca",
-        "cd0b33248d02433ee49f35726db8c63b4d931baf5db5f664625a0af0fe7340c2",
+        "9235130d03b7c388e07abf42da543e78add6757db7a8d8e8504ad89f1d9c08d5",
     ),
     "nvd-scan": (
         ["--mode", "nvd"],
@@ -53,9 +53,9 @@ CASES = {
     ),
     "order-K2-s8": (
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],
-        "fc0067665e66baa1a2d8f3cc1176704879d6cf88bcc014a07aae2dea79f6e2d6",
+        "3859a06d5fad179b3b57d6b51f037019ec817a5aea856534144b4c82b31ba0a9",
         "1c6ca951ab1e7a1ac331c153d4fbc05e867276e0b9914f8c891950457f212c55",
-        "a9d2b7d338f1c41b0923464bc28516fa15e7d5918d743657592762fc0f226161",
+        "57fc2dee01d9e5cf6500be65e85320a0eb5eda010ecd1c8ce54e5814241eff9f",
     ),
     "order-K3-s9": (
         ["--mode", "order", "--max-k", "3", "--workspace", "9"],
@@ -113,9 +113,9 @@ CONVEX_CASES = {
     "nvd-s8": (
         SEED,
         ["--mode", "nvd", "--workspace", "8"],
-        "5aa60f2e71996d45129e3e03355f29a9d8b75929a444e305038e45cd3cb0509e",
+        "dc18d4fe7c26851105a797ce06647bf23ec38c36df1054eee1f070d0c4c832ba",
         "b162f10419814ecbc0709b8ad3c659231171e71c34656693d8c614cd05badd90",
-        "286b531b26d8507cfbef15140a68500740fe194d190d97efc302a4a8b9ef87ef",
+        "4a43723734f6c40efcbb70ca436ec59ad9395fa4df06117dcd1cc01f84b15ce4",
     ),
     "fvd-scan-seed1": (
         1,

@@ -1,10 +1,15 @@
 """Batched s-workspace construction: equivalence and model compliance."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsvoronoi import exact, scan, tradeoff
+from wsvoronoi.cli import run_diagram
 from wsvoronoi.datagen import random_sites, triangle
-from wsvoronoi.geometry import DegenerateGeometry
+from wsvoronoi.geometry import DegenerateGeometry, site_set
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
 from wsvoronoi.oracle import oracle_vdk, verify_run
 from wsvoronoi.records import format_record
@@ -14,6 +19,7 @@ from wsvoronoi.tradeoff import (
     W_FIXED,
     W_HULL_POINT,
     W_MEM_SITE,
+    W_SHARED_EDGE,
     W_SLOT,
     _edge_vanished,
     _round,
@@ -612,3 +618,126 @@ class TestTableCharge:
         big_big = max(len(table), s - 1) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED
         assert ledger.peak_words == charge + max(walks, big_big)
         assert {r.undirected_key() for r in sink.records} == oracle_vdk(P, 1).undirected_keys()
+
+
+class TestSharedEdges:
+    """Nearest walks at s > 1 hand each edge they clip to the walk of the
+    cell on its other side (`tradeoff._SharedEdges`), which takes it in
+    place of clipping it again."""
+
+    INPUTS = {"random": random_sites(48, 851), "convex": parabola(40, 852)}
+
+    @pytest.mark.parametrize("s", [2, 4, 8, 24])
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    def test_taken_edge_is_the_clip_it_replaces(self, kind, s, monkeypatch):
+        """Every taken edge equals what the slot's own clip, seeded as the
+        round would seed it, gives against the whole input, and leaves the
+        table as it is taken."""
+        arena = ReadOnlyArena(self.INPUTS[kind])
+        span = arena.read_span(0, len(arena))
+        taken = 0
+        take = tradeoff._SharedEdges.take
+
+        def replay(table, slot, line):
+            nonlocal taken
+            edge = take(table, slot, line)
+            if edge is not None:
+                taken += 1
+                assert slot.rival not in table.held.get(slot.site, {})
+                state = [None] * 5
+                work = SimpleNamespace(site_tests=0, site_visits=0)
+                skip = (slot.site, slot.rival)
+                assert scan.clip_run(state, line, slot.p, span, -1, skip, seed=slot.seed(), work=work)
+                assert edge == scan.clip_edge(slot.site, slot.p, slot.rival, line, state)
+            return edge
+
+        monkeypatch.setattr(tradeoff._SharedEdges, "take", replay)
+        list(iter_diagram(arena, N, s, observing_ledger()))
+        assert taken > 0
+
+    @pytest.mark.parametrize("s", [2, 3, 8, 39, 40, 80])
+    def test_held_edges_are_capped_and_charged(self, s, monkeypatch):
+        """The table never holds more than 2(min(s, n) - 1) edges, each
+        charged W_SHARED_EDGE words while held, and it holds an edge only
+        for a walk that is live or still to come within its window."""
+        P = random_sites(40, 853)
+        slots = min(s, len(P))
+        ledger = observing_ledger()
+        base = slots * (W_SLOT + W_BATCH_SITE) + W_FIXED
+        most = 0
+        offer = tradeoff._SharedEdges.offer
+
+        def checked(table, edge):
+            nonlocal most
+            offer(table, edge)
+            held = sum(map(len, table.held.values()))
+            assert held == table.count <= 2 * (slots - 1)
+            assert ledger.live_words == base + held * W_SHARED_EDGE
+            assert all(j in table.live or j <= table.frontier + table.window for j in table.held)
+            assert all(j in table.live or j > table.frontier for j in table.held)
+            most = max(most, held)
+
+        monkeypatch.setattr(tradeoff._SharedEdges, "offer", checked)
+        find_big_cells(ReadOnlyArena(P), N, s, ledger)
+        assert 0 < most
+        assert ledger.live_words == 0
+
+    def test_skipped_partner_is_pruned(self, monkeypatch):
+        """A walk the source passes over never takes its edges: they leave
+        the table as soon as the frontier passes it."""
+        P = random_sites(40, 854)
+        table = find_big_cells(ReadOnlyArena(P), N, 4, observing_ledger())
+        assert table
+        draw = tradeoff._SharedEdges.draw
+        seen = []
+
+        def watched(shared, source):
+            for walk in draw(shared, source):
+                assert all(j in shared.live or j > shared.frontier for j in shared.held)
+                seen.append(walk.site)
+                yield walk
+
+        monkeypatch.setattr(tradeoff._SharedEdges, "draw", watched)
+        ledger = observing_ledger()
+        arena = ReadOnlyArena(P)
+        got = {record_for(arena, e, N).undirected_key() for e in iter_small_incident(arena, N, 4, table, ledger)}
+        assert seen == [i for i in range(len(P)) if i not in table]
+        assert ledger.live_words == 0
+        big = {record_for(arena, e, N).undirected_key() for e in iter_big_big(arena, N, 4, table, observing_ledger())}
+        assert got | big == oracle_vdk(P, 1).undirected_keys()
+
+    @pytest.mark.parametrize("mode, s", [(N, 1), (F, 1), (F, 8)])
+    def test_one_slot_and_farthest_runs_keep_no_table(self, mode, s, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a shared-edge table was built")
+
+        monkeypatch.setattr(tradeoff._SharedEdges, "__init__", refuse)
+        _, sink, _ = run(random_sites(24, 855), mode, s)
+        assert sink.records
+
+    @pytest.mark.parametrize("mode", ["nvd", "fvd"])
+    def test_peak_words_stop_at_n_slots(self, mode):
+        """s past the number of sites holds nothing more: the slots, the
+        table's cap and the hull window are charged for min(s, n)."""
+        P = random_sites(12, 856)
+        peaks = {run_diagram(P, mode, s, 1, OutputSink(keep=False))[1].peak_words for s in (12, 1000, 10**5, 2**63)}
+        assert len(peaks) == 1
+
+
+def records_at(sites, s):
+    arena = ReadOnlyArena(sites)
+    return sorted(format_record(record_for(arena, e, N)) for e in iter_diagram(arena, N, s, observing_ledger()))
+
+
+@given(st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 1 << 16)), min_size=4, max_size=28, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_sorted_edges_do_not_depend_on_s(pts):
+    """Shared or clipped, every edge of the nearest diagram comes out the
+    same at s = 2, 8 and n as with one slot, which shares nothing."""
+    P = site_set(pts)
+    try:
+        want = records_at(P, 1)
+    except DegenerateGeometry:
+        return
+    for s in (2, 8, len(P)):
+        assert records_at(P, s) == want
