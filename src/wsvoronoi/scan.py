@@ -6,15 +6,16 @@ adjacent edge.  A nearest walk starts on its bisector with its nearest
 neighbor (`nearest_run`): the pair's midpoint is strictly nearer to both
 than to any other site, so that bisector always holds an edge of the
 cell.  At s > 1 it may start instead on an edge of its cell that a
-neighbor's walk clipped and shared (see `tradeoff`).  A farthest cell is unbounded, and its two unbounded edges lie on
-its bisectors with its two hull neighbors, so its walk (`hull_walk`)
-starts on the edge with one neighbor and walks in one leg from that
-edge's finite end to the edge with the other.  `TrackedSite` is the
-walk's state machine; `clip_run` and `nearest_run` are the fused exact
-kernels it needs, each one loop over a span of sites, which the program
-always gives as the whole input (`pipeline` clips with `clip_run` too).
-`cell_walk` starts the walk of one given site, finding a farthest site's
-hull neighbors with the one-pass `locate_on_hull`.
+neighbor's walk clipped and shared (see `tradeoff`).  A farthest cell is
+unbounded, and its two unbounded edges lie on its bisectors with its two
+hull neighbors, so its walk (`hull_walk`) starts on the edge with one
+neighbor and walks in one leg from that edge's finite end to the edge
+with the other.  `TrackedSite` is the walk's state machine; `clip_run`
+and `nearest_run` are the fused exact kernels it needs, each one loop
+over a span of sites, which the program always gives as the whole input
+(`pipeline` clips with `clip_run` too).  `cell_walk` starts the walk of
+one given site, finding a farthest site's hull neighbors with the
+one-pass `locate_on_hull`.
 
 After the first edge, each step of a walk is one scan for the next vertex
 from a vertex already known: the entry vertex, where the edge before
@@ -395,20 +396,21 @@ class TrackedSite:
 
     A walk starts on the bisector of p and its first rival, which always
     holds an edge of the cell: a nearest walk's nearest neighbor, set by
-    `tradeoff._round` with `nearest_run` before the first clip, or the
-    site whose walk already clipped an edge of the cell and shared it
-    (`tradeoff._SharedEdges`), set with no pass; or a farthest walk's
-    hull neighbor, given by `hull_walk`, whose edge must clip to a ray.  The walk leaves the first edge through a finite end
-    and steps edge to edge, the site whose bisector cut an end carrying
-    the next edge.  When the walk leaves the diagram through an unbounded
-    edge it resumes from the first edge's other end; it is done when it
-    closes on the first edge or runs out of ends.  Ends are told apart by
-    their cutters, never by their points: the entry end of an edge after
-    the first is the one cut by the rival of the edge walked into it, so
-    the walk builds no point.  `cutter` names the rival whose bisector
-    carries the next edge; after the first edge, `seed()` names the site
-    whose bisector with p holds that edge's entry vertex, a cutter known
-    before any pass.
+    `tradeoff._SharedEdges.round` with `nearest_run` before the first
+    clip, or the site whose walk already clipped an edge of the cell and
+    shared it (`tradeoff._SharedEdges`), set with no pass; or a farthest
+    walk's hull neighbor, given by `hull_walk`, whose edge must clip to a
+    ray.  The walk leaves the first edge through a finite end and steps
+    edge to edge, the site whose bisector cut an end carrying the next
+    edge.  When the walk leaves the diagram through an unbounded edge it
+    resumes from the first edge's other end; it is done when it closes on
+    the first edge or runs out of ends.  Ends are told apart by their
+    cutters, never by their points: the entry end of an edge after the
+    first is the one cut by the rival of the edge walked into it, so the
+    walk builds no point.  `cutter` names the rival whose bisector carries
+    the next edge; after the first edge, `seed()` names the site whose
+    bisector with p holds that edge's entry vertex, a cutter known before
+    any pass.
 
     A walk cut short knows which edges it walked from O(1) words (`arc`):
     a convex cell's edges come in the angular order of their rivals'

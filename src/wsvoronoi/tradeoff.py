@@ -9,27 +9,28 @@ slot loop, the one every cell walk in the package runs under
 reported at once from its cell of lower index (`iter_diagram`).  Cells
 still walking when no fresh sites remain are "big": their walks are cut
 short, and each keeps the arc it walked in O(1) words, from which
-`arc_walked` tells whether it reported a given edge.  The edges
-the cut walks missed come after: a small cell's edge with a lower-index
-big cell from walking again the few small cells above the lowest big
-index, and an edge between two big cells from clipping the diagram of
-the big sites against the whole input.  Every walk starts on a known
-edge of its cell: a nearest walk on its bisector with its nearest
-neighbor, found in one pass, or on an edge a neighbor's walk shared (see
-below), and a farthest walk, in hull order, on its
-unbounded edge with a hull neighbor.  At s > 1 `hull_stream`'s s-point
-window supplies the hull sites; at s = 1 the walks chain the hull themselves,
-each handing the next walk its hull site and the cutter at the finite end
-of the edge the two cells share, so that first edge takes no pass.  The
-output is the same for every s; s = 1 is the constant-workspace diagram
-of `scan.enumerate_diagram`, with no big cells.
+`arc_walked` tells whether it reported a given edge.  The edges the cut
+walks missed come after: a small cell's edge with a lower-index big cell
+from walking again the few small cells above the lowest big index, and
+an edge between two big cells from clipping the diagram of the big sites
+against the whole input.  Every walk starts on a known edge of its cell:
+a nearest walk on its bisector with its nearest neighbor, found in one
+pass, or on an edge a neighbor's walk shared (see below), and a farthest
+walk, in hull order, on its unbounded edge with a hull neighbor.  At
+s > 1 `hull_stream`'s s-point window supplies the hull sites; at s = 1
+the walks chain the hull themselves, each handing the next walk its hull
+site and the cutter at the finite end of the edge the two cells share,
+so that first edge takes no pass.  The output is the same for every s;
+s = 1 is the constant-workspace diagram of `scan.enumerate_diagram`,
+with no big cells.
 
 At s > 1 nearest walks also share the edges they clip: both cells of an
 edge clip its bisector to the same ends, so the walk of the other cell
 takes the edge from an O(s)-word table instead of clipping it again, and
 a fresh walk may start on such an edge with no nearest-neighbor pass
-(`_SharedEdges`).  The record stream's order then changes, never its set
-of records.  Farthest walks, in hull order, share nothing.
+(`_SharedEdges`, whose table holds nothing at s = 1).  The record
+stream's order then changes, never its set of records.  Farthest walks,
+in hull order, share nothing.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .scan import (
 # walks are ever live, nor n sites in a window.  A run charges the big-cell
 # table (`table_words`, derived from what its entries hold) while it holds
 # it, and on top of that one phase at a time: the walks,
-# s * (W_SLOT + W_BATCH_SITE) + W_FIXED, plus, for nearest walks at s > 1,
+# s * (W_SLOT + W_BATCH_SITE) + W_FIXED, plus, for nearest walks,
 # W_SHARED_EDGE for each edge the shared-edge table holds, at most
 # 2(s - 1) of them, and for farthest diagrams the hull chain,
 # (s + 2) * W_HULL_POINT + W_FIXED (at s = 1 only until the first two hull
@@ -87,44 +88,32 @@ def table_words(table: dict) -> int:
     return len(table) + sum(map(len, table.values()))
 
 
-def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) -> list[CellEdge]:
-    """One lock-step round: every live slot produces its next cell edge.
+def _far_round(arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]:
+    """One lock-step round of farthest walks: every live slot produces its
+    next cell edge.
 
-    Each pass reads the input once, as one span (a view of the input, not
-    a copy), and hands it whole to every live slot's kernel: for fresh
-    nearest slots a `nearest_run` pass, which sets each one's first rival,
-    its nearest neighbor, then the clip pass (a farthest walk starts with
-    its first rival known).  A kernel's state after a slot's sites depends
-    only on those sites, taken in index order, so one call per slot gives
-    the edge that any split of the pass would.
+    The round reads the input once, as one span (a view of the input, not
+    a copy), and hands it whole to every live slot's kernel; a farthest
+    walk starts with its first rival known, so that is the round's one
+    pass.  A kernel's state after a slot's sites depends only on those
+    sites, taken in index order, so one call per slot gives the edge that
+    any split of the pass would.
 
-    Every clip after a walk's first edge, nearest or farthest, is a ray
-    shot from the entry vertex: the walk's `seed`, whose bisector holds
-    that vertex, goes to the kernel with the span (`clip_run`), which
-    clips it first and then holds that end final, dropping every cutter on
-    its side as soon as the cutter's den is known.  The vertex ended an
-    edge clipped against every site in an earlier round, where
-    `clip_edge` raised on any tie, so the seed changes no edge; for a
-    nearest clip it also makes the box cull go live at the first cutter on
-    the far side.  A chained walk's first edge (`_hull_chain`) is clipped
-    apart: the walk before ended on that same edge, clipped against every
-    site, so the cutter it handed on, the one at the edge's finite end, is
-    clipped alone and the slot reads no span; the other end stays
+    Every clip after a walk's first edge is a ray shot from the entry
+    vertex: the walk's `seed`, whose bisector holds that vertex, goes to
+    the kernel with the span (`clip_run`), which clips it first and then
+    holds that end final, dropping every cutter on its side as soon as the
+    cutter's den is known.  The vertex ended an edge clipped against every
+    site in an earlier round, where `clip_edge` raised on any tie, so the
+    seed changes no edge.  A chained walk's first edge (`_hull_chain`) is
+    clipped apart: the walk before ended on that same edge, clipped against
+    every site, so the cutter it handed on, the one at the edge's finite
+    end, is clipped alone and the slot reads no span; the other end stays
     unbounded, and a tie at the finite end was already raised in that walk.
-    Each walk makes one kernel call per pass.
-
-    Nearest walks at s > 1 run `_SharedEdges.round` instead: this round
-    with a table of the edges live walks clipped, so that the walk of an
-    edge's other cell takes it in place of clipping it again.  Farthest
-    and one-slot rounds keep no table, and do none of its bookkeeping.
+    Each walk makes one kernel call per pass.  Nearest walks pass the same
+    way, in `_SharedEdges.round`.
     """
-    want = -1 if mode is DiagramMode.NEAREST else 1
     n = len(arena)
-    fresh = [t for t in slots if t.cutter is None]
-    if fresh:
-        span = arena.read_span(0, n)
-        for slot in fresh:
-            slot.cutter = nearest_run(slot.p, span, slot.site, arena)
     span = None  # read once some slot needs it
     edges = []
     for slot in slots:
@@ -133,11 +122,11 @@ def _round(arena: ReadOnlyArena, slots: list[TrackedSite], mode: DiagramMode) ->
         skip = (slot.site, slot.rival)
         if slot.handed is not None:
             cut, slot.handed = slot.handed, None
-            alive = clip_run(slot.state, line, slot.p, ((cut, arena.read(cut)),), want, skip, work=arena)
+            alive = clip_run(slot.state, line, slot.p, ((cut, arena.read(cut)),), 1, skip, work=arena)
         else:
             if span is None:
                 span = arena.read_span(0, n)
-            alive = clip_run(slot.state, line, slot.p, span, want, skip, seed=slot.seed(), work=arena)
+            alive = clip_run(slot.state, line, slot.p, span, 1, skip, seed=slot.seed(), work=arena)
         if not alive:
             _edge_vanished(slot)
         edges.append(clip_edge(slot.site, slot.p, slot.rival, line, slot.state))
@@ -151,13 +140,14 @@ class _SharedEdges:
     finder and partner, as the finder's clip left it.
 
     An edge is held only while it can still serve: its partner's walk is
-    live, or the source, which yields nearest walks in index order, will
-    draw that walk soon, within `window` indices past the highest index
-    drawn so far (`frontier`).  The table holds at most `cap` = 2(s - 1)
-    edges, each charged `W_SHARED_EDGE` words while held.  An edge leaves
-    when it is taken (`take`); the partner's edges all leave when its walk
-    ends, and when the frontier passes the partner undrawn, as a `keep`
-    filter of the source skips it.
+    live and has not walked it yet (`arc_walked`), or the source, which
+    yields nearest walks in index order, will draw that walk soon, within
+    `window` indices past the highest index drawn so far (`frontier`).
+    The table holds at most `cap` = 2(s - 1) edges, none at s = 1, each
+    charged `W_SHARED_EDGE` words while held.  An edge leaves when it is
+    taken (`take`); the partner's edges all leave when its walk ends, and
+    when the frontier passes the partner undrawn, as a `keep` filter of the
+    source skips it.
     """
 
     __slots__ = ("held", "count", "cap", "window", "frontier", "live", "ledger")
@@ -168,22 +158,27 @@ class _SharedEdges:
         self.cap = 2 * (slots - 1)
         self.window = 2 * slots
         self.frontier = -1
-        self.live: set[int] = set()  # sites of the walks drawn and not ended
+        self.live: dict[int, TrackedSite] = {}  # the walks drawn and not ended, by site
         self.ledger = ledger
 
     def round(self, arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]:
-        """`_round` for nearest walks, with the table.
+        """One lock-step round of nearest walks, passing as `_far_round`
+        does, with the table.
 
-        A slot whose edge the walk of the cell on its other side already
-        clipped takes it from the table, on this round's carrier, and makes
-        no kernel call; a fresh slot with an edge waiting starts on it, its
-        finder as the first rival, and needs no `nearest_run` pass; every
-        edge clipped is offered to the table.  The taken ends are exact:
-        with e = r - p parallel to (a, b), swapping the site p and its rival
-        r changes a cutter's den by a*e_y - b*e_x = 0 and leaves
-        num = u.(e - u) as it is (`clip_run`), so both cells' clips of one
-        bisector end at the same (num, den) with the same cutter, and a tie
-        at either end already raised in the finder's `clip_edge`.
+        A fresh slot with an edge waiting starts on it, its finder as the
+        first rival; the other fresh slots get a `nearest_run` pass first,
+        which sets each one's first rival, its nearest neighbor.  A slot
+        whose edge the walk of the cell on its other side already clipped
+        takes it from the table, on this round's carrier, and makes no
+        kernel call; every other slot clips its edge against the span,
+        seeded from its entry vertex after the first edge (which also makes
+        the box cull go live at the first cutter on the far side), and
+        offers it to the table.  The taken ends are exact: with e = r - p
+        parallel to (a, b), swapping the site p and its rival r changes a
+        cutter's den by a*e_y - b*e_x = 0 and leaves num = u.(e - u) as it
+        is (`clip_run`), so both cells' clips of one bisector end at the
+        same (num, den) with the same cutter, and a tie at either end
+        already raised in the finder's `clip_edge`.
         """
         n = len(arena)
         fresh = [t for t in slots if t.cutter is None and not self.start(t)]
@@ -213,7 +208,7 @@ class _SharedEdges:
         the source is spent, no walk is still to come."""
         for walk in source:
             self._advance(walk.site)
-            self.live.add(walk.site)
+            self.live[walk.site] = walk
             yield walk
         self._advance(sys.maxsize)
 
@@ -247,17 +242,28 @@ class _SharedEdges:
         return CellEdge(slot.site, slot.rival, line, slot.p, *ends)
 
     def offer(self, edge: CellEdge) -> None:
-        """Hold a clipped edge for its rival's walk, if that walk can take it
-        and the table has room."""
+        """Hold a clipped edge for its rival's walk, if that walk can still
+        take it and the table has room: a live walk that has not walked it,
+        clipping it earlier in this round or in a round before, or a walk
+        still to come within the window."""
+        if self.count >= self.cap:
+            return
         j = edge.rival
-        if self.count < self.cap and (j in self.live or self.frontier < j <= self.frontier + self.window):
-            self.ledger.alloc(W_SHARED_EDGE)
-            self.held.setdefault(j, {})[edge.site] = (edge.lo, edge.hi, edge.lo_cutter, edge.hi_cutter)
-            self.count += 1
+        walk = self.live.get(j)
+        if walk is None:
+            if not self.frontier < j <= self.frontier + self.window:
+                return
+        else:
+            (px, py), (qx, qy) = edge.p, walk.p
+            if walk.rival == edge.site or arc_walked(walk.arc(), (px - qx, py - qy)):
+                return
+        self.ledger.alloc(W_SHARED_EDGE)
+        self.held.setdefault(j, {})[edge.site] = (edge.lo, edge.hi, edge.lo_cutter, edge.hi_cutter)
+        self.count += 1
 
     def end(self, site: int) -> None:
         """The walk of `site` is done: no edge is held for it any more."""
-        self.live.discard(site)
+        del self.live[site]
         self.drop(site)
 
     def drop(self, site: int) -> None:
@@ -400,7 +406,7 @@ def _hull_chain(arena: ReadOnlyArena, ledger: WorkLedger):
     already clipped against every site, so every walk but the anchor's is
     handed one word, the cutter at the edge's finite end
     (`TrackedSite.exit_cutter`), and clips its first edge against that
-    site alone (`_round`).  The chain stops when it returns to the anchor.
+    site alone (`_far_round`).  The chain stops when it returns to the anchor.
     A hull of two vertices (collinear sites) ends the first walk, whose
     first edge is then a full line.
     """
@@ -463,15 +469,15 @@ def drive(source: Iterator, s: int, step, leftovers: Optional[list] = None) -> I
 
 def walk_cells(arena, mode, s, source, ledger, leftovers=None) -> Iterator[tuple[TrackedSite, CellEdge]]:
     """(walk, edge) for every cell edge found by `drive` over the walks of
-    `source` with s slots; nearest walks at s > 1 share their clipped
-    edges (`_SharedEdges`), a one-slot run keeps no table."""
+    `source` with s slots, in `_SharedEdges.round`s for nearest walks,
+    which share their clipped edges, and in `_far_round`s for farthest."""
     n = len(arena)
     limit = n + 2  # no cell has more edges
     slots = min(s, n)
-    shared = _SharedEdges(slots, ledger) if mode is DiagramMode.NEAREST and slots > 1 else None
+    shared = _SharedEdges(slots, ledger) if mode is DiagramMode.NEAREST else None
 
     def step(walks):
-        edges = _round(arena, walks, mode) if shared is None else shared.round(arena, walks)
+        edges = _far_round(arena, walks) if shared is None else shared.round(arena, walks)
         for slot, edge in zip(walks, edges):
             slot.advance(edge)  # before the edge is reported: it may be degenerate
             if slot.edges_found > limit:

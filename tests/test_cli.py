@@ -635,7 +635,7 @@ class TestBench:
     CONVEX_PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
             "64,0,1,20410,35,15982,20282",
-            "64,2,1,11066,78,15259,19126",
+            "64,2,1,11002,78,15066,18868",
             "64,8,1,3406,392,13688,17575",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
@@ -644,10 +644,10 @@ class TestBench:
             "64,8,1,5060,416,18490,19112",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,40978,168,57062,65964",
+            "64,9,2,40850,168,56676,65448",
             "64,9,3,166144,128,145076,162478",
             "64,18,2,23277,333,52247,61354",
-            "64,18,3,95680,243,142907,159010",
+            "64,18,3,95488,243,142328,158236",
         ]),
     }
 

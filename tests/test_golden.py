@@ -29,7 +29,7 @@ SEED = 11
 CASES = {
     "nvd-s8": (
         ["--mode", "nvd", "--workspace", "8"],
-        "8461c85586ebb10ecd5771e0cfacf3dd731ccac51b2e1e094c7dfe7b05dc4256",
+        "5c7ca88c9f31096832648ece69455ae1ffb050c54a80666a8541a75db4732b77",
         "c6562c9f69933e42b4bf3bc7e6143ad1b9e96186d52e4e24c314559e1378fdca",
         "9235130d03b7c388e07abf42da543e78add6757db7a8d8e8504ad89f1d9c08d5",
     ),

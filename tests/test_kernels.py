@@ -625,7 +625,7 @@ def seeded_clips(pts):
 
 class TestSeededClip:
     """A nearest walk's clip after its first edge may take the cutter of its
-    entry vertex first, as `tradeoff._round` does: a clip is an
+    entry vertex first, as the rounds of `tradeoff` do: a clip is an
     intersection, so nothing it yields changes."""
 
     @settings(max_examples=150, deadline=None)
@@ -671,7 +671,7 @@ class TestSeededClip:
 def ray_clips(sites, mode, s):
     """((alive, state[:4]) of the seeded clip, the same of the plain
     two-ended clip) for every clip after a walk's first edge in the s-slot
-    run of `sites`: `tradeoff._round` hands those clips their seed."""
+    run of `sites`: the rounds of `tradeoff` hand those clips their seed."""
     kernel = tradeoff.clip_run
     out = []
 

@@ -23,7 +23,7 @@ from wsvoronoi.scan import (
     locate_on_hull,
     record_for,
 )
-from wsvoronoi.tradeoff import _round, _site_source, walk_cells
+from wsvoronoi.tradeoff import _far_round, _SharedEdges, _site_source, walk_cells
 
 N, F = DiagramMode.NEAREST, DiagramMode.FARTHEST
 
@@ -36,10 +36,18 @@ def run_diagram(sites, mode):
     return arena, sink, ledger
 
 
+def one_round(arena, walk, mode):
+    """The edge a one-slot round of `walk_cells` finds next for `walk`."""
+    if mode is F:
+        [edge] = _far_round(arena, [walk])
+    else:
+        [edge] = _SharedEdges(1, observing_ledger()).round(arena, [walk])
+    return edge
+
+
 def first_edge(arena, i, mode):
     """The edge the first one-slot round finds for site i's fresh walk."""
-    [edge] = _round(arena, [cell_walk(arena, i, mode, observing_ledger())], mode)
-    return edge
+    return one_round(arena, cell_walk(arena, i, mode, observing_ledger()), mode)
 
 
 def naive_hull_membership(sites, i):
@@ -140,7 +148,7 @@ class TestStartRay:
         for i, site in enumerate(P):
             walk = cell_walk(arena, i, N, observing_ledger())
             assert walk.cutter is None  # found by the first round's pass
-            [edge] = _round(arena, [walk], N)
+            edge = one_round(arena, walk, N)
             _, j = min(((w.ix - site.ix) ** 2 + (w.iy - site.iy) ** 2, j) for j, w in enumerate(P) if j != i)
             assert edge.rival == j
             assert edge.line == exact.bisector_line(site.ipt, P[j].ipt)
@@ -150,7 +158,7 @@ class TestStartRay:
         arena = ReadOnlyArena(triangle())
         walk = cell_walk(arena, 0, F, observing_ledger())
         assert walk.cutter in (1, 2)  # known before any pass
-        [edge] = _round(arena, [walk], F)
+        [edge] = _far_round(arena, [walk])
         assert edge.rival in (1, 2)
         assert (edge.lo is None) != (edge.hi is None)  # its unbounded edge
 
@@ -302,7 +310,7 @@ class TestWalkDegeneracies:
         P = site_set([(0, 0), (1, 1), (2, 2), (3, 3)])
         arena = ReadOnlyArena(P)
         walk = hull_walk(arena, 0, 3)
-        [edge] = _round(arena, [walk], F)
+        [edge] = _far_round(arena, [walk])
         assert (edge.lo, edge.hi, edge.lo_cutter, edge.hi_cutter) == (None, None, None, None)
         with pytest.raises(DegenerateGeometry) as raised:
             walk.advance(edge)
@@ -319,7 +327,7 @@ class TestWalkDegeneracies:
         P = site_set([(x, x * x) for x in (1, 2, 3, 5, 8, 13)])
         arena = ReadOnlyArena(P)
         walk = hull_walk(arena, 1, 5)
-        [edge] = _round(arena, [walk], F)
+        [edge] = _far_round(arena, [walk])
         assert None not in (edge.lo, edge.hi)
         with pytest.raises(DegenerateGeometry) as raised:
             walk.advance(edge)

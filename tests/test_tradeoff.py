@@ -22,7 +22,8 @@ from wsvoronoi.tradeoff import (
     W_SHARED_EDGE,
     W_SLOT,
     _edge_vanished,
-    _round,
+    _far_round,
+    _SharedEdges,
     find_big_cells,
     hull_stream,
     iter_big_big,
@@ -30,6 +31,7 @@ from wsvoronoi.tradeoff import (
     iter_small_incident,
     run_tradeoff,
     table_words,
+    walk_cells,
 )
 
 N, F = DiagramMode.NEAREST, DiagramMode.FARTHEST
@@ -126,15 +128,19 @@ def walk_by_hand(arena, walk, mode, size):
 
 
 def walk_by_rounds(arena, slots, mode):
-    """Every edge of each slot, `_round` serving all live slots at once."""
+    """Every edge of each slot, `walk_cells` serving all live slots at once."""
     edges = {slot.site: [] for slot in slots}
-    live = list(slots)
-    while live:
-        for slot, edge in zip(live, _round(arena, live, mode)):
-            edges[slot.site].append(edge)
-            slot.advance(edge)
-        live = [t for t in live if not t.done]
+    for slot, edge in walk_cells(arena, mode, len(slots), iter(slots), observing_ledger()):
+        edges[slot.site].append(edge)
     return edges
+
+
+def plain_round(arena, slots, mode):
+    """One round of `slots` as `walk_cells` runs it, with a shared-edge
+    table for nearest walks that holds nothing, as at s = 1."""
+    if mode is F:
+        return _far_round(arena, slots)
+    return _SharedEdges(1, observing_ledger()).round(arena, slots)
 
 
 class TestFindEdgesBatched:
@@ -172,7 +178,7 @@ class TestFindEdgesBatched:
         P = random_sites(6, 813)
         arena = ReadOnlyArena(P)
         slots = [cell_walk(arena, i, N, observing_ledger()) for i in range(6)]
-        edges = _round(arena, slots, N)
+        edges = plain_round(arena, slots, N)
         assert len(edges) == 6
 
 
@@ -210,7 +216,7 @@ class TestPassStructure:
             calls.update(clip=0, nearest=0, seed=0)
             arena.spans.clear()
             reads, singles = arena.read_count, arena.singles
-            edges = _round(arena, slots, mode)
+            edges = plain_round(arena, slots, mode)
             first = fresh and mode is N
             passes = 2 if first else 1
             assert arena.spans == [(0, n)] * passes
@@ -264,13 +270,13 @@ class TestHullChain:
             assert scan.clip_run(state, line, walk.p, arena.read_span(0, n), 1, (walk.site, walk.cutter), work=arena)
             full = scan.clip_edge(walk.site, walk.p, walk.cutter, line, state)
             handed = walk.handed
-            [edge] = _round(arena, [walk], F)
+            [edge] = _far_round(arena, [walk])
             if handed is not None:
                 assert edge == full
                 chained += 1
             walk.advance(edge)
             while not walk.done:
-                [edge] = _round(arena, [walk], F)
+                [edge] = _far_round(arena, [walk])
                 walk.advance(edge)
         assert chained == len(list(hull_stream(arena, 1, observing_ledger()))) - 1
 
@@ -286,7 +292,7 @@ class TestHullChain:
             for j in hull[a + 2 : a + n - 1]:
                 walk = scan.hull_walk(arena, i, j)
                 try:
-                    [edge] = _round(arena, [walk], F)
+                    [edge] = _far_round(arena, [walk])
                 except AssertionError:
                     continue  # clipped to nothing
                 with pytest.raises(DegenerateGeometry, match="bounded at both ends"):
@@ -682,6 +688,26 @@ class TestSharedEdges:
         assert 0 < most
         assert ledger.live_words == 0
 
+    @pytest.mark.parametrize("s", [4, 8, 24])
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    def test_no_edge_outlives_its_walk(self, kind, s, monkeypatch):
+        """The table holds an edge for a live walk only while that walk has
+        not walked it, so a walk that ends has taken every edge held for it,
+        also where a full table turned edges away."""
+        ends = 0
+        end = tradeoff._SharedEdges.end
+
+        def checked(table, site):
+            nonlocal ends
+            assert site not in table.held
+            ends += 1
+            end(table, site)
+
+        monkeypatch.setattr(tradeoff._SharedEdges, "end", checked)
+        arena = ReadOnlyArena(self.INPUTS[kind])
+        list(iter_diagram(arena, N, s, observing_ledger()))
+        assert ends
+
     def test_skipped_partner_is_pruned(self, monkeypatch):
         """A walk the source passes over never takes its edges: they leave
         the table as soon as the frontier passes it."""
@@ -706,13 +732,13 @@ class TestSharedEdges:
         big = {record_for(arena, e, N).undirected_key() for e in iter_big_big(arena, N, 4, table, observing_ledger())}
         assert got | big == oracle_vdk(P, 1).undirected_keys()
 
-    @pytest.mark.parametrize("mode, s", [(N, 1), (F, 1), (F, 8)])
-    def test_one_slot_and_farthest_runs_keep_no_table(self, mode, s, monkeypatch):
+    @pytest.mark.parametrize("s", [1, 8])
+    def test_farthest_runs_keep_no_table(self, s, monkeypatch):
         def refuse(*args):
             raise AssertionError("a shared-edge table was built")
 
         monkeypatch.setattr(tradeoff._SharedEdges, "__init__", refuse)
-        _, sink, _ = run(random_sites(24, 855), mode, s)
+        _, sink, _ = run(random_sites(24, 855), F, s)
         assert sink.records
 
     @pytest.mark.parametrize("mode", ["nvd", "fvd"])
