@@ -18,6 +18,11 @@ from .geometry import Site
 #: Overridable via the VW_BUDGET_CONST environment variable in the CLI.
 BUDGET_CONST = 64
 
+#: The arena builds its float twin only when every |coordinate| is below
+#: this: then each coordinate, and the difference of any two, is exact in
+#: a double (`scan.clip_run`).
+TWIN_LIMIT = 1 << 50
+
 
 class ModelViolation(Exception):
     """An algorithm exceeded its workspace budget in enforcing mode."""
@@ -37,15 +42,27 @@ class ReadOnlyArena:
     `site_visits`, the sites each call looked at, skipped and culled ones
     included, and `site_tests`, those of them that reached the exact
     arithmetic.
+
+    `twin` is the input again, read-only, for the farthest clip's float
+    filter (`scan.clip_run`): (fpts, box), fpts[j] being site j's point as
+    two doubles and box the integer (min x, max x, min y, max y) of all
+    sites.  It is built once, only when every coordinate is below
+    `TWIN_LIMIT` in magnitude, so that each fpts[j] is exact; else None.
     """
 
-    __slots__ = ("_items", "read_count", "site_tests", "site_visits", "scale")
+    __slots__ = ("_items", "read_count", "site_tests", "site_visits", "scale", "twin")
 
     def __init__(self, sites: Sequence[Site]):
         if not sites:
             raise ValueError("empty arena")
         self._items = tuple((i, s.ipt) for i, s in enumerate(sites))
         self.scale = sites[0].scale
+        xs = [s.ix for s in sites]
+        ys = [s.iy for s in sites]
+        box = (min(xs), max(xs), min(ys), max(ys))
+        self.twin = None
+        if max(-box[0], box[1], -box[2], box[3]) < TWIN_LIMIT:
+            self.twin = (tuple((float(x), float(y)) for x, y in zip(xs, ys)), box)
         self.read_count = 0
         self.site_tests = 0
         self.site_visits = 0

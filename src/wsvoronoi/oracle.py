@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import exact
 from .geometry import DegenerateGeometry, Site
-from .records import EdgeRecord, Unbounded, _hpoint_end, directed_record, undirected_record
+from .records import EdgeRecord, Unbounded, directed_record, undirected_record
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,16 +37,6 @@ class OracleEdge:
     hi_extra: Optional[int]
     lo_inside: Optional[int]  # sites strictly inside the endpoint disk
     hi_inside: Optional[int]
-
-    def endpoint_class(self, which: str) -> Optional[str]:
-        inside = self.lo_inside if which == "lo" else self.hi_inside
-        if inside is None:
-            return None
-        if inside == self.k - 2:
-            return "old"
-        if inside == self.k - 1:
-            return "new"
-        raise AssertionError(f"impossible inside count {inside} for order {self.k}")
 
 
 @lru_cache(maxsize=64)
@@ -89,29 +79,6 @@ class OracleDiagram:
     @property
     def scale(self) -> int:
         return self.sites[0].scale
-
-    def cell_keys(self):
-        cells = set()
-        for e in self.edges:
-            cells.add(e.closest | {e.pair[0]})
-            cells.add(e.closest | {e.pair[1]})
-        return cells
-
-    def vertex_classes(self):
-        """{vertex as a record end: (defining triple, 'old'|'new')} for this order."""
-        out = {}
-        for e in self.edges:
-            for which, hp, extra in (("lo", e.lo, e.lo_extra), ("hi", e.hi, e.hi_extra)):
-                if hp is None:
-                    continue
-                key = _hpoint_end(hp, self.scale)
-                triple = frozenset((e.pair[0], e.pair[1], extra))
-                cls = e.endpoint_class(which)
-                if key in out:
-                    assert out[key] == (triple, cls), "inconsistent vertex data"
-                else:
-                    out[key] = (triple, cls)
-        return out
 
     def undirected_records(self):
         return [_undirected_record(e, self.scale) for e in self.edges]
@@ -303,113 +270,3 @@ def verify_run(
         if err:
             invalid.append((r, err))
     return VerifyReport(missing, spurious, duplicated, invalid)
-
-
-@dataclass(frozen=True)
-class CellIntervals:
-    """CCW boundary of one (k+1)-cell, split at relevant-head vertices.
-
-    ``boundary`` is the cell's directed boundary (cell on the left) in ccw
-    order; ``intervals`` maps each owning relevant k-half-edge record to the
-    run of boundary edges it owns.  For unbounded cells the run before the
-    first relevant head has no owner and is stored under None.
-    """
-
-    cell: frozenset
-    boundary: tuple
-    intervals: tuple  # ((owner record | None, (edge records...)), ...)
-
-
-def _directed_boundary(cell_key, edges_k1, sites):
-    """Directed boundary records of a cell, chained in ccw order."""
-    directed = []
-    for e in edges_k1:
-        for rec in _directed_records(e, sites):
-            left = set(rec.closest) | {rec.pair[0]}
-            if left == set(cell_key):
-                directed.append(rec)
-    if not directed:
-        return ()
-    by_tail = {}
-    open_starts = []
-    for rec in directed:
-        if isinstance(rec.tail, Unbounded):
-            open_starts.append(rec)
-        else:
-            by_tail[rec.endpoint_key("tail")] = rec
-    if open_starts:
-        assert len(open_starts) == 1, "unbounded cell boundary has one ccw start"
-        chain = [open_starts[0]]
-    else:
-        chain = [min(directed, key=lambda r: r.canonical_key())]
-    while True:
-        cur = chain[-1]
-        if isinstance(cur.head, Unbounded):
-            break
-        nxt = by_tail.get(cur.endpoint_key("head"))
-        if nxt is None or nxt is chain[0]:
-            break
-        chain.append(nxt)
-    assert len(chain) == len(directed), "boundary of a convex cell is a single chain"
-    return tuple(chain)
-
-
-def oracle_intervals(sites: Sequence[Site], k: int):
-    """Interval assignment of (k+1)-half-edges to relevant k-half-edges."""
-    sites = tuple(sites)
-    dk = oracle_vdk(sites, k)
-    dk1 = oracle_vdk(sites, k + 1)
-    edges_by_cell = {}
-    for e in dk1.edges:
-        for cell in (e.closest | {e.pair[0]}, e.closest | {e.pair[1]}):
-            edges_by_cell.setdefault(cell, []).append(e)
-
-    relevant_by_cell = {}
-    for e in dk.edges:
-        cell = e.closest | {e.pair[0], e.pair[1]}
-        for rec in _directed_records(e, sites):
-            if isinstance(rec.head, Unbounded):
-                continue
-            which = "hi" if rec.endpoint_key("head") == _endpoint_key_of(e.hi, sites) else "lo"
-            if e.endpoint_class(which) == "new":
-                relevant_by_cell.setdefault(cell, []).append(rec)
-
-    out = {}
-    for cell, edges in edges_by_cell.items():
-        boundary = _directed_boundary(cell, edges, sites)
-        relevant = relevant_by_cell.get(cell, [])
-        heads = {r.endpoint_key("head"): r for r in relevant}
-        assert len(heads) == len(relevant), "one relevant head per boundary vertex"
-        intervals = []
-        current_owner = None
-        current_run = []
-        for rec in boundary:
-            owner = heads.get(rec.endpoint_key("tail"))
-            if owner is not None:
-                if current_run:
-                    intervals.append((current_owner, tuple(current_run)))
-                current_owner = owner
-                current_run = [rec]
-            else:
-                current_run.append(rec)
-        if current_run:
-            intervals.append((current_owner, tuple(current_run)))
-        if intervals and len(intervals) > 1 and intervals[0][0] is None and not isinstance(
-            boundary[0].tail, Unbounded
-        ):
-            # Closed boundary: the unowned leading run wraps onto the last owner.
-            first = intervals.pop(0)
-            owner, run = intervals.pop()
-            intervals.append((owner, run + first[1]))
-        owners = [o for o, _ in intervals if o is not None]
-        if len(owners) == 1 and len(intervals) == 2 and intervals[0][0] is None:
-            # A single relevant half-edge owns the entire boundary.
-            intervals = [(owners[0], tuple(boundary))]
-        out[cell] = CellIntervals(cell, boundary, tuple(intervals))
-    return out
-
-
-def _endpoint_key_of(hp, sites):
-    if hp is None:
-        return None
-    return ("P", *_hpoint_end(hp, sites[0].scale))

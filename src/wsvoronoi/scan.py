@@ -24,7 +24,10 @@ of the next edge is a ray shot from it: `clip_run` takes the site whose
 bisector holds the entry vertex as its seed, clips it first, and then
 holds that end final, dropping every cutter on its side from the sign of
 one product, before the crossing arithmetic.  The final end's disk holds
-no site, so a nearest clip's cull box is the moving end's alone.
+no site, so a nearest clip's cull box is the moving end's alone.  A
+farthest clip has no cull; it decides each site in doubles where an error
+bound shows their sign is the exact one, and falls back to exact integers
+elsewhere, so its output is exact (`clip_run`'s float filter).
 
 An edge (`CellEdge`) keeps its ends as the clip kernel's exact
 parameters on its carrier, with the site that cut each end.  The walk
@@ -182,7 +185,19 @@ def _rival_offset(line, px, py):
     return k * a // nn, k * b // nn
 
 
-def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work) -> bool:
+# The float filter's error bounds (`clip_run`), as multiples of a double's
+# unit roundoff eps = 2**-53.
+_DEN_ERR = 8 * 2.0**-53
+_END_ERR = 16 * 2.0**-53
+
+
+def _margin(n, d, s_den, s_num):
+    """An end n/d as doubles, with the filter's margin for a test against it."""
+    fn, fd = float(n), float(d)
+    return fn, fd, _END_ERR * (abs(fn) * s_den + abs(fd) * s_num)
+
+
+def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work, twin=None) -> bool:
     """Clip an interval on `line`, the bisector of site p and a rival, by
     the bisector of p and each (index, point) of `items`.
 
@@ -246,6 +261,41 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work
     strictly outside it.  The box is then the moving end's disk box alone,
     built once that end is bounded and again each time it moves, and is
     not cached in the state.
+
+    The float filter (farthest sense, no `flip`, `twin` given): farthest
+    clips have no cull, so each site is tried first in doubles and reaches
+    the integer code above only where a double cannot decide.  `twin` is
+    the arena's (`ReadOnlyArena.twin`), and every (j, w) of `items` and
+    the seed must be its site j.  It exists only when every |coordinate|
+    is below 2^50: then the coordinates of w, p and r = p + e and the
+    differences w - p and w - r are exact in doubles, and the only
+    roundings, each of relative error at most eps = 2^-53, are those of
+    the operations and of converting da, db, d0 and the ends; k of them in
+    a row stay within g(k) = k*eps / (1 - k*eps).  Per call the twin's box
+    gives S_den = |da|*max|y| + |db|*max|x| + |d0| >= |den| and
+    S_num = MX*(MX + |e_x|) + MY*(MY + |e_y|) >= |num|, MX and MY being the
+    largest |x - p_x| and |y - p_y| over the box.  The double
+    fden = da*y - db*x - d0 has at most four roundings in each term, so it
+    is within g(4)*S_den < 8eps*S_den of den; fnum = (w - p).(w - r), two
+    products and a sum of exact differences, is within g(2)*S_num of num.
+    So a cutter with fden*fin > 8eps*S_den is dropped on the final end's
+    side, and |fden| > 8eps*S_den fixes den's sign.  For the end n/d that
+    this sign makes the cutter bound, with fn and fd the doubles of n and
+    d, F = fn*fden - fnum*fd is within about 7eps*|fn|*S_den +
+    5eps*|fd|*S_num of the exact n*den - num*d that the integer code
+    compares with 0: one rounding of n, g(4) of fden and one of their
+    product; one of d, g(2) of fnum and one of their product; one of the
+    difference.  If F > m = 16eps*(|fn|*S_den + |fd|*S_num), that exact
+    value is positive, the cutter lies strictly behind the end, and it is
+    passed over.  The constants 8 and 16 are those bounds doubled, which
+    covers the terms in eps^2 and the roundings of S_den, S_num and m; no
+    product comes near overflow, as all stay below 2^250.  Each end's m is
+    re-derived when that end moves (`_margin`).  Every other cutter (den's
+    sign uncertain, den near 0, a possible new end or tie) goes on to the
+    integer code, which decides it as it would without the filter; a
+    cutter decided in doubles counts as tested, as there.  So the clip
+    leaves the same state and counts.  Nearest and flipped clips take no
+    filter: the box cull spares them most of the arithmetic.
     """
     a, b, _ = line
     px, py = p
@@ -270,11 +320,37 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work
     # lies on the final end's side.
     fin = 0
     sj = None if seed is None else seed[0]
+    filt = far and not flipping and twin is not None
+    if filt:
+        fpts, (xa, xb, ya, yb) = twin
+        mux = max(abs(px - xa), abs(xb - px))
+        muy = max(abs(py - ya), abs(yb - py))
+        s_den = float(abs(da) * max(-ya, yb) + abs(db) * max(-xa, xb) + abs(d0))
+        s_num = float(mux * (mux + abs(ex)) + muy * (muy + abs(ey)))
+        eden = _DEN_ERR * s_den
+        fda, fdb, fd0, fpx, fpy, frx, fry = map(float, (da, db, d0, px, py, px + ex, py + ey))
+        ffin = 0.0  # fin as a double: CPython multiplies two floats faster than a float and an int
+        flo_n, flo_d, m_lo = _margin(lo_n, lo_d, s_den, s_num)
+        fhi_n, fhi_d, m_hi = _margin(hi_n, hi_d, s_den, s_num)
     it = iter(items)
     for j, (wx, wy) in it if seed is None else chain((seed,), it):
         if boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1):
             passed += 1
             continue
+        if filt:
+            fx, fy = fpts[j]
+            fden = fda * fy - fdb * fx - fd0
+            if fden * ffin > eden:
+                continue
+            if j in skip:
+                passed += 1
+                continue
+            fnum = (fx - fpx) * (fx - frx) + (fy - fpy) * (fy - fry)
+            if fden > eden:
+                if flo_n * fden - fnum * flo_d > m_lo:
+                    continue
+            elif fden < -eden and fhi_n * fden - fnum * fhi_d > m_hi:
+                continue
         den = da * wy - db * wx - d0
         if den * fin > 0:
             continue
@@ -298,7 +374,9 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work
                 continue
             lo_n, lo_d, lo_cut, lo_box, lo_tie = num, den, j, None, False
             if j == sj:
-                fin = 1
+                fin, ffin = 1, 1.0
+            if filt:
+                flo_n, flo_d, m_lo = _margin(num, den, s_den, s_num)
         elif den < 0:
             # An upper bound at (-num)/(-den), compared without negating.
             x = hi_n * den
@@ -310,7 +388,9 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work
                 continue
             hi_n, hi_d, hi_cut, hi_box, hi_tie = -num, -den, j, None, False
             if j == sj:
-                fin = -1
+                fin, ffin = -1, -1.0
+            if filt:
+                fhi_n, fhi_d, m_hi = _margin(hi_n, hi_d, s_den, s_num)
         elif num < 0:
             continue  # cutter bisector parallel to the line, kept whole
         else:

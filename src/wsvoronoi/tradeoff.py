@@ -110,8 +110,11 @@ def _far_round(arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]
     every site, so the cutter it handed on, the one at the edge's finite
     end, is clipped alone and the slot reads no span; the other end stays
     unbounded, and a tie at the finite end was already raised in that walk.
-    Each walk makes one kernel call per pass.  Nearest walks pass the same
-    way, in `_SharedEdges.round`.
+    Each walk makes one kernel call per pass.  A call over the span takes
+    the arena's `twin`, so it decides most sites in doubles (`clip_run`'s
+    float filter); a handed cutter, one site, goes to the integer code
+    alone, which costs less than the filter's per-call set-up.  Nearest
+    walks pass the same way, in `_SharedEdges.round`.
     """
     n = len(arena)
     span = None  # read once some slot needs it
@@ -126,7 +129,7 @@ def _far_round(arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]
         else:
             if span is None:
                 span = arena.read_span(0, n)
-            alive = clip_run(slot.state, line, slot.p, span, 1, skip, seed=slot.seed(), work=arena)
+            alive = clip_run(slot.state, line, slot.p, span, 1, skip, seed=slot.seed(), work=arena, twin=arena.twin)
         if not alive:
             _edge_vanished(slot)
         edges.append(clip_edge(slot.site, slot.p, slot.rival, line, slot.state))

@@ -9,10 +9,11 @@ import random
 import sys
 import time
 
+from cell_intervals import cell_keys, oracle_intervals, vertex_classes
 from wsvoronoi.datagen import random_sites
 from wsvoronoi.geometry import site_set
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
-from wsvoronoi.oracle import oracle_intervals, oracle_vdk, verify_run
+from wsvoronoi.oracle import oracle_vdk, verify_run
 from wsvoronoi.pipeline import PipelineConfig, pipeline_run
 from wsvoronoi.records import Unbounded
 from wsvoronoi.scan import DiagramMode, enumerate_diagram
@@ -108,7 +109,7 @@ def test_criterion_2_higher_order_equivalence():
 
 
 def _vertex_points(diagram):
-    return set(diagram.vertex_classes())
+    return set(vertex_classes(diagram))
 
 
 def test_criterion_3_structural_properties():
@@ -123,7 +124,7 @@ def test_criterion_3_structural_properties():
             if k + 1 > n - 1:
                 continue
             dk, dk1 = diagrams[k], diagrams[k + 1]
-            cells_k1 = dk1.cell_keys()
+            cells_k1 = cell_keys(dk1)
             # Property: adjacent k-cells join into a nonempty (k+1)-cell.
             for e in dk.edges:
                 union = e.closest | {e.pair[0], e.pair[1]}
@@ -160,8 +161,8 @@ def test_criterion_3_structural_properties():
                 assert len(parent) == len(edges) + 1, f"disconnected tree n={n} k={k}"
                 checked_cells += 1
             # Property: new k-vertices are exactly the old (k+1)-vertices.
-            new_k = {pt for pt, (_, cls) in dk.vertex_classes().items() if cls == "new"}
-            old_k1 = {pt for pt, (_, cls) in dk1.vertex_classes().items() if cls == "old"}
+            new_k = {pt for pt, (_, cls) in vertex_classes(dk).items() if cls == "new"}
+            old_k1 = {pt for pt, (_, cls) in vertex_classes(dk1).items() if cls == "old"}
             assert new_k == old_k1, f"vertex identity n={n} k={k}"
             # Vertices never span non-consecutive orders.
             if k + 2 <= min(4, n - 1):
@@ -179,9 +180,9 @@ def test_criterion_3_structural_properties():
                     tails = {r.endpoint_key("tail") for r in run}
                     assert owner.endpoint_key("head") in tails
         # All first-order vertices are new; all last-order ones are old.
-        assert all(cls == "new" for _, (_, cls) in diagrams[1].vertex_classes().items())
+        assert all(cls == "new" for _, (_, cls) in vertex_classes(diagrams[1]).items())
         if n - 1 in diagrams:
-            assert all(cls == "old" for _, (_, cls) in diagrams[n - 1].vertex_classes().items())
+            assert all(cls == "old" for _, (_, cls) in vertex_classes(diagrams[n - 1]).items())
     _pass(f"criterion 3: structural properties hold over {checked_cells} cells ({time.time() - t0:.0f}s)")
 
 

@@ -10,7 +10,10 @@ walk's clip with the cutter of its entry vertex changes no end, cutter or
 tie: for nearest walks when the seed is clipped in a call of its own, and
 for nearest and farthest walks when it is handed to the kernel, which
 then holds the end it cuts final.  The seeded nearest clips and the
-successor searches of real runs are replayed against the references.
+successor searches of real runs are replayed against the references.  A
+farthest clip given the arena's float twin leaves the state and the site
+counts that the exact code alone leaves, seeded or not, at the twin's
+coordinate limit too, and the arena builds the twin only below that limit.
 """
 
 from fractions import Fraction
@@ -18,7 +21,7 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsvoronoi import exact, tradeoff
@@ -337,7 +340,10 @@ class TestEndsOnDemand:
     """`CellEdge.ends` builds each end from the clip's parameter and the
     carrier alone, reading nothing; the point is where the bisector of p
     and the end's cutter crosses the carrier, in either sense, whichever
-    cutters are flipped, at any coordinate width."""
+    cutters are flipped, at any coordinate width.  The clips take the
+    arena's twin, so unflipped farthest ones run the float filter on the
+    grid and wide cases and the exact code alone on the shifted ones,
+    whose arena has no twin."""
 
     @settings(max_examples=300, deadline=None)
     @given(clip_case(), st.sampled_from(["grid", "wide", "shifted"]), st.integers(1, 2**40))
@@ -349,9 +355,11 @@ class TestEndsOnDemand:
         p, r, cutters, want, skip, flip, batch = case
         line = exact.bisector_line(p, r)
         state = [None, None, None, None, None]
-        work = tally()
+        work = ReadOnlyArena(site_set([p, r, *(w for _, w in cutters)]))
+        assert (work.twin is None) == (how == "shifted")
         for start in range(0, len(cutters), batch):
-            if not clip_run(state, line, p, cutters[start : start + batch], want, skip, flip, work=work):
+            batch_items = cutters[start : start + batch]
+            if not clip_run(state, line, p, batch_items, want, skip, flip, work=work, twin=work.twin):
                 return
         try:
             edge = clip_edge(0, p, 1, line, state)
@@ -671,16 +679,17 @@ class TestSeededClip:
 def ray_clips(sites, mode, s):
     """((alive, state[:4]) of the seeded clip, the same of the plain
     two-ended clip) for every clip after a walk's first edge in the s-slot
-    run of `sites`: the rounds of `tradeoff` hand those clips their seed."""
+    run of `sites`: the rounds of `tradeoff` hand those clips their seed,
+    and farthest ones the arena's twin, which the plain clip goes without."""
     kernel = tradeoff.clip_run
     out = []
 
-    def clip(state, line, p, items, want, skip, flip=(), *, seed=None, work):
+    def clip(state, line, p, items, want, skip, flip=(), *, seed=None, work, twin=None):
         if seed is None:
-            return kernel(state, line, p, items, want, skip, flip, work=work)
+            return kernel(state, line, p, items, want, skip, flip, work=work, twin=twin)
         plain = list(state)
         plain_alive = kernel(plain, line, p, items, want, skip, flip, work=tally())
-        alive = kernel(state, line, p, items, want, skip, flip, seed=seed, work=work)
+        alive = kernel(state, line, p, items, want, skip, flip, seed=seed, work=work, twin=twin)
         out.append(((alive, state[:4]), (plain_alive, plain[:4])))
         return alive
 
@@ -748,6 +757,139 @@ class TestCertifiedEnd:
         assert plain[1:4:2] == [(-268, 6, False), 5]
 
 
+LIMIT = 2**50 - 1  # the largest |coordinate| the arena builds a twin for
+K = 2**49 // 5  # (+-5K, 0), (+-3K, +-4K), ... lie on one circle at 2^49 scale
+
+
+@st.composite
+def filter_sites(draw):
+    """Distinct points at the float filter's limits: a parabola reaching
+    2^50, a cocircular set at 2^49 scale with each coordinate nudged by
+    -1, 0 or 1, or coordinates up to +-(2^50 - 1), the extremes included."""
+    kind = draw(st.sampled_from(["parabola", "cocircular", "extreme"]))
+    if kind == "parabola":
+        xs = draw(st.lists(st.integers(1, 2**25 - 1), min_size=4, max_size=14, unique=True))
+        return [(x, x * x) for x in xs]
+    if kind == "cocircular":
+        ring = [(5 * K, 0), (3 * K, 4 * K), (-4 * K, 3 * K), (0, -5 * K), (4 * K, -3 * K), (-3 * K, -4 * K)]
+        chosen = draw(st.lists(st.sampled_from(ring), min_size=4, max_size=6, unique=True))
+        nudge = st.integers(-1, 1)
+        return [(x + draw(nudge), y + draw(nudge)) for x, y in chosen]
+    c = st.sampled_from([-LIMIT, LIMIT]) | st.integers(-LIMIT, LIMIT)
+    return draw(st.lists(st.tuples(c, c), min_size=4, max_size=10, unique=True))
+
+
+def farthest_clip(arena, line, p, items, skip, batch, twin):
+    """(alive, state[:4], site_tests, site_visits) of a farthest clip over
+    `items` in batches, with or without the twin."""
+    state = [None] * 5
+    before = arena.site_tests, arena.site_visits
+    alive = True
+    for start in range(0, len(items), batch):
+        alive = clip_run(state, line, p, items[start : start + batch], 1, skip, work=arena, twin=twin)
+        if not alive:
+            break
+    return alive, state[:4], arena.site_tests - before[0], arena.site_visits - before[1]
+
+
+def twin_clips(sites, s):
+    """(filtered, exact) for every clip of the s-slot farthest run of
+    `sites` that takes the twin: (alive, state[:4], site_tests, site_visits)
+    of that call and of the same call without the twin, and whether it was
+    seeded.  The run stops where the input is degenerate."""
+    kernel = tradeoff.clip_run
+    out = []
+
+    def clip(state, line, p, items, want, skip, flip=(), *, seed=None, work, twin=None):
+        if twin is None:
+            return kernel(state, line, p, items, want, skip, flip, seed=seed, work=work)
+        runs = []
+        for use, into in ((None, list(state)), (twin, state)):
+            before = work.site_tests, work.site_visits
+            alive = kernel(into, line, p, items, want, skip, flip, seed=seed, work=work, twin=use)
+            runs.append((alive, into[:4], work.site_tests - before[0], work.site_visits - before[1]))
+        out.append((runs[1], runs[0], seed is not None))
+        return alive
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tradeoff, "clip_run", clip)
+        try:
+            run_tradeoff(ReadOnlyArena(sites), DiagramMode.FARTHEST, s, OutputSink(keep=False), observing_ledger())
+        except DegenerateGeometry:
+            pass
+    return out
+
+
+class TestFloatFilter:
+    """A farthest clip given the arena's twin decides each site in doubles
+    when their error bound allows and in integers otherwise, so it ends in
+    the same state, with the same site counts, as the exact clip alone."""
+
+    # Nudged cocircular sets on which a filter with no margin for the end
+    # tests passes over a site that moves or ties an end.
+    NUDGED = [(5 * K, 0), (3 * K, 4 * K), (-4 * K, 3 * K), (1, -5 * K)]
+    NUDGED_6 = [(4 * K + 1, -3 * K), (-4 * K + 1, 3 * K), (5 * K, 0)]
+    NUDGED_6 += [(-3 * K - 1, -4 * K + 1), (0, -5 * K), (3 * K - 1, 4 * K + 1)]
+
+    @settings(max_examples=120, deadline=None)
+    @given(filter_sites(), st.integers(1, 5))
+    @example(NUDGED, 1)
+    def test_unseeded_equals_exact(self, pts, batch):
+        arena = ReadOnlyArena(site_set(pts))
+        assert arena.twin is not None
+        span = arena.read_span(0, len(arena))
+        for i, p in span:
+            for r, w in span:
+                if r != i:
+                    line = exact.bisector_line(p, w)
+                    runs = [farthest_clip(arena, line, p, span, (i, r), batch, t) for t in (arena.twin, None)]
+                    assert runs[0] == runs[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(filter_sites(), st.sampled_from([1, 3]))
+    @example(NUDGED_6, 1)
+    def test_walk_clips_equal_exact(self, pts, s):
+        clips = twin_clips(site_set(pts), s)
+        for filtered, plain, _ in clips:
+            assert filtered == plain
+
+    @pytest.mark.parametrize("s", [1, 16])
+    def test_real_runs(self, s):
+        for sites in (random_sites(96, 7), site_set([(x, x * x) for x in Random(7).sample(range(1, 2**25), 64)])):
+            clips = twin_clips(sites, s)
+            assert {seeded for *_, seeded in clips} == {True, False}
+            for filtered, plain, _ in clips:
+                assert filtered == plain
+
+    def test_exact_tie_still_raises(self):
+        # The square of side 2k, shifted off a power of two: (o, o + 2k) and
+        # (o + 2k, o + 2k) both cut x = o + k, the bisector of (o, o) and
+        # (o + 2k, o), at (o + k, o + k), in the farthest sense as in the
+        # nearest.  The doubles cannot tell that crossing from the end; the
+        # integers find the tie.
+        k, o = 2**48, 2**49 - 12345
+        sites = site_set([(o, o), (o + 2 * k, o), (o, o + 2 * k), (o + 2 * k, o + 2 * k)])
+        arena = ReadOnlyArena(sites)
+        assert arena.twin is not None
+        span = arena.read_span(0, len(arena))
+        p = span[0][1]
+        line = exact.bisector_line(p, span[1][1])
+        state = [None] * 5
+        assert clip_run(state, line, p, span, 1, (0, 1), work=arena, twin=arena.twin)
+        with pytest.raises(DegenerateGeometry, match="has a tied end"):
+            clip_edge(0, p, 1, line, state)
+
+    @pytest.mark.parametrize("big, built", [(2**50 - 1, True), (2**50, False)])
+    def test_twin_gate(self, big, built):
+        for far in ((big, 3), (-big, 3), (3, big), (3, -big)):
+            arena = ReadOnlyArena(site_set([(0, 0), (1, 2), far]))
+            assert (arena.twin is not None) is built
+            if built:
+                fpts, box = arena.twin
+                assert [(int(x), int(y)) for x, y in fpts] == [(0, 0), (1, 2), far]
+                assert box == (min(0, far[0]), max(1, far[0]), min(0, far[1]), max(2, far[1]))
+
+
 def kernel_calls(sites, mode, s, K):
     """Every seeded nearest `clip_run` call and every
     `_IntervalWalk.consider_batch` call of a run, with what it left:
@@ -756,8 +898,8 @@ def kernel_calls(sites, mode, s, K):
     clip, consider = tradeoff.clip_run, _IntervalWalk.consider_batch
     clips, steps = [], []
 
-    def traced_clip(state, line, p, items, want, skip, flip=(), *, seed=None, work):
-        alive = clip(state, line, p, items, want, skip, flip, seed=seed, work=work)
+    def traced_clip(state, line, p, items, want, skip, flip=(), *, seed=None, work, twin=None):
+        alive = clip(state, line, p, items, want, skip, flip, seed=seed, work=work, twin=twin)
         if seed is not None and want < 0:
             clips.append((line, p, list(items), skip, alive, list(state)))
         return alive

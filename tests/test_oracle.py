@@ -2,13 +2,9 @@
 
 import pytest
 
+from cell_intervals import cell_keys, oracle_intervals, vertex_classes
 from wsvoronoi.datagen import random_sites, triangle
-from wsvoronoi.oracle import (
-    check_distance_profile,
-    oracle_intervals,
-    oracle_vdk,
-    verify_run,
-)
+from wsvoronoi.oracle import check_distance_profile, oracle_vdk, verify_run
 from wsvoronoi.records import Unbounded
 
 
@@ -32,14 +28,14 @@ def test_planarity_bound_and_cells():
     P = random_sites(10, 17)
     d = oracle_vdk(P, 1)
     assert len(d.edges) <= 3 * 10 - 6
-    assert len(d.cell_keys()) == 10
+    assert len(cell_keys(d)) == 10
 
 
 def test_farthest_cells_are_hull_and_tree():
     P = random_sites(12, 23)
     n = len(P)
     d = oracle_vdk(P, n - 1)
-    cells = d.cell_keys()
+    cells = cell_keys(d)
     hull = _naive_hull_indices(P)
     sites_with_cells = set()
     for cell in cells:
@@ -81,9 +77,9 @@ def test_vertex_classes_cross_order():
     for k in (2, 3):
         dk = oracle_vdk(P, k)
         lower_new = {
-            pt for pt, (_, cls) in oracle_vdk(P, k - 1).vertex_classes().items() if cls == "new"
+            pt for pt, (_, cls) in vertex_classes(oracle_vdk(P, k - 1)).items() if cls == "new"
         }
-        old_k = {pt for pt, (_, cls) in dk.vertex_classes().items() if cls == "old"}
+        old_k = {pt for pt, (_, cls) in vertex_classes(dk).items() if cls == "old"}
         assert old_k <= lower_new
 
 

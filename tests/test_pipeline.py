@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cell_intervals import oracle_intervals
 from wsvoronoi import exact
 from wsvoronoi.datagen import random_sites, site_set, triangle
 from wsvoronoi.geometry import DegenerateGeometry
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
-from wsvoronoi.oracle import oracle_intervals, oracle_vdk
+from wsvoronoi.oracle import oracle_vdk
 from wsvoronoi.pipeline import (
     ConfigError,
     PipelineConfig,

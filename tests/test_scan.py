@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from cell_intervals import directed_boundary
 from wsvoronoi import exact
 from wsvoronoi.cli import main
 from wsvoronoi.datagen import random_sites, triangle, with_interior_point
 from wsvoronoi.geometry import DegenerateGeometry, site_set
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
-from wsvoronoi.oracle import _directed_boundary, check_distance_profile, oracle_vdk, verify_run
+from wsvoronoi.oracle import check_distance_profile, oracle_vdk, verify_run
 from wsvoronoi.records import Unbounded, read_stream
 from wsvoronoi.scan import (
     DiagramMode,
@@ -276,7 +277,7 @@ class TestWalkOrder:
         walked_edges = 0
         for i in range(n):
             cell = frozenset({i}) if mode is N else frozenset(range(n)) - {i}
-            boundary = _directed_boundary(cell, [e for e in oracle.edges if i in e.pair], P)
+            boundary = directed_boundary(cell, [e for e in oracle.edges if i in e.pair], P)
             try:
                 edges = cell_edges(arena, i, mode, observing_ledger())
             except FarthestCellEmpty:
