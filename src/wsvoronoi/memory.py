@@ -43,11 +43,12 @@ class ReadOnlyArena:
     included, and `site_tests`, those of them that reached the exact
     arithmetic.
 
-    `twin` is the input again, read-only, for the farthest clip's float
-    filter (`scan.clip_run`): (fpts, box), fpts[j] being site j's point as
-    two doubles and box the integer (min x, max x, min y, max y) of all
-    sites.  It is built once, only when every coordinate is below
-    `TWIN_LIMIT` in magnitude, so that each fpts[j] is exact; else None.
+    `twin` is the input again, read-only, for the float filter of each
+    farthest clip that counts into the arena (`scan.clip_run`): (fpts,
+    box), fpts[j] being site j's point as two doubles and box the integer
+    (min x, max x, min y, max y) of all sites.  It is built once, only
+    when every coordinate is below `TWIN_LIMIT` in magnitude, so that
+    each fpts[j] is exact; else None.
     """
 
     __slots__ = ("_items", "read_count", "site_tests", "site_visits", "scale", "twin")

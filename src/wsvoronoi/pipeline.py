@@ -479,10 +479,11 @@ def _iter_big_big_edges(
     Two cells can only share an edge when their site sets differ in one
     site; for each such candidate pair the edge is the interval of the
     differing sites' bisector where the common sites are strictly closer
-    and every other site strictly farther, found by one clipping pass
-    over the input.  O(1) words per candidate, no in-workspace diagram:
-    `chunk` candidates, generated as they are needed, share each pass,
-    which reads the input as one span.
+    and every other site strictly farther: two clips of one state, the
+    input in the nearest sense with the common sites passed over, then the
+    common sites in the farthest (`clip_run`).  O(1) words per candidate,
+    no in-workspace diagram: `chunk` candidates, generated as they are
+    needed, share each pass, which reads the input as one span.
     """
     candidates = _big_big_candidates(table, k_out)
     while group := list(itertools.islice(candidates, chunk)):
@@ -493,10 +494,12 @@ def _iter_big_big_edges(
                 line = exact.bisector_line(a_pt, arena.read(b))
                 states.append((common, a, b, a_pt, line, [None, None, None, None, None]))
             span = arena.read_span(0, len(arena))
-            for common, a, b, a_pt, line, box in states:
+            for common, a, b, a_pt, line, state in states:
                 # Nearer to a than every other site, farther than the common ones.
-                if clip_run(box, line, a_pt, span, -1, (a, b), common, work=arena):
-                    edge = clip_edge(a, a_pt, b, line, box)
+                if clip_run(state, line, a_pt, span, -1, common | {a, b}, work=arena) and clip_run(
+                    state, line, a_pt, [span[j] for j in common], 1, (), work=arena
+                ):
+                    edge = clip_edge(a, a_pt, b, line, state)
                     yield from _halfedges_of_cell_edge(k_out, common, edge)
 
 

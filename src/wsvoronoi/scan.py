@@ -197,18 +197,18 @@ def _margin(n, d, s_den, s_num):
     return fn, fd, _END_ERR * (abs(fn) * s_den + abs(fd) * s_num)
 
 
-def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work, twin=None) -> bool:
+def clip_run(state, line, p, items, want: int, skip, *, seed=None, work) -> bool:
     """Clip an interval on `line`, the bisector of site p and a rival, by
     the bisector of p and each (index, point) of `items`.
 
     Keeps the part nearer to p than to each cutter (want = -1) or farther
-    (want = 1); indices in `flip` take the opposite sense and indices in
-    `skip` are passed over.  state = [t_lo, t_hi, lo_cut, hi_cut, box]:
-    each end is a (num, den>0, tied) parameter, or None while unbounded,
-    with the index of the site that cut it; tied is set when a different
-    site's bisector crosses exactly there (four cocircular sites), and
-    `clip_edge` raises on a tied end; box caches the cull below.  Returns
-    False once the interval is empty.  The number of sites that reach the
+    (want = 1), one sense per call; indices in `skip` are passed over.
+    state = [t_lo, t_hi, lo_cut, hi_cut, box]: each end is a (num, den>0,
+    tied) parameter, or None while unbounded, with the index of the site
+    that cut it; tied is set when a different site's bisector crosses
+    exactly there (four cocircular sites), and `clip_edge` raises on a
+    tied end; box caches the cull below.  Returns False once the interval
+    is empty.  The number of sites that reach the
     arithmetic is added to `work.site_tests`, and the number looked at to
     `work.site_visits` (the run's arena).
 
@@ -220,14 +220,14 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work
     den = a*u_y - b*u_x, worked out from w as (a*w_y - b*w_x) - (a*p_y - b*p_x)
     with the second term fixed per call.  The kept sense is folded into the
     signs, once per call: for want = 1 every cutter's num and den are
-    negated, and for an index in `flip` negated again.  Then the kept side
-    of a cutter with den > 0 lies beyond its crossing, a lower bound, and
-    with den < 0 before it, an upper bound at (-num)/(-den); a den of 0 is
-    a cutter parallel to the line, which keeps it whole iff num < 0.  The
-    stored ends are num/den with den > 0 whatever the sense, so a state
-    carries over between calls of either.  The ends leave the kernel as
-    they are, with their cutters (`clip_edge`), and a point is built from
-    one only when an edge is written (`CellEdge.ends`).
+    negated.  Then the kept side of a cutter with den > 0 lies beyond its
+    crossing, a lower bound, and with den < 0 before it, an upper bound at
+    (-num)/(-den); a den of 0 is a cutter parallel to the line, which
+    keeps it whole iff num < 0.  The stored ends are num/den with den > 0
+    whatever the sense, so a state carries over between calls of either
+    (`pipeline._iter_big_big_edges` clips in both senses).  The ends leave
+    the kernel as they are, with their cutters (`clip_edge`), and a point
+    is built from one only when an edge is written (`CellEdge.ends`).
 
     The certified end (`seed`, an (index, point) pair): the precondition
     is that the seed's bisector with p crosses the line at a vertex of p's
@@ -243,10 +243,9 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work
     before the `skip` test and the crossing; it counts as tested (p and its
     rival, the sites a walk skips, have den 0 and are never dropped).
     Without the precondition a seeded clip may keep a wrong end or miss a
-    tie; without `seed` every cutter is clipped in full.  A seeded clip
-    takes no `flip`.
+    tie; without `seed` every cutter is clipped in full.
 
-    The box cull (nearest sense, no `flip`, both ends bounded): the disks
+    The box cull (nearest sense, both ends bounded): the disks
     centred on the line through p form a pencil, all through p and the
     rival, and w lies in the disk centred at x iff x is as near to w as to
     p.  That condition is affine in x, so if it held anywhere on the
@@ -262,16 +261,17 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work
     built once that end is bounded and again each time it moves, and is
     not cached in the state.
 
-    The float filter (farthest sense, no `flip`, `twin` given): farthest
+    The float filter (farthest sense, when `work` has a `twin`): farthest
     clips have no cull, so each site is tried first in doubles and reaches
-    the integer code above only where a double cannot decide.  `twin` is
-    the arena's (`ReadOnlyArena.twin`), and every (j, w) of `items` and
-    the seed must be its site j.  It exists only when every |coordinate|
-    is below 2^50: then the coordinates of w, p and r = p + e and the
-    differences w - p and w - r are exact in doubles, and the only
-    roundings, each of relative error at most eps = 2^-53, are those of
-    the operations and of converting da, db, d0 and the ends; k of them in
-    a row stay within g(k) = k*eps / (1 - k*eps).  Per call the twin's box
+    the integer code above only where a double cannot decide.  The twin is
+    that of `work`, the run's arena (`ReadOnlyArena.twin`), so every (j, w)
+    of `items` and the seed must be its site j, as at every call in the
+    program.  It exists only when every |coordinate| is below 2^50: then
+    the coordinates of w, p and r = p + e and the differences w - p and
+    w - r are exact in doubles, and the only roundings, each of relative
+    error at most eps = 2^-53, are those of the operations and of
+    converting da, db, d0 and the ends; k of them in a row stay within
+    g(k) = k*eps / (1 - k*eps).  Per call the twin's box
     gives S_den = |da|*max|y| + |db|*max|x| + |d0| >= |den| and
     S_num = MX*(MX + |e_x|) + MY*(MY + |e_y|) >= |num|, MX and MY being the
     largest |x - p_x| and |y - p_y| over the box.  The double
@@ -294,15 +294,14 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work
     sign uncertain, den near 0, a possible new end or tie) goes on to the
     integer code, which decides it as it would without the filter; a
     cutter decided in doubles counts as tested, as there.  So the clip
-    leaves the same state and counts.  Nearest and flipped clips take no
-    filter: the box cull spares them most of the arithmetic.
+    leaves the same state and counts.  Nearest clips take no filter: the
+    box cull spares them most of the arithmetic.
     """
     a, b, _ = line
     px, py = p
     ex, ey = _rival_offset(line, px, py)
     far = want > 0
-    cull = not (far or flip)
-    flipping = bool(flip)
+    cull = not far
     # The folded den's coefficients: den = da*w_y - db*w_x - d0 = da*u_y - db*u_x.
     da, db = (-a, -b) if far else (a, b)
     d0 = da * py - db * px
@@ -320,9 +319,9 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work
     # lies on the final end's side.
     fin = 0
     sj = None if seed is None else seed[0]
-    filt = far and not flipping and twin is not None
+    filt = far and work.twin is not None
     if filt:
-        fpts, (xa, xb, ya, yb) = twin
+        fpts, (xa, xb, ya, yb) = work.twin
         mux = max(abs(px - xa), abs(xb - px))
         muy = max(abs(py - ya), abs(yb - py))
         s_den = float(abs(da) * max(-ya, yb) + abs(db) * max(-xa, xb) + abs(d0))
@@ -360,8 +359,6 @@ def clip_run(state, line, p, items, want: int, skip, flip=(), *, seed=None, work
         ux = wx - px
         uy = wy - py
         num = ux * (ux - ex) + uy * (uy - ey) if far else ux * (ex - ux) + uy * (ey - uy)
-        if flipping and j in flip:
-            num, den = -num, -den
         if den > 0:
             # The kept side lies beyond the crossing: a lower bound.
             x = lo_n * den
@@ -480,11 +477,12 @@ class TrackedSite:
     clip, or the site whose walk already clipped an edge of the cell and
     shared it (`tradeoff._SharedEdges`), set with no pass; or a farthest
     walk's hull neighbor, given by `hull_walk`, whose edge must clip to a
-    ray.  The walk leaves the first edge through a finite end and steps
-    edge to edge, the site whose bisector cut an end carrying the next
-    edge.  When the walk leaves the diagram through an unbounded edge it
-    resumes from the first edge's other end; it is done when it closes on
-    the first edge or runs out of ends.  Ends are told apart by their
+    ray, or that edge whole, `handed` on by the walk before, which ended on
+    it (`tradeoff._hull_chain`).  The walk leaves the first edge through a
+    finite end and steps edge to edge, the site whose bisector cut an end
+    carrying the next edge.  When the walk leaves the diagram through an
+    unbounded edge it resumes from the first edge's other end; it is done
+    when it closes on the first edge or runs out of ends.  Ends are told apart by their
     cutters, never by their points: the entry end of an edge after the
     first is the one cut by the rival of the edge walked into it, so the
     walk builds no point.  `cutter` names the rival whose bisector carries
@@ -510,7 +508,7 @@ class TrackedSite:
         "state",
         "_on_hull",
         "_leg2",
-        "_entry",
+        "entry",
         "_second",
         "_turn",
         "handed",
@@ -527,10 +525,10 @@ class TrackedSite:
         self.state = None  # its clip interval [t_lo, t_hi, lo_cut, hi_cut, box]
         self._on_hull = rival is not None  # started on a hull edge, which must be a ray
         self._leg2: Optional[int] = None  # the first edge's other end's cutter, queued for the reverse walk
-        self._entry: Optional[CellEdge] = None  # the last edge of this leg, walked into the entry vertex
+        self.entry: Optional[CellEdge] = None  # the last edge of this leg (once done, of the walk)
         self._second: Optional[CellEdge] = None  # the edge after the first: leg 1's turning sense
         self._turn: Optional[CellEdge] = None  # the last edge of leg 1, once leg 2 began
-        self.handed: Optional[int] = None  # the first edge's finite-end cutter, from the walk before
+        self.handed: Optional[tuple] = None  # the first edge's (line, lo, hi, lo_cutter, hi_cutter), handed on
 
     def begin_clip(self) -> None:
         self.rival = self.cutter
@@ -542,11 +540,11 @@ class TrackedSite:
         rival of the edge walked into that vertex (on leg 2, the first
         edge).  Its point is p's mirror image in that edge's carrier, so
         the seed costs no read."""
-        if self._entry is None:
+        if self.entry is None:
             return None
         px, py = self.p
-        ex, ey = _rival_offset(self._entry.line, px, py)
-        return self._entry.rival, (px + ex, py + ey)
+        ex, ey = _rival_offset(self.entry.line, px, py)
+        return self.entry.rival, (px + ex, py + ey)
 
     def advance(self, edge: CellEdge) -> None:
         """Digest the edge just found and set up the next one."""
@@ -554,7 +552,7 @@ class TrackedSite:
         self.state = None
         if self.first_edge is None:
             self.first_edge = edge
-            self._entry = edge
+            self.entry = edge
             cuts = [edge.lo_cutter, edge.hi_cutter]
             if cuts[0] is None:
                 cuts.reverse()
@@ -571,7 +569,7 @@ class TrackedSite:
             return
         # Walking: step through the end opposite the entry vertex, which is
         # the end the entry edge's rival cuts.
-        back = self._entry.rival
+        back = self.entry.rival
         if edge.lo_cutter == back:
             nxt = edge.hi_cutter
         elif edge.hi_cutter == back:
@@ -584,21 +582,15 @@ class TrackedSite:
             if self._leg2 is not None:
                 self.cutter, self._leg2 = self._leg2, None
                 self._turn = edge
-                self._entry = self.first_edge
+                self.entry = self.first_edge
             else:
-                self._entry = edge
+                self.entry = edge
                 self.done = True
             return
-        self._entry = edge
+        self.entry = edge
         self.cutter = nxt
         if nxt == self.first_edge.rival:
             self.done = True
-
-    def exit_cutter(self) -> int:
-        """The cutter at the finite end of a finished farthest walk's last
-        edge, the unbounded edge it leaves on, with the next hull site."""
-        last = self._entry
-        return last.hi_cutter if last.lo_cutter is None else last.lo_cutter
 
     def arc(self) -> tuple:
         """The edges walked so far, in 7 words: the rival offsets w - p of
@@ -616,9 +608,9 @@ class TrackedSite:
 
         first = offset(self.first_edge)
         if self._turn is None:
-            last, back = offset(self._entry), first
+            last, back = offset(self.entry), first
         else:
-            last, back = offset(self._turn), offset(self._entry)
+            last, back = offset(self._turn), offset(self.entry)
         sense = 1
         if self._second is not None:
             sx, sy = offset(self._second)

@@ -19,8 +19,8 @@ pass, or on an edge a neighbor's walk shared (see below), and a farthest
 walk, in hull order, on its unbounded edge with a hull neighbor.  At
 s > 1 `hull_stream`'s s-point window supplies the hull sites; at s = 1
 the walks chain the hull themselves, each handing the next walk its hull
-site and the cutter at the finite end of the edge the two cells share,
-so that first edge takes no pass.  The output is the same for every s;
+site and the edge the two cells share, so that first edge takes no pass
+and no read.  The output is the same for every s;
 s = 1 is the constant-workspace diagram of `scan.enumerate_diagram`,
 with no big cells.
 
@@ -65,11 +65,12 @@ from .scan import (
 # W_SHARED_EDGE for each edge the shared-edge table holds, at most
 # 2(s - 1) of them, and for farthest diagrams the hull chain,
 # (s + 2) * W_HULL_POINT + W_FIXED (at s = 1 only until the first two hull
-# sites are found, then W_FIXED for the walks' own chain); or the big-big
-# diagram, charged for the table's capacity of s - 1 sites at W_MEM_SITE
-# each, plus s * W_BATCH_SITE and W_FIXED.  W_BATCH_SITE charges s sites
-# for the pass, though a pass is a view of the input the arena holds, not
-# a copy; the charge is kept so that reported peaks stay reproducible.
+# sites are found, then W_FIXED + W_HANDED_EDGE for the walks' chain); or
+# the big-big diagram, charged for the table's capacity of s - 1 sites at
+# W_MEM_SITE each, plus s * W_BATCH_SITE and W_FIXED.  W_BATCH_SITE charges
+# s sites for the pass, though a pass is a view of the input the arena
+# holds, not a copy; the charge is kept so that reported peaks stay
+# reproducible.
 W_SLOT = 24
 W_BATCH_SITE = 3
 W_HULL_POINT = 3
@@ -77,6 +78,9 @@ W_FIXED = 8
 # A shared edge: its partner and finder sites, the parameters (num, den)
 # of its two ends, and their two cutters.
 W_SHARED_EDGE = 8
+# The edge a chained farthest walk hands the next: its carrier's three
+# coefficients, the parameters of its two ends and their two cutters.
+W_HANDED_EDGE = 9
 # In-memory diagram of m sites: 3m site words plus <= 3m edges of ~14
 # words each, rounded up to one per-site constant.
 W_MEM_SITE = 48
@@ -105,32 +109,28 @@ def _far_round(arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]
     holds that end final, dropping every cutter on its side as soon as the
     cutter's den is known.  The vertex ended an edge clipped against every
     site in an earlier round, where `clip_edge` raised on any tie, so the
-    seed changes no edge.  A chained walk's first edge (`_hull_chain`) is
-    clipped apart: the walk before ended on that same edge, clipped against
-    every site, so the cutter it handed on, the one at the edge's finite
-    end, is clipped alone and the slot reads no span; the other end stays
-    unbounded, and a tie at the finite end was already raised in that walk.
-    Each walk makes one kernel call per pass.  A call over the span takes
-    the arena's `twin`, so it decides most sites in doubles (`clip_run`'s
-    float filter); a handed cutter, one site, goes to the integer code
-    alone, which costs less than the filter's per-call set-up.  Nearest
-    walks pass the same way, in `_SharedEdges.round`.
+    seed changes no edge.  Each walk makes one kernel call per pass, which
+    decides most sites in doubles (`clip_run`'s float filter).  A chained
+    walk's first edge (`_hull_chain`) is the one the walk before ended on
+    and handed on whole; the slot builds it as `_SharedEdges.take` does,
+    with no read and no kernel call, since both cells' farthest clips of a
+    bisector end at the same parameters and cutters, and a tie at an end
+    already raised in that walk.  Nearest walks pass the same way, in
+    `_SharedEdges.round`.
     """
     n = len(arena)
     span = None  # read once some slot needs it
     edges = []
     for slot in slots:
         slot.begin_clip()
-        line = exact.bisector_line(slot.p, arena.read(slot.rival))
-        skip = (slot.site, slot.rival)
         if slot.handed is not None:
-            cut, slot.handed = slot.handed, None
-            alive = clip_run(slot.state, line, slot.p, ((cut, arena.read(cut)),), 1, skip, work=arena)
-        else:
-            if span is None:
-                span = arena.read_span(0, n)
-            alive = clip_run(slot.state, line, slot.p, span, 1, skip, seed=slot.seed(), work=arena, twin=arena.twin)
-        if not alive:
+            (line, *ends), slot.handed = slot.handed, None
+            edges.append(CellEdge(slot.site, slot.rival, line, slot.p, *ends))
+            continue
+        line = exact.bisector_line(slot.p, arena.read(slot.rival))
+        if span is None:
+            span = arena.read_span(0, n)
+        if not clip_run(slot.state, line, slot.p, span, 1, (slot.site, slot.rival), seed=slot.seed(), work=arena):
             _edge_vanished(slot)
         edges.append(clip_edge(slot.site, slot.p, slot.rival, line, slot.state))
     return edges
@@ -407,22 +407,23 @@ def _hull_chain(arena: ReadOnlyArena, ledger: WorkLedger):
     unbounded edge with its other hull neighbor, the rival of its last
     edge, whose cell is walked next.  That edge is the next walk's first,
     already clipped against every site, so every walk but the anchor's is
-    handed one word, the cutter at the edge's finite end
-    (`TrackedSite.exit_cutter`), and clips its first edge against that
-    site alone (`_far_round`).  The chain stops when it returns to the anchor.
-    A hull of two vertices (collinear sites) ends the first walk, whose
-    first edge is then a full line.
+    handed it whole, its carrier, end parameters and cutters
+    (`W_HANDED_EDGE` words), and takes it with no pass (`_far_round`).
+    The chain stops when it returns to the anchor.  A hull of two vertices
+    (collinear sites) ends the first walk, whose first edge is then a full
+    line.
     """
     stream = hull_stream(arena, 1, ledger)
     anchor, known = islice(stream, 2)
     stream.close()
     site, handed = anchor, None
-    with ledger.scope(W_FIXED):
+    with ledger.scope(W_FIXED + W_HANDED_EDGE):
         for _ in range(len(arena)):
             walk = hull_walk(arena, site, known)
             walk.handed = handed
             yield walk  # drawn again only once this walk is done
-            site, known, handed = walk.rival, site, walk.exit_cutter()
+            e = walk.entry  # the edge it ended on
+            site, known, handed = walk.rival, site, (e.line, e.lo, e.hi, e.lo_cutter, e.hi_cutter)
             if site == anchor:
                 return
     raise AssertionError("hull chain did not close")

@@ -611,15 +611,15 @@ class TestBench:
             "64,8,1,4723,408,4964,20567",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,1583,52,1393,1437",
+            "64,0,1,1567,52,1385,1429",
             "64,2,1,1703,82,1881,1941",
             "64,8,1,998,417,1626,1720",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,65325,169,25035,111808",
-            "64,9,3,315739,128,66063,305918",
-            "64,18,2,34463,333,23401,105112",
-            "64,18,3,168899,244,64155,297304",
+            "64,9,2,65325,169,25005,111833",
+            "64,9,3,315739,128,65995,306028",
+            "64,18,2,34463,333,23371,105137",
+            "64,18,3,168899,244,64087,297414",
         ]),
     }
 
@@ -639,15 +639,15 @@ class TestBench:
             "64,8,1,3406,392,13688,17575",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,12473,52,11843,12217",
+            "64,0,1,12347,52,11780,12154",
             "64,2,1,12474,82,15686,16186",
             "64,8,1,5060,416,18490,19112",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,40850,168,56676,65448",
-            "64,9,3,166144,128,145076,162478",
-            "64,18,2,23277,333,52247,61354",
-            "64,18,3,95488,243,142328,158236",
+            "64,9,2,40850,168,56676,65512",
+            "64,9,3,166144,128,145076,162734",
+            "64,18,2,23277,333,52247,61418",
+            "64,18,3,95488,243,142328,158492",
         ]),
     }
 

@@ -7,8 +7,10 @@ leave every hash as it is; a change that alters output on purpose updates
 the hashes and says why.  A change that only reorders the records (a walk
 that starts on another edge of its cell, an edge reported from its other
 cell) moves the first hash and, through the reads and peak words, the
-third, but never the sorted one.  The oracle's own record bytes are
-pinned the same way.
+third, but never the sorted one; a change that reads less moves the third
+alone (the one-slot farthest chain handing each walk its first edge
+whole, two reads fewer per walk after the first, moved the fvd-scan
+reports).  The oracle's own record bytes are pinned the same way.
 """
 
 import hashlib
@@ -49,7 +51,7 @@ CASES = {
         ["--mode", "fvd"],
         "8b50cfa9d3a7883bb134ef0ff9e3b593e713c9e7d44462099c6ef85f600fbbb1",
         "e40ed468ba43e4560270f0dbf1defffe91ae9ccfb6acccf3156a90f92a9ea743",
-        "84a4e87863c118a09af2f7ac8e21ceb5fbd217191fbbc93cf37fbdda8310640c",
+        "0247786a55a441abd337edb524fe0c8b924bdefb0a473be8fc9b5ca50a9f6b4e",
     ),
     "order-K2-s8": (
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],
@@ -101,7 +103,7 @@ CONVEX_CASES = {
         ["--mode", "fvd"],
         "8ec2fa95bdad74a8e4f63181f7ab4db4a0cb49d8e82d448c0985c9cf55eb6f0c",
         "934f560e2aea41d2ea9d4b2834f6224d0b49945054757fce44dae925514c7bdc",
-        "bafe9e99ae16fd57026ce84b4d84ab0d3b6f0e014467f6a351963360a29e6472",
+        "d0b48c2feac0c17b3b94dc4c2b2e4ec893e34b6d1ad354df9800383af084ca35",
     ),
     "fvd-s8": (
         SEED,
@@ -122,7 +124,7 @@ CONVEX_CASES = {
         ["--mode", "fvd"],
         "f5d11f89aa332fcd2372b2b4f34e802bb228c939d3a28a1b6237c6390f735625",
         "b81e0104c3a51868d63898fe14c759bfe4e91b36ea9512a7f9c5c83d4ae8dafb",
-        "bafe9e99ae16fd57026ce84b4d84ab0d3b6f0e014467f6a351963360a29e6472",
+        "d0b48c2feac0c17b3b94dc4c2b2e4ec893e34b6d1ad354df9800383af084ca35",
     ),
     "fvd-s8-seed1": (
         1,

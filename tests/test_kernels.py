@@ -1,7 +1,9 @@
 """The fused batch kernels against per-site exact references.
 
-`clip_run` is checked against a clip computed with Fractions,
-`nearest_run` against a brute-force minimum of (squared distance, index),
+`clip_run` is checked against a clip computed with Fractions, which may
+flip the sense of some cutters (the kernel takes one sense per call, so
+such a case runs as two calls on one state), `nearest_run` against a
+brute-force minimum of (squared distance, index),
 `_IntervalWalk.consider_batch` against per-site crossings, and
 `read_span` against per-index reads.  The clip's box cull gets its own
 soundness check: a site outside a clip's cached box is strictly outside
@@ -101,18 +103,34 @@ def hpoint(hp):
 
 
 def tally() -> ReadOnlyArena:
-    """An arena for kernel calls to add their site counts to."""
-    return ReadOnlyArena(site_set([(0, 0)]))
+    """An arena for kernel calls to add their site counts to, with no twin:
+    the calls' sites are not its own."""
+    work = ReadOnlyArena(site_set([(0, 0)]))
+    work.twin = None
+    return work
+
+
+def by_sense(cutters, want, flip):
+    """A case's cutters as the kernel takes them, one sense per call: the
+    unflipped ones in the case's sense, then the flipped ones in the other."""
+    return (want, [c for c in cutters if c[0] not in flip]), (-want, [c for c in cutters if c[0] in flip])
+
+
+def clip_batches(state, line, p, cutters, want, skip, flip, batch, work) -> bool:
+    """clip_run over `cutters` in batches, on one state, by sense."""
+    for sense, part in by_sense(cutters, want, flip):
+        for start in range(0, len(part), batch):
+            if not clip_run(state, line, p, part[start : start + batch], sense, skip, work=work):
+                return False
+    return True
 
 
 def run_clip(p, r, cutters, want, skip, flip, batch):
     """clip_run over `cutters` in batches; (alive, lo_cut, hi_cut, lo, hi)."""
     line = exact.bisector_line(p, r)
     state = [None, None, None, None, None]
-    work = tally()
-    for start in range(0, len(cutters), batch):
-        if not clip_run(state, line, p, cutters[start : start + batch], want, skip, flip, work=work):
-            return False, None, None, None, None
+    if not clip_batches(state, line, p, cutters, want, skip, flip, batch, tally()):
+        return False, None, None, None, None
     edge = clip_edge(0, p, 1, line, state)
     lo, hi = edge.ends()
     return True, edge.lo_cutter, edge.hi_cutter, hpoint(lo), hpoint(hi)
@@ -183,11 +201,11 @@ class TestClipRun:
         assert set(state[2:4]) == {2, 3}  # x = 4 between (4, -3) and (4, 3)
         kept = list(state)
         # The bisector with (8, 6) also crosses x = 4 at (4, 3): a tie that
-        # moves no end but marks that end tied, unless a flip keeps the side
-        # beyond (4, 3), which empties the interval before (0, 100) is
-        # looked at.
-        work = SimpleNamespace(site_tests=0, site_visits=0)
-        assert not clip_run(list(state), line, p, sites[2:], -1, (0, 1), {4}, work=work)
+        # moves no end but marks that end tied, unless a clip in the other
+        # sense keeps the side beyond (4, 3), which empties the interval
+        # before (0, 100) is looked at.
+        work = SimpleNamespace(site_tests=0, site_visits=0, twin=None)
+        assert not clip_run(list(state), line, p, sites[2:], 1, (0, 1), work=work)
         assert work.site_tests == 1  # (0, 100), after the emptying cutter, is not looked at
         assert clip_run(state, line, p, sites[2:], -1, (0, 1), work=work)
         assert [end[:2] for end in state[:2]] == [end[:2] for end in kept[:2]]
@@ -340,10 +358,10 @@ class TestEndsOnDemand:
     """`CellEdge.ends` builds each end from the clip's parameter and the
     carrier alone, reading nothing; the point is where the bisector of p
     and the end's cutter crosses the carrier, in either sense, whichever
-    cutters are flipped, at any coordinate width.  The clips take the
-    arena's twin, so unflipped farthest ones run the float filter on the
-    grid and wide cases and the exact code alone on the shifted ones,
-    whose arena has no twin."""
+    cutters are flipped, at any coordinate width.  The clips' arena holds
+    the case's sites, so farthest calls run the float filter on the grid
+    and wide cases and the exact code alone on the shifted ones, whose
+    arena has no twin."""
 
     @settings(max_examples=300, deadline=None)
     @given(clip_case(), st.sampled_from(["grid", "wide", "shifted"]), st.integers(1, 2**40))
@@ -357,10 +375,8 @@ class TestEndsOnDemand:
         state = [None, None, None, None, None]
         work = ReadOnlyArena(site_set([p, r, *(w for _, w in cutters)]))
         assert (work.twin is None) == (how == "shifted")
-        for start in range(0, len(cutters), batch):
-            batch_items = cutters[start : start + batch]
-            if not clip_run(state, line, p, batch_items, want, skip, flip, work=work, twin=work.twin):
-                return
+        if not clip_batches(state, line, p, cutters, want, skip, flip, batch, work):
+            return
         try:
             edge = clip_edge(0, p, 1, line, state)
         except DegenerateGeometry:
@@ -412,7 +428,7 @@ class TestClipCull:
         line, state, _ = clipped_state(p, (8, 0), [(2, (0, 6)), (3, (0, -6))], {0, 1}, 2)
         kept = list(state)
         far = [(j, (1000 + j, 1000 - 3 * j)) for j in range(4, 40)]
-        work = SimpleNamespace(site_tests=0, site_visits=0)
+        work = SimpleNamespace(site_tests=0, site_visits=0, twin=None)
         assert clip_run(state, line, p, far, -1, (), work=work)
         assert work.site_tests == 0
         assert state == kept
@@ -680,16 +696,17 @@ def ray_clips(sites, mode, s):
     """((alive, state[:4]) of the seeded clip, the same of the plain
     two-ended clip) for every clip after a walk's first edge in the s-slot
     run of `sites`: the rounds of `tradeoff` hand those clips their seed,
-    and farthest ones the arena's twin, which the plain clip goes without."""
+    and farthest ones decide in doubles from the arena's twin, which the
+    plain clip goes without (`tally`)."""
     kernel = tradeoff.clip_run
     out = []
 
-    def clip(state, line, p, items, want, skip, flip=(), *, seed=None, work, twin=None):
+    def clip(state, line, p, items, want, skip, *, seed=None, work):
         if seed is None:
-            return kernel(state, line, p, items, want, skip, flip, work=work, twin=twin)
+            return kernel(state, line, p, items, want, skip, work=work)
         plain = list(state)
-        plain_alive = kernel(plain, line, p, items, want, skip, flip, work=tally())
-        alive = kernel(state, line, p, items, want, skip, flip, seed=seed, work=work, twin=twin)
+        plain_alive = kernel(plain, line, p, items, want, skip, work=tally())
+        alive = kernel(state, line, p, items, want, skip, seed=seed, work=work)
         out.append(((alive, state[:4]), (plain_alive, plain[:4])))
         return alive
 
@@ -738,7 +755,7 @@ class TestCertifiedEnd:
         p = pts[2]
         line = exact.bisector_line(p, pts[4])
         ends = [(-64, 1, False), (-108, 3, False), 3, 1]
-        work = SimpleNamespace(site_tests=0, site_visits=0)
+        work = SimpleNamespace(site_tests=0, site_visits=0, twin=None)
         state = [None] * 5
         assert clip_run(state, line, p, items, 1, (2, 4), seed=(1, pts[1]), work=work)
         assert state[:4] == ends
@@ -747,7 +764,7 @@ class TestCertifiedEnd:
         assert clip_run(plain, line, p, items, 1, (2, 4), work=tally())
         assert plain[:4] == ends
         stray = [*items, (5, (1, -1))]
-        work = SimpleNamespace(site_tests=0, site_visits=0)
+        work = SimpleNamespace(site_tests=0, site_visits=0, twin=None)
         state = [None] * 5
         assert clip_run(state, line, p, stray, 1, (2, 4), seed=(1, pts[1]), work=work)
         assert state[:4] == ends
@@ -784,40 +801,55 @@ def farthest_clip(arena, line, p, items, skip, batch, twin):
     `items` in batches, with or without the twin."""
     state = [None] * 5
     before = arena.site_tests, arena.site_visits
+    own, arena.twin = arena.twin, twin
     alive = True
     for start in range(0, len(items), batch):
-        alive = clip_run(state, line, p, items[start : start + batch], 1, skip, work=arena, twin=twin)
+        alive = clip_run(state, line, p, items[start : start + batch], 1, skip, work=arena)
         if not alive:
             break
+    arena.twin = own
     return alive, state[:4], arena.site_tests - before[0], arena.site_visits - before[1]
 
 
 def twin_clips(sites, s):
-    """(filtered, exact) for every clip of the s-slot farthest run of
-    `sites` that takes the twin: (alive, state[:4], site_tests, site_visits)
-    of that call and of the same call without the twin, and whether it was
-    seeded.  The run stops where the input is degenerate."""
-    kernel = tradeoff.clip_run
+    """(filtered, exact, kind) for every clip of the s-slot farthest run of
+    `sites` that decides in doubles: (alive, state[:4], site_tests,
+    site_visits) of that call and of the same call with the arena's twin
+    set aside, and "seeded", "unseeded" or "big-big" (`iter_big_big`).
+    Also the run's big-cell table, None where the input is degenerate."""
+    kernel, big_big = tradeoff.clip_run, tradeoff.iter_big_big
     out = []
+    phase = []
 
-    def clip(state, line, p, items, want, skip, flip=(), *, seed=None, work, twin=None):
-        if twin is None:
-            return kernel(state, line, p, items, want, skip, flip, seed=seed, work=work)
+    def clip(state, line, p, items, want, skip, *, seed=None, work):
+        if work.twin is None:
+            return kernel(state, line, p, items, want, skip, seed=seed, work=work)
         runs = []
+        twin = work.twin
         for use, into in ((None, list(state)), (twin, state)):
             before = work.site_tests, work.site_visits
-            alive = kernel(into, line, p, items, want, skip, flip, seed=seed, work=work, twin=use)
+            work.twin = use
+            alive = kernel(into, line, p, items, want, skip, seed=seed, work=work)
             runs.append((alive, into[:4], work.site_tests - before[0], work.site_visits - before[1]))
-        out.append((runs[1], runs[0], seed is not None))
+        work.twin = twin
+        kind = "big-big" if phase else "unseeded" if seed is None else "seeded"
+        out.append((runs[1], runs[0], kind))
         return alive
 
+    def traced_big_big(*args):
+        phase.append(True)
+        yield from big_big(*args)
+
+    table = None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tradeoff, "clip_run", clip)
+        patch.setattr(tradeoff, "iter_big_big", traced_big_big)
         try:
-            run_tradeoff(ReadOnlyArena(sites), DiagramMode.FARTHEST, s, OutputSink(keep=False), observing_ledger())
+            sink = OutputSink(keep=False)
+            table = run_tradeoff(ReadOnlyArena(sites), DiagramMode.FARTHEST, s, sink, observing_ledger())
         except DegenerateGeometry:
             pass
-    return out
+    return out, table
 
 
 class TestFloatFilter:
@@ -849,15 +881,23 @@ class TestFloatFilter:
     @given(filter_sites(), st.sampled_from([1, 3]))
     @example(NUDGED_6, 1)
     def test_walk_clips_equal_exact(self, pts, s):
-        clips = twin_clips(site_set(pts), s)
+        clips, _ = twin_clips(site_set(pts), s)
         for filtered, plain, _ in clips:
             assert filtered == plain
 
     @pytest.mark.parametrize("s", [1, 16])
     def test_real_runs(self, s):
-        for sites in (random_sites(96, 7), site_set([(x, x * x) for x in Random(7).sample(range(1, 2**25), 64)])):
-            clips = twin_clips(sites, s)
-            assert {seeded for *_, seeded in clips} == {True, False}
+        """Every clip of real runs.  At s = 16 the parabola's run has big
+        cells, so `iter_big_big`'s clips, over the big sites and over the
+        whole input, are checked too."""
+        parabola = site_set([(x, x * x) for x in Random(7).sample(range(1, 2**25), 64)])
+        for sites in (random_sites(96, 7), parabola):
+            clips, table = twin_clips(sites, s)
+            kinds = {"seeded", "unseeded"}
+            if sites is parabola and s > 1:
+                assert table
+                kinds.add("big-big")
+            assert {kind for *_, kind in clips} == kinds
             for filtered, plain, _ in clips:
                 assert filtered == plain
 
@@ -875,7 +915,7 @@ class TestFloatFilter:
         p = span[0][1]
         line = exact.bisector_line(p, span[1][1])
         state = [None] * 5
-        assert clip_run(state, line, p, span, 1, (0, 1), work=arena, twin=arena.twin)
+        assert clip_run(state, line, p, span, 1, (0, 1), work=arena)
         with pytest.raises(DegenerateGeometry, match="has a tied end"):
             clip_edge(0, p, 1, line, state)
 
@@ -898,8 +938,8 @@ def kernel_calls(sites, mode, s, K):
     clip, consider = tradeoff.clip_run, _IntervalWalk.consider_batch
     clips, steps = [], []
 
-    def traced_clip(state, line, p, items, want, skip, flip=(), *, seed=None, work, twin=None):
-        alive = clip(state, line, p, items, want, skip, flip, seed=seed, work=work, twin=twin)
+    def traced_clip(state, line, p, items, want, skip, *, seed=None, work):
+        alive = clip(state, line, p, items, want, skip, seed=seed, work=work)
         if seed is not None and want < 0:
             clips.append((line, p, list(items), skip, alive, list(state)))
         return alive

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cell_intervals import oracle_intervals
+from test_kernels import hpoint, reference_clip
 from wsvoronoi import exact
 from wsvoronoi.datagen import random_sites, site_set, triangle
 from wsvoronoi.geometry import DegenerateGeometry
@@ -571,12 +572,15 @@ class TestOrderPhases:
 
     @pytest.mark.parametrize("kind", ["random", "parabola"])
     @pytest.mark.parametrize("k_out", [2, 3])
-    def test_big_big_ends_are_the_extra_sites_crossings(self, kind, k_out):
-        """A big-big edge is clipped with its common sites flipped; each end
-        `CellEdge.ends` builds for it is where the bisector of the left site
-        and the end's extra site crosses the carrier, and every half-edge
-        is the oracle's."""
-        from wsvoronoi.pipeline import _iter_big_big_edges
+    def test_big_big_ends_are_the_extra_sites_crossings(self, kind, k_out, monkeypatch):
+        """A big-big edge is clipped in two calls on one state: the input in
+        the nearest sense, then its common sites in the farthest.  Every
+        candidate's clip is the Fraction reference's with the common sites
+        flipped; each end `CellEdge.ends` builds for it is where the
+        bisector of the left site and the end's extra site crosses the
+        carrier, and every half-edge is the oracle's."""
+        from wsvoronoi import pipeline
+        from wsvoronoi.pipeline import _big_big_candidates, _iter_big_big_edges
 
         if kind == "random":
             P = random_sites(18, 921)
@@ -584,7 +588,26 @@ class TestOrderPhases:
             P = site_set([(x, x * x) for x in random.Random(922).sample(range(1, 1 << 20), 14)])
         arena = ReadOnlyArena(P)
         ledger = observing_ledger()
-        halfedges = list(_iter_big_big_edges(arena, k_out, find_big_cells_k(arena, k_out, ledger), 4, ledger))
+        table = find_big_cells_k(arena, k_out, ledger)
+        edges = []
+        clip_edge = pipeline.clip_edge
+
+        def kept(*args):
+            edges.append(clip_edge(*args))
+            return edges[-1]
+
+        monkeypatch.setattr(pipeline, "clip_edge", kept)
+        halfedges = list(_iter_big_big_edges(arena, k_out, table, 4, ledger))
+        span = arena.read_span(0, len(arena))
+        clipped = iter(edges)
+        for common, a, b in _big_big_candidates(table, k_out):
+            want = reference_clip(exact.bisector_line(P[a].ipt, P[b].ipt), P[a].ipt, span, -1, {a, b}, common)
+            if want[0]:
+                edge = next(clipped)
+                lo, hi = edge.ends()
+                assert (edge.site, edge.rival) == (a, b)
+                assert (True, edge.lo_cutter, edge.hi_cutter, hpoint(lo), hpoint(hi)) == want
+        assert edges and next(clipped, None) is None
         ends = 0
         for he in halfedges:
             for end, extra in ((he.tail, he.tail_extra), (he.head, he.head_extra)):

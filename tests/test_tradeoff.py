@@ -258,9 +258,9 @@ class TestHullChain:
 
     @pytest.mark.parametrize("kind", ["parabola", "random"])
     def test_handed_first_edge_is_the_clipped_one(self, kind):
-        """Every walk but the anchor's is handed a cutter, and its first
-        edge, clipped against that site alone, is the edge a full pass over
-        the input gives on the same bisector."""
+        """Every walk but the anchor's is handed its first edge whole by the
+        walk before, and takes it with no read and no kernel call; it is
+        the edge a full pass over the input gives on the same bisector."""
         arena = ReadOnlyArena(parabola(24, 843) if kind == "parabola" else random_sites(40, 844))
         n = len(arena)
         chained = 0
@@ -270,9 +270,11 @@ class TestHullChain:
             assert scan.clip_run(state, line, walk.p, arena.read_span(0, n), 1, (walk.site, walk.cutter), work=arena)
             full = scan.clip_edge(walk.site, walk.p, walk.cutter, line, state)
             handed = walk.handed
+            before = arena.read_count, arena.site_visits
             [edge] = _far_round(arena, [walk])
             if handed is not None:
                 assert edge == full
+                assert (arena.read_count, arena.site_visits) == before
                 chained += 1
             walk.advance(edge)
             while not walk.done:
