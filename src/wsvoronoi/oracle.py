@@ -35,8 +35,6 @@ class OracleEdge:
     hi: Optional[tuple[int, int, int]]
     lo_extra: Optional[int]
     hi_extra: Optional[int]
-    lo_inside: Optional[int]  # sites strictly inside the endpoint disk
-    hi_inside: Optional[int]
 
 
 @lru_cache(maxsize=64)
@@ -142,8 +140,6 @@ def oracle_vdk(sites: Sequence[Site], k: int) -> OracleDiagram:
                 hi = right[1] if right else None
                 lo_extra = left[2] if left else None
                 hi_extra = right[2] if right else None
-                lo_inside = None if left is None else count - (1 if left[3] < 0 else 0)
-                hi_inside = None if right is None else count - (1 if right[3] > 0 else 0)
                 edges.append(
                     OracleEdge(
                         k,
@@ -154,8 +150,6 @@ def oracle_vdk(sites: Sequence[Site], k: int) -> OracleDiagram:
                         hi,
                         lo_extra,
                         hi_extra,
-                        lo_inside,
-                        hi_inside,
                     )
                 )
             if right is not None:

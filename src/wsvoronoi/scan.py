@@ -39,9 +39,9 @@ pipeline).
 Every walk runs under `tradeoff.drive`.  The constant-workspace diagram,
 `enumerate_diagram`, is its one-slot run: nearest cells in index order,
 farthest cells in hull order, each walk handing the next hull site to the
-next (see `tradeoff`), each edge found by a pass over the whole input, an
-edge between cells i and j reported from cell i only when i < j, so
-exactly once.  `enumerate_cell` walks a single cell the same way.
+next (see `tradeoff`), each edge found by a pass over the whole input and
+reported by the first walk to reach it, so exactly once.  `enumerate_cell`
+walks a single cell the same way.
 """
 
 from __future__ import annotations
@@ -634,7 +634,7 @@ def _swept(a, d, b) -> bool:
 
 
 def arc_walked(arc, e) -> bool:
-    """Whether a walk whose `TrackedSite.arc` is `arc` reported the edge
+    """Whether a walk whose `TrackedSite.arc` is `arc` walked the edge
     against the rival at offset e: e lies in the angle leg 1 swept from the
     first edge to its last, or in the one leg 2 swept the other way."""
     if not arc:
@@ -687,7 +687,7 @@ def enumerate_cell(
     walk = cell_walk(arena, p_idx, mode, ledger)
     if walk is None:
         raise FarthestCellEmpty(f"site {p_idx} is interior to the hull")
-    for _, edge in walk_cells(arena, mode, 1, iter([walk]), ledger):
+    for _, edge, _ in walk_cells(arena, mode, 1, iter([walk]), ledger):
         visit(edge)
 
 

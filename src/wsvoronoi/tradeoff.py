@@ -1,36 +1,27 @@
 """s-workspace diagram construction: find s edges per sweep of the input.
 
-Instead of one cell edge per pass over the input, a round keeps up to s
-cell walks alive at once and serves all of them from the same passes, so
-the scan cost is shared: a pass reads the input once, as one span, and
-hands it whole to each live walk's kernel in one call.  `drive` is the
-slot loop, the one every cell walk in the package runs under
-(`pipeline`'s too).  Every cell is walked once, and each walked edge is
-reported at once from its cell of lower index (`iter_diagram`).  Cells
-still walking when no fresh sites remain are "big": their walks are cut
-short, and each keeps the arc it walked in O(1) words, from which
-`arc_walked` tells whether it reported a given edge.  The edges the cut
-walks missed come after: a small cell's edge with a lower-index big cell
-from walking again the few small cells above the lowest big index, and
-an edge between two big cells from clipping the diagram of the big sites
-against the whole input.  Every walk starts on a known edge of its cell:
-a nearest walk on its bisector with its nearest neighbor, found in one
-pass, or on an edge a neighbor's walk shared (see below), and a farthest
-walk, in hull order, on its unbounded edge with a hull neighbor.  At
-s > 1 `hull_stream`'s s-point window supplies the hull sites; at s = 1
-the walks chain the hull themselves, each handing the next walk its hull
-site and the edge the two cells share, so that first edge takes no pass
-and no read.  The output is the same for every s;
-s = 1 is the constant-workspace diagram of `scan.enumerate_diagram`,
-with no big cells.
+A round keeps up to s cell walks alive at once and serves them all from
+one pass, which reads the input once, as one span, and hands it whole to
+each live walk's kernel in one call (`drive`, the slot loop every cell
+walk in the package runs under, `pipeline`'s too).  Every cell is walked
+once, and each edge is reported at once by the first walk to reach it
+(`iter_diagram`): the walk of its other cell is still to come, or is live
+and has not walked it.  Cells still walking when no fresh sites remain
+are "big": their walks are cut short, each keeping the arc it walked in
+O(1) words (`arc_walked`).  Small walks ran to their ends, so the only
+edges left are those between two big cells that neither walk reached,
+from clipping the diagram of the big sites against the whole input.
 
-At s > 1 nearest walks also share the edges they clip: both cells of an
-edge clip its bisector to the same ends, so the walk of the other cell
-takes the edge from an O(s)-word table instead of clipping it again, and
-a fresh walk may start on such an edge with no nearest-neighbor pass
-(`_SharedEdges`, whose table holds nothing at s = 1).  The record
-stream's order then changes, never its set of records.  Farthest walks,
-in hull order, share nothing.
+A nearest walk starts on its bisector with its nearest neighbor, found in
+one pass, or on an edge a neighbor's walk shared; a farthest walk, in
+hull order, on its unbounded edge with a hull neighbor, from
+`hull_stream`'s s-point window or, at s = 1, handed on with that edge by
+the walk before, so the edge takes no pass and no read.  At s > 1
+nearest walks share the edges they clip through an O(s)-word table
+(`_SharedEdges`), as both cells of an edge clip its bisector to the same
+ends; farthest walks share nothing.  The record stream's order depends
+on s, never its set of records; s = 1 is the constant-workspace diagram
+of `scan.enumerate_diagram`, with no big cells.
 """
 
 from __future__ import annotations
@@ -46,7 +37,6 @@ from .scan import (
     CellEdge,
     DiagramMode,
     TrackedSite,
-    _rival_offset,
     arc_walked,
     cell_walk,
     clip_edge,
@@ -63,7 +53,7 @@ from .scan import (
 # it, and on top of that one phase at a time: the walks,
 # s * (W_SLOT + W_BATCH_SITE) + W_FIXED, plus, for nearest walks,
 # W_SHARED_EDGE for each edge the shared-edge table holds, at most
-# 2(s - 1) of them, and for farthest diagrams the hull chain,
+# 2(s - 1) of them, and for farthest walks W_HULL_DRAWN and the hull chain,
 # (s + 2) * W_HULL_POINT + W_FIXED (at s = 1 only until the first two hull
 # sites are found, then W_FIXED + W_HANDED_EDGE for the walks' chain); or
 # the big-big diagram, charged for the table's capacity of s - 1 sites at
@@ -81,6 +71,8 @@ W_SHARED_EDGE = 8
 # The edge a chained farthest walk hands the next: its carrier's three
 # coefficients, the parameters of its two ends and their two cutters.
 W_HANDED_EDGE = 9
+# The points of the first, second and last farthest walks drawn (`_HullDraws`).
+W_HULL_DRAWN = 6
 # In-memory diagram of m sites: 3m site words plus <= 3m edges of ~14
 # words each, rounded up to one per-site constant.
 W_MEM_SITE = 48
@@ -88,7 +80,7 @@ W_MEM_SITE = 48
 
 def table_words(table: dict) -> int:
     """Ledger words an order-1 big-cell table holds: each entry's site
-    index and the arc its walk reported (`TrackedSite.arc`), () if none."""
+    index and the arc its walk covered (`TrackedSite.arc`), () if none."""
     return len(table) + sum(map(len, table.values()))
 
 
@@ -136,7 +128,62 @@ def _far_round(arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]
     return edges
 
 
-class _SharedEdges:
+class _Draws:
+    """The walks drawn from a source that draws every cell (`draw`), `live`
+    by site until they end.  A walk is the first to reach an edge (`first`)
+    unless the walk of its other cell reached it before: one that ended
+    walked all its edges, a live one those in its arc (`arc_walked`), and
+    one still to come (`_to_come`, by the draw order) none."""
+
+    __slots__ = ("live",)
+
+    def __init__(self):
+        self.live: dict[int, TrackedSite] = {}
+
+    def draw(self, source: Iterator[TrackedSite]) -> Iterator[TrackedSite]:
+        for walk in source:
+            self._drawn(walk)
+            self.live[walk.site] = walk
+            yield walk
+        self._drawn(None)  # spent: no walk is still to come
+
+    def end(self, site: int) -> None:
+        del self.live[site]
+
+    def first(self, edge: CellEdge) -> bool:
+        walk = self.live.get(edge.rival)
+        if walk is None:
+            return self._to_come(edge)
+        (px, py), (qx, qy) = edge.p, walk.p
+        return not arc_walked(walk.arc(), (px - qx, py - qy))
+
+
+class _HullDraws(_Draws):
+    """Farthest walks, drawn in hull order one way round from two hull
+    neighbors.  With two or fewer drawn, every other hull site is still to
+    come; after that, as hull vertices are in strictly convex position, one
+    still to come lies strictly beyond the chord from the first site drawn
+    to the last, on the side away from the second (`ends`, `W_HULL_DRAWN`)."""
+
+    ends: tuple = ()
+    round = staticmethod(_far_round)
+
+    def _drawn(self, walk: Optional[TrackedSite]) -> None:
+        if walk is not None:
+            self.ends = (*self.ends[:2], walk.p)
+
+    def _to_come(self, edge: CellEdge) -> bool:
+        (px, py), (a, b, c) = edge.p, edge.line
+        k, nn = 2 * (c - a * px - b * py), a * a + b * b  # the rival is p + k (a, b) / nn
+        if len(self.ends) < 3:
+            return (px + k * a // nn, py + k * b // nn) not in self.ends
+        (fx, fy), (sx, sy), (lx, ly) = self.ends
+        ax, ay = lx - fx, ly - fy
+        # nn times the rival's side of the chord, against the second site's.
+        return (nn * (ax * (py - fy) - ay * (px - fx)) + k * (ax * b - ay * a)) * (ax * (sy - fy) - ay * (sx - fx)) < 0
+
+
+class _SharedEdges(_Draws):
     """The edges live nearest walks clipped, held for the walks of the
     cells on their other sides: `held[partner][finder]` is
     (lo, hi, lo_cutter, hi_cutter) of the edge between the cells of
@@ -145,23 +192,23 @@ class _SharedEdges:
     An edge is held only while it can still serve: its partner's walk is
     live and has not walked it yet (`arc_walked`), or the source, which
     yields nearest walks in index order, will draw that walk soon, within
-    `window` indices past the highest index drawn so far (`frontier`).
-    The table holds at most `cap` = 2(s - 1) edges, none at s = 1, each
-    charged `W_SHARED_EDGE` words while held.  An edge leaves when it is
-    taken (`take`); the partner's edges all leave when its walk ends, and
-    when the frontier passes the partner undrawn, as a `keep` filter of the
-    source skips it.
+    `window` indices past the highest index drawn so far (`frontier`;
+    the walks still to come are those past it).  The table holds at most
+    `cap` = 2(s - 1) edges, none at s = 1, each charged `W_SHARED_EDGE`
+    words while held.  An edge leaves when it is taken (`take`); the
+    partner's edges all leave when its walk ends, and when the frontier
+    passes the partner undrawn, as a `keep` filter of the source skips it.
     """
 
-    __slots__ = ("held", "count", "cap", "window", "frontier", "live", "ledger")
+    __slots__ = ("held", "count", "cap", "window", "frontier", "ledger")
 
     def __init__(self, slots: int, ledger: WorkLedger):
+        super().__init__()
         self.held: dict[int, dict[int, tuple]] = {}
         self.count = 0
         self.cap = 2 * (slots - 1)
         self.window = 2 * slots
         self.frontier = -1
-        self.live: dict[int, TrackedSite] = {}  # the walks drawn and not ended, by site
         self.ledger = ledger
 
     def round(self, arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]:
@@ -206,18 +253,11 @@ class _SharedEdges:
             edges.append(edge)
         return edges
 
-    def draw(self, source: Iterator[TrackedSite]) -> Iterator[TrackedSite]:
-        """The walks of `source`, each noted as drawn as it is yielded; once
-        the source is spent, no walk is still to come."""
-        for walk in source:
-            self._advance(walk.site)
-            self.live[walk.site] = walk
-            yield walk
-        self._advance(sys.maxsize)
-
-    def _advance(self, i: int) -> None:
-        """Move the frontier to index i, dropping the edges held for the
-        sites the source passed over on the way."""
+    def _drawn(self, walk: Optional[TrackedSite]) -> None:
+        """Move the frontier to the walk's index (past every index once the
+        source is spent), dropping the edges held for the sites the source
+        passed over on the way."""
+        i = sys.maxsize if walk is None else walk.site
         if i > self.frontier + 1:
             for j in [j for j in self.held if self.frontier < j < i]:
                 self.drop(j)
@@ -245,28 +285,24 @@ class _SharedEdges:
         return CellEdge(slot.site, slot.rival, line, slot.p, *ends)
 
     def offer(self, edge: CellEdge) -> None:
-        """Hold a clipped edge for its rival's walk, if that walk can still
-        take it and the table has room: a live walk that has not walked it,
-        clipping it earlier in this round or in a round before, or a walk
-        still to come within the window."""
-        if self.count >= self.cap:
-            return
+        """Hold a clipped edge for its rival's walk, if the table has room
+        and that walk can still take it: the finder is the first to reach
+        the edge (`first`), and the rival's walk is live and not clipping it
+        in this round too, or is still to come within the window."""
         j = edge.rival
         walk = self.live.get(j)
-        if walk is None:
-            if not self.frontier < j <= self.frontier + self.window:
-                return
-        else:
-            (px, py), (qx, qy) = edge.p, walk.p
-            if walk.rival == edge.site or arc_walked(walk.arc(), (px - qx, py - qy)):
-                return
-        self.ledger.alloc(W_SHARED_EDGE)
-        self.held.setdefault(j, {})[edge.site] = (edge.lo, edge.hi, edge.lo_cutter, edge.hi_cutter)
-        self.count += 1
+        near = j <= self.frontier + self.window if walk is None else walk.rival != edge.site
+        if self.count < self.cap and near and self.first(edge):
+            self.ledger.alloc(W_SHARED_EDGE)
+            self.held.setdefault(j, {})[edge.site] = (edge.lo, edge.hi, edge.lo_cutter, edge.hi_cutter)
+            self.count += 1
+
+    def _to_come(self, edge: CellEdge) -> bool:
+        return edge.rival > self.frontier
 
     def end(self, site: int) -> None:
         """The walk of `site` is done: no edge is held for it any more."""
-        del self.live[site]
+        super().end(site)
         self.drop(site)
 
     def drop(self, site: int) -> None:
@@ -471,51 +507,45 @@ def drive(source: Iterator, s: int, step, leftovers: Optional[list] = None) -> I
             return
 
 
-def walk_cells(arena, mode, s, source, ledger, leftovers=None) -> Iterator[tuple[TrackedSite, CellEdge]]:
-    """(walk, edge) for every cell edge found by `drive` over the walks of
-    `source` with s slots, in `_SharedEdges.round`s for nearest walks,
-    which share their clipped edges, and in `_far_round`s for farthest."""
+def walk_cells(arena, mode, s, source, ledger, leftovers=None) -> Iterator[tuple[TrackedSite, CellEdge, bool]]:
+    """(walk, edge, first) for every cell edge found by `drive` over the
+    walks of `source` with s slots, in `_SharedEdges.round`s for nearest
+    walks, which share their clipped edges, and in `_far_round`s for
+    farthest; `first` when the walk is the first to reach the edge
+    (`_Draws.first`, for a source that draws every cell)."""
     n = len(arena)
     limit = n + 2  # no cell has more edges
     slots = min(s, n)
-    shared = _SharedEdges(slots, ledger) if mode is DiagramMode.NEAREST else None
+    nearest = mode is DiagramMode.NEAREST
+    draws = _SharedEdges(slots, ledger) if nearest else _HullDraws()
 
     def step(walks):
-        edges = _far_round(arena, walks) if shared is None else shared.round(arena, walks)
+        edges = draws.round(arena, walks)
         for slot, edge in zip(walks, edges):
             slot.advance(edge)  # before the edge is reported: it may be degenerate
             if slot.edges_found > limit:
                 raise AssertionError("cell walk failed to terminate")
-            if slot.done and shared is not None:
-                shared.end(slot.site)
-            yield slot, edge
+            if slot.done:
+                draws.end(slot.site)
+            yield slot, edge, draws.first(edge)
         return [t for t in walks if not t.done]
 
-    if shared is not None:
-        source = shared.draw(source)
-    with ledger.scope(slots * (W_SLOT + W_BATCH_SITE) + W_FIXED):
+    with ledger.scope(slots * (W_SLOT + W_BATCH_SITE) + W_FIXED + (0 if nearest else W_HULL_DRAWN)):
         try:
-            yield from drive(source, s, step, leftovers)
+            yield from drive(draws.draw(source), s, step, leftovers)
         finally:
-            if shared is not None:
-                shared.clear()
+            if nearest:
+                draws.clear()
 
 
-def find_big_cells(
-    arena: ReadOnlyArena,
-    mode: DiagramMode,
-    s: int,
-    ledger: WorkLedger,
-) -> dict:
+def find_big_cells(arena: ReadOnlyArena, mode: DiagramMode, s: int, ledger: WorkLedger) -> dict:
     """Walk cells s at a time until fewer than s stay unfinished; no output.
 
-    When the initial load already covers every site (never any site had to
-    wait for a slot) all walks are run to completion and the table is
-    empty.  The table maps each big cell's index to (), in index order.
-    The program finds its big cells in `iter_diagram`'s walks, which
-    report edges as they go; this walk-only search is kept as the
-    reference the tests hold that table to, and because the per-layer
-    tracer (`perfbench/spans.py`) names it.
+    The table maps each big cell's index to (), in index order; it is
+    empty when every site got a slot in the initial load.  The program
+    finds its big cells in `iter_diagram`'s walks, which report edges as
+    they go; this walk-only search is the reference the tests hold that
+    table to, and a span of the per-layer tracer (`perfbench/spans.py`).
     """
     leftovers: list[TrackedSite] = []
     for _ in walk_cells(arena, mode, s, _site_source(arena, mode, s, ledger), ledger, leftovers):
@@ -532,47 +562,23 @@ def iter_diagram(
 ) -> Iterator[CellEdge]:
     """Every edge of the diagram exactly once, each cell walked once.
 
-    The walks run s at a time (`walk_cells`), and each walked edge is
-    reported at once from its cell of lower index, also when that cell's
-    walk is later cut short.  The walks still alive when the source runs
-    dry are cut short, and their cells are big: the table maps each one's
-    index to its walked arc, in index order, and `found`, if given,
-    receives it.  Two kinds of edge are then still missing, and both come
-    from the table: an edge between a small cell and a lower-index big cell
-    whose walk did not reach it (`_iter_unreached`), and an edge between
-    two big cells that the lower one did not walk (`iter_big_big`).
+    The walks run s at a time (`walk_cells`), and each edge is reported at
+    once by the first walk to reach it, also one later cut short.  The
+    walks still alive when the source runs dry are cut short, and their
+    cells are big: the table maps each one's index to its walked arc, in
+    index order, and `found`, if given, receives it.  The only edges left
+    are those between two big cells that neither walk reached (`iter_big_big`).
     """
     leftovers: list[TrackedSite] = []
-    for _, edge in walk_cells(arena, mode, s, _site_source(arena, mode, s, ledger), ledger, leftovers):
-        if edge.site < edge.rival:
+    for _, edge, first in walk_cells(arena, mode, s, _site_source(arena, mode, s, ledger), ledger, leftovers):
+        if first:
             yield edge
     table = dict(sorted((t.site, t.arc()) for t in leftovers))
     if found is not None:
         found.append(table)
     if table:
         with ledger.scope(table_words(table)):
-            yield from _iter_unreached(arena, mode, s, table, ledger)
             yield from iter_big_big(arena, mode, s, table, ledger)
-
-
-def _iter_unreached(
-    arena: ReadOnlyArena,
-    mode: DiagramMode,
-    s: int,
-    table: dict,
-    ledger: WorkLedger,
-) -> Iterator[CellEdge]:
-    """Every edge between a small cell and a big cell of lower index whose
-    walk did not reach it, from walking again the small cells above the
-    lowest big index: only they can have such an edge."""
-    lowest = next(iter(table))
-    source = _site_source(arena, mode, s, ledger, lambda i: i > lowest and i not in table)
-    for slot, edge in walk_cells(arena, mode, s, source, ledger):
-        j = edge.rival
-        if j < edge.site and j in table:
-            ex, ey = _rival_offset(edge.line, *slot.p)
-            if not arc_walked(table[j], (-ex, -ey)):
-                yield edge
 
 
 def iter_small_incident(
@@ -588,7 +594,7 @@ def iter_small_incident(
     index reports it.
     """
     source = _site_source(arena, mode, s, ledger, lambda i: i not in table)
-    for _, edge in walk_cells(arena, mode, s, source, ledger):
+    for _, edge, _ in walk_cells(arena, mode, s, source, ledger):
         if edge.rival in table or edge.site < edge.rival:
             yield edge
 
@@ -600,12 +606,12 @@ def iter_big_big(
     table: dict,
     ledger: WorkLedger,
 ) -> Iterator[CellEdge]:
-    """Every edge between two big cells that the lower one's walk did not
-    report (by its arc in the table; an arc of () reported none).
+    """Every edge between two big cells that neither cell's walk reached,
+    and so reported (by their arcs in the table; an arc of () reached none).
 
     Each edge of the diagram of the big sites is clipped against the whole
     input, read once as one span; surviving pieces are exactly the big-big
-    edges.  A pair whose edge the walk reported is passed over unclipped.
+    edges.  A pair whose edge either walk reached is passed over unclipped.
     """
     if len(table) < 2:
         return
@@ -616,9 +622,9 @@ def iter_big_big(
     with ledger.scope(max(len(mem_sites), slots - 1) * W_MEM_SITE + slots * W_BATCH_SITE + W_FIXED):
         span = arena.read_span(0, len(arena))
         for ai, (a, a_pt) in enumerate(mem_sites):
-            arc = table[a]
             for b, b_pt in mem_sites[ai + 1 :]:
-                if arc_walked(arc, (b_pt[0] - a_pt[0], b_pt[1] - a_pt[1])):
+                ex, ey = b_pt[0] - a_pt[0], b_pt[1] - a_pt[1]
+                if arc_walked(table[a], (ex, ey)) or arc_walked(table[b], (-ex, -ey)):
                     continue
                 # An edge of the big sites' own diagram, clipped by the input.
                 line = exact.bisector_line(a_pt, b_pt)

@@ -16,15 +16,15 @@ from wsvoronoi.records import Unbounded, _hpoint_end
 
 def endpoint_class(e: OracleEdge, which: str) -> Optional[str]:
     """'old' or 'new' for the lo or hi end of an order-k edge, by the number
-    of sites strictly inside its disk (k - 2 or k - 1); None if unbounded."""
-    inside = e.lo_inside if which == "lo" else e.hi_inside
-    if inside is None:
+    of sites strictly inside its disk (k - 2 or k - 1); None if unbounded.
+
+    The edge's k - 1 closest sites are inside the disk of each point of the
+    edge; at an end the third site r of the vertex joins the circle, so the
+    disk holds k - 2 sites if r is one of them and k - 1 if it is not."""
+    extra = e.lo_extra if which == "lo" else e.hi_extra
+    if extra is None:
         return None
-    if inside == e.k - 2:
-        return "old"
-    if inside == e.k - 1:
-        return "new"
-    raise AssertionError(f"impossible inside count {inside} for order {e.k}")
+    return "old" if extra in e.closest else "new"
 
 
 def cell_keys(diagram: OracleDiagram):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from wsvoronoi import tradeoff
-from wsvoronoi.cli import main, run_diagram
+from wsvoronoi.cli import FAILURES, main, run_diagram
 from wsvoronoi.datagen import (
     GRID_DIGITS,
     DuplicateSiteError,
@@ -25,7 +25,7 @@ from wsvoronoi.datagen import (
 )
 from wsvoronoi.memory import OutputSink
 from wsvoronoi.oracle import check_distance_profile
-from wsvoronoi.records import read_stream
+from wsvoronoi.records import format_record, read_stream
 
 TRIANGLE = "0 0\n8 0\n0 6\n"
 RECTANGLE = "0 0\n8 0\n0 6\n8 6\n"
@@ -557,6 +557,39 @@ class TestSmallCorpus:
         assert [check_distance_profile(r, sites) for r in records] == [None] * len(records)
 
 
+def _exit_and_lines(sites, mode, s):
+    """The exit code `vw run` gives a run, and its sorted record lines if
+    it exits 0."""
+    sink = OutputSink()
+    try:
+        run_diagram(sites, mode, s, 1, sink)
+    except tuple(FAILURES) as e:
+        return next(code for cls, (code, _) in FAILURES.items() if isinstance(e, cls)), None
+    return 0, sorted(format_record(r) for r in sink.records)
+
+
+class TestGridCorpusAcrossS:
+    """Degenerate input at every s: on 60 seeded subsets of the 5x5 grid,
+    4 to 12 points each, rich in collinear and cocircular sites, each nvd
+    and fvd run at s = 2, 3, 5, n - 1 and n exits as the one-slot run
+    does, and one that exits 0 writes the same lines."""
+
+    GRID = [(x, y) for x in range(5) for y in range(5)]
+
+    @pytest.mark.parametrize("mode", ["nvd", "fvd"])
+    def test_exit_and_lines_as_one_slot(self, mode):
+        codes = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            pts = rng.sample(self.GRID, rng.randint(4, 12))
+            sites = parse_sites_text("".join(f"{x} {y}\n" for x, y in pts))
+            want = _exit_and_lines(sites, mode, 1)
+            codes.add(want[0])
+            for s in (2, 3, 5, len(pts) - 1, len(pts)):
+                assert _exit_and_lines(sites, mode, s) == want, (seed, s)
+        assert codes == {0, 2}
+
+
 class TestBench:
     def test_csv_columns_deterministic(self, tmp_path):
         outs = []
@@ -608,12 +641,12 @@ class TestBench:
         "nvd": (["--s-list", "0,2,8"], [
             "64,0,1,27560,35,6495,27432",
             "64,2,1,14690,78,5865,24604",
-            "64,8,1,4723,408,4964,20567",
+            "64,8,1,4253,408,4497,19178",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,1567,52,1385,1429",
-            "64,2,1,1703,82,1881,1941",
-            "64,8,1,998,417,1626,1720",
+            "64,0,1,1567,58,1385,1429",
+            "64,2,1,1703,88,1881,1941",
+            "64,8,1,544,417,1252,1320",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
             "64,9,2,65325,169,25005,111833",
@@ -636,17 +669,17 @@ class TestBench:
         "nvd": (["--s-list", "0,2,8"], [
             "64,0,1,20410,35,15982,20282",
             "64,2,1,11002,78,15066,18868",
-            "64,8,1,3406,392,13688,17575",
+            "64,8,1,2627,392,10546,13507",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,12347,52,11780,12154",
-            "64,2,1,12474,82,15686,16186",
-            "64,8,1,5060,416,18490,19112",
+            "64,0,1,12347,58,11780,12154",
+            "64,2,1,12474,88,15686,16186",
+            "64,8,1,3094,416,13040,13456",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
             "64,9,2,40850,168,56676,65512",
             "64,9,3,166144,128,145076,162734",
-            "64,18,2,23277,333,52247,61418",
+            "64,18,2,21794,333,48839,56838",
             "64,18,3,95488,243,142328,158492",
         ]),
     }

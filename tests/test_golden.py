@@ -31,7 +31,7 @@ SEED = 11
 CASES = {
     "nvd-s8": (
         ["--mode", "nvd", "--workspace", "8"],
-        "5c7ca88c9f31096832648ece69455ae1ffb050c54a80666a8541a75db4732b77",
+        "282455484f0a87ad5b4d63644358ddc3b3c744e690874bfd94c2818d9bdb8811",
         "c6562c9f69933e42b4bf3bc7e6143ad1b9e96186d52e4e24c314559e1378fdca",
         "9235130d03b7c388e07abf42da543e78add6757db7a8d8e8504ad89f1d9c08d5",
     ),
@@ -43,19 +43,19 @@ CASES = {
     ),
     "fvd-s8": (
         ["--mode", "fvd", "--workspace", "8"],
-        "ba901b68820cb0948c52baaec0f22119bc610ab9f54a27a09d3de2c700dbda6f",
+        "0eea67ffc0f9214ac5eb7a3ac7a8f3557ba39f06e8656c7504c427b0c9e4b097",
         "3bc5f44eaae45ed1dfac87af84aaf9c4ef9bd27cba781b8b7a4c17ff899bb76c",
-        "4f3b27453f4adde880246d5acb2590017b8682d2d2c2a7c0927dad4b7fd7e3e3",
+        "5815cc9073ee48a59ae067841f6c6898367ba7a9dd3cfbd7b664bf2e9ef7ea87",
     ),
     "fvd-scan": (
         ["--mode", "fvd"],
-        "8b50cfa9d3a7883bb134ef0ff9e3b593e713c9e7d44462099c6ef85f600fbbb1",
+        "0d39103b881a398159b008c7281cee5c7ac2e40eb92b4ff024924ebf2c0016cf",
         "e40ed468ba43e4560270f0dbf1defffe91ae9ccfb6acccf3156a90f92a9ea743",
-        "0247786a55a441abd337edb524fe0c8b924bdefb0a473be8fc9b5ca50a9f6b4e",
+        "577ad162137b84a27b56cb7364e9ca6005de3ba8207d62006afb810ba6419c75",
     ),
     "order-K2-s8": (
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],
-        "3859a06d5fad179b3b57d6b51f037019ec817a5aea856534144b4c82b31ba0a9",
+        "88ba59eb1abae5f3ac437e295b488530f677feb653f18af13fa9307e2aae85fb",
         "1c6ca951ab1e7a1ac331c153d4fbc05e867276e0b9914f8c891950457f212c55",
         "57fc2dee01d9e5cf6500be65e85320a0eb5eda010ecd1c8ce54e5814241eff9f",
     ),
@@ -101,37 +101,37 @@ CONVEX_CASES = {
     "fvd-scan": (
         SEED,
         ["--mode", "fvd"],
-        "8ec2fa95bdad74a8e4f63181f7ab4db4a0cb49d8e82d448c0985c9cf55eb6f0c",
+        "0e959f5fb849c424183ce9f85f443d98343f8950466491b27325368e7f6d472f",
         "934f560e2aea41d2ea9d4b2834f6224d0b49945054757fce44dae925514c7bdc",
-        "d0b48c2feac0c17b3b94dc4c2b2e4ec893e34b6d1ad354df9800383af084ca35",
+        "4b443d2630902a8470aaa507d1869efde65b2c34bbc7028342c8f6ac75d23830",
     ),
     "fvd-s8": (
         SEED,
         ["--mode", "fvd", "--workspace", "8"],
-        "5ddbca8382eae2c485171b3925ad575b4a5df4d067cba95c78d6aac08b95e532",
+        "f9228a49eb4b9e61e430347390fdd24943745dc844656f6ae40bc8a92904c6dc",
         "f4f03a383ab3983e2b7268fa3254b437bdfecad187c8e0b7e044770c7a65f68a",
-        "126322978ea9a6ac1df7fdbdd82a630a69d85b05b1194ba33e379b8eff04e17b",
+        "17a1fb47ea46b701c8f1fc1ec547a531a4b0c2678bb2c36d741acbf12b150702",
     ),
     "nvd-s8": (
         SEED,
         ["--mode", "nvd", "--workspace", "8"],
-        "dc18d4fe7c26851105a797ce06647bf23ec38c36df1054eee1f070d0c4c832ba",
+        "531ac6c3ec52309f7835d3a28e564c1d56a9a25719e86015a71d51ce02a16257",
         "b162f10419814ecbc0709b8ad3c659231171e71c34656693d8c614cd05badd90",
-        "4a43723734f6c40efcbb70ca436ec59ad9395fa4df06117dcd1cc01f84b15ce4",
+        "2d6c71fc267f7229cd6b1ca0c9c5cae4612bcc8d48e614cd6a660d658ab68c62",
     ),
     "fvd-scan-seed1": (
         1,
         ["--mode", "fvd"],
-        "f5d11f89aa332fcd2372b2b4f34e802bb228c939d3a28a1b6237c6390f735625",
+        "8524c9a6a4d86e8bdeb6aadb896dcf133a39b869513169c78416326488c45a2a",
         "b81e0104c3a51868d63898fe14c759bfe4e91b36ea9512a7f9c5c83d4ae8dafb",
-        "d0b48c2feac0c17b3b94dc4c2b2e4ec893e34b6d1ad354df9800383af084ca35",
+        "4b443d2630902a8470aaa507d1869efde65b2c34bbc7028342c8f6ac75d23830",
     ),
     "fvd-s8-seed1": (
         1,
         ["--mode", "fvd", "--workspace", "8"],
-        "4bd545a0cb30a1264fe5d185f51fa4f830ae4544eb0092b8f534c0baae8e5f94",
+        "52c5cb697bc72358f1c15b1c060db47c9718057b226bfb14e959e7c331d77a4d",
         "1f7390139028c42c52ae1500b01ca44eb10d637362417ab5899a63f718b796f2",
-        "553b59c584a79ecdd2ff2e60a1afd4bff5c2b0910f55f9f6ceaddac79f881db4",
+        "17a1fb47ea46b701c8f1fc1ec547a531a4b0c2678bb2c36d741acbf12b150702",
     ),
 }
 

@@ -431,7 +431,7 @@ class TestWalkedArc:
                 answers = []  # per round: the walk's answer for every site
                 reported = []
                 try:
-                    for _, edge in walk_cells(arena, mode, 1, iter([walk]), observing_ledger()):
+                    for _, edge, _ in walk_cells(arena, mode, 1, iter([walk]), observing_ledger()):
                         reported.append(edge.rival)
                         arc = walk.arc()
                         answers.append({j for j, (x, y) in enumerate(pts) if arc_walked(arc, (x - p[0], y - p[1]))})

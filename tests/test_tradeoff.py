@@ -130,7 +130,7 @@ def walk_by_hand(arena, walk, mode, size):
 def walk_by_rounds(arena, slots, mode):
     """Every edge of each slot, `walk_cells` serving all live slots at once."""
     edges = {slot.site: [] for slot in slots}
-    for slot, edge in walk_cells(arena, mode, len(slots), iter(slots), observing_ledger()):
+    for slot, edge, _ in walk_cells(arena, mode, len(slots), iter(slots), observing_ledger()):
         edges[slot.site].append(edge)
     return edges
 
@@ -428,11 +428,11 @@ class TestTableOrder:
 
 
 class TestReportedOnce:
-    """Every walked edge is reported at once from its lower-index cell, and
-    the edges cut walks did not reach come after the walks: each edge of
-    the diagram is reported exactly once at every s, with big cells
-    (s = 2, 3, 8 and, in nvd, n - 1: 33 and 38 of the 40 cells) or
-    without (s = 1 and s >= n)."""
+    """Every edge is reported at once by the first walk to reach it, and
+    the edges between two big cells that neither cut walk reached come
+    after the walks: each edge of the diagram is reported exactly once at
+    every s, with big cells (s = 2, 3, 8 and, in nvd, n - 1: 33 and 38 of
+    the 40 cells) or without (s = 1 and s >= n)."""
 
     SETS = {"random": random_sites(40, 844), "convex": parabola(40, 845)}
     ORACLE = {}
@@ -449,6 +449,60 @@ class TestReportedOnce:
             assert len(keys) == len(set(keys)), f"an edge reported twice in {mode.value} at s={s}"
             assert set(keys) == self.ORACLE[name, k]
             assert ledger.live_words == 0
+
+
+class TestOneWalkPerCell:
+    """No cell is walked twice: an `iter_diagram` run builds one walk per
+    cell, n nearest walks and one farthest walk per hull site, also where
+    walks are cut short."""
+
+    UNIFORM, CONVEX = random_sites(144, 1), parabola(64, 11)
+
+    @pytest.mark.parametrize(
+        "mode, s, P",
+        [(N, 24, UNIFORM), (N, 64, UNIFORM), (F, 8, CONVEX), (F, 24, CONVEX)],
+        ids=["nvd-s24", "nvd-s64", "fvd-s8", "fvd-s24"],
+    )
+    def test_one_tracked_site_per_cell(self, mode, s, P, monkeypatch):
+        built = []
+
+        class Counted(scan.TrackedSite):
+            __slots__ = ()
+
+            def __init__(self, site_idx, *args):
+                built.append(site_idx)
+                super().__init__(site_idx, *args)
+
+        monkeypatch.setattr(scan, "TrackedSite", Counted)
+        found = []
+        list(iter_diagram(ReadOnlyArena(P), mode, s, observing_ledger(), found))
+        assert found[0], "the run cut no walk short"
+        # Every site of the parabola is a hull site, with a farthest cell.
+        assert sorted(built) == list(range(len(P))), f"{len(built)} walks for {len(P)} cells"
+
+
+class TestEdgeCounts:
+    """Every edge once, counted at a scale the oracle cannot reach: a
+    diagram of F cells, u of them unbounded, has 3F - 3 - u edges (Euler's
+    relation, with a vertex at infinity, and degree 3 in general
+    position), so 3n - 3 - h nearest edges and 2h - 3 farthest ones.  Each
+    run writes as many distinct records, the same lines as the one-slot
+    run."""
+
+    CASES = {"nvd": (N, random_sites(1024, 1), (64, 256)), "fvd": (F, parabola(256, 1), (16, 255))}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_distinct_records_match_the_count(self, name):
+        mode, P, s_list = self.CASES[name]
+        n, h = len(P), len(naive_hull(P))
+        want = 3 * n - 3 - h if mode is N else 2 * h - 3
+        runs = {}
+        for s in (1, *s_list):
+            arena = ReadOnlyArena(P)
+            edges = iter_diagram(arena, mode, s, observing_ledger())
+            runs[s] = sorted(format_record(record_for(arena, e, mode)) for e in edges)
+            assert len(set(runs[s])) == len(runs[s]) == want, (name, s)
+        assert all(lines == runs[1] for lines in runs.values())
 
 
 class TestHullStream:
@@ -600,27 +654,27 @@ class TestRunTradeoff:
 
 class TestTableCharge:
     """run_tradeoff charges the big-cell table's words, an index and a
-    7-word walked arc per big cell, while it holds the table: through the
-    walks again of small cells and through big-big."""
+    7-word walked arc per big cell, while it holds the table: through
+    big-big, the one phase after the walks."""
 
     def test_peak_includes_table(self, monkeypatch):
         P = random_sites(40, 3)
         s = 8
         live_at_start = []
-        for name in ("_iter_unreached", "iter_big_big"):
+        original = tradeoff.iter_big_big
 
-            def spy(arena, mode, s, table, ledger, _original=getattr(tradeoff, name)):
-                live_at_start.append(ledger.live_words)
-                yield from _original(arena, mode, s, table, ledger)
+        def spy(arena, mode, s, table, ledger):
+            live_at_start.append(ledger.live_words)
+            yield from original(arena, mode, s, table, ledger)
 
-            monkeypatch.setattr(tradeoff, name, spy)
+        monkeypatch.setattr(tradeoff, "iter_big_big", spy)
         sink = OutputSink()
         ledger = WorkLedger(64 * s)
         table = run_tradeoff(ReadOnlyArena(P), N, s, sink, ledger)
         assert len(table) == 7
         charge = len(table) * 8
         assert table_words(table) == charge
-        assert live_at_start == [charge, charge]
+        assert live_at_start == [charge]
         assert ledger.live_words == 0
         walks = s * (W_SLOT + W_BATCH_SITE) + W_FIXED
         big_big = max(len(table), s - 1) * W_MEM_SITE + s * W_BATCH_SITE + W_FIXED
