@@ -16,6 +16,12 @@ homogeneous point, and `svg` makes rationals of it.  The builders take
 closest lists already sorted.  Streams may start with ``#``-comment
 lines; `vw run` writes one holding the run parameters.
 
+An order-(n-1) record of n sites holds its closest set, every index but
+its pair, as `AllBut`: three integers at any n, which `format_record`
+writes as the text of range(n), built for the record from n alone, with
+the pair's two entries cut out.  Nothing is kept from one record, or one
+run, to the next.
+
 For k in {1, n-1} an edge is written once, canonically oriented; the
 order-k pipeline writes directed half-edge records where the pair order
 encodes which cell lies to the left.
@@ -24,6 +30,8 @@ encodes which cell lies to the left.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
+from itertools import chain
 from math import gcd
 from typing import Optional, Union
 
@@ -45,10 +53,41 @@ class Unbounded:
 Endpoint = Union[tuple, Unbounded]  # (x_num, x_den, y_num, y_den) or Unbounded
 
 
+@total_ordering
+@dataclass(frozen=True, slots=True, eq=False)
+class AllBut:
+    """The indices range(n) but a and b, 0 <= a < b < n: the closest set of
+    an order-(n-1) edge of n sites whose pair is (a, b), in three integers
+    at every n.  It iterates, compares, orders and hashes as the sorted
+    tuple it stands for, building that tuple only for the moment, so a
+    record holding it equals, and hashes like, one holding the tuple, as
+    `parse_record` reads it back."""
+
+    n: int
+    a: int
+    b: int
+
+    def __iter__(self):
+        return chain(range(self.a), range(self.a + 1, self.b), range(self.b + 1, self.n))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, AllBut)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __lt__(self, other):
+        if not isinstance(other, (tuple, AllBut)):
+            return NotImplemented
+        return tuple(self) < tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True, slots=True)
 class EdgeRecord:
     k: int
-    closest: tuple[int, ...]
+    closest: Union[tuple[int, ...], AllBut]  # sorted
     pair: tuple[int, int]
     tail: Endpoint
     head: Endpoint
@@ -122,51 +161,36 @@ def _parse_endpoint(text: str) -> Endpoint:
     return (*_parse_frac(parts[0]), *_parse_frac(parts[1]))
 
 
-#: Text of the indices 0..M-1 for the largest M needed so far, as
-#: (indices, text, starts): indices is tuple(range(M)), text is
-#: "0,1,...,M-1," and starts[i] is the offset of index i in text, with
-#: starts[M] == len(text).  It is output-layer text the size of one
-#: order-(M-1) record and holds nothing of the input but the index range,
-#: so no workspace word is charged for it.
-_index_text: tuple = ((), "", [0])
+#: The fixed templates an `AllBut` is written from: the text of the
+#: indices below 100, and that of each later hundred h, "#" standing for
+#: h's digits.  They hold no index of any run.
+_LOW = ",".join(map(str, range(100))) + ","
+_HUNDRED = "".join(f"#{i:02d}," for i in range(100))
 
 
-def _grow_index_text(m: int) -> tuple:
-    global _index_text
-    names = [str(i) for i in range(m)]
-    starts = [0]
-    for name in names:
-        starts.append(starts[-1] + len(name) + 1)
-    _index_text = (tuple(range(m)), ",".join(names + [""]), starts)
-    return _index_text
+def _start(i: int) -> int:
+    """Offset of index i >= 0 in the text "0,1,2,...", where each index j
+    takes len(str(j)) + 1 characters: with d = len(str(i)), each j < i
+    takes d + 1 less one for every 0 < k < d with j < 10**k, and those
+    10**k indices, summed over k, are (10**d - 10) / 9."""
+    d = len(str(i))
+    return (d + 1) * i - (10**d - 10) // 9
 
 
-def _closest_text(closest: tuple[int, ...], pair: tuple[int, int]) -> str:
-    """`",".join(map(str, closest))`, cut from the cached index text when it can be.
-
-    An order-(m-1) record of an m-site diagram, m = len(closest) + 2, lists
-    every index in range(m) but its pair's two.  Checked exactly, such a
-    list is the cached "0,1,...,m-1," with the pair's two entries cut out.
-    """
-    m = len(closest) + 2
-    a, b = pair
-    if a > b:
-        a, b = b, a
-    if closest and 0 <= a < b < m:
-        indices, text, starts = _index_text
-        if m > len(indices):
-            indices, text, starts = _grow_index_text(m)
-        if (
-            closest[:a] == indices[:a]
-            and closest[a : b - 1] == indices[a + 1 : b]
-            and closest[b - 1 :] == indices[b + 1 : m]
-        ):
-            return (text[: starts[a]] + text[starts[a + 1] : starts[b]] + text[starts[b + 1] : starts[m]])[:-1]
-    return ",".join(map(str, closest))
+def _all_but_text(closest: AllBut) -> str:
+    """`",".join(map(str, closest))`, with no look at its elements: the
+    text of range(n), built for the record from n alone, with the pair's
+    two entries cut out."""
+    n, a, b = closest.n, closest.a, closest.b
+    text = _LOW
+    if n > 100:
+        text = "".join([_LOW, *[_HUNDRED.replace("#", str(h)) for h in range(1, (n + 99) // 100)]])
+    sa, sb = _start(a), _start(b)
+    return (text[:sa] + text[sa + len(str(a)) + 1 : sb] + text[sb + len(str(b)) + 1 : _start(n)])[:-1]
 
 
 def format_record(rec: EdgeRecord) -> str:
-    closest = _closest_text(rec.closest, rec.pair)
+    closest = _all_but_text(rec.closest) if type(rec.closest) is AllBut else ",".join(map(str, rec.closest))
     extra_t = "-" if rec.extra_t is None else str(rec.extra_t)
     extra_h = "-" if rec.extra_h is None else str(rec.extra_h)
     return (
@@ -221,7 +245,7 @@ def _hpoint_end(hp, scale: int) -> tuple[int, int, int, int]:
 
 def undirected_record(
     k: int,
-    closest: tuple[int, ...],
+    closest: Union[tuple[int, ...], AllBut],
     pair: tuple[int, int],
     carrier_line,
     lo,
@@ -248,7 +272,7 @@ def undirected_record(
 
 def directed_record(
     k: int,
-    closest: tuple[int, ...],
+    closest: Union[tuple[int, ...], AllBut],
     pair: tuple[int, int],
     direction,
     tail,

@@ -56,7 +56,7 @@ from typing import Callable, Optional
 from . import exact
 from .geometry import DegenerateGeometry
 from .memory import OutputSink, ReadOnlyArena, WorkLedger
-from .records import EdgeRecord, undirected_record
+from .records import AllBut, EdgeRecord, undirected_record
 
 
 class DiagramMode(Enum):
@@ -512,6 +512,7 @@ class TrackedSite:
         "_second",
         "_turn",
         "handed",
+        "_arc",
     )
 
     def __init__(self, site_idx: int, p, rival: Optional[int] = None):
@@ -529,6 +530,7 @@ class TrackedSite:
         self._second: Optional[CellEdge] = None  # the edge after the first: leg 1's turning sense
         self._turn: Optional[CellEdge] = None  # the last edge of leg 1, once leg 2 began
         self.handed: Optional[tuple] = None  # the first edge's (line, lo, hi, lo_cutter, hi_cutter), handed on
+        self._arc: Optional[tuple] = None  # `arc`, once asked for, until the next `advance`
 
     def begin_clip(self) -> None:
         self.rival = self.cutter
@@ -549,7 +551,7 @@ class TrackedSite:
     def advance(self, edge: CellEdge) -> None:
         """Digest the edge just found and set up the next one."""
         self.edges_found += 1
-        self.state = None
+        self.state = self._arc = None
         if self.first_edge is None:
             self.first_edge = edge
             self.entry = edge
@@ -598,24 +600,21 @@ class TrackedSite:
         on leg 2 (the first edge's until leg 2 begins), 2 words each, then
         leg 1's turning sense, +1 counterclockwise, -1 clockwise (+1 while
         the walk has one edge); () before the first edge.  Offsets come
-        from the edges' carriers, so the arc costs no read."""
-        if self.first_edge is None:
-            return ()
-        px, py = self.p
-
-        def offset(edge):
-            return _rival_offset(edge.line, px, py)
-
-        first = offset(self.first_edge)
-        if self._turn is None:
-            last, back = offset(self.entry), first
-        else:
-            last, back = offset(self._turn), offset(self.entry)
-        sense = 1
-        if self._second is not None:
-            sx, sy = offset(self._second)
-            sense = 1 if first[0] * sy - first[1] * sx > 0 else -1
-        return (*first, *last, *back, sense)
+        from the edges' carriers, so the arc costs no read, and it is
+        kept until the next `advance`."""
+        if self._arc is None and self.first_edge is not None:
+            px, py = self.p
+            first = _rival_offset(self.first_edge.line, px, py)
+            if self._turn is None:
+                last, back = _rival_offset(self.entry.line, px, py), first
+            else:
+                last, back = _rival_offset(self._turn.line, px, py), _rival_offset(self.entry.line, px, py)
+            sense = 1
+            if self._second is not None:
+                sx, sy = _rival_offset(self._second.line, px, py)
+                sense = 1 if first[0] * sy - first[1] * sx > 0 else -1
+            self._arc = (*first, *last, *back, sense)
+        return self._arc or ()
 
 
 def _swept(a, d, b) -> bool:
@@ -703,18 +702,16 @@ def cell_edges(
 
 
 def record_for(arena: ReadOnlyArena, edge: CellEdge, mode: DiagramMode) -> EdgeRecord:
+    """The record of a diagram edge; a farthest one holds its closest set,
+    every index but its pair, as `AllBut`: three integers at any n."""
     n = len(arena)
+    a, b = edge.site, edge.rival
     if mode is DiagramMode.NEAREST:
-        k = 1
-        closest: tuple[int, ...] = ()
+        k, closest = 1, ()
     else:
-        k = n - 1
-        a, b = sorted((edge.site, edge.rival))
-        closest = (*range(a), *range(a + 1, b), *range(b + 1, n))
+        k, closest = n - 1, AllBut(n, a, b) if a < b else AllBut(n, b, a)
     lo, hi = edge.ends()
-    return undirected_record(
-        k, closest, (edge.site, edge.rival), edge.line, lo, hi, edge.lo_cutter, edge.hi_cutter, arena.scale
-    )
+    return undirected_record(k, closest, (a, b), edge.line, lo, hi, edge.lo_cutter, edge.hi_cutter, arena.scale)
 
 
 def enumerate_diagram(

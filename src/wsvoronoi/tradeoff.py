@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import sys
 from itertools import chain, islice
-from typing import Iterator, NoReturn, Optional
+from typing import Callable, Iterator, NoReturn, Optional
 
 from . import exact
 from .geometry import DegenerateGeometry
@@ -507,17 +507,20 @@ def drive(source: Iterator, s: int, step, leftovers: Optional[list] = None) -> I
             return
 
 
-def walk_cells(arena, mode, s, source, ledger, leftovers=None) -> Iterator[tuple[TrackedSite, CellEdge, bool]]:
+def walk_cells(arena, mode, s, source, ledger, leftovers=None) -> Iterator[tuple[TrackedSite, CellEdge, Callable]]:
     """(walk, edge, first) for every cell edge found by `drive` over the
     walks of `source` with s slots, in `_SharedEdges.round`s for nearest
     walks, which share their clipped edges, and in `_far_round`s for
-    farthest; `first` when the walk is the first to reach the edge
-    (`_Draws.first`, for a source that draws every cell)."""
+    farthest.  `first(edge)`, called before the next item is drawn, tells
+    whether the walk is the first to reach the edge (`_Draws.first`, for a
+    source that draws every cell); a caller that does not need it leaves
+    it uncalled."""
     n = len(arena)
     limit = n + 2  # no cell has more edges
     slots = min(s, n)
     nearest = mode is DiagramMode.NEAREST
     draws = _SharedEdges(slots, ledger) if nearest else _HullDraws()
+    first = draws.first
 
     def step(walks):
         edges = draws.round(arena, walks)
@@ -527,7 +530,7 @@ def walk_cells(arena, mode, s, source, ledger, leftovers=None) -> Iterator[tuple
                 raise AssertionError("cell walk failed to terminate")
             if slot.done:
                 draws.end(slot.site)
-            yield slot, edge, draws.first(edge)
+            yield slot, edge, first
         return [t for t in walks if not t.done]
 
     with ledger.scope(slots * (W_SLOT + W_BATCH_SITE) + W_FIXED + (0 if nearest else W_HULL_DRAWN)):
@@ -571,7 +574,7 @@ def iter_diagram(
     """
     leftovers: list[TrackedSite] = []
     for _, edge, first in walk_cells(arena, mode, s, _site_source(arena, mode, s, ledger), ledger, leftovers):
-        if first:
+        if first(edge):
             yield edge
     table = dict(sorted((t.site, t.arc()) for t in leftovers))
     if found is not None:

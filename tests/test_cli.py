@@ -465,6 +465,27 @@ class TestDeterminism:
             )
         assert outputs[0] == outputs[1]
 
+    def test_runs_inherit_nothing(self, tmp_path):
+        """fvd runs on 300, then 8, then 64 convex sites in one process
+        write, byte for byte, the files a fresh interpreter writes for each
+        input: no run leaves anything that a later one reads."""
+        paths = []
+        for n in (300, 8, 64):
+            path = tmp_path / f"convex{n}.txt"
+            path.write_text("".join(f"{x} {x * x}\n" for x in random.Random(n).sample(range(1, 1 << 20), n)))
+            paths.append(path)
+        for path in paths:
+            assert main(["run", str(path), "--mode", "fvd", "--out", f"{path}.one.rec"]) == 0
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = "import sys; from wsvoronoi.cli import main; sys.exit(main(sys.argv[1:]))"
+        for path in paths:
+            argv = ["run", str(path), "--mode", "fvd", "--out", f"{path}.fresh.rec"]
+            subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True, timeout=120)
+            for suffix in (".rec", ".rec.report"):
+                assert Path(f"{path}.one{suffix}").read_bytes() == Path(f"{path}.fresh{suffix}").read_bytes()
+
     def test_stream_round_trip(self, random_file, tmp_path):
         out = tmp_path / "records.txt"
         main(["run", random_file, "--mode", "nvd", "--workspace", "4", "--out", str(out)])

@@ -1,15 +1,17 @@
 """Wire-format round trips and canonical identity."""
 
 import io
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsvoronoi import exact
 from wsvoronoi.datagen import random_sites
 from wsvoronoi.oracle import oracle_vdk
 from wsvoronoi.records import (
+    AllBut,
     EdgeRecord,
     RecordFormatError,
     Unbounded,
@@ -115,11 +117,11 @@ def test_undirected_key_collapses_directions():
         assert opposite.undirected_key() == r.undirected_key()
 
 
-# -- closest lists cut from the cached index text -----------------------------
+# -- closest lists held as tuples ---------------------------------------------
 
 
 def reference_format(rec: EdgeRecord) -> str:
-    """The formatter as it was before closest lists were cut from cached text."""
+    """The formatter, joining every closest list element by element."""
     closest = ",".join(map(str, rec.closest))
     extra_t = "-" if rec.extra_t is None else str(rec.extra_t)
     extra_h = "-" if rec.extra_h is None else str(rec.extra_h)
@@ -214,3 +216,82 @@ def test_parsed_unsorted_or_sparse_lists_round_trip(closest, pair):
     line = reference_format(_record(closest, pair))
     rec = parse_record(line)
     assert format_record(rec) == line
+
+
+# -- the closest value of a farthest record ----------------------------------
+
+
+def _all_but(m, a, b) -> AllBut:
+    return AllBut(m, min(a, b), max(a, b))
+
+
+def _value_record(value: AllBut, pair) -> EdgeRecord:
+    """`_record` of the complement `value` stands for, holding the value."""
+    return EdgeRecord(value.n - 1, value, pair, (1, 3, -2, 1), Unbounded(1, -1), None, 4)
+
+
+def test_all_but_text_of_every_small_pair():
+    for m in range(2, 14):
+        for a in range(m):
+            for b in range(a + 1, m):
+                rec = _value_record(AllBut(m, a, b), (a, b))
+                assert format_record(rec) == reference_format(_record(_complement(m, a, b), (a, b)))
+
+
+@pytest.mark.parametrize("m", [3, 10, 11, 99, 100, 101, 102, 199, 200, 201, 256, 300, 999, 1000, 1001, 10001])
+def test_all_but_text_at_the_ends(m):
+    """The pairs at either end of range(m), at the lengths where the index
+    text takes another hundred or another digit."""
+    for a, b in ((0, 1), (0, m - 1), (m - 2, m - 1), (1, m - 2)):
+        if a < b:
+            rec = _value_record(AllBut(m, a, b), (b, a))
+            assert format_record(rec) == reference_format(_record(_complement(m, a, b), (b, a)))
+
+
+@given(complements(min_m=2))
+@example((2, 0, 1))
+@example((300, 0, 1))
+@example((300, 0, 299))
+@example((300, 298, 299))
+@settings(max_examples=200, deadline=None)
+def test_all_but_text_matches_its_complement(case):
+    m, a, b = case
+    rec = _value_record(_all_but(m, a, b), (a, b))
+    twin = _record(_complement(m, a, b), (a, b))
+    assert format_record(rec) == reference_format(twin)
+    assert parse_record(format_record(rec)) == twin
+
+
+@given(complements(min_m=2, max_m=40), complements(min_m=2, max_m=40))
+@example((5, 0, 1), (5, 0, 1))
+@example((5, 0, 1), (5, 0, 2))
+@example((5, 3, 4), (6, 4, 5))  # (0, 1, 2) against (0, 1, 2, 3)
+@settings(max_examples=300, deadline=None)
+def test_all_but_compares_and_hashes_as_its_tuple(x, y):
+    u, v = _all_but(*x), _all_but(*y)
+    s, t = tuple(_complement(*x)), tuple(_complement(*y))
+    assert tuple(u) == s and tuple(v) == t
+    assert hash(u) == hash(s)
+    for left, right in ((u, v), (u, t), (s, v)):
+        assert (left == right) == (s == t)
+        assert (left != right) == (s != t)
+        assert (left < right) == (s < t)
+        assert (left <= right) == (s <= t)
+        assert (left > right) == (s > t)
+        assert (left >= right) == (s >= t)
+    assert u != list(s) and u != set(s)
+    rec, twin = _value_record(u, x[1:]), _record(s, x[1:])
+    assert rec == twin and twin == rec and hash(rec) == hash(twin)
+    assert rec.undirected_key() == twin.undirected_key()
+    assert hash(rec.undirected_key()) == hash(twin.undirected_key())
+
+
+def test_all_but_size_does_not_grow_with_n():
+    """Three integers below 2**30 at every n: the value and its fields
+    take the same bytes for each shape of pair, whatever n is."""
+
+    def size(v):
+        return sys.getsizeof(v) + sum(sys.getsizeof(getattr(v, f)) for f in ("n", "a", "b"))
+
+    for pair in (lambda m: (0, 1), lambda m: (0, m - 1), lambda m: (m - 2, m - 1), lambda m: (1, m // 2)):
+        assert len({size(AllBut(m, *pair(m))) for m in (4, 300, 10**5, 10**9)}) == 1

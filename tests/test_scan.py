@@ -1,6 +1,7 @@
 """Constant-workspace enumeration against the brute-force reference."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from wsvoronoi.datagen import random_sites, triangle, with_interior_point
 from wsvoronoi.geometry import DegenerateGeometry, site_set
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
 from wsvoronoi.oracle import check_distance_profile, oracle_vdk, verify_run
-from wsvoronoi.records import Unbounded, read_stream
+from wsvoronoi.records import AllBut, Unbounded, format_record, read_stream
 from wsvoronoi.scan import (
     DiagramMode,
     FarthestCellEmpty,
@@ -354,6 +355,21 @@ class TestDiagram:
         _, sink, _ = run_diagram(P, F)
         report = verify_run(sink.records, oracle_vdk(P, 19), 19)
         assert report.ok, report.summary()
+
+    @pytest.mark.parametrize("n", [3, 20, 150])
+    def test_farthest_closest_set_is_three_integers(self, n):
+        """A farthest record holds its closest set as (n, a, b), every index
+        but its pair, and equals, hashes and prints like the record that
+        holds the explicit tuple."""
+        P = random_sites(n, 306)
+        _, sink, _ = run_diagram(P, F)
+        for rec in sink.records:
+            a, b = sorted(rec.pair)
+            assert type(rec.closest) is AllBut and (rec.closest.n, rec.closest.a, rec.closest.b) == (n, a, b)
+            twin = replace(rec, closest=tuple(i for i in range(n) if i not in (a, b)))
+            assert rec == twin and twin == rec and hash(rec) == hash(twin)
+            assert rec.undirected_key() == twin.undirected_key()
+            assert format_record(rec) == format_record(twin)
 
     def test_farthest_emitted_cells_are_hull_sites(self):
         P = random_sites(14, 303)
