@@ -34,7 +34,7 @@ from . import exact
 from .geometry import DegenerateGeometry
 from .memory import OutputSink, ReadOnlyArena, WorkLedger
 from .records import EdgeRecord, directed_record
-from .scan import CellEdge, DiagramMode, _disk_box, _rival_offset, clip_edge, clip_run
+from .scan import CellEdge, DiagramMode, _disk_box, clip_edge, clip_run
 from .tradeoff import (
     W_BATCH_SITE,
     W_FIXED,
@@ -42,7 +42,6 @@ from .tradeoff import (
     iter_big_big,
     iter_diagram,
     iter_small_incident,
-    table_words,
 )
 
 
@@ -90,13 +89,13 @@ def is_relevant(e: HalfEdge) -> bool:
 
 def _halfedges_of_cell_edge(k: int, closest: frozenset, edge: CellEdge) -> list:
     """Both directed half-edges of one undirected order-k edge, the one
-    along its carrier's direction first.  The edge holds its site's point,
-    and its carrier gives the side of the rival's, so nothing is read."""
+    along its carrier's direction first.  The edge holds its site's point
+    and its rival's, so nothing is read."""
     line = edge.line
     d = exact.line_dir(line)
     lo, hi = edge.ends()
-    ex, ey = _rival_offset(line, *edge.p)
-    pair = (edge.site, edge.rival) if exact.cross_dir(d, (-ex, -ey)) > 0 else (edge.rival, edge.site)
+    (px, py), (rx, ry) = edge.p, edge.r
+    pair = (edge.site, edge.rival) if exact.cross_dir(d, (px - rx, py - ry)) > 0 else (edge.rival, edge.site)
     he = HalfEdge(k, closest, pair, d, lo, hi, edge.lo_cutter, edge.hi_cutter)
     return [he, he.opposite()]
 
@@ -490,16 +489,16 @@ def _iter_big_big_edges(
         with ledger.scope(len(group) * (k_out + 14) + W_FIXED):
             states = []
             for common, a, b in group:
-                a_pt = arena.read(a)
-                line = exact.bisector_line(a_pt, arena.read(b))
-                states.append((common, a, b, a_pt, line, [None, None, None, None, None]))
+                a_pt, b_pt = arena.read(a), arena.read(b)
+                line = exact.bisector_line(a_pt, b_pt)
+                states.append((common, a, b, a_pt, b_pt, line, [None, None, None, None, None]))
             span = arena.read_span(0, len(arena))
-            for common, a, b, a_pt, line, state in states:
+            for common, a, b, a_pt, b_pt, line, state in states:
                 # Nearer to a than every other site, farther than the common ones.
                 if clip_run(state, line, a_pt, span, -1, common | {a, b}, work=arena) and clip_run(
                     state, line, a_pt, [span[j] for j in common], 1, (), work=arena
                 ):
-                    edge = clip_edge(a, a_pt, b, line, state)
+                    edge = clip_edge(a, a_pt, b, b_pt, line, state)
                     yield from _halfedges_of_cell_edge(k_out, common, edge)
 
 
@@ -571,7 +570,7 @@ def pipeline_run(
 
         run_stage(1)
         tables[1] = dict.fromkeys(found[0], ())
-        with ledger.scope(table_words(tables[1])):
+        with ledger.scope(len(tables[1])):  # the big sites' indices
             for stage in range(2, top + 1):
                 tables[stage] = find_big_cells_k(arena, stage, ledger)
                 run_stage(stage)

@@ -261,12 +261,14 @@ def undirected_record(
     aligned with the carrier's canonical direction.  The edge keeps that
     direction unless `hi` is bounded and comes first: `lo` unbounded, or
     `hi` before `lo` in (x, y) order.  So a bounded end comes before an
-    unbounded one, and two bounded ends are written in (x, y) order.
+    unbounded one, and two bounded ends are written in (x, y) order.  The
+    direction is written only for an unbounded end, so only then is it
+    worked out.
     """
-    d = exact.line_dir(carrier_line)
+    d = None if lo is not None and hi is not None else exact.line_dir(carrier_line)
     # (x, y) order, on both points scaled by the positive w1 * w2.
     if hi is not None and (lo is None or (hi[0] * lo[2], hi[1] * lo[2]) < (lo[0] * hi[2], lo[1] * hi[2])):
-        d, lo, hi, lo_extra, hi_extra = (-d[0], -d[1]), hi, lo, hi_extra, lo_extra
+        d, lo, hi, lo_extra, hi_extra = d and (-d[0], -d[1]), hi, lo, hi_extra, lo_extra
     return directed_record(k, closest, (min(pair), max(pair)), d, lo, hi, lo_extra, hi_extra, scale)
 
 

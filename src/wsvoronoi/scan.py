@@ -70,20 +70,22 @@ class FarthestCellEmpty(Exception):
 
 @dataclass(frozen=True, slots=True)
 class CellEdge:
-    """One edge of the cell of site, at point p, on `line`, the bisector
-    a*x + b*y = c of site and rival.  Its ends are the clip's parameters
-    (num, den), den > 0, on the kernels' scale (`clip_run`), excluded from
-    the edge: ``lo`` toward decreasing parameter and ``hi`` toward
-    increasing, the parameter growing along the line's canonical direction;
-    an end is None where the edge is unbounded, and its cutter is the site
-    whose bisector with site crosses the line there.  The points are built
-    only on demand, by `ends`, from numbers the edge holds, so an edge
-    costs no read."""
+    """One edge of the cell of site, at point p, against rival, at point r,
+    on `line`, their bisector a*x + b*y = c.  Its ends are the clip's
+    parameters (num, den), den > 0, on the kernels' scale (`clip_run`),
+    excluded from the edge: ``lo`` toward decreasing parameter and ``hi``
+    toward increasing, the parameter growing along the line's canonical
+    direction; an end is None where the edge is unbounded, and its cutter
+    is the site whose bisector with site crosses the line there.  The
+    points are built only on demand, by `ends`, from numbers the edge
+    holds, so an edge costs no read; r spares the walk's seeds and arcs,
+    and `ends`, the divisions that would find it from the carrier."""
 
     site: int
     rival: int
     line: tuple[int, int, int]
     p: tuple[int, int]
+    r: tuple[int, int]
     lo: Optional[tuple[int, int]]
     hi: Optional[tuple[int, int]]
     lo_cutter: Optional[int]
@@ -91,14 +93,11 @@ class CellEdge:
 
     def ends(self) -> tuple:
         """(lo, hi) as homogeneous integer points (w > 0, not reduced), None
-        where unbounded.  With r the rival, whose offset e = r - p comes from
-        the carrier (`_rival_offset`), the point at parameter n/d is
+        where unbounded: with e = r - p, the point at parameter n/d is
         p + (d*e + n*(b, -a)) / (2d)."""
         a, b, _ = self.line
-        px, py = self.p
-        ex, ey = _rival_offset(self.line, px, py)
-        sx = 2 * px + ex
-        sy = 2 * py + ey
+        (px, py), (rx, ry) = self.p, self.r
+        sx, sy = px + rx, py + ry
         out = []
         for t in (self.lo, self.hi):
             if t is None:
@@ -424,16 +423,16 @@ def clip_run(state, line, p, items, want: int, skip, *, seed=None, work) -> bool
     return alive
 
 
-def clip_edge(site: int, p, rival: int, line, state) -> CellEdge:
+def clip_edge(site: int, p, rival: int, r, line, state) -> CellEdge:
     """The edge a finished clip leaves on `line`, the bisector of site p and
-    rival: its ends are the clip's end parameters and cutters as they are,
+    rival r: its ends are the clip's end parameters and cutters as they are,
     so it reads nothing (`CellEdge.ends` builds the points).  An end that
     another cutter's bisector crosses too is a vertex of four cocircular
     sites: DegenerateGeometry."""
     lo, hi = state[0], state[1]
     if (lo is not None and lo[2]) or (hi is not None and hi[2]):
         raise DegenerateGeometry(f"edge of site {site} against {rival} has a tied end: cocircular sites")
-    return CellEdge(site, rival, line, p, lo and lo[:2], hi and hi[:2], state[2], state[3])
+    return CellEdge(site, rival, line, p, r, lo and lo[:2], hi and hi[:2], state[2], state[3])
 
 
 def nearest_run(p, items, skip: int, work) -> Optional[int]:
@@ -540,13 +539,10 @@ class TrackedSite:
         """(index, point) of the site whose bisector with p holds the entry
         vertex of the edge to clip next, or None before the first edge: the
         rival of the edge walked into that vertex (on leg 2, the first
-        edge).  Its point is p's mirror image in that edge's carrier, so
-        the seed costs no read."""
+        edge).  That edge holds its point, so the seed costs no read."""
         if self.entry is None:
             return None
-        px, py = self.p
-        ex, ey = _rival_offset(self.entry.line, px, py)
-        return self.entry.rival, (px + ex, py + ey)
+        return self.entry.rival, self.entry.r
 
     def advance(self, edge: CellEdge) -> None:
         """Digest the edge just found and set up the next one."""
@@ -600,18 +596,22 @@ class TrackedSite:
         on leg 2 (the first edge's until leg 2 begins), 2 words each, then
         leg 1's turning sense, +1 counterclockwise, -1 clockwise (+1 while
         the walk has one edge); () before the first edge.  Offsets come
-        from the edges' carriers, so the arc costs no read, and it is
-        kept until the next `advance`."""
+        from the rivals' points the edges hold, so the arc costs no read,
+        and it is kept until the next `advance`."""
         if self._arc is None and self.first_edge is not None:
             px, py = self.p
-            first = _rival_offset(self.first_edge.line, px, py)
+
+            def offset(edge):
+                return edge.r[0] - px, edge.r[1] - py
+
+            first = offset(self.first_edge)
             if self._turn is None:
-                last, back = _rival_offset(self.entry.line, px, py), first
+                last, back = offset(self.entry), first
             else:
-                last, back = _rival_offset(self._turn.line, px, py), _rival_offset(self.entry.line, px, py)
+                last, back = offset(self._turn), offset(self.entry)
             sense = 1
             if self._second is not None:
-                sx, sy = _rival_offset(self._second.line, px, py)
+                sx, sy = offset(self._second)
                 sense = 1 if first[0] * sy - first[1] * sx > 0 else -1
             self._arc = (*first, *last, *back, sense)
         return self._arc or ()

@@ -17,17 +17,22 @@ one pass, or on an edge a neighbor's walk shared; a farthest walk, in
 hull order, on its unbounded edge with a hull neighbor, from
 `hull_stream`'s s-point window or, at s = 1, handed on with that edge by
 the walk before, so the edge takes no pass and no read.  At s > 1
-nearest walks share the edges they clip through an O(s)-word table
-(`_SharedEdges`), as both cells of an edge clip its bisector to the same
-ends; farthest walks share nothing.  The record stream's order depends
-on s, never its set of records; s = 1 is the constant-workspace diagram
-of `scan.enumerate_diagram`, with no big cells.
+nearest walks are drawn in (x, y) order of their sites, a window of s
+sites a pass (`_site_source`), so the live walks are a strip of
+neighboring cells, and they share the edges they clip through an
+O(s)-word table (`_SharedEdges`), as both cells of an edge clip its
+bisector to the same ends; farthest walks share nothing.  The record
+stream's order depends on s, never its set of records; s = 1 is the
+constant-workspace diagram of `scan.enumerate_diagram`, nearest cells in
+index order, with no big cells.
 """
 
 from __future__ import annotations
 
 import sys
+from heapq import nsmallest
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable, Iterator, NoReturn, Optional
 
 from . import exact
@@ -49,18 +54,18 @@ from .scan import (
 # Ledger words per unit of tracked state; documented so peaks are
 # reproducible.  In these charges s stands for min(s, n): no more than n
 # walks are ever live, nor n sites in a window.  A run charges the big-cell
-# table (`table_words`, derived from what its entries hold) while it holds
-# it, and on top of that one phase at a time: the walks,
-# s * (W_SLOT + W_BATCH_SITE) + W_FIXED, plus, for nearest walks,
-# W_SHARED_EDGE for each edge the shared-edge table holds, at most
-# 2(s - 1) of them, and for farthest walks W_HULL_DRAWN and the hull chain,
-# (s + 2) * W_HULL_POINT + W_FIXED (at s = 1 only until the first two hull
-# sites are found, then W_FIXED + W_HANDED_EDGE for the walks' chain); or
-# the big-big diagram, charged for the table's capacity of s - 1 sites at
-# W_MEM_SITE each, plus s * W_BATCH_SITE and W_FIXED.  W_BATCH_SITE charges
-# s sites for the pass, though a pass is a view of the input the arena
-# holds, not a copy; the charge is kept so that reported peaks stay
-# reproducible.
+# table (`table_words`, 8 words an entry) while it holds it, and on top of
+# that one phase at a time: the walks, s * (W_SLOT + W_BATCH_SITE) + W_FIXED,
+# plus, for nearest walks, W_SHARED_EDGE for each edge the shared-edge
+# table holds, at most 2(s - 1) of them, and for farthest walks
+# W_HULL_DRAWN and the hull chain, (s + 2) * W_HULL_POINT + W_FIXED (at
+# s = 1 only until the first two hull sites are found, then W_FIXED +
+# W_HANDED_EDGE for the walks' chain); or the big-big diagram, charged for
+# the table's capacity of s - 1 sites at W_MEM_SITE each, plus
+# s * W_BATCH_SITE and W_FIXED.  W_BATCH_SITE charges s sites: the nearest
+# source's window at s > 1, a copy of up to s sites (W_FIXED covers the
+# frontier's point); elsewhere the pass, a view of the input the arena
+# holds, not a copy, charged so that reported peaks stay reproducible.
 W_SLOT = 24
 W_BATCH_SITE = 3
 W_HULL_POINT = 3
@@ -69,8 +74,9 @@ W_FIXED = 8
 # of its two ends, and their two cutters.
 W_SHARED_EDGE = 8
 # The edge a chained farthest walk hands the next: its carrier's three
-# coefficients, the parameters of its two ends and their two cutters.
-W_HANDED_EDGE = 9
+# coefficients, its rival's point, the parameters of its two ends and their
+# two cutters.
+W_HANDED_EDGE = 11
 # The points of the first, second and last farthest walks drawn (`_HullDraws`).
 W_HULL_DRAWN = 6
 # In-memory diagram of m sites: 3m site words plus <= 3m edges of ~14
@@ -80,8 +86,10 @@ W_MEM_SITE = 48
 
 def table_words(table: dict) -> int:
     """Ledger words an order-1 big-cell table holds: each entry's site
-    index and the arc its walk covered (`TrackedSite.arc`), () if none."""
-    return len(table) + sum(map(len, table.values()))
+    index and the 7-word arc its walk covered (`TrackedSite.arc`), charged
+    in full also where the walk was cut before its first edge and the arc
+    is ()."""
+    return 8 * len(table)
 
 
 def _far_round(arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]:
@@ -116,15 +124,16 @@ def _far_round(arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]
     for slot in slots:
         slot.begin_clip()
         if slot.handed is not None:
-            (line, *ends), slot.handed = slot.handed, None
-            edges.append(CellEdge(slot.site, slot.rival, line, slot.p, *ends))
+            (line, r, *ends), slot.handed = slot.handed, None
+            edges.append(CellEdge(slot.site, slot.rival, line, slot.p, r, *ends))
             continue
-        line = exact.bisector_line(slot.p, arena.read(slot.rival))
+        r = arena.read(slot.rival)
+        line = exact.bisector_line(slot.p, r)
         if span is None:
             span = arena.read_span(0, n)
         if not clip_run(slot.state, line, slot.p, span, 1, (slot.site, slot.rival), seed=slot.seed(), work=arena):
             _edge_vanished(slot)
-        edges.append(clip_edge(slot.site, slot.p, slot.rival, line, slot.state))
+        edges.append(clip_edge(slot.site, slot.p, slot.rival, r, line, slot.state))
     return edges
 
 
@@ -173,14 +182,12 @@ class _HullDraws(_Draws):
             self.ends = (*self.ends[:2], walk.p)
 
     def _to_come(self, edge: CellEdge) -> bool:
-        (px, py), (a, b, c) = edge.p, edge.line
-        k, nn = 2 * (c - a * px - b * py), a * a + b * b  # the rival is p + k (a, b) / nn
         if len(self.ends) < 3:
-            return (px + k * a // nn, py + k * b // nn) not in self.ends
-        (fx, fy), (sx, sy), (lx, ly) = self.ends
+            return edge.r not in self.ends
+        (fx, fy), (sx, sy), (lx, ly), (rx, ry) = *self.ends, edge.r
         ax, ay = lx - fx, ly - fy
-        # nn times the rival's side of the chord, against the second site's.
-        return (nn * (ax * (py - fy) - ay * (px - fx)) + k * (ax * b - ay * a)) * (ax * (sy - fy) - ay * (sx - fx)) < 0
+        # The rival's side of the chord, against the second site's.
+        return (ax * (ry - fy) - ay * (rx - fx)) * (ax * (sy - fy) - ay * (sx - fx)) < 0
 
 
 class _SharedEdges(_Draws):
@@ -189,26 +196,28 @@ class _SharedEdges(_Draws):
     (lo, hi, lo_cutter, hi_cutter) of the edge between the cells of
     finder and partner, as the finder's clip left it.
 
-    An edge is held only while it can still serve: its partner's walk is
-    live and has not walked it yet (`arc_walked`), or the source, which
-    yields nearest walks in index order, will draw that walk soon, within
-    `window` indices past the highest index drawn so far (`frontier`;
-    the walks still to come are those past it).  The table holds at most
-    `cap` = 2(s - 1) edges, none at s = 1, each charged `W_SHARED_EDGE`
-    words while held.  An edge leaves when it is taken (`take`); the
-    partner's edges all leave when its walk ends, and when the frontier
-    passes the partner undrawn, as a `keep` filter of the source skips it.
+    The walks are drawn in order of a key, the last one drawn being the
+    `frontier`: at s > 1 the key is the site's point, as the source sweeps
+    the sites in (x, y) order (`_site_source`), so the live walks are a
+    strip of neighboring cells; at s = 1 it is the site's index.  A walk is
+    still to come iff its key lies past the frontier and its site passes the
+    source's `keep` filter.  An edge is held only while it can still serve:
+    its partner's walk is live, has not walked it (`arc_walked`) and is not
+    clipping it in this round too, or is still to come.  The table holds at
+    most `cap` = 2(s - 1) edges, none at s = 1, each charged
+    `W_SHARED_EDGE` words while held.  An edge leaves when it is taken
+    (`take`), and the partner's edges all leave when its walk ends.
     """
 
-    __slots__ = ("held", "count", "cap", "window", "frontier", "ledger")
+    __slots__ = ("held", "count", "cap", "frontier", "keep", "ledger")
 
-    def __init__(self, slots: int, ledger: WorkLedger):
+    def __init__(self, slots: int, ledger: WorkLedger, keep: Optional[Callable] = None):
         super().__init__()
         self.held: dict[int, dict[int, tuple]] = {}
         self.count = 0
         self.cap = 2 * (slots - 1)
-        self.window = 2 * slots
-        self.frontier = -1
+        self.frontier: tuple = ()  # before every key
+        self.keep = keep
         self.ledger = ledger
 
     def round(self, arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]:
@@ -240,28 +249,29 @@ class _SharedEdges(_Draws):
         edges = []
         for slot in slots:
             slot.begin_clip()
-            line = exact.bisector_line(slot.p, arena.read(slot.rival))
-            edge = self.take(slot, line)
+            r = arena.read(slot.rival)
+            line = exact.bisector_line(slot.p, r)
+            edge = self.take(slot, line, r)
             if edge is None:
                 if span is None:
                     span = arena.read_span(0, n)
                 skip = (slot.site, slot.rival)
                 if not clip_run(slot.state, line, slot.p, span, -1, skip, seed=slot.seed(), work=arena):
                     _edge_vanished(slot)
-                edge = clip_edge(slot.site, slot.p, slot.rival, line, slot.state)
+                edge = clip_edge(slot.site, slot.p, slot.rival, r, line, slot.state)
                 self.offer(edge)
             edges.append(edge)
         return edges
 
     def _drawn(self, walk: Optional[TrackedSite]) -> None:
-        """Move the frontier to the walk's index (past every index once the
-        source is spent), dropping the edges held for the sites the source
-        passed over on the way."""
-        i = sys.maxsize if walk is None else walk.site
-        if i > self.frontier + 1:
-            for j in [j for j in self.held if self.frontier < j < i]:
-                self.drop(j)
-        self.frontier = i
+        """Move the frontier to the walk's key (its point where the table
+        holds edges, at s > 1, else its index), past every key once the
+        source is spent."""
+        self.frontier = (float("inf"),) if walk is None else walk.p if self.cap else (walk.site,)
+
+    def _to_come(self, edge: CellEdge) -> bool:
+        j = edge.rival
+        return (edge.r if self.cap else (j,)) > self.frontier and (self.keep is None or self.keep(j))
 
     def start(self, slot: TrackedSite) -> bool:
         """Start a fresh walk on the first edge held for its cell, if any."""
@@ -271,9 +281,9 @@ class _SharedEdges(_Draws):
         slot.cutter = next(iter(edges))
         return True
 
-    def take(self, slot: TrackedSite, line) -> Optional[CellEdge]:
-        """The held edge of the slot's cell against its rival, on `line`,
-        removed from the table; None if no walk shared it."""
+    def take(self, slot: TrackedSite, line, r) -> Optional[CellEdge]:
+        """The held edge of the slot's cell against its rival, at r, on
+        `line`, removed from the table; None if no walk shared it."""
         edges = self.held.get(slot.site)
         if edges is None or slot.rival not in edges:
             return None
@@ -282,38 +292,31 @@ class _SharedEdges(_Draws):
             del self.held[slot.site]
         self.count -= 1
         self.ledger.release(W_SHARED_EDGE)
-        return CellEdge(slot.site, slot.rival, line, slot.p, *ends)
+        return CellEdge(slot.site, slot.rival, line, slot.p, r, *ends)
 
     def offer(self, edge: CellEdge) -> None:
         """Hold a clipped edge for its rival's walk, if the table has room
         and that walk can still take it: the finder is the first to reach
-        the edge (`first`), and the rival's walk is live and not clipping it
-        in this round too, or is still to come within the window."""
-        j = edge.rival
-        walk = self.live.get(j)
-        near = j <= self.frontier + self.window if walk is None else walk.rival != edge.site
-        if self.count < self.cap and near and self.first(edge):
+        the edge (`first`), and the rival's walk is not clipping it in this
+        round too."""
+        walk = self.live.get(edge.rival)
+        if self.count < self.cap and (walk is None or walk.rival != edge.site) and self.first(edge):
             self.ledger.alloc(W_SHARED_EDGE)
-            self.held.setdefault(j, {})[edge.site] = (edge.lo, edge.hi, edge.lo_cutter, edge.hi_cutter)
+            self.held.setdefault(edge.rival, {})[edge.site] = (edge.lo, edge.hi, edge.lo_cutter, edge.hi_cutter)
             self.count += 1
-
-    def _to_come(self, edge: CellEdge) -> bool:
-        return edge.rival > self.frontier
 
     def end(self, site: int) -> None:
         """The walk of `site` is done: no edge is held for it any more."""
         super().end(site)
-        self.drop(site)
-
-    def drop(self, site: int) -> None:
         edges = self.held.pop(site, None)
         if edges:
             self.count -= len(edges)
             self.ledger.release(len(edges) * W_SHARED_EDGE)
 
     def clear(self) -> None:
-        for site in list(self.held):
-            self.drop(site)
+        self.ledger.release(self.count * W_SHARED_EDGE)
+        self.held.clear()
+        self.count = 0
 
 
 def _edge_vanished(slot: TrackedSite) -> NoReturn:
@@ -459,7 +462,7 @@ def _hull_chain(arena: ReadOnlyArena, ledger: WorkLedger):
             walk.handed = handed
             yield walk  # drawn again only once this walk is done
             e = walk.entry  # the edge it ended on
-            site, known, handed = walk.rival, site, (e.line, e.lo, e.hi, e.lo_cutter, e.hi_cutter)
+            site, known, handed = walk.rival, site, (e.line, e.p, e.lo, e.hi, e.lo_cutter, e.hi_cutter)
             if site == anchor:
                 return
     raise AssertionError("hull chain did not close")
@@ -467,11 +470,24 @@ def _hull_chain(arena: ReadOnlyArena, ledger: WorkLedger):
 
 def _site_source(arena, mode, s, ledger, keep=None):
     """A fresh walk for every cell whose site passes `keep` (every cell
-    without it): nearest cells in index order, farthest cells in hull order,
-    from an s-point hull window or, with one slot and every cell kept, from
-    the walks' own chain."""
-    if mode is DiagramMode.NEAREST:
-        for i in range(len(arena)):
+    without it).  Nearest cells come in (x, y) order of their sites at
+    s > 1, so the live walks are a strip of neighboring cells: one pass
+    picks each window of min(s, n) sites past the last one drawn (the
+    walks' `W_BATCH_SITE` words a slot).  At s = 1 they come in index
+    order.  Farthest cells come in hull order, from an s-point hull window
+    or, with one slot and every cell kept, from the walks' own chain."""
+    n = len(arena)
+    if mode is DiagramMode.NEAREST and s > 1:
+        k, last = min(s, n), ()  # every point is past ()
+        for _ in range(0, n, k):
+            ahead = (w for w in arena.read_span(0, n) if w[1] > last and (keep is None or keep(w[0])))
+            window = nsmallest(k, ahead, key=itemgetter(1))
+            for i, last in window:
+                yield cell_walk(arena, i, mode, ledger)
+            if len(window) < k:
+                return
+    elif mode is DiagramMode.NEAREST:
+        for i in range(n):
             if keep is None or keep(i):
                 yield cell_walk(arena, i, mode, ledger)
     elif s == 1 and keep is None:
@@ -507,19 +523,19 @@ def drive(source: Iterator, s: int, step, leftovers: Optional[list] = None) -> I
             return
 
 
-def walk_cells(arena, mode, s, source, ledger, leftovers=None) -> Iterator[tuple[TrackedSite, CellEdge, Callable]]:
+def walk_cells(arena, mode, s, source, ledger, leftovers=None, keep=None) -> Iterator[tuple[TrackedSite, CellEdge, Callable]]:
     """(walk, edge, first) for every cell edge found by `drive` over the
     walks of `source` with s slots, in `_SharedEdges.round`s for nearest
     walks, which share their clipped edges, and in `_far_round`s for
-    farthest.  `first(edge)`, called before the next item is drawn, tells
-    whether the walk is the first to reach the edge (`_Draws.first`, for a
-    source that draws every cell); a caller that does not need it leaves
-    it uncalled."""
+    farthest; `keep` is the source's filter, if it has one.  `first(edge)`,
+    called before the next item is drawn, tells whether the walk is the
+    first to reach the edge (`_Draws.first`, for a source that draws every
+    cell); a caller that does not need it leaves it uncalled."""
     n = len(arena)
     limit = n + 2  # no cell has more edges
     slots = min(s, n)
     nearest = mode is DiagramMode.NEAREST
-    draws = _SharedEdges(slots, ledger) if nearest else _HullDraws()
+    draws = _SharedEdges(slots, ledger, keep) if nearest else _HullDraws()
     first = draws.first
 
     def step(walks):
@@ -596,8 +612,11 @@ def iter_small_incident(
     big rival is reported outright, and between two small cells the lower
     index reports it.
     """
-    source = _site_source(arena, mode, s, ledger, lambda i: i not in table)
-    for _, edge, _ in walk_cells(arena, mode, s, source, ledger):
+
+    def keep(i):
+        return i not in table
+
+    for _, edge, _ in walk_cells(arena, mode, s, _site_source(arena, mode, s, ledger, keep), ledger, keep=keep):
         if edge.rival in table or edge.site < edge.rival:
             yield edge
 
@@ -635,7 +654,7 @@ def iter_big_big(
                 if clip_run(state, line, a_pt, mem_sites, want, (a, b), work=arena) and clip_run(
                     state, line, a_pt, span, want, table, work=arena
                 ):
-                    yield clip_edge(a, a_pt, b, line, state)
+                    yield clip_edge(a, a_pt, b, b_pt, line, state)
 
 
 def run_tradeoff(

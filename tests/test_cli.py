@@ -661,19 +661,19 @@ class TestBench:
     PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
             "64,0,1,27560,35,6495,27432",
-            "64,2,1,14690,78,5865,24604",
-            "64,8,1,4253,408,4497,19178",
+            "64,2,1,16102,78,5486,23650",
+            "64,8,1,4894,416,4123,17261",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,1567,58,1385,1429",
+            "64,0,1,1567,60,1385,1429",
             "64,2,1,1703,88,1881,1941",
-            "64,8,1,544,417,1252,1320",
+            "64,8,1,544,424,1252,1320",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,65325,169,25005,111833",
+            "64,9,2,68211,169,24226,109860",
             "64,9,3,315739,128,65995,306028",
-            "64,18,2,34463,333,23371,105137",
-            "64,18,3,168899,244,64087,297414",
+            "64,18,2,37228,332,22472,102947",
+            "64,18,3,173195,244,62908,294422",
         ]),
     }
 
@@ -689,19 +689,19 @@ class TestBench:
     CONVEX_PINNED = {
         "nvd": (["--s-list", "0,2,8"], [
             "64,0,1,20410,35,15982,20282",
-            "64,2,1,11002,78,15066,18868",
-            "64,8,1,2627,392,10546,13507",
+            "64,2,1,13242,78,13777,17005",
+            "64,8,1,3350,416,8542,12203",
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
-            "64,0,1,12347,58,11780,12154",
+            "64,0,1,12347,60,11780,12154",
             "64,2,1,12474,88,15686,16186",
             "64,8,1,3094,416,13040,13456",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,40850,168,56676,65512",
+            "64,9,2,45330,168,54098,61786",
             "64,9,3,166144,128,145076,162734",
-            "64,18,2,21794,333,48839,56838",
-            "64,18,3,95488,243,142328,158492",
+            "64,18,2,25040,332,42681,50420",
+            "64,18,3,102272,243,138461,152903",
         ]),
     }
 

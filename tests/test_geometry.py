@@ -66,7 +66,7 @@ def clip(a, b, cutters, keep_nearer=True):
     items = [(c.index, c.ipt) for c in cutters]
     if not clip_run(state, line, a.ipt, items, want, (a.index, b.index), work=ReadOnlyArena((a, b, *cutters))):
         return None
-    return clip_edge(a.index, a.ipt, b.index, line, state)
+    return clip_edge(a.index, a.ipt, b.index, b.ipt, line, state)
 
 
 def ends(piece, scale):

@@ -31,9 +31,9 @@ SEED = 11
 CASES = {
     "nvd-s8": (
         ["--mode", "nvd", "--workspace", "8"],
-        "282455484f0a87ad5b4d63644358ddc3b3c744e690874bfd94c2818d9bdb8811",
+        "162d7807027b1307feed9d4d995b4f9981f69bd95a2b6f1a9647f467c42886cb",
         "c6562c9f69933e42b4bf3bc7e6143ad1b9e96186d52e4e24c314559e1378fdca",
-        "9235130d03b7c388e07abf42da543e78add6757db7a8d8e8504ad89f1d9c08d5",
+        "69b2ba885db95d4ac2aa1ff83309110d7fbf14cc27661c26739f1dddd6098438",
     ),
     "nvd-scan": (
         ["--mode", "nvd"],
@@ -45,19 +45,19 @@ CASES = {
         ["--mode", "fvd", "--workspace", "8"],
         "0eea67ffc0f9214ac5eb7a3ac7a8f3557ba39f06e8656c7504c427b0c9e4b097",
         "3bc5f44eaae45ed1dfac87af84aaf9c4ef9bd27cba781b8b7a4c17ff899bb76c",
-        "5815cc9073ee48a59ae067841f6c6898367ba7a9dd3cfbd7b664bf2e9ef7ea87",
+        "6709a9b2ed6a3770c9c4bceed44c6e0dc01605ddf56dcda68a3509f95c69e088",
     ),
     "fvd-scan": (
         ["--mode", "fvd"],
         "0d39103b881a398159b008c7281cee5c7ac2e40eb92b4ff024924ebf2c0016cf",
         "e40ed468ba43e4560270f0dbf1defffe91ae9ccfb6acccf3156a90f92a9ea743",
-        "577ad162137b84a27b56cb7364e9ca6005de3ba8207d62006afb810ba6419c75",
+        "60f1b694482c44d98e9f6b056133af5520b1a8b9524b844cd9df2928b99d6c6e",
     ),
     "order-K2-s8": (
         ["--mode", "order", "--max-k", "2", "--workspace", "8"],
-        "88ba59eb1abae5f3ac437e295b488530f677feb653f18af13fa9307e2aae85fb",
+        "94f381a14595985f3bdfccdac1594d27a74d09b99be3acfde53d1f9ca14a0a11",
         "1c6ca951ab1e7a1ac331c153d4fbc05e867276e0b9914f8c891950457f212c55",
-        "57fc2dee01d9e5cf6500be65e85320a0eb5eda010ecd1c8ce54e5814241eff9f",
+        "41e22050a392891901bfd0a776e00c0f58fc1ffb6f89f5b409ebb63c23c17ab1",
     ),
     "order-K3-s9": (
         ["--mode", "order", "--max-k", "3", "--workspace", "9"],
@@ -103,7 +103,7 @@ CONVEX_CASES = {
         ["--mode", "fvd"],
         "0e959f5fb849c424183ce9f85f443d98343f8950466491b27325368e7f6d472f",
         "934f560e2aea41d2ea9d4b2834f6224d0b49945054757fce44dae925514c7bdc",
-        "4b443d2630902a8470aaa507d1869efde65b2c34bbc7028342c8f6ac75d23830",
+        "074d050b0a41d26aa78e5d566f316b522b265de6b54c8210e784559ab9b17785",
     ),
     "fvd-s8": (
         SEED,
@@ -115,16 +115,16 @@ CONVEX_CASES = {
     "nvd-s8": (
         SEED,
         ["--mode", "nvd", "--workspace", "8"],
-        "531ac6c3ec52309f7835d3a28e564c1d56a9a25719e86015a71d51ce02a16257",
+        "53f5fe8f9fd17362b7e66fc4f0b096b3f9fa4f7de703f5994d3cb0067390f94c",
         "b162f10419814ecbc0709b8ad3c659231171e71c34656693d8c614cd05badd90",
-        "2d6c71fc267f7229cd6b1ca0c9c5cae4612bcc8d48e614cd6a660d658ab68c62",
+        "55249e0512d90d03b9d64abab7b70fa335a79cd6c1652a08a80b6bd1463534e1",
     ),
     "fvd-scan-seed1": (
         1,
         ["--mode", "fvd"],
         "8524c9a6a4d86e8bdeb6aadb896dcf133a39b869513169c78416326488c45a2a",
         "b81e0104c3a51868d63898fe14c759bfe4e91b36ea9512a7f9c5c83d4ae8dafb",
-        "4b443d2630902a8470aaa507d1869efde65b2c34bbc7028342c8f6ac75d23830",
+        "074d050b0a41d26aa78e5d566f316b522b265de6b54c8210e784559ab9b17785",
     ),
     "fvd-s8-seed1": (
         1,

@@ -35,6 +35,7 @@ from wsvoronoi.pipeline import _IntervalWalk
 from wsvoronoi.scan import (
     DiagramMode,
     _disk_box,
+    _rival_offset,
     cell_walk,
     clip_edge,
     clip_run,
@@ -131,7 +132,7 @@ def run_clip(p, r, cutters, want, skip, flip, batch):
     state = [None, None, None, None, None]
     if not clip_batches(state, line, p, cutters, want, skip, flip, batch, tally()):
         return False, None, None, None, None
-    edge = clip_edge(0, p, 1, line, state)
+    edge = clip_edge(0, p, 1, r, line, state)
     lo, hi = edge.ends()
     return True, edge.lo_cutter, edge.hi_cutter, hpoint(lo), hpoint(hi)
 
@@ -240,9 +241,9 @@ class TestClipRun:
             assert clip_run(state, line, p, later, -1, (0, 1), work=tally())
             if tied:
                 with pytest.raises(DegenerateGeometry, match="tied end"):
-                    clip_edge(0, p, 1, line, state)
+                    clip_edge(0, p, 1, r, line, state)
             else:
-                assert clip_edge(0, p, 1, line, state).lo_cutter == 4
+                assert clip_edge(0, p, 1, r, line, state).lo_cutter == 4
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -266,7 +267,7 @@ class TestClipRun:
         line = exact.bisector_line((0, 0), (8, 0))
         state = [None, None, None, None, None]
         assert clip_run(state, line, (0, 0), items, -1, (0, 1), work=tally())
-        edge = clip_edge(0, (0, 0), 1, line, state)
+        edge = clip_edge(0, (0, 0), 1, (8, 0), line, state)
         assert {edge.lo_cutter, edge.hi_cutter} == {2, 3}
         assert set(map(hpoint, edge.ends())) == {(4, 3), (4, -3)}
 
@@ -378,7 +379,7 @@ class TestEndsOnDemand:
         if not clip_batches(state, line, p, cutters, want, skip, flip, batch, work):
             return
         try:
-            edge = clip_edge(0, p, 1, line, state)
+            edge = clip_edge(0, p, 1, r, line, state)
         except DegenerateGeometry:
             return
         points = dict(cutters)
@@ -629,7 +630,8 @@ def seeded_clips(pts):
                 if walk.cutter is None:
                     walk.cutter = nearest_run(walk.p, span, i, arena)
                 walk.begin_clip()
-                line = exact.bisector_line(walk.p, arena.read(walk.rival))
+                r = arena.read(walk.rival)
+                line = exact.bisector_line(walk.p, r)
                 skip = (i, walk.rival)
                 plain = [None] * 5
                 alive = clip_run(plain, line, walk.p, span, -1, skip, work=arena)
@@ -641,7 +643,7 @@ def seeded_clips(pts):
                     out.append((seed, (seeded_alive, seeded[:4]), (alive, plain[:4])))
                 if not alive:
                     break
-                walk.advance(clip_edge(i, walk.p, walk.rival, line, plain))
+                walk.advance(clip_edge(i, walk.p, walk.rival, r, line, plain))
         except DegenerateGeometry:
             pass
     return arena, out
@@ -689,7 +691,7 @@ class TestSeededClip:
         assert clip_run(state, line, p, span, -1, (0, 1), work=arena)
         assert seed in state[2:4]
         with pytest.raises(DegenerateGeometry, match="has a tied end"):
-            clip_edge(0, p, 1, line, state)
+            clip_edge(0, p, 1, span[1][1], line, state)
 
 
 def ray_clips(sites, mode, s):
@@ -917,7 +919,7 @@ class TestFloatFilter:
         state = [None] * 5
         assert clip_run(state, line, p, span, 1, (0, 1), work=arena)
         with pytest.raises(DegenerateGeometry, match="has a tied end"):
-            clip_edge(0, p, 1, line, state)
+            clip_edge(0, p, 1, span[1][1], line, state)
 
     @pytest.mark.parametrize("big, built", [(2**50 - 1, True), (2**50, False)])
     def test_twin_gate(self, big, built):
@@ -962,7 +964,8 @@ def clip_outcome(line, p, alive, state):
     """A finished clip as `reference_clip` gives it."""
     if not alive:
         return False, None, None, None, None
-    edge = clip_edge(0, p, 1, line, state)
+    ex, ey = _rival_offset(line, *p)  # the rival is p's mirror image in the line
+    edge = clip_edge(0, p, 1, (p[0] + ex, p[1] + ey), line, state)
     lo, hi = edge.ends()
     return True, edge.lo_cutter, edge.hi_cutter, hpoint(lo), hpoint(hi)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wsvoronoi import exact
 from wsvoronoi.datagen import random_sites
+from wsvoronoi.memory import ReadOnlyArena, observing_ledger
 from wsvoronoi.oracle import oracle_vdk
 from wsvoronoi.records import (
     AllBut,
@@ -21,6 +22,8 @@ from wsvoronoi.records import (
     read_stream,
     undirected_record,
 )
+from wsvoronoi.scan import DiagramMode, record_for
+from wsvoronoi.tradeoff import iter_diagram
 
 
 def test_format_shape():
@@ -104,6 +107,20 @@ def test_undirected_record_orientation(carrier, lo, hi, want):
     lo_extra = None if lo is None else 7
     hi_extra = None if hi is None else 8
     assert undirected_record(2, (0,), (5, 3), carrier, lo, hi, lo_extra, hi_extra, 3) == want
+
+
+def test_direction_only_for_an_unbounded_end(monkeypatch):
+    """`undirected_record` works out the carrier's direction only for an
+    edge that writes it, one with an unbounded end; the records are those
+    of the other kinds of edge in `test_undirected_record_orientation`."""
+    arena = ReadOnlyArena(random_sites(40, 6))
+    edges = list(iter_diagram(arena, DiagramMode.NEAREST, 8, observing_ledger()))
+    calls = []
+    line_dir = exact.line_dir
+    monkeypatch.setattr(exact, "line_dir", lambda line: calls.append(line) or line_dir(line))
+    records = [record_for(arena, e, DiagramMode.NEAREST) for e in edges]
+    unbounded = [r for r in records if isinstance(r.tail, Unbounded) or isinstance(r.head, Unbounded)]
+    assert 0 < len(unbounded) == len(calls) < len(records)
 
 
 def test_undirected_key_collapses_directions():

@@ -117,11 +117,12 @@ def walk_by_hand(arena, walk, mode, size):
             near = [scan.nearest_run(walk.p, span, walk.site, arena) for span in spans]
             walk.cutter = scan.nearest_run(walk.p, [(j, points[j]) for j in near if j is not None], walk.site, arena)
         walk.begin_clip()
-        line = exact.bisector_line(walk.p, arena.read(walk.rival))
+        r = arena.read(walk.rival)
+        line = exact.bisector_line(walk.p, r)
         for span in spans:
             want = -1 if nearest else 1
             assert scan.clip_run(walk.state, line, walk.p, span, want, (walk.site, walk.rival), work=arena)
-        edge = scan.clip_edge(walk.site, walk.p, walk.rival, line, walk.state)
+        edge = scan.clip_edge(walk.site, walk.p, walk.rival, r, line, walk.state)
         edges.append(edge)
         walk.advance(edge)
     return edges
@@ -265,10 +266,11 @@ class TestHullChain:
         n = len(arena)
         chained = 0
         for walk in tradeoff._hull_chain(arena, observing_ledger()):
-            line = exact.bisector_line(walk.p, arena.read(walk.cutter))
+            r = arena.read(walk.cutter)
+            line = exact.bisector_line(walk.p, r)
             state = [None] * 5
             assert scan.clip_run(state, line, walk.p, arena.read_span(0, n), 1, (walk.site, walk.cutter), work=arena)
-            full = scan.clip_edge(walk.site, walk.p, walk.cutter, line, state)
+            full = scan.clip_edge(walk.site, walk.p, walk.cutter, r, line, state)
             handed = walk.handed
             before = arena.read_count, arena.site_visits
             [edge] = _far_round(arena, [walk])
@@ -344,26 +346,32 @@ class TestBigCells:
     """Walks cut short when the input runs out leave a table of big cells."""
 
     P = random_sites(40, 3)
-    CASES = ((N, 8, 1, [30, 34, 35, 36, 37, 38, 39], 6), (F, 4, 39, [3, 14], 1))
+    # (mode, s, k, big cells, big-big edges, the length of each big cell's arc)
+    CASES = (
+        (N, 8, 1, [0, 6, 9, 19, 25, 27, 39], 10, [0, 7, 7, 0, 0, 7, 0]),
+        (F, 4, 39, [3, 14], 1, [7, 7]),
+    )
 
-    @pytest.mark.parametrize("mode, s, k, big, big_big", CASES, ids=["nearest", "farthest"])
-    def test_table_and_big_big_edges(self, mode, s, k, big, big_big):
+    @pytest.mark.parametrize("mode, s, k, big, big_big, arcs", CASES, ids=["nearest", "farthest"])
+    def test_table_and_big_big_edges(self, mode, s, k, big, big_big, arcs):
         table = find_big_cells(ReadOnlyArena(self.P), mode, s, observing_ledger())
         assert list(table) == big
         assert len(list(iter_big_big(ReadOnlyArena(self.P), mode, s, table, observing_ledger()))) == big_big
 
-    @pytest.mark.parametrize("mode, s, k, big, big_big", CASES, ids=["nearest", "farthest"])
-    def test_reporting_walks_find_the_same_table(self, mode, s, k, big, big_big):
+    @pytest.mark.parametrize("mode, s, k, big, big_big, arcs", CASES, ids=["nearest", "farthest"])
+    def test_reporting_walks_find_the_same_table(self, mode, s, k, big, big_big, arcs):
         found = []
         list(iter_diagram(ReadOnlyArena(self.P), mode, s, observing_ledger(), found))
         [table] = found
         assert list(table) == list(find_big_cells(ReadOnlyArena(self.P), mode, s, observing_ledger())) == big
-        # Every big walk reported an edge before it was cut: an index and a
-        # 7-word arc each.
-        assert [len(arc) for arc in table.values()] == [7] * len(big)
+        # A big walk that reported an edge before it was cut keeps a 7-word
+        # arc, one cut before its first edge (); the table charges 8 words
+        # an entry either way.
+        assert [len(arc) for arc in table.values()] == arcs
+        assert table_words(table) == 8 * len(big)
 
-    @pytest.mark.parametrize("mode, s, k, big, big_big", CASES, ids=["nearest", "farthest"])
-    def test_run_matches_oracle_and_releases_ledger(self, mode, s, k, big, big_big):
+    @pytest.mark.parametrize("mode, s, k, big, big_big, arcs", CASES, ids=["nearest", "farthest"])
+    def test_run_matches_oracle_and_releases_ledger(self, mode, s, k, big, big_big, arcs):
         _, sink, ledger = run(self.P, mode, s)
         report = verify_run(sink.records, oracle_vdk(self.P, k), k)
         assert report.ok, report.summary()
@@ -700,9 +708,9 @@ class TestSharedEdges:
         taken = 0
         take = tradeoff._SharedEdges.take
 
-        def replay(table, slot, line):
+        def replay(table, slot, line, r):
             nonlocal taken
-            edge = take(table, slot, line)
+            edge = take(table, slot, line, r)
             if edge is not None:
                 taken += 1
                 assert slot.rival not in table.held.get(slot.site, {})
@@ -710,7 +718,7 @@ class TestSharedEdges:
                 work = SimpleNamespace(site_tests=0, site_visits=0)
                 skip = (slot.site, slot.rival)
                 assert scan.clip_run(state, line, slot.p, span, -1, skip, seed=slot.seed(), work=work)
-                assert edge == scan.clip_edge(slot.site, slot.p, slot.rival, line, state)
+                assert edge == scan.clip_edge(slot.site, slot.p, slot.rival, r, line, state)
             return edge
 
         monkeypatch.setattr(tradeoff._SharedEdges, "take", replay)
@@ -721,7 +729,8 @@ class TestSharedEdges:
     def test_held_edges_are_capped_and_charged(self, s, monkeypatch):
         """The table never holds more than 2(min(s, n) - 1) edges, each
         charged W_SHARED_EDGE words while held, and it holds an edge only
-        for a walk that is live or still to come within its window."""
+        for a walk that is live, its site at or before the frontier in
+        (x, y) order, or still to come, its site past the frontier."""
         P = random_sites(40, 853)
         slots = min(s, len(P))
         ledger = observing_ledger()
@@ -735,8 +744,8 @@ class TestSharedEdges:
             held = sum(map(len, table.held.values()))
             assert held == table.count <= 2 * (slots - 1)
             assert ledger.live_words == base + held * W_SHARED_EDGE
-            assert all(j in table.live or j <= table.frontier + table.window for j in table.held)
-            assert all(j in table.live or j > table.frontier for j in table.held)
+            assert all(j not in table.live or P[j].ipt <= table.frontier for j in table.held)
+            assert all(j in table.live or P[j].ipt > table.frontier for j in table.held)
             most = max(most, held)
 
         monkeypatch.setattr(tradeoff._SharedEdges, "offer", checked)
@@ -765,8 +774,9 @@ class TestSharedEdges:
         assert ends
 
     def test_skipped_partner_is_pruned(self, monkeypatch):
-        """A walk the source passes over never takes its edges: they leave
-        the table as soon as the frontier passes it."""
+        """A walk the source passes over never takes its edges: the table
+        knows the source's filter and holds none for it, and the source
+        draws the other walks in (x, y) order of their sites."""
         P = random_sites(40, 854)
         table = find_big_cells(ReadOnlyArena(P), N, 4, observing_ledger())
         assert table
@@ -775,7 +785,7 @@ class TestSharedEdges:
 
         def watched(shared, source):
             for walk in draw(shared, source):
-                assert all(j in shared.live or j > shared.frontier for j in shared.held)
+                assert all(j in shared.live or P[j].ipt > shared.frontier and j not in table for j in shared.held)
                 seen.append(walk.site)
                 yield walk
 
@@ -783,7 +793,7 @@ class TestSharedEdges:
         ledger = observing_ledger()
         arena = ReadOnlyArena(P)
         got = {record_for(arena, e, N).undirected_key() for e in iter_small_incident(arena, N, 4, table, ledger)}
-        assert seen == [i for i in range(len(P)) if i not in table]
+        assert seen == sorted((i for i in range(len(P)) if i not in table), key=lambda i: P[i].ipt)
         assert ledger.live_words == 0
         big = {record_for(arena, e, N).undirected_key() for e in iter_big_big(arena, N, 4, table, observing_ledger())}
         assert got | big == oracle_vdk(P, 1).undirected_keys()
@@ -804,6 +814,72 @@ class TestSharedEdges:
         P = random_sites(12, 856)
         peaks = {run_diagram(P, mode, s, 1, OutputSink(keep=False))[1].peak_words for s in (12, 1000, 10**5, 2**63)}
         assert len(peaks) == 1
+
+
+class TestSweepOrder:
+    """At s > 1 the source draws nearest walks in (x, y) order of their
+    sites, one selection pass per window of min(s, n) sites, so the live
+    walks are a strip of neighboring cells; at s = 1 it draws them in index
+    order.  Every edge carries its rival's point."""
+
+    P = random_sites(50, 857)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 7, 16, 49, 50, 200])
+    @pytest.mark.parametrize("kept", ["all", "some"])
+    def test_draw_order(self, s, kept):
+        keep = None if kept == "all" else lambda i: i % 3 != 1
+        n = len(self.P)
+        want = [i for i in range(n) if keep is None or keep(i)]
+        if s > 1:
+            want.sort(key=lambda i: self.P[i].ipt)
+        arena = ReadOnlyArena(self.P)
+        assert [walk.site for walk in tradeoff._site_source(arena, N, s, observing_ledger(), keep)] == want
+        # A read a walk (`cell_walk`), and at s > 1 a pass a window, up to
+        # one more to find a filtered source spent, never past n sites.
+        k = min(s, n)
+        passes = 0 if s == 1 else min(len(want) // k + 1, -(-n // k))
+        assert arena.read_count == passes * n + len(want)
+
+    def test_window_is_charged_while_held(self, monkeypatch):
+        """Each window is picked while the walks' charge, whose W_BATCH_SITE
+        words a slot cover its sites, is live, and a run whose walks are
+        cut, or whose source is spent, leaves the ledger at 0."""
+        P = random_sites(40, 858)
+        s = 8
+        base = s * (W_SLOT + W_BATCH_SITE) + W_FIXED
+        ledger = observing_ledger()
+        seen = []
+        select = tradeoff.nsmallest
+
+        def watched(k, items, key):
+            window = select(k, items, key=key)
+            seen.append((len(window), ledger.live_words))
+            return window
+
+        monkeypatch.setattr(tradeoff, "nsmallest", watched)
+        arena = ReadOnlyArena(P)
+        table = find_big_cells(arena, N, s, ledger)
+        assert table, "the run cut no walk short"
+        assert len(seen) == len(P) // s and all(k == s and live >= base for k, live in seen)
+        assert ledger.live_words == 0
+        seen.clear()
+        list(iter_small_incident(arena, N, s, table, ledger))
+        assert seen and all(k <= s and live >= base for k, live in seen)
+        assert ledger.live_words == 0
+
+    @pytest.mark.parametrize("mode, s", [(N, 1), (N, 8), (F, 1), (F, 8)])
+    def test_edges_carry_their_rivals_points(self, mode, s):
+        """Every reported edge holds its rival's point, also one taken from
+        the shared table, handed on whole or clipped between big cells, and
+        the carrier is the bisector of the two points."""
+        P = self.P if mode is N else parabola(30, 859)
+        arena = ReadOnlyArena(P)
+        found = []
+        edges = list(iter_diagram(arena, mode, s, observing_ledger(), found))
+        assert found[0] or s == 1
+        for e in edges:
+            assert e.p == P[e.site].ipt and e.r == P[e.rival].ipt
+            assert scan._rival_offset(e.line, *e.p) == (e.r[0] - e.p[0], e.r[1] - e.p[1])
 
 
 def records_at(sites, s):
