@@ -35,9 +35,9 @@ class SequencingError(Exception):
 class ReadOnlyArena:
     """Immutable site array with a count of every element access.
 
-    It also holds the run's counts of kernel work, to which the clip,
-    nearest-neighbor and successor kernels (`scan.clip_run`,
-    `scan.nearest_run`, `pipeline._IntervalWalk.consider_batch`) add once
+    It also holds the run's counts of kernel work, to which the clip and
+    nearest-neighbor kernels (`scan.clip_run`, whose two calls on one
+    state make each order-k walk step, and `scan.nearest_run`) add once
     per call:
     `site_visits`, the sites each call looked at, skipped and culled ones
     included, and `site_tests`, those of them that reached the exact

@@ -10,12 +10,12 @@ directions at infinity (the k-sets of the input, after Lee 1982), and an
 edge between two big cells comes instead from clipping the bisector of the
 two sites in which the cells differ against the whole input.  Every other
 cell is walked to its end, by one walk per interval that steps in place
-from head to head, so a step reads only its head's extra site; each pass
-over the input tests every site for collinearity with a walk's pair before
-culling it.  A half-edge names both of its cells by their site sets,
-closest | {pair[0]} on its left and closest | {pair[1]} on its right, so
-a cell is tested against the table of unbounded cells without reading a
-site.
+from head to head, so a step reads only its head's extra site, and finds
+that head with the clip kernel of the order-1 walks (`scan.clip_run`),
+two calls on one state.  A half-edge names both of its cells by their
+site sets, closest | {pair[0]} on its left and closest | {pair[1]} on
+its right, so a cell is tested against the table of unbounded cells
+without reading a site.
 
 Producers for orders 1..K are generators, each reading the one below it
 directly and run cooperatively: pulling a half-edge resumes the upstream
@@ -34,7 +34,7 @@ from . import exact
 from .geometry import DegenerateGeometry
 from .memory import OutputSink, ReadOnlyArena, WorkLedger
 from .records import EdgeRecord, directed_record
-from .scan import CellEdge, DiagramMode, _disk_box, clip_edge, clip_run
+from .scan import CellEdge, DiagramMode, clip_edge, clip_run
 from .tradeoff import (
     W_BATCH_SITE,
     W_FIXED,
@@ -140,142 +140,79 @@ class _IntervalWalk:
     """One boundary walk of the cell closest | {pair[0]}, stepped in place:
     the pending edge awaiting its head."""
 
-    __slots__ = (
-        "closest", "pair", "pair_pts", "carrier", "direction", "tail", "tail_extra",
-        "best", "tied", "steps", "_box", "_head",
-    )
+    __slots__ = ("closest", "pair", "pair_pts", "carrier", "direction", "seed", "steps", "state", "_head")
 
-    def __init__(self, closest, pair, pair_pts, carrier, direction, tail, tail_extra):
+    def __init__(self, closest, pair, pair_pts, carrier, direction, seed):
         self.closest = closest
         self.steps = 0
         self._head = None  # (point, bisector with pair[0]) of the last head materialized
-        self._start(pair, pair_pts, carrier, direction, tail, tail_extra)
+        self._start(pair, pair_pts, carrier, direction, seed)
 
-    def _start(self, pair, pair_pts, carrier, direction, tail, tail_extra) -> None:
+    def _start(self, pair, pair_pts, carrier, direction, seed) -> None:
+        """Set up the edge of `pair` on `carrier` that leaves its tail in
+        `direction`: the carrier is oriented so that its (b, -a) points
+        that way, so the tail is the clip's lo end and the head its hi end.
+        The seed, the tail extra's (index, point), names the tail."""
+        a, b, c = carrier
         self.pair = pair
         self.pair_pts = pair_pts
-        self.carrier = carrier
+        self.carrier = (-a, -b, -c) if direction[0] * b - direction[1] * a < 0 else carrier
         self.direction = direction
-        self.tail = tail
-        self.tail_extra = tail_extra
-        self.best = None  # (tau_num, tau_den, site), tau on the kernel's scale
-        self.tied = False  # another site crosses exactly at best
-        self._box = None  # cull bounds (x0, x1, y0, y1), once best is set
+        self.seed = seed
+        self.state = None
 
     def words(self) -> int:
         """Words held, one per integer once every slot is set: the closest
-        set; pair 2, pair points 4, carrier 3, direction 2, tail 3, tail
-        extra 1, best 3, tie flag 1, step count 1 and box 4; the head's
-        point and bisector 5."""
+        set; pair 2, pair points 4, carrier 3, direction 2, seed (index and
+        point) 3, step count 1; the clip state 9, two ends of 3, their
+        cutters and the final end (its box slot stays empty: the span's
+        clip always has a final end, whose box `clip_run` builds per call);
+        the head's point and bisector 5."""
         return len(self.closest) + 29
 
-    def consider_batch(self, batch, work) -> None:
-        """Keep in `best` the site whose bisector with pair[0] crosses the
-        carrier first ahead of the tail, over `best` and `batch`; set
-        `tied` when another site crosses exactly at the final best.  The
-        number of sites that reach the arithmetic is added to
-        `work.site_tests`, and the number looked at to `work.site_visits`
-        (the run's arena).
+    def clip(self, span, work) -> None:
+        """Find the pending edge's head, the first crossing of the carrier
+        ahead of the tail by a bisector of q = pair[0]: two `clip_run`
+        calls on one state, the closest set in the farthest sense (each
+        must stay nearer than q) and then `span`, the whole input, in the
+        nearest sense with the closest set and the pair skipped.
 
-        The crossing is computed relative to q = pair[0], as in
-        `scan.clip_run`: with u = w - q and e = pair_pts[1] - q, w's
-        bisector crosses at tau = num/den, num = u.(e - u) and
-        den = a*u_y - b*u_x = (a*w_y - b*w_x) - (a*q_y - b*q_x), twice its
-        distance along the walk's direction from the midpoint of the pair,
-        in units of |(a, b)| (sigma is folded into (a, b)).  A den of 0 is
-        a bisector parallel to the carrier, a site collinear with the pair:
-        DegenerateGeometry, unless the site is one the walk passes over (the
-        pair and the tail extra).  This check is made on every site, first.
-
-        The tail is a certified vertex of the cell closest | {q}: every
-        site of `closest` lies strictly inside the disk through q centred
-        there, and every other site but the pair and the tail extra strictly
-        outside it (a walk from infinity holds the same far back along the
-        carrier).  So an outsider whose den > 0, which gets farther than q
-        going ahead, crosses behind the tail, and is dropped after den.
-
-        Box cull, once a best is known: only a crossing in (tail, best]
-        matters, and w's bisector with q meets the closed segment from the
-        tail to the best only if w lies in the closed disk through q centred
-        at one of them (the disks centred on the carrier through q form a
-        pencil; see `scan.clip_run`).  An outsider is not in the tail disk,
-        so a site strictly outside a box around the best disk alone is
-        passed over unless it is in `closest`; a tied site lies on the best
-        disk's boundary, so it is never culled.  Dropped sites count as
-        tested, culled ones do not.
+        The tail is a vertex of the cell closest | {q}, certified when the
+        edge before was clipped, so the seed goes to the call of its sense:
+        the first, at an interval's first step, where the tail extra is in
+        the closest set (and is left out of that call's sites, as the
+        kernel clips the seed first); the second after `advance`.  That
+        call holds the tail's end final from the seed on.  The closest set
+        goes first, so when it bounds the head (an old vertex) the box cull
+        of the span is live from the span's first site.  A site collinear
+        with the pair is a cutter parallel to the carrier, which never meets
+        it and is passed over.  An interval that a step empties is
+        DegenerateGeometry.
         """
-        # With the carrier a*x + b*y = c, sigma folded into (a, b) so that
-        # (b, -a) is a positive multiple of the direction, and e = r - q for
-        # (q, r) = pair_pts, a point x of the carrier lies at parameter
-        # 2(x - q).(b, -a) / (a^2 + b^2) on the kernel's scale.  A walk's
-        # edge meets one pass, so this is worked out once per edge.
-        a, b, _ = self.carrier
-        (qx, qy), (rx, ry) = self.pair_pts
-        if self.direction[0] * b - self.direction[1] * a < 0:
-            a, b = -a, -b
-        ex = rx - qx
-        ey = ry - qy
-        c0 = a * qy - b * qx
-        skip = (*self.pair, self.tail_extra)
-        closest = self.closest
-        tail = None
-        if self.tail is not None:
-            tx, ty, tw = self.tail
-            tail = (2 * (b * (tx - qx * tw) - a * (ty - qy * tw)), tw * (a * a + b * b))
-        best = self.best
-        tied = self.tied
-        box = self._box
-        boxed = box is not None
-        x0, x1, y0, y1 = box or (None,) * 4
-        tests = 0  # sites that reach the arithmetic
-        for j, (wx, wy) in batch:
-            den = a * wy - b * wx
-            if den == c0:
-                if j in skip:
-                    continue
-                raise DegenerateGeometry("collinear sites at successor crossing")
-            if boxed and (wx < x0 or wx > x1 or wy < y0 or wy > y1) and j not in closest:
-                continue
-            if j in skip:
-                continue
-            tests += 1
-            den -= c0
-            if den > 0 and j not in closest:
-                continue  # an outsider crossing behind the tail
-            ux = wx - qx
-            uy = wy - qy
-            num = ux * (ex - ux) + uy * (ey - uy)
-            if den < 0:
-                num, den = -num, -den
-            if tail is not None and num * tail[1] <= tail[0] * den:
-                continue
-            if best is not None:
-                order = num * best[1] - best[0] * den
-                if order >= 0:
-                    tied = tied or order == 0
-                    continue
-            best = (num, den, j)
-            tied = False
-            x0, x1, y0, y1 = _disk_box(ex, ey, a, b, qx, qy, num, den)
-            boxed = True
-        work.site_tests += tests
-        work.site_visits += len(batch)
-        self.best = best
-        self.tied = tied
-        self._box = (x0, x1, y0, y1) if boxed else None
+        (q, r), line, closest, (t, _) = self.pair_pts, self.carrier, self.closest, self.seed
+        inner = self.seed if t in closest else None
+        outer = None if inner else self.seed
+        state = self.state = [None] * 6
+        if not (
+            clip_run(state, line, q, r, [span[j] for j in closest if j != t], 1, (), seed=inner, work=work)
+            and clip_run(state, line, q, r, span, -1, closest.union(self.pair), seed=outer, work=work)
+        ):
+            raise DegenerateGeometry(f"edge of pair {self.pair} emptied at its tail: cocircular or collinear sites")
 
     def materialize(self, k_out: int, pts: Callable[[int], tuple[int, int]]) -> HalfEdge:
-        """The pending edge, ended at its head; reads the head's extra site."""
-        if self.tied:
+        """The pending edge, from its tail to the head the clip left: the
+        state's lo end, cut by the seed, and its hi end, cut by the head
+        extra, which is read; None where unbounded."""
+        hi = self.state[1]
+        if hi is not None and hi[2]:
             raise DegenerateGeometry(f"cocircular sites at the successor crossing of pair {self.pair}")
-        head = head_extra = None
-        if self.best is not None:
-            head_extra = self.best[2]
-            z = pts(head_extra)
-            line = exact.bisector_line(self.pair_pts[0], z)
-            head = exact.line_intersection(self.carrier, line)
-            self._head = (z, line)
-        return HalfEdge(k_out, self.closest, self.pair, self.direction, self.tail, head, self.tail_extra, head_extra)
+        (p, q), (pp, qp) = self.pair, self.pair_pts
+        edge = clip_edge(p, pp, q, qp, self.carrier, self.state)
+        tail, head = edge.ends()
+        if head is not None:
+            z = pts(edge.hi_cutter)
+            self._head = (z, exact.bisector_line(pp, z))
+        return HalfEdge(k_out, self.closest, self.pair, self.direction, tail, head, edge.lo_cutter, edge.hi_cutter)
 
     def advance(self, f: HalfEdge) -> None:
         """Step past f, the edge just materialized, whose head is a new
@@ -285,16 +222,15 @@ class _IntervalWalk:
         q gets farther; q is its tail extra."""
         (p, q), (pp, qp) = self.pair, self.pair_pts
         zp, line = self._head
-        self._start((p, f.head_extra), (pp, zp), line, _leaving(pp, zp, qp, False), f.head, q)
+        self._start((p, f.head_extra), (pp, zp), line, _leaving(pp, zp, qp, False), (q, qp))
 
 
 def _trim_round(arena: ReadOnlyArena, walks: list[_IntervalWalk]) -> None:
     """One pass over the input serving every pending walk's head search:
-    the input is read once, as one span, and each walk's kernel takes it
-    whole in one call."""
+    the input is read once, as one span, and each walk clips against it."""
     span = arena.read_span(0, len(arena))
     for walk in walks:
-        walk.consider_batch(span, arena)
+        walk.clip(span, arena)
 
 
 def _relevant_walks(arena: ReadOnlyArena, source: Iterator, table: dict) -> Iterator[_IntervalWalk]:
@@ -314,9 +250,7 @@ def _relevant_walks(arena: ReadOnlyArena, source: Iterator, table: dict) -> Iter
             pp = arena.read(p)
             zp = arena.read(e.head_extra)
             line = exact.bisector_line(qp, zp)
-            yield _IntervalWalk(
-                e.closest | {p}, (q, e.head_extra), (qp, zp), line, _leaving(qp, zp, pp, True), e.head, p
-            )
+            yield _IntervalWalk(e.closest | {p}, (q, e.head_extra), (qp, zp), line, _leaving(qp, zp, pp, True), (p, pp))
 
 
 def _walk_rounds(arena: ReadOnlyArena, k_out: int, s1: int, source, ledger):
@@ -491,12 +425,12 @@ def _iter_big_big_edges(
             for common, a, b in group:
                 a_pt, b_pt = arena.read(a), arena.read(b)
                 line = exact.bisector_line(a_pt, b_pt)
-                states.append((common, a, b, a_pt, b_pt, line, [None, None, None, None, None]))
+                states.append((common, a, b, a_pt, b_pt, line, [None] * 6))
             span = arena.read_span(0, len(arena))
             for common, a, b, a_pt, b_pt, line, state in states:
                 # Nearer to a than every other site, farther than the common ones.
-                if clip_run(state, line, a_pt, span, -1, common | {a, b}, work=arena) and clip_run(
-                    state, line, a_pt, [span[j] for j in common], 1, (), work=arena
+                if clip_run(state, line, a_pt, b_pt, span, -1, common | {a, b}, work=arena) and clip_run(
+                    state, line, a_pt, b_pt, [span[j] for j in common], 1, (), work=arena
                 ):
                     edge = clip_edge(a, a_pt, b, b_pt, line, state)
                     yield from _halfedges_of_cell_edge(k_out, common, edge)

@@ -13,9 +13,9 @@ neighbor and walks in one leg from that edge's finite end to the edge
 with the other.  `TrackedSite` is the walk's state machine; `clip_run`
 and `nearest_run` are the fused exact kernels it needs, each one loop
 over a span of sites, which the program always gives as the whole input
-(`pipeline` clips with `clip_run` too).  `cell_walk` starts the walk of
-one given site, finding a farthest site's hull neighbors with the
-one-pass `locate_on_hull`.
+(`pipeline`'s order-k walks step with `clip_run` too).  `cell_walk`
+starts the walk of one given site, finding a farthest site's hull
+neighbors with the one-pass `locate_on_hull`.
 
 After the first edge, each step of a walk is one scan for the next vertex
 from a vertex already known: the entry vertex, where the edge before
@@ -174,20 +174,11 @@ def _disk_box(ex, ey, a, b, px, py, n, d):
     return px + (vx - r) // den, px - ((-vx - r) // den), py + (vy - r) // den, py - ((-vy - r) // den)
 
 
-def _rival_offset(line, px, py):
-    """e = r - p, exactly, for the rival r whose bisector with p = (px, py)
-    is `line`: r is p's mirror image in a*x + b*y = c, so
-    e = 2(c - a.p)(a, b) / (a^2 + b^2)."""
-    a, b, c = line
-    k = 2 * (c - a * px - b * py)
-    nn = a * a + b * b
-    return k * a // nn, k * b // nn
-
-
 # The float filter's error bounds (`clip_run`), as multiples of a double's
-# unit roundoff eps = 2**-53.
+# unit roundoff eps = 2**-53, and the clip size it must exceed to run.
 _DEN_ERR = 8 * 2.0**-53
 _END_ERR = 16 * 2.0**-53
+_FILTER_MIN = 8
 
 
 def _margin(n, d, s_den, s_num):
@@ -196,84 +187,87 @@ def _margin(n, d, s_den, s_num):
     return fn, fd, _END_ERR * (abs(fn) * s_den + abs(fd) * s_num)
 
 
-def clip_run(state, line, p, items, want: int, skip, *, seed=None, work) -> bool:
-    """Clip an interval on `line`, the bisector of site p and a rival, by
-    the bisector of p and each (index, point) of `items`.
+def clip_run(state, line, p, r, items, want: int, skip, *, seed=None, work) -> bool:
+    """Clip an interval on `line`, the bisector of site p and its rival at
+    point r, by the bisector of p and each (index, point) of `items`.
 
     Keeps the part nearer to p than to each cutter (want = -1) or farther
-    (want = 1), one sense per call; indices in `skip` are passed over.
-    state = [t_lo, t_hi, lo_cut, hi_cut, box]: each end is a (num, den>0,
-    tied) parameter, or None while unbounded, with the index of the site
-    that cut it; tied is set when a different site's bisector crosses
-    exactly there (four cocircular sites), and `clip_edge` raises on a
-    tied end; box caches the cull below.  Returns False once the interval
-    is empty.  The number of sites that reach the
-    arithmetic is added to `work.site_tests`, and the number looked at to
+    (want = 1), one sense per call; indices in `skip` are passed over
+    before any arithmetic.  state = [t_lo, t_hi, lo_cut, hi_cut, box, fin]:
+    each end is a (num, den>0, tied) parameter, or None while unbounded,
+    with the index of the site that cut it; tied is set when a different
+    site's bisector crosses exactly there (four cocircular sites), and
+    `clip_edge` raises on a tied end; box caches the cull below, and fin
+    names a final end (1 for lo, -1 for hi).  Returns False once the
+    interval is empty.  The number of sites that reach the arithmetic is
+    added to `work.site_tests`, and the number looked at to
     `work.site_visits` (the run's arena).
 
-    One exact loop per call, relative to p: the rival r is p's mirror
-    image in the line a*x + b*y = c, so e = r - p is
-    2(c - a.p)(a, b) / (a^2 + b^2), exactly (`_rival_offset`).  With
-    u = w - p, the cutter w's bisector crosses the line at t = num / (2 den)
-    along (b, -a) from the midpoint of p and r, where num = u.(e - u) and
-    den = a*u_y - b*u_x, worked out from w as (a*w_y - b*w_x) - (a*p_y - b*p_x)
-    with the second term fixed per call.  The kept sense is folded into the
-    signs, once per call: for want = 1 every cutter's num and den are
-    negated.  Then the kept side of a cutter with den > 0 lies beyond its
-    crossing, a lower bound, and with den < 0 before it, an upper bound at
-    (-num)/(-den); a den of 0 is a cutter parallel to the line, which
-    keeps it whole iff num < 0.  The stored ends are num/den with den > 0
-    whatever the sense, so a state carries over between calls of either
-    (`pipeline._iter_big_big_edges` clips in both senses).  The ends leave
-    the kernel as they are, with their cutters (`clip_edge`), and a point
-    is built from one only when an edge is written (`CellEdge.ends`).
+    One exact loop per call, relative to p: with e = r - p and u = w - p,
+    the cutter w's bisector crosses the line a*x + b*y = c at
+    t = num / (2 den) along (b, -a) from the midpoint of p and r, where
+    num = u.(e - u) and den = a*u_y - b*u_x, worked out from w as
+    (a*w_y - b*w_x) - (a*p_y - b*p_x) with the second term fixed per call.
+    The kept sense is folded into the signs, once per call: for want = 1
+    every cutter's num and den are negated.  Then the kept side of a
+    cutter with den > 0 lies beyond its crossing, a lower bound, and with
+    den < 0 before it, an upper bound at (-num)/(-den); a den of 0 is a
+    cutter parallel to the line, which keeps it whole iff num < 0.  The
+    stored ends are num/den with den > 0 whatever the sense, so a state
+    carries over between calls of either (`pipeline` clips in both senses
+    on one state).  The ends leave the kernel as they are, with their
+    cutters (`clip_edge`), and a point is built from one only when an edge
+    is written (`CellEdge.ends`).
 
     The certified end (`seed`, an (index, point) pair): the precondition
-    is that the seed's bisector with p crosses the line at a vertex of p's
-    cell, with no other site's bisector through it, and that the interval
-    holds the cell's edge on the line.  A walk's entry vertex is such a
-    vertex (`TrackedSite.seed`): the previous edge ended there, clipped
-    against every site, and `clip_edge` would have raised had another
-    site's bisector passed through it.  The seed is clipped first, counted
-    as one more site looked at and tested, and the end it cuts is then
-    final: a vertex of the cell satisfies every cutter, so a cutter whose
+    is that the seed's bisector with p crosses the line at a vertex of the
+    cell being clipped (p's, or an order-k walk's cell of p and its
+    closest set), with no other site's bisector through it, and that the
+    interval holds the cell's edge on the line.  A walk's entry vertex is
+    such a vertex (`TrackedSite.seed`, `pipeline._IntervalWalk`): the
+    previous edge ended there, clipped against every site, and would have
+    raised had another site's bisector passed through it.  The seed is
+    clipped first, counted as one more site looked at and tested, and the
+    end it cuts is then final, in this call and in every later call on the
+    state: a vertex of the cell satisfies every cutter, so a cutter whose
     folded den puts it on that end's side (den > 0 for a final lo, den < 0
     for a final hi) cannot move it, and is dropped as soon as den is known,
-    before the `skip` test and the crossing; it counts as tested (p and its
-    rival, the sites a walk skips, have den 0 and are never dropped).
+    before the crossing; it counts as tested.  A skipped site is passed
+    over before that, and never counts as tested (but see the filter).
     Without the precondition a seeded clip may keep a wrong end or miss a
     tie; without `seed` every cutter is clipped in full.
 
-    The box cull (nearest sense, both ends bounded): the disks
-    centred on the line through p form a pencil, all through p and the
-    rival, and w lies in the disk centred at x iff x is as near to w as to
-    p.  That condition is affine in x, so if it held anywhere on the
-    closed interval it would hold at an end: w would lie in one of the two
-    closed end disks.  A site strictly outside an integer box around both
-    (`_disk_box`, cached in state[4], each end's box recomputed only when
-    that end moves) therefore neither cuts the interval nor ties an end,
-    and is passed over before any arithmetic.  The sites are still tried
-    in order, so the state after each is the same as without the cull.
-    Once a seeded clip's end is final, that end is a vertex of p's cell
-    and its disk is empty: every site but p, the rival and the seed lies
-    strictly outside it.  The box is then the moving end's disk box alone,
-    built once that end is bounded and again each time it moves, and is
-    not cached in the state.
+    The box cull (nearest sense, both ends bounded): the disks centred on
+    the line through p form a pencil, all through p and the rival, and w
+    lies in the disk centred at x iff x is as near to w as to p.  That
+    condition is affine in x, so if it held anywhere on the closed interval
+    it would hold at an end: w would lie in one of the two closed end disks.
+    A site strictly outside an integer box around both (`_disk_box`, cached
+    in state[4], each end's box recomputed only when that end moves)
+    therefore neither cuts the interval nor ties an end, and is passed over
+    before any arithmetic.  The sites are still tried in order, so the state
+    after each is the same as without the cull.  A final end is a vertex of
+    the cell, so every site the clip does not skip, but the seed, lies
+    strictly outside its disk.  The box is then the moving end's disk box
+    alone: built at the start of a call that begins with a final end and a
+    bounded moving end, else once that end is bounded, and again each time
+    it moves; it is not cached.
 
-    The float filter (farthest sense, when `work` has a `twin`): farthest
-    clips have no cull, so each site is tried first in doubles and reaches
-    the integer code above only where a double cannot decide.  The twin is
-    that of `work`, the run's arena (`ReadOnlyArena.twin`), so every (j, w)
-    of `items` and the seed must be its site j, as at every call in the
-    program.  It exists only when every |coordinate| is below 2^50: then
-    the coordinates of w, p and r = p + e and the differences w - p and
-    w - r are exact in doubles, and the only roundings, each of relative
-    error at most eps = 2^-53, are those of the operations and of
-    converting da, db, d0 and the ends; k of them in a row stay within
-    g(k) = k*eps / (1 - k*eps).  Per call the twin's box
-    gives S_den = |da|*max|y| + |db|*max|x| + |d0| >= |den| and
-    S_num = MX*(MX + |e_x|) + MY*(MY + |e_y|) >= |num|, MX and MY being the
-    largest |x - p_x| and |y - p_y| over the box.  The double
+    The float filter (farthest sense, when `work` has a `twin`, on clips of
+    more than `_FILTER_MIN` sites; its set-up per call costs more than it
+    saves on fewer, such as an order-k walk's closest set): farthest clips
+    have no cull, so each site is tried first in doubles and reaches the
+    integer code above only where a double cannot decide.  The twin is that
+    of `work`, the run's arena (`ReadOnlyArena.twin`), so every (j, w) of
+    `items` and the seed must be its site j, as at every call in the
+    program.  It exists only when every |coordinate| is below 2^50: then the
+    coordinates of w, p and r and the differences w - p and w - r are exact
+    in doubles, and the only roundings, each of relative error at most
+    eps = 2^-53, are those of the operations and of converting da, db, d0
+    and the ends; k of them in a row stay within g(k) = k*eps / (1 - k*eps).
+    Per call the twin's box gives S_den = |da|*max|y| + |db|*max|x| + |d0|
+    >= |den| and S_num = MX*(MX + |e_x|) + MY*(MY + |e_y|) >= |num|, MX and
+    MY being the largest |x - p_x| and |y - p_y| over the box.  The double
     fden = da*y - db*x - d0 has at most four roundings in each term, so it
     is within g(4)*S_den < 8eps*S_den of den; fnum = (w - p).(w - r), two
     products and a sum of exact differences, is within g(2)*S_num of num.
@@ -292,13 +286,16 @@ def clip_run(state, line, p, items, want: int, skip, *, seed=None, work) -> bool
     re-derived when that end moves (`_margin`).  Every other cutter (den's
     sign uncertain, den near 0, a possible new end or tie) goes on to the
     integer code, which decides it as it would without the filter; a
-    cutter decided in doubles counts as tested, as there.  So the clip
-    leaves the same state and counts.  Nearest clips take no filter: the
-    box cull spares them most of the arithmetic.
+    cutter decided in doubles counts as tested, as there.  Its drop on the
+    final end's side comes before the `skip` test, which most sites so
+    never pay: a skipped site dropped there counts as tested, and none is,
+    as the program skips only sites of den 0 in a clip with a final end.
+    So the clip leaves the same state and counts.  Nearest clips take no
+    filter: the box cull spares them most of the arithmetic.
     """
     a, b, _ = line
     px, py = p
-    ex, ey = _rival_offset(line, px, py)
+    ex, ey = r[0] - px, r[1] - py
     far = want > 0
     cull = not far
     # The folded den's coefficients: den = da*w_y - db*w_x - d0 = da*u_y - db*u_x.
@@ -316,9 +313,12 @@ def clip_run(state, line, p, items, want: int, skip, *, seed=None, work) -> bool
     passed = 0  # sites skipped or culled
     # fin is 1 once lo is final, -1 once hi is: a cutter with den * fin > 0
     # lies on the final end's side.
-    fin = 0
+    fin = state[5] or 0
+    if cull and fin and (hi_d if fin > 0 else lo_d):
+        x0, x1, y0, y1 = _disk_box(ex, ey, a, b, px, py, *((hi_n, hi_d) if fin > 0 else (lo_n, lo_d)))
+        boxed = True
     sj = None if seed is None else seed[0]
-    filt = far and work.twin is not None
+    filt = far and len(items) > _FILTER_MIN and work.twin is not None
     if filt:
         fpts, (xa, xb, ya, yb) = work.twin
         mux = max(abs(px - xa), abs(xb - px))
@@ -326,8 +326,8 @@ def clip_run(state, line, p, items, want: int, skip, *, seed=None, work) -> bool
         s_den = float(abs(da) * max(-ya, yb) + abs(db) * max(-xa, xb) + abs(d0))
         s_num = float(mux * (mux + abs(ex)) + muy * (muy + abs(ey)))
         eden = _DEN_ERR * s_den
-        fda, fdb, fd0, fpx, fpy, frx, fry = map(float, (da, db, d0, px, py, px + ex, py + ey))
-        ffin = 0.0  # fin as a double: CPython multiplies two floats faster than a float and an int
+        fda, fdb, fd0, fpx, fpy, frx, fry = map(float, (da, db, d0, px, py, *r))
+        ffin = float(fin)  # CPython multiplies two floats faster than a float and an int
         flo_n, flo_d, m_lo = _margin(lo_n, lo_d, s_den, s_num)
         fhi_n, fhi_d, m_hi = _margin(hi_n, hi_d, s_den, s_num)
     it = iter(items)
@@ -349,11 +349,11 @@ def clip_run(state, line, p, items, want: int, skip, *, seed=None, work) -> bool
                     continue
             elif fden < -eden and fhi_n * fden - fnum * fhi_d > m_hi:
                 continue
+        elif j in skip:
+            passed += 1
+            continue
         den = da * wy - db * wx - d0
         if den * fin > 0:
-            continue
-        if j in skip:
-            passed += 1
             continue
         ux = wx - px
         uy = wy - py
@@ -396,8 +396,7 @@ def clip_run(state, line, p, items, want: int, skip, *, seed=None, work) -> bool
             alive = False
             break
         if cull and fin:
-            # The final end is a vertex of p's cell: its disk holds no site,
-            # so the moving end's disk alone bounds the cull.
+            # A final end's disk holds no tested site: the moving end's alone bounds the cull.
             end = (hi_n, hi_d) if fin > 0 else (lo_n, lo_d)
             if end[1]:
                 x0, x1, y0, y1 = _disk_box(ex, ey, a, b, px, py, *end)
@@ -420,6 +419,7 @@ def clip_run(state, line, p, items, want: int, skip, *, seed=None, work) -> bool
     state[1] = (hi_n, hi_d, hi_tie) if hi_d else None
     state[2], state[3] = lo_cut, hi_cut
     state[4] = (x0, x1, y0, y1, lo_box, hi_box) if lo_box and hi_box else None
+    state[5] = fin or None
     return alive
 
 
@@ -522,7 +522,7 @@ class TrackedSite:
         self.done = False
         self.cutter: Optional[int] = rival  # None until a nearest walk's first rival is set
         self.rival: Optional[int] = None  # rival of the edge being clipped
-        self.state = None  # its clip interval [t_lo, t_hi, lo_cut, hi_cut, box]
+        self.state = None  # its clip interval [t_lo, t_hi, lo_cut, hi_cut, box, fin]
         self._on_hull = rival is not None  # started on a hull edge, which must be a ray
         self._leg2: Optional[int] = None  # the first edge's other end's cutter, queued for the reverse walk
         self.entry: Optional[CellEdge] = None  # the last edge of this leg (once done, of the walk)
@@ -533,7 +533,7 @@ class TrackedSite:
 
     def begin_clip(self) -> None:
         self.rival = self.cutter
-        self.state = [None, None, None, None, None]
+        self.state = [None] * 6
 
     def seed(self):
         """(index, point) of the site whose bisector with p holds the entry

@@ -131,7 +131,7 @@ def _far_round(arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]
         line = exact.bisector_line(slot.p, r)
         if span is None:
             span = arena.read_span(0, n)
-        if not clip_run(slot.state, line, slot.p, span, 1, (slot.site, slot.rival), seed=slot.seed(), work=arena):
+        if not clip_run(slot.state, line, slot.p, r, span, 1, (slot.site, slot.rival), seed=slot.seed(), work=arena):
             _edge_vanished(slot)
         edges.append(clip_edge(slot.site, slot.p, slot.rival, r, line, slot.state))
     return edges
@@ -256,7 +256,7 @@ class _SharedEdges(_Draws):
                 if span is None:
                     span = arena.read_span(0, n)
                 skip = (slot.site, slot.rival)
-                if not clip_run(slot.state, line, slot.p, span, -1, skip, seed=slot.seed(), work=arena):
+                if not clip_run(slot.state, line, slot.p, r, span, -1, skip, seed=slot.seed(), work=arena):
                     _edge_vanished(slot)
                 edge = clip_edge(slot.site, slot.p, slot.rival, r, line, slot.state)
                 self.offer(edge)
@@ -650,9 +650,9 @@ def iter_big_big(
                     continue
                 # An edge of the big sites' own diagram, clipped by the input.
                 line = exact.bisector_line(a_pt, b_pt)
-                state = [None, None, None, None, None]
-                if clip_run(state, line, a_pt, mem_sites, want, (a, b), work=arena) and clip_run(
-                    state, line, a_pt, span, want, table, work=arena
+                state = [None] * 6
+                if clip_run(state, line, a_pt, b_pt, mem_sites, want, (a, b), work=arena) and clip_run(
+                    state, line, a_pt, b_pt, span, want, table, work=arena
                 ):
                     yield clip_edge(a, a_pt, b, b_pt, line, state)
 

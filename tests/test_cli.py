@@ -578,12 +578,35 @@ class TestSmallCorpus:
         assert [check_distance_profile(r, sites) for r in records] == [None] * len(records)
 
 
-def _exit_and_lines(sites, mode, s):
+class TestCollinearOrderK:
+    # Three of seven sites on x = 4: a walk of two of them meets the third's
+    # bisector parallel to its carrier, a cutter that never crosses it.
+    SITES = "5 3\n3 2\n4 1\n4 5\n4 6\n5 6\n2 5\n"
+
+    @pytest.mark.parametrize("s", [4, 16])
+    def test_parallel_cutter_is_passed_over(self, tmp_path, s):
+        """The run ends with 24 order-1 and 54 order-2 half-edge records,
+        twice the edge counts Euler's relation gives from Lee's cell count,
+        and every record has its pair equidistant at its ends and the
+        distance ranking it names between them."""
+        path = tmp_path / "sites.txt"
+        path.write_text(self.SITES)
+        out = tmp_path / "r.txt"
+        argv = ["run", str(path), "--mode", "order", "--max-k", "2", "--workspace", str(s), "--out", str(out)]
+        assert main(argv) == 0
+        with open(out) as fh:
+            _, records = read_stream(fh)
+        assert [sum(r.k == k for r in records) for k in (1, 2)] == [24, 54] and len(records) == 78
+        sites = parse_sites_text(self.SITES)
+        assert [check_distance_profile(r, sites) for r in records] == [None] * len(records)
+
+
+def _exit_and_lines(sites, mode, s, K=1):
     """The exit code `vw run` gives a run, and its sorted record lines if
     it exits 0."""
     sink = OutputSink()
     try:
-        run_diagram(sites, mode, s, 1, sink)
+        run_diagram(sites, mode, s, K, sink)
     except tuple(FAILURES) as e:
         return next(code for cls, (code, _) in FAILURES.items() if isinstance(e, cls)), None
     return 0, sorted(format_record(r) for r in sink.records)
@@ -593,21 +616,34 @@ class TestGridCorpusAcrossS:
     """Degenerate input at every s: on 60 seeded subsets of the 5x5 grid,
     4 to 12 points each, rich in collinear and cocircular sites, each nvd
     and fvd run at s = 2, 3, 5, n - 1 and n exits as the one-slot run
-    does, and one that exits 0 writes the same lines."""
+    does, and one that exits 0 writes the same lines; so does each order
+    run at s = 2K^2 as at s = K^2."""
 
     GRID = [(x, y) for x in range(5) for y in range(5)]
+
+    def subsets(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            pts = rng.sample(self.GRID, rng.randint(4, 12))
+            yield seed, len(pts), parse_sites_text("".join(f"{x} {y}\n" for x, y in pts))
 
     @pytest.mark.parametrize("mode", ["nvd", "fvd"])
     def test_exit_and_lines_as_one_slot(self, mode):
         codes = set()
-        for seed in range(60):
-            rng = random.Random(seed)
-            pts = rng.sample(self.GRID, rng.randint(4, 12))
-            sites = parse_sites_text("".join(f"{x} {y}\n" for x, y in pts))
+        for seed, n, sites in self.subsets():
             want = _exit_and_lines(sites, mode, 1)
             codes.add(want[0])
-            for s in (2, 3, 5, len(pts) - 1, len(pts)):
+            for s in (2, 3, 5, n - 1, n):
                 assert _exit_and_lines(sites, mode, s) == want, (seed, s)
+        assert codes == {0, 2}
+
+    @pytest.mark.parametrize("K, s", [(2, 8), (3, 18)])
+    def test_order_exit_and_lines_as_at_k_squared(self, K, s):
+        codes = set()
+        for seed, _, sites in self.subsets():
+            want = _exit_and_lines(sites, "order", K * K, K)
+            codes.add(want[0])
+            assert _exit_and_lines(sites, "order", s, K) == want, seed
         assert codes == {0, 2}
 
 
@@ -670,10 +706,10 @@ class TestBench:
             "64,8,1,544,424,1252,1320",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,68211,169,24226,109860",
-            "64,9,3,315739,128,65995,306028",
-            "64,18,2,37228,332,22472,102947",
-            "64,18,3,173195,244,62908,294422",
+            "64,9,2,68211,169,22823,111392",
+            "64,9,3,315739,128,60813,312971",
+            "64,18,2,37228,332,21069,104479",
+            "64,18,3,173195,244,57726,301365",
         ]),
     }
 
@@ -698,10 +734,10 @@ class TestBench:
             "64,8,1,3094,416,13040,13456",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
-            "64,9,2,45330,168,54098,61786",
-            "64,9,3,166144,128,145076,162734",
-            "64,18,2,25040,332,42681,50420",
-            "64,18,3,102272,243,138461,152903",
+            "64,9,2,45330,168,54584,62272",
+            "64,9,3,166144,128,147064,165380",
+            "64,18,2,25040,332,43167,50906",
+            "64,18,3,102272,243,140449,155549",
         ]),
     }
 

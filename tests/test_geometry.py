@@ -61,10 +61,10 @@ def clip(a, b, cutters, keep_nearer=True):
     """The piece of the bisector of a and b strictly nearer to a than to
     each cutter (farther with keep_nearer=False); None when none is left."""
     line = bisector_line(a.ipt, b.ipt)
-    state = [None, None, None, None, None]
+    state = [None] * 6
     want = -1 if keep_nearer else 1
     items = [(c.index, c.ipt) for c in cutters]
-    if not clip_run(state, line, a.ipt, items, want, (a.index, b.index), work=ReadOnlyArena((a, b, *cutters))):
+    if not clip_run(state, line, a.ipt, b.ipt, items, want, (a.index, b.index), work=ReadOnlyArena((a, b, *cutters))):
         return None
     return clip_edge(a.index, a.ipt, b.index, b.ipt, line, state)
 

@@ -3,19 +3,21 @@
 `clip_run` is checked against a clip computed with Fractions, which may
 flip the sense of some cutters (the kernel takes one sense per call, so
 such a case runs as two calls on one state), `nearest_run` against a
-brute-force minimum of (squared distance, index),
-`_IntervalWalk.consider_batch` against per-site crossings, and
-`read_span` against per-index reads.  The clip's box cull gets its own
+brute-force minimum of (squared distance, index), the order-k step
+(`_IntervalWalk.clip`, two `clip_run` calls on one state) against
+per-site crossings, and `read_span` against per-index reads.  The clip's box cull gets its own
 soundness check: a site outside a clip's cached box is strictly outside
 both closed end disks and leaves a one-site clip unchanged.  Seeding a
 walk's clip with the cutter of its entry vertex changes no end, cutter or
 tie: for nearest walks when the seed is clipped in a call of its own, and
 for nearest and farthest walks when it is handed to the kernel, which
 then holds the end it cuts final.  The seeded nearest clips and the
-successor searches of real runs are replayed against the references.  A
+order-k steps of real runs are replayed against the references.  A
 farthest clip given the arena's float twin leaves the state and the site
 counts that the exact code alone leaves, seeded or not, at the twin's
-coordinate limit too, and the arena builds the twin only below that limit.
+coordinate limit too; those checks run the filter on clips of any size,
+while the program runs it only on clips above its minimum size.  The
+arena builds the twin only below that limit.
 """
 
 from fractions import Fraction
@@ -26,16 +28,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsvoronoi import exact, tradeoff
+from wsvoronoi import exact, scan, tradeoff
 from wsvoronoi.cli import run_diagram
 from wsvoronoi.datagen import random_sites
 from wsvoronoi.geometry import DegenerateGeometry, site_set
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, observing_ledger
-from wsvoronoi.pipeline import _IntervalWalk
+from wsvoronoi.pipeline import _IntervalWalk, _leaving
 from wsvoronoi.scan import (
     DiagramMode,
     _disk_box,
-    _rival_offset,
     cell_walk,
     clip_edge,
     clip_run,
@@ -103,6 +104,13 @@ def hpoint(hp):
     return None if hp is None else (Fraction(hp[0], hp[2]), Fraction(hp[1], hp[2]))
 
 
+@pytest.fixture
+def filter_every_clip(monkeypatch):
+    """The float filter on farthest clips of any size, as the checks of its
+    error bounds need: the program runs it only above `_FILTER_MIN` sites."""
+    monkeypatch.setattr(scan, "_FILTER_MIN", 0)
+
+
 def tally() -> ReadOnlyArena:
     """An arena for kernel calls to add their site counts to, with no twin:
     the calls' sites are not its own."""
@@ -117,11 +125,11 @@ def by_sense(cutters, want, flip):
     return (want, [c for c in cutters if c[0] not in flip]), (-want, [c for c in cutters if c[0] in flip])
 
 
-def clip_batches(state, line, p, cutters, want, skip, flip, batch, work) -> bool:
+def clip_batches(state, line, p, r, cutters, want, skip, flip, batch, work) -> bool:
     """clip_run over `cutters` in batches, on one state, by sense."""
     for sense, part in by_sense(cutters, want, flip):
         for start in range(0, len(part), batch):
-            if not clip_run(state, line, p, part[start : start + batch], sense, skip, work=work):
+            if not clip_run(state, line, p, r, part[start : start + batch], sense, skip, work=work):
                 return False
     return True
 
@@ -129,8 +137,8 @@ def clip_batches(state, line, p, cutters, want, skip, flip, batch, work) -> bool
 def run_clip(p, r, cutters, want, skip, flip, batch):
     """clip_run over `cutters` in batches; (alive, lo_cut, hi_cut, lo, hi)."""
     line = exact.bisector_line(p, r)
-    state = [None, None, None, None, None]
-    if not clip_batches(state, line, p, cutters, want, skip, flip, batch, tally()):
+    state = [None] * 6
+    if not clip_batches(state, line, p, r, cutters, want, skip, flip, batch, tally()):
         return False, None, None, None, None
     edge = clip_edge(0, p, 1, r, line, state)
     lo, hi = edge.ends()
@@ -197,8 +205,8 @@ class TestClipRun:
         p, r = (0, 0), (8, 0)
         sites = [(2, (0, 6)), (3, (0, -6)), (4, (8, 6)), (5, (0, 100))]
         line = exact.bisector_line(p, r)
-        state = [None, None, None, None, None]
-        assert clip_run(state, line, p, sites[:2], -1, (0, 1), work=tally())
+        state = [None] * 6
+        assert clip_run(state, line, p, r, sites[:2], -1, (0, 1), work=tally())
         assert set(state[2:4]) == {2, 3}  # x = 4 between (4, -3) and (4, 3)
         kept = list(state)
         # The bisector with (8, 6) also crosses x = 4 at (4, 3): a tie that
@@ -206,9 +214,9 @@ class TestClipRun:
         # sense keeps the side beyond (4, 3), which empties the interval
         # before (0, 100) is looked at.
         work = SimpleNamespace(site_tests=0, site_visits=0, twin=None)
-        assert not clip_run(list(state), line, p, sites[2:], 1, (0, 1), work=work)
+        assert not clip_run(list(state), line, p, r, sites[2:], 1, (0, 1), work=work)
         assert work.site_tests == 1  # (0, 100), after the emptying cutter, is not looked at
-        assert clip_run(state, line, p, sites[2:], -1, (0, 1), work=work)
+        assert clip_run(state, line, p, r, sites[2:], -1, (0, 1), work=work)
         assert [end[:2] for end in state[:2]] == [end[:2] for end in kept[:2]]
         assert state[2:] == kept[2:]
         assert sorted(end[2] for end in state[:2]) == [False, True]
@@ -236,9 +244,9 @@ class TestClipRun:
         items = [(s.index, s.ipt) for s in sites]
         line = exact.bisector_line(p, r)
         for later, tied in (([items[5]], True), ([items[4], items[5]], False)):
-            state = [None, None, None, None, None]
-            assert clip_run(state, line, p, items[2:4], -1, (0, 1), work=tally())
-            assert clip_run(state, line, p, later, -1, (0, 1), work=tally())
+            state = [None] * 6
+            assert clip_run(state, line, p, r, items[2:4], -1, (0, 1), work=tally())
+            assert clip_run(state, line, p, r, later, -1, (0, 1), work=tally())
             if tied:
                 with pytest.raises(DegenerateGeometry, match="tied end"):
                     clip_edge(0, p, 1, r, line, state)
@@ -265,8 +273,8 @@ class TestClipRun:
         sites = site_set([(0, 0), (8, 0), (0, 6), (0, -6), (0, 7), (0, -7)])
         items = [(s.index, s.ipt) for s in sites]
         line = exact.bisector_line((0, 0), (8, 0))
-        state = [None, None, None, None, None]
-        assert clip_run(state, line, (0, 0), items, -1, (0, 1), work=tally())
+        state = [None] * 6
+        assert clip_run(state, line, (0, 0), (8, 0), items, -1, (0, 1), work=tally())
         edge = clip_edge(0, (0, 0), 1, (8, 0), line, state)
         assert {edge.lo_cutter, edge.hi_cutter} == {2, 3}
         assert set(map(hpoint, edge.ends())) == {(4, 3), (4, -3)}
@@ -300,10 +308,10 @@ def clipped_state(p, r, cutters, skip, batch):
     """(line, state, arena) after clip_run over `cutters`, indexed 2, 3, ...
     in order, in batches; None once the interval is empty."""
     line = exact.bisector_line(p, r)
-    state = [None, None, None, None, None]
+    state = [None] * 6
     arena = ReadOnlyArena(site_set([p, r, *(w for _, w in cutters)]))
     for start in range(0, len(cutters), batch):
-        if not clip_run(state, line, p, cutters[start : start + batch], -1, skip, work=arena):
+        if not clip_run(state, line, p, r, cutters[start : start + batch], -1, skip, work=arena):
             return None
     return line, state, arena
 
@@ -343,8 +351,8 @@ def check_box_sound(line, state, arena):
     ends = [hpoint(exact.line_intersection(line, exact.bisector_line(p, arena.read(j)))) for j in state[2:4]]
     for w in outside_ring(box, 2):
         assert not any(in_closed_disk(w, e, p) for e in ends), (w, ends)
-        one = state[:4] + [None]
-        assert clip_run(one, line, p, [(99, w)], -1, (), work=arena)
+        one = state[:4] + [None, None]
+        assert clip_run(one, line, p, r, [(99, w)], -1, (), work=arena)
         assert one[:4] == state[:4], w
 
 
@@ -355,6 +363,7 @@ def shifted(case, offset):
     return move(p), move(r), [(j, move(w)) for j, w in cutters], want, skip, flip, batch
 
 
+@pytest.mark.usefixtures("filter_every_clip")
 class TestEndsOnDemand:
     """`CellEdge.ends` builds each end from the clip's parameter and the
     carrier alone, reading nothing; the point is where the bisector of p
@@ -373,10 +382,10 @@ class TestEndsOnDemand:
             case = shifted(case, 2**120 + scale)
         p, r, cutters, want, skip, flip, batch = case
         line = exact.bisector_line(p, r)
-        state = [None, None, None, None, None]
+        state = [None] * 6
         work = ReadOnlyArena(site_set([p, r, *(w for _, w in cutters)]))
         assert (work.twin is None) == (how == "shifted")
-        if not clip_batches(state, line, p, cutters, want, skip, flip, batch, work):
+        if not clip_batches(state, line, p, r, cutters, want, skip, flip, batch, work):
             return
         try:
             edge = clip_edge(0, p, 1, r, line, state)
@@ -430,24 +439,24 @@ class TestClipCull:
         kept = list(state)
         far = [(j, (1000 + j, 1000 - 3 * j)) for j in range(4, 40)]
         work = SimpleNamespace(site_tests=0, site_visits=0, twin=None)
-        assert clip_run(state, line, p, far, -1, (), work=work)
+        assert clip_run(state, line, p, (8, 0), far, -1, (), work=work)
         assert work.site_tests == 0
         assert state == kept
         # Farthest clips never cull.
-        assert clip_run([None, None, None, None, None], line, p, far, 1, (), work=work)
+        assert clip_run([None] * 6, line, p, (8, 0), far, 1, (), work=work)
         assert work.site_tests == len(far)
 
 
 def reference_successor(q, carrier, direction, tail, sites):
     """(site, tied) for the first crossing of the carrier ahead of the tail
-    by the bisector of q and each (index, point); DegenerateGeometry when a
-    bisector runs parallel to the carrier."""
+    by the bisector of q and each (index, point); a bisector parallel to the
+    carrier never crosses it and is passed over."""
     t0 = (Fraction(tail[0], tail[2]), Fraction(tail[1], tail[2]))
     crossings = []
     for j, w in sites:
         x = exact.line_intersection(carrier, exact.bisector_line(q, w))
         if x is None:
-            raise DegenerateGeometry("parallel")
+            continue
         tau = direction[0] * (Fraction(x[0], x[2]) - t0[0]) + direction[1] * (Fraction(x[1], x[2]) - t0[1])
         if tau > 0:
             crossings.append((tau, j))
@@ -468,56 +477,59 @@ def successor_case(draw):
     """A walk's step from the tail, the vertex of q, r and z: the drawn
     sites strictly inside its circle are the walk's closest set
     (`run_successor`) and those on it are dropped, so the tail is a
-    certified vertex, as the kernel requires."""
+    certified vertex, as the step requires."""
     grid = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
     q, r, z = draw(st.lists(grid, min_size=3, max_size=3, unique=True).filter(lambda t: exact.orient_ipts(*t) != 0))
     pts = draw(st.lists(grid.filter(lambda w: w not in (q, r, z)), min_size=1, max_size=20, unique=True))
     pts = [w for w in pts if exact.incircle_ipts(q, r, z, w) != 0]
-    sign = draw(st.sampled_from([1, -1]))
-    return q, r, z, [(j + 3, w) for j, w in enumerate(pts)], sign, draw(st.integers(1, 5))
+    return q, r, z, [(j + 3, w) for j, w in enumerate(pts)], draw(st.sampled_from([1, -1]))
 
 
-def run_successor(q, r, z, sites, sign, batch, work):
+def run_successor(q, r, z, sites, sign, work):
+    """The step of the walk of pair (0, 1) = (q, r) from the tail, the
+    vertex of q, r and z = site 2, in direction sign * the carrier's, over
+    the span of every site, and the reference's (site, tied).  Where z gets
+    closer than q going ahead, the step is an interval's first, and z is in
+    the walk's closest set; else it is a step after `advance`."""
     carrier = exact.bisector_line(q, r)
     d = exact.line_dir(carrier)
     direction = (sign * d[0], sign * d[1])
     tail = exact.circumcenter_hpoint(q, r, z)
-    closest = frozenset(j for j, w in sites if inside(q, r, z, w))
-    walk = _IntervalWalk(closest, (0, 1), (q, r), carrier, direction, tail, 2)
-    items = [(0, q), (1, r), (2, z), *sites]
-    for start in range(0, len(items), batch):
-        walk.consider_batch(items[start : start + batch], work)
+    first = _leaving(q, r, z, True) == direction
+    closest = frozenset(j for j, w in sites if inside(q, r, z, w)) | ({2} if first else set())
+    walk = _IntervalWalk(closest, (0, 1), (q, r), carrier, direction, (2, z))
+    walk.clip([(0, q), (1, r), (2, z), *sites], work)
     return walk, reference_successor(q, carrier, direction, tail, sites)
 
 
-def check_successor(case):
-    """consider_batch agrees with the reference on the case: the same
-    site, the same tie, or DegenerateGeometry from both."""
-    try:
-        walk, (want, tied) = run_successor(*case, tally())
-    except DegenerateGeometry:
-        # The kernel raises exactly when the reference does.
-        q, r, z, sites, sign, _ = case
-        carrier = exact.bisector_line(q, r)
-        with pytest.raises(DegenerateGeometry):
-            reference_successor(q, carrier, exact.line_dir(carrier), exact.circumcenter_hpoint(q, r, z), sites)
-        return
-    assert (None if walk.best is None else walk.best[2]) == want
-    assert walk.tied == tied
+def head_of(walk):
+    """(head extra, tied) of a walk's step: the hi end's cutter and tie."""
+    hi = walk.state[1]
+    return walk.state[3], hi is not None and hi[2]
+
+
+def check_head(walk, want):
+    """The step found the reference's head: the same site, or a tie in
+    both, where the site kept is whichever was clipped first."""
+    site, tied = head_of(walk)
+    assert tied == want[1] and (tied or site == want[0])
 
 
 class TestConsiderBatch:
+    """The order-k successor step (`_IntervalWalk.clip`) against per-site
+    crossings: the same head site and the same tie."""
+
     @settings(max_examples=400, deadline=None)
     @given(successor_case())
     def test_matches_per_site_reference(self, case):
-        check_successor(case)
+        check_head(*run_successor(*case, tally()))
 
     @settings(max_examples=100, deadline=None)
     @given(successor_case(), st.integers(1, 2**40))
     def test_matches_reference_on_wide_coordinates(self, case, scale):
-        q, r, z, sites, sign, batch = case
+        q, r, z, sites, sign = case
         big = lambda w: (w[0] * scale + 1, w[1] * scale - 1)  # noqa: E731
-        check_successor((big(q), big(r), big(z), [(j, big(w)) for j, w in sites], sign, batch))
+        check_head(*run_successor(big(q), big(r), big(z), [(j, big(w)) for j, w in sites], sign, tally()))
 
     def test_cull_is_live_and_ties_raise(self):
         # Eight sites on the circle of radius 5 about the origin, one inside,
@@ -526,48 +538,57 @@ class TestConsiderBatch:
         q, r, z = ring[0], ring[1], (1, 1)
         far = [(200 + j, -300 - j) for j in range(30)]
         sites = [(j + 3, w) for j, w in enumerate(ring[2:] + far)]
-        work = SimpleNamespace(site_tests=0, site_visits=0)
-        walk, (want, tied) = run_successor(q, r, z, sites, 1, 4, work)
-        assert tied and walk.tied and walk.best[2] == want
+        work = SimpleNamespace(site_tests=0, site_visits=0, twin=None)
+        walk, want = run_successor(q, r, z, sites, 1, work)
+        assert want[1]
+        check_head(walk, want)
         assert 0 < work.site_tests < len(sites)
-        with pytest.raises(DegenerateGeometry):
+        with pytest.raises(DegenerateGeometry, match="^cocircular sites at the successor crossing"):
             walk.materialize(2, lambda i: None)
 
-    def test_collinear_site_outside_the_box_raises(self):
+    def test_collinear_site_is_passed_over(self):
         # On x = 1, upward from the tail (1, -4/3), (1, 2) crosses first, at
-        # (1, 3/4), and sets the box (-1, 3, -1, 3) around its disk alone;
-        # (1000, 0) comes after it, lies on the line through the pair
-        # (0, 0), (2, 0) and strictly outside the box, and still raises.
+        # (1, 3/4).  (1000, 0) lies on the line through the pair (0, 0),
+        # (2, 0): its bisector x = 500 is parallel to the carrier, never
+        # meets it, and leaves the head as it is.
         q, r, z = (0, 0), (2, 0), (1, -3)
         carrier = exact.bisector_line(q, r)
-        tail = exact.circumcenter_hpoint(q, r, z)
-        walk = _IntervalWalk(frozenset(), (0, 1), (q, r), carrier, (0, 1), tail, 2)
-        walk.consider_batch([(0, q), (1, r), (2, z), (3, (1, 2))], tally())
-        assert walk.best[2] == 3 and walk._box == (-1, 3, -1, 3)
-        with pytest.raises(DegenerateGeometry, match="^collinear sites at successor crossing$"):
-            walk.consider_batch([(4, (1000, 0))], tally())
+        for sites in ([(3, (1, 2))], [(3, (1, 2)), (4, (1000, 0))], [(4, (1000, 0)), (3, (1, 2))]):
+            walk = _IntervalWalk(frozenset(), (0, 1), (q, r), carrier, (0, 1), (2, z))
+            walk.clip([(0, q), (1, r), (2, z), *sites], tally())
+            assert head_of(walk) == (3, False)
+            f = walk.materialize(2, dict(sites).get)
+            assert hpoint(f.tail) == (1, Fraction(-4, 3)) and hpoint(f.head) == (1, Fraction(3, 4))
 
     @pytest.mark.parametrize(
-        "sign, batch, counts", [(1, 4, (6, 39)), (-1, 4, (36, 39)), (1, 100, (6, 39)), (-1, 7, (36, 39))]
+        "sign, n_far, counts", [(1, 4, (7, 14)), (-1, 4, (12, 14)), (1, 100, (7, 110)), (-1, 7, (15, 17))]
     )
-    def test_site_counts_pinned(self, sign, batch, counts):
-        # The cull case above in both directions: the pair and the tail
-        # extra are looked at but never tested, culled sites likewise.
+    def test_site_counts_pinned(self, sign, n_far, counts):
+        # The cull case above in both directions, with n_far far sites.
+        # Toward the ring's centre z gets closer, so the step is an
+        # interval's first: z, the closest set, is clipped first as the
+        # seed alone (1 visit, 1 test).  The span's 9 + n_far sites follow:
+        # the pair and z are skipped, and the 6 ring sites tested; the head
+        # at the centre boxes the far sites out, so the tests do not grow
+        # with n_far.  Away from the centre the closest set is empty and
+        # the seed goes with the span (10 + n_far visits): the seed, its
+        # re-clip in the span and the ring sites, all behind the tail, are
+        # tested, as is each far site, every one of which moves the head
+        # nearer.
         ring = [(5, 0), (3, 4), (0, 5), (-3, 4), (-5, 0), (-4, -3), (0, -5), (4, -3)]
-        far = [(200 + j, -300 - j) for j in range(30)]
+        far = [(200 + j, -300 - j) for j in range(n_far)]
         sites = [(j + 3, w) for j, w in enumerate(ring[2:] + far)]
-        work = SimpleNamespace(site_tests=0, site_visits=0)
-        run_successor(ring[0], ring[1], (1, 1), sites, sign, batch, work)
+        work = SimpleNamespace(site_tests=0, site_visits=0, twin=None)
+        run_successor(ring[0], ring[1], (1, 1), sites, sign, work)
         assert (work.site_tests, work.site_visits) == counts
 
     def test_tie_on_the_box_edge_is_kept(self):
         # Ahead of the tail (-1, 3) on x + y = 2, (4, 0) and (2, -2) both
-        # cross at (2, 0); the best disk, centred there through q = (0, 0),
+        # cross at (2, 0); the head's disk, centred there through q = (0, 0),
         # touches its box at both, so only a box around the closed disk
         # keeps the second.
-        walk, (want, tied) = run_successor((0, 0), (2, 2), (2, 4), [(3, (4, 0)), (4, (2, -2))], 1, 1, tally())
-        assert walk._box == (0, 4, -2, 2)
-        assert (walk.best[2], walk.tied) == (want, tied) == (3, True)
+        walk, want = run_successor((0, 0), (2, 2), (2, 4), [(3, (4, 0)), (4, (2, -2))], 1, tally())
+        assert head_of(walk) == want == (3, True)
 
 
 def reference_nearest(p, items, skip):
@@ -633,13 +654,13 @@ def seeded_clips(pts):
                 r = arena.read(walk.rival)
                 line = exact.bisector_line(walk.p, r)
                 skip = (i, walk.rival)
-                plain = [None] * 5
-                alive = clip_run(plain, line, walk.p, span, -1, skip, work=arena)
+                plain = [None] * 6
+                alive = clip_run(plain, line, walk.p, r, span, -1, skip, work=arena)
                 seed = walk.seed()
                 if seed is not None:
-                    seeded = [None] * 5
-                    seeded_alive = clip_run(seeded, line, walk.p, [seed], -1, skip, work=arena)
-                    seeded_alive = seeded_alive and clip_run(seeded, line, walk.p, span, -1, skip, work=arena)
+                    seeded = [None] * 6
+                    seeded_alive = clip_run(seeded, line, walk.p, r, [seed], -1, skip, work=arena)
+                    seeded_alive = seeded_alive and clip_run(seeded, line, walk.p, r, span, -1, skip, work=arena)
                     out.append((seed, (seeded_alive, seeded[:4]), (alive, plain[:4])))
                 if not alive:
                     break
@@ -686,9 +707,9 @@ class TestSeededClip:
         span = arena.read_span(0, len(arena))
         p = span[0][1]
         line = exact.bisector_line(p, span[1][1])
-        state = [None] * 5
-        assert clip_run(state, line, p, [span[seed]], -1, (0, 1), work=arena)
-        assert clip_run(state, line, p, span, -1, (0, 1), work=arena)
+        state = [None] * 6
+        assert clip_run(state, line, p, span[1][1], [span[seed]], -1, (0, 1), work=arena)
+        assert clip_run(state, line, p, span[1][1], span, -1, (0, 1), work=arena)
         assert seed in state[2:4]
         with pytest.raises(DegenerateGeometry, match="has a tied end"):
             clip_edge(0, p, 1, span[1][1], line, state)
@@ -703,12 +724,12 @@ def ray_clips(sites, mode, s):
     kernel = tradeoff.clip_run
     out = []
 
-    def clip(state, line, p, items, want, skip, *, seed=None, work):
+    def clip(state, line, p, r, items, want, skip, *, seed=None, work):
         if seed is None:
-            return kernel(state, line, p, items, want, skip, work=work)
+            return kernel(state, line, p, r, items, want, skip, work=work)
         plain = list(state)
-        plain_alive = kernel(plain, line, p, items, want, skip, work=tally())
-        alive = kernel(state, line, p, items, want, skip, seed=seed, work=work)
+        plain_alive = kernel(plain, line, p, r, items, want, skip, work=tally())
+        alive = kernel(state, line, p, r, items, want, skip, seed=seed, work=work)
         out.append(((alive, state[:4]), (plain_alive, plain[:4])))
         return alive
 
@@ -758,21 +779,21 @@ class TestCertifiedEnd:
         line = exact.bisector_line(p, pts[4])
         ends = [(-64, 1, False), (-108, 3, False), 3, 1]
         work = SimpleNamespace(site_tests=0, site_visits=0, twin=None)
-        state = [None] * 5
-        assert clip_run(state, line, p, items, 1, (2, 4), seed=(1, pts[1]), work=work)
+        state = [None] * 6
+        assert clip_run(state, line, p, pts[4], items, 1, (2, 4), seed=(1, pts[1]), work=work)
         assert state[:4] == ends
         assert (work.site_tests, work.site_visits) == (4, 6)
-        plain = [None] * 5
-        assert clip_run(plain, line, p, items, 1, (2, 4), work=tally())
+        plain = [None] * 6
+        assert clip_run(plain, line, p, pts[4], items, 1, (2, 4), work=tally())
         assert plain[:4] == ends
         stray = [*items, (5, (1, -1))]
         work = SimpleNamespace(site_tests=0, site_visits=0, twin=None)
-        state = [None] * 5
-        assert clip_run(state, line, p, stray, 1, (2, 4), seed=(1, pts[1]), work=work)
+        state = [None] * 6
+        assert clip_run(state, line, p, pts[4], stray, 1, (2, 4), seed=(1, pts[1]), work=work)
         assert state[:4] == ends
         assert (work.site_tests, work.site_visits) == (5, 7)
-        plain = [None] * 5
-        assert clip_run(plain, line, p, stray, 1, (2, 4), work=tally())
+        plain = [None] * 6
+        assert clip_run(plain, line, p, pts[4], stray, 1, (2, 4), work=tally())
         assert plain[1:4:2] == [(-268, 6, False), 5]
 
 
@@ -798,15 +819,15 @@ def filter_sites(draw):
     return draw(st.lists(st.tuples(c, c), min_size=4, max_size=10, unique=True))
 
 
-def farthest_clip(arena, line, p, items, skip, batch, twin):
+def farthest_clip(arena, line, p, r, items, skip, batch, twin):
     """(alive, state[:4], site_tests, site_visits) of a farthest clip over
     `items` in batches, with or without the twin."""
-    state = [None] * 5
+    state = [None] * 6
     before = arena.site_tests, arena.site_visits
     own, arena.twin = arena.twin, twin
     alive = True
     for start in range(0, len(items), batch):
-        alive = clip_run(state, line, p, items[start : start + batch], 1, skip, work=arena)
+        alive = clip_run(state, line, p, r, items[start : start + batch], 1, skip, work=arena)
         if not alive:
             break
     arena.twin = own
@@ -823,15 +844,15 @@ def twin_clips(sites, s):
     out = []
     phase = []
 
-    def clip(state, line, p, items, want, skip, *, seed=None, work):
+    def clip(state, line, p, r, items, want, skip, *, seed=None, work):
         if work.twin is None:
-            return kernel(state, line, p, items, want, skip, seed=seed, work=work)
+            return kernel(state, line, p, r, items, want, skip, seed=seed, work=work)
         runs = []
         twin = work.twin
         for use, into in ((None, list(state)), (twin, state)):
             before = work.site_tests, work.site_visits
             work.twin = use
-            alive = kernel(into, line, p, items, want, skip, seed=seed, work=work)
+            alive = kernel(into, line, p, r, items, want, skip, seed=seed, work=work)
             runs.append((alive, into[:4], work.site_tests - before[0], work.site_visits - before[1]))
         work.twin = twin
         kind = "big-big" if phase else "unseeded" if seed is None else "seeded"
@@ -854,6 +875,7 @@ def twin_clips(sites, s):
     return out, table
 
 
+@pytest.mark.usefixtures("filter_every_clip")
 class TestFloatFilter:
     """A farthest clip given the arena's twin decides each site in doubles
     when their error bound allows and in integers otherwise, so it ends in
@@ -876,7 +898,7 @@ class TestFloatFilter:
             for r, w in span:
                 if r != i:
                     line = exact.bisector_line(p, w)
-                    runs = [farthest_clip(arena, line, p, span, (i, r), batch, t) for t in (arena.twin, None)]
+                    runs = [farthest_clip(arena, line, p, w, span, (i, r), batch, t) for t in (arena.twin, None)]
                     assert runs[0] == runs[1]
 
     @settings(max_examples=60, deadline=None)
@@ -916,8 +938,8 @@ class TestFloatFilter:
         span = arena.read_span(0, len(arena))
         p = span[0][1]
         line = exact.bisector_line(p, span[1][1])
-        state = [None] * 5
-        assert clip_run(state, line, p, span, 1, (0, 1), work=arena)
+        state = [None] * 6
+        assert clip_run(state, line, p, span[1][1], span, 1, (0, 1), work=arena)
         with pytest.raises(DegenerateGeometry, match="has a tied end"):
             clip_edge(0, p, 1, span[1][1], line, state)
 
@@ -932,50 +954,70 @@ class TestFloatFilter:
                 assert box == (min(0, far[0]), max(1, far[0]), min(0, far[1]), max(2, far[1]))
 
 
+@pytest.mark.parametrize("extra, filtered", [(0, False), (1, True)])
+def test_filter_runs_only_above_its_minimum_size(extra, filtered):
+    """A farthest clip of `_FILTER_MIN` sites decides every site in
+    integers and never reads the twin; one site more, and it does."""
+    pts = [(x, x * x) for x in range(1, scan._FILTER_MIN + extra + 3)]
+    arena = ReadOnlyArena(site_set(pts))
+    looked = []
+
+    class Watched(tuple):
+        def __getitem__(self, j):
+            looked.append(j)
+            return tuple.__getitem__(self, j)
+
+    fpts, box = arena.twin
+    arena.twin = (Watched(fpts), box)
+    span = arena.read_span(0, len(arena))
+    clip_run([None] * 6, exact.bisector_line(pts[0], pts[1]), pts[0], pts[1], span[2:], 1, (), work=arena)
+    assert bool(looked) == filtered
+
+
 def kernel_calls(sites, mode, s, K):
-    """Every seeded nearest `clip_run` call and every
-    `_IntervalWalk.consider_batch` call of a run, with what it left:
-    ((line, p, items, skip, alive, state), ...) and
-    ((walk's q, carrier, direction, tail, sites but the skipped, best, tied), ...)."""
-    clip, consider = tradeoff.clip_run, _IntervalWalk.consider_batch
+    """Every seeded nearest `clip_run` call and every order-k step
+    (`_IntervalWalk.clip`) of a run, with what it left:
+    ((line, p, r, items, skip, alive, state), ...) and
+    ((carrier, q, r, span, pair, closest, state, seed index), ...).  A step
+    makes two calls on one state, the closest set in the farthest sense and
+    the span in the nearest with the closest set and the pair skipped: one
+    clip of the span, in the farthest sense for the closest set."""
+    clip, step = tradeoff.clip_run, _IntervalWalk.clip
     clips, steps = [], []
 
-    def traced_clip(state, line, p, items, want, skip, *, seed=None, work):
-        alive = clip(state, line, p, items, want, skip, seed=seed, work=work)
+    def traced_clip(state, line, p, r, items, want, skip, *, seed=None, work):
+        alive = clip(state, line, p, r, items, want, skip, seed=seed, work=work)
         if seed is not None and want < 0:
-            clips.append((line, p, list(items), skip, alive, list(state)))
+            clips.append((line, p, r, list(items), skip, alive, list(state)))
         return alive
 
-    def traced_consider(walk, batch, work):
-        assert walk.best is None  # one call per pending edge
-        consider(walk, batch, work)
-        skip = (*walk.pair, walk.tail_extra)
-        sites = [(j, w) for j, w in batch if j not in skip]
-        steps.append((walk.pair_pts[0], walk.carrier, walk.direction, walk.tail, sites, walk.best, walk.tied))
+    def traced_step(walk, span, work):
+        step(walk, span, work)
+        q, r = walk.pair_pts
+        steps.append((walk.carrier, q, r, list(span), walk.pair, walk.closest, list(walk.state), walk.seed[0]))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tradeoff, "clip_run", traced_clip)
-        patch.setattr(_IntervalWalk, "consider_batch", traced_consider)
+        patch.setattr(_IntervalWalk, "clip", traced_step)
         run_diagram(sites, mode, s, K, OutputSink(keep=False))
     return clips, steps
 
 
-def clip_outcome(line, p, alive, state):
+def clip_outcome(line, p, r, alive, state):
     """A finished clip as `reference_clip` gives it."""
     if not alive:
         return False, None, None, None, None
-    ex, ey = _rival_offset(line, *p)  # the rival is p's mirror image in the line
-    edge = clip_edge(0, p, 1, (p[0] + ex, p[1] + ey), line, state)
+    edge = clip_edge(0, p, 1, r, line, state)
     lo, hi = edge.ends()
     return True, edge.lo_cutter, edge.hi_cutter, hpoint(lo), hpoint(hi)
 
 
 class TestRealCalls:
-    """Each seeded nearest clip and each successor search of real runs,
-    replayed against the per-site references: the cull boxes around the
-    moving end alone (a certified end's disk holds no site) and the
-    successor kernel's drop of outsiders crossing behind the tail change
-    no clip and no head."""
+    """Each seeded nearest clip and each order-k step of real runs,
+    replayed against the per-site reference: the cull boxes around the
+    moving end alone (a certified end's disk holds no site the clip
+    tests), and a step's seeded tail with the closest set clipped first,
+    change no clip and no head, and a step's tail is its seed's crossing."""
 
     @pytest.mark.parametrize("kind", ["random", "parabola"])
     @pytest.mark.parametrize("mode, s, K", [("nvd", 1, 1), ("nvd", 4, 1), ("order", 4, 2), ("order", 9, 3)])
@@ -986,13 +1028,14 @@ class TestRealCalls:
             sites = site_set([(x, x * x) for x in Random(5).sample(range(1, 1 << 12), 20)])
         clips, steps = kernel_calls(sites, mode, s, K)
         assert clips
-        for line, p, items, skip, alive, state in clips:
-            want = outcome(reference_clip, line, p, items, -1, skip, ())
-            assert outcome(clip_outcome, line, p, alive, state) == want
         assert bool(steps) == (mode == "order")
-        for q, carrier, direction, tail, cutters, best, tied in steps:
-            want = reference_successor(q, carrier, direction, tail, cutters)
-            assert (None if best is None else best[2], tied) == want
+        for line, p, r, items, skip, alive, state in clips:
+            want = outcome(reference_clip, line, p, items, -1, skip, ())
+            assert outcome(clip_outcome, line, p, r, alive, state) == want
+        for line, q, r, span, pair, closest, state, seed in steps:
+            want = outcome(reference_clip, line, q, span, -1, pair, closest)
+            assert outcome(clip_outcome, line, q, r, True, state) == want
+            assert state[2] == seed
 
 
 class TestReadSpan:

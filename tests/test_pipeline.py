@@ -1,5 +1,6 @@
 """Order-k family production: classification, walks, phases, full runs."""
 
+import dataclasses
 import itertools
 import random
 
@@ -28,7 +29,7 @@ from wsvoronoi.pipeline import (
     unbounded_cells,
 )
 from wsvoronoi.records import Unbounded
-from wsvoronoi.scan import DiagramMode
+from wsvoronoi.scan import DiagramMode, clip_run
 from wsvoronoi.tradeoff import run_tradeoff
 
 
@@ -90,9 +91,11 @@ def interval_walk(arena, P, e, k_out):
 
 
 def walk_on(he, P):
-    """A walk whose pending edge is the half-edge he, its head unknown."""
+    """A walk whose pending edge is the half-edge he, its head unknown; its
+    seed is he's tail extra, None where he's tail is unbounded."""
     pa, pb = P[he.pair[0]].ipt, P[he.pair[1]].ipt
-    return _IntervalWalk(he.closest, he.pair, (pa, pb), exact.bisector_line(pa, pb), he.direction, he.tail, he.tail_extra)
+    seed = None if he.tail is None else (he.tail_extra, P[he.tail_extra].ipt)
+    return _IntervalWalk(he.closest, he.pair, (pa, pb), exact.bisector_line(pa, pb), he.direction, seed)
 
 
 def reference_outgoing(pts3: dict, vertex_old: bool, base: frozenset, cell: frozenset):
@@ -241,9 +244,10 @@ class TestSuccessorStep:
             assert walked > len(run_by_owner)
 
     def test_ccw_successor(self):
-        # Within a cell, a walk on one boundary edge yields it and, when its
-        # head is new, steps in place to the next edge of the oracle's ccw
-        # chain; at an old head it ends.
+        # Within a cell, a walk on one boundary edge from a vertex yields it
+        # and, when its head is new, steps in place to the next edge of the
+        # oracle's ccw chain; at an old head it ends.  Every walk starts at
+        # a vertex, its tail, so edges with an unbounded tail start none.
         P = random_sites(10, 907)
         arena = ReadOnlyArena(P)
         scale = P[0].scale
@@ -253,7 +257,7 @@ class TestSuccessorStep:
                 boundary = ci.boundary
                 closed = not isinstance(boundary[0].tail, Unbounded)
                 for cur, nxt in zip(boundary, boundary[1:] + (boundary[:1] if closed else ())):
-                    if isinstance(cur.head, Unbounded):
+                    if isinstance(cur.head, Unbounded) or isinstance(cur.tail, Unbounded):
                         continue
                     he = decode_halfedge(cur, P)
                     walk = _walk_rounds(arena, k, 1, iter([walk_on(he, P)]), observing_ledger())
@@ -278,18 +282,20 @@ class TestSuccessorStep:
         arena = ReadOnlyArena(P)
         # First walk: e's head is an old vertex of the cell closest | {p, q}.
         (walk,) = _relevant_walks(arena, iter([e]), {})
-        got = (walk.pair, walk.closest, walk.carrier, walk.direction, walk.tail_extra)
+        got = (walk.pair, walk.closest, exact.normalize_line(*walk.carrier), walk.direction, walk.seed[0])
         assert got == reference_outgoing(pts3, True, e.closest, e.closest | {p, q})
-        assert (walk.closest | {walk.pair[0]}, walk.tail) == (e.closest | {p, q}, e.head)
-        # In-place step: e's head is a new vertex of its own cell.
+        assert (walk.closest | {walk.pair[0]}, walk.seed[1]) == (e.closest | {p, q}, pts3[p])
+        # In-place step: e's head is a new vertex of its own cell, where z's
+        # bisector with p crosses e's carrier.
         walk = walk_on(e, P)
-        walk.consider_batch([(z, pts3[z])], arena)
+        walk.state = [None] * 6
+        assert clip_run(walk.state, walk.carrier, *walk.pair_pts, [(z, pts3[z])], -1, (), work=arena)
         f = walk.materialize(e.k, lambda i: P[i].ipt)
-        assert f == e
+        assert dataclasses.replace(f, head=exact.normalize_hpoint(*f.head)) == e
         walk.advance(f)
-        got = (walk.pair, walk.closest, walk.carrier, walk.direction, walk.tail_extra)
+        got = (walk.pair, walk.closest, exact.normalize_line(*walk.carrier), walk.direction, walk.seed[0])
         assert got == reference_outgoing(pts3, False, e.closest, e.closest | {e.pair[0]})
-        assert (walk.closest | {walk.pair[0]}, walk.tail) == (e.closest | {e.pair[0]}, e.head)
+        assert (walk.closest | {walk.pair[0]}, walk.seed[1]) == (e.closest | {e.pair[0]}, pts3[q])
 
 
 class TestTableCells:
@@ -311,15 +317,15 @@ class TestTableCells:
 class TestTrimRound:
     def test_one_span_one_call_per_walk(self, monkeypatch):
         """A pass reads the input once, as one n-site span, and makes one
-        successor-kernel call per walk."""
+        step per walk over the whole span."""
         calls = []
-        kernel = _IntervalWalk.consider_batch
+        step = _IntervalWalk.clip
 
-        def counted(walk, batch, work=None):
-            calls.append(len(batch))
-            return kernel(walk, batch, work)
+        def counted(walk, span, work):
+            calls.append(len(span))
+            return step(walk, span, work)
 
-        monkeypatch.setattr(_IntervalWalk, "consider_batch", counted)
+        monkeypatch.setattr(_IntervalWalk, "clip", counted)
         P = random_sites(20, 903)
         arena = ReadOnlyArena(P)
         walks = list(_relevant_walks(arena, iter(oracle_halfedges(P, 1)), {}))[:6]
@@ -334,7 +340,7 @@ def held_words(walk):
     """One word per integer the walk's slots hold, flags included."""
 
     def count(v):
-        if isinstance(v, (tuple, frozenset)):
+        if isinstance(v, (tuple, frozenset, list)):
             return sum(map(count, v))
         return v is not None
 

@@ -121,7 +121,7 @@ def walk_by_hand(arena, walk, mode, size):
         line = exact.bisector_line(walk.p, r)
         for span in spans:
             want = -1 if nearest else 1
-            assert scan.clip_run(walk.state, line, walk.p, span, want, (walk.site, walk.rival), work=arena)
+            assert scan.clip_run(walk.state, line, walk.p, r, span, want, (walk.site, walk.rival), work=arena)
         edge = scan.clip_edge(walk.site, walk.p, walk.rival, r, line, walk.state)
         edges.append(edge)
         walk.advance(edge)
@@ -205,7 +205,7 @@ class TestPassStructure:
 
             return run
 
-        monkeypatch.setattr(tradeoff, "clip_run", counted("clip", tradeoff.clip_run, 3))
+        monkeypatch.setattr(tradeoff, "clip_run", counted("clip", tradeoff.clip_run, 4))
         monkeypatch.setattr(tradeoff, "nearest_run", counted("nearest", tradeoff.nearest_run, 1))
         P = random_sites(20, 816)
         arena = SpanArena(P)
@@ -268,8 +268,8 @@ class TestHullChain:
         for walk in tradeoff._hull_chain(arena, observing_ledger()):
             r = arena.read(walk.cutter)
             line = exact.bisector_line(walk.p, r)
-            state = [None] * 5
-            assert scan.clip_run(state, line, walk.p, arena.read_span(0, n), 1, (walk.site, walk.cutter), work=arena)
+            state = [None] * 6
+            assert scan.clip_run(state, line, walk.p, r, arena.read_span(0, n), 1, (walk.site, walk.cutter), work=arena)
             full = scan.clip_edge(walk.site, walk.p, walk.cutter, r, line, state)
             handed = walk.handed
             before = arena.read_count, arena.site_visits
@@ -714,10 +714,10 @@ class TestSharedEdges:
             if edge is not None:
                 taken += 1
                 assert slot.rival not in table.held.get(slot.site, {})
-                state = [None] * 5
+                state = [None] * 6
                 work = SimpleNamespace(site_tests=0, site_visits=0)
                 skip = (slot.site, slot.rival)
-                assert scan.clip_run(state, line, slot.p, span, -1, skip, seed=slot.seed(), work=work)
+                assert scan.clip_run(state, line, slot.p, r, span, -1, skip, seed=slot.seed(), work=work)
                 assert edge == scan.clip_edge(slot.site, slot.p, slot.rival, r, line, state)
             return edge
 
@@ -879,7 +879,7 @@ class TestSweepOrder:
         assert found[0] or s == 1
         for e in edges:
             assert e.p == P[e.site].ipt and e.r == P[e.rival].ipt
-            assert scan._rival_offset(e.line, *e.p) == (e.r[0] - e.p[0], e.r[1] - e.p[1])
+            assert exact.bisector_line(e.p, e.r) == e.line
 
 
 def records_at(sites, s):
