@@ -476,8 +476,10 @@ class TrackedSite:
     clip, or the site whose walk already clipped an edge of the cell and
     shared it (`tradeoff._SharedEdges`), set with no pass; or a farthest
     walk's hull neighbor, given by `hull_walk`, whose edge must clip to a
-    ray, or that edge whole, `handed` on by the walk before, which ended on
-    it (`tradeoff._hull_chain`).  The walk leaves the first edge through a
+    ray.  An edge may come whole instead of clipped, with no pass: taken
+    from that table, nearest and farthest alike, or a chained farthest
+    walk's first, `handed` on by the walk before, which ended on it
+    (`tradeoff._hull_chain`).  The walk leaves the first edge through a
     finite end and steps edge to edge, the site whose bisector cut an end
     carrying the next edge.  When the walk leaves the diagram through an
     unbounded edge it resumes from the first edge's other end; it is done

@@ -19,12 +19,12 @@ hull order, on its unbounded edge with a hull neighbor, from
 the walk before, so the edge takes no pass and no read.  At s > 1
 nearest walks are drawn in (x, y) order of their sites, a window of s
 sites a pass (`_site_source`), so the live walks are a strip of
-neighboring cells, and they share the edges they clip through an
-O(s)-word table (`_SharedEdges`), as both cells of an edge clip its
-bisector to the same ends; farthest walks share nothing.  The record
-stream's order depends on s, never its set of records; s = 1 is the
-constant-workspace diagram of `scan.enumerate_diagram`, nearest cells in
-index order, with no big cells.
+neighboring cells.  Nearest and farthest walks alike share the edges they
+clip through an O(s)-word table (`_SharedEdges`, whose `round` serves
+both modes), as both cells of an edge clip its bisector to the same ends.
+The record stream's order depends on s, never its set of records; s = 1
+is the constant-workspace diagram of `scan.enumerate_diagram`, nearest
+cells in index order, with no big cells.
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ from .scan import (
 # walks are ever live, nor n sites in a window.  A run charges the big-cell
 # table (`table_words`, 8 words an entry) while it holds it, and on top of
 # that one phase at a time: the walks, s * (W_SLOT + W_BATCH_SITE) + W_FIXED,
-# plus, for nearest walks, W_SHARED_EDGE for each edge the shared-edge
-# table holds, at most 2(s - 1) of them, and for farthest walks
-# W_HULL_DRAWN and the hull chain, (s + 2) * W_HULL_POINT + W_FIXED (at
-# s = 1 only until the first two hull sites are found, then W_FIXED +
+# plus W_SHARED_EDGE for each edge the shared-edge table holds, at most
+# 2(s - 1) of them, nearest and farthest walks alike, and for farthest
+# walks W_HULL_DRAWN and the hull chain, (s + 2) * W_HULL_POINT + W_FIXED
+# (at s = 1 only until the first two hull sites are found, then W_FIXED +
 # W_HANDED_EDGE for the walks' chain); or the big-big diagram, charged for
 # the table's capacity of s - 1 sites at W_MEM_SITE each, plus
 # s * W_BATCH_SITE and W_FIXED.  W_BATCH_SITE charges s sites: the nearest
@@ -92,127 +92,37 @@ def table_words(table: dict) -> int:
     return 8 * len(table)
 
 
-def _far_round(arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]:
-    """One lock-step round of farthest walks: every live slot produces its
-    next cell edge.
+class _SharedEdges:
+    """The walks drawn from a source, `live` by site until they end, and
+    the edges they clipped, held for the walks of the cells on their other
+    sides: `held[partner][finder]` is (lo, hi, lo_cutter, hi_cutter) of the
+    edge between the cells of finder and partner, as the finder's clip left
+    it.  This class draws nearest walks and clips in the nearest sense
+    (`want`); `_HullDraws` draws farthest ones.
 
-    The round reads the input once, as one span (a view of the input, not
-    a copy), and hands it whole to every live slot's kernel; a farthest
-    walk starts with its first rival known, so that is the round's one
-    pass.  A kernel's state after a slot's sites depends only on those
-    sites, taken in index order, so one call per slot gives the edge that
-    any split of the pass would.
+    A walk is the first to reach an edge (`first`) unless the walk of its
+    other cell reached it before: one that ended walked all its edges, a
+    live one those in its arc (`arc_walked`), and one still to come
+    (`_to_come`) none.  Nearest walks are drawn in order of a key, the last
+    one drawn being the `frontier`: at s > 1 the key is the site's point,
+    as the source sweeps the sites in (x, y) order (`_site_source`), so the
+    live walks are a strip of neighboring cells; at s = 1 it is the site's
+    index.  A walk is still to come iff its key lies past the frontier and
+    its site passes the source's `keep` filter.
 
-    Every clip after a walk's first edge is a ray shot from the entry
-    vertex: the walk's `seed`, whose bisector holds that vertex, goes to
-    the kernel with the span (`clip_run`), which clips it first and then
-    holds that end final, dropping every cutter on its side as soon as the
-    cutter's den is known.  The vertex ended an edge clipped against every
-    site in an earlier round, where `clip_edge` raised on any tie, so the
-    seed changes no edge.  Each walk makes one kernel call per pass, which
-    decides most sites in doubles (`clip_run`'s float filter).  A chained
-    walk's first edge (`_hull_chain`) is the one the walk before ended on
-    and handed on whole; the slot builds it as `_SharedEdges.take` does,
-    with no read and no kernel call, since both cells' farthest clips of a
-    bisector end at the same parameters and cutters, and a tie at an end
-    already raised in that walk.  Nearest walks pass the same way, in
-    `_SharedEdges.round`.
-    """
-    n = len(arena)
-    span = None  # read once some slot needs it
-    edges = []
-    for slot in slots:
-        slot.begin_clip()
-        if slot.handed is not None:
-            (line, r, *ends), slot.handed = slot.handed, None
-            edges.append(CellEdge(slot.site, slot.rival, line, slot.p, r, *ends))
-            continue
-        r = arena.read(slot.rival)
-        line = exact.bisector_line(slot.p, r)
-        if span is None:
-            span = arena.read_span(0, n)
-        if not clip_run(slot.state, line, slot.p, r, span, 1, (slot.site, slot.rival), seed=slot.seed(), work=arena):
-            _edge_vanished(slot)
-        edges.append(clip_edge(slot.site, slot.p, slot.rival, r, line, slot.state))
-    return edges
-
-
-class _Draws:
-    """The walks drawn from a source that draws every cell (`draw`), `live`
-    by site until they end.  A walk is the first to reach an edge (`first`)
-    unless the walk of its other cell reached it before: one that ended
-    walked all its edges, a live one those in its arc (`arc_walked`), and
-    one still to come (`_to_come`, by the draw order) none."""
-
-    __slots__ = ("live",)
-
-    def __init__(self):
-        self.live: dict[int, TrackedSite] = {}
-
-    def draw(self, source: Iterator[TrackedSite]) -> Iterator[TrackedSite]:
-        for walk in source:
-            self._drawn(walk)
-            self.live[walk.site] = walk
-            yield walk
-        self._drawn(None)  # spent: no walk is still to come
-
-    def end(self, site: int) -> None:
-        del self.live[site]
-
-    def first(self, edge: CellEdge) -> bool:
-        walk = self.live.get(edge.rival)
-        if walk is None:
-            return self._to_come(edge)
-        (px, py), (qx, qy) = edge.p, walk.p
-        return not arc_walked(walk.arc(), (px - qx, py - qy))
-
-
-class _HullDraws(_Draws):
-    """Farthest walks, drawn in hull order one way round from two hull
-    neighbors.  With two or fewer drawn, every other hull site is still to
-    come; after that, as hull vertices are in strictly convex position, one
-    still to come lies strictly beyond the chord from the first site drawn
-    to the last, on the side away from the second (`ends`, `W_HULL_DRAWN`)."""
-
-    ends: tuple = ()
-    round = staticmethod(_far_round)
-
-    def _drawn(self, walk: Optional[TrackedSite]) -> None:
-        if walk is not None:
-            self.ends = (*self.ends[:2], walk.p)
-
-    def _to_come(self, edge: CellEdge) -> bool:
-        if len(self.ends) < 3:
-            return edge.r not in self.ends
-        (fx, fy), (sx, sy), (lx, ly), (rx, ry) = *self.ends, edge.r
-        ax, ay = lx - fx, ly - fy
-        # The rival's side of the chord, against the second site's.
-        return (ax * (ry - fy) - ay * (rx - fx)) * (ax * (sy - fy) - ay * (sx - fx)) < 0
-
-
-class _SharedEdges(_Draws):
-    """The edges live nearest walks clipped, held for the walks of the
-    cells on their other sides: `held[partner][finder]` is
-    (lo, hi, lo_cutter, hi_cutter) of the edge between the cells of
-    finder and partner, as the finder's clip left it.
-
-    The walks are drawn in order of a key, the last one drawn being the
-    `frontier`: at s > 1 the key is the site's point, as the source sweeps
-    the sites in (x, y) order (`_site_source`), so the live walks are a
-    strip of neighboring cells; at s = 1 it is the site's index.  A walk is
-    still to come iff its key lies past the frontier and its site passes the
-    source's `keep` filter.  An edge is held only while it can still serve:
-    its partner's walk is live, has not walked it (`arc_walked`) and is not
-    clipping it in this round too, or is still to come.  The table holds at
-    most `cap` = 2(s - 1) edges, none at s = 1, each charged
-    `W_SHARED_EDGE` words while held.  An edge leaves when it is taken
-    (`take`), and the partner's edges all leave when its walk ends.
+    An edge is held only while it can still serve: its partner's walk is
+    live, has not walked it and is not clipping it in this round too, or is
+    still to come.  The table holds at most `cap` = 2(s - 1) edges, none at
+    s = 1, each charged `W_SHARED_EDGE` words while held.  An edge leaves
+    when it is taken (`take`), and the partner's edges all leave when its
+    walk ends.
     """
 
-    __slots__ = ("held", "count", "cap", "frontier", "keep", "ledger")
+    __slots__ = ("live", "held", "count", "cap", "frontier", "keep", "ledger")
+    want = -1
 
     def __init__(self, slots: int, ledger: WorkLedger, keep: Optional[Callable] = None):
-        super().__init__()
+        self.live: dict[int, TrackedSite] = {}
         self.held: dict[int, dict[int, tuple]] = {}
         self.count = 0
         self.cap = 2 * (slots - 1)
@@ -221,26 +131,42 @@ class _SharedEdges(_Draws):
         self.ledger = ledger
 
     def round(self, arena: ReadOnlyArena, slots: list[TrackedSite]) -> list[CellEdge]:
-        """One lock-step round of nearest walks, passing as `_far_round`
-        does, with the table.
+        """One lock-step round: every live slot produces its next cell edge.
 
-        A fresh slot with an edge waiting starts on it, its finder as the
-        first rival; the other fresh slots get a `nearest_run` pass first,
-        which sets each one's first rival, its nearest neighbor.  A slot
-        whose edge the walk of the cell on its other side already clipped
-        takes it from the table, on this round's carrier, and makes no
-        kernel call; every other slot clips its edge against the span,
-        seeded from its entry vertex after the first edge (which also makes
-        the box cull go live at the first cutter on the far side), and
-        offers it to the table.  The taken ends are exact: with e = r - p
-        parallel to (a, b), swapping the site p and its rival r changes a
-        cutter's den by a*e_y - b*e_x = 0 and leaves num = u.(e - u) as it
-        is (`clip_run`), so both cells' clips of one bisector end at the
-        same (num, den) with the same cutter, and a tie at either end
-        already raised in the finder's `clip_edge`.
+        The round reads the input once, as one span (a view of the input,
+        not a copy), and hands it whole to every live slot's kernel.  A
+        kernel's state after a slot's sites depends only on those sites,
+        taken in index order, so one call per slot gives the edge that any
+        split of the pass would.  A fresh nearest slot with an edge waiting
+        starts on it, its finder as the first rival; the other fresh
+        nearest slots get a `nearest_run` pass first, which sets each one's
+        first rival, its nearest neighbor.  A farthest walk starts with its
+        first rival known.
+
+        A slot whose edge the walk of the cell on its other side already
+        clipped takes it from the table, on this round's carrier, and makes
+        no kernel call; a chained farthest walk's first edge (`_hull_chain`)
+        is taken the same way, handed on whole by the walk before.  Every
+        other slot clips its edge against the span and offers it to the
+        table.  After the first edge the clip is a ray shot from the entry
+        vertex: the walk's `seed`, whose bisector holds that vertex, goes to
+        the kernel (`clip_run`), which clips it first and then holds that
+        end final, dropping every cutter on its side as soon as its den is
+        known (a nearest clip's box cull then goes live at the first cutter
+        on the far side; a farthest clip decides most sites in doubles).
+        The vertex ended an edge clipped against every site in an earlier
+        round, where `clip_edge` raised on any tie, so the seed changes no
+        edge.  The taken ends are exact: with e = r - p parallel to (a, b),
+        swapping the site p and its rival r changes a cutter's den by
+        a*e_y - b*e_x = 0 and leaves num = u.(e - u) as it is (`clip_run`),
+        so both cells' clips of one bisector end at the same (num, den) with
+        the same cutter, nearest and farthest alike, and a tie at either end
+        already raised in the finder's `clip_edge`.  With no room in the
+        table (s = 1) the round neither takes nor offers.
         """
         n = len(arena)
-        fresh = [t for t in slots if t.cutter is None and not self.start(t)]
+        cap = self.cap
+        fresh = [t for t in slots if t.cutter is None and not (cap and self.start(t))]
         if fresh:
             span = arena.read_span(0, n)
             for slot in fresh:
@@ -249,19 +175,38 @@ class _SharedEdges(_Draws):
         edges = []
         for slot in slots:
             slot.begin_clip()
+            if slot.handed is not None:
+                (line, r, *ends), slot.handed = slot.handed, None
+                edges.append(CellEdge(slot.site, slot.rival, line, slot.p, r, *ends))
+                continue
             r = arena.read(slot.rival)
             line = exact.bisector_line(slot.p, r)
-            edge = self.take(slot, line, r)
+            edge = self.take(slot, line, r) if cap else None
             if edge is None:
                 if span is None:
                     span = arena.read_span(0, n)
                 skip = (slot.site, slot.rival)
-                if not clip_run(slot.state, line, slot.p, r, span, -1, skip, seed=slot.seed(), work=arena):
+                if not clip_run(slot.state, line, slot.p, r, span, self.want, skip, seed=slot.seed(), work=arena):
                     _edge_vanished(slot)
                 edge = clip_edge(slot.site, slot.p, slot.rival, r, line, slot.state)
-                self.offer(edge)
+                if cap:
+                    self.offer(edge)
             edges.append(edge)
         return edges
+
+    def draw(self, source: Iterator[TrackedSite]) -> Iterator[TrackedSite]:
+        for walk in source:
+            self._drawn(walk)
+            self.live[walk.site] = walk
+            yield walk
+        self._drawn(None)  # spent: no walk is still to come
+
+    def first(self, edge: CellEdge) -> bool:
+        walk = self.live.get(edge.rival)
+        if walk is None:
+            return self._to_come(edge)
+        (px, py), (qx, qy) = edge.p, walk.p
+        return not arc_walked(walk.arc(), (px - qx, py - qy))
 
     def _drawn(self, walk: Optional[TrackedSite]) -> None:
         """Move the frontier to the walk's key (its point where the table
@@ -307,7 +252,7 @@ class _SharedEdges(_Draws):
 
     def end(self, site: int) -> None:
         """The walk of `site` is done: no edge is held for it any more."""
-        super().end(site)
+        del self.live[site]
         edges = self.held.pop(site, None)
         if edges:
             self.count -= len(edges)
@@ -317,6 +262,34 @@ class _SharedEdges(_Draws):
         self.ledger.release(self.count * W_SHARED_EDGE)
         self.held.clear()
         self.count = 0
+
+
+class _HullDraws(_SharedEdges):
+    """Farthest walks, drawn in hull order one way round from two hull
+    neighbors, their edges shared and clipped in the farthest sense.  The
+    `frontier` holds the points of the first, second and last walks drawn
+    (`W_HULL_DRAWN`).  With two or fewer drawn, every other hull site is
+    still to come; after that, as hull vertices are in strictly convex
+    position, one still to come lies strictly beyond the chord from the
+    first site drawn to the last, on the side away from the second.  Either
+    way its site must pass the source's `keep` filter."""
+
+    __slots__ = ()
+    want = 1
+
+    def _drawn(self, walk: Optional[TrackedSite]) -> None:
+        if walk is not None:
+            self.frontier = (*self.frontier[:2], walk.p)
+
+    def _to_come(self, edge: CellEdge) -> bool:
+        if self.keep is not None and not self.keep(edge.rival):
+            return False
+        if len(self.frontier) < 3:
+            return edge.r not in self.frontier
+        (fx, fy), (sx, sy), (lx, ly), (rx, ry) = *self.frontier, edge.r
+        ax, ay = lx - fx, ly - fy
+        # The rival's side of the chord, against the second site's.
+        return (ax * (ry - fy) - ay * (rx - fx)) * (ax * (sy - fy) - ay * (sx - fx)) < 0
 
 
 def _edge_vanished(slot: TrackedSite) -> NoReturn:
@@ -447,7 +420,7 @@ def _hull_chain(arena: ReadOnlyArena, ledger: WorkLedger):
     edge, whose cell is walked next.  That edge is the next walk's first,
     already clipped against every site, so every walk but the anchor's is
     handed it whole, its carrier, end parameters and cutters
-    (`W_HANDED_EDGE` words), and takes it with no pass (`_far_round`).
+    (`W_HANDED_EDGE` words), and takes it with no pass (`_SharedEdges.round`).
     The chain stops when it returns to the anchor.  A hull of two vertices
     (collinear sites) ends the first walk, whose first edge is then a full
     line.
@@ -525,17 +498,17 @@ def drive(source: Iterator, s: int, step, leftovers: Optional[list] = None) -> I
 
 def walk_cells(arena, mode, s, source, ledger, leftovers=None, keep=None) -> Iterator[tuple[TrackedSite, CellEdge, Callable]]:
     """(walk, edge, first) for every cell edge found by `drive` over the
-    walks of `source` with s slots, in `_SharedEdges.round`s for nearest
-    walks, which share their clipped edges, and in `_far_round`s for
-    farthest; `keep` is the source's filter, if it has one.  `first(edge)`,
-    called before the next item is drawn, tells whether the walk is the
-    first to reach the edge (`_Draws.first`, for a source that draws every
-    cell); a caller that does not need it leaves it uncalled."""
+    walks of `source` with s slots, in the rounds of one shared-edge table
+    (`_SharedEdges.round`; `_HullDraws` for farthest walks); `keep` is the
+    source's filter, if it has one.  `first(edge)`, called before the next
+    item is drawn, tells whether the walk is the first to reach the edge
+    (`_SharedEdges.first`, for a source that draws every cell); a caller
+    that does not need it leaves it uncalled."""
     n = len(arena)
     limit = n + 2  # no cell has more edges
     slots = min(s, n)
     nearest = mode is DiagramMode.NEAREST
-    draws = _SharedEdges(slots, ledger, keep) if nearest else _HullDraws()
+    draws = (_SharedEdges if nearest else _HullDraws)(slots, ledger, keep)
     first = draws.first
 
     def step(walks):
@@ -553,8 +526,7 @@ def walk_cells(arena, mode, s, source, ledger, leftovers=None, keep=None) -> Ite
         try:
             yield from drive(draws.draw(source), s, step, leftovers)
         finally:
-            if nearest:
-                draws.clear()
+            draws.clear()
 
 
 def find_big_cells(arena: ReadOnlyArena, mode: DiagramMode, s: int, ledger: WorkLedger) -> dict:

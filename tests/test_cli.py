@@ -702,8 +702,8 @@ class TestBench:
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
             "64,0,1,1567,60,1385,1429",
-            "64,2,1,1703,88,1881,1941",
-            "64,8,1,544,424,1252,1320",
+            "64,2,1,1511,104,1503,1551",
+            "64,8,1,544,424,937,995",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
             "64,9,2,68211,169,22823,111392",
@@ -730,8 +730,8 @@ class TestBench:
         ]),
         "fvd": (["--s-list", "0,2,8", "--mode", "fvd"], [
             "64,0,1,12347,60,11780,12154",
-            "64,2,1,12474,88,15686,16186",
-            "64,8,1,3094,416,13040,13456",
+            "64,2,1,12474,104,13733,14171",
+            "64,8,1,3094,416,8693,8971",
         ]),
         "order": (["--s-list", "9,18", "--k-list", "2,3"], [
             "64,9,2,45330,168,54584,62272",

@@ -718,11 +718,16 @@ class TestSeededClip:
 def ray_clips(sites, mode, s):
     """((alive, state[:4]) of the seeded clip, the same of the plain
     two-ended clip) for every clip after a walk's first edge in the s-slot
-    run of `sites`: the rounds of `tradeoff` hand those clips their seed,
-    and farthest ones decide in doubles from the arena's twin, which the
-    plain clip goes without (`tally`)."""
+    run of `sites`, with the number of walk edges after the first taken
+    from the shared-edge table, and the number of all walk edges after the
+    first: the rounds of `tradeoff` hand those clips their seed, and
+    farthest ones decide in doubles from the arena's twin, which the plain
+    clip goes without (`tally`)."""
     kernel = tradeoff.clip_run
+    take = tradeoff._SharedEdges.take
+    advance = scan.TrackedSite.advance
     out = []
+    taken = later = 0
 
     def clip(state, line, p, r, items, want, skip, *, seed=None, work):
         if seed is None:
@@ -733,10 +738,23 @@ def ray_clips(sites, mode, s):
         out.append(((alive, state[:4]), (plain_alive, plain[:4])))
         return alive
 
+    def counted_take(table, slot, line, r):
+        nonlocal taken
+        edge = take(table, slot, line, r)
+        taken += edge is not None and slot.seed() is not None
+        return edge
+
+    def counted_advance(walk, edge):
+        nonlocal later
+        later += walk.first_edge is not None
+        advance(walk, edge)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tradeoff, "clip_run", clip)
+        patch.setattr(tradeoff._SharedEdges, "take", counted_take)
+        patch.setattr(scan.TrackedSite, "advance", counted_advance)
         run_tradeoff(ReadOnlyArena(sites), mode, s, OutputSink(keep=False), observing_ledger())
-    return out
+    return out, taken, later
 
 
 class TestCertifiedEnd:
@@ -754,13 +772,19 @@ class TestCertifiedEnd:
         st.sampled_from([DiagramMode.NEAREST, DiagramMode.FARTHEST]),
         st.sampled_from([1, 4]),
     )
+    @example("random", 4, 0, DiagramMode.FARTHEST, 4)  # every edge after the first is taken
     def test_seeded_equals_plain(self, kind, n, seed, mode, s):
+        """Every walk edge after the first is clipped with its seed or taken
+        from the shared-edge table (a farthest diagram of a few sites with
+        a 3-vertex hull can take all of them), and each seeded clip equals
+        the plain one."""
         if kind == "random":
             sites = random_sites(n, seed)
         else:
             sites = site_set([(x, x * x) for x in Random(seed).sample(range(1, 1 << 12), n)])
-        clips = ray_clips(sites, mode, s)
-        assert clips  # every cell has a second edge
+        clips, taken, later = ray_clips(sites, mode, s)
+        assert later  # every cell has a second edge
+        assert len(clips) + taken == later
         for ray, plain in clips:
             assert ray == plain
 

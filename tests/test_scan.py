@@ -25,7 +25,7 @@ from wsvoronoi.scan import (
     locate_on_hull,
     record_for,
 )
-from wsvoronoi.tradeoff import _far_round, _SharedEdges, _site_source, walk_cells
+from wsvoronoi.tradeoff import _HullDraws, _SharedEdges, _site_source, walk_cells
 
 N, F = DiagramMode.NEAREST, DiagramMode.FARTHEST
 
@@ -40,10 +40,7 @@ def run_diagram(sites, mode):
 
 def one_round(arena, walk, mode):
     """The edge a one-slot round of `walk_cells` finds next for `walk`."""
-    if mode is F:
-        [edge] = _far_round(arena, [walk])
-    else:
-        [edge] = _SharedEdges(1, observing_ledger()).round(arena, [walk])
+    [edge] = (_SharedEdges if mode is N else _HullDraws)(1, observing_ledger()).round(arena, [walk])
     return edge
 
 
@@ -160,7 +157,7 @@ class TestStartRay:
         arena = ReadOnlyArena(triangle())
         walk = cell_walk(arena, 0, F, observing_ledger())
         assert walk.cutter in (1, 2)  # known before any pass
-        [edge] = _far_round(arena, [walk])
+        edge = one_round(arena, walk, F)
         assert edge.rival in (1, 2)
         assert (edge.lo is None) != (edge.hi is None)  # its unbounded edge
 
@@ -312,7 +309,7 @@ class TestWalkDegeneracies:
         P = site_set([(0, 0), (1, 1), (2, 2), (3, 3)])
         arena = ReadOnlyArena(P)
         walk = hull_walk(arena, 0, 3)
-        [edge] = _far_round(arena, [walk])
+        edge = one_round(arena, walk, F)
         assert (edge.lo, edge.hi, edge.lo_cutter, edge.hi_cutter) == (None, None, None, None)
         with pytest.raises(DegenerateGeometry) as raised:
             walk.advance(edge)
@@ -329,7 +326,7 @@ class TestWalkDegeneracies:
         P = site_set([(x, x * x) for x in (1, 2, 3, 5, 8, 13)])
         arena = ReadOnlyArena(P)
         walk = hull_walk(arena, 1, 5)
-        [edge] = _far_round(arena, [walk])
+        edge = one_round(arena, walk, F)
         assert None not in (edge.lo, edge.hi)
         with pytest.raises(DegenerateGeometry) as raised:
             walk.advance(edge)

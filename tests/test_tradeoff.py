@@ -13,16 +13,17 @@ from wsvoronoi.geometry import DegenerateGeometry, site_set
 from wsvoronoi.memory import OutputSink, ReadOnlyArena, WorkLedger, observing_ledger
 from wsvoronoi.oracle import oracle_vdk, verify_run
 from wsvoronoi.records import format_record
-from wsvoronoi.scan import DiagramMode, cell_walk, enumerate_diagram, record_for
+from wsvoronoi.scan import DiagramMode, arc_walked, cell_walk, enumerate_diagram, record_for
 from wsvoronoi.tradeoff import (
     W_BATCH_SITE,
     W_FIXED,
+    W_HULL_DRAWN,
     W_HULL_POINT,
     W_MEM_SITE,
     W_SHARED_EDGE,
     W_SLOT,
     _edge_vanished,
-    _far_round,
+    _HullDraws,
     _SharedEdges,
     find_big_cells,
     hull_stream,
@@ -138,10 +139,8 @@ def walk_by_rounds(arena, slots, mode):
 
 def plain_round(arena, slots, mode):
     """One round of `slots` as `walk_cells` runs it, with a shared-edge
-    table for nearest walks that holds nothing, as at s = 1."""
-    if mode is F:
-        return _far_round(arena, slots)
-    return _SharedEdges(1, observing_ledger()).round(arena, slots)
+    table that holds nothing, as at s = 1."""
+    return (_SharedEdges if mode is N else _HullDraws)(1, observing_ledger()).round(arena, slots)
 
 
 class TestFindEdgesBatched:
@@ -273,14 +272,14 @@ class TestHullChain:
             full = scan.clip_edge(walk.site, walk.p, walk.cutter, r, line, state)
             handed = walk.handed
             before = arena.read_count, arena.site_visits
-            [edge] = _far_round(arena, [walk])
+            [edge] = plain_round(arena, [walk], F)
             if handed is not None:
                 assert edge == full
                 assert (arena.read_count, arena.site_visits) == before
                 chained += 1
             walk.advance(edge)
             while not walk.done:
-                [edge] = _far_round(arena, [walk])
+                [edge] = plain_round(arena, [walk], F)
                 walk.advance(edge)
         assert chained == len(list(hull_stream(arena, 1, observing_ledger()))) - 1
 
@@ -296,7 +295,7 @@ class TestHullChain:
             for j in hull[a + 2 : a + n - 1]:
                 walk = scan.hull_walk(arena, i, j)
                 try:
-                    [edge] = _far_round(arena, [walk])
+                    [edge] = plain_round(arena, [walk], F)
                 except AssertionError:
                     continue  # clipped to nothing
                 with pytest.raises(DegenerateGeometry, match="bounded at both ends"):
@@ -691,20 +690,25 @@ class TestTableCharge:
 
 
 class TestSharedEdges:
-    """Nearest walks at s > 1 hand each edge they clip to the walk of the
-    cell on its other side (`tradeoff._SharedEdges`), which takes it in
-    place of clipping it again."""
+    """Walks at s > 1 hand each edge they clip to the walk of the cell on
+    its other side (`tradeoff._SharedEdges`, `_HullDraws` for farthest
+    walks), which takes it in place of clipping it again."""
 
     INPUTS = {"random": random_sites(48, 851), "convex": parabola(40, 852)}
+    # The nearest cases keep their ids; the farthest ones are "fvd-...".
+    KINDS = [pytest.param(kind, N, id=kind) for kind in sorted(INPUTS)] + [
+        pytest.param(kind, F, id=f"fvd-{kind}") for kind in sorted(INPUTS)
+    ]
 
     @pytest.mark.parametrize("s", [2, 4, 8, 24])
-    @pytest.mark.parametrize("kind", sorted(INPUTS))
-    def test_taken_edge_is_the_clip_it_replaces(self, kind, s, monkeypatch):
+    @pytest.mark.parametrize("kind, mode", KINDS)
+    def test_taken_edge_is_the_clip_it_replaces(self, kind, mode, s, monkeypatch):
         """Every taken edge equals what the slot's own clip, seeded as the
         round would seed it, gives against the whole input, and leaves the
         table as it is taken."""
         arena = ReadOnlyArena(self.INPUTS[kind])
         span = arena.read_span(0, len(arena))
+        want = -1 if mode is N else 1
         taken = 0
         take = tradeoff._SharedEdges.take
 
@@ -715,41 +719,67 @@ class TestSharedEdges:
                 taken += 1
                 assert slot.rival not in table.held.get(slot.site, {})
                 state = [None] * 6
-                work = SimpleNamespace(site_tests=0, site_visits=0)
+                work = SimpleNamespace(site_tests=0, site_visits=0, twin=None)  # exact integers only
                 skip = (slot.site, slot.rival)
-                assert scan.clip_run(state, line, slot.p, r, span, -1, skip, seed=slot.seed(), work=work)
+                assert scan.clip_run(state, line, slot.p, r, span, want, skip, seed=slot.seed(), work=work)
                 assert edge == scan.clip_edge(slot.site, slot.p, slot.rival, r, line, state)
             return edge
 
         monkeypatch.setattr(tradeoff._SharedEdges, "take", replay)
-        list(iter_diagram(arena, N, s, observing_ledger()))
+        list(iter_diagram(arena, mode, s, observing_ledger()))
         assert taken > 0
 
-    @pytest.mark.parametrize("s", [2, 3, 8, 39, 40, 80])
-    def test_held_edges_are_capped_and_charged(self, s, monkeypatch):
+    HELD = [pytest.param(s, N, id=str(s)) for s in (2, 3, 8, 39, 40, 80)] + [
+        pytest.param(s, F, id=f"fvd-{s}") for s in (2, 3, 8, 39, 40, 80)
+    ]
+
+    @pytest.mark.parametrize("s, mode", HELD)
+    def test_held_edges_are_capped_and_charged(self, s, mode, monkeypatch):
         """The table never holds more than 2(min(s, n) - 1) edges, each
         charged W_SHARED_EDGE words while held, and it holds an edge only
-        for a walk that is live, its site at or before the frontier in
-        (x, y) order, or still to come, its site past the frontier."""
-        P = random_sites(40, 853)
+        for a walk that is live and has not walked it, or is still to come.
+        Nearest walks are live with their sites at or before the frontier
+        in (x, y) order, and to come past it; farthest walks are drawn in
+        hull order, so one to come is one not drawn yet, on the far side of
+        the chord from the first walk drawn to the last."""
+        P = random_sites(40, 853) if mode is N else parabola(40, 853)
         slots = min(s, len(P))
         ledger = observing_ledger()
         base = slots * (W_SLOT + W_BATCH_SITE) + W_FIXED
+        if mode is F:  # the drawn hull points, and the hull window while the stream runs
+            base += W_HULL_DRAWN
+        bases = {base} if mode is N else {base, base + (slots + 2) * W_HULL_POINT + W_FIXED}
+        drawn = set()
         most = 0
         offer = tradeoff._SharedEdges.offer
+        draw = tradeoff._SharedEdges.draw
+
+        def watched(table, source):
+            for walk in draw(table, source):
+                drawn.add(walk.site)
+                yield walk
 
         def checked(table, edge):
             nonlocal most
             offer(table, edge)
             held = sum(map(len, table.held.values()))
             assert held == table.count <= 2 * (slots - 1)
-            assert ledger.live_words == base + held * W_SHARED_EDGE
-            assert all(j not in table.live or P[j].ipt <= table.frontier for j in table.held)
-            assert all(j in table.live or P[j].ipt > table.frontier for j in table.held)
+            assert ledger.live_words - held * W_SHARED_EDGE in bases
+            if mode is N:
+                assert all(j not in table.live or P[j].ipt <= table.frontier for j in table.held)
+                assert all(j in table.live or P[j].ipt > table.frontier for j in table.held)
+            for j, finders in table.held.items():
+                walk = table.live.get(j)
+                if walk is None:
+                    assert j not in drawn
+                    continue
+                (qx, qy) = walk.p
+                assert not any(arc_walked(walk.arc(), (P[i].ix - qx, P[i].iy - qy)) for i in finders)
             most = max(most, held)
 
+        monkeypatch.setattr(tradeoff._SharedEdges, "draw", watched)
         monkeypatch.setattr(tradeoff._SharedEdges, "offer", checked)
-        find_big_cells(ReadOnlyArena(P), N, s, ledger)
+        find_big_cells(ReadOnlyArena(P), mode, s, ledger)
         assert 0 < most
         assert ledger.live_words == 0
 
@@ -798,14 +828,33 @@ class TestSharedEdges:
         big = {record_for(arena, e, N).undirected_key() for e in iter_big_big(arena, N, 4, table, observing_ledger())}
         assert got | big == oracle_vdk(P, 1).undirected_keys()
 
-    @pytest.mark.parametrize("s", [1, 8])
-    def test_farthest_runs_keep_no_table(self, s, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a shared-edge table was built")
+    @pytest.mark.parametrize("s", [4, 8])
+    def test_skipped_farthest_partner_is_not_held(self, s, monkeypatch):
+        """Farthest walks of small cells hold no edge for a big partner,
+        whose walk the source passes over: the hull-order test knows the
+        source's filter too, so no held edge takes a place in the table
+        until it is cleared."""
+        P = parabola(40, 855)
+        arena = ReadOnlyArena(P)
+        table = find_big_cells(arena, F, s, observing_ledger())
+        assert table
+        offers = 0
+        offer = tradeoff._SharedEdges.offer
 
-        monkeypatch.setattr(tradeoff._SharedEdges, "__init__", refuse)
-        _, sink, _ = run(random_sites(24, 855), F, s)
-        assert sink.records
+        def checked(shared, edge):
+            nonlocal offers
+            offer(shared, edge)
+            offers += edge.rival in table
+            assert not any(j in table for j in shared.held)
+
+        monkeypatch.setattr(tradeoff._SharedEdges, "offer", checked)
+        ledger = observing_ledger()
+        got = {record_for(arena, e, F).undirected_key() for e in iter_small_incident(arena, F, s, table, ledger)}
+        assert offers
+        assert ledger.live_words == 0
+        big = {record_for(arena, e, F).undirected_key() for e in iter_big_big(arena, F, s, table, observing_ledger())}
+        _, sink, _ = run(P, F, 1)
+        assert got | big == {r.undirected_key() for r in sink.records}
 
     @pytest.mark.parametrize("mode", ["nvd", "fvd"])
     def test_peak_words_stop_at_n_slots(self, mode):
